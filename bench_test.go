@@ -407,6 +407,90 @@ func BenchmarkHiveIngestParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkHiveIngestExternalOnly measures both sides of the per-program
+// reconstructor on cmd/pod's default traffic: 64 columnar frames of 16
+// external-only traces (what pod_loop ships). first-sight ingests the pool
+// into a hive that has never seen the program run, so every distinct trace
+// re-executes the program once; repeat ingests the same pool into a hive
+// that already has, so every trace merges from a remembered path. The work
+// per op is the same pool, so ns/op and B/op compare directly; hit-share is
+// the measured share of lookups answered from memory.
+func BenchmarkHiveIngestExternalOnly(b *testing.B) {
+	const frames, frameTraces = 64, 16
+	p, _, err := proggen.Generate(proggen.Spec{
+		Seed: 950, Depth: 6, Loops: 1, NumInputs: 2, Syscalls: 1, DetBranches: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := stats.NewRNG(12)
+	pool := make([][]byte, frames)
+	for f := range pool {
+		batch := make([]*trace.Trace, frameTraces)
+		for i := range batch {
+			col := trace.NewCollector(p, trace.CaptureExternalOnly, 0, 1)
+			input := []int64{rng.Int63n(256), rng.Int63n(256)}
+			m, err := prog.NewMachine(p, prog.Config{Input: input, Observer: col})
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch[i] = col.Finish("bench-pod", uint64(f*frameTraces+i), m.Run(), input, trace.PrivacyHashed, "fleet")
+		}
+		if pool[f], err = trace.EncodeBatch(p.ID, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	newHive := func() *hive.Hive {
+		h := hive.New("fleet")
+		if err := h.RegisterProgram(p); err != nil {
+			b.Fatal(err)
+		}
+		return h
+	}
+	ingestPool := func(h *hive.Hive) {
+		c := &columnarViewClient{h: h}
+		for _, frame := range pool {
+			if err := c.submitEncoded(p.ID, frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	report := func(b *testing.B, h *hive.Hive, before exectree.ReconstructorStats) {
+		st, err := h.ProgramStats(p.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hits, misses := st.Reconstructor.Hits-before.Hits, st.Reconstructor.Misses-before.Misses
+		b.ReportMetric(float64(hits)/float64(hits+misses), "hit-share")
+		b.ReportMetric(frames*frameTraces, "traces/op")
+	}
+	b.Run("first-sight", func(b *testing.B) {
+		b.ReportAllocs()
+		var h *hive.Hive
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			h = newHive()
+			b.StartTimer()
+			ingestPool(h)
+		}
+		report(b, h, exectree.ReconstructorStats{})
+	})
+	b.Run("repeat", func(b *testing.B) {
+		h := newHive()
+		ingestPool(h)
+		warm, err := h.ProgramStats(p.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ingestPool(h)
+		}
+		report(b, h, warm.Reconstructor)
+	})
+}
+
 // benchSimulation runs one whole-fleet SoftBorg day-loop per iteration.
 func benchSimulation(b *testing.B, workers int) {
 	b.Helper()

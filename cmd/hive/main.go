@@ -369,8 +369,10 @@ func run(args []string) error {
 				if err != nil {
 					continue
 				}
-				fmt.Printf("program %d: ingested=%d paths=%d fixes=%d failures=%d repair-lab=%d\n",
-					i, st.Ingested, st.Tree.Paths, st.FixCount, len(st.Failures), st.RepairLab)
+				rs := st.Reconstructor
+				fmt.Printf("program %d: ingested=%d paths=%d fixes=%d failures=%d repair-lab=%d reconstructed=%d recon-hits=%d recon-misses=%d recon-resident=%dB\n",
+					i, st.Ingested, st.Tree.Paths, st.FixCount, len(st.Failures), st.RepairLab,
+					st.Reconstructed, rs.Hits, rs.Misses, rs.ResidentBytes)
 			}
 			live, frozen := h.SessionCount()
 			fmt.Printf("sessions: live=%d frozen=%d displaced=%d\n", live, frozen, h.SessionEvictions())

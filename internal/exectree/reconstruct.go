@@ -38,9 +38,17 @@ func Reconstruct(p *prog.Program, tr *trace.Trace) ([]trace.BranchEvent, error) 
 	for i, s := range tr.Syscalls {
 		returns[i] = s.Ret
 	}
+	in := trace.ReconstructionInput{Outcome: tr.Outcome, Steps: tr.Steps, Branches: tr.Branches, Returns: returns}
+	// The placeholder input never reaches an untainted branch.
+	return replay(p, make([]int64, p.NumInputs), &in, nil)
+}
 
+// replay is Reconstruct's engine, over exactly the values the result is a
+// function of (in). placeholder is the all-zero program input (only read);
+// the path is appended to full.
+func replay(p *prog.Program, placeholder []int64, in *trace.ReconstructionInput, full []trace.BranchEvent) ([]trace.BranchEvent, error) {
+	branches, outcome := in.Branches, in.Outcome
 	var (
-		full      []trace.BranchEvent
 		cursor    int
 		oracleErr error
 	)
@@ -49,21 +57,21 @@ func Reconstruct(p *prog.Program, tr *trace.Trace) ([]trace.BranchEvent, error) 
 	})
 
 	cfg := prog.Config{
-		Input:    make([]int64, p.NumInputs), // placeholder; never reaches untainted branches
-		Syscalls: &prog.ScriptedSyscalls{Returns: returns},
+		Input:    placeholder,
+		Syscalls: &prog.ScriptedSyscalls{Returns: in.Returns},
 		Observer: collector,
-		MaxSteps: maxReconstructSteps(tr),
+		MaxSteps: reconstructFuel(in.Steps),
 		BranchOverride: func(tid, branchID int, natural bool) bool {
 			if !p.InputDependent(branchID) {
 				return natural
 			}
-			if cursor >= len(tr.Branches) {
+			if cursor >= len(branches) {
 				if oracleErr == nil {
 					oracleErr = fmt.Errorf("%w: recorded branch stream exhausted at branch #%d", ErrReconstruct, branchID)
 				}
 				return natural
 			}
-			rec := tr.Branches[cursor]
+			rec := branches[cursor]
 			cursor++
 			if rec.ID != int32(branchID) && oracleErr == nil {
 				oracleErr = fmt.Errorf("%w: recorded branch #%d, execution at #%d", ErrReconstruct, rec.ID, branchID)
@@ -79,26 +87,33 @@ func Reconstruct(p *prog.Program, tr *trace.Trace) ([]trace.BranchEvent, error) 
 	if oracleErr != nil {
 		return nil, oracleErr
 	}
-	if cursor != len(tr.Branches) {
-		return nil, fmt.Errorf("%w: %d recorded branches unconsumed", ErrReconstruct, len(tr.Branches)-cursor)
+	if cursor != len(branches) {
+		return nil, fmt.Errorf("%w: %d recorded branches unconsumed", ErrReconstruct, len(branches)-cursor)
 	}
-	if res.Outcome != tr.Outcome {
+	if res.Outcome != outcome {
 		// A benign mismatch is possible when the failure depended on a raw
 		// input value that never reached a branch (e.g. div by a value, or
 		// crash address); the reconstruction still yields the correct path
 		// prefix. Surface it so callers can decide.
-		return full, fmt.Errorf("%w: reconstructed outcome %s, recorded %s", ErrReconstruct, res.Outcome, tr.Outcome)
+		return full, fmt.Errorf("%w: reconstructed outcome %s, recorded %s", ErrReconstruct, res.Outcome, outcome)
 	}
 	return full, nil
 }
 
-// maxReconstructSteps bounds the oracle replay using the recorded step count
-// with headroom; a diverged replay must not spin forever.
-func maxReconstructSteps(tr *trace.Trace) int64 {
-	if tr.Steps <= 0 {
+// reconstructFuel bounds an oracle replay using the recorded step count
+// with headroom; a diverged replay must not spin forever. The count is a
+// pod's claim straight off the wire, so it is clamped to what an honest
+// execution can report: a hostile value must not buy a replay longer than
+// the fuel limit pods themselves run under (and must not overflow the
+// doubling into "no limit").
+func reconstructFuel(steps int64) int64 {
+	if steps <= 0 {
 		return prog.DefaultMaxSteps
 	}
-	return tr.Steps*2 + 1024
+	if steps > prog.DefaultMaxSteps {
+		steps = prog.DefaultMaxSteps
+	}
+	return steps*2 + 1024
 }
 
 // observerFunc adapts a branch callback to prog.Observer.

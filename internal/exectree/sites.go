@@ -13,13 +13,11 @@ import (
 // direction recorded for its site. It is sound for executions in which each
 // site decided at most once (CombineCoordinated rejects the rest), and for
 // single-threaded programs. Syscall returns replay from any member trace of
-// the family.
-func ReconstructFromSites(p *prog.Program, sites trace.SiteDirections, syscalls []int64, maxSteps int64) ([]trace.BranchEvent, prog.Outcome, error) {
+// the family, and steps is that trace's recorded step count: like
+// Reconstruct, the replay's fuel is derived from it and clamped.
+func ReconstructFromSites(p *prog.Program, sites trace.SiteDirections, syscalls []int64, steps int64) ([]trace.BranchEvent, prog.Outcome, error) {
 	if p.NumThreads() > 1 {
 		return nil, 0, fmt.Errorf("%w: program %q is multi-threaded", ErrReconstruct, p.Name)
-	}
-	if maxSteps <= 0 {
-		maxSteps = prog.DefaultMaxSteps
 	}
 	var (
 		full      []trace.BranchEvent
@@ -32,7 +30,7 @@ func ReconstructFromSites(p *prog.Program, sites trace.SiteDirections, syscalls 
 		Input:    make([]int64, p.NumInputs),
 		Syscalls: &prog.ScriptedSyscalls{Returns: syscalls},
 		Observer: collector,
-		MaxSteps: maxSteps,
+		MaxSteps: reconstructFuel(steps),
 		BranchOverride: func(tid, branchID int, natural bool) bool {
 			if !p.InputDependent(branchID) {
 				return natural

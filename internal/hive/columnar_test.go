@@ -39,10 +39,13 @@ func captureMixed(t *testing.T, p *prog.Program, n int) []*trace.Trace {
 // zero-copy path: feeding a batch through the view-based columnar apply
 // must leave the hive in exactly the state the materialized per-trace path
 // produces — same counters, same reconstruction, same failure aggregation
-// and minted fixes, same execution tree.
+// and minted fixes, same execution tree. The corpus's tail repeats its
+// head, so both paths also merge external-only traces from remembered
+// reconstructions, not only from fresh replays.
 func TestColumnarIngestMatchesV2(t *testing.T) {
 	p := buildCrashy(t)
 	corpus := captureMixed(t, p, 96)
+	corpus = append(corpus, corpus[:32]...)
 
 	hV2 := New("fleet")
 	if err := hV2.RegisterProgram(p); err != nil {
@@ -83,6 +86,9 @@ func TestColumnarIngestMatchesV2(t *testing.T) {
 	}
 	if sV2.Reconstructed == 0 || sV2.FixCount == 0 {
 		t.Fatalf("corpus did not exercise reconstruction/synthesis: %+v", sV2)
+	}
+	if sV2.Reconstructor.Hits == 0 || sCol.Reconstructor.Hits == 0 {
+		t.Fatalf("corpus did not exercise the remembered-reconstruction path: v2 %+v, columnar %+v", sV2.Reconstructor, sCol.Reconstructor)
 	}
 	// Failure samples are equal but distinct pointers; compare them
 	// structurally, then the rest of the stats wholesale.

@@ -104,6 +104,10 @@ func assertHivesEqual(t *testing.T, want, got *Hive, corpus []*prog.Program) {
 		// processes by construction.
 		wf, gf := ws.Failures, gs.Failures
 		ws.Failures, gs.Failures = nil, nil
+		// The reconstruction memo's counters describe a process, not the
+		// program's state: a hive restored from a snapshot never looked up
+		// what the live one did.
+		ws.Reconstructor, gs.Reconstructor = exectree.ReconstructorStats{}, exectree.ReconstructorStats{}
 		if !reflect.DeepEqual(ws, gs) {
 			t.Errorf("program %s: stats mismatch:\n want %+v\n  got %+v", p.Name, ws, gs)
 		}
@@ -176,14 +180,41 @@ func assertHivesEqual(t *testing.T, want, got *Hive, corpus []*prog.Program) {
 	}
 }
 
+// feedExternalOnly submits the same few external-only executions of p over
+// and over, through both submit routes (so the journal holds OpBatch and
+// OpBatchColumnar records): after the first round every trace is one the
+// program's reconstructor has expanded before.
+func feedExternalOnly(t *testing.T, h *Hive, p *prog.Program, rounds int) {
+	t.Helper()
+	var batch []*trace.Trace
+	for i := 0; i < 8; i++ {
+		batch = append(batch, captureIn(t, p, trace.CaptureExternalOnly, []int64{int64(i * 37 % 256)}))
+	}
+	for r := 0; r < rounds; r++ {
+		if err := h.SubmitTracesFor(p.ID, batch); err != nil {
+			t.Fatal(err)
+		}
+		view := viewOf(t, p.ID, batch)
+		_, err := h.SubmitColumnarSession("sess-ext", uint64(r+1), view)
+		view.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestHiveJournalReplayRoundTrip is the journal-only acceptance test: a
 // hive rebuilt from op replay alone (no snapshot was ever taken) is
-// semantically identical to the original.
+// semantically identical to the original — including external-only traffic
+// the live hive merged from remembered reconstructions: replay runs the
+// same lookups against its own, cold, reconstructor and arrives at the same
+// counters and the same tree.
 func TestHiveJournalReplayRoundTrip(t *testing.T) {
 	corpus := durableCorpus(t)
 	dir := t.TempDir()
 	h1, store1 := newDurableHive(t, dir, corpus)
 	feedFleet(t, h1, corpus, 40, 1)
+	feedExternalOnly(t, h1, corpus[0], 5)
 	if _, err := h1.Prove(corpus[1].ID, proof.PropNoCrash); err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +236,15 @@ func TestHiveJournalReplayRoundTrip(t *testing.T) {
 	h2, store2 := newDurableHive(t, dir, corpus)
 	defer store2.Close()
 	assertHivesEqual(t, h1, h2, corpus)
+	for _, h := range []*Hive{h1, h2} {
+		st, err := h.ProgramStats(corpus[0].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs := st.Reconstructor; st.Reconstructed != 80 || rs.Misses > 8 || rs.Hits+rs.Misses != 80 {
+			t.Fatalf("reconstructed=%d with %d hits, %d misses; want 80 reconstructed, at most one replay per distinct trace", st.Reconstructed, rs.Hits, rs.Misses)
+		}
+	}
 }
 
 // TestHiveSnapshotPlusSuffixRoundTrip checkpoints mid-workload so recovery

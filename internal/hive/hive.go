@@ -90,6 +90,12 @@ type programState struct {
 	fixes fix.Set
 	epoch int
 
+	// recon expands external-only traces to full paths, remembering each
+	// distinct reconstruction (it synchronizes internally). A pure cache:
+	// it is not part of the program's durable state and survives a
+	// snapshot restore replacing tree.
+	recon *exectree.Reconstructor
+
 	// hasBase and deltasSince drive the incremental-checkpoint policy
 	// (full base snapshot first, then delta segments, recompacted every
 	// compactEvery deltas). Both are guarded by the ckpt write gate.
@@ -264,6 +270,7 @@ func (h *Hive) RegisterProgram(p *prog.Program) error {
 	st := &programState{
 		prog:   p,
 		tree:   exectree.New(p.ID),
+		recon:  exectree.NewReconstructor(p),
 		proofs: make(map[proof.Property]*proof.Proof),
 	}
 	if p.NumThreads() == 1 {
@@ -421,8 +428,9 @@ func (h *Hive) SubmitTracesSession(session string, seq uint64, programID string,
 // SubmitColumnarSession implements pod.ColumnarSubmitter: zero-copy batch
 // ingestion. The view's fields are consumed straight out of the wire
 // frame's bytes — traces are materialized only where the hive must retain
-// one (failure samples, coordinated fragments, external-only reconstruction
-// inputs) — and on a durable hive the journal records *those same bytes*
+// one (failure samples, coordinated fragments); an external-only trace is
+// reconstructed from its frame bytes, by re-execution only on first sight —
+// and on a durable hive the journal records *those same bytes*
 // (journal.OpBatchColumnar), so a batch is serialized exactly once in its
 // lifetime: on the pod. Dedup semantics are identical to
 // SubmitTracesSession; the (session, seq) tag spaces are shared.
@@ -532,19 +540,17 @@ func (h *Hive) ingest(st *programState, batch []*trace.Trace, session string, se
 func (h *Hive) applyBatch(st *programState, batch []*trace.Trace, live bool) {
 	singleThreaded := st.prog.NumThreads() == 1
 
-	// Phase 1 (lock-free): expand external-only traces to full paths —
-	// reconstruction replays the immutable program. On failure fall back to
-	// merging at recorded granularity; the tree stays sound, only less
-	// detailed.
+	// Phase 1 (lock-free): expand external-only traces to full paths — the
+	// reconstructor replays the immutable program once per distinct trace
+	// and answers repeats from memory. On failure fall back to merging at
+	// recorded granularity; the tree stays sound, only less detailed.
 	paths := make([][]trace.BranchEvent, len(batch))
 	var reconstructed int64
 	for i, tr := range batch {
 		paths[i] = tr.Branches
-		if tr.Mode == trace.CaptureExternalOnly && singleThreaded {
-			if full, err := exectree.Reconstruct(st.prog, tr); err == nil {
-				paths[i] = full
-				reconstructed++
-			}
+		if full, ok := st.recon.Trace(tr); ok {
+			paths[i] = full
+			reconstructed++
 		}
 	}
 
@@ -624,11 +630,12 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 // applyBatchView folds one columnar batch into the hive, reading fields
 // directly out of the view. It is semantically applyBatch over
 // view.MaterializeAll() — the equivalence TestColumnarIngestMatchesV2 pins
-// — but materializes a Trace only where one is retained or re-executed:
-// failure samples (once per signature ever), coordinated fragments, and
-// external-only reconstruction. Benign full-capture traffic — the fleet's
-// overwhelming majority — is merged straight from the frame bytes through
-// a reused path buffer.
+// — but materializes a Trace only where one is retained: failure samples
+// (once per signature ever) and coordinated fragments. Full-capture traffic
+// is merged straight from the frame bytes through a reused path buffer, and
+// an external-only trace is keyed by its frame bytes into the program's
+// reconstructor, which re-executes the program only for a trace it has not
+// expanded before.
 func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 	singleThreaded := st.prog.NumThreads() == 1
 	n := v.Len()
@@ -674,12 +681,9 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 	var reconstructed, narrowed int64
 	for i := 0; i < n; i++ {
 		outcome := v.Outcome(i)
-		var path []trace.BranchEvent
-		if v.Mode(i) == trace.CaptureExternalOnly && singleThreaded {
-			if full, err := exectree.Reconstruct(st.prog, v.Materialize(i)); err == nil {
-				path = full
-				reconstructed++
-			}
+		path, ok := st.recon.View(v, i)
+		if ok {
+			reconstructed++
 		}
 		if fam, ok := families[i]; ok {
 			if full, ok := narrowFamily(st.prog, fam, outcome); ok {
@@ -761,7 +765,7 @@ func narrowFamily(p *prog.Program, family []*trace.Trace, outcome prog.Outcome) 
 	for _, s := range family[0].Syscalls {
 		sysRet = append(sysRet, s.Ret)
 	}
-	full, got, err := exectree.ReconstructFromSites(p, sites, sysRet, family[0].Steps*2+1024)
+	full, got, err := exectree.ReconstructFromSites(p, sites, sysRet, family[0].Steps)
 	if err != nil || got != outcome {
 		return nil, false
 	}
@@ -1380,12 +1384,17 @@ type Stats struct {
 	Reconstructed int64
 	// Narrowed counts coordinated-sampling families completed and merged
 	// as full paths.
-	Narrowed  int64
-	Tree      exectree.Stats
-	Failures  []FailureRecord
-	FixCount  int
-	Epoch     int
-	RepairLab int
+	Narrowed int64
+	// Reconstructor is the program's reconstruction memo: lookups answered
+	// from a remembered path, lookups that re-executed the program, and the
+	// bytes remembered. Process-local cache counters, not durable state: a
+	// recovered or re-homed hive starts them from zero.
+	Reconstructor exectree.ReconstructorStats
+	Tree          exectree.Stats
+	Failures      []FailureRecord
+	FixCount      int
+	Epoch         int
+	RepairLab     int
 }
 
 // ProgramStats returns a snapshot for one program.
@@ -1400,6 +1409,7 @@ func (h *Hive) ProgramStats(programID string) (Stats, error) {
 		Ingested:      st.ingested.Load(),
 		Reconstructed: st.reconstructed.Load(),
 		Narrowed:      st.narrowed.Load(),
+		Reconstructor: st.recon.Stats(),
 		Tree:          st.tree.Stats(),
 		FixCount:      st.fixes.Len(),
 		Epoch:         st.epoch,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"repro/internal/exectree"
 	"repro/internal/pod"
 	"repro/internal/trace"
 )
@@ -138,11 +139,29 @@ type batchPrice struct {
 	lowRarityOnly bool
 }
 
+// add folds one trace's price into the batch's.
+func (bp *batchPrice) add(p *ShedPolicy, pr exectree.PathPrice) {
+	bp.newEdges += pr.NewEdges
+	if pr.NovelPath {
+		bp.novel = true
+		if p.RarityFloor <= 0 || pr.SiblingVisits >= p.RarityFloor {
+			bp.lowRarityOnly = false
+		}
+	}
+}
+
 // shedView prices a columnar batch and decides its fate. Returns
 // (drop=true, nil) for a batch to ack-without-ingest — the caller must
 // NOT journal, apply, or mark the session (a resubmission simply
 // re-prices) — or (false, err wrapping pod.ErrDeferred) to decline, or
 // (false, nil) to admit.
+//
+// A trace is priced as the path ingest would merge for it: an external-only
+// trace by its reconstruction, not by its recorded stream, which leaves the
+// tree at the first deterministic branch and would price every repeat as
+// novel. The reconstructor makes that free for a trace the program has
+// expanded before; a first sight is expanded here and the apply that
+// follows an admit finds it remembered.
 func (h *Hive) shedView(st *programState, v *trace.BatchView) (bool, error) {
 	p := h.shedPolicy.Load()
 	if p == nil {
@@ -168,18 +187,14 @@ func (h *Hive) shedView(st *programState, v *trace.BatchView) (bool, error) {
 			return false, nil
 		}
 	}
-	var bp batchPrice
-	bp.lowRarityOnly = true
+	bp := batchPrice{lowRarityOnly: true}
 	for i := 0; i < n; i++ {
-		sc.path = v.AppendBranches(sc.path[:0], i)
-		pr := st.tree.PricePath(sc.path, v.Outcome(i))
-		bp.newEdges += pr.NewEdges
-		if pr.NovelPath {
-			bp.novel = true
-			if p.RarityFloor <= 0 || pr.SiblingVisits >= p.RarityFloor {
-				bp.lowRarityOnly = false
-			}
+		path, ok := st.recon.View(v, i)
+		if !ok {
+			sc.path = v.AppendBranches(sc.path[:0], i)
+			path = sc.path
 		}
+		bp.add(p, st.tree.PricePath(path, v.Outcome(i)))
 	}
 	return h.shedDecide(p, pressure, bp)
 }
@@ -204,17 +219,13 @@ func (h *Hive) shedBatch(st *programState, traces []*trace.Trace) (bool, error) 
 			return false, nil
 		}
 	}
-	var bp batchPrice
-	bp.lowRarityOnly = true
+	bp := batchPrice{lowRarityOnly: true}
 	for _, tr := range traces {
-		pr := st.tree.PricePath(tr.Branches, tr.Outcome)
-		bp.newEdges += pr.NewEdges
-		if pr.NovelPath {
-			bp.novel = true
-			if p.RarityFloor <= 0 || pr.SiblingVisits >= p.RarityFloor {
-				bp.lowRarityOnly = false
-			}
+		path, ok := st.recon.Trace(tr)
+		if !ok {
+			path = tr.Branches
 		}
+		bp.add(p, st.tree.PricePath(path, tr.Outcome))
 	}
 	return h.shedDecide(p, pressure, bp)
 }

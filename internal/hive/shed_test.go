@@ -14,7 +14,10 @@ import (
 
 // buildRecomb returns a program with two independent branches on two
 // inputs: four distinct paths over the same four branch edges, so path
-// novelty and edge novelty can be driven separately.
+// novelty and edge novelty can be driven separately. A deterministic branch
+// sits between them: an external-only trace does not record it, so its
+// recorded stream leaves the tree there and only its reconstruction walks
+// the path the tree holds.
 func buildRecomb(t *testing.T) *prog.Program {
 	t.Helper()
 	b := prog.NewBuilder("recomb", 2)
@@ -23,6 +26,10 @@ func buildRecomb(t *testing.T) *prog.Program {
 	l1 := b.NewLabel()
 	b.BrImm(0, prog.CmpGE, 50, l1)
 	b.Bind(l1)
+	det := b.NewLabel()
+	b.Const(2, 3)
+	b.BrImm(2, prog.CmpEQ, 3, det)
+	b.Bind(det)
 	l2 := b.NewLabel()
 	b.BrImm(1, prog.CmpGE, 50, l2)
 	b.Bind(l2)
@@ -59,24 +66,66 @@ func ingested(t *testing.T, h *Hive, programID string) int64 {
 	return st.Ingested
 }
 
+// captureIn executes p on input under the given capture mode and returns
+// the shipped trace.
+func captureIn(t *testing.T, p *prog.Program, mode trace.CaptureMode, input []int64) *trace.Trace {
+	t.Helper()
+	col := trace.NewCollector(p, mode, 0, 1)
+	m, err := prog.NewMachine(p, prog.Config{Input: input, Observer: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col.Finish("pod-0", 0, m.Run(), input, trace.PrivacyHashed, "fleet")
+}
+
 // TestShedLadder walks the pricing ladder end to end: below the
 // watermark everything is admitted; past it exact duplicates go first;
 // covered-only recombinations go in the middle third; and a shed batch
 // never marks its session, so resubmission under low pressure re-prices
-// and ingests.
+// and ingests. The ladder is the same whatever the capture mode and the
+// submit route: external-only traffic — cmd/pod's default — is priced by
+// its reconstructed path, the one the tree holds, on the materialized and
+// on the columnar route alike.
 func TestShedLadder(t *testing.T) {
+	materialized := func(h *Hive, seq uint64, tr *trace.Trace) (bool, error) {
+		return h.SubmitTracesSession("sess", seq, tr.ProgramID, []*trace.Trace{tr})
+	}
+	columnar := func(h *Hive, seq uint64, tr *trace.Trace) (bool, error) {
+		view := viewOf(t, tr.ProgramID, []*trace.Trace{tr})
+		defer view.Release()
+		return h.SubmitColumnarSession("sess", seq, view)
+	}
+	for _, tc := range []struct {
+		name   string
+		mode   trace.CaptureMode
+		submit func(h *Hive, seq uint64, tr *trace.Trace) (bool, error)
+	}{
+		{"full/materialized", trace.CaptureFull, materialized},
+		{"external-only/materialized", trace.CaptureExternalOnly, materialized},
+		{"external-only/columnar", trace.CaptureExternalOnly, columnar},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shedLadder(t, tc.mode, tc.submit)
+		})
+	}
+}
+
+func shedLadder(t *testing.T, mode trace.CaptureMode, submit func(h *Hive, seq uint64, tr *trace.Trace) (bool, error)) {
 	p := buildRecomb(t)
 	h, g := shedHive(t, p, &ShedPolicy{Watermark: 0.5})
 
-	tt := captureTrace(t, p, "pod-0", []int64{60, 60}, trace.PrivacyHashed) // (T,T)
-	ff := captureTrace(t, p, "pod-0", []int64{10, 10}, trace.PrivacyHashed) // (F,F)
-	tf := captureTrace(t, p, "pod-0", []int64{60, 10}, trace.PrivacyHashed) // (T,F)
-	ft := captureTrace(t, p, "pod-0", []int64{10, 60}, trace.PrivacyHashed) // (F,T)
+	tt := captureIn(t, p, mode, []int64{60, 60}) // (T,T)
+	ff := captureIn(t, p, mode, []int64{10, 10}) // (F,F)
+	tf := captureIn(t, p, mode, []int64{60, 10}) // (T,F)
+	ft := captureIn(t, p, mode, []int64{10, 60}) // (F,T)
+	if mode == trace.CaptureExternalOnly && len(tt.Branches) != 2 {
+		t.Fatalf("external-only capture recorded %d branches, want the 2 input-dependent ones", len(tt.Branches))
+	}
 
 	// Prime the tree: both (T,T) and (F,F), so all four edges are covered.
 	// (Sequence numbers are 1-based: the dedup base starts at 0.)
 	for seq, tr := range []*trace.Trace{tt, ff} {
-		if _, err := h.SubmitTracesSession("sess", uint64(seq+1), p.ID, []*trace.Trace{tr}); err != nil {
+		if _, err := submit(h, uint64(seq+1), tr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +133,7 @@ func TestShedLadder(t *testing.T) {
 
 	// Below the watermark: a duplicate sails through.
 	g.set(0.4)
-	if _, err := h.SubmitTracesSession("sess", 3, p.ID, []*trace.Trace{tt}); err != nil {
+	if _, err := submit(h, 3, tt); err != nil {
 		t.Fatal(err)
 	}
 	if got := ingested(t, h, p.ID); got != base+1 {
@@ -94,7 +143,7 @@ func TestShedLadder(t *testing.T) {
 	// Just past the watermark (overshoot 0.1): the duplicate is shed —
 	// acked, not applied, session not marked.
 	g.set(0.55)
-	dup, err := h.SubmitTracesSession("sess", 4, p.ID, []*trace.Trace{tt})
+	dup, err := submit(h, 4, tt)
 	if err != nil || dup {
 		t.Fatalf("shed duplicate: dup=%v err=%v", dup, err)
 	}
@@ -102,7 +151,7 @@ func TestShedLadder(t *testing.T) {
 		t.Fatalf("shed duplicate was applied: ingested %d", got)
 	}
 	// ...but a covered-only recombination still passes at overshoot 0.1.
-	if _, err := h.SubmitTracesSession("sess", 5, p.ID, []*trace.Trace{tf}); err != nil {
+	if _, err := submit(h, 5, tf); err != nil {
 		t.Fatal(err)
 	}
 	if got := ingested(t, h, p.ID); got != base+2 {
@@ -111,7 +160,7 @@ func TestShedLadder(t *testing.T) {
 
 	// Overshoot 0.4 (>= 1/3): covered-only goes too.
 	g.set(0.7)
-	if dup, err := h.SubmitTracesSession("sess", 6, p.ID, []*trace.Trace{ft}); err != nil || dup {
+	if dup, err := submit(h, 6, ft); err != nil || dup {
 		t.Fatalf("shed covered-only: dup=%v err=%v", dup, err)
 	}
 	if got := ingested(t, h, p.ID); got != base+2 {
@@ -126,7 +175,7 @@ func TestShedLadder(t *testing.T) {
 		if seq == 6 {
 			tr = ft
 		}
-		dup, err := h.SubmitTracesSession("sess", seq, p.ID, []*trace.Trace{tr})
+		dup, err := submit(h, seq, tr)
 		if err != nil || dup {
 			t.Fatalf("resubmit seq %d: dup=%v err=%v", seq, dup, err)
 		}

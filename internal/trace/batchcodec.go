@@ -128,22 +128,10 @@ func AppendBatch(dst []byte, programID string, traces []*Trace) ([]byte, error) 
 	// section slab, recording per-trace event counts and byte lengths.
 	for _, tr := range traces {
 		stageSection(e, secBranches, len(tr.Branches), func(buf []byte) []byte {
-			for _, b := range tr.Branches {
-				v := uint64(b.ID) << 1
-				if b.Taken {
-					v |= 1
-				}
-				buf = binary.AppendUvarint(buf, v)
-			}
-			return buf
+			return appendBranchEvents(buf, tr.Branches)
 		})
 		stageSection(e, secSyscalls, len(tr.Syscalls), func(buf []byte) []byte {
-			for _, s := range tr.Syscalls {
-				buf = binary.AppendUvarint(buf, uint64(s.TID))
-				buf = binary.AppendVarint(buf, s.Sysno)
-				buf = binary.AppendVarint(buf, s.Ret)
-			}
-			return buf
+			return appendSyscallEvents(buf, tr.Syscalls)
 		})
 		stageSection(e, secLocks, len(tr.Locks), func(buf []byte) []byte {
 			for _, l := range tr.Locks {

@@ -31,20 +31,10 @@ func Encode(t *Trace) []byte {
 	buf = binary.AppendUvarint(buf, uint64(t.SampleK))
 
 	buf = binary.AppendUvarint(buf, uint64(len(t.Branches)))
-	for _, b := range t.Branches {
-		v := uint64(b.ID) << 1
-		if b.Taken {
-			v |= 1
-		}
-		buf = binary.AppendUvarint(buf, v)
-	}
+	buf = appendBranchEvents(buf, t.Branches)
 
 	buf = binary.AppendUvarint(buf, uint64(len(t.Syscalls)))
-	for _, s := range t.Syscalls {
-		buf = binary.AppendUvarint(buf, uint64(s.TID))
-		buf = binary.AppendVarint(buf, s.Sysno)
-		buf = binary.AppendVarint(buf, s.Ret)
-	}
+	buf = appendSyscallEvents(buf, t.Syscalls)
 
 	buf = binary.AppendUvarint(buf, uint64(len(t.Locks)))
 	for _, l := range t.Locks {
@@ -192,6 +182,30 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, d.err
 	}
 	return t, nil
+}
+
+// appendBranchEvents appends the event encoding of a branch stream — one
+// uvarint per event, ID<<1|taken — shared by the per-trace codec, the batch
+// codec's branch slab, and reconstruction keys.
+func appendBranchEvents(buf []byte, branches []BranchEvent) []byte {
+	for _, b := range branches {
+		v := uint64(b.ID) << 1
+		if b.Taken {
+			v |= 1
+		}
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return buf
+}
+
+// appendSyscallEvents appends the event encoding of a syscall stream.
+func appendSyscallEvents(buf []byte, syscalls []SyscallEvent) []byte {
+	for _, s := range syscalls {
+		buf = binary.AppendUvarint(buf, uint64(s.TID))
+		buf = binary.AppendVarint(buf, s.Sysno)
+		buf = binary.AppendVarint(buf, s.Ret)
+	}
+	return buf
 }
 
 // appendString writes a length-prefixed string.
