@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/prog"
@@ -22,35 +23,67 @@ func (t *Tree) Encode() []byte {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 
-	buf := make([]byte, 0, 64+32*t.nodes)
-	buf = append(buf, codecVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(t.programID)))
-	buf = append(buf, t.programID...)
-	buf = t.encodeNode(buf, t.root)
-	return buf
+	enc := treeEncoder{buf: make([]byte, 0, 64+32*t.nodes)}
+	enc.header(codecVersion, t.programID)
+	enc.node(t.root)
+	return enc.buf
 }
 
-func (t *Tree) encodeNode(buf []byte, n *Node) []byte {
-	// Terminal outcome counts.
-	buf = binary.AppendUvarint(buf, uint64(len(n.terminal)))
+// treeEncoder is what one encoding walk shares: the output, and a stack of
+// per-node child orders so that visiting a node's children in edge order
+// allocates nothing.
+type treeEncoder struct {
+	buf   []byte
+	order []int32
+}
+
+func (enc *treeEncoder) header(version byte, programID string) {
+	enc.buf = append(enc.buf, version)
+	enc.buf = binary.AppendUvarint(enc.buf, uint64(len(programID)))
+	enc.buf = append(enc.buf, programID...)
+}
+
+func (enc *treeEncoder) node(n *Node) {
+	enc.state(n)
+	base := enc.pushKidOrder(n)
+	for i := base; i < base+len(n.kids); i++ {
+		k := &n.kids[enc.order[i]]
+		enc.buf = appendEdge(enc.buf, k.e)
+		enc.buf = binary.AppendUvarint(enc.buf, uint64(k.visits))
+		enc.node(k.node)
+	}
+	enc.order = enc.order[:base]
+}
+
+// state writes what a node holds itself — terminal outcome counts,
+// infeasibility certificates — and the number of its outgoing edges. Full
+// snapshots and delta entries share it.
+func (enc *treeEncoder) state(n *Node) {
+	buf := binary.AppendUvarint(enc.buf, uint64(len(n.terminal)))
 	for _, o := range orderedOutcomes(n.terminal) {
 		buf = append(buf, byte(o))
 		buf = binary.AppendUvarint(buf, uint64(n.terminal[o]))
 	}
-	// Infeasibility certificates.
 	buf = binary.AppendUvarint(buf, uint64(len(n.infeasible)))
 	for _, e := range orderedEdges(n.infeasible) {
 		buf = appendEdge(buf, e)
 	}
-	// Children.
-	buf = binary.AppendUvarint(buf, uint64(len(n.kids)))
-	for _, e := range n.Edges() {
-		i := n.kidIndex(e)
-		buf = appendEdge(buf, e)
-		buf = binary.AppendUvarint(buf, uint64(n.kids[i].visits))
-		buf = t.encodeNode(buf, n.kids[i].node)
+	enc.buf = binary.AppendUvarint(buf, uint64(len(n.kids)))
+}
+
+// pushKidOrder pushes n's child slots onto the order stack, sorted by edge,
+// and returns where they start. Callers pop them when they are done with
+// the node, and index enc.order afresh on every use: a visit to a child
+// pushes in between and may move the stack.
+func (enc *treeEncoder) pushKidOrder(n *Node) int {
+	base := len(enc.order)
+	for i := range n.kids {
+		enc.order = append(enc.order, int32(i))
 	}
-	return buf
+	if own := enc.order[base:]; len(own) > 1 {
+		slices.SortFunc(own, func(a, b int32) int { return compareEdges(n.kids[a].e, n.kids[b].e) })
+	}
+	return base
 }
 
 func appendEdge(buf []byte, e Edge) []byte {
@@ -63,6 +96,17 @@ func appendEdge(buf []byte, e Edge) []byte {
 
 // Decode reconstructs a tree serialized by Encode.
 func Decode(data []byte) (*Tree, error) {
+	t, err := decodeNodes(data)
+	if err != nil {
+		return nil, err
+	}
+	t.rebuildFrontierLocked()
+	return t, nil
+}
+
+// decodeNodes is Decode without the frontier index: DecodeChain builds the
+// index once, after the last segment has been overlaid.
+func decodeNodes(data []byte) (*Tree, error) {
 	d := &treeDecoder{buf: data}
 	if v := d.byte(); v != codecVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrCodec, v)
@@ -81,7 +125,6 @@ func Decode(data []byte) (*Tree, error) {
 	if d.pos != len(d.buf) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(d.buf)-d.pos)
 	}
-	t.rebuildFrontierLocked()
 	return t, nil
 }
 
@@ -122,6 +165,18 @@ func (d *treeDecoder) uvarint() uint64 {
 	return v
 }
 
+// length reads a count of items still to come. Every item takes at least
+// one byte, so a count past the bytes left is malformed — which also keeps
+// a hostile count from sizing an allocation or a loop.
+func (d *treeDecoder) length() int {
+	v := d.uvarint()
+	if d.err != nil || v > uint64(len(d.buf)-d.pos) {
+		d.fail()
+		return 0
+	}
+	return int(v)
+}
+
 func (d *treeDecoder) string() string {
 	n := int(d.uvarint())
 	if d.err != nil || n < 0 || d.pos+n > len(d.buf) {
@@ -148,9 +203,8 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 	}
 	t.nodes++
 
-	nt := int(d.uvarint())
-	if d.err != nil || nt > len(d.buf)-d.pos {
-		d.fail()
+	nt := d.length()
+	if d.err != nil {
 		return nil, d.err
 	}
 	for i := 0; i < nt; i++ {
@@ -168,9 +222,8 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 		t.paths++
 	}
 
-	ni := int(d.uvarint())
-	if d.err != nil || ni > len(d.buf)-d.pos {
-		d.fail()
+	ni := d.length()
+	if d.err != nil {
 		return nil, d.err
 	}
 	for i := 0; i < ni; i++ {
@@ -181,9 +234,8 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 		n.markInfeasible(e)
 	}
 
-	nc := int(d.uvarint())
-	if d.err != nil || nc > len(d.buf)-d.pos {
-		d.fail()
+	nc := d.length()
+	if d.err != nil {
 		return nil, d.err
 	}
 	for i := 0; i < nc; i++ {
@@ -206,6 +258,9 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 }
 
 func orderedOutcomes(m map[prog.Outcome]int64) []prog.Outcome {
+	if len(m) == 0 {
+		return nil // most nodes: sort.Slice would still allocate its swapper
+	}
 	out := make([]prog.Outcome, 0, len(m))
 	for o := range m {
 		out = append(out, o)
@@ -215,6 +270,9 @@ func orderedOutcomes(m map[prog.Outcome]int64) []prog.Outcome {
 }
 
 func orderedEdges(m map[Edge]bool) []Edge {
+	if len(m) == 0 {
+		return nil
+	}
 	out := make([]Edge, 0, len(m))
 	for e := range m {
 		out = append(out, e)

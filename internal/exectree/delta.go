@@ -3,7 +3,6 @@ package exectree
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/prog"
 )
@@ -12,17 +11,49 @@ import (
 //
 // A full tree snapshot (Encode) is O(tree); on huge trees that cost lands
 // inside the hive's checkpoint gate and stalls ingestion. Delta tracking
-// bounds it to O(changes since the last boundary): the tree records every
-// node whose counts or structure changed since the last boundary, and
-// EncodeDelta serializes only those nodes — each as its full current state
-// (root path, terminal counts, certificates, outgoing edges with absolute
-// visit counts), so applying a delta is an idempotent overwrite and a chain
-// of deltas applied in order over the base snapshot reconstructs the live
-// tree exactly (see DecodeChain; property-tested in delta_test.go).
+// bounds it to the changes since the last boundary: the tree records every
+// node whose counts or structure changed since then, and EncodeDelta
+// serializes only those nodes — each as its full current state (terminal
+// counts, certificates, outgoing edges with absolute visit counts), so
+// applying a delta is an idempotent overwrite and a chain of deltas applied
+// in order over the base snapshot reconstructs the live tree exactly (see
+// DecodeChain; property-tested in delta_test.go).
+//
+// Segment layout (deltaVersion 2):
+//
+//	version byte | program ID (uvarint length + bytes) | entry count | entries
+//
+// Entries are the dirty nodes in Encode's pre-order (children in edge
+// order), each written relative to the entry before it:
+//
+//	keep    uvarint  depth of the root path shared with the previous entry
+//	suffix  uvarint  number of edges from there down to this node
+//	edges   suffix × edge
+//	body    terminal counts, certificates, outgoing edges + visits
+//	        (what Encode writes for a node, without the children's subtrees)
+//
+// The reader keeps the previous entry's root path as a node stack and
+// descends only the suffix. Because the order is a pre-order of the union of
+// the dirty nodes' root paths, every edge of that union is written exactly
+// once as a suffix edge, so a segment costs
+//
+//	header + Σ bodies + Σ (keep, suffix) + (edges on dirty paths)
+//
+// bytes: O(nodes on dirty paths), never O(Σ depth). With every node dirty
+// each entry's suffix is its own in-edge, so the segment is the full Encode
+// of the same nodes plus one entry header (keep, suffix, in-edge) a node.
+//
+// Version 1 wrote every entry as depth + its whole root path, in no
+// particular order. The reader takes it as the degenerate case keep = 0, so
+// data directories and archived segments written before version 2 still
+// restore; the writer emits version 2 only.
 
 // deltaVersion is bumped on any serialization-incompatible change to the
-// delta encoding.
-const deltaVersion = 1
+// delta encoding. deltaVersionRootPaths is the oldest version still read.
+const (
+	deltaVersion          = 2
+	deltaVersionRootPaths = 1
+)
 
 // SetDeltaTracking turns dirty-node recording on or off. Turning it on (or
 // on again) establishes a fresh delta boundary: the dirty set is cleared,
@@ -60,53 +91,79 @@ func (t *Tree) DirtyNodes() int {
 }
 
 // EncodeDelta serializes every node changed since the last delta boundary,
-// in O(changed nodes) — it never walks the whole tree. It returns nil when
-// delta tracking is off (callers fall back to a full snapshot). The dirty
-// set is NOT cleared: callers call ResetDelta once the delta is durable, so
-// a failed snapshot write loses nothing.
+// in O(nodes on the changed nodes' root paths) — it never walks the whole
+// tree. It returns nil when delta tracking is off (callers fall back to a
+// full snapshot). The dirty set is NOT cleared: callers call ResetDelta once
+// the delta is durable, so a failed snapshot write loses nothing.
 func (t *Tree) EncodeDelta() []byte {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if !t.tracking {
 		return nil
 	}
-	nodes := append([]*Node(nil), t.dirtyNodes...)
-	// Deterministic order: depth first, then root path. Not required for
-	// correctness (entries are disjoint overwrites) but keeps the bytes
-	// reproducible.
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].depth != nodes[j].depth {
-			return nodes[i].depth < nodes[j].depth
-		}
-		return comparePaths(nodes[i], nodes[j]) < 0
-	})
-
-	buf := make([]byte, 0, 64+48*len(nodes))
-	buf = append(buf, deltaVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(t.programID)))
-	buf = append(buf, t.programID...)
-	buf = binary.AppendUvarint(buf, uint64(len(nodes)))
-	for _, n := range nodes {
-		buf = binary.AppendUvarint(buf, uint64(n.depth))
-		for _, e := range pathTo(n) {
-			buf = appendEdge(buf, e)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(n.terminal)))
-		for _, o := range orderedOutcomes(n.terminal) {
-			buf = append(buf, byte(o))
-			buf = binary.AppendUvarint(buf, uint64(n.terminal[o]))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(n.infeasible)))
-		for _, e := range orderedEdges(n.infeasible) {
-			buf = appendEdge(buf, e)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(n.kids)))
-		for _, e := range n.Edges() {
-			buf = appendEdge(buf, e)
-			buf = binary.AppendUvarint(buf, uint64(n.Visits(e)))
+	enc := deltaEncoder{
+		treeEncoder: treeEncoder{buf: make([]byte, 0, 64+16*len(t.dirtyNodes))},
+		via:         make(map[*Node]bool),
+	}
+	// The walk below descends from the root through dirty nodes. A merge
+	// dirties its whole path, so usually every ancestor of a dirty node is
+	// dirty too; a certificate dirties one node alone, and the clean
+	// ancestors that lead to it are noted here.
+	for _, n := range t.dirtyNodes {
+		for a := n.parent; a != nil && !a.dirty && !enc.via[a]; a = a.parent {
+			enc.via[a] = true
 		}
 	}
-	return buf
+	enc.header(deltaVersion, t.programID)
+	enc.buf = binary.AppendUvarint(enc.buf, uint64(len(t.dirtyNodes)))
+	enc.walk(t.root)
+	return enc.buf
+}
+
+// deltaEncoder walks the union of the dirty nodes' root paths in pre-order
+// and writes an entry for each dirty node it passes.
+type deltaEncoder struct {
+	treeEncoder
+	// via holds the clean nodes with a dirty node below them.
+	via map[*Node]bool
+	// path is the root path of the node being visited; keep is how much of
+	// it the next entry shares with the entry written last.
+	path []Edge
+	keep int
+}
+
+func (enc *deltaEncoder) walk(n *Node) {
+	depth := len(enc.path)
+	base := enc.pushKidOrder(n)
+	if n.dirty {
+		enc.buf = binary.AppendUvarint(enc.buf, uint64(enc.keep))
+		enc.buf = binary.AppendUvarint(enc.buf, uint64(depth-enc.keep))
+		for _, e := range enc.path[enc.keep:] {
+			enc.buf = appendEdge(enc.buf, e)
+		}
+		enc.state(n)
+		for i := base; i < base+len(n.kids); i++ {
+			k := &n.kids[enc.order[i]]
+			enc.buf = appendEdge(enc.buf, k.e)
+			enc.buf = binary.AppendUvarint(enc.buf, uint64(k.visits))
+		}
+		enc.keep = depth
+	}
+	for i := base; i < base+len(n.kids); i++ {
+		k := &n.kids[enc.order[i]]
+		if !k.node.dirty && !enc.via[k.node] {
+			continue
+		}
+		// Whatever is written next lies under n or after it: it shares
+		// n's root path with the last entry and no more.
+		if enc.keep > depth {
+			enc.keep = depth
+		}
+		enc.path = append(enc.path, k.e)
+		enc.walk(k.node)
+		enc.path = enc.path[:depth]
+	}
+	enc.order = enc.order[:base]
 }
 
 // ResetDelta clears the dirty set, establishing a new delta boundary.
@@ -122,12 +179,12 @@ func (t *Tree) ResetDelta() {
 // bit-for-bit identical to the live tree that wrote the chain: node counts,
 // aggregates, and the rarity-ordered frontier index are all rebuilt.
 func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
-	t, err := Decode(base)
+	if len(deltas) == 0 {
+		return Decode(base)
+	}
+	t, err := decodeNodes(base)
 	if err != nil {
 		return nil, err
-	}
-	if len(deltas) == 0 {
-		return t, nil
 	}
 	for i, d := range deltas {
 		if err := t.applyDelta(d); err != nil {
@@ -146,25 +203,35 @@ func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 // recomputes them once after the last segment.
 func (t *Tree) applyDelta(data []byte) error {
 	d := &treeDecoder{buf: data}
-	if v := d.byte(); v != deltaVersion {
-		return fmt.Errorf("%w: delta version %d", ErrCodec, v)
+	version := d.byte()
+	if d.err == nil && version != deltaVersion && version != deltaVersionRootPaths {
+		return fmt.Errorf("%w: delta version %d", ErrCodec, version)
 	}
 	if id := d.string(); d.err == nil && id != t.programID {
 		return fmt.Errorf("%w: delta for %q applied to %q", ErrCodec, id, t.programID)
 	}
-	count := int(d.uvarint())
-	if d.err != nil || count > len(d.buf) {
-		d.fail()
-		return d.err
-	}
-	for i := 0; i < count; i++ {
-		depth := int(d.uvarint())
-		if d.err != nil || depth > maxDecodeDepth {
-			d.fail()
-			return d.err
+	// stack[i] is the node at depth i on the root path of the entry read
+	// last: an entry keeps a prefix of it and descends its suffix from there.
+	stack := []*Node{t.root}
+	for count := d.length(); count > 0 && d.err == nil; count-- {
+		keep := 0
+		if version != deltaVersionRootPaths {
+			k := d.uvarint()
+			if k >= uint64(len(stack)) {
+				return fmt.Errorf("%w: delta entry keeps %d of a %d-deep path", ErrCodec, k, len(stack)-1)
+			}
+			keep = int(k)
 		}
-		n := t.root
-		for j := 0; j < depth; j++ {
+		suffix := d.length()
+		if d.err != nil {
+			break
+		}
+		if keep+suffix > maxDecodeDepth {
+			return fmt.Errorf("%w: depth exceeds %d", ErrCodec, maxDecodeDepth)
+		}
+		stack = stack[:keep+1]
+		n := stack[keep]
+		for ; suffix > 0; suffix-- {
 			e := d.edge()
 			if d.err != nil {
 				return d.err
@@ -174,16 +241,14 @@ func (t *Tree) applyDelta(data []byte) error {
 				child = newChild(n, e)
 				n.addKid(e, child, 0)
 			}
+			stack = append(stack, child)
 			n = child
 		}
 
-		nt := int(d.uvarint())
-		if d.err != nil || nt > len(d.buf)-d.pos {
-			d.fail()
-			return d.err
-		}
-		n.terminal = nil
-		for j := 0; j < nt; j++ {
+		// The maps a node already has are reused: most entries overwrite a
+		// node the base or an earlier segment filled in.
+		clear(n.terminal)
+		for nt := d.length(); nt > 0; nt-- {
 			o := prog.Outcome(d.byte())
 			c := int64(d.uvarint())
 			if d.err != nil {
@@ -194,27 +259,15 @@ func (t *Tree) applyDelta(data []byte) error {
 			}
 			n.terminal[o] = c
 		}
-
-		ni := int(d.uvarint())
-		if d.err != nil || ni > len(d.buf)-d.pos {
-			d.fail()
-			return d.err
-		}
-		n.infeasible = nil
-		for j := 0; j < ni; j++ {
+		clear(n.infeasible)
+		for ni := d.length(); ni > 0; ni-- {
 			e := d.edge()
 			if d.err != nil {
 				return d.err
 			}
 			n.markInfeasible(e)
 		}
-
-		nc := int(d.uvarint())
-		if d.err != nil || nc > len(d.buf)-d.pos {
-			d.fail()
-			return d.err
-		}
-		for j := 0; j < nc; j++ {
+		for nc := d.length(); nc > 0; nc-- {
 			e := d.edge()
 			visits := int64(d.uvarint())
 			if d.err != nil {

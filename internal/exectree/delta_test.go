@@ -1,9 +1,11 @@
 package exectree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/prog"
@@ -40,11 +42,74 @@ func assertTreesEquivalent(t *testing.T, want, got *Tree, label string) {
 	}
 }
 
+// encodeDeltaRootPaths is the version-1 writer, kept as the reference the
+// reader's backward compatibility is tested against: every dirty node as
+// depth + its whole root path + body, sorted by depth and then by path.
+func encodeDeltaRootPaths(t *Tree) []byte {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	nodes := append([]*Node(nil), t.dirtyNodes...)
+	sort.Slice(nodes, func(i, j int) bool {
+		if nodes[i].depth != nodes[j].depth {
+			return nodes[i].depth < nodes[j].depth
+		}
+		return comparePaths(nodes[i], nodes[j]) < 0
+	})
+	buf := []byte{deltaVersionRootPaths}
+	buf = binary.AppendUvarint(buf, uint64(len(t.programID)))
+	buf = append(buf, t.programID...)
+	buf = binary.AppendUvarint(buf, uint64(len(nodes)))
+	for _, n := range nodes {
+		buf = binary.AppendUvarint(buf, uint64(n.depth))
+		for _, e := range pathTo(n) {
+			buf = appendEdge(buf, e)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(n.terminal)))
+		for _, o := range orderedOutcomes(n.terminal) {
+			buf = append(buf, byte(o))
+			buf = binary.AppendUvarint(buf, uint64(n.terminal[o]))
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(n.infeasible)))
+		for _, e := range orderedEdges(n.infeasible) {
+			buf = appendEdge(buf, e)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(n.kids)))
+		for _, e := range n.Edges() {
+			buf = appendEdge(buf, e)
+			buf = binary.AppendUvarint(buf, uint64(n.Visits(e)))
+		}
+	}
+	return buf
+}
+
+// certifyRandomFrontier certifies one open frontier infeasible, if any.
+func certifyRandomFrontier(t *Tree, rng *rand.Rand) {
+	if fr := t.FrontiersAll(); len(fr) > 0 {
+		f := fr[rng.Intn(len(fr))]
+		t.CertifyInfeasible(f.Prefix, f.Missing)
+	}
+}
+
+// dirtyUnderClean counts dirty nodes whose parent is clean: a dirty set
+// that is not ancestor-closed.
+func dirtyUnderClean(t *Tree) int {
+	n := 0
+	for _, d := range t.dirtyNodes {
+		if d.parent != nil && !d.parent.dirty {
+			n++
+		}
+	}
+	return n
+}
+
 // TestPropDeltaChainRoundTrip is the incremental-snapshot property: a base
 // snapshot plus an ordered chain of delta segments, cut at random points in
-// a random merge/certify history, must reconstruct the live tree exactly.
+// a random merge/certify history, must reconstruct the live tree exactly —
+// whichever version wrote each segment, and also when a segment holds
+// nothing but certificates on nodes whose ancestors did not change.
 func TestPropDeltaChainRoundTrip(t *testing.T) {
-	for seed := int64(0); seed < 120; seed++ {
+	underClean, byVersion := 0, map[byte]int{}
+	for seed := int64(0); seed < 160; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		live := New("prop-prog")
 		// Phase 0: pre-base history.
@@ -57,16 +122,27 @@ func TestPropDeltaChainRoundTrip(t *testing.T) {
 		var deltas [][]byte
 		segments := 1 + rng.Intn(4)
 		for s := 0; s < segments; s++ {
-			for m := 0; m < rng.Intn(30); m++ {
-				randomMerge(live, rng)
-				if rng.Intn(6) == 0 {
-					if fr := live.FrontiersAll(); len(fr) > 0 {
-						f := fr[rng.Intn(len(fr))]
-						live.CertifyInfeasible(f.Prefix, f.Missing)
+			if rng.Intn(3) == 0 {
+				// Certificates only: each dirties one node under clean
+				// ancestors.
+				for c := 0; c <= rng.Intn(3); c++ {
+					certifyRandomFrontier(live, rng)
+				}
+			} else {
+				for m := 0; m < rng.Intn(30); m++ {
+					randomMerge(live, rng)
+					if rng.Intn(6) == 0 {
+						certifyRandomFrontier(live, rng)
 					}
 				}
 			}
-			deltas = append(deltas, live.EncodeDelta())
+			underClean += dirtyUnderClean(live)
+			d := live.EncodeDelta()
+			if rng.Intn(3) == 0 {
+				d = encodeDeltaRootPaths(live)
+			}
+			byVersion[d[0]]++
+			deltas = append(deltas, d)
 			live.ResetDelta()
 		}
 
@@ -76,6 +152,94 @@ func TestPropDeltaChainRoundTrip(t *testing.T) {
 		}
 		assertTreesEquivalent(t, live, rebuilt, fmt.Sprintf("seed %d", seed))
 	}
+	if underClean == 0 || byVersion[deltaVersionRootPaths] == 0 || byVersion[deltaVersion] == 0 {
+		t.Fatalf("histories covered %d dirty nodes under clean parents and versions %v; want all three", underClean, byVersion)
+	}
+}
+
+// TestDeltaNeverExceedsFull pins the size bound the layout promises. With
+// every node dirty the entries are the nodes in Encode's own order, each
+// body what Encode writes for the node, so the segment is the full snapshot
+// plus its count and one entry header a node — keep, suffix length, and the
+// node's in-edge as the whole suffix. The bytes never grow with Σ depth.
+func TestDeltaNeverExceedsFull(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		live := New("prop-prog")
+		live.SetDeltaTracking(true)
+		for m := 0; m < 1+rng.Intn(400); m++ {
+			randomMerge(live, rng)
+		}
+		nodes := int(live.Stats().Nodes)
+		if live.DirtyNodes() != nodes {
+			t.Fatalf("seed %d: %d of %d nodes dirty", seed, live.DirtyNodes(), nodes)
+		}
+		headers := binary.MaxVarintLen64 // the entry count
+		live.Walk(func(path []Edge, n *Node) bool {
+			headers += len(binary.AppendUvarint(nil, uint64(len(path)))) + 1 // keep ≤ depth, suffix ≤ 1
+			if len(path) > 0 {
+				headers += len(appendEdge(nil, path[len(path)-1]))
+			}
+			return true
+		})
+		full, delta := len(live.Encode()), len(live.EncodeDelta())
+		if delta > full+headers {
+			t.Fatalf("seed %d: delta of every node is %d B, full snapshot %d B + %d B of entry headers", seed, delta, full, headers)
+		}
+	}
+}
+
+// FuzzDeltaChain fuzzes the segment reader over a fixed base: arbitrary
+// bytes — keep past the stack, suffix and count bombs, 2^60 uvarints,
+// truncated entries — are an error and never a panic, and a segment that is
+// accepted created no more nodes than it had bytes to name them with.
+func FuzzDeltaChain(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	live := New("prop-prog")
+	for m := 0; m < 30; m++ {
+		randomMerge(live, rng)
+	}
+	base := live.Encode()
+	baseNodes := live.Stats().Nodes
+	live.SetDeltaTracking(true)
+	for m := 0; m < 10; m++ {
+		randomMerge(live, rng)
+	}
+	certifyRandomFrontier(live, rng)
+	good := live.EncodeDelta()
+	f.Add(good)
+	f.Add(encodeDeltaRootPaths(live))
+	f.Add([]byte{})
+	f.Add(good[:len(good)/2])
+	header := append([]byte{deltaVersion, 9}, "prop-prog"...)
+	huge := binary.AppendUvarint(nil, 1<<60)
+	entry := func(fields ...[]byte) []byte {
+		out := append([]byte(nil), header...)
+		for _, fld := range fields {
+			out = append(out, fld...)
+		}
+		return out
+	}
+	f.Add(entry([]byte{1, 5, 0, 0, 0, 0}))            // keep past the stack
+	f.Add(entry([]byte{1}, huge, []byte{0, 0, 0, 0})) // keep 2^60
+	f.Add(entry([]byte{1, 0}, huge))                  // suffix bomb
+	f.Add(entry(huge))                                // count bomb
+	f.Add(entry([]byte{1, 0, 0}, huge))               // terminal-count bomb
+	f.Add(entry([]byte{1, 0, 0, 0, 0}, huge))         // child-count bomb
+	f.Add(entry([]byte{2, 0, 1, 2, 0, 0, 0, 1, 1}))   // second entry truncated
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, err := DecodeChain(base, [][]byte{data})
+		if err != nil {
+			return
+		}
+		if grown := dec.Stats().Nodes - baseNodes; grown > int64(len(data)) {
+			t.Fatalf("a %d-byte segment created %d nodes", len(data), grown)
+		}
+		walk, idx := dec.FrontiersByWalk(0), dec.FrontiersAll()
+		if len(walk) != len(idx) || (len(walk) > 0 && !reflect.DeepEqual(walk, idx)) {
+			t.Fatal("rebuilt index disagrees with full walk")
+		}
+	})
 }
 
 // TestDeltaCostTracksChanges pins the incremental-snapshot cost claim: the

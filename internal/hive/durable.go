@@ -3,7 +3,10 @@ package hive
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/exectree"
 	"repro/internal/fix"
@@ -25,6 +28,16 @@ import (
 // means the data directory and the program corpus disagree (wrong -seed, or
 // a stale directory), and silently dropping collective knowledge is exactly
 // what the journal exists to prevent.
+//
+// Programs are independent shards, so min(GOMAXPROCS, programs) workers
+// restore them side by side, taking program IDs in sorted order. The session
+// table is the one thing they share; applied marks only accumulate, so it
+// answers the same whatever order the programs finish in (which sessions sit
+// in the live cache and which in the frozen tier may differ). Each worker
+// holds one program's decoded chain and journal at a time, so the memory
+// Recover needs beyond the restored state is bounded by workers × (largest
+// chain + journal). On failure the error is that of the lowest program ID
+// that failed, as a serial pass would report.
 func (h *Hive) Recover(store *journal.Store) error {
 	if h.journal != nil {
 		return errors.New("hive: journal already attached")
@@ -34,58 +47,91 @@ func (h *Hive) Recover(store *journal.Store) error {
 			return fmt.Errorf("hive: recover: journal holds state for unregistered program %s", id)
 		}
 	}
-	for _, id := range h.Programs() {
-		st, err := h.state(id)
+	ids := h.Programs()
+	errs := make([]error, len(ids))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(ids)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// IDs are handed out in order, so when one fails every lower ID
+			// is already with a worker: stopping here loses no earlier error.
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(ids) {
+					return
+				}
+				if errs[i] = h.recoverProgram(store, ids[i]); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return err
-		}
-		base, deltas, err := store.LoadChain(id)
-		if err != nil {
-			return err
-		}
-		if base != nil {
-			if err := h.restoreProgram(st, base, deltas); err != nil {
-				return err
-			}
-			st.hasBase = true
-			st.deltasSince = len(deltas)
-		}
-		// Track tree changes from this point: journal-suffix ops replayed
-		// below mark the dirty set, so the first post-recovery checkpoint
-		// can be an incremental segment capturing exactly the suffix.
-		st.tree.SetDeltaTracking(true)
-		// Certificates minted during a proof attempt can reference nodes the
-		// attempt itself created; those merges replay later, inside the
-		// attempt's OpProof. A cert whose prefix is not in the tree yet is
-		// deferred and re-applied once the program's whole journal has
-		// replayed (certificates are order-independent facts). Certs still
-		// unresolvable then belong to an attempt that crashed before its
-		// OpProof landed — its merges are gone, so the frontier they
-		// discharged does not exist either.
-		var deferred []*journal.Op
-		if _, err := store.Replay(id, func(op *journal.Op) error {
-			if op.Kind == journal.OpCert && !st.tree.CertifyInfeasible(op.Prefix, op.Missing) {
-				deferred = append(deferred, op)
-				return nil
-			}
-			return h.applyOp(st, op)
-		}); err != nil {
-			return err
-		}
-		for _, op := range deferred {
-			st.tree.CertifyInfeasible(op.Prefix, op.Missing)
 		}
 	}
 	h.journal = store
 	// From here on, certificates minted anywhere — the prover discharging a
 	// frontier, the guidance generator refuting one — are journaled at the
 	// tree.
-	for _, id := range h.Programs() {
+	for _, id := range ids {
 		st, err := h.state(id)
 		if err != nil {
 			return err
 		}
 		h.observeCertificates(st)
+	}
+	return nil
+}
+
+// recoverProgram restores one program: its snapshot chain, then the journal
+// suffix after the chain's last checkpoint. It touches that program's shard
+// and, through mergeSessions and applyOp, the session table.
+func (h *Hive) recoverProgram(store *journal.Store, id string) error {
+	st, err := h.state(id)
+	if err != nil {
+		return err
+	}
+	base, deltas, err := store.LoadChain(id)
+	if err != nil {
+		return err
+	}
+	if base != nil {
+		if err := h.restoreProgram(st, base, deltas); err != nil {
+			return err
+		}
+		st.hasBase = true
+		st.deltasSince = len(deltas)
+	}
+	// Track tree changes from this point: journal-suffix ops replayed
+	// below mark the dirty set, so the first post-recovery checkpoint
+	// can be an incremental segment capturing exactly the suffix.
+	st.tree.SetDeltaTracking(true)
+	// Certificates minted during a proof attempt can reference nodes the
+	// attempt itself created; those merges replay later, inside the
+	// attempt's OpProof. A cert whose prefix is not in the tree yet is
+	// deferred and re-applied once the program's whole journal has
+	// replayed (certificates are order-independent facts). Certs still
+	// unresolvable then belong to an attempt that crashed before its
+	// OpProof landed — its merges are gone, so the frontier they
+	// discharged does not exist either.
+	var deferred []*journal.Op
+	if _, err := store.Replay(id, func(op *journal.Op) error {
+		if op.Kind == journal.OpCert && !st.tree.CertifyInfeasible(op.Prefix, op.Missing) {
+			deferred = append(deferred, op)
+			return nil
+		}
+		return h.applyOp(st, op)
+	}); err != nil {
+		return err
+	}
+	for _, op := range deferred {
+		st.tree.CertifyInfeasible(op.Prefix, op.Missing)
 	}
 	return nil
 }

@@ -365,17 +365,31 @@ func TestHiveRecoverRejectsUnknownProgram(t *testing.T) {
 	}
 }
 
-// BenchmarkHiveRecover measures crash recovery: rebuilding a hive from a
-// journal of pre-captured batch ops (the dominant recovery cost is batch
-// replay through the ingest path).
+// BenchmarkHiveRecover measures crash recovery. programs=2 rebuilds a hive
+// from a journal of pre-captured batch ops alone (batch replay through the
+// ingest path is the whole cost); programs=8 recovers buildRecoveryDir's
+// directory — a base, two delta segments and a journal suffix per program —
+// with as many workers as GOMAXPROCS allows.
 func BenchmarkHiveRecover(b *testing.B) {
-	corpus := durableCorpus(b)
-	dir := b.TempDir()
-	h, store := newDurableHive(b, dir, corpus)
-	feedFleet(b, h, corpus, 100, 1)
-	if err := store.Close(); err != nil {
-		b.Fatal(err)
-	}
+	b.Run("programs=2", func(b *testing.B) {
+		corpus := durableCorpus(b)
+		dir := b.TempDir()
+		h, store := newDurableHive(b, dir, corpus)
+		feedFleet(b, h, corpus, 100, 1)
+		if err := store.Close(); err != nil {
+			b.Fatal(err)
+		}
+		benchRecover(b, dir, corpus)
+	})
+	b.Run("programs=8", func(b *testing.B) {
+		corpus := recoveryCorpus(b, 8)
+		dir := b.TempDir()
+		buildRecoveryDir(b, dir, corpus)
+		benchRecover(b, dir, corpus)
+	})
+}
+
+func benchRecover(b *testing.B, dir string, corpus []*prog.Program) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -28,6 +28,14 @@ import (
 // Recovery overlays delta segments over the base in generation order
 // (exectree.DecodeChain) and takes the non-tree fields from the newest
 // segment.
+//
+// TreeDelta is opaque here; exectree/delta.go owns its layout. Since delta
+// version 2 the changed nodes are written in Encode's pre-order, each entry
+// as (depth shared with the previous entry, the edges below it, the node's
+// body), so a segment's tree bytes are bounded by the full encoding of the
+// same nodes plus one small entry header a node, whatever their depth.
+// Segments of version 1 (every entry a whole root path) are still read, so a
+// chain may mix both.
 type ProgramSnapshot struct {
 	ProgramID string `json:"programId"`
 	// Tree is the exectree.Encode serialization (full snapshots only).

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,6 +131,12 @@ func TestRoutedSealedExactlyOnce(t *testing.T) {
 	leaktest.Check(t)
 	corpus := buildRoutedCorpus(t, 6)
 	nodes, m := startFleet(t, 3, corpus)
+	// The spread check below needs two owners, and the ring hashes ephemeral
+	// listen ports: should the fixed corpus land on one member, add a
+	// program that another member owns.
+	if p := pickOwnedBy(t, nodes, corpus, m, m.Owner(corpus[0].ID), false); !slices.Contains(corpus, p) {
+		corpus = append(corpus, p)
+	}
 	r := NewRouter(nodes[0].addr, nodes[1].addr, nodes[2].addr)
 	defer r.Close()
 
