@@ -132,9 +132,12 @@ func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 	victim := byAddr(m1.Owner(corpus[0].ID))
 	coldProg := corpus[0]
 	const coldSessions = 4096 + 32
-	coldBatch := []*trace.Trace{clusterTrace(t, coldProg, 9000)}
+	coldFrame, err := trace.EncodeBatch(coldProg.ID, []*trace.Trace{clusterTrace(t, coldProg, 9000)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < coldSessions; i++ {
-		dup, err := victim.h.SubmitTracesSession(fmt.Sprintf("cold-%d", i), 1, coldProg.ID, coldBatch)
+		dup, err := submitFrame(victim.h, fmt.Sprintf("cold-%d", i), 1, coldFrame)
 		if err != nil || dup {
 			t.Fatalf("cold session %d: dup=%v err=%v", i, dup, err)
 		}
@@ -234,7 +237,7 @@ func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < coldSessions; i++ {
-		dup, err := newOwner.h.SubmitTracesSession(fmt.Sprintf("cold-%d", i), 1, coldProg.ID, coldBatch)
+		dup, err := submitFrame(newOwner.h, fmt.Sprintf("cold-%d", i), 1, coldFrame)
 		if err != nil {
 			t.Fatalf("cold session %d resubmit: %v", i, err)
 		}

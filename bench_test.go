@@ -179,24 +179,9 @@ func BenchmarkDPLLPhaseTransition(b *testing.B) {
 
 // --- hive sharding and fleet parallelism benchmarks ---
 
-// globalMutexClient reproduces the pre-sharding hive discipline: one
-// process-wide mutex serializing every ingest, regardless of which program
-// a batch describes. It is the measurable baseline BenchmarkHiveIngestParallel
-// is compared against.
-type globalMutexClient struct {
-	mu sync.Mutex
-	h  *hive.Hive
-}
-
-func (c *globalMutexClient) SubmitTraces(traces []*trace.Trace) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.h.SubmitTraces(traces)
-}
-
 // benchIngestSetup registers nProgs distinct programs and pre-captures a
 // pool of full-capture traces per program, so the benchmark measures pure
-// ingestion (grouping, bookkeeping, tree merging) with no VM time.
+// ingestion (bookkeeping, tree merging) with no VM time.
 func benchIngestSetup(b *testing.B, nProgs int) (*hive.Hive, [][]*trace.Trace) {
 	b.Helper()
 	h := hive.New("fleet")
@@ -228,138 +213,37 @@ func benchIngestSetup(b *testing.B, nProgs int) (*hive.Hive, [][]*trace.Trace) {
 	return h, pool
 }
 
-// submitTraces is the per-op client call both ingest benchmarks share.
-type submitter interface {
-	SubmitTraces([]*trace.Trace) error
-}
-
-// benchIngest drives b.N batch submissions (8 traces each) from 8
-// goroutines round-robining across the program pool — the ISSUE's
-// 8-goroutine / ≥4-program ingestion workload. traces/op is constant, so
-// ns/op directly compares the two locking disciplines.
-func benchIngest(b *testing.B, client submitter, pool [][]*trace.Trace) {
-	b.Helper()
-	const goroutines = 8
-	const batchSize = 8
-	b.ReportAllocs()
-	b.ResetTimer()
-	var (
-		wg   sync.WaitGroup
-		next int64
-		fail atomic.Value
-	)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= b.N {
-					return
-				}
-				traces := pool[i%len(pool)]
-				off := (i * batchSize) % len(traces)
-				batch := make([]*trace.Trace, 0, batchSize)
-				for k := 0; k < batchSize; k++ {
-					batch = append(batch, traces[(off+k)%len(traces)])
-				}
-				if err := client.SubmitTraces(batch); err != nil {
-					fail.Store(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-	if err := fail.Load(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(batchSize, "traces/op")
-}
-
-// BenchmarkHiveIngestSerialBaseline measures fleet ingestion with the
-// pre-sharding single-global-mutex discipline.
-func BenchmarkHiveIngestSerialBaseline(b *testing.B) {
-	h, pool := benchIngestSetup(b, 4)
-	benchIngest(b, &globalMutexClient{h: h}, pool)
-}
-
-// v2DecodeClient reproduces the PR-4 wire-worker ingest discipline for
-// pre-encoded batches: every trace is decoded into a fresh trace.Trace (6+
-// slice allocations each) before the per-program submit. It is the
-// measurable baseline the columnar view path is compared against.
-type v2DecodeClient struct{ h *hive.Hive }
-
-func (c *v2DecodeClient) submitEncoded(programID string, raws [][]byte) error {
-	traces := make([]*trace.Trace, len(raws))
-	for i, raw := range raws {
-		tr, err := trace.Decode(raw)
-		if err != nil {
-			return err
-		}
-		traces[i] = tr
-	}
-	return c.h.SubmitTracesFor(programID, traces)
-}
-
-// columnarViewClient is the zero-copy ingest path: one validated view over
-// the batch bytes, consumed in place.
-type columnarViewClient struct{ h *hive.Hive }
-
-func (c *columnarViewClient) submitEncoded(programID string, batch []byte) error {
-	view, err := trace.DecodeBatch(batch)
-	if err != nil {
-		return err
-	}
-	_, err = c.h.SubmitColumnarSession("", 0, view)
-	view.Release()
-	return err
-}
-
-// benchIngestEncodedSetup pre-encodes each program's trace pool both ways:
-// per-trace v2 payloads (batched 8 at a time, the PR-4 wire shape) and the
-// equivalent columnar batch payloads.
-func benchIngestEncodedSetup(b *testing.B, nProgs int) (*hive.Hive, []string, [][][][]byte, [][][]byte) {
+// benchIngestEncodedSetup pre-encodes each program's trace pool as columnar
+// batch payloads, 8 traces at a time.
+func benchIngestEncodedSetup(b *testing.B, nProgs int) (*hive.Hive, [][][]byte) {
 	b.Helper()
 	h, pool := benchIngestSetup(b, nProgs)
-	ids := make([]string, nProgs)
-	v2 := make([][][][]byte, nProgs)     // program -> batch -> trace -> bytes
 	columnar := make([][][]byte, nProgs) // program -> batch -> bytes
 	const batchSize = 8
 	for pi, traces := range pool {
-		ids[pi] = traces[0].ProgramID
 		for off := 0; off+batchSize <= len(traces); off += batchSize {
-			batch := traces[off : off+batchSize]
-			raws := make([][]byte, batchSize)
-			for i, tr := range batch {
-				raws[i] = trace.Encode(tr)
-			}
-			enc, err := trace.EncodeBatch(ids[pi], batch)
+			enc, err := trace.EncodeBatch(traces[0].ProgramID, traces[off:off+batchSize])
 			if err != nil {
 				b.Fatal(err)
 			}
-			v2[pi] = append(v2[pi], raws)
 			columnar[pi] = append(columnar[pi], enc)
 		}
 	}
-	return h, ids, v2, columnar
+	return h, columnar
 }
 
 // BenchmarkHiveIngestParallel measures the fleet ingest path — pre-encoded
 // batches (what the wire delivers), 8 goroutines round-robining across 4
-// program shards — under the two codec disciplines. The v2 sub-benchmark
-// is the PR-4 pipeline: per-trace decode into heap Trace structs, then
-// per-program submission. The columnar sub-benchmark is this PR's
-// tentpole: one zero-copy view per batch, merged straight from the frame
-// bytes. traces/op is constant, so ns/op and allocs/op compare directly.
-// The materialized sub-benchmark keeps the PR-1 in-process workload (no
-// codec at all) for continuity with BenchmarkHiveIngestSerialBaseline.
+// program shards: one zero-copy view per batch, merged straight from the
+// frame bytes. The sub-benchmark keeps its name from when it ran beside the
+// per-trace decode it replaced (BENCH_PR5; benchmark/README.md
+// "Continuity").
 func BenchmarkHiveIngestParallel(b *testing.B) {
 	const goroutines = 8
 	const batchSize = 8
-	run := func(b *testing.B, submit func(pi, batch int) error, batches int) {
-		b.Helper()
+	b.Run("columnar-view", func(b *testing.B) {
+		h, columnar := benchIngestEncodedSetup(b, 4)
+		batches := len(columnar[0])
 		b.ReportAllocs()
 		b.ResetTimer()
 		var (
@@ -376,7 +260,7 @@ func BenchmarkHiveIngestParallel(b *testing.B) {
 					if i >= b.N {
 						return
 					}
-					if err := submit(i%4, (i/4)%batches); err != nil {
+					if _, err := submitFrame(h, "", 0, columnar[i%4][(i/4)%batches]); err != nil {
 						fail.Store(err)
 						return
 					}
@@ -389,21 +273,6 @@ func BenchmarkHiveIngestParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(batchSize, "traces/op")
-	}
-	b.Run("v2-decode", func(b *testing.B) {
-		h, ids, v2, _ := benchIngestEncodedSetup(b, 4)
-		c := &v2DecodeClient{h: h}
-		run(b, func(pi, batch int) error { return c.submitEncoded(ids[pi], v2[pi][batch]) }, len(v2[0]))
-	})
-	b.Run("columnar-view", func(b *testing.B) {
-		h, ids, _, columnar := benchIngestEncodedSetup(b, 4)
-		c := &columnarViewClient{h: h}
-		_ = ids
-		run(b, func(pi, batch int) error { return c.submitEncoded(ids[pi], columnar[pi][batch]) }, len(columnar[0]))
-	})
-	b.Run("materialized", func(b *testing.B) {
-		h, pool := benchIngestSetup(b, 4)
-		benchIngest(b, h, pool)
 	})
 }
 
@@ -448,9 +317,8 @@ func BenchmarkHiveIngestExternalOnly(b *testing.B) {
 		return h
 	}
 	ingestPool := func(h *hive.Hive) {
-		c := &columnarViewClient{h: h}
 		for _, frame := range pool {
-			if err := c.submitEncoded(p.ID, frame); err != nil {
+			if _, err := submitFrame(h, "", 0, frame); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -600,9 +468,8 @@ func BenchmarkGuidanceLargeTree(b *testing.B) {
 	}
 }
 
-// nullHive is a no-op backend isolating wire-transport cost. It accepts
-// the columnar path too (consuming the view's branch columns, as a real
-// backend would) so the codec disciplines compare on equal footing.
+// nullHive is a no-op backend isolating wire-transport cost. It consumes the
+// view's branch columns, as a real backend would.
 type nullHive struct {
 	ingested atomic.Int64
 	scratch  []trace.BranchEvent // single-conn benchmarks: no concurrent use
@@ -624,78 +491,57 @@ func (n *nullHive) Guidance(string, int) ([]guidance.TestCase, error) {
 	return nil, nil
 }
 
-// benchWireSubmit submits the same 32 batches × 8 traces per op, either one
-// frame per round trip (the pre-pipelining discipline) or streamed through
-// the pipelined per-program path; columnar selects the batch encoding the
-// client negotiates (false pins the per-trace v2 codec, the PR-4
-// discipline).
-func benchWireSubmit(b *testing.B, pipelined, columnar bool) {
-	b.Helper()
-	p := benchProgram(b)
-	backend := &nullHive{}
-	srv := wire.NewServer(backend)
-	srv.Logf = func(string, ...any) {}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := wire.Dial(addr)
-	client.DisableColumnar = !columnar
-	defer client.Close()
-
-	col := trace.NewCollector(p, trace.CaptureFull, 0, 1)
-	m, err := prog.NewMachine(p, prog.Config{Input: []int64{42, 99}, Observer: col})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res := m.Run()
-	tmpl := col.Finish("bench-pod", 0, res, []int64{42, 99}, trace.PrivacyHashed, "s")
-	const batches = 32
-	const perBatch = 8
-	all := make([][]*trace.Trace, batches)
-	for i := range all {
-		all[i] = make([]*trace.Trace, perBatch)
-		for j := range all[i] {
-			tr := tmpl.Clone()
-			tr.Seq = uint64(i*perBatch + j)
-			all[i][j] = tr
+// BenchmarkWireSubmitPipelined submits 32 batches × 8 traces per op over
+// loopback against a null backend: sealed columnar frames, streamed as
+// pipelined mega-frames. The sub-benchmark keeps its name from when it ran
+// beside the per-trace encoding (BENCH_PR5/PR7; benchmark/README.md
+// "Continuity").
+func BenchmarkWireSubmitPipelined(b *testing.B) {
+	b.Run("columnar", func(b *testing.B) {
+		p := benchProgram(b)
+		backend := &nullHive{}
+		srv := wire.NewServer(backend)
+		srv.Logf = func(string, ...any) {}
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		defer srv.Close()
+		client := wire.Dial(addr)
+		defer client.Close()
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pipelined {
-			if _, err := client.SubmitTraceBatches(p.ID, all); err != nil {
+		col := trace.NewCollector(p, trace.CaptureFull, 0, 1)
+		m, err := prog.NewMachine(p, prog.Config{Input: []int64{42, 99}, Observer: col})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := m.Run()
+		tmpl := col.Finish("bench-pod", 0, res, []int64{42, 99}, trace.PrivacyHashed, "s")
+		const batches = 32
+		const perBatch = 8
+		all := make([][]*trace.Trace, batches)
+		for i := range all {
+			all[i] = make([]*trace.Trace, perBatch)
+			for j := range all[i] {
+				tr := tmpl.Clone()
+				tr.Seq = uint64(i*perBatch + j)
+				all[i][j] = tr
+			}
+		}
+
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := client.SubmitSealed(client.SealTraceBatches(p.ID, all)); err != nil {
 				b.Fatal(err)
 			}
-		} else {
-			for _, batch := range all {
-				if err := client.SubmitTracesFor(p.ID, batch); err != nil {
-					b.Fatal(err)
-				}
-			}
 		}
-	}
-	b.StopTimer()
-	if got := backend.ingested.Load(); got != int64(b.N*batches*perBatch) {
-		b.Fatalf("backend ingested %d, want %d", got, b.N*batches*perBatch)
-	}
-	b.ReportMetric(batches*perBatch, "traces/op")
-}
-
-// BenchmarkWireSubmitSerial is the one-frame-per-roundtrip baseline the
-// pre-PR-2 server forced.
-func BenchmarkWireSubmitSerial(b *testing.B) { benchWireSubmit(b, false, false) }
-
-// BenchmarkWireSubmitPipelined streams the same work through the pipelined
-// per-program submission path under both codecs: the v2 sub-benchmark pins
-// the per-trace encoding (the PR-4 discipline), columnar negotiates the
-// batch codec — same traces/op, so ns/op and allocs/op compare directly.
-func BenchmarkWireSubmitPipelined(b *testing.B) {
-	b.Run("v2", func(b *testing.B) { benchWireSubmit(b, true, false) })
-	b.Run("columnar", func(b *testing.B) { benchWireSubmit(b, true, true) })
+		b.StopTimer()
+		if got := backend.ingested.Load(); got != int64(b.N*batches*perBatch) {
+			b.Fatalf("backend ingested %d, want %d", got, b.N*batches*perBatch)
+		}
+		b.ReportMetric(batches*perBatch, "traces/op")
+	})
 }
 
 // shapedCorpus captures varied real traces (distinct inputs, real branch
@@ -722,13 +568,12 @@ func shapedCorpus(b *testing.B, p *prog.Program, chunks, perChunk int) [][]*trac
 	return out
 }
 
-// BenchmarkShapedSubmit is the WAN experiment (E15): the same 128-chunk
-// drain submitted through a netshape proxy at three RTT/loss points, once
-// with the PR-5 transport discipline (columnar frames, no coalescing, no
-// compression) and once with the WAN transport (coalesced mega-frames +
-// negotiated compression). Both run the identical pipelining window, so the
-// ratio isolates what framing and bytes-on-the-wire are worth once a real
-// network sits between pod and hive.
+// BenchmarkShapedSubmit is the WAN experiment (E15): a 128-chunk drain
+// submitted through a netshape proxy at three RTT/loss points — coalesced
+// mega-frames, compression engaged by the hello round trip. The "wan"
+// sub-benchmark keeps its name from when it ran beside the uncoalesced,
+// uncompressed PR-5 transport (BENCH_PR7; benchmark/README.md
+// "Continuity").
 func BenchmarkShapedSubmit(b *testing.B) {
 	p := benchProgram(b)
 	const chunks = 128
@@ -745,54 +590,48 @@ func BenchmarkShapedSubmit(b *testing.B) {
 	}
 	for _, shape := range shapes {
 		b.Run(shape.name, func(b *testing.B) {
-			for _, mode := range []string{"pr5", "wan"} {
-				b.Run(mode, func(b *testing.B) {
-					backend := &nullHive{}
-					srv := wire.NewServer(backend)
-					srv.Logf = func(string, ...any) {}
-					addr, err := srv.Listen("127.0.0.1:0")
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer srv.Close()
-					proxy, err := netshape.New(addr, netshape.Config{
-						RTT:       shape.rtt,
-						Loss:      shape.loss,
-						Bandwidth: 16 << 20, // a fleet's uplink share, not loopback
-						Seed:      42,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer proxy.Close()
-					client := wire.Dial(proxy.Addr())
-					defer client.Close()
-					if mode == "pr5" {
-						client.DisableCoalesce = true
-						client.DisableCompression = true
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						accepted, err := client.SubmitTraceBatches(p.ID, all)
-						if err != nil {
-							b.Fatal(err)
-						}
-						for k, ok := range accepted {
-							if !ok {
-								b.Fatalf("chunk %d not accepted", k)
-							}
-						}
-					}
-					b.StopTimer()
-					if got := backend.ingested.Load(); got != int64(b.N*chunks*perChunk) {
-						b.Fatalf("backend ingested %d, want %d", got, b.N*chunks*perChunk)
-					}
-					elapsed := b.Elapsed()
-					if elapsed > 0 {
-						b.ReportMetric(float64(b.N*chunks*perChunk)/elapsed.Seconds(), "traces/sec")
-					}
+			b.Run("wan", func(b *testing.B) {
+				backend := &nullHive{}
+				srv := wire.NewServer(backend)
+				srv.Logf = func(string, ...any) {}
+				addr, err := srv.Listen("127.0.0.1:0")
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Close()
+				proxy, err := netshape.New(addr, netshape.Config{
+					RTT:       shape.rtt,
+					Loss:      shape.loss,
+					Bandwidth: 16 << 20, // a fleet's uplink share, not loopback
+					Seed:      42,
 				})
-			}
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer proxy.Close()
+				client := wire.Dial(proxy.Addr())
+				defer client.Close()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					accepted, err := client.SubmitSealed(client.SealTraceBatches(p.ID, all))
+					if err != nil {
+						b.Fatal(err)
+					}
+					for k, ok := range accepted {
+						if !ok {
+							b.Fatalf("chunk %d not accepted", k)
+						}
+					}
+				}
+				b.StopTimer()
+				if got := backend.ingested.Load(); got != int64(b.N*chunks*perChunk) {
+					b.Fatalf("backend ingested %d, want %d", got, b.N*chunks*perChunk)
+				}
+				elapsed := b.Elapsed()
+				if elapsed > 0 {
+					b.ReportMetric(float64(b.N*chunks*perChunk)/elapsed.Seconds(), "traces/sec")
+				}
+			})
 		})
 	}
 }

@@ -56,6 +56,17 @@ func clusterTrace(t testing.TB, p *prog.Program, n int) *trace.Trace {
 	return col.Finish(fmt.Sprintf("pod-%d", n%4), uint64(n), res, input, trace.PrivacyHashed, "fleet")
 }
 
+// submitFrame hands h one columnar-encoded batch tagged (session, seq), as
+// the wire server does with a frame it has read.
+func submitFrame(h *hive.Hive, session string, seq uint64, frame []byte) (dup bool, err error) {
+	view, err := trace.DecodeBatch(frame)
+	if err != nil {
+		return false, err
+	}
+	defer view.Release()
+	return h.SubmitColumnarSession(session, seq, view)
+}
+
 // clusterNode is one member of a durable sharded fleet.
 type clusterNode struct {
 	h     *hive.Hive
@@ -348,8 +359,9 @@ func benchClusterPick(b *testing.B, pool []*prog.Program, want int, rings []*rin
 // scaling must come from programs draining through disjoint uplinks in
 // parallel). Program placement is ideal (balanced by construction);
 // ownership balance in general is the ring's own property
-// (ring.TestDistributionBalance). Compression is off so every subcase
-// ships identical bytes.
+// (ring.TestDistributionBalance). The 20 ms hello round trip is past the
+// compression floor on every uplink, so every subcase ships the same
+// (compressed) bytes.
 func BenchmarkClusterIngest(b *testing.B) {
 	const (
 		perUplink = 12 << 20
@@ -409,7 +421,6 @@ func BenchmarkClusterIngest(b *testing.B) {
 			}
 
 			router := wire.NewRouter(ports[n]...)
-			router.DisableCompression = true
 			defer router.Close()
 			var allSealed []pod.SealedBatch
 			for _, p := range chosen {

@@ -47,17 +47,18 @@ func run(args []string) error {
 	runs := fs.Int("runs", 200, "executions per pod")
 	syncEvery := fs.Int("sync", 25, "sync fixes every N runs")
 	drainEvery := fs.Int("drain", 50, "drain buffered traces every N runs (0 drains only at the end)")
-	coalesce := fs.Int("coalesce", 0, "frames per coalesced mega-frame when the hive grants it (0 uses the default depth, negative disables coalescing)")
-	compress := fs.String("compress", "auto", "batch compression over the wire: auto (engage when the hello round trip looks like a WAN), on, or off")
+	coalesce := fs.Int("coalesce", 0, "frames per coalesced mega-frame (0 uses the default depth)")
+	compress := fs.String("compress", "auto", "batch compression over the wire: auto (engage when the hello round trip looks like a WAN) or on")
 	retryBase := fs.Duration("retry-base", 0, "first busy-retry backoff step; doubles per attempt with jitter (0 uses the built-in default)")
 	retryCap := fs.Duration("retry-cap", 0, "ceiling on the busy-retry backoff schedule (0 uses the built-in default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *compress {
-	case "auto", "on", "off":
-	default:
-		return fmt.Errorf("-compress %q: want auto, on, or off", *compress)
+	if *compress != "auto" && *compress != "on" {
+		return fmt.Errorf("-compress %q: want auto or on", *compress)
+	}
+	if *coalesce < 0 {
+		return fmt.Errorf("-coalesce %d: want 0 (the default depth) or a positive depth", *coalesce)
 	}
 
 	pop, err := population.New(population.Config{Seed: *seed, Users: *pods})
@@ -95,17 +96,8 @@ func runPod(idx int, hiveAddr string, seed uint64, programIdx, runs, syncEvery, 
 	// frame goes to its program's owner.
 	client := wire.NewRouter(strings.Split(hiveAddr, ",")...)
 	defer client.Close()
-	if coalesce < 0 {
-		client.DisableCoalesce = true
-	} else {
-		client.CoalesceDepth = coalesce
-	}
-	switch compress {
-	case "on":
-		client.ForceCompress = true
-	case "off":
-		client.DisableCompression = true
-	}
+	client.CoalesceDepth = coalesce
+	client.ForceCompress = compress == "on"
 	// Busy-retry pacing: a hive answering busy-retry (admission control or
 	// deferred low-rarity work) is waited out with jittered exponential
 	// backoff rather than hammered.

@@ -160,7 +160,7 @@ func enclosingFuncs(file *ast.File, fn func(decl *ast.FuncDecl)) {
 }
 
 // funcName renders a declaration's name, with its receiver type when present
-// ("(*Hive).applyBatch" style is overkill for messages; "applyBatch" reads
+// ("(*Hive).applyOp" style is overkill for messages; "applyOp" reads
 // better and names are unique enough within a package).
 func funcName(fd *ast.FuncDecl) string {
 	if fd == nil {

@@ -27,11 +27,6 @@ type sessionEntry struct {
 	seen int
 }
 
-func (h *Hive) applyBatch(st *programState) {
-	st.applied++
-	h.synthesizeFix(st)
-}
-
 func (h *Hive) applyBatchView(st *programState) {
 	st.applied++
 	h.synthesizeFix(st)
@@ -46,35 +41,28 @@ func (h *Hive) mergeSessions(a, b string) {
 	_ = h.entryLocked(b)
 }
 
-// ingest is a sanctioned journaled wrapper; it appends through the
+// SubmitColumnarSession is the one ingest path; it appends through the
 // breaker-accounted wrapper before applying. Clean.
-func (h *Hive) ingest(st *programState) {
+func (h *Hive) SubmitColumnarSession(st *programState) {
 	_ = h.journalBatchAppend(st)
-	h.markSession("s")
-	h.applyBatch(st)
-}
-
-// ingestView is a sanctioned journaled wrapper. Clean.
-func (h *Hive) ingestView(st *programState) {
-	h.markSession("s")
 	h.applyBatchView(st)
+	h.markSession("s")
 }
 
 // applyOp is the sanctioned recovery/replay path. Clean.
 func (h *Hive) applyOp(st *programState) {
-	h.markSession("s")
-	h.applyBatch(st)
 	h.applyBatchView(st)
+	h.markSession("s")
 }
 
 // handleDirect mutates program state without journaling. Finding expected.
 func (h *Hive) handleDirect(st *programState) {
-	h.applyBatch(st)
+	h.applyBatchView(st)
 }
 
-// handleDirectView skips the journaled view wrapper. Finding expected.
-func (h *Hive) handleDirectView(st *programState) {
-	h.applyBatchView(st)
+// retryFix elects synthesis outside an applied batch. Finding expected.
+func (h *Hive) retryFix(st *programState) {
+	h.synthesizeFix(st)
 }
 
 // touchSession marks a session outside the sanctioned paths. Finding
@@ -86,7 +74,7 @@ func (h *Hive) touchSession(id string) {
 // replayHook is a deliberate exception: the suppression must silence it.
 func (h *Hive) replayHook(st *programState) {
 	//lint:allow journalfirst test-only replay hook; never reachable in production
-	h.applyBatch(st)
+	h.applyBatchView(st)
 }
 
 // journalBatchAppend mirrors the PR 10 breaker-accounted append wrapper.

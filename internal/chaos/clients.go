@@ -28,7 +28,7 @@ func HostileFrames(seed uint64) [][]byte {
 	// allocation of that magnitude.
 	over := make([]byte, 5)
 	binary.BigEndian.PutUint32(over, uint32(wire.MaxFrameSize+1))
-	over[4] = byte(wire.MsgSubmitTraces)
+	over[4] = byte(wire.MsgSubmitBatchColumnar)
 	frames = append(frames, over)
 	// Unknown message type carrying a large-but-legal claim and no body:
 	// the reader must not wait forever for bytes that never come, and the
@@ -38,8 +38,9 @@ func HostileFrames(seed uint64) [][]byte {
 	unknown[4] = 0xee
 	frames = append(frames, unknown)
 	// Well-formed header, garbage payloads: JSON decoders and the
-	// columnar codec see attacker-controlled bytes.
-	for _, mt := range []wire.MsgType{wire.MsgHello, wire.MsgSubmitTraces, wire.MsgSubmitBatchColumnar, wire.MsgCoalesced} {
+	// columnar codec see attacker-controlled bytes, and type 1 — retired
+	// with the per-trace submission frames — must stay an unknown type.
+	for _, mt := range []wire.MsgType{wire.MsgHello, 1, wire.MsgSubmitBatchColumnar, wire.MsgCoalesced} {
 		body := []byte(`{"truncated":`)
 		f := make([]byte, 5, 5+len(body))
 		binary.BigEndian.PutUint32(f, uint32(1+len(body)))
@@ -80,7 +81,7 @@ func SlowLoris(addr string, interval time.Duration, stop <-chan struct{}) error 
 	defer conn.Close()
 	payload := make([]byte, 5, 5+4096)
 	binary.BigEndian.PutUint32(payload, 4097)
-	payload[4] = byte(wire.MsgSubmitTraces)
+	payload[4] = byte(wire.MsgSubmitBatchColumnar)
 	payload = append(payload, make([]byte, 4096)...)
 	for i := range payload {
 		if _, err := conn.Write(payload[i : i+1]); err != nil {

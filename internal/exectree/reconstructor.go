@@ -107,17 +107,6 @@ func (r *Reconstructor) View(v *trace.BatchView, i int) (path []trace.BranchEven
 	return r.lookup(sc)
 }
 
-// Trace is View for a materialized trace.
-func (r *Reconstructor) Trace(tr *trace.Trace) (path []trace.BranchEvent, ok bool) {
-	if tr.Mode != trace.CaptureExternalOnly || tr.ProgramID != r.prog.ID || r.prog.NumThreads() > 1 {
-		return nil, false
-	}
-	sc := reconScratchPool.Get().(*reconScratch)
-	defer reconScratchPool.Put(sc)
-	sc.key = tr.AppendReconstructionKey(sc.key[:0])
-	return r.lookup(sc)
-}
-
 // lookup answers sc.key from memory, or replays it and remembers the result.
 func (r *Reconstructor) lookup(sc *reconScratch) ([]trace.BranchEvent, bool) {
 	r.mu.Lock()

@@ -99,6 +99,28 @@ func reconCorpus(t testing.TB, kind proggen.BugKind) (*prog.Program, []reconCase
 	return p, cases
 }
 
+// viewOf encodes traces as one columnar frame and indexes it.
+func viewOf(t testing.TB, traces ...*trace.Trace) *trace.BatchView {
+	t.Helper()
+	enc, err := trace.EncodeBatch(traces[0].ProgramID, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := trace.DecodeBatch(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
+// lookup asks r about one trace, shipped as a frame of its own.
+func lookup(t testing.TB, r *Reconstructor, tr *trace.Trace) ([]trace.BranchEvent, bool) {
+	t.Helper()
+	view := viewOf(t, tr)
+	defer view.Release()
+	return r.View(view, 0)
+}
+
 var reconKinds = []proggen.BugKind{proggen.BugCrash, proggen.BugAssert, proggen.BugHang, proggen.BugSyscallCrash}
 
 // check asserts one lookup's answer against the reference.
@@ -126,8 +148,8 @@ func (c reconCase) check(t testing.TB, how string, got []trace.BranchEvent, ok b
 // TestReconstructorMatchesReconstruct is the property the memo rests on: for
 // every trace — honest, corrupt, exhausted, mismatched, hostile — the
 // reconstructor answers exactly as Reconstruct does, on first sight and on
-// every repeat, through the materialized and the columnar entry alike, and
-// failures are remembered like successes.
+// every repeat, in a frame of its own and inside a batch alike, and failures
+// are remembered like successes.
 func TestReconstructorMatchesReconstruct(t *testing.T) {
 	for _, kind := range reconKinds {
 		p, cases := reconCorpus(t, kind)
@@ -142,22 +164,15 @@ func TestReconstructorMatchesReconstruct(t *testing.T) {
 		if okCount == 0 || okCount == len(cases) {
 			t.Fatalf("kind %v: %d of %d cases reconstruct; want both verdicts covered", kind, okCount, len(cases))
 		}
-		enc, err := trace.EncodeBatch(p.ID, traces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		view, err := trace.DecodeBatch(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		view := viewOf(t, traces...)
 
 		r := NewReconstructor(p)
 		for i, c := range cases {
-			got, ok := r.Trace(c.tr)
+			got, ok := lookup(t, r, c.tr)
 			c.check(t, "first sight", got, ok)
 			got, ok = r.View(view, i)
-			c.check(t, "columnar repeat", got, ok)
-			got, ok = r.Trace(c.tr)
+			c.check(t, "batched repeat", got, ok)
+			got, ok = lookup(t, r, c.tr)
 			c.check(t, "repeat", got, ok)
 		}
 		view.Release()
@@ -165,8 +180,8 @@ func TestReconstructorMatchesReconstruct(t *testing.T) {
 		if st.Hits+st.Misses != int64(3*len(cases)) {
 			t.Fatalf("kind %v: %d hits + %d misses, want %d lookups", kind, st.Hits, st.Misses, 3*len(cases))
 		}
-		// Each distinct key replays once; the columnar and the materialized
-		// entry build the same key, so two of every three lookups at least
+		// Each distinct key replays once; a trace's key is the same wherever
+		// in whichever frame it sits, so two of every three lookups at least
 		// are answered from memory — failures included.
 		if st.Misses > int64(len(cases)) || st.Hits < int64(2*len(cases)) {
 			t.Fatalf("kind %v: %d misses, %d hits over %d cases: repeats re-executed", kind, st.Misses, st.Hits, len(cases))
@@ -188,7 +203,9 @@ func TestReconstructorEviction(t *testing.T) {
 	r := NewReconstructor(p)
 	r.genBudget = 8 << 10
 	c0, rest := cases[0], cases[1:]
-	key := string(c0.tr.AppendReconstructionKey(nil))
+	v0 := viewOf(t, c0.tr)
+	key := string(v0.AppendReconstructionKey(nil, 0))
+	v0.Release()
 	where := func() (cur, old bool) {
 		_, cur = r.cur[key]
 		_, old = r.old[key]
@@ -203,7 +220,7 @@ func TestReconstructorEviction(t *testing.T) {
 			}
 			c := rest[next]
 			next++
-			got, ok := r.Trace(c.tr)
+			got, ok := lookup(t, r, c.tr)
 			c.check(t, "filling", got, ok)
 			if st := r.Stats(); st.ResidentBytes > int64(2*r.genBudget) {
 				t.Fatalf("resident %d bytes, budget %d", st.ResidentBytes, 2*r.genBudget)
@@ -211,11 +228,11 @@ func TestReconstructorEviction(t *testing.T) {
 		}
 	}
 
-	got, ok := r.Trace(c0.tr)
+	got, ok := lookup(t, r, c0.tr)
 	c0.check(t, "first sight", got, ok)
 	lookupOthersUntil("the first rotation", func() bool { _, old := where(); return old })
 	before := r.Stats()
-	got, ok = r.Trace(c0.tr)
+	got, ok = lookup(t, r, c0.tr)
 	c0.check(t, "old generation", got, ok)
 	if st := r.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
 		t.Fatalf("lookup in the old generation: hits %d -> %d, misses %d -> %d; want one hit", before.Hits, st.Hits, before.Misses, st.Misses)
@@ -226,7 +243,7 @@ func TestReconstructorEviction(t *testing.T) {
 
 	lookupOthersUntil("eviction", func() bool { cur, old := where(); return !cur && !old })
 	before = r.Stats()
-	got, ok = r.Trace(c0.tr)
+	got, ok = lookup(t, r, c0.tr)
 	c0.check(t, "after eviction", got, ok)
 	if st := r.Stats(); st.Misses != before.Misses+1 {
 		t.Fatalf("lookup after eviction: misses %d -> %d; want one replay", before.Misses, st.Misses)
@@ -242,21 +259,27 @@ func TestReconstructorConcurrent(t *testing.T) {
 		p, cases := reconCorpus(t, kind)
 		r := NewReconstructor(p)
 		r.genBudget = 8 << 10
+		traces := make([]*trace.Trace, len(cases))
+		for i, c := range cases {
+			traces[i] = c.tr
+		}
+		view := viewOf(t, traces...) // only read from here on
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for k := range cases {
-					c := cases[(k*7+g*13)%len(cases)]
+					i := (k*7 + g*13) % len(cases)
 					for again := 0; again < 2; again++ {
-						got, ok := r.Trace(c.tr)
-						c.check(t, "concurrent", got, ok)
+						got, ok := r.View(view, i)
+						cases[i].check(t, "concurrent", got, ok)
 					}
 				}
 			}(g)
 		}
 		wg.Wait()
+		view.Release()
 		if st := r.Stats(); st.ResidentBytes > int64(2*r.genBudget) || st.Hits+st.Misses != int64(8*len(cases)) {
 			t.Fatalf("kind %v: resident %d bytes (budget %d), %d hits + %d misses over %d lookups",
 				kind, st.ResidentBytes, 2*r.genBudget, st.Hits, st.Misses, 8*len(cases))
@@ -295,7 +318,7 @@ func TestReconstructFuelClamped(t *testing.T) {
 		if !c.ok {
 			t.Fatalf("%s: a hang claiming 2^60 steps did not reconstruct", c.name)
 		}
-		got, ok := NewReconstructor(p).Trace(c.tr)
+		got, ok := lookup(t, NewReconstructor(p), c.tr)
 		c.check(t, "hostile steps", got, ok)
 	}
 	if hung == 0 {

@@ -160,8 +160,9 @@ func E12CrashRecovery() (*Table, error) {
 		return nil, err
 	}
 	// A partially-acknowledged sequenced stream: frames 1..6 applied, the
-	// client heard acks for only the first 3 before the crash.
-	var stream [][]*trace.Trace
+	// client heard acks for only the first 3 before the crash. Each frame is
+	// sealed once; the same bytes are what the client resubmits.
+	var stream [][]byte
 	rng := stats.NewRNG(99)
 	for i := 0; i < 6; i++ {
 		var batch []*trace.Trace
@@ -175,11 +176,22 @@ func E12CrashRecovery() (*Table, error) {
 			res := m.Run()
 			batch = append(batch, col.Finish("e12-stream-pod", uint64(i*4+j), res, input, trace.PrivacyHashed, "fleet"))
 		}
-		stream = append(stream, batch)
+		frame, err := trace.EncodeBatch(buggy.ID, batch)
+		if err != nil {
+			return nil, err
+		}
+		stream = append(stream, frame)
 	}
-	const session = "e12-stream-session"
-	for i, batch := range stream {
-		if _, err := h1.SubmitTracesSession(session, uint64(i+1), buggy.ID, batch); err != nil {
+	submit := func(h *hive.Hive, i int) (dup bool, err error) {
+		view, err := trace.DecodeBatch(stream[i])
+		if err != nil {
+			return false, err
+		}
+		defer view.Release()
+		return h.SubmitColumnarSession("e12-stream-session", uint64(i+1), view)
+	}
+	for i := range stream {
+		if _, err := submit(h1, i); err != nil {
 			return nil, err
 		}
 	}
@@ -214,8 +226,8 @@ func E12CrashRecovery() (*Table, error) {
 	// the original sequence numbers; the recovered dedup table suppresses
 	// every already-applied frame.
 	dups := 0
-	for i, batch := range stream {
-		dup, err := h2.SubmitTracesSession(session, uint64(i+1), buggy.ID, batch)
+	for i := range stream {
+		dup, err := submit(h2, i)
 		if err != nil {
 			return nil, err
 		}

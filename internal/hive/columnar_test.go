@@ -1,10 +1,12 @@
 package hive
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
@@ -35,104 +37,95 @@ func captureMixed(t *testing.T, p *prog.Program, n int) []*trace.Trace {
 	return out
 }
 
-// TestColumnarIngestMatchesV2 is the ingest-equivalence property behind the
-// zero-copy path: feeding a batch through the view-based columnar apply
-// must leave the hive in exactly the state the materialized per-trace path
-// produces — same counters, same reconstruction, same failure aggregation
-// and minted fixes, same execution tree. The corpus's tail repeats its
-// head, so both paths also merge external-only traces from remembered
-// reconstructions, not only from fresh replays.
-func TestColumnarIngestMatchesV2(t *testing.T) {
-	p := buildCrashy(t)
-	corpus := captureMixed(t, p, 96)
-	corpus = append(corpus, corpus[:32]...)
-
-	hV2 := New("fleet")
-	if err := hV2.RegisterProgram(p); err != nil {
-		t.Fatal(err)
-	}
-	hCol := New("fleet")
-	if err := hCol.RegisterProgram(p); err != nil {
-		t.Fatal(err)
-	}
-
-	const chunk = 16
-	for off := 0; off < len(corpus); off += chunk {
-		batch := corpus[off : off+chunk]
-		if err := hV2.SubmitTracesFor(p.ID, batch); err != nil {
-			t.Fatal(err)
+// TestSubmitTracesEncodesAtEdge pins the materialized entry point as an
+// edge of the one ingest path, not a path of its own: a mixed-program,
+// mixed-capture-mode batch through SubmitTraces leaves the hive — tree
+// bytes, counters, failure tables, fixes — exactly where the same
+// per-program groups leave it as columnar frames, the journal holds nothing
+// but the canonical encoding of each group, and an unknown program rejects
+// the whole call before anything is ingested.
+func TestSubmitTracesEncodesAtEdge(t *testing.T) {
+	corpus := durableCorpus(t)
+	var mixed []*trace.Trace
+	groups := make(map[string][]*trace.Trace)
+	perProgram := [][]*trace.Trace{captureMixed(t, corpus[0], 48), captureMixed(t, corpus[1], 48)}
+	for i := range perProgram[0] {
+		for pi, p := range corpus {
+			mixed = append(mixed, perProgram[pi][i])
+			groups[p.ID] = append(groups[p.ID], perProgram[pi][i])
 		}
-		enc, err := trace.EncodeBatch(p.ID, batch)
+	}
+
+	edgeDir := t.TempDir()
+	hEdge, edgeStore := newDurableHive(t, edgeDir, corpus)
+	hCol, colStore := newDurableHive(t, t.TempDir(), corpus)
+	defer colStore.Close()
+
+	ghost := append(append([]*trace.Trace(nil), mixed...), &trace.Trace{ProgramID: "ghost"})
+	if err := hEdge.SubmitTraces(ghost); !errors.Is(err, ErrUnknownProgram) {
+		t.Fatalf("batch naming an unknown program: err = %v, want ErrUnknownProgram", err)
+	}
+	for _, p := range corpus {
+		if n := ingested(t, hEdge, p.ID); n != 0 {
+			t.Fatalf("rejected call ingested %d traces of %s", n, p.Name)
+		}
+	}
+
+	if err := hEdge.SubmitTraces(mixed); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range corpus {
+		if dup, err := submitSession(t, hCol, "", 0, p.ID, groups[p.ID]); err != nil || dup {
+			t.Fatalf("%s: dup=%v err=%v", p.Name, dup, err)
+		}
+	}
+
+	assertHivesEqual(t, hCol, hEdge, corpus)
+	for _, p := range corpus {
+		st, err := hEdge.ProgramStats(p.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		view, err := trace.DecodeBatch(enc)
+		if st.Ingested != int64(len(groups[p.ID])) || st.Reconstructed == 0 {
+			t.Fatalf("%s: corpus did not exercise ingest and reconstruction: %+v", p.Name, st)
+		}
+		tEdge, _ := hEdge.Tree(p.ID)
+		tCol, _ := hCol.Tree(p.ID)
+		if !bytes.Equal(tEdge.Encode(), tCol.Encode()) {
+			t.Fatalf("%s: execution trees differ between the edge and the columnar entry", p.Name)
+		}
+	}
+
+	if err := edgeStore.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reread, err := journal.Open(edgeDir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reread.Close()
+	for _, p := range corpus {
+		want, err := trace.EncodeBatch(p.ID, groups[p.ID])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := hCol.SubmitColumnarSession("", 0, view); err != nil {
+		batches := 0
+		if _, err := reread.Replay(p.ID, func(op *journal.Op) error {
+			switch op.Kind {
+			case journal.OpBatchColumnar:
+				batches++
+				if op.Session != "" || !bytes.Equal(op.Raw, want) {
+					t.Errorf("%s: journaled batch is not the untagged canonical encoding of the group", p.Name)
+				}
+			case journal.OpBatch:
+				t.Errorf("%s: journal holds a per-trace batch record", p.Name)
+			}
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
-		view.Release()
-	}
-
-	sV2, err := hV2.ProgramStats(p.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sCol, err := hCol.ProgramStats(p.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sV2.Reconstructed == 0 || sV2.FixCount == 0 {
-		t.Fatalf("corpus did not exercise reconstruction/synthesis: %+v", sV2)
-	}
-	if sV2.Reconstructor.Hits == 0 || sCol.Reconstructor.Hits == 0 {
-		t.Fatalf("corpus did not exercise the remembered-reconstruction path: v2 %+v, columnar %+v", sV2.Reconstructor, sCol.Reconstructor)
-	}
-	// Failure samples are equal but distinct pointers; compare them
-	// structurally, then the rest of the stats wholesale.
-	if len(sV2.Failures) != len(sCol.Failures) {
-		t.Fatalf("failure records: v2 %d, columnar %d", len(sV2.Failures), len(sCol.Failures))
-	}
-	for i := range sV2.Failures {
-		a, b := sV2.Failures[i], sCol.Failures[i]
-		if !reflect.DeepEqual(a.Sample, b.Sample) {
-			t.Fatalf("failure %q sample differs:\nv2       %+v\ncolumnar %+v", a.Signature, a.Sample, b.Sample)
+		if batches != 1 {
+			t.Errorf("%s: journal holds %d batch records, want 1", p.Name, batches)
 		}
-		a.Sample, b.Sample = nil, nil
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("failure record %d differs:\nv2       %+v\ncolumnar %+v", i, a, b)
-		}
-	}
-	sV2.Failures, sCol.Failures = nil, nil
-	if !reflect.DeepEqual(sV2, sCol) {
-		t.Fatalf("stats differ:\nv2       %+v\ncolumnar %+v", sV2, sCol)
-	}
-
-	// Tree equality: encoded forms are canonical.
-	tV2, err := hV2.Tree(p.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tCol, err := hCol.Tree(p.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tV2.Encode(), tCol.Encode()) {
-		t.Fatal("execution trees differ between v2 and columnar ingestion")
-	}
-
-	// Minted fixes match.
-	fV2, _, err := hV2.FixesSince(p.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fCol, _, err := hCol.FixesSince(p.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fV2, fCol) {
-		t.Fatalf("fixes differ:\nv2       %+v\ncolumnar %+v", fV2, fCol)
 	}
 }

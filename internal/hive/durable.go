@@ -242,29 +242,34 @@ func (h *Hive) restoreProgram(st *programState, base *journal.ProgramSnapshot, d
 // ingestion uses.
 func (h *Hive) applyOp(st *programState, op *journal.Op) error {
 	switch op.Kind {
-	case journal.OpBatchColumnar:
-		view, err := trace.DecodeBatch(op.Raw)
+	case journal.OpBatchColumnar, journal.OpBatch:
+		raw := op.Raw
+		if op.Kind == journal.OpBatch {
+			// A record written before the hive journaled frame bytes
+			// verbatim: per-trace encodings. Re-encode them into the batch
+			// form so old data dirs replay through the one apply.
+			batch := make([]*trace.Trace, 0, len(op.Traces))
+			for i, enc := range op.Traces {
+				tr, err := trace.Decode(enc)
+				if err != nil {
+					return fmt.Errorf("hive: replay %s batch trace %d: %w", st.prog.ID, i, err)
+				}
+				batch = append(batch, tr)
+			}
+			var err error
+			if raw, err = trace.EncodeBatch(st.prog.ID, batch); err != nil {
+				return fmt.Errorf("hive: replay %s batch: %w", st.prog.ID, err)
+			}
+		}
+		view, err := trace.DecodeBatch(raw)
 		if err != nil {
 			return fmt.Errorf("hive: replay %s columnar batch: %w", st.prog.ID, err)
 		}
-		// Replay runs through the same view-based apply path live columnar
-		// ingestion uses — the journaled bytes ARE the wire bytes, so a
-		// recovered hive reproduces the live one's state exactly.
+		// The journaled bytes ARE the wire bytes and replay runs through the
+		// apply live ingestion uses, so a recovered hive reproduces the live
+		// one's state exactly.
 		h.applyBatchView(st, view, false)
 		view.Release()
-		if op.Session != "" {
-			h.markSession(op.Session, op.Seq)
-		}
-	case journal.OpBatch:
-		batch := make([]*trace.Trace, 0, len(op.Traces))
-		for i, raw := range op.Traces {
-			tr, err := trace.Decode(raw)
-			if err != nil {
-				return fmt.Errorf("hive: replay %s batch trace %d: %w", st.prog.ID, i, err)
-			}
-			batch = append(batch, tr)
-		}
-		h.applyBatch(st, batch, false)
 		if op.Session != "" {
 			h.markSession(op.Session, op.Seq)
 		}

@@ -79,7 +79,7 @@ func feedFleet(t testing.TB, h *Hive, corpus []*prog.Program, runs int, seed uin
 			input := []int64{rng.Int63n(256)}
 			seq++
 			tr := captureSeqTrace(t, p, fmt.Sprintf("pod-%d-%d", pi, r%4), seq, input, privacy)
-			if err := h.SubmitTracesFor(p.ID, []*trace.Trace{tr}); err != nil {
+			if err := h.SubmitTraces([]*trace.Trace{tr}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -181,9 +181,9 @@ func assertHivesEqual(t *testing.T, want, got *Hive, corpus []*prog.Program) {
 }
 
 // feedExternalOnly submits the same few external-only executions of p over
-// and over, through both submit routes (so the journal holds OpBatch and
-// OpBatchColumnar records): after the first round every trace is one the
-// program's reconstructor has expanded before.
+// and over, untagged through the SubmitTraces edge and as tagged frames:
+// after the first round every trace is one the program's reconstructor has
+// expanded before.
 func feedExternalOnly(t *testing.T, h *Hive, p *prog.Program, rounds int) {
 	t.Helper()
 	var batch []*trace.Trace
@@ -191,13 +191,10 @@ func feedExternalOnly(t *testing.T, h *Hive, p *prog.Program, rounds int) {
 		batch = append(batch, captureIn(t, p, trace.CaptureExternalOnly, []int64{int64(i * 37 % 256)}))
 	}
 	for r := 0; r < rounds; r++ {
-		if err := h.SubmitTracesFor(p.ID, batch); err != nil {
+		if err := h.SubmitTraces(batch); err != nil {
 			t.Fatal(err)
 		}
-		view := viewOf(t, p.ID, batch)
-		_, err := h.SubmitColumnarSession("sess-ext", uint64(r+1), view)
-		view.Release()
-		if err != nil {
+		if _, err := submitSession(t, h, "sess-ext", uint64(r+1), p.ID, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,7 +299,7 @@ func TestHiveKillRestartMidStream(t *testing.T) {
 
 	const session = "sess-kill-restart"
 	for i := 0; i < 7; i++ { // first 7 frames acknowledged, then the crash
-		dup, err := h1.SubmitTracesSession(session, uint64(i+1), p.ID, batches[i])
+		dup, err := submitSession(t, h1, session, uint64(i+1), p.ID, batches[i])
 		if err != nil || dup {
 			t.Fatalf("frame %d: dup=%v err=%v", i, dup, err)
 		}
@@ -325,7 +322,7 @@ func TestHiveKillRestartMidStream(t *testing.T) {
 	// resubmits the entire stream with its original sequence numbers.
 	dups := 0
 	for i := range batches {
-		dup, err := h2.SubmitTracesSession(session, uint64(i+1), p.ID, batches[i])
+		dup, err := submitSession(t, h2, session, uint64(i+1), p.ID, batches[i])
 		if err != nil {
 			t.Fatalf("resubmit frame %d: %v", i, err)
 		}

@@ -58,20 +58,16 @@ func (t *failureTable) stripeFor(sig string) *failureStripe {
 	return &t.stripes[h%failureStripes]
 }
 
-// record folds one failing trace into the table and — when elect is set —
-// elects at most one synthesizer per signature: the first trace to see a
-// signature wins the election and must call finishSynthesis once a fix
+// recordLazy folds one failing trace into the table and — when elect is
+// set — elects at most one synthesizer per signature: the first trace to see
+// a signature wins the election and must call finishSynthesis once a fix
 // attempt concludes; every other trace (concurrent or later) only bumps
 // counters. Journal replay records with elect false: synthesis outcomes are
 // replayed from their own journal ops, never re-derived.
-func (t *failureTable) record(tr *trace.Trace, elect bool) (*failureRecord, bool) {
-	return t.recordLazy(tr.FailureSignature(), tr.PodID, tr.Outcome, tr.Clone, elect)
-}
-
-// recordLazy is record with the sample supplied lazily: sample() runs only
-// when the signature is new. The zero-copy ingest path uses it to aggregate
-// repeat failures from a batch view without materializing a Trace — the
-// sample is built (not cloned) exactly once per signature ever.
+//
+// The sample is supplied lazily: sample() runs only when the signature is
+// new, so repeat failures aggregate from a batch view without materializing
+// a Trace — the sample is built exactly once per signature ever.
 func (t *failureTable) recordLazy(sig, podID string, outcome prog.Outcome, sample func() *trace.Trace, elect bool) (*failureRecord, bool) {
 	s := t.stripeFor(sig)
 	s.mu.Lock()

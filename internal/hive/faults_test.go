@@ -48,13 +48,13 @@ func TestReadOnlyBreakerENOSPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := []*trace.Trace{captureSeqTrace(t, p, "pod-ro", 1, []int64{5}, trace.PrivacyHashed)}
-	if dup, err := h.SubmitTracesSession("ro", 1, p.ID, batch); err != nil || dup {
+	if dup, err := submitSession(t, h, "ro", 1, p.ID, batch); err != nil || dup {
 		t.Fatalf("healthy ingest: dup=%v err=%v", dup, err)
 	}
 
 	ffs.ForceENOSPC(true)
 	for i := 0; i < readOnlyAppendThreshold; i++ {
-		_, err := h.SubmitTracesSession("ro", uint64(2+i), p.ID, batch)
+		_, err := submitSession(t, h, "ro", uint64(2+i), p.ID, batch)
 		if err == nil {
 			t.Fatalf("append %d succeeded on a full disk", i)
 		}
@@ -65,7 +65,7 @@ func TestReadOnlyBreakerENOSPC(t *testing.T) {
 	if !h.ProgramReadOnly(p.ID) || h.ReadOnlyPrograms() != 1 {
 		t.Fatalf("breaker not open after %d consecutive failures", readOnlyAppendThreshold)
 	}
-	if _, err := h.SubmitTracesSession("ro", 9, p.ID, batch); !errors.Is(err, pod.ErrReadOnly) {
+	if _, err := submitSession(t, h, "ro", 9, p.ID, batch); !errors.Is(err, pod.ErrReadOnly) {
 		t.Fatalf("read-only program accepted ingest path: %v", err)
 	}
 	found := false
@@ -81,14 +81,14 @@ func TestReadOnlyBreakerENOSPC(t *testing.T) {
 	if _, err := h.Guidance(p.ID, 4); err != nil {
 		t.Fatalf("guidance refused while read-only: %v", err)
 	}
-	if dup, err := h.SubmitTracesSession("ro", 1, p.ID, batch); err != nil || !dup {
+	if dup, err := submitSession(t, h, "ro", 1, p.ID, batch); err != nil || !dup {
 		t.Fatalf("acked frame not dup-acked while read-only: dup=%v err=%v", dup, err)
 	}
 
 	// Disk recovers. The breaker stays open — acking ingest again before a
 	// checkpoint proves durability would ack into an unproven journal.
 	ffs.ForceENOSPC(false)
-	if _, err := h.SubmitTracesSession("ro", 2, p.ID, batch); !errors.Is(err, pod.ErrReadOnly) {
+	if _, err := submitSession(t, h, "ro", 2, p.ID, batch); !errors.Is(err, pod.ErrReadOnly) {
 		t.Fatalf("breaker closed without a checkpoint: %v", err)
 	}
 	if err := h.Checkpoint(); err != nil {
@@ -97,7 +97,7 @@ func TestReadOnlyBreakerENOSPC(t *testing.T) {
 	if h.ProgramReadOnly(p.ID) {
 		t.Fatal("checkpoint landed but the breaker is still open")
 	}
-	if dup, err := h.SubmitTracesSession("ro", 2, p.ID, batch); err != nil || dup {
+	if dup, err := submitSession(t, h, "ro", 2, p.ID, batch); err != nil || dup {
 		t.Fatalf("ingest after breaker close: dup=%v err=%v", dup, err)
 	}
 
@@ -108,7 +108,7 @@ func TestReadOnlyBreakerENOSPC(t *testing.T) {
 	h2, store2 := newDurableHive(t, dir, corpus)
 	defer store2.Close()
 	for _, seq := range []uint64{1, 2} {
-		if dup, err := h2.SubmitTracesSession("ro", seq, p.ID, batch); err != nil || !dup {
+		if dup, err := submitSession(t, h2, "ro", seq, p.ID, batch); err != nil || !dup {
 			t.Fatalf("acked seq %d lost across restart: dup=%v err=%v", seq, dup, err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestUnboundedSessionDedupDurable(t *testing.T) {
 
 	total := maxSessions + 64
 	for i := 0; i < total; i++ {
-		dup, err := h.SubmitTracesSession(fmt.Sprintf("s-%d", i), 1, p.ID, batch)
+		dup, err := submitSession(t, h, fmt.Sprintf("s-%d", i), 1, p.ID, batch)
 		if err != nil || dup {
 			t.Fatalf("session %d: dup=%v err=%v", i, dup, err)
 		}
@@ -150,7 +150,7 @@ func TestUnboundedSessionDedupDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < total; i++ {
-		dup, err := h.SubmitTracesSession(fmt.Sprintf("s-%d", i), 1, p.ID, batch)
+		dup, err := submitSession(t, h, fmt.Sprintf("s-%d", i), 1, p.ID, batch)
 		if err != nil || !dup {
 			t.Fatalf("resubmitted session %d not dup-acked: dup=%v err=%v", i, dup, err)
 		}
@@ -169,7 +169,7 @@ func TestUnboundedSessionDedupDurable(t *testing.T) {
 	defer store2.Close()
 	h2.Logf = func(string, ...any) {}
 	for i := 0; i < total; i++ {
-		dup, err := h2.SubmitTracesSession(fmt.Sprintf("s-%d", i), 1, p.ID, batch)
+		dup, err := submitSession(t, h2, fmt.Sprintf("s-%d", i), 1, p.ID, batch)
 		if err != nil || !dup {
 			t.Fatalf("session %d lost across restart: dup=%v err=%v", i, dup, err)
 		}
@@ -237,7 +237,7 @@ func TestKillRestartUnderFaultMatrix(t *testing.T) {
 						seq:     uint64(i/7 + 1),
 						batch:   pool[i%len(pool)],
 					}
-					dup, err := h.SubmitTracesSession(f.session, f.seq, p.ID, f.batch)
+					dup, err := submitSession(t, h, f.session, f.seq, p.ID, f.batch)
 					if err == nil && !dup {
 						acked = append(acked, f)
 					}
@@ -269,7 +269,7 @@ func TestKillRestartUnderFaultMatrix(t *testing.T) {
 					t.Fatalf("recovered ingested=%d < %d acked frames (acked state lost)", before.Ingested, len(acked))
 				}
 				for _, f := range acked {
-					dup, err := h2.SubmitTracesSession(f.session, f.seq, p.ID, f.batch)
+					dup, err := submitSession(t, h2, f.session, f.seq, p.ID, f.batch)
 					if err != nil {
 						t.Fatalf("resubmit %s/%d: %v", f.session, f.seq, err)
 					}

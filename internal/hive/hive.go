@@ -309,12 +309,13 @@ func (h *Hive) Program(programID string) (*prog.Program, error) {
 	return st.prog, nil
 }
 
-// SubmitTraces implements the pod-facing ingestion API. The batch is grouped
-// by program and each group is ingested under a single acquisition of that
-// program's lock: traces are merged into the program's execution tree
-// (reconstructing full paths from external-only traces when possible),
-// failure records are updated, and new failure signatures trigger
-// single-flight fix synthesis.
+// SubmitTraces implements pod.HiveClient for callers that hold materialized
+// traces (pods flushing without a bound buffer, the WER/CBI baselines): the
+// edge of the one ingest path. The batch is grouped by program, preserving
+// arrival order within each program and first-appearance order across
+// programs; every group is encoded once into the columnar batch form and
+// handed to SubmitColumnarSession untagged, so it is shed, journaled and
+// applied exactly like a frame that arrived sealed.
 //
 // The call is all-or-nothing with respect to validation (unknown program):
 // every ProgramID is resolved before any trace is ingested, so a batch
@@ -323,14 +324,12 @@ func (h *Hive) Program(programID string) (*prog.Program, error) {
 // failure (e.g. disk full) rejects the failing group un-applied and aborts
 // the call, leaving groups already ingested by the same call in place —
 // each group is atomic, the multi-program call is not. Requeue-on-failure
-// clients needing exactly-once should use the sequenced per-program path
-// (SubmitTracesSession / wire MsgSubmitTracesSeq) instead.
+// clients needing exactly-once submit sealed, tagged frames instead
+// (pod.SealedStreamer over the wire, SubmitColumnarSession in process).
 func (h *Hive) SubmitTraces(traces []*trace.Trace) error {
 	if len(traces) == 0 {
 		return nil
 	}
-	// Group by program, preserving arrival order within each program and
-	// first-appearance order across programs.
 	order := make([]string, 0, 1)
 	groups := make(map[string][]*trace.Trace, 1)
 	for _, tr := range traces {
@@ -339,101 +338,50 @@ func (h *Hive) SubmitTraces(traces []*trace.Trace) error {
 		}
 		groups[tr.ProgramID] = append(groups[tr.ProgramID], tr)
 	}
-	states := make([]*programState, len(order))
-	for i, id := range order {
-		st, err := h.state(id)
+	for _, id := range order {
+		if _, err := h.state(id); err != nil {
+			return err
+		}
+	}
+	var enc []byte
+	for _, id := range order {
+		var err error
+		if enc, err = trace.AppendBatch(enc[:0], id, groups[id]); err != nil {
+			return err
+		}
+		view, err := trace.DecodeBatch(enc)
 		if err != nil {
 			return err
 		}
-		states[i] = st
-	}
-	for i, id := range order {
-		if err := h.ingestBatch(states[i], groups[id]); err != nil {
+		_, err = h.SubmitColumnarSession("", 0, view)
+		view.Release()
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// SubmitTracesFor is the per-program submission fast path: every trace in
-// the batch must describe programID, so ingestion resolves the program
-// shard once and skips SubmitTraces' group-by entirely. Sharded fleet
-// drains (core.Simulation) and the wire server's per-program frames use it.
+// SubmitColumnarSession implements pod.ColumnarSubmitter and is the hive's
+// one ingest path: every batch — off the wire, from an in-process drain,
+// from SubmitTraces' edge — is deduplicated, priced by the load shedder,
+// journaled and applied here. The view's fields are consumed straight out
+// of the frame's bytes — traces are materialized only where the hive must
+// retain one (failure samples, coordinated fragments); an external-only
+// trace is reconstructed from its frame bytes, by re-execution only on
+// first sight — and on a durable hive the journal records *those same
+// bytes* (journal.OpBatchColumnar), so a batch is serialized exactly once
+// in its lifetime: on the pod.
 //
-// Like SubmitTraces, the call is all-or-nothing with respect to its errors:
-// an unknown program or a mismatched trace rejects the whole batch before
-// anything is ingested, so a rejected batch can be re-submitted without
-// double-counting.
-func (h *Hive) SubmitTracesFor(programID string, traces []*trace.Trace) error {
-	if len(traces) == 0 {
-		return nil
-	}
-	st, err := h.state(programID)
-	if err != nil {
-		return err
-	}
-	for _, tr := range traces {
-		if tr.ProgramID != programID {
-			return fmt.Errorf("hive: trace for program %q in batch submitted for %q", tr.ProgramID, programID)
-		}
-	}
-	return h.ingestBatch(st, traces)
-}
-
-// SubmitTracesSession implements pod.SessionSubmitter: per-program
-// submission deduplicated by (session, seq) so a client resubmitting a
-// partially-acknowledged stream — over a new connection, or frames parked
-// across whole drains — ingests each batch exactly once. The dedup window
-// is the exact set of applied sequence numbers (a contiguous base plus
-// out-of-order marks), so arrival order does not matter: a frame is
-// re-applied iff it was never applied — possibly by journal replay after a
-// crash, since the op carrying (session, seq) is journaled ahead of the
+// A non-empty session deduplicates by (session, seq), so a client
+// resubmitting a partially-acknowledged stream — over a new connection, or
+// frames parked across whole drains — ingests each batch exactly once. The
+// dedup window is the exact set of applied sequence numbers (a contiguous
+// base plus out-of-order marks), so arrival order does not matter: a frame
+// is re-applied iff it was never applied — possibly by journal replay after
+// a crash, since the op carrying (session, seq) is journaled ahead of the
 // apply — and is otherwise acknowledged as a duplicate without
 // re-ingesting.
-func (h *Hive) SubmitTracesSession(session string, seq uint64, programID string, traces []*trace.Trace) (bool, error) {
-	st, err := h.state(programID)
-	if err != nil {
-		return false, err
-	}
-	for _, tr := range traces {
-		if tr.ProgramID != programID {
-			return false, fmt.Errorf("hive: trace for program %q in batch submitted for %q", tr.ProgramID, programID)
-		}
-	}
-	if session == "" {
-		if drop, err := h.shedBatch(st, traces); drop || err != nil {
-			return false, err
-		}
-		return false, h.ingestBatch(st, traces)
-	}
-	// One session's frames serialize across connections: the high-water
-	// check and the journaled apply must be atomic per session, or a
-	// duplicate in flight on two connections would pass the check twice.
-	e := h.sessionFor(session)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if h.sessionApplied(e, seq) {
-		return true, nil
-	}
-	// Shed decisions land after the dedup check and before the journal:
-	// a dropped batch is acked without marking the session, so a
-	// resubmission re-prices it fresh — at-least-once for shed work,
-	// exactly-once for everything admitted.
-	if drop, err := h.shedBatch(st, traces); drop || err != nil {
-		return false, err
-	}
-	return false, h.ingest(st, traces, session, seq)
-}
-
-// SubmitColumnarSession implements pod.ColumnarSubmitter: zero-copy batch
-// ingestion. The view's fields are consumed straight out of the wire
-// frame's bytes — traces are materialized only where the hive must retain
-// one (failure samples, coordinated fragments); an external-only trace is
-// reconstructed from its frame bytes, by re-execution only on first sight —
-// and on a durable hive the journal records *those same bytes*
-// (journal.OpBatchColumnar), so a batch is serialized exactly once in its
-// lifetime: on the pod. Dedup semantics are identical to
-// SubmitTracesSession; the (session, seq) tag spaces are shared.
 func (h *Hive) SubmitColumnarSession(session string, seq uint64, batch *trace.BatchView) (bool, error) {
 	if batch.Len() == 0 {
 		return false, nil
@@ -442,31 +390,32 @@ func (h *Hive) SubmitColumnarSession(session string, seq uint64, batch *trace.Ba
 	if err != nil {
 		return false, err
 	}
-	if session == "" {
-		if drop, err := h.shedView(st, batch); drop || err != nil {
-			return false, err
+	if session != "" {
+		// One session's frames serialize across connections: the applied
+		// check and the journaled apply must be atomic per session, or a
+		// duplicate in flight on two connections would pass the check twice.
+		e := h.sessionFor(session)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if h.sessionApplied(e, seq) {
+			return true, nil
 		}
-		return false, h.ingestView(st, batch, "", 0)
 	}
-	e := h.sessionFor(session)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if h.sessionApplied(e, seq) {
-		return true, nil
-	}
-	// See SubmitTracesSession: shed after dedup, before journal — dropped
-	// batches never mark the session, so resubmissions re-price.
+	// Shed decisions land after the dedup check and before the journal: a
+	// dropped batch is acked without marking the session, so a resubmission
+	// re-prices it fresh — at-least-once for shed work, exactly-once for
+	// everything admitted.
 	if drop, err := h.shedView(st, batch); drop || err != nil {
 		return false, err
 	}
-	return false, h.ingestView(st, batch, session, seq)
-}
 
-// ingestView journals (when durable) and applies one columnar batch under
-// the checkpoint gate — the view-based twin of ingest. The journaled op
-// carries the batch's raw bytes verbatim: no re-encode, and recovery
-// replays them through the same view-based apply path.
-func (h *Hive) ingestView(st *programState, v *trace.BatchView, session string, seq uint64) error {
+	// Journal (when durable) and apply under the checkpoint gate. The op is
+	// appended *before* it is applied — the write-ahead discipline — so an
+	// acknowledged batch is always recoverable; if the journal cannot take
+	// the op the batch is rejected un-applied and the client retries. The op
+	// carries the batch's raw bytes verbatim and the (session, seq) tag, so
+	// recovery replays them through the same apply and rebuilds the dedup
+	// table with them.
 	st.ckpt.RLock()
 	defer st.ckpt.RUnlock()
 	if h.journal != nil {
@@ -474,16 +423,16 @@ func (h *Hive) ingestView(st *programState, v *trace.BatchView, session string, 
 		// below: the committer copies them into its write buffer before
 		// returning, so Raw never outlives the pooled frame.
 		//lint:allow viewescape Raw is consumed (copied to the WAL buffer) before Append returns; the op does not outlive the frame
-		op := &journal.Op{Kind: journal.OpBatchColumnar, Session: session, Seq: seq, Raw: v.Bytes()}
+		op := &journal.Op{Kind: journal.OpBatchColumnar, Session: session, Seq: seq, Raw: batch.Bytes()}
 		if err := h.journalBatchAppend(st, op); err != nil {
-			return err
+			return false, err
 		}
 	}
-	h.applyBatchView(st, v, true)
+	h.applyBatchView(st, batch, true)
 	if session != "" {
 		h.markSession(session, seq)
 	}
-	return nil
+	return false, nil
 }
 
 // pendingSynthesis is a single-flight election won during batch bookkeeping:
@@ -494,131 +443,10 @@ type pendingSynthesis struct {
 	tr  *trace.Trace
 }
 
-// ingestBatch is the journaled entry point for one program's trace batch.
-func (h *Hive) ingestBatch(st *programState, batch []*trace.Trace) error {
-	return h.ingest(st, batch, "", 0)
-}
-
-// ingest journals (when durable) and applies one program's batch, all under
-// the checkpoint gate. The batch op is appended *before* it is applied —
-// the write-ahead discipline — so an acknowledged batch is always
-// recoverable; if the journal cannot take the op the batch is rejected
-// un-applied and the client retries. session/seq, when set, ride in the op
-// so recovery also rebuilds the exactly-once dedup table.
-func (h *Hive) ingest(st *programState, batch []*trace.Trace, session string, seq uint64) error {
-	st.ckpt.RLock()
-	defer st.ckpt.RUnlock()
-	if h.journal != nil {
-		encoded := make([][]byte, len(batch))
-		for i, tr := range batch {
-			encoded[i] = trace.Encode(tr)
-		}
-		op := &journal.Op{Kind: journal.OpBatch, Session: session, Seq: seq, Traces: encoded}
-		if err := h.journalBatchAppend(st, op); err != nil {
-			return err
-		}
-	}
-	h.applyBatch(st, batch, true)
-	if session != "" {
-		h.markSession(session, seq)
-	}
-	return nil
-}
-
-// applyBatch folds one program's trace batch into the hive. The program
-// lock is held once, for bookkeeping only; reconstruction, narrowing, tree
-// merging, and fix synthesis all run outside it. live distinguishes fresh
-// ingestion from journal replay: replay never re-elects fix synthesis —
-// synthesis outcomes are replayed from their own journal ops.
-//
-// Evidence visibility is batch-granular: known-good inputs harvested
-// anywhere in the batch are visible when fixes for the batch's failures are
-// validated (phase 4 runs after phase 2). A guard candidate therefore
-// competes against strictly more collective knowledge than under per-trace
-// ingestion — failing validation routes the signature to the repair lab
-// rather than shipping a guard that contradicts an observed-good input.
-func (h *Hive) applyBatch(st *programState, batch []*trace.Trace, live bool) {
-	singleThreaded := st.prog.NumThreads() == 1
-
-	// Phase 1 (lock-free): expand external-only traces to full paths — the
-	// reconstructor replays the immutable program once per distinct trace
-	// and answers repeats from memory. On failure fall back to merging at
-	// recorded granularity; the tree stays sound, only less detailed.
-	paths := make([][]trace.BranchEvent, len(batch))
-	var reconstructed int64
-	for i, tr := range batch {
-		paths[i] = tr.Branches
-		if full, ok := st.recon.Trace(tr); ok {
-			paths[i] = full
-			reconstructed++
-		}
-	}
-
-	// Phase 2 (no shard lock at all): coordinated fragment buffering,
-	// known-good harvesting, and counters each ride their own striped
-	// synchronization — coordMu, kgMu, and atomics — so benign traffic on a
-	// raw-privacy-heavy program never serializes behind the fix/proof state
-	// mu protects. Failure aggregation runs after, striped per signature.
-	var families map[int][]*trace.Trace // batch index -> completed family
-	for i, tr := range batch {
-		if tr.Mode == trace.CaptureCoordinated && singleThreaded {
-			if fam, complete := st.bufferCoordinated(tr); complete {
-				if families == nil {
-					families = make(map[int][]*trace.Trace)
-				}
-				families[i] = fam
-			}
-		}
-		if tr.Privacy == trace.PrivacyRaw && tr.Outcome == prog.OutcomeOK && len(tr.Input) > 0 {
-			st.harvestKnownGood(tr.Input)
-		}
-	}
-	st.ingested.Add(int64(len(batch)))
-	st.reconstructed.Add(reconstructed)
-
-	// Striped failure aggregation and the single-flight synthesis election,
-	// in batch order.
-	var toSynthesize []pendingSynthesis
-	for _, tr := range batch {
-		if !tr.Outcome.IsFailure() {
-			continue
-		}
-		if rec, elected := st.failures.record(tr, live); elected {
-			toSynthesize = append(toSynthesize, pendingSynthesis{rec: rec, tr: tr})
-		}
-	}
-
-	// Phase 3 (lock-free): narrow completed coordinated families and merge
-	// every path into the internally synchronized tree, in batch order.
-	var narrowed int64
-	for i, tr := range batch {
-		if fam, ok := families[i]; ok {
-			// The fragment completed its family: merge the narrowed full
-			// path instead of the fragment. If narrowing fails the family is
-			// incomplete evidence (or ambiguous); merge the fragment at
-			// recorded granularity so the evidence still counts.
-			if full, ok := narrowFamily(st.prog, fam, tr.Outcome); ok {
-				paths[i] = full
-				narrowed++
-			}
-		}
-		st.tree.Merge(paths[i], tr.Outcome)
-	}
-	if narrowed > 0 {
-		st.narrowed.Add(narrowed)
-	}
-
-	// Phase 4: synthesize fixes for the signatures this batch saw first.
-	// Rare (once per signature ever), and single-flight by construction.
-	for _, p := range toSynthesize {
-		h.synthesizeFix(st, p.rec, p.tr)
-	}
-}
-
-// ingestScratch is the pooled per-batch working set of the view-based
-// apply path: one branch-path buffer, one input buffer, and one signature
-// buffer serve a whole batch, so steady-state ingestion of benign traces
-// allocates nothing per trace.
+// ingestScratch is the pooled per-batch working set of the apply path: one
+// branch-path buffer, one input buffer, and one signature buffer serve a
+// whole batch, so steady-state ingestion of benign traces allocates nothing
+// per trace.
 type ingestScratch struct {
 	path  []trace.BranchEvent
 	input []int64
@@ -627,24 +455,41 @@ type ingestScratch struct {
 
 var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 
-// applyBatchView folds one columnar batch into the hive, reading fields
-// directly out of the view. It is semantically applyBatch over
-// view.MaterializeAll() — the equivalence TestColumnarIngestMatchesV2 pins
-// — but materializes a Trace only where one is retained: failure samples
-// (once per signature ever) and coordinated fragments. Full-capture traffic
-// is merged straight from the frame bytes through a reused path buffer, and
-// an external-only trace is keyed by its frame bytes into the program's
-// reconstructor, which re-executes the program only for a trace it has not
-// expanded before.
+// applyBatchView folds one columnar batch into the hive — the one apply,
+// shared by live ingestion and journal replay — reading fields directly out
+// of the view. Only fix synthesis takes the shard lock: bookkeeping rides
+// its own striped synchronization, and reconstruction, narrowing and tree
+// merging run outside any lock. A Trace is materialized only where one is
+// retained: failure samples (once per signature ever) and coordinated
+// fragments. Full-capture traffic is merged straight from the frame bytes
+// through a reused path buffer, and an external-only trace is keyed by its
+// frame bytes into the program's reconstructor, which re-executes the
+// program only for a trace it has not expanded before; when reconstruction
+// fails the trace merges at recorded granularity — the tree stays sound,
+// only less detailed.
+//
+// live distinguishes fresh ingestion from journal replay: replay never
+// re-elects fix synthesis — synthesis outcomes are replayed from their own
+// journal ops.
+//
+// Evidence visibility is batch-granular: known-good inputs harvested
+// anywhere in the batch are visible when fixes for the batch's failures are
+// validated (pass 3 runs after pass 1). A guard candidate therefore
+// competes against strictly more collective knowledge than under per-trace
+// ingestion — failing validation routes the signature to the repair lab
+// rather than shipping a guard that contradicts an observed-good input.
 func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 	singleThreaded := st.prog.NumThreads() == 1
 	n := v.Len()
 	sc := ingestScratchPool.Get().(*ingestScratch)
 	defer ingestScratchPool.Put(sc)
 
-	// Pass 1 — striped bookkeeping, no shard lock (applyBatch's phase 2):
-	// coordinated fragment buffering, known-good harvesting, and failure
-	// aggregation with its single-flight synthesis election.
+	// Pass 1 — bookkeeping, each on its own striped synchronization
+	// (coordMu, kgMu, per-signature stripes, atomics), so benign traffic on
+	// a raw-privacy-heavy program never serializes behind the fix/proof
+	// state mu protects: coordinated fragment buffering, known-good
+	// harvesting, and failure aggregation with its single-flight synthesis
+	// election, in batch order.
 	var families map[int][]*trace.Trace
 	var toSynthesize []pendingSynthesis
 	for i := 0; i < n; i++ {
@@ -674,10 +519,11 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 	}
 	st.ingested.Add(int64(n))
 
-	// Pass 2 — path expansion and tree merging, in batch order
-	// (applyBatch's phases 1 and 3): external-only traces reconstruct to
-	// full paths, completed coordinated families narrow, everything else
-	// merges at recorded granularity straight from the view.
+	// Pass 2 — path expansion and tree merging, in batch order:
+	// external-only traces reconstruct to full paths, completed coordinated
+	// families narrow (if narrowing fails the family is incomplete or
+	// ambiguous evidence and the fragment merges at recorded granularity, so
+	// it still counts), everything else merges straight from the view.
 	var reconstructed, narrowed int64
 	for i := 0; i < n; i++ {
 		outcome := v.Outcome(i)
@@ -704,8 +550,8 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 		st.narrowed.Add(narrowed)
 	}
 
-	// Pass 3 — synthesize fixes for the signatures this batch saw first
-	// (applyBatch's phase 4).
+	// Pass 3 — synthesize fixes for the signatures this batch saw first.
+	// Rare (once per signature ever), and single-flight by construction.
 	for _, p := range toSynthesize {
 		h.synthesizeFix(st, p.rec, p.tr)
 	}

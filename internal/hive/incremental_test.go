@@ -139,7 +139,7 @@ func TestHiveDeltaCheckpointPauseIsBounded(t *testing.T) {
 		input := []int64{rng.Int63n(256), rng.Int63n(256), rng.Int63n(256), rng.Int63n(256)}
 		batch = append(batch, captureSeqTrace(t, big, "pod-big", uint64(i), input, trace.PrivacyHashed))
 	}
-	if err := h.SubmitTracesFor(big.ID, batch); err != nil {
+	if err := h.SubmitTraces(batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.CheckpointProgram(big.ID); err != nil { // full base
@@ -152,7 +152,7 @@ func TestHiveDeltaCheckpointPauseIsBounded(t *testing.T) {
 	full := len(tree.Encode())
 	// A single new trace, then a delta checkpoint.
 	tr := captureSeqTrace(t, big, "pod-tiny", 1000, []int64{3, 5, 7, 9}, trace.PrivacyHashed)
-	if err := h.SubmitTracesFor(big.ID, []*trace.Trace{tr}); err != nil {
+	if err := h.SubmitTraces([]*trace.Trace{tr}); err != nil {
 		t.Fatal(err)
 	}
 	delta := len(tree.EncodeDelta())
@@ -220,7 +220,7 @@ func TestRawPrivacyHeavyStriped(t *testing.T) {
 				if r == 0 {
 					batch = append(batch, frags[g]...)
 				}
-				if err := h.SubmitTracesFor(p.ID, batch); err != nil {
+				if err := h.SubmitTraces(batch); err != nil {
 					errs <- err
 					return
 				}
@@ -285,16 +285,16 @@ func TestSessionDedupOutOfOrder(t *testing.T) {
 	}
 	// Apply seqs 2, 4, 5 first (1 and 3 in limbo), then the stragglers.
 	for _, seq := range []uint64{2, 4, 5} {
-		if dup, err := h.SubmitTracesSession("sess-ooo", seq, p.ID, batch(int(seq))); err != nil || dup {
+		if dup, err := submitSession(t, h, "sess-ooo", seq, p.ID, batch(int(seq))); err != nil || dup {
 			t.Fatalf("seq %d: dup=%v err=%v", seq, dup, err)
 		}
 	}
 	// Resubmitting an applied seq is a dup; the gaps are not.
-	if dup, _ := h.SubmitTracesSession("sess-ooo", 4, p.ID, batch(4)); !dup {
+	if dup, _ := submitSession(t, h, "sess-ooo", 4, p.ID, batch(4)); !dup {
 		t.Fatal("seq 4 re-applied despite being in the window")
 	}
 	for _, seq := range []uint64{3, 1} {
-		if dup, err := h.SubmitTracesSession("sess-ooo", seq, p.ID, batch(int(seq))); err != nil || dup {
+		if dup, err := submitSession(t, h, "sess-ooo", seq, p.ID, batch(int(seq))); err != nil || dup {
 			t.Fatalf("straggler seq %d: dup=%v err=%v", seq, dup, err)
 		}
 	}
@@ -309,7 +309,7 @@ func TestSessionDedupOutOfOrder(t *testing.T) {
 	// The window survives checkpoint + crash: seq 7 applied out of order
 	// before the checkpoint, 6 resubmitted after recovery must still apply,
 	// 7 must still dedup.
-	if dup, _ := h.SubmitTracesSession("sess-ooo", 7, p.ID, batch(7)); dup {
+	if dup, _ := submitSession(t, h, "sess-ooo", 7, p.ID, batch(7)); dup {
 		t.Fatal("seq 7 wrongly deduped")
 	}
 	if err := h.Checkpoint(); err != nil {
@@ -318,10 +318,10 @@ func TestSessionDedupOutOfOrder(t *testing.T) {
 	store.Close()
 	h2, store2 := newDurableHive(t, dir, corpus)
 	defer store2.Close()
-	if dup, _ := h2.SubmitTracesSession("sess-ooo", 7, p.ID, batch(7)); !dup {
+	if dup, _ := submitSession(t, h2, "sess-ooo", 7, p.ID, batch(7)); !dup {
 		t.Fatal("recovered window lost the out-of-order mark for seq 7")
 	}
-	if dup, err := h2.SubmitTracesSession("sess-ooo", 6, p.ID, batch(6)); err != nil || dup {
+	if dup, err := submitSession(t, h2, "sess-ooo", 6, p.ID, batch(6)); err != nil || dup {
 		t.Fatalf("seq 6 after recovery: dup=%v err=%v", dup, err)
 	}
 	st2, err := h2.ProgramStats(p.ID)

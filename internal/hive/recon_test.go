@@ -24,6 +24,15 @@ func viewOf(t testing.TB, programID string, traces []*trace.Trace) *trace.BatchV
 	return view
 }
 
+// submitSession hands traces to h the way every caller reaches it: encoded
+// once as a columnar frame, as a view tagged (session, seq).
+func submitSession(t testing.TB, h *Hive, session string, seq uint64, programID string, traces []*trace.Trace) (bool, error) {
+	t.Helper()
+	view := viewOf(t, programID, traces)
+	defer view.Release()
+	return h.SubmitColumnarSession(session, seq, view)
+}
+
 // TestHostileStepCountCannotWedgeIngest: a trace's step count is an
 // unvalidated number off the wire, and reconstruction derives its replay
 // fuel from it while ingest holds the program's checkpoint gate. A hung

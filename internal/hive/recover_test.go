@@ -89,15 +89,7 @@ func buildRecoveryDir(t testing.TB, dir string, corpus []*prog.Program) (*Hive, 
 	var acked, held []sessionFrame
 	next := map[string]uint64{}
 	submit := func(f sessionFrame) {
-		var dup bool
-		var err error
-		if f.seq%2 == 0 {
-			view := viewOf(t, f.program.ID, f.batch)
-			dup, err = h.SubmitColumnarSession(f.session, f.seq, view)
-			view.Release()
-		} else {
-			dup, err = h.SubmitTracesSession(f.session, f.seq, f.program.ID, f.batch)
-		}
+		dup, err := submitSession(t, h, f.session, f.seq, f.program.ID, f.batch)
 		if err != nil || dup {
 			t.Fatalf("%s/%d: dup=%v err=%v", f.session, f.seq, dup, err)
 		}
@@ -209,7 +201,7 @@ func assertSessionsAnswerAlike(t *testing.T, h *Hive, acked []sessionFrame) {
 	t.Helper()
 	last := map[string]sessionFrame{}
 	for _, f := range acked {
-		dup, err := h.SubmitTracesSession(f.session, f.seq, f.program.ID, f.batch)
+		dup, err := submitSession(t, h, f.session, f.seq, f.program.ID, f.batch)
 		if err != nil || !dup {
 			t.Errorf("acknowledged frame %s/%d: dup=%v err=%v, want a duplicate", f.session, f.seq, dup, err)
 		}
@@ -218,7 +210,7 @@ func assertSessionsAnswerAlike(t *testing.T, h *Hive, acked []sessionFrame) {
 		}
 	}
 	for _, f := range last {
-		dup, err := h.SubmitTracesSession(f.session, f.seq+1, f.program.ID, f.batch)
+		dup, err := submitSession(t, h, f.session, f.seq+1, f.program.ID, f.batch)
 		if err != nil || dup {
 			t.Errorf("fresh frame %s/%d: dup=%v err=%v, want it applied", f.session, f.seq+1, dup, err)
 		}
@@ -322,7 +314,9 @@ func TestRecoverErrorIsLowestProgram(t *testing.T) {
 // buildRecoveryDir wrote for recoveryCorpus(3) at the last commit whose
 // delta segments were version 1 (every entry a whole root path). It must
 // recover to the hive that builds the same directory today, whose own
-// segments are version 2 and smaller.
+// segments are version 2 and smaller. That commit also still journaled
+// per-trace OpBatch records for half the frames; nothing writes them any
+// more, so this fixture is what keeps their replay pinned.
 func TestRecoverVersion1Chain(t *testing.T) {
 	corpus := recoveryCorpus(t, 3)
 	cur := t.TempDir()
@@ -336,10 +330,40 @@ func TestRecoverVersion1Chain(t *testing.T) {
 		t.Errorf("version 2 segments hold %d B of tree, version 1 held %d B; want at most half", curBytes, oldBytes)
 	}
 
+	if n := countOps(t, old, corpus, journal.OpBatch); n == 0 {
+		t.Fatal("the fixture's journal suffix holds no OpBatch record: the legacy replay is not exercised")
+	}
+	if n := countOps(t, cur, corpus, journal.OpBatch); n != 0 {
+		t.Fatalf("today's hive journaled %d OpBatch records; want OpBatchColumnar only", n)
+	}
+
 	got, store := newDurableHive(t, old, corpus)
 	defer store.Close()
 	assertHivesEqual(t, want, got, corpus)
 	assertSessionsAnswerAlike(t, got, acked)
+}
+
+// countOps counts the journal-suffix records of one kind in dir, over every
+// program of corpus.
+func countOps(t *testing.T, dir string, corpus []*prog.Program, kind journal.Kind) int {
+	t.Helper()
+	store, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	n := 0
+	for _, p := range corpus {
+		if _, err := store.Replay(p.ID, func(op *journal.Op) error {
+			if op.Kind == kind {
+				n++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
 }
 
 // treeDeltaBytes sums TreeDelta over the delta segments in dir, each of

@@ -75,7 +75,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 			batch = append(batch, captureSeqTrace(t, p, "pod-r", uint64(i*4+j), []int64{rng.Int63n(256)}, trace.PrivacyHashed))
 		}
 		batches = append(batches, batch)
-		if dup, err := ha.SubmitTracesSession(session, uint64(i+1), p.ID, batch); err != nil || dup {
+		if dup, err := submitSession(t, ha, session, uint64(i+1), p.ID, batch); err != nil || dup {
 			t.Fatalf("submit %d: dup=%v err=%v", i, dup, err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	// Frames the old owner acknowledged must dup-ack on the new owner: the
 	// session table traveled with the snapshot.
 	for i, batch := range batches {
-		dup, err := hb.SubmitTracesSession(session, uint64(i+1), p.ID, batch)
+		dup, err := submitSession(t, hb, session, uint64(i+1), p.ID, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("ingested moved on duplicate resubmission: %d -> %d", statsA.Ingested, after.Ingested)
 	}
 	// And new frames keep flowing on the new owner.
-	if dup, err := hb.SubmitTracesSession(session, 100, p.ID, batches[0][:1]); err != nil || dup {
+	if dup, err := submitSession(t, hb, session, 100, p.ID, batches[0][:1]); err != nil || dup {
 		t.Fatalf("fresh frame on new owner: dup=%v err=%v", dup, err)
 	}
 
@@ -145,7 +145,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if recovered.Ingested != statsA.Ingested+1 {
 		t.Fatalf("recovered ingested = %d, want %d", recovered.Ingested, statsA.Ingested+1)
 	}
-	if dup, err := hb2.SubmitTracesSession(session, 3, p.ID, batches[2]); err != nil || !dup {
+	if dup, err := submitSession(t, hb2, session, 3, p.ID, batches[2]); err != nil || !dup {
 		t.Fatalf("recovered new owner lost dedup state: dup=%v err=%v", dup, err)
 	}
 }
@@ -162,7 +162,7 @@ func TestImportGuards(t *testing.T) {
 		}
 	}
 	tr := captureSeqTrace(t, p, "pod-g", 1, []int64{3}, trace.PrivacyHashed)
-	if _, err := ha.SubmitTracesSession("s", 1, p.ID, []*trace.Trace{tr}); err != nil {
+	if _, err := submitSession(t, ha, "s", 1, p.ID, []*trace.Trace{tr}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := ha.ExportProgram(p.ID)
@@ -183,7 +183,7 @@ func TestImportGuards(t *testing.T) {
 
 	// DropProgram forgets the program; subsequent frames err cleanly.
 	ha.DropProgram(p.ID)
-	if _, err := ha.SubmitTracesSession("s", 2, p.ID, []*trace.Trace{tr}); err == nil {
+	if _, err := submitSession(t, ha, "s", 2, p.ID, []*trace.Trace{tr}); err == nil {
 		t.Fatal("dropped program still accepts frames")
 	}
 	ha.DropProgram(p.ID) // idempotent
@@ -197,7 +197,7 @@ func TestExportFromStore(t *testing.T) {
 	dir := t.TempDir()
 	ha, storeA := newDurableHive(t, dir, corpus)
 	tr := captureSeqTrace(t, p, "pod-t", 1, []int64{9}, trace.PrivacyHashed)
-	if _, err := ha.SubmitTracesSession("s-dead", 1, p.ID, []*trace.Trace{tr}); err != nil {
+	if _, err := submitSession(t, ha, "s-dead", 1, p.ID, []*trace.Trace{tr}); err != nil {
 		t.Fatal(err)
 	}
 	if err := storeA.Close(); err != nil { // the "crash"
@@ -226,7 +226,7 @@ func TestExportFromStore(t *testing.T) {
 	if err := hb.ImportProgram(snap); err != nil {
 		t.Fatal(err)
 	}
-	if dup, err := hb.SubmitTracesSession("s-dead", 1, p.ID, []*trace.Trace{tr}); err != nil || !dup {
+	if dup, err := submitSession(t, hb, "s-dead", 1, p.ID, []*trace.Trace{tr}); err != nil || !dup {
 		t.Fatalf("acked frame from the dead hive re-applied: dup=%v err=%v", dup, err)
 	}
 }

@@ -5,20 +5,18 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/exectree"
 	"repro/internal/pod"
 	"repro/internal/trace"
 )
 
 // ShedPolicy configures rarity-priced load shedding (PR 9). Past the
-// pressure Watermark the hive prices every sessioned batch BEFORE ingest
-// — against the exec tree it already holds — and drops the cheapest work
-// first: exact structural duplicates go at the watermark, covered-only
-// recombinations at a third of the way to saturation, and low-rarity
-// novelty is deferred (pod.ErrDeferred, retried by the client) in the
-// last third. First-sight failures are never shed at any pressure: a
-// crash signature the hive has not aggregated yet is the one observation
-// overload must not cost.
+// pressure Watermark the hive prices every batch BEFORE ingest — against
+// the exec tree it already holds — and drops the cheapest work first: exact
+// structural duplicates go at the watermark, covered-only recombinations at
+// a third of the way to saturation, and low-rarity novelty is deferred
+// (pod.ErrDeferred, retried by the client) in the last third. First-sight
+// failures are never shed at any pressure: a crash signature the hive has
+// not aggregated yet is the one observation overload must not cost.
 type ShedPolicy struct {
 	// Watermark is the pressure in [0,1) at which pricing starts
 	// (values <= 0 select DefaultShedWatermark). Below it every batch is
@@ -139,17 +137,6 @@ type batchPrice struct {
 	lowRarityOnly bool
 }
 
-// add folds one trace's price into the batch's.
-func (bp *batchPrice) add(p *ShedPolicy, pr exectree.PathPrice) {
-	bp.newEdges += pr.NewEdges
-	if pr.NovelPath {
-		bp.novel = true
-		if p.RarityFloor <= 0 || pr.SiblingVisits >= p.RarityFloor {
-			bp.lowRarityOnly = false
-		}
-	}
-}
-
 // shedView prices a columnar batch and decides its fate. Returns
 // (drop=true, nil) for a batch to ack-without-ingest — the caller must
 // NOT journal, apply, or mark the session (a resubmission simply
@@ -194,38 +181,14 @@ func (h *Hive) shedView(st *programState, v *trace.BatchView) (bool, error) {
 			sc.path = v.AppendBranches(sc.path[:0], i)
 			path = sc.path
 		}
-		bp.add(p, st.tree.PricePath(path, v.Outcome(i)))
-	}
-	return h.shedDecide(p, pressure, bp)
-}
-
-// shedBatch is shedView for materialized traces (the SubmitTracesSession
-// path).
-func (h *Hive) shedBatch(st *programState, traces []*trace.Trace) (bool, error) {
-	p := h.shedPolicy.Load()
-	if p == nil {
-		return false, nil
-	}
-	pressure := h.loadPressure()
-	h.shed.notePressure(pressure)
-	if pressure < p.Watermark {
-		h.shed.admitted.Add(1)
-		return false, nil
-	}
-	for _, tr := range traces {
-		if tr.Outcome.IsFailure() && st.failures.get(tr.FailureSignature()) == nil {
-			h.shed.firstSight.Add(1)
-			h.shed.admitted.Add(1)
-			return false, nil
+		pr := st.tree.PricePath(path, v.Outcome(i))
+		bp.newEdges += pr.NewEdges
+		if pr.NovelPath {
+			bp.novel = true
+			if p.RarityFloor <= 0 || pr.SiblingVisits >= p.RarityFloor {
+				bp.lowRarityOnly = false
+			}
 		}
-	}
-	bp := batchPrice{lowRarityOnly: true}
-	for _, tr := range traces {
-		path, ok := st.recon.Trace(tr)
-		if !ok {
-			path = tr.Branches
-		}
-		bp.add(p, st.tree.PricePath(path, tr.Outcome))
 	}
 	return h.shedDecide(p, pressure, bp)
 }

@@ -83,34 +83,33 @@ func captureIn(t *testing.T, p *prog.Program, mode trace.CaptureMode, input []in
 // covered-only recombinations go in the middle third; and a shed batch
 // never marks its session, so resubmission under low pressure re-prices
 // and ingests. The ladder is the same whatever the capture mode and the
-// submit route: external-only traffic — cmd/pod's default — is priced by
-// its reconstructed path, the one the tree holds, on the materialized and
-// on the columnar route alike.
+// entry: external-only traffic — cmd/pod's default — is priced by its
+// reconstructed path, the one the tree holds, whether it arrives as
+// materialized traces through the SubmitTraces edge (untagged, so never a
+// duplicate) or as a tagged columnar frame. There is one pricer.
 func TestShedLadder(t *testing.T) {
-	materialized := func(h *Hive, seq uint64, tr *trace.Trace) (bool, error) {
-		return h.SubmitTracesSession("sess", seq, tr.ProgramID, []*trace.Trace{tr})
-	}
-	columnar := func(h *Hive, seq uint64, tr *trace.Trace) (bool, error) {
-		view := viewOf(t, tr.ProgramID, []*trace.Trace{tr})
-		defer view.Release()
-		return h.SubmitColumnarSession("sess", seq, view)
-	}
 	for _, tc := range []struct {
 		name   string
 		mode   trace.CaptureMode
-		submit func(h *Hive, seq uint64, tr *trace.Trace) (bool, error)
+		tagged bool
 	}{
-		{"full/materialized", trace.CaptureFull, materialized},
-		{"external-only/materialized", trace.CaptureExternalOnly, materialized},
-		{"external-only/columnar", trace.CaptureExternalOnly, columnar},
+		{"full/materialized", trace.CaptureFull, false},
+		{"external-only/materialized", trace.CaptureExternalOnly, false},
+		{"external-only/columnar", trace.CaptureExternalOnly, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			shedLadder(t, tc.mode, tc.submit)
+			shedLadder(t, tc.mode, tc.tagged)
 		})
 	}
 }
 
-func shedLadder(t *testing.T, mode trace.CaptureMode, submit func(h *Hive, seq uint64, tr *trace.Trace) (bool, error)) {
+func shedLadder(t *testing.T, mode trace.CaptureMode, tagged bool) {
+	submit := func(h *Hive, seq uint64, tr *trace.Trace) (bool, error) {
+		if !tagged {
+			return false, h.SubmitTraces([]*trace.Trace{tr})
+		}
+		return submitSession(t, h, "sess", seq, tr.ProgramID, []*trace.Trace{tr})
+	}
 	p := buildRecomb(t)
 	h, g := shedHive(t, p, &ShedPolicy{Watermark: 0.5})
 
@@ -209,7 +208,7 @@ func TestShedNeverFirstSightFailure(t *testing.T) {
 	// Saturated: pressure 1.0, and the batch even includes a duplicate-
 	// to-be — the first-sight signature must carry the whole batch in.
 	g.set(1.0)
-	if _, err := h.SubmitTracesSession("sess", 1, p.ID, []*trace.Trace{crash}); err != nil {
+	if _, err := submitSession(t, h, "sess", 1, p.ID, []*trace.Trace{crash}); err != nil {
 		t.Fatal(err)
 	}
 	if got := ingested(t, h, p.ID); got != 1 {
@@ -222,7 +221,7 @@ func TestShedNeverFirstSightFailure(t *testing.T) {
 
 	// The same crash again: its signature is now known, its path is a
 	// structural duplicate — shed like any repeat.
-	if dup, err := h.SubmitTracesSession("sess", 2, p.ID, []*trace.Trace{crash}); err != nil || dup {
+	if dup, err := submitSession(t, h, "sess", 2, p.ID, []*trace.Trace{crash}); err != nil || dup {
 		t.Fatalf("known-signature duplicate: dup=%v err=%v", dup, err)
 	}
 	if got := ingested(t, h, p.ID); got != 1 {
@@ -244,13 +243,13 @@ func TestShedDefersLowRarityNovelty(t *testing.T) {
 	benign := captureTrace(t, p, "pod-0", []int64{1}, trace.PrivacyHashed)  // input < 100 path
 	novel := captureTrace(t, p, "pod-0", []int64{150}, trace.PrivacyHashed) // >= 100, >= 110: new edges
 
-	if _, err := h.SubmitTracesSession("sess", 1, p.ID, []*trace.Trace{benign}); err != nil {
+	if _, err := submitSession(t, h, "sess", 1, p.ID, []*trace.Trace{benign}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Sibling visited once < RarityFloor 3: deferred at overshoot 0.9.
 	g.set(0.95)
-	_, err := h.SubmitTracesSession("sess", 2, p.ID, []*trace.Trace{novel})
+	_, err := submitSession(t, h, "sess", 2, p.ID, []*trace.Trace{novel})
 	if !errors.Is(err, pod.ErrDeferred) {
 		t.Fatalf("low-rarity novelty: err = %v, want pod.ErrDeferred", err)
 	}
@@ -265,12 +264,12 @@ func TestShedDefersLowRarityNovelty(t *testing.T) {
 	// same frame: now a prime target, admitted even at the same pressure.
 	g.set(0)
 	for seq := uint64(3); seq < 6; seq++ {
-		if _, err := h.SubmitTracesSession("sess", seq, p.ID, []*trace.Trace{benign}); err != nil {
+		if _, err := submitSession(t, h, "sess", seq, p.ID, []*trace.Trace{benign}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	g.set(0.95)
-	dup, err := h.SubmitTracesSession("sess", 2, p.ID, []*trace.Trace{novel})
+	dup, err := submitSession(t, h, "sess", 2, p.ID, []*trace.Trace{novel})
 	if err != nil || dup {
 		t.Fatalf("retried novelty above the floor: dup=%v err=%v", dup, err)
 	}
@@ -290,13 +289,13 @@ func TestShedEvictedSessionAtLeastOnce(t *testing.T) {
 	h, g := shedHive(t, p, &ShedPolicy{Watermark: 0.5})
 
 	tr := captureTrace(t, p, "pod-0", []int64{60, 60}, trace.PrivacyHashed)
-	if dup, err := h.SubmitTracesSession("victim", 1, p.ID, []*trace.Trace{tr}); err != nil || dup {
+	if dup, err := submitSession(t, h, "victim", 1, p.ID, []*trace.Trace{tr}); err != nil || dup {
 		t.Fatalf("initial submit: dup=%v err=%v", dup, err)
 	}
 
 	// Flood the live cache until "victim" is displaced to the frozen tier.
 	for i := 0; i < maxSessions; i++ {
-		if _, err := h.SubmitTracesSession(fmt.Sprintf("flood-%d", i), 1, p.ID, []*trace.Trace{tr}); err != nil {
+		if _, err := submitSession(t, h, fmt.Sprintf("flood-%d", i), 1, p.ID, []*trace.Trace{tr}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +310,7 @@ func TestShedEvictedSessionAtLeastOnce(t *testing.T) {
 	// Resubmit the acked frame verbatim while the hive sheds hard: the
 	// frozen window thaws and the frame is dup-acked before any pricing.
 	g.set(0.9)
-	dup, err := h.SubmitTracesSession("victim", 1, p.ID, []*trace.Trace{tr})
+	dup, err := submitSession(t, h, "victim", 1, p.ID, []*trace.Trace{tr})
 	if err != nil {
 		t.Fatalf("displaced-session resubmission errored: %v", err)
 	}
@@ -324,7 +323,7 @@ func TestShedEvictedSessionAtLeastOnce(t *testing.T) {
 
 	// Same at low pressure: the window, not the shedder, carries dedup.
 	g.set(0)
-	dup, err = h.SubmitTracesSession("victim", 1, p.ID, []*trace.Trace{tr})
+	dup, err = submitSession(t, h, "victim", 1, p.ID, []*trace.Trace{tr})
 	if err != nil || !dup {
 		t.Fatalf("low-pressure resubmission after displacement: dup=%v err=%v", dup, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/pod"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
@@ -70,7 +71,7 @@ func TestHotProgramStripedFailures(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for r := 0; r < rounds; r++ {
-				if err := h.SubmitTracesFor(p.ID, []*trace.Trace{lows[g], oks[g], highs[g]}); err != nil {
+				if err := h.SubmitTraces([]*trace.Trace{lows[g], oks[g], highs[g]}); err != nil {
 					errs <- err
 					return
 				}
@@ -139,9 +140,11 @@ func TestHotProgramStripedFailures(t *testing.T) {
 	}
 }
 
-// TestSubmitTracesForRejectsMismatch pins the all-or-nothing contract of the
-// per-program path.
-func TestSubmitTracesForRejectsMismatch(t *testing.T) {
+// TestBoundBufferRejectsMismatch pins the all-or-nothing contract of the
+// per-program path: a frame names its program once, so a drain holding a
+// trace about another program never becomes a frame — nothing is ingested
+// and the whole drain stays queued.
+func TestBoundBufferRejectsMismatch(t *testing.T) {
 	p := buildTwoSiteCrashy(t)
 	h := New("fleet")
 	if err := h.RegisterProgram(p); err != nil {
@@ -150,7 +153,11 @@ func TestSubmitTracesForRejectsMismatch(t *testing.T) {
 	good := captureTrace(t, p, "pod", []int64{50}, trace.PrivacyHashed)
 	stray := good.Clone()
 	stray.ProgramID = "someone-else"
-	if err := h.SubmitTracesFor(p.ID, []*trace.Trace{good, stray}); err == nil {
+	buf := pod.NewBufferedFor(h, p.ID)
+	if err := buf.SubmitTraces([]*trace.Trace{good, stray}); err != nil {
+		t.Fatal(err)
+	}
+	if err := buf.Drain(); err == nil {
 		t.Fatal("mismatched trace accepted")
 	}
 	st, err := h.ProgramStats(p.ID)
@@ -160,7 +167,7 @@ func TestSubmitTracesForRejectsMismatch(t *testing.T) {
 	if st.Ingested != 0 {
 		t.Errorf("ingested = %d after rejected batch, want 0", st.Ingested)
 	}
-	if err := h.SubmitTracesFor("ghost", []*trace.Trace{good}); err == nil {
-		t.Fatal("unknown program accepted")
+	if got := buf.Pending(); got != 2 {
+		t.Errorf("pending = %d after rejected drain, want both traces", got)
 	}
 }

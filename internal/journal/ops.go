@@ -18,9 +18,12 @@ type Kind uint8
 // hive state: trace ingestion, fix synthesis outcomes, proof attempts (with
 // the evidence the prover merged), and infeasibility certificates.
 const (
-	// OpBatch is one ingested trace batch (encoded post-privacy traces).
-	// Session/Seq are set for deduplicated wire submissions so recovery
-	// also rebuilds the exactly-once dedup table.
+	// OpBatch is one ingested trace batch as per-trace encodings
+	// (post-privacy traces). The hive no longer writes it — every batch is
+	// journaled as OpBatchColumnar — and reads it only so data directories
+	// written before that still replay. Session/Seq are set for
+	// deduplicated wire submissions so recovery also rebuilds the
+	// exactly-once dedup table.
 	OpBatch Kind = iota + 1
 	// OpSynthesis records the single-flight synthesis outcome for a failure
 	// signature: a minted fix (JSON) or, with an empty Fix, the repair lab.

@@ -18,13 +18,12 @@ import (
 // which trace wins fix synthesis for a new failure signature — identical to
 // a sequential fleet, no matter how the pods were scheduled.
 //
-// A buffer bound to a program (NewBufferedFor) drains through the backend's
-// fast paths when available: sealed sequenced streaming (SealedStreamer,
-// the wire client — exactly-once across drains), zero-copy columnar
-// submission (ColumnarSubmitter, the in-process hive — the journal gets
-// the batch bytes verbatim, no re-encode), pipelined batch streaming
-// (TraceStreamer), or per-program submission (ProgramSubmitter), falling
-// back to plain SubmitTraces otherwise.
+// A buffer bound to a program (NewBufferedFor) picks its drain route from
+// the backend's type: sealed sequenced streaming (SealedStreamer, the wire
+// client — exactly-once across drains), zero-copy columnar submission
+// (ColumnarSubmitter, the in-process hive — the journal gets the batch
+// bytes verbatim, no re-encode), and plain SubmitTraces otherwise (the
+// baselines, and every unbound buffer).
 type BufferedClient struct {
 	backend   HiveClient
 	programID string
@@ -42,9 +41,9 @@ type BufferedClient struct {
 
 var _ HiveClient = (*BufferedClient)(nil)
 
-// streamChunk is the per-frame batch size a bound buffer streams through a
-// TraceStreamer backend: small enough to keep frames far under the wire
-// limit, large enough to amortize framing.
+// streamChunk is the per-frame batch size a bound buffer drains in: small
+// enough to keep frames far under the wire limit, large enough to amortize
+// framing.
 const streamChunk = 256
 
 // NewBuffered wraps backend.
@@ -54,7 +53,7 @@ func NewBuffered(backend HiveClient) *BufferedClient {
 
 // NewBufferedFor wraps backend for a pod that runs exactly one program:
 // every queued trace is asserted to describe programID, which unlocks the
-// backend's per-program and streaming drain paths.
+// backend's sealed and columnar drain routes.
 func NewBufferedFor(backend HiveClient, programID string) *BufferedClient {
 	return &BufferedClient{backend: backend, programID: programID}
 }
@@ -113,13 +112,19 @@ func (b *BufferedClient) Drain() error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if requeue, err := b.submit(batch); err != nil {
+	requeue := batch
+	var err error
+	if cs, ok := b.backend.(ColumnarSubmitter); ok && b.programID != "" {
+		requeue, err = b.submitColumnar(cs, batch)
+	} else {
+		err = b.backend.SubmitTraces(batch)
+	}
+	if err != nil {
 		b.mu.Lock()
 		b.queued = append(requeue, b.queued...)
 		b.mu.Unlock()
-		return err
 	}
-	return nil
+	return err
 }
 
 // drainSealed is the exactly-once drain path: leftover sealed frames from
@@ -162,44 +167,6 @@ func (b *BufferedClient) drainSealed(ss SealedStreamer, sealed []SealedBatch, ba
 	return err
 }
 
-// submit picks the fastest submission path the backend offers for this
-// buffer: stream pipelined chunks, skip the group-by, or plain submission.
-// On error it returns the traces the backend did not accept, in queue
-// order (the non-streaming paths are all-or-nothing: a failure accepts
-// nothing).
-func (b *BufferedClient) submit(batch []*trace.Trace) ([]*trace.Trace, error) {
-	if b.programID == "" {
-		return batch, b.backend.SubmitTraces(batch)
-	}
-	if cs, ok := b.backend.(ColumnarSubmitter); ok {
-		return b.submitColumnar(cs, batch)
-	}
-	if ts, ok := b.backend.(TraceStreamer); ok {
-		rest := batch
-		batches := make([][]*trace.Trace, 0, (len(rest)+streamChunk-1)/streamChunk)
-		for len(rest) > streamChunk {
-			batches = append(batches, rest[:streamChunk])
-			rest = rest[streamChunk:]
-		}
-		batches = append(batches, rest)
-		accepted, err := ts.SubmitTraceBatches(b.programID, batches)
-		if err == nil {
-			return nil, nil
-		}
-		var requeue []*trace.Trace
-		for i, chunk := range batches {
-			if i >= len(accepted) || !accepted[i] {
-				requeue = append(requeue, chunk...)
-			}
-		}
-		return requeue, err
-	}
-	if ps, ok := b.backend.(ProgramSubmitter); ok {
-		return batch, ps.SubmitTracesFor(b.programID, batch)
-	}
-	return batch, b.backend.SubmitTraces(batch)
-}
-
 // submitColumnar drains straight through an in-process columnar backend:
 // each chunk is encoded once into the columnar batch form and handed over
 // as a zero-copy view, so a durable backend (hive.Hive) journals those
@@ -207,9 +174,8 @@ func (b *BufferedClient) submit(batch []*trace.Trace) ([]*trace.Trace, error) {
 // re-encode exactly like the wire path does. The submission is untagged
 // (empty session): in process there is no link to lose, so there is
 // nothing for a dedup window to suppress. On error the unaccepted suffix
-// is returned for re-queueing, starting at the failed chunk. A batch the
-// codec rejects (it never should: the buffer asserts one program) falls
-// back to the backend's materialized paths.
+// is returned for re-queueing, starting at the failed chunk — a chunk the
+// codec refuses (a trace about another program) included.
 func (b *BufferedClient) submitColumnar(cs ColumnarSubmitter, batch []*trace.Trace) ([]*trace.Trace, error) {
 	var enc []byte
 	for start := 0; start < len(batch); start += streamChunk {
@@ -221,10 +187,7 @@ func (b *BufferedClient) submitColumnar(cs ColumnarSubmitter, batch []*trace.Tra
 		var err error
 		enc, err = trace.AppendBatch(enc[:0], b.programID, chunk)
 		if err != nil {
-			if start > 0 {
-				return batch[start:], err
-			}
-			return b.submitMaterialized(batch)
+			return batch[start:], err
 		}
 		view, err := trace.DecodeBatch(enc)
 		if err != nil {
@@ -237,13 +200,4 @@ func (b *BufferedClient) submitColumnar(cs ColumnarSubmitter, batch []*trace.Tra
 		}
 	}
 	return nil, nil
-}
-
-// submitMaterialized is the pre-columnar bound-buffer drain: per-program
-// submission when offered, plain otherwise.
-func (b *BufferedClient) submitMaterialized(batch []*trace.Trace) ([]*trace.Trace, error) {
-	if ps, ok := b.backend.(ProgramSubmitter); ok {
-		return batch, ps.SubmitTracesFor(b.programID, batch)
-	}
-	return batch, b.backend.SubmitTraces(batch)
 }

@@ -104,55 +104,32 @@ func TestBufferedClientPassesThrough(t *testing.T) {
 	}
 }
 
-// programClient extends recordingClient with the per-program fast path.
-type programClient struct {
+// sealRecorder is a SealedStreamer that records the batches it is asked to
+// seal and acknowledges everything.
+type sealRecorder struct {
 	recordingClient
-	forCalls []string
+	sealed [][][]*trace.Trace // one entry per SealTraceBatches call
 }
 
-func (p *programClient) SubmitTracesFor(programID string, traces []*trace.Trace) error {
-	p.forCalls = append(p.forCalls, programID)
-	return p.recordingClient.SubmitTraces(traces)
-}
-
-// streamingClient extends programClient with pipelined batch streaming.
-type streamingClient struct {
-	programClient
-	streamed [][][]*trace.Trace
-}
-
-func (s *streamingClient) SubmitTraceBatches(programID string, batches [][]*trace.Trace) ([]bool, error) {
-	s.forCalls = append(s.forCalls, programID)
-	s.streamed = append(s.streamed, batches)
-	accepted := make([]bool, len(batches))
+func (s *sealRecorder) SealTraceBatches(programID string, batches [][]*trace.Trace) []SealedBatch {
+	s.sealed = append(s.sealed, batches)
+	out := make([]SealedBatch, len(batches))
 	for i, b := range batches {
-		if err := s.recordingClient.SubmitTraces(b); err != nil {
-			return accepted, err
-		}
+		out[i] = SealedBatch{ProgramID: programID, Count: len(b)}
+	}
+	return out
+}
+
+func (s *sealRecorder) SubmitSealed(sealed []SealedBatch) ([]bool, error) {
+	accepted := make([]bool, len(sealed))
+	for i := range accepted {
 		accepted[i] = true
 	}
 	return accepted, nil
 }
 
-func TestBufferedForUsesProgramSubmitter(t *testing.T) {
-	backend := &programClient{}
-	bc := NewBufferedFor(backend, "prog-a")
-	if err := bc.SubmitTraces([]*trace.Trace{{ProgramID: "prog-a", Seq: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bc.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if len(backend.forCalls) != 1 || backend.forCalls[0] != "prog-a" {
-		t.Fatalf("per-program calls = %v", backend.forCalls)
-	}
-	if len(backend.batches) != 1 {
-		t.Fatalf("batches = %d", len(backend.batches))
-	}
-}
-
 func TestBufferedForStreamsChunks(t *testing.T) {
-	backend := &streamingClient{}
+	backend := &sealRecorder{}
 	bc := NewBufferedFor(backend, "prog-a")
 	n := streamChunk*2 + 5
 	queued := make([]*trace.Trace, n)
@@ -165,16 +142,16 @@ func TestBufferedForStreamsChunks(t *testing.T) {
 	if err := bc.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if len(backend.streamed) != 1 {
-		t.Fatalf("streamed drains = %d, want 1", len(backend.streamed))
+	if len(backend.sealed) != 1 {
+		t.Fatalf("sealed drains = %d, want 1", len(backend.sealed))
 	}
-	batches := backend.streamed[0]
+	batches := backend.sealed[0]
 	if len(batches) != 3 || len(batches[0]) != streamChunk || len(batches[2]) != 5 {
 		t.Fatalf("chunking = %d batches (first %d, last %d)", len(batches), len(batches[0]), len(batches[len(batches)-1]))
 	}
 	// Order across chunks is preserved.
 	seq := uint64(0)
-	for _, b := range backend.batches {
+	for _, b := range batches {
 		for _, tr := range b {
 			if tr.Seq != seq {
 				t.Fatalf("order broken at seq %d (got %d)", seq, tr.Seq)
@@ -182,7 +159,7 @@ func TestBufferedForStreamsChunks(t *testing.T) {
 			seq++
 		}
 	}
-	// An unbound buffer must not stream.
+	// An unbound buffer must not seal: it cannot name the frames' program.
 	plain := NewBuffered(backend)
 	if err := plain.SubmitTraces([]*trace.Trace{{Seq: 0}}); err != nil {
 		t.Fatal(err)
@@ -190,38 +167,34 @@ func TestBufferedForStreamsChunks(t *testing.T) {
 	if err := plain.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if len(backend.streamed) != 1 {
-		t.Fatal("unbound buffer took the streaming path")
+	if len(backend.sealed) != 1 || len(backend.batches) != 1 {
+		t.Fatalf("unbound buffer sealed (%d drains) instead of plain submission (%d batches)", len(backend.sealed), len(backend.batches))
 	}
 }
 
-// flakyStreamer acks exactly one batch then kills the stream, once.
-type flakyStreamer struct {
-	programClient
+// flakyColumnar is an in-process columnar backend that takes exactly one
+// chunk and then fails, once.
+type flakyColumnar struct {
+	recordingClient
 	calls int
 	got   [][]*trace.Trace
 }
 
-func (f *flakyStreamer) SubmitTraceBatches(programID string, batches [][]*trace.Trace) ([]bool, error) {
-	accepted := make([]bool, len(batches))
+func (f *flakyColumnar) SubmitColumnarSession(session string, seq uint64, batch *trace.BatchView) (bool, error) {
 	f.calls++
-	if f.calls == 1 {
-		f.got = append(f.got, batches[0])
-		accepted[0] = true
-		return accepted, errors.New("stream died after first ack")
+	if f.calls == 2 {
+		return false, errors.New("backend refused the second chunk")
 	}
-	f.got = append(f.got, batches...)
-	for i := range accepted {
-		accepted[i] = true
-	}
-	return accepted, nil
+	f.got = append(f.got, batch.MaterializeAll())
+	return false, nil
 }
 
-// TestBufferedForRequeuesOnlyUnackedTail pins the partial-failure contract:
-// after a stream dies mid-drain, only the unacknowledged tail is re-queued,
-// so the retry delivers every trace exactly once.
+// TestBufferedForRequeuesOnlyUnackedTail pins the partial-failure contract
+// of the in-process route: after the backend refuses a chunk mid-drain,
+// only the unaccepted tail is re-queued, so the retry delivers every trace
+// exactly once.
 func TestBufferedForRequeuesOnlyUnackedTail(t *testing.T) {
-	backend := &flakyStreamer{}
+	backend := &flakyColumnar{}
 	bc := NewBufferedFor(backend, "prog-a")
 	n := streamChunk + 10
 	queued := make([]*trace.Trace, n)
@@ -232,10 +205,10 @@ func TestBufferedForRequeuesOnlyUnackedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := bc.Drain(); err == nil {
-		t.Fatal("drain over a dying stream must error")
+		t.Fatal("drain over a refusing backend must error")
 	}
 	if got := bc.Pending(); got != 10 {
-		t.Fatalf("pending after partial drain = %d, want the 10 unacked", got)
+		t.Fatalf("pending after partial drain = %d, want the 10 unaccepted", got)
 	}
 	if err := bc.Drain(); err != nil {
 		t.Fatal(err)
@@ -256,13 +229,16 @@ func TestBufferedForRequeuesOnlyUnackedTail(t *testing.T) {
 			t.Fatalf("seq %d delivered %d times", seq, c)
 		}
 	}
+	if len(backend.batches) != 0 {
+		t.Fatalf("bound buffer over a columnar backend made %d plain submissions", len(backend.batches))
+	}
 }
 
 // sealingBackend implements SealedStreamer: it seals with monotonically
 // increasing tags and records every payload submitted, failing the first
 // submit call outright.
 type sealingBackend struct {
-	programClient
+	recordingClient
 	nextSeq   uint64
 	submits   int
 	delivered []string // payloads acknowledged, in order
@@ -365,7 +341,7 @@ func TestBufferedForSealedTagsSurviveDrains(t *testing.T) {
 // frames around it) — the server-rejection failure mode, where a frame in
 // the middle of a stream was refused while later frames were applied.
 type rejectingBackend struct {
-	programClient
+	recordingClient
 	nextSeq   uint64
 	submits   int
 	presented []string // payloads presented across all submits, in order

@@ -25,8 +25,7 @@ import (
 // session mark), and the submitter should retry it after a pause — for
 // sealed frames, verbatim, so exactly-once semantics are untouched.
 // hive.Hive wraps it when rarity-priced load shedding defers low-value
-// work; wire.Server maps it to MsgBusy (negotiated clients) or bounded
-// in-handler pacing (legacy clients).
+// work; wire.Server maps it to MsgBusy.
 var ErrDeferred = errors.New("pod: ingest deferred under overload")
 
 // ErrReadOnly reports that the backend has flipped a program to read-only
@@ -34,8 +33,7 @@ var ErrDeferred = errors.New("pod: ingest deferred under overload")
 // batch was NOT applied and resubmitting it will keep failing until the
 // disk recovers — unlike ErrDeferred, this is not transient backpressure.
 // Guidance reads still work. hive.Hive wraps it when a program's journal
-// breaker opens; wire.Server maps it to MsgBusy (reason "readonly") for
-// negotiated clients and a hard error for legacy ones.
+// breaker opens; wire.Server maps it to MsgBusy (reason "readonly").
 var ErrReadOnly = errors.New("pod: backend read-only after journal write failure")
 
 // PressureSink is an optional backend extension letting the transport
@@ -61,25 +59,6 @@ type HiveClient interface {
 	Guidance(programID string, max int) ([]guidance.TestCase, error)
 }
 
-// ProgramSubmitter is an optional HiveClient extension: submission that
-// pre-asserts every trace in the batch describes programID, so the backend
-// can skip its group-by step and resolve the program once. hive.Hive and
-// wire.Client implement it; BufferedClient.Drain uses it when the buffer is
-// bound to a program.
-type ProgramSubmitter interface {
-	SubmitTracesFor(programID string, traces []*trace.Trace) error
-}
-
-// TraceStreamer is an optional HiveClient extension for pipelined
-// transports: submit many batches for one program with every batch in
-// flight at once, instead of one upload per round trip. wire.Client
-// implements it by streaming frames and collecting the pipelined acks.
-// The flags report, per batch, whether the backend acknowledged it — on
-// error, callers re-submit exactly the unacknowledged batches.
-type TraceStreamer interface {
-	SubmitTraceBatches(programID string, batches [][]*trace.Trace) ([]bool, error)
-}
-
 // SealedBatch is one trace batch sealed into a transport frame whose
 // exactly-once identity (session ID + frame sequence number) was fixed at
 // seal time. The payload is opaque to the pod; what matters is that
@@ -93,20 +72,18 @@ type SealedBatch struct {
 	// Count is the number of traces sealed in (ack validation and
 	// accounting).
 	Count int
-	// Payload is the transport-encoded frame, tags included.
+	// Payload is the transport-encoded frame, tags included: the
+	// (session, seq) tag, then the batch in the columnar encoding.
 	Payload []byte
-	// Columnar marks a payload in the columnar batch encoding (sent as its
-	// own frame type); the exactly-once tag semantics are identical.
-	Columnar bool
-	// Compressed marks a columnar payload whose batch bytes were sealed
+	// Compressed marks a payload whose batch bytes were sealed
 	// DEFLATE-compressed (sent as its own frame type). The backend
 	// inflates back to the canonical columnar bytes before ingest, so
 	// dedup and journal identity are unchanged.
 	Compressed bool
 }
 
-// SealedStreamer is an optional HiveClient extension splitting the
-// pipelined streaming path into seal and submit halves: SealTraceBatches
+// SealedStreamer is an optional HiveClient extension for networked
+// backends, splitting submission into seal and submit halves: SealTraceBatches
 // assigns each batch its durable (session, seq) tag and encodes the frame;
 // SubmitSealed streams previously sealed frames and reports, per frame,
 // whether the backend acknowledged it. wire.Client implements it;
@@ -118,31 +95,25 @@ type SealedStreamer interface {
 	SubmitSealed(sealed []SealedBatch) ([]bool, error)
 }
 
-// ColumnarSubmitter is an optional backend extension for zero-copy batch
-// ingestion: a columnar-encoded batch (trace.BatchCodec) arrives as a
-// validated BatchView over the wire frame's own bytes, tagged like a
-// SessionSubmitter submission. The backend reads fields straight out of the
+// ColumnarSubmitter is the backend's one ingest method: a columnar-encoded
+// batch (trace.BatchCodec) arrives as a validated BatchView over the wire
+// frame's own bytes, tagged with the submitting client's session ID and a
+// per-frame sequence number. The backend keeps, per session, the exact set
+// of applied sequence numbers (journaled with the batch when the backend is
+// durable), so a client resubmitting a partially-acknowledged stream over a
+// new connection — or across a backend restart — has each batch ingested
+// exactly once; dup reports that the batch was already applied and is
+// acknowledged without re-ingesting. An empty session opts out of dedup
+// (in-process drains, where there is no link to lose). A wire.Server
+// requires its backend to implement it; BufferedClient drains an
+// in-process backend through it. The backend reads fields straight out of the
 // view — materializing traces only where it must retain or mutate them —
 // and, when durable, journals view.Bytes() verbatim, so the pod's one
 // serialization of the batch survives to the journal unchanged. The view is
 // only valid for the duration of the call: the transport recycles the
-// underlying frame buffer after it returns. hive.Hive implements it;
-// wire.Server routes columnar frames through it.
+// underlying frame buffer after it returns. hive.Hive implements it.
 type ColumnarSubmitter interface {
 	SubmitColumnarSession(session string, seq uint64, batch *trace.BatchView) (dup bool, err error)
-}
-
-// SessionSubmitter is an optional backend extension for exactly-once
-// ingestion: a per-program batch tagged with the submitting client's
-// session ID and a per-frame sequence number. The backend keeps a
-// per-session high-water mark of applied sequence numbers (journaled with
-// the batch when the backend is durable), so a client resubmitting a
-// partially-acknowledged stream over a new connection — or across a backend
-// restart — has each batch ingested exactly once. The dup result reports
-// that the batch was already applied and acknowledged without re-ingesting.
-// hive.Hive implements it; wire.Server routes sequenced frames through it.
-type SessionSubmitter interface {
-	SubmitTracesSession(session string, seq uint64, programID string, traces []*trace.Trace) (dup bool, err error)
 }
 
 // Config parameterizes a pod.

@@ -29,18 +29,6 @@ func (v *BatchView) AppendReconstructionKey(dst []byte, i int) []byte {
 	return append(dst, v.slab(secSyscalls, i)...)
 }
 
-// AppendReconstructionKey appends the trace's reconstruction key to dst —
-// byte-for-byte what a BatchView over the trace's canonical batch encoding
-// yields, so materialized and columnar ingestion share remembered paths.
-func (t *Trace) AppendReconstructionKey(dst []byte) []byte {
-	dst = append(dst, byte(t.Outcome))
-	dst = binary.AppendUvarint(dst, uint64(t.Steps))
-	dst = binary.AppendUvarint(dst, uint64(len(t.Branches)))
-	dst = appendBranchEvents(dst, t.Branches)
-	dst = binary.AppendUvarint(dst, uint64(len(t.Syscalls)))
-	return appendSyscallEvents(dst, t.Syscalls)
-}
-
 // ReconstructionInput is what a reconstruction key encodes: the values an
 // oracle replay of an external-only trace reads.
 type ReconstructionInput struct {

@@ -8,11 +8,27 @@ import (
 	"testing"
 )
 
+// keyOf is tr's reconstruction key, read out of a frame holding tr alone.
+func keyOf(t *testing.T, tr *Trace) []byte {
+	t.Helper()
+	enc, err := EncodeBatch(tr.ProgramID, []*Trace{tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := DecodeBatch(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+	return v.AppendReconstructionKey(nil, 0)
+}
+
 // TestReconstructionKeyRoundTrip pins the three properties the hive's
-// reconstruction memo leans on: a trace and a view over its batch encoding
-// build the same key; the key parses back to exactly the replay inputs; and
-// the key is a function of those inputs alone (fields reconstruction does
-// not read leave it unchanged, fields it reads change it).
+// reconstruction memo leans on: a trace's key is the same wherever in
+// whichever frame it sits; the key parses back to exactly the replay
+// inputs; and the key is a function of those inputs alone (fields
+// reconstruction does not read leave it unchanged, fields it reads change
+// it).
 func TestReconstructionKeyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	traces := make([]*Trace, 64)
@@ -29,9 +45,9 @@ func TestReconstructionKeyRoundTrip(t *testing.T) {
 	}
 	defer v.Release()
 	for i, tr := range traces {
-		key := tr.AppendReconstructionKey(nil)
-		if got := v.AppendReconstructionKey(nil, i); !bytes.Equal(got, key) {
-			t.Fatalf("trace %d: view key differs from trace key", i)
+		key := v.AppendReconstructionKey(nil, i)
+		if !bytes.Equal(keyOf(t, tr), key) {
+			t.Fatalf("trace %d: key differs between a batch and a frame of its own", i)
 		}
 		var in ReconstructionInput
 		if err := ParseReconstructionKey(key, &in); err != nil {
@@ -50,17 +66,17 @@ func TestReconstructionKeyRoundTrip(t *testing.T) {
 
 		same := tr.Clone()
 		same.PodID, same.Seq, same.InputDigest, same.FaultPC = "elsewhere", tr.Seq+9, "other", tr.FaultPC+1
-		if !bytes.Equal(same.AppendReconstructionKey(nil), key) {
+		if !bytes.Equal(keyOf(t, same), key) {
 			t.Fatalf("trace %d: key moved with a field reconstruction never reads", i)
 		}
 		other := tr.Clone()
 		other.Steps++
-		if bytes.Equal(other.AppendReconstructionKey(nil), key) {
+		if bytes.Equal(keyOf(t, other), key) {
 			t.Fatalf("trace %d: key blind to the step count", i)
 		}
 		other = tr.Clone()
 		other.Branches = append(other.Branches, BranchEvent{ID: 1, Taken: true})
-		if bytes.Equal(other.AppendReconstructionKey(nil), key) {
+		if bytes.Equal(keyOf(t, other), key) {
 			t.Fatalf("trace %d: key blind to the branch stream", i)
 		}
 

@@ -9,13 +9,12 @@ import (
 // Admission configures the server-side overload protections (PR 9): all
 // zero values (or a nil *Admission on the Server) disable every check, so
 // the loopback fast path pays nothing. The layer says "not now", never
-// "never": a declined frame is answered MsgBusy (FeatureBusy clients) or
-// absorbed by in-handler pacing and deferred reads (legacy clients), and
-// is resubmitted by the client with its exactly-once tag intact.
+// "never": a declined frame is answered MsgBusy and is resubmitted by the
+// client with its exactly-once tag intact.
 type Admission struct {
 	// SessionRate is the sustained admission rate per session in traces
 	// per second (0 = unlimited). Frames are charged their batch size at
-	// dispatch; a dry bucket answers MsgBusy or paces the worker.
+	// dispatch; a dry bucket answers MsgBusy.
 	SessionRate float64
 	// SessionBurst is the token-bucket capacity in traces (default
 	// 4×SessionRate, min 256): short bursts ride through, sustained
@@ -82,19 +81,15 @@ type admissionState struct {
 	halfOpen atomic.Int64
 
 	busyReplies   atomic.Int64
-	pacedFrames   atomic.Int64
 	slowEvicted   atomic.Int64
 	connsRejected atomic.Int64
 }
 
 // AdmissionStats is a point-in-time snapshot of the admission counters.
 type AdmissionStats struct {
-	// BusyReplies counts MsgBusy frames sent (negotiated clients).
+	// BusyReplies counts MsgBusy frames sent for overload: a dry session
+	// bucket, or a batch the backend's load shedder deferred.
 	BusyReplies int64
-	// PacedFrames counts frames admitted only after in-handler pacing
-	// (legacy clients over their session rate, or hive-deferred batches
-	// retried in-handler).
-	PacedFrames int64
 	// SlowLorisEvicted counts connections closed for dribbling a started
 	// frame past FrameTimeout.
 	SlowLorisEvicted int64
@@ -138,7 +133,6 @@ func (a *admissionState) pressure() float64 {
 func (a *admissionState) stats() AdmissionStats {
 	return AdmissionStats{
 		BusyReplies:      a.busyReplies.Load(),
-		PacedFrames:      a.pacedFrames.Load(),
 		SlowLorisEvicted: a.slowEvicted.Load(),
 		ConnsRejected:    a.connsRejected.Load(),
 		QueuedBytes:      a.queued.Load(),
@@ -148,12 +142,9 @@ func (a *admissionState) stats() AdmissionStats {
 
 // debit charges n traces against key's token bucket at time now. A
 // sufficiently full bucket is debited and admits immediately (wait 0,
-// ok). A dry bucket either declines (force=false: no debit, the caller
-// answers MsgBusy with the returned wait as the hint) or runs a bounded
-// deficit (force=true: legacy pacing — the caller sleeps wait, and the
-// debt, capped at one burst, shapes subsequent frames to the sustained
-// rate without unbounded punishment).
-func (a *admissionState) debit(key string, n int, now time.Time, force bool) (wait time.Duration, ok bool) {
+// ok). A dry bucket declines: no debit, and the caller answers MsgBusy
+// with the returned wait as the hint.
+func (a *admissionState) debit(key string, n int, now time.Time) (wait time.Duration, ok bool) {
 	if a.cfg.SessionRate <= 0 || n <= 0 {
 		return 0, true
 	}
@@ -185,14 +176,7 @@ func (a *admissionState) debit(key string, n int, now time.Time, force bool) (wa
 	if wait < time.Millisecond {
 		wait = time.Millisecond
 	}
-	if !force {
-		return wait, false
-	}
-	b.tokens -= need
-	if b.tokens < -a.cfg.SessionBurst {
-		b.tokens = -a.cfg.SessionBurst
-	}
-	return wait, true
+	return wait, false
 }
 
 // evictBucketLocked drops the least-recently-touched bucket. Callers

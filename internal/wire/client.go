@@ -1,13 +1,13 @@
 package wire
 
 import (
-	"bufio"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,30 +43,20 @@ type Client struct {
 	// another's.
 	seq uint64
 
-	// negotiated and the feature fields below cache the hello exchange
-	// (guarded by mu): before sealing submission frames the client offers
-	// its features once per session; a server that answers anything but
-	// MsgHelloAck (an old build replies MsgError) pins the empty feature
-	// set and the client sticks to the per-trace v2 encoding. Negotiation
-	// is retried on the next seal after a transport failure.
+	// negotiated and the fields below cache the hello exchange (guarded by
+	// mu): before sealing or submitting frames the client says hello once
+	// per session; a failed exchange is retried on the next seal or submit.
 	negotiated bool
-	columnar   bool
-	// coalesce reports the server granted FeatureCoalesce: sealed-frame
-	// streams ship as MsgCoalesced mega-frames, one writev per group.
-	coalesce bool
-	// compressOK reports the server granted FeatureSlabFlate; compressing
-	// reports the client actually compresses (granted, and either forced
-	// or the link looks far — see helloRTT).
-	compressOK  bool
+	// compressing reports that sealed batches are DEFLATE-compressed:
+	// forced, or the link looks far (see helloRTT).
 	compressing bool
 	// maxFrame is the negotiated frame-size limit for writes on this
 	// connection (MaxFrameSize until a hello grant raises it).
 	maxFrame int
-	// routing reports the server granted FeatureRouting; placement is the
-	// map it advertised (nil when unsharded). lastRedirect remembers the
-	// most recent MsgRedirect this client saw, so a later retry-exhausted
-	// error can tell "owner moved" from "owner down".
-	routing      bool
+	// placement is the map the server advertised (nil when unsharded).
+	// lastRedirect remembers the most recent MsgRedirect this client saw,
+	// so a later retry-exhausted error can tell "owner moved" from "owner
+	// down".
 	placement    *ring.Map
 	lastRedirect *RedirectError
 	// helloRTT is the measured duration of the hello exchange on an
@@ -75,9 +65,6 @@ type Client struct {
 	// far enough (compressRTTFloor) for bandwidth to be the bottleneck;
 	// loopback fleets skip it and keep their syscall-bound throughput.
 	helloRTT time.Duration
-	// busyOK reports the server granted FeatureBusy: declined submissions
-	// come back as MsgBusy retry-after hints instead of silent pacing.
-	busyOK bool
 	// helloCount counts hello exchanges this client has run; tests use it
 	// to prove busy replies do not trigger re-negotiation storms.
 	helloCount int
@@ -95,31 +82,13 @@ type Client struct {
 	hdrScratch []byte
 	bufScratch net.Buffers
 
-	// DisableColumnar opts this client out of negotiation entirely,
-	// emulating a pre-hello build (mixed-fleet tests and emergency
-	// fallback). Set before first use.
-	DisableColumnar bool
-	// DisableCoalesce and DisableCompression withhold the respective
-	// feature offers (mixed-fleet tests, debugging). Set before first use.
-	DisableCoalesce    bool
-	DisableCompression bool
-	// DisableRouting withholds the FeatureRouting offer: the client never
-	// receives MsgRedirect and a sharded server proxies its misdirected
-	// frames instead (pre-ring emulation; also set on server-side proxy
-	// clients so redirects never chain back to a client that cannot parse
-	// them). Set before first use.
-	DisableRouting bool
-	// ForceCompress compresses whenever the server granted it, ignoring
-	// the RTT floor (benches and tests; real WAN links trip the floor on
-	// their own). Set before first use.
+	// ForceCompress compresses on any link, ignoring the RTT floor (benches
+	// and tests; real WAN links trip the floor on their own). Set before
+	// first use.
 	ForceCompress bool
 	// CoalesceDepth bounds how many inner frames one mega-frame carries
 	// (default defaultCoalesceDepth). Set before first use.
 	CoalesceDepth int
-	// DisableBusy withholds the FeatureBusy offer: the client never sees
-	// MsgBusy and an overloaded server throttles it by deferred reads and
-	// in-handler pacing instead (pre-PR9 emulation). Set before first use.
-	DisableBusy bool
 	// RetryBase and RetryCap bound the jittered exponential backoff used
 	// after MsgBusy replies (defaults defaultRetryBase / defaultRetryCap).
 	// Set before first use.
@@ -132,17 +101,13 @@ type Client struct {
 }
 
 var _ pod.HiveClient = (*Client)(nil)
-var _ pod.ProgramSubmitter = (*Client)(nil)
-var _ pod.TraceStreamer = (*Client)(nil)
 var _ pod.SealedStreamer = (*Client)(nil)
 
-// maxInflightFrames bounds how many submission frames SubmitTraceBatches
-// keeps unacknowledged on the socket. The window keeps the server's bounded
+// maxInflightFrames bounds how many mega-frames SubmitSealed keeps
+// unacknowledged on the socket. The window keeps the server's bounded
 // ingest queue and both TCP buffers from absorbing an arbitrarily large
 // drain (which could deadlock writer against writer) while still amortizing
-// a round trip across the whole window. The coalesced path counts
-// mega-frames against the same window: the transport-frame pipelining depth
-// is identical, each frame just carries more batches.
+// a round trip across the whole window.
 const maxInflightFrames = 32
 
 // defaultCoalesceDepth is how many inner frames one mega-frame carries
@@ -158,9 +123,9 @@ const maxCoalesceDepth = 1024
 // server's per-frame buffer modest.
 const coalesceByteBudget = 1 << 20
 
-// compressRTTFloor is the hello-RTT above which granted compression
-// auto-engages: past a few milliseconds the link is a network, not a
-// loopback, and trading CPU for bytes wins.
+// compressRTTFloor is the hello-RTT above which compression engages: past a
+// few milliseconds the link is a network, not a loopback, and trading CPU
+// for bytes wins.
 const compressRTTFloor = 5 * time.Millisecond
 
 // compressMinBytes skips compression for frames too small to amortize the
@@ -256,9 +221,8 @@ func (c *Client) dialLocked() error {
 }
 
 // retryErrLocked wraps the final transport error after a failed retry.
-// The message carries the negotiated feature set — in a mixed fleet a
-// downgrade-then-fail and a feature bug produce different summaries — and,
-// on a sharded fleet, the last redirect this client saw plus the placement
+// The message carries what the hello exchange settled and, on a sharded
+// fleet, the last redirect this client saw plus the placement
 // version it negotiated, so an operator can tell "owner moved" (a redirect
 // names the new owner) from "owner down" (no redirect; the placement still
 // points here) straight from the error string.
@@ -288,121 +252,79 @@ func (c *Client) noteRedirectLocked(err error) {
 	}
 }
 
-// featureSummaryLocked renders the negotiated feature state for error
+// featureSummaryLocked renders what the hello exchange settled for error
 // messages.
 func (c *Client) featureSummaryLocked() string {
 	if !c.negotiated {
 		return "not negotiated"
 	}
-	var parts []string
-	if c.columnar {
-		parts = append(parts, FeatureColumnarBatch)
-	}
-	if c.coalesce {
-		parts = append(parts, FeatureCoalesce)
-	}
-	if c.compressOK {
-		parts = append(parts, FeatureSlabFlate)
-	}
-	if c.routing {
+	parts := append([]string(nil), helloFeatures[:]...)
+	if c.placement != nil {
 		parts = append(parts, FeatureRouting)
 	}
-	if c.busyOK {
-		parts = append(parts, FeatureBusy)
+	if c.compressing {
+		parts = append(parts, "compressing")
 	}
 	if c.maxFrame > MaxFrameSize {
 		parts = append(parts, fmt.Sprintf("max-frame=%d", c.maxFrame))
 	}
-	if len(parts) == 0 {
-		return "none"
-	}
 	return strings.Join(parts, ",")
 }
 
-// ensureNegotiatedLocked runs the hello exchange once per client: offer
-// every feature this client speaks plus a frame-size raise, accept
-// whatever the server grants. Any failure — dial, transport, or an old
-// server's MsgError — leaves the client on the universally understood v2
-// encoding; transport failures clear the cache so the next seal retries.
-// The exchange doubles as an RTT probe (the connection is established
-// first, so the measurement is one request/response round trip), which
-// decides whether granted compression is worth its CPU.
-func (c *Client) ensureNegotiatedLocked() {
-	if c.negotiated || c.DisableColumnar {
-		return
+// helloFeatures is what every server must grant: the protocol's one
+// generation.
+var helloFeatures = [...]string{FeatureColumnarBatch, FeatureCoalesce, FeatureSlabFlate, FeatureBusy}
+
+// ensureNegotiatedLocked runs the hello exchange once per client: offer the
+// features and a frame-size raise, take the grant and the placement the
+// server advertises. A failure — dial, transport, or a server that does not
+// grant the whole generation — is returned and leaves the client
+// un-negotiated, so the next seal or submit retries. The exchange doubles
+// as an RTT probe (the connection is established first, so the measurement
+// is one request/response round trip), which decides whether compression is
+// worth its CPU.
+func (c *Client) ensureNegotiatedLocked() error {
+	if c.negotiated {
+		return nil
 	}
-	hello := HelloPayload{Features: []string{FeatureColumnarBatch}}
-	if !c.DisableCoalesce {
-		hello.Features = append(hello.Features, FeatureCoalesce)
-		hello.MaxFrame = MaxCoalescedFrameSize
-	}
-	if !c.DisableCompression {
-		hello.Features = append(hello.Features, FeatureSlabFlate)
-	}
-	if !c.DisableRouting {
-		hello.Features = append(hello.Features, FeatureRouting)
-	}
-	if !c.DisableBusy {
-		hello.Features = append(hello.Features, FeatureBusy)
-	}
-	payload, err := json.Marshal(hello)
+	payload, err := json.Marshal(HelloPayload{
+		Features: append(helloFeatures[:], FeatureRouting),
+		MaxFrame: MaxCoalescedFrameSize,
+	})
 	if err != nil {
-		return
+		return err
 	}
 	if err := c.dialLocked(); err != nil {
-		return // no connection: stay v2, retry next seal
+		return err
 	}
 	start := time.Now()
 	respType, resp, err := c.callLocked(MsgHello, payload)
 	if err != nil {
-		return
+		return err
 	}
 	c.helloRTT = time.Since(start)
-	c.negotiated = true
 	c.helloCount++
-	c.columnar = false
-	c.coalesce = false
-	c.compressOK = false
-	c.compressing = false
-	c.maxFrame = MaxFrameSize
-	c.routing = false
-	c.placement = nil
-	c.busyOK = false
 	if respType != MsgHelloAck {
-		return // pre-negotiation server: empty feature set, pinned
+		return fmt.Errorf("wire: %s: hello answered with message type %d", c.addr, respType)
 	}
 	var ack HelloAckPayload
 	if err := json.Unmarshal(resp, &ack); err != nil {
-		return
+		return fmt.Errorf("wire: %s: bad hello ack: %w", c.addr, err)
 	}
-	for _, f := range ack.Features {
-		switch f {
-		case FeatureColumnarBatch:
-			c.columnar = true
-		case FeatureCoalesce:
-			c.coalesce = !c.DisableCoalesce
-		case FeatureSlabFlate:
-			c.compressOK = !c.DisableCompression
-		case FeatureRouting:
-			c.routing = !c.DisableRouting
-		case FeatureBusy:
-			c.busyOK = !c.DisableBusy
+	for _, f := range helloFeatures {
+		if !slices.Contains(ack.Features, f) {
+			return fmt.Errorf("wire: %s does not speak this protocol: hello did not grant %s", c.addr, f)
 		}
 	}
-	if c.routing {
+	c.negotiated = true
+	c.placement = nil
+	if slices.Contains(ack.Features, FeatureRouting) {
 		c.placement = placementFromPayload(ack.Placement)
 	}
 	// Trust the grant only within what we asked for.
-	if ack.MaxFrame > MaxFrameSize && !c.DisableCoalesce {
-		c.maxFrame = ack.MaxFrame
-		if c.maxFrame > MaxCoalescedFrameSize {
-			c.maxFrame = MaxCoalescedFrameSize
-		}
-	}
-	// Compression rides on the columnar encoding; without it there is
-	// nothing to compress.
-	c.compressOK = c.compressOK && c.columnar
-	c.compressing = c.compressOK && (c.ForceCompress || c.helloRTT >= compressRTTFloor)
+	c.maxFrame = min(max(ack.MaxFrame, MaxFrameSize), MaxCoalescedFrameSize)
+	c.compressing = c.ForceCompress || c.helloRTT >= compressRTTFloor
+	return nil
 }
 
 // HelloCount reports how many hello exchanges this client has run. Tests
@@ -444,23 +366,16 @@ func (c *Client) backoff(attempt int, hint time.Duration) time.Duration {
 func (c *Client) Handshake() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.dialLocked(); err != nil {
-		return err
-	}
-	c.ensureNegotiatedLocked()
-	if !c.negotiated {
-		return fmt.Errorf("wire: %s: hello exchange failed", c.addr)
-	}
-	return nil
+	return c.ensureNegotiatedLocked()
 }
 
 // PlacementMap returns the placement advertised by the server at
-// negotiation, or nil when the server is unsharded (or routing was not
-// granted). Negotiates on first use.
+// negotiation, or nil when the server is unsharded or unreachable.
+// Negotiates on first use.
 func (c *Client) PlacementMap() *ring.Map {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ensureNegotiatedLocked()
+	_ = c.ensureNegotiatedLocked() // an unreachable server advertises nothing
 	return c.placement
 }
 
@@ -471,127 +386,77 @@ func (c *Client) RefreshPlacement() *ring.Map {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.negotiated = false
-	c.ensureNegotiatedLocked()
+	_ = c.ensureNegotiatedLocked() // an unreachable server advertises nothing
 	return c.placement
 }
 
-// SubmitTraces implements pod.HiveClient.
+// SubmitTraces implements pod.HiveClient for callers that hold a loose
+// batch (a pod flushing without a bound buffer, the baselines): see
+// submitGrouped.
 func (c *Client) SubmitTraces(traces []*trace.Trace) error {
-	encoded := make([][]byte, len(traces))
-	for i, tr := range traces {
-		encoded[i] = trace.Encode(tr)
-	}
-	respType, resp, err := c.call(MsgSubmitTraces, encodeTraceBatch(encoded))
-	if err != nil {
-		return err
-	}
-	if err := checkAck(respType, resp, len(traces)); err != nil {
-		c.mu.Lock()
-		c.noteRedirectLocked(err)
-		c.mu.Unlock()
-		return err
-	}
-	return nil
+	return submitGrouped(c, traces)
 }
 
-// SubmitTracesFor implements pod.ProgramSubmitter: one per-program frame,
-// one ack — the server skips its group-by. The frame is sequenced, so the
-// transparent retry after a lost ack cannot double-ingest against a
-// dedup-capable backend. Against a columnar-negotiated server the batch
-// ships column-wise — one encoding the hive can ingest zero-copy and
-// journal verbatim.
-func (c *Client) SubmitTracesFor(programID string, traces []*trace.Trace) error {
-	c.mu.Lock()
-	c.ensureNegotiatedLocked()
-	c.seq++
-	msg, payload, err := c.sealFrameLocked(c.seq, programID, traces)
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	// The frame is sealed once — every retry below resends it verbatim
-	// with its original (session, seq) tag, so a busy round that raced a
-	// late apply deduplicates instead of double-ingesting. The backoff
-	// sleeps happen outside the client lock: other goroutines sharing this
-	// client keep submitting while one frame waits out a busy hive.
-	retries := c.BusyRetries
-	if retries <= 0 {
-		retries = defaultBusyRetries
-	}
-	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		respType, resp, err := c.callLocked(msg, payload)
-		if err == nil {
-			if err = checkAck(respType, resp, len(traces)); err != nil {
-				c.noteRedirectLocked(err)
-			}
+// submitGrouped is SubmitTraces over a sealed streamer: the batch is
+// grouped by program (first-appearance order, arrival order within a
+// program), every group is sealed into one frame, and the frames drain
+// through SubmitSealed. The frames carry their (session, seq) tags from the
+// start, so the drain's transparent retry after a lost ack cannot
+// double-ingest. Each program's group is ingested whole or not at all; a
+// call spanning programs is not atomic — on error the groups the hive
+// acknowledged stay ingested.
+func submitGrouped(ss pod.SealedStreamer, traces []*trace.Trace) error {
+	var order []string
+	groups := make(map[string][]*trace.Trace, 1)
+	for _, tr := range traces {
+		if _, ok := groups[tr.ProgramID]; !ok {
+			order = append(order, tr.ProgramID)
 		}
-		c.mu.Unlock()
-		var be *BusyError
-		if err == nil || !errors.As(err, &be) || attempt >= retries {
-			return err
-		}
-		time.Sleep(c.backoff(attempt, be.RetryAfter))
+		groups[tr.ProgramID] = append(groups[tr.ProgramID], tr)
 	}
+	var sealed []pod.SealedBatch
+	for _, id := range order {
+		sealed = append(sealed, ss.SealTraceBatches(id, [][]*trace.Trace{groups[id]})...)
+	}
+	_, err := ss.SubmitSealed(sealed)
+	return err
 }
 
-// sealFrameLocked encodes one sequenced submission frame for the
-// negotiated encoding: columnar when granted (falling back per-batch if the
-// traces do not all describe programID — the server rejects those, exactly
-// as the v2 path would), v2 otherwise. When compression is engaged the
-// canonical columnar bytes are built in a reusable scratch, compressed, and
-// shipped as MsgSubmitBatchCompressed if that actually saved bytes — the
-// (session, seq) tag stays outside the compressed region, and the server
-// inflates back to the identical canonical payload before ingest, so dedup
-// and journal byte-identity are untouched.
-func (c *Client) sealFrameLocked(seq uint64, programID string, traces []*trace.Trace) (MsgType, []byte, error) {
-	if c.columnar {
-		// Encode into the reusable scratch: growth amortizes across seals
-		// instead of re-estimating the frame size every time.
-		raw, err := trace.AppendBatch(c.sealScratch[:0], programID, traces)
-		if err == nil {
-			c.sealScratch = raw
-			if c.compressing && len(raw) >= compressMinBytes {
-				comp := appendSeqPrefix(make([]byte, 0, len(raw)/4+64), c.session, seq)
-				comp = trace.CompressSlab(comp, raw)
-				if len(comp) < len(raw) {
-					return MsgSubmitBatchCompressed, comp, nil
-				}
-			}
-			payload := appendSeqPrefix(make([]byte, 0, len(raw)+len(c.session)+16), c.session, seq)
-			payload = append(payload, raw...)
-			return MsgSubmitBatchColumnar, payload, nil
-		}
-	}
-	encoded := make([][]byte, len(traces))
-	for i, tr := range traces {
-		encoded[i] = trace.Encode(tr)
-	}
-	return MsgSubmitTracesSeq, encodeTraceBatchSeq(c.session, seq, programID, encoded), nil
-}
-
-// SubmitTraceBatches implements pod.TraceStreamer: every batch becomes its
-// own sequenced per-program frame, streamed back-to-back without waiting
-// for acks (bounded by maxInflightFrames), and the pipelined acks are read
-// in frame order. Against a pipelined server a drain of n batches costs
-// ~n/window round trips instead of n. The returned flags report, per batch,
-// whether the server acknowledged it — on error a caller re-submits exactly
-// the unacknowledged batches, never a batch the server already ingested.
+// sealFrameLocked encodes one sequenced submission frame: the (session,
+// seq) tag, then the batch column-wise — one encoding the hive can ingest
+// zero-copy and journal verbatim. When compression is engaged the canonical
+// columnar bytes are built in a reusable scratch, compressed, and sealed
+// for MsgSubmitBatchCompressed if that actually saved bytes — the tag stays
+// outside the compressed region, and the server inflates back to the
+// identical canonical payload before ingest, so dedup and journal
+// byte-identity are untouched.
 //
-// A transport failure drops the connection and retries once on a fresh one,
-// resuming after the last acknowledged frame. Frames written but unacked
-// when the connection died keep their original (session, seq) tags on the
-// resend, so a dedup-capable backend (hive.Hive) acknowledges the ones it
-// already ingested without applying them again: resubmission is
-// exactly-once end to end, retiring the old at-least-once caveat. The final
-// error after a failed retry wraps the last underlying transport failure.
-func (c *Client) SubmitTraceBatches(programID string, batches [][]*trace.Trace) ([]bool, error) {
-	return c.SubmitSealed(c.SealTraceBatches(programID, batches))
+// A batch in which not every trace describes programID has no encoding
+// (the frame names its program once). It is sealed as the tag alone: every
+// server refuses the empty body, and the refusal lands in this frame's slot
+// of the drain, where the caller learns of any other rejected batch.
+func (c *Client) sealFrameLocked(seq uint64, programID string, traces []*trace.Trace) (payload []byte, compressed bool) {
+	// Encode into the reusable scratch: growth amortizes across seals
+	// instead of re-estimating the frame size every time.
+	raw, err := trace.AppendBatch(c.sealScratch[:0], programID, traces)
+	if err != nil {
+		return appendSeqPrefix(nil, c.session, seq), false
+	}
+	c.sealScratch = raw
+	if c.compressing && len(raw) >= compressMinBytes {
+		comp := appendSeqPrefix(make([]byte, 0, len(raw)/4+64), c.session, seq)
+		comp = trace.CompressSlab(comp, raw)
+		if len(comp) < len(raw) {
+			return comp, true
+		}
+	}
+	payload = appendSeqPrefix(make([]byte, 0, len(raw)+len(c.session)+16), c.session, seq)
+	return append(payload, raw...), false
 }
 
 // SealTraceBatches implements pod.SealedStreamer: every batch becomes a
-// sequenced per-program frame whose (session, seq) tag is assigned here,
-// once, under the client lock. A sealed frame is a durable exactly-once
+// sequenced frame whose (session, seq) tag is assigned here, once, under
+// the client lock. A sealed frame is a durable exactly-once
 // identity: SubmitSealed re-sends the payload verbatim however many times
 // (and across however many drains) it takes, so a dedup-capable backend
 // never applies it twice — in any submission order, because the backend's
@@ -601,28 +466,29 @@ func (c *Client) SealTraceBatches(programID string, batches [][]*trace.Trace) []
 	sealed := make([]pod.SealedBatch, len(batches))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ensureNegotiatedLocked()
+	// The hello decides only whether to compress. Sealing carries on without
+	// it — uncompressed — and the submit that follows reports the dead link.
+	_ = c.ensureNegotiatedLocked()
 	for i, batch := range batches {
 		c.seq++
-		msg, payload, _ := c.sealFrameLocked(c.seq, programID, batch)
+		payload, compressed := c.sealFrameLocked(c.seq, programID, batch)
 		sealed[i] = pod.SealedBatch{
 			ProgramID:  programID,
 			Count:      len(batch),
 			Payload:    payload,
-			Columnar:   msg == MsgSubmitBatchColumnar,
-			Compressed: msg == MsgSubmitBatchCompressed,
+			Compressed: compressed,
 		}
 	}
 	return sealed
 }
 
 // SubmitSealed implements pod.SealedStreamer: streams previously sealed
-// frames back-to-back without waiting for acks (bounded by
-// maxInflightFrames), reading the pipelined acks in frame order. Against a
-// pipelined server a drain of n frames costs ~n/window round trips instead
-// of n. The returned flags report, per frame, whether the server
-// acknowledged it — on error a caller re-submits exactly the
-// unacknowledged frames, never one the server already ingested.
+// frames as mega-frames, back-to-back without waiting for acks (bounded by
+// maxInflightFrames), reading the pipelined acks in frame order, so a drain
+// of n frames costs ~n/(depth × window) round trips instead of n. The
+// returned flags report, per frame, whether the server acknowledged it — on
+// error a caller re-submits exactly the unacknowledged frames, never one
+// the server already ingested.
 //
 // A transport failure drops the connection and retries once on a fresh one,
 // resuming after the last acknowledged frame. Frames written but unacked
@@ -698,10 +564,7 @@ func (c *Client) submitSealedOnce(sealed []pod.SealedBatch, accepted []bool) err
 	for i, sb := range sealed {
 		payloads[i] = sb.Payload
 		counts[i] = sb.Count
-		msgs[i] = MsgSubmitTracesSeq
-		if sb.Columnar {
-			msgs[i] = MsgSubmitBatchColumnar
-		}
+		msgs[i] = MsgSubmitBatchColumnar
 		if sb.Compressed {
 			msgs[i] = MsgSubmitBatchCompressed
 		}
@@ -714,13 +577,10 @@ func (c *Client) submitSealedOnce(sealed []pod.SealedBatch, accepted []bool) err
 		if err := c.dialLocked(); err != nil {
 			return err
 		}
-		var err error
-		var transport bool
-		if c.coalesce {
-			err, transport = c.streamCoalescedLocked(msgs, payloads, counts, &acked, accepted)
-		} else {
-			err, transport = c.streamLocked(msgs, payloads, counts, &acked, accepted)
+		if err := c.ensureNegotiatedLocked(); err != nil {
+			return err
 		}
+		err, transport := c.streamCoalescedLocked(msgs, payloads, counts, &acked, accepted)
 		if err == nil {
 			return nil
 		}
@@ -734,83 +594,17 @@ func (c *Client) submitSealedOnce(sealed []pod.SealedBatch, accepted []bool) err
 	return c.retryErrLocked(lastErr)
 }
 
-// streamLocked runs one windowed write-ahead pass over the unacknowledged
-// suffix of payloads (resuming at *acked): frames are coalesced through a
-// buffered writer and flushed once per window refill, acks are read in
-// half-window chunks, and *acked / accepted advance as they arrive. The
-// second return distinguishes transport failures (retryable on a fresh
-// connection) from permanent ones (malformed frame, server rejection).
-func (c *Client) streamLocked(msgs []MsgType, payloads [][]byte, counts []int, acked *int, accepted []bool) (error, bool) {
-	bw := bufio.NewWriterSize(c.conn, 64<<10)
-	written := *acked
-	for *acked < len(payloads) {
-		for written < len(payloads) && written-*acked < maxInflightFrames {
-			if err := WriteFrame(bw, msgs[written], payloads[written]); err != nil {
-				// An oversized/malformed frame fails identically on any
-				// connection; only real transport errors are retryable.
-				return err, !errors.Is(err, ErrFrame)
-			}
-			written++
-		}
-		if err := bw.Flush(); err != nil {
-			return err, true
-		}
-		// Drain up to half a window of acks before refilling, so writes and
-		// acks both batch instead of alternating one syscall each.
-		target := *acked + maxInflightFrames/2
-		if target > written {
-			target = written
-		}
-		if err, transport := c.readAcks(counts, acked, target, written, accepted); err != nil {
-			return err, transport
-		}
-	}
-	return nil, false
-}
-
-// readAcks consumes acks until *acked reaches target, marking accepted
-// frames as it goes.
-func (c *Client) readAcks(counts []int, acked *int, target, written int, accepted []bool) (error, bool) {
-	for *acked < target {
-		respType, respBuf, err := readFramePooled(c.conn)
-		if err != nil {
-			return err, true
-		}
-		ackErr := checkAck(respType, *respBuf, counts[*acked])
-		framePool.Put(respBuf)
-		if err := ackErr; err != nil {
-			c.noteRedirectLocked(err)
-			// Server-reported rejection mid-stream: keep reading the acks
-			// for frames already on the wire — the server keeps serving
-			// after rejecting one batch, so later frames may well have been
-			// ingested and must be marked accepted (re-submitting them
-			// would double-count). Then surface the first error.
-			for i := *acked + 1; i < written; i++ {
-				respType, resp, rerr := ReadFrame(c.conn)
-				if rerr != nil {
-					_ = c.conn.Close()
-					c.conn = nil
-					break
-				}
-				accepted[i] = checkAck(respType, resp, counts[i]) == nil
-			}
-			return err, false
-		}
-		accepted[*acked] = true
-		*acked++
-	}
-	return nil, false
-}
-
-// streamCoalescedLocked is streamLocked for a FeatureCoalesce connection:
-// the unacknowledged suffix is cut into groups of up to CoalesceDepth
-// frames under a byte budget, every group ships as one MsgCoalesced
-// mega-frame written with a single writev, and the server answers one
-// mega-frame of inner acks per group. The pipelining window counts
-// transport frames exactly like streamLocked (maxInflightFrames groups in
-// flight); each just carries more batches. Ack semantics are per inner
-// frame, so exactly-once dedup and the resume-at-*acked retry are
-// identical to the uncoalesced path.
+// streamCoalescedLocked runs one windowed write-ahead pass over the
+// unacknowledged suffix of payloads (resuming at *acked): the suffix is cut
+// into groups of up to CoalesceDepth frames under a byte budget, every
+// group ships as one MsgCoalesced mega-frame written with a single writev,
+// and the server answers one mega-frame of inner acks per group, with up to
+// maxInflightFrames groups in flight. *acked / accepted advance as acks
+// arrive; ack semantics are per inner frame, which is what the exactly-once
+// dedup and the resume-at-*acked retry rest on. The second return
+// distinguishes transport failures (retryable on a fresh connection) from
+// permanent ones (an oversized or malformed frame fails identically on any
+// connection; a server rejection is final).
 func (c *Client) streamCoalescedLocked(msgs []MsgType, payloads [][]byte, counts []int, acked *int, accepted []bool) (error, bool) {
 	depth := c.CoalesceDepth
 	if depth <= 0 {
@@ -938,22 +732,10 @@ func (c *Client) readGroupAck(counts []int, accepted []bool, start, end int) (er
 	return firstErr, false
 }
 
-// checkAck validates one submission acknowledgement — the JSON form (v2
-// frames) or the binary form (columnar frames).
+// checkAck validates one submission's answer: the ack, or the typed error a
+// redirect or busy reply stands for.
 func checkAck(respType MsgType, resp []byte, want int) error {
 	switch respType {
-	case MsgAck:
-		var ack AckPayload
-		if err := json.Unmarshal(resp, &ack); err != nil {
-			return fmt.Errorf("wire: bad ack: %w", err)
-		}
-		if ack.Error != "" {
-			return errors.New("wire: server: " + ack.Error)
-		}
-		if ack.Accepted != want {
-			return fmt.Errorf("wire: server accepted %d of %d traces", ack.Accepted, want)
-		}
-		return nil
 	case MsgAckBin:
 		accepted, _, errMsg, err := decodeAckBin(resp)
 		if err != nil {

@@ -179,9 +179,9 @@ func TestStreamResubmitExactlyOnce(t *testing.T) {
 	h, p, client := dedupFixture(t, acksSeen)
 	all := makeBatches(t, p, batches, perBatch)
 
-	accepted, err := client.SubmitTraceBatches(p.ID, all)
+	accepted, err := submitBatches(client, p.ID, all)
 	if err != nil {
-		t.Fatalf("SubmitTraceBatches: %v", err)
+		t.Fatalf("SubmitSealed: %v", err)
 	}
 	for i, ok := range accepted {
 		if !ok {
@@ -197,21 +197,35 @@ func TestStreamResubmitExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestSubmitForLostAckExactlyOnce loses the single ack of a per-program
-// submission after the server applied it; the client's retry must not
-// double-ingest.
+// TestSubmitForLostAckExactlyOnce loses the single ack of a loose
+// SubmitTraces batch after the server applied it — through a Client and
+// through a Router above it: the frame was sealed with its (session, seq)
+// tag before the first attempt, so the transparent retry is answered as a
+// duplicate and nothing is ingested twice.
 func TestSubmitForLostAckExactlyOnce(t *testing.T) {
-	h, p, client := dedupFixture(t, 0) // drop the very first ack
-	batch := makeBatches(t, p, 1, 6)[0]
-	if err := client.SubmitTracesFor(p.ID, batch); err != nil {
-		t.Fatalf("SubmitTracesFor: %v", err)
-	}
-	st, err := h.ProgramStats(p.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(len(batch)); st.Ingested != want {
-		t.Fatalf("hive ingested %d traces, want exactly %d", st.Ingested, want)
+	for _, via := range []string{"client", "router"} {
+		// One ack gets through — the hello's — and the next is dropped.
+		h, p, client := dedupFixture(t, 1)
+		if err := client.Handshake(); err != nil {
+			t.Fatal(err)
+		}
+		var submit func([]*trace.Trace) error = client.SubmitTraces
+		if via == "router" {
+			r := NewRouter(client.addr)
+			r.clients[client.addr] = client
+			submit = r.SubmitTraces
+		}
+		batch := makeBatches(t, p, 1, 6)[0]
+		if err := submit(batch); err != nil {
+			t.Fatalf("%s: SubmitTraces: %v", via, err)
+		}
+		st, err := h.ProgramStats(p.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(len(batch)); st.Ingested != want {
+			t.Fatalf("%s: hive ingested %d traces, want exactly %d", via, st.Ingested, want)
+		}
 	}
 }
 
@@ -250,7 +264,7 @@ func TestClientSurfacesUnderlyingError(t *testing.T) {
 	}
 
 	batch := [][]*trace.Trace{{{ProgramID: "x"}}}
-	_, serr := client.SubmitTraceBatches("x", batch)
+	_, serr := submitBatches(client, "x", batch)
 	if serr == nil {
 		t.Fatal("expected an error from a dead server")
 	}

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,8 +16,8 @@ import (
 	"repro/internal/trace"
 )
 
-// countingBackend is a HiveClient stub that counts ingested traces and can
-// be slowed down to hold frames in the pipeline.
+// countingBackend is a backend stub that counts ingested traces and can be
+// slowed down to hold frames in the pipeline.
 type countingBackend struct {
 	mu       sync.Mutex
 	ingested int
@@ -23,15 +25,18 @@ type countingBackend struct {
 	delay    time.Duration
 }
 
-func (c *countingBackend) SubmitTraces(traces []*trace.Trace) error {
+func (c *countingBackend) SubmitColumnarSession(_ string, _ uint64, batch *trace.BatchView) (bool, error) {
 	if c.delay > 0 {
 		time.Sleep(c.delay)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ingested += len(traces)
-	c.perCall = append(c.perCall, len(traces))
-	return nil
+	c.ingested += batch.Len()
+	c.perCall = append(c.perCall, batch.Len())
+	return false, nil
+}
+func (c *countingBackend) SubmitTraces([]*trace.Trace) error {
+	return errors.New("a wire server ingests through SubmitColumnarSession only")
 }
 func (c *countingBackend) FixesSince(string, int) ([]fix.Fix, int, error) { return nil, 0, nil }
 func (c *countingBackend) Guidance(string, int) ([]guidance.TestCase, error) {
@@ -44,13 +49,50 @@ func (c *countingBackend) total() int {
 	return c.ingested
 }
 
-// encodedBatch builds a MsgSubmitTraces payload of n minimal traces.
-func encodedBatch(n int) []byte {
-	enc := make([][]byte, n)
-	for i := range enc {
-		enc[i] = trace.Encode(&trace.Trace{ProgramID: "p", Seq: uint64(i)})
+// plainBackend is a pod.HiveClient and nothing more.
+type plainBackend struct{}
+
+func (plainBackend) SubmitTraces([]*trace.Trace) error                 { return nil }
+func (plainBackend) FixesSince(string, int) ([]fix.Fix, int, error)    { return nil, 0, nil }
+func (plainBackend) Guidance(string, int) ([]guidance.TestCase, error) { return nil, nil }
+
+// TestListenRequiresColumnarBackend: a backend without the one ingest
+// method cannot serve submissions. The server says so at Listen, naming the
+// method, instead of starting up and degrading every frame to something
+// weaker than what the client sealed.
+func TestListenRequiresColumnarBackend(t *testing.T) {
+	srv := NewServer(plainBackend{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err == nil {
+		_ = srv.Close()
+		t.Fatalf("server over a backend without SubmitColumnarSession listens on %s", addr)
 	}
-	return encodeTraceBatch(enc)
+	for _, want := range []string{"SubmitColumnarSession", "plainBackend"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Listen error %q does not name %s", err, want)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("closing a server that never listened: %v", err)
+	}
+}
+
+// encodedBatch builds a MsgSubmitBatchColumnar payload of n minimal traces.
+func encodedBatch(n int) []byte {
+	batch := make([]*trace.Trace, n)
+	for i := range batch {
+		batch[i] = &trace.Trace{ProgramID: "p", Seq: uint64(i)}
+	}
+	payload, err := trace.AppendBatch(appendSeqPrefix(nil, "raw-conn", 1), "p", batch)
+	if err != nil {
+		panic(err)
+	}
+	return payload
+}
+
+// submitBatches seals batches for programID and drains them.
+func submitBatches(c *Client, programID string, batches [][]*trace.Trace) ([]bool, error) {
+	return c.SubmitSealed(c.SealTraceBatches(programID, batches))
 }
 
 // TestPipelinedAckOrdering writes a burst of submission frames with
@@ -74,7 +116,7 @@ func TestPipelinedAckOrdering(t *testing.T) {
 
 	sizes := []int{3, 1, 7, 2, 5, 4, 6, 1, 8, 2}
 	for _, n := range sizes {
-		if err := WriteFrame(conn, MsgSubmitTraces, encodedBatch(n)); err != nil {
+		if err := WriteFrame(conn, MsgSubmitBatchColumnar, encodedBatch(n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +160,7 @@ func TestPipelinedAcksUnderConcurrentClients(t *testing.T) {
 			}
 			defer conn.Close()
 			for f := 0; f < frames; f++ {
-				if err := WriteFrame(conn, MsgSubmitTraces, encodedBatch(c+f%3+1)); err != nil {
+				if err := WriteFrame(conn, MsgSubmitBatchColumnar, encodedBatch(c+f%3+1)); err != nil {
 					errs <- err
 					return
 				}
@@ -182,7 +224,7 @@ func TestSlowConnDoesNotStallIngestion(t *testing.T) {
 		defer close(hogDead)
 		payload := encodedBatch(4)
 		for {
-			if err := WriteFrame(hog, MsgSubmitTraces, payload); err != nil {
+			if err := WriteFrame(hog, MsgSubmitBatchColumnar, payload); err != nil {
 				return // closed at test end
 			}
 		}
@@ -225,44 +267,6 @@ func captureWireTrace(t *testing.T, p *prog.Program, podID string, input []int64
 	return col.Finish(podID, 0, res, input, trace.PrivacyHashed, "fleet")
 }
 
-// TestSubmitTracesForOverTCP exercises the per-program frame end-to-end
-// against a real hive: the fast path must ingest, and a batch lying about
-// its program must be rejected server-side without partial ingestion.
-func TestSubmitTracesForOverTCP(t *testing.T) {
-	p := buildCrashy(t)
-	h, addr, stop := startServer(t)
-	defer stop()
-	if err := h.RegisterProgram(p); err != nil {
-		t.Fatal(err)
-	}
-	client := Dial(addr)
-	defer client.Close()
-
-	batch := []*trace.Trace{
-		captureWireTrace(t, p, "for-pod", []int64{50}),
-		captureWireTrace(t, p, "for-pod", []int64{105}),
-	}
-	if err := client.SubmitTracesFor(p.ID, batch); err != nil {
-		t.Fatal(err)
-	}
-	st, err := h.ProgramStats(p.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ingested != 2 || len(st.Failures) != 1 {
-		t.Fatalf("stats after per-program submit = %+v", st)
-	}
-
-	stray := batch[0].Clone()
-	stray.ProgramID = "ghost"
-	if err := client.SubmitTracesFor(p.ID, []*trace.Trace{stray}); err == nil {
-		t.Fatal("mismatched per-program batch accepted")
-	}
-	if st, _ := h.ProgramStats(p.ID); st.Ingested != 2 {
-		t.Fatalf("mismatched batch partially ingested: %+v", st)
-	}
-}
-
 // TestClientStreamsBatchesOverTCP drains many batches through the
 // pipelined streaming path — more batches than the in-flight window — and
 // checks exact ingestion; a server-side error (unknown program) must
@@ -297,7 +301,7 @@ func TestClientStreamsBatchesOverTCP(t *testing.T) {
 		}
 		total += n
 	}
-	accepted, err := client.SubmitTraceBatches(p.ID, batches)
+	accepted, err := submitBatches(client, p.ID, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +320,7 @@ func TestClientStreamsBatchesOverTCP(t *testing.T) {
 
 	ghost := tmpl.Clone()
 	ghost.ProgramID = "ghost"
-	accepted, err = client.SubmitTraceBatches("ghost", [][]*trace.Trace{{ghost}})
+	accepted, err = submitBatches(client, "ghost", [][]*trace.Trace{{ghost}})
 	if err == nil {
 		t.Fatal("stream for unknown program accepted")
 	}
@@ -324,7 +328,7 @@ func TestClientStreamsBatchesOverTCP(t *testing.T) {
 		t.Fatalf("rejected stream reported accepted = %v", accepted)
 	}
 	// The connection survives a server-side rejection.
-	if err := client.SubmitTracesFor(p.ID, batches[0]); err != nil {
+	if err := client.SubmitTraces(batches[0]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -351,7 +355,7 @@ func TestStreamMidRejectionMarksLaterAcceptance(t *testing.T) {
 	bad := good(99)
 	bad.ProgramID = "ghost"
 	batches := [][]*trace.Trace{{good(0)}, {bad}, {good(1)}}
-	accepted, err := client.SubmitTraceBatches(p.ID, batches)
+	accepted, err := submitBatches(client, p.ID, batches)
 	if err == nil {
 		t.Fatal("stream with a mismatched batch fully accepted")
 	}
@@ -370,10 +374,11 @@ func TestStreamMidRejectionMarksLaterAcceptance(t *testing.T) {
 	}
 }
 
-// TestSubmitForMismatchRejectedOnAnyBackend pins that the per-program
-// frame's all-or-nothing mismatch rejection is enforced by the server
-// itself, not delegated to backends that happen to check (the hive): a
-// plain HiveClient backend must yield the same rejection.
+// TestSubmitForMismatchRejectedOnAnyBackend pins that a per-program frame's
+// all-or-nothing mismatch rejection does not depend on the backend checking
+// (the hive does): a frame names its program once, so a batch with a stray
+// trace never becomes one, and a stub backend that checks nothing yields the
+// same rejection.
 func TestSubmitForMismatchRejectedOnAnyBackend(t *testing.T) {
 	backend := &countingBackend{}
 	srv := NewServer(backend)
@@ -387,14 +392,14 @@ func TestSubmitForMismatchRejectedOnAnyBackend(t *testing.T) {
 	defer client.Close()
 
 	stray := &trace.Trace{ProgramID: "B"}
-	if err := client.SubmitTracesFor("A", []*trace.Trace{stray}); err == nil {
+	if _, err := submitBatches(client, "A", [][]*trace.Trace{{{ProgramID: "A"}, stray}}); err == nil {
 		t.Fatal("mismatched per-program batch accepted by plain backend")
 	}
 	if got := backend.total(); got != 0 {
 		t.Fatalf("stub backend ingested %d traces from a rejected batch", got)
 	}
-	// A matching batch still flows through the grouped fallback.
-	if err := client.SubmitTracesFor("B", []*trace.Trace{stray}); err != nil {
+	// A matching batch flows, on the same connection.
+	if _, err := submitBatches(client, "B", [][]*trace.Trace{{stray}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := backend.total(); got != 1 {

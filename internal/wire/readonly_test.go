@@ -2,14 +2,12 @@ package wire
 
 // Wire mapping of the hive's read-only breaker (PR 10): a backend that
 // refuses ingest with pod.ErrReadOnly after persistent journal write
-// failures. Negotiated (FeatureBusy) clients get MsgBusy and resubmit the
-// frame verbatim; legacy clients get the error ack immediately with NO
-// in-handler pacing — read-only persists until a checkpoint lands, so
-// sleeping inside the handler cannot help. Either way the refusal is
-// counted on the server, with or without admission control configured.
+// failures. Clients get MsgBusy and resubmit the frame verbatim; the
+// refusal is counted on the server, with or without admission control
+// configured.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -32,10 +30,10 @@ type readOnlyBackend struct {
 	calls     atomic.Int64
 }
 
-func (d *readOnlyBackend) SubmitTracesSession(session string, seq uint64, programID string, traces []*trace.Trace) (bool, error) {
+func (d *readOnlyBackend) SubmitColumnarSession(_ string, _ uint64, batch *trace.BatchView) (bool, error) {
 	d.calls.Add(1)
 	if d.remaining.Add(-1) >= 0 {
-		return false, fmt.Errorf("stub hive: program %s refuses ingest: %w", programID, pod.ErrReadOnly)
+		return false, fmt.Errorf("stub hive: program %s refuses ingest: %w", batch.ProgramID(), pod.ErrReadOnly)
 	}
 	return false, nil
 }
@@ -45,8 +43,8 @@ func (d *readOnlyBackend) Guidance(string, int) ([]guidance.TestCase, error) {
 	return nil, nil
 }
 
-// TestReadOnlyBusyNegotiated: a FeatureBusy client sees MsgBusy for every
-// read-only refusal and resubmits until the breaker closes; the server
+// TestReadOnlyBusyNegotiated: a client sees MsgBusy for every read-only
+// refusal and resubmits until the breaker closes; the server
 // counts the refusals under ReadOnlyBusy, not BusyReplies — operators must
 // be able to tell "overloaded" from "disk is failing".
 func TestReadOnlyBusyNegotiated(t *testing.T) {
@@ -70,7 +68,7 @@ func TestReadOnlyBusyNegotiated(t *testing.T) {
 	defer r.Close()
 
 	tr := captureWireTrace(t, p, "ro-pod", []int64{50})
-	if err := r.SubmitTracesFor(p.ID, []*trace.Trace{tr}); err != nil {
+	if err := r.SubmitTraces([]*trace.Trace{tr}); err != nil {
 		t.Fatalf("submission through a recovering read-only owner failed: %v", err)
 	}
 	if got := backend.calls.Load(); got != 4 {
@@ -85,10 +83,12 @@ func TestReadOnlyBusyNegotiated(t *testing.T) {
 	}
 }
 
-// TestReadOnlyLegacyNoPacing: a legacy (pre-FeatureBusy) client gets the
-// error ack on the first refusal — exactly one backend call, no in-handler
-// retry loop — and the refusal is counted even though the server has no
-// admission control at all.
+// TestReadOnlyLegacyNoPacing: a connection that never said hello — raw
+// frames, the oldest client there can be — gets the same answer as any
+// other: MsgBusy on the first refusal, exactly one backend call, no retry
+// loop or sleep inside the handler (read-only persists until a checkpoint
+// lands, so waiting in the server cannot help), and the refusal is counted
+// even though the server has no admission control at all.
 func TestReadOnlyLegacyNoPacing(t *testing.T) {
 	leaktest.Check(t)
 	backend := &readOnlyBackend{}
@@ -101,10 +101,6 @@ func TestReadOnlyLegacyNoPacing(t *testing.T) {
 	}
 	defer srv.Close()
 
-	p := buildCrashy(t)
-	tr := captureWireTrace(t, p, "legacy-pod", []int64{51})
-	// A legacy client is one that never ran hello: raw frames, no
-	// FeatureBusy, so MsgBusy is not an answer it understands.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +108,7 @@ func TestReadOnlyLegacyNoPacing(t *testing.T) {
 	defer conn.Close()
 
 	start := time.Now()
-	payload := encodeTraceBatchSeq("legacy-sess", 1, p.ID, [][]byte{trace.Encode(tr)})
-	if err := WriteFrame(conn, MsgSubmitTracesSeq, payload); err != nil {
+	if err := WriteFrame(conn, MsgSubmitBatchColumnar, encodedBatch(1)); err != nil {
 		t.Fatal(err)
 	}
 	msgType, resp, err := ReadFrame(conn)
@@ -121,26 +116,18 @@ func TestReadOnlyLegacyNoPacing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msgType != MsgAck {
-		t.Fatalf("legacy refusal answered with message type %d, want MsgAck", msgType)
+	var be *BusyError
+	if err := checkAck(msgType, resp, 1); !errors.As(err, &be) {
+		t.Fatalf("read-only refusal answered with message type %d (%v), want MsgBusy", msgType, err)
 	}
-	var ack AckPayload
-	if err := json.Unmarshal(resp, &ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Error == "" || ack.Dup {
-		t.Fatalf("read-only refusal did not surface: %+v", ack)
-	}
-	if !strings.Contains(ack.Error, "read-only") {
-		t.Fatalf("error hides the read-only cause: %q", ack.Error)
+	if !strings.Contains(be.Reason, "read-only") {
+		t.Fatalf("busy reply hides the read-only cause: %q", be.Reason)
 	}
 	if got := backend.calls.Load(); got != 1 {
-		t.Fatalf("backend saw %d calls, want exactly 1 (no in-handler pacing for a persistent condition)", got)
+		t.Fatalf("backend saw %d calls, want exactly 1 (no in-handler retry for a persistent condition)", got)
 	}
-	// The deferral path sleeps hint<<i across 3 retries (~175ms at the
-	// default hint); the read-only path must not.
 	if elapsed > defaultRetryAfter {
-		t.Fatalf("legacy read-only ack took %v; the handler paced a non-transient condition", elapsed)
+		t.Fatalf("read-only reply took %v; the handler waited on a non-transient condition", elapsed)
 	}
 	if got := srv.AdmissionStats().ReadOnlyBusy; got != 1 {
 		t.Fatalf("ReadOnlyBusy = %d on an admission-less server, want 1", got)

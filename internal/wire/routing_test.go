@@ -298,95 +298,52 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 	}
 }
 
-// TestMixedGenerationRoutedMatrix points every older client generation at
-// the WRONG member of a sharded fleet: the server must proxy their frames
-// to the owner (older builds cannot parse MsgRedirect), and reads (fixes,
-// guidance) must come back through the same proxy. The routed generation
-// goes direct. Run under -race in CI's cluster job.
-func TestMixedGenerationRoutedMatrix(t *testing.T) {
+// TestWrongNodeWritesRedirectedReadsProxied points clients at the WRONG
+// member of a sharded fleet. A write is never applied there and never
+// forwarded: a bare client is told where the program lives, and a router
+// seeded with only the wrong node chases that answer — for sealed frames and
+// for a loose batch spanning both owners alike. Reads (fixes, guidance) are
+// proxied to the owner and come back through the node that was asked.
+func TestWrongNodeWritesRedirectedReadsProxied(t *testing.T) {
 	corpus := buildRoutedCorpus(t, 4)
 	nodes, m := startFleet(t, 2, corpus)
 	wrong := nodes[0]
 	p := pickOwnedBy(t, nodes, corpus, m, wrong.addr, false)
+	pLocal := pickOwnedBy(t, nodes, corpus, m, wrong.addr, true)
 	owner := nodeByAddr(t, nodes, m.Owner(p.ID))
 
-	gens := []struct {
-		name   string
-		submit func(t *testing.T, batch []*trace.Trace)
-	}{
-		{"pre-hello", func(t *testing.T, batch []*trace.Trace) {
-			c := Dial(wrong.addr)
-			c.DisableColumnar = true
-			defer c.Close()
-			if err := c.SubmitTracesFor(p.ID, batch); err != nil {
-				t.Fatalf("pre-hello submit via wrong node: %v", err)
-			}
-		}},
-		{"pr7-no-routing", func(t *testing.T, batch []*trace.Trace) {
-			c := Dial(wrong.addr)
-			c.DisableRouting = true
-			defer c.Close()
-			acc, err := c.SubmitSealed(c.SealTraceBatches(p.ID, [][]*trace.Trace{batch}))
-			if err != nil || !acc[0] {
-				t.Fatalf("non-routing sealed submit via wrong node: acc=%v err=%v", acc, err)
-			}
-		}},
-		{"routed", func(t *testing.T, batch []*trace.Trace) {
-			r := NewRouter(wrong.addr)
-			defer r.Close()
-			acc, err := r.SubmitSealed(r.SealTraceBatches(p.ID, [][]*trace.Trace{batch}))
-			if err != nil || !acc[0] {
-				t.Fatalf("routed sealed submit: acc=%v err=%v", acc, err)
-			}
-		}},
-	}
-	for i, gen := range gens {
-		t.Run(gen.name, func(t *testing.T) {
-			before, err := owner.h.ProgramStats(p.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen.submit(t, []*trace.Trace{captureWireTrace(t, p, "gen-pod", []int64{int64(i)})})
-			after, err := owner.h.ProgramStats(p.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after.Ingested != before.Ingested+1 {
-				t.Fatalf("owner ingested %d -> %d, want +1", before.Ingested, after.Ingested)
-			}
-			if st, _ := wrong.h.ProgramStats(p.ID); st.Ingested != 0 {
-				t.Fatalf("wrong node ingested %d traces (proxy leaked ingest)", st.Ingested)
-			}
-		})
+	bare := Dial(wrong.addr)
+	defer bare.Close()
+	err := bare.SubmitTraces([]*trace.Trace{captureWireTrace(t, p, "bare-pod", []int64{1})})
+	var re *RedirectError
+	if !errors.As(err, &re) || re.Owner != owner.addr {
+		t.Fatalf("write at the wrong node: err = %v, want a redirect to %s", err, owner.addr)
 	}
 
-	// Legacy grouped submission spanning both owners splits server-side.
-	pLocal := pickOwnedBy(t, nodes, corpus, m, wrong.addr, true)
-	legacy := Dial(wrong.addr)
-	legacy.DisableColumnar = true
-	defer legacy.Close()
+	r := NewRouter(wrong.addr)
+	defer r.Close()
 	mixed := []*trace.Trace{
-		captureWireTrace(t, pLocal, "legacy-pod", []int64{7}),
-		captureWireTrace(t, p, "legacy-pod", []int64{8}),
+		captureWireTrace(t, pLocal, "loose-pod", []int64{7}),
+		captureWireTrace(t, p, "loose-pod", []int64{8}),
 	}
-	beforeFar, _ := owner.h.ProgramStats(p.ID)
-	if err := legacy.SubmitTraces(mixed); err != nil {
-		t.Fatalf("legacy grouped submit: %v", err)
+	if err := r.SubmitTraces(mixed); err != nil {
+		t.Fatalf("loose batch spanning both owners: %v", err)
 	}
 	if st, _ := wrong.h.ProgramStats(pLocal.ID); st.Ingested != 1 {
-		t.Fatalf("local half of grouped submit: ingested=%d", st.Ingested)
+		t.Fatalf("local half of the loose batch: ingested=%d", st.Ingested)
 	}
-	if st, _ := owner.h.ProgramStats(p.ID); st.Ingested != beforeFar.Ingested+1 {
-		t.Fatalf("proxied half of grouped submit: ingested=%d want %d", st.Ingested, beforeFar.Ingested+1)
+	if st, _ := owner.h.ProgramStats(p.ID); st.Ingested != 1 {
+		t.Fatalf("routed half of the loose batch: ingested=%d, want 1 (the bare client's write must not have landed)", st.Ingested)
+	}
+	if st, _ := wrong.h.ProgramStats(p.ID); st.Ingested != 0 {
+		t.Fatalf("wrong node ingested %d traces of a program it does not own", st.Ingested)
 	}
 
-	// Read path through a pre-ring pod at the wrong node: crash traces are
-	// proxied to the owner, the fix it mints is proxied back.
-	old := Dial(wrong.addr)
-	old.DisableColumnar = true
-	defer old.Close()
+	// A pod writes through the router and reads through the bare client at
+	// the wrong node: its crash mints a fix on the owner, and the fix and
+	// guidance come back proxied.
 	pd, err := pod.New(pod.Config{
-		Program: p, ID: "old-gen-pod", Hive: old,
+		Program: p, ID: "wrong-node-pod", Hive: r,
 		Privacy: trace.PrivacyHashed, Salt: "fleet", BatchSize: 1,
 	})
 	if err != nil {
@@ -395,14 +352,11 @@ func TestMixedGenerationRoutedMatrix(t *testing.T) {
 	if _, err := pd.RunOnce([]int64{105}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := owner.h.ProgramStats(p.ID)
-	if err != nil {
-		t.Fatal(err)
+	fixes, _, err := bare.FixesSince(p.ID, 0)
+	if err != nil || len(fixes) == 0 {
+		t.Fatalf("fixes via the wrong node: %d fixes, err %v; want the owner's fix proxied back", len(fixes), err)
 	}
-	if st.FixCount == 0 {
-		t.Fatal("crash via proxied pre-ring pod minted no fix on the owner")
-	}
-	if _, err := old.Guidance(p.ID, 4); err != nil {
+	if _, err := bare.Guidance(p.ID, 4); err != nil {
 		t.Fatalf("guidance via wrong node: %v", err)
 	}
 }
@@ -427,12 +381,12 @@ func TestRetryErrorNamesRedirect(t *testing.T) {
 		t.Fatalf("owner-down retry error %q lacks %q", err, want)
 	}
 
-	// Provoke a redirect: a routing client submitting a foreign program to
-	// the wrong node is told where it lives.
+	// Provoke a redirect: a client submitting a foreign program to the
+	// wrong node is told where it lives.
 	foreign := pickOwnedBy(t, nodes, corpus, m, nodes[0].addr, false)
 	sealed := c.SealTraceBatches(foreign.ID, [][]*trace.Trace{{captureWireTrace(t, foreign, "err-pod", []int64{1})}})
 	if _, serr := c.SubmitSealed(sealed); serr == nil {
-		t.Fatal("misdirected routing submit did not redirect")
+		t.Fatal("misdirected submit did not redirect")
 	}
 	c.mu.Lock()
 	err = c.retryErrLocked(errors.New("boom"))

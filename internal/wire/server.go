@@ -9,7 +9,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +25,8 @@ import (
 // queues and keep ingesting.
 const ingestQueueDepth = 64
 
-// Server exposes a pod.HiveClient backend (normally *hive.Hive) over TCP.
+// Server exposes a pod.HiveClient backend that also implements
+// pod.ColumnarSubmitter (normally *hive.Hive) over TCP.
 //
 // Each connection is served by a two-stage pipeline: the connection
 // goroutine only reads frames and hands them to a per-connection worker
@@ -36,7 +36,10 @@ const ingestQueueDepth = 64
 // blocked connection stalls only itself.
 type Server struct {
 	backend pod.HiveClient
-	ln      net.Listener
+	// sub is backend's ingest method, resolved once at construction; nil
+	// when the backend has none, which Listen refuses.
+	sub pod.ColumnarSubmitter
+	ln  net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]bool
@@ -45,8 +48,8 @@ type Server struct {
 
 	// placeMu guards the sharding state: the placement map this hive is a
 	// member of, its own node name within it, and the lazily dialed peer
-	// clients used to proxy frames from pre-ring clients. All nil/empty on
-	// an unsharded server.
+	// clients used to proxy reads for programs owned elsewhere. All
+	// nil/empty on an unsharded server.
 	placeMu   sync.RWMutex
 	placement *ring.Map
 	selfNode  string
@@ -56,32 +59,18 @@ type Server struct {
 	// before Serve.
 	Logf func(format string, args ...any)
 
-	// DisableColumnar makes the server behave like a pre-columnar build:
-	// hello and columnar frames are answered as unknown message types, so
-	// clients negotiate down to the per-trace encoding. Tests use it to
-	// prove mixed old/new fleets interoperate.
-	DisableColumnar bool
-
-	// DisableWAN makes the server behave like a columnar-but-pre-WAN
-	// build: hello still grants the columnar feature, but coalescing,
-	// compression, and frame-size raises are withheld, and MsgCoalesced /
-	// MsgSubmitBatchCompressed frames are answered as unknown message
-	// types. Tests use it to prove the WAN features downgrade silently.
-	DisableWAN bool
-
 	// MaxFrame caps the frame-size raise hello grants (bounded by
 	// MaxCoalescedFrameSize); zero means MaxCoalescedFrameSize. Grants
 	// never go below MaxFrameSize.
 	MaxFrame int
 
 	// Admission, when non-nil, arms the overload protections: per-session
-	// token-bucket rate limits answered with MsgBusy (FeatureBusy clients)
-	// or in-handler pacing (legacy clients), per-connection queued-byte
-	// backpressure feeding the backend's load-shedding pressure gauge,
-	// progress-based slow-loris frame deadlines, and accept-time caps on
-	// total / half-open connections. Set before Listen. Nil — the default —
-	// costs one pointer check per frame, keeping the loopback fast path
-	// unchanged.
+	// token-bucket rate limits answered with MsgBusy, per-connection
+	// queued-byte backpressure feeding the backend's load-shedding pressure
+	// gauge, progress-based slow-loris frame deadlines, and accept-time caps
+	// on total / half-open connections. Set before Listen. Nil — the
+	// default — costs one pointer check per frame, keeping the loopback
+	// fast path unchanged.
 	Admission *Admission
 
 	// adm is the runtime admission state, built from Admission at Listen.
@@ -98,18 +87,9 @@ type Server struct {
 // connState is per-connection negotiated state shared between a
 // connection's reader and its worker. limit is the frame-size limit:
 // MaxFrameSize until a hello exchange grants a raise. Atomic because the
-// worker raises it while the reader loads it. routing records that the
-// client negotiated FeatureRouting: misdirected submissions answer
-// MsgRedirect instead of being proxied server-side.
+// worker raises it while the reader loads it.
 type connState struct {
-	limit   atomic.Int64
-	routing atomic.Bool
-
-	// busy records that the client negotiated FeatureBusy: declined
-	// submissions answer MsgBusy (written by the worker, in the reply slot
-	// the ack would have occupied, so pipelined order is preserved) instead
-	// of being absorbed by pacing.
-	busy atomic.Bool
+	limit atomic.Int64
 
 	// key is the admission bucket key for frames that carry no session:
 	// the connection's remote address.
@@ -179,10 +159,14 @@ func readFrameBody(r io.Reader, t MsgType, size int) (MsgType, *[]byte, error) {
 	return t, bp, nil
 }
 
-// NewServer wraps backend.
+// NewServer wraps backend, which must also implement pod.ColumnarSubmitter —
+// the one method submissions are ingested through (Listen reports a backend
+// without it).
 func NewServer(backend pod.HiveClient) *Server {
+	sub, _ := backend.(pod.ColumnarSubmitter)
 	return &Server{
 		backend: backend,
+		sub:     sub,
 		conns:   make(map[net.Conn]bool),
 		Logf:    log.Printf,
 	}
@@ -191,6 +175,9 @@ func NewServer(backend pod.HiveClient) *Server {
 // Listen binds the address ("127.0.0.1:0" for an ephemeral port) and starts
 // serving in the background. It returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
+	if s.sub == nil {
+		return "", fmt.Errorf("wire: listen: backend %T has no SubmitColumnarSession method (pod.ColumnarSubmitter), so it cannot ingest submission frames", s.backend)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("wire: listen: %w", err)
@@ -265,10 +252,9 @@ func (s *Server) acceptLoop() {
 // SetPlacement installs (or replaces) the placement map this server is a
 // member of; self is this hive's node name within it (the address peers
 // and clients dial). From the next frame on, submissions for programs the
-// map assigns elsewhere are redirected (routing-negotiated clients) or
-// proxied to the owner (pre-ring clients), and hello acks advertise the
-// map. Passing nil reverts to unsharded behavior. Safe to call while
-// serving — a rebalance is exactly that.
+// map assigns elsewhere are redirected, reads for them are proxied to the
+// owner, and hello acks advertise the map. Passing nil reverts to unsharded
+// behavior. Safe to call while serving — a rebalance is exactly that.
 func (s *Server) SetPlacement(m *ring.Map, self string) {
 	s.placeMu.Lock()
 	s.placement = m
@@ -311,17 +297,15 @@ func placementFromPayload(p *PlacementPayload) *ring.Map {
 	return ring.NewVersion(p.Version, p.Nodes, p.VNodes, p.Seed)
 }
 
-// redirect answers a misdirected submission from a routing-negotiated
-// client: the frame was not applied; the client owns resubmitting it —
-// verbatim — to the named owner.
+// redirect answers a misdirected submission: the frame was not applied; the
+// client owns resubmitting it — verbatim — to the named owner.
 func (s *Server) redirect(w io.Writer, programID, owner string, pl *ring.Map) error {
 	return s.reply(w, MsgRedirect, RedirectPayload{ProgramID: programID, Owner: owner, Placement: placementPayload(pl)})
 }
 
 // proxyClient returns (dialing lazily) the peer client for owner. Proxy
-// clients do not offer FeatureRouting: if the owner's placement has moved
-// on too, the owner proxies onward rather than answering a redirect the
-// pre-ring originator could never parse.
+// clients relay reads only: if the owner's placement has moved on too, the
+// owner proxies onward.
 func (s *Server) proxyClient(owner string) *Client {
 	s.placeMu.Lock()
 	defer s.placeMu.Unlock()
@@ -331,16 +315,13 @@ func (s *Server) proxyClient(owner string) *Client {
 	pc, ok := s.proxies[owner]
 	if !ok {
 		pc = Dial(owner)
-		pc.DisableRouting = true
 		s.proxies[owner] = pc
 	}
 	return pc
 }
 
-// proxyFrame relays one frame verbatim to the owning hive and returns its
-// reply. The (session, seq) exactly-once tag rides inside the payload, so
-// a proxied resubmission deduplicates at the owner exactly as a direct one
-// would.
+// proxyFrame relays one read request verbatim to the owning hive and
+// returns its reply.
 func (s *Server) proxyFrame(owner string, t MsgType, payload []byte) (MsgType, []byte, error) {
 	return s.proxyClient(owner).call(t, payload)
 }
@@ -443,7 +424,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		for req := range reqs {
 			var err error
-			if req.msgType == MsgCoalesced && !s.DisableColumnar && !s.DisableWAN {
+			if req.msgType == MsgCoalesced {
 				// Mega-frames answer through the connection itself: the
 				// whole group of inner replies goes out as one writev.
 				err = s.handleCoalesced(cs, conn, bw, *req.payload)
@@ -556,8 +537,7 @@ func (s *Server) slowLorisErr(err error) error {
 // reply lands in the exact reply slot the frame's ack would have used —
 // pipelined clients keep matching acks by order. handled=true means the
 // frame was answered (MsgBusy) and the handler must return err without
-// touching the backend; otherwise the frame is admitted, possibly after
-// in-handler pacing (legacy clients get deferred reads, not MsgBusy).
+// touching the backend; otherwise the frame is admitted.
 func (s *Server) admitBatch(cs *connState, w io.Writer, session string, n int) (handled bool, err error) {
 	a := s.adm
 	if a == nil || a.cfg.SessionRate <= 0 {
@@ -567,106 +547,53 @@ func (s *Server) admitBatch(cs *connState, w io.Writer, session string, n int) (
 	if key == "" && cs != nil {
 		key = cs.key
 	}
-	if cs != nil && cs.busy.Load() {
-		wait, ok := a.debit(key, n, time.Now(), false)
-		if ok {
-			return false, nil
-		}
-		a.busyReplies.Add(1)
-		return true, s.reply(w, MsgBusy, BusyPayload{
-			RetryAfterMs: int64(wait / time.Millisecond),
-			Reason:       "session rate limit",
-		})
+	wait, ok := a.debit(key, n, time.Now())
+	if ok {
+		return false, nil
 	}
-	wait, _ := a.debit(key, n, time.Now(), true)
-	if wait > 0 {
-		a.pacedFrames.Add(1)
-		time.Sleep(wait)
-	}
-	return false, nil
+	a.busyReplies.Add(1)
+	return true, s.reply(w, MsgBusy, BusyPayload{
+		RetryAfterMs: int64(wait / time.Millisecond),
+		Reason:       "session rate limit",
+	})
 }
 
-// submitShed runs a backend submission, mapping pod.ErrDeferred — the
-// hive's load shedder asking for the batch later — to its client-visible
-// form: MsgBusy for FeatureBusy clients (handled=true, the frame stays
-// unacked and the client resubmits it verbatim); a short bounded
-// in-handler retry for legacy clients, after which a still-deferred batch
-// surfaces as an ordinary error ack and the client's at-least-once retry
-// machinery parks it.
-//
-// pod.ErrReadOnly — the backend's journal breaker after persistent disk
-// write failures — also maps to MsgBusy for FeatureBusy clients, but with
-// no in-handler retry for legacy ones: read-only persists until an
-// operator-visible checkpoint lands, so sleeping and resubmitting inside
-// the handler cannot help. Legacy clients get the error ack immediately
-// and their own retry machinery (with backoff) carries the frame.
-func (s *Server) submitShed(cs *connState, w io.Writer, fn func() (bool, error)) (dup bool, err error, handled bool, werr error) {
-	dup, err = fn()
-	if err == nil || (!errors.Is(err, pod.ErrDeferred) && !errors.Is(err, pod.ErrReadOnly)) {
-		return dup, err, false, nil
-	}
-	if errors.Is(err, pod.ErrReadOnly) {
+// busyFor maps the two backend refusals that mean "not now" to MsgBusy:
+// pod.ErrDeferred — the hive's load shedder asking for the batch later —
+// and pod.ErrReadOnly — the backend's journal breaker after persistent disk
+// write failures, which persists until a checkpoint lands. Either way the
+// frame stays unacked and the client resubmits it verbatim after the hint.
+// The two are counted apart (BusyReplies, ReadOnlyBusy): operators must be
+// able to tell "overloaded" from "disk is failing". handled=false means err
+// is neither and belongs in an ordinary ack.
+func (s *Server) busyFor(w io.Writer, err error) (handled bool, werr error) {
+	switch {
+	case errors.Is(err, pod.ErrReadOnly):
 		s.readOnlyBusy.Add(1)
-		if cs != nil && cs.busy.Load() {
-			hint := defaultRetryAfter
-			if s.adm != nil {
-				hint = s.adm.cfg.RetryAfter
-			}
-			return false, nil, true, s.reply(w, MsgBusy, BusyPayload{
-				RetryAfterMs: int64(hint / time.Millisecond),
-				Reason:       err.Error(),
-			})
+	case errors.Is(err, pod.ErrDeferred):
+		if s.adm != nil {
+			s.adm.busyReplies.Add(1)
 		}
-		return dup, err, false, nil
+	default:
+		return false, nil
 	}
 	hint := defaultRetryAfter
 	if s.adm != nil {
 		hint = s.adm.cfg.RetryAfter
 	}
-	if cs != nil && cs.busy.Load() {
-		if s.adm != nil {
-			s.adm.busyReplies.Add(1)
-		}
-		return false, nil, true, s.reply(w, MsgBusy, BusyPayload{
-			RetryAfterMs: int64(hint / time.Millisecond),
-			Reason:       err.Error(),
-		})
-	}
-	for i := 0; i < 3; i++ {
-		if s.adm != nil {
-			s.adm.pacedFrames.Add(1)
-		}
-		time.Sleep(hint << uint(i))
-		dup, err = fn()
-		if err == nil || !errors.Is(err, pod.ErrDeferred) {
-			break
-		}
-	}
-	return dup, err, false, nil
+	return true, s.reply(w, MsgBusy, BusyPayload{
+		RetryAfterMs: int64(hint / time.Millisecond),
+		Reason:       err.Error(),
+	})
 }
 
 func (s *Server) dispatch(cs *connState, w io.Writer, msgType MsgType, payload []byte) error {
 	switch msgType {
-	case MsgSubmitTraces:
-		return s.handleSubmit(w, payload)
-	case MsgSubmitTracesFor:
-		return s.handleSubmitFor(cs, w, payload)
-	case MsgSubmitTracesSeq:
-		return s.handleSubmitSeq(cs, w, payload)
 	case MsgHello:
-		if s.DisableColumnar {
-			break // answer like a pre-negotiation build
-		}
 		return s.handleHello(cs, w, payload)
 	case MsgSubmitBatchColumnar:
-		if s.DisableColumnar {
-			break
-		}
 		return s.handleSubmitColumnar(cs, w, payload)
 	case MsgSubmitBatchCompressed:
-		if s.DisableColumnar || s.DisableWAN {
-			break // answer like a build without the feature
-		}
 		return s.handleSubmitCompressed(cs, w, payload)
 	case MsgGetFixes:
 		return s.handleGetFixes(w, payload)
@@ -676,8 +603,8 @@ func (s *Server) dispatch(cs *connState, w io.Writer, msgType MsgType, payload [
 	return s.reply(w, MsgError, ErrorPayload{Error: fmt.Sprintf("unknown message type %d", msgType)})
 }
 
-// handleHello answers feature negotiation with the intersection of what the
-// client offered and what this server speaks, plus the frame-size grant:
+// handleHello answers the hello with the intersection of what the client
+// offered and what this server speaks, plus the frame-size grant:
 // min(requested, cap), never below the default limit. The grant is stored
 // before the ack is written, so by the time the client can act on it the
 // reader accepts the raised size.
@@ -689,29 +616,18 @@ func (s *Server) handleHello(cs *connState, w io.Writer, payload []byte) error {
 	var ack HelloAckPayload
 	for _, f := range req.Features {
 		switch f {
-		case FeatureColumnarBatch:
+		case FeatureColumnarBatch, FeatureCoalesce, FeatureSlabFlate, FeatureBusy:
 			ack.Features = append(ack.Features, f)
-		case FeatureCoalesce, FeatureSlabFlate:
-			if !s.DisableWAN {
-				ack.Features = append(ack.Features, f)
-			}
 		case FeatureRouting:
 			// Granted only when this server actually is a ring member: an
 			// unsharded hive stays silent and clients route everything here.
 			if pl, _ := s.placementSnapshot(); pl != nil {
 				ack.Features = append(ack.Features, f)
 				ack.Placement = placementPayload(pl)
-				cs.routing.Store(true)
 			}
-		case FeatureBusy:
-			// Granted unconditionally: even without an Admission config the
-			// backend's load shedder may defer a batch, and an explicit
-			// MsgBusy beats silently pacing a client that can back off.
-			ack.Features = append(ack.Features, f)
-			cs.busy.Store(true)
 		}
 	}
-	if req.MaxFrame > MaxFrameSize && !s.DisableWAN {
+	if req.MaxFrame > MaxFrameSize {
 		capBytes := s.MaxFrame
 		if capBytes <= 0 || capBytes > MaxCoalescedFrameSize {
 			capBytes = MaxCoalescedFrameSize
@@ -786,16 +702,13 @@ func (s *Server) handleCoalesced(cs *connState, conn net.Conn, bw *bufio.Writer,
 	return werr
 }
 
-// handleSubmitColumnar ingests a sequenced columnar batch. The batch bytes
-// are handed to a columnar-capable backend as a zero-copy view (the hive
-// journals exactly those bytes); other backends get materialized traces
-// through the strongest submission path they offer.
+// handleSubmitColumnar ingests a sequenced columnar batch.
 func (s *Server) handleSubmitColumnar(cs *connState, w io.Writer, payload []byte) error {
 	session, seq, batchBytes, err := decodeSeqPrefix(payload)
 	if err != nil {
 		return ackBin(w, 0, false, err)
 	}
-	return s.ingestColumnar(cs, w, session, seq, batchBytes, MsgSubmitBatchColumnar, payload)
+	return s.ingestColumnar(cs, w, session, seq, batchBytes)
 }
 
 // handleSubmitCompressed is handleSubmitColumnar for a frame whose batch
@@ -814,10 +727,7 @@ func (s *Server) handleSubmitCompressed(cs *connState, w io.Writer, payload []by
 		return ackBin(w, 0, false, err)
 	}
 	defer trace.ReleaseSlab(raw)
-	// A misdirected compressed frame proxies in its original compressed
-	// form; the owner inflates, so its journal still holds the canonical
-	// decompressed bytes.
-	return s.ingestColumnar(cs, w, session, seq, *raw, MsgSubmitBatchCompressed, payload)
+	return s.ingestColumnar(cs, w, session, seq, *raw)
 }
 
 // ackBin writes one binary acknowledgement.
@@ -829,238 +739,32 @@ func ackBin(w io.Writer, accepted int, dup bool, err error) error {
 	return WriteFrame(w, MsgAckBin, encodeAckBin(accepted, dup, msg))
 }
 
-// ingestColumnar routes validated canonical batch bytes into the backend.
-// The view borrows batchBytes and is released before return; a durable
-// backend journals exactly those bytes. On a sharded server a batch for a
-// program owned elsewhere never reaches the backend: routing-negotiated
-// clients get MsgRedirect (orig/origPayload identify the frame to
-// resubmit), pre-ring clients have the original frame proxied verbatim to
-// the owner and the owner's ack relayed back.
-func (s *Server) ingestColumnar(cs *connState, w io.Writer, session string, seq uint64, batchBytes []byte, orig MsgType, origPayload []byte) error {
-	ack := func(accepted int, dup bool, err error) error {
-		return ackBin(w, accepted, dup, err)
-	}
+// ingestColumnar hands canonical batch bytes to the backend as a zero-copy
+// view. The view borrows batchBytes and is released before return; a
+// durable backend journals exactly those bytes. On a sharded server a batch
+// for a program owned elsewhere never reaches the backend: the client is
+// redirected to the owner and resubmits the frame there.
+func (s *Server) ingestColumnar(cs *connState, w io.Writer, session string, seq uint64, batchBytes []byte) error {
 	view, err := trace.DecodeBatch(batchBytes)
 	if err != nil {
-		return ack(0, false, err)
+		return ackBin(w, 0, false, err)
 	}
 	defer view.Release()
 	if owner, local, pl := s.routeFor(view.ProgramID()); !local {
-		if cs != nil && cs.routing.Load() {
-			return s.redirect(w, view.ProgramID(), owner, pl)
-		}
-		respType, resp, perr := s.proxyFrame(owner, orig, origPayload)
-		if perr != nil {
-			return ack(0, false, fmt.Errorf("proxy to owner %s: %w", owner, perr))
-		}
-		return WriteFrame(w, respType, resp)
+		return s.redirect(w, view.ProgramID(), owner, pl)
 	}
 	if handled, herr := s.admitBatch(cs, w, session, view.Len()); handled {
 		return herr
 	}
-	if sub, ok := s.backend.(pod.ColumnarSubmitter); ok {
-		dup, err, handled, herr := s.submitShed(cs, w, func() (bool, error) {
-			return sub.SubmitColumnarSession(session, seq, view)
-		})
-		if handled {
+	dup, err := s.sub.SubmitColumnarSession(session, seq, view)
+	if err != nil {
+		if handled, herr := s.busyFor(w, err); handled {
 			return herr
 		}
-		return ack(view.Len(), dup, err)
 	}
-	traces := view.MaterializeAll()
-	if ss, ok := s.backend.(pod.SessionSubmitter); ok {
-		dup, err, handled, herr := s.submitShed(cs, w, func() (bool, error) {
-			return ss.SubmitTracesSession(session, seq, view.ProgramID(), traces)
-		})
-		if handled {
-			return herr
-		}
-		return ack(len(traces), dup, err)
-	}
-	var submitErr error
-	if ps, ok := s.backend.(pod.ProgramSubmitter); ok {
-		submitErr = ps.SubmitTracesFor(view.ProgramID(), traces)
-	} else {
-		submitErr = s.backend.SubmitTraces(traces)
-	}
-	return ack(len(traces), false, submitErr)
-}
-
-// routeSubmission applies the sharding decision for one per-program
-// submission frame on the v2 (JSON-ack) paths. done=true means the frame
-// was handled here — redirected or proxied — and the handler must return
-// err without touching the backend.
-func (s *Server) routeSubmission(cs *connState, w io.Writer, programID string, orig MsgType, payload []byte) (done bool, err error) {
-	owner, local, pl := s.routeFor(programID)
-	if local {
-		return false, nil
-	}
-	if cs != nil && cs.routing.Load() {
-		return true, s.redirect(w, programID, owner, pl)
-	}
-	respType, resp, perr := s.proxyFrame(owner, orig, payload)
-	if perr != nil {
-		return true, s.reply(w, MsgAck, AckPayload{Error: fmt.Sprintf("proxy to owner %s: %v", owner, perr)})
-	}
-	return true, WriteFrame(w, respType, resp)
-}
-
-// decodeTraces expands raw per-trace bytes into traces.
-func decodeTraces(raws [][]byte) ([]*trace.Trace, error) {
-	traces := make([]*trace.Trace, 0, len(raws))
-	for _, raw := range raws {
-		tr, err := trace.Decode(raw)
-		if err != nil {
-			return nil, err
-		}
-		traces = append(traces, tr)
-	}
-	return traces, nil
-}
-
-func (s *Server) handleSubmit(w io.Writer, payload []byte) error {
-	raws, err := decodeTraceBatch(payload)
-	if err != nil {
-		return s.reply(w, MsgAck, AckPayload{Error: err.Error()})
-	}
-	traces, err := decodeTraces(raws)
-	if err != nil {
-		return s.reply(w, MsgAck, AckPayload{Error: err.Error()})
-	}
-	// On a sharded server the grouped legacy frame is split by owner: local
-	// traces ingest here, the rest are forwarded per owner. The legacy path
-	// is unsequenced (at-least-once), so forwarding keeps its semantics.
-	if pl, self := s.placementSnapshot(); pl != nil {
-		var local []*trace.Trace
-		foreign := make(map[string][]*trace.Trace)
-		for _, tr := range traces {
-			if owner := pl.Owner(tr.ProgramID); owner != "" && owner != self {
-				foreign[owner] = append(foreign[owner], tr)
-			} else {
-				local = append(local, tr)
-			}
-		}
-		if len(foreign) > 0 {
-			if len(local) > 0 {
-				if err := s.backend.SubmitTraces(local); err != nil {
-					return s.reply(w, MsgAck, AckPayload{Error: err.Error()})
-				}
-			}
-			owners := make([]string, 0, len(foreign))
-			for o := range foreign {
-				owners = append(owners, o)
-			}
-			sort.Strings(owners)
-			for _, owner := range owners {
-				group := foreign[owner]
-				encoded := make([][]byte, len(group))
-				for i, tr := range group {
-					encoded[i] = trace.Encode(tr)
-				}
-				respType, resp, perr := s.proxyFrame(owner, MsgSubmitTraces, encodeTraceBatch(encoded))
-				if perr == nil {
-					perr = checkAck(respType, resp, len(group))
-				}
-				if perr != nil {
-					return s.reply(w, MsgAck, AckPayload{Error: fmt.Sprintf("proxy to owner %s: %v", owner, perr)})
-				}
-			}
-			return s.reply(w, MsgAck, AckPayload{Accepted: len(traces)})
-		}
-	}
-	if err := s.backend.SubmitTraces(traces); err != nil {
-		return s.reply(w, MsgAck, AckPayload{Error: err.Error()})
-	}
-	return s.reply(w, MsgAck, AckPayload{Accepted: len(traces)})
-}
-
-func (s *Server) handleSubmitFor(cs *connState, w io.Writer, payload []byte) error {
-	programID, raws, err := decodeTraceBatchFor(payload)
-	if err != nil {
-		return s.reply(w, MsgAck, AckPayload{Error: err.Error()})
-	}
-	if done, err := s.routeSubmission(cs, w, programID, MsgSubmitTracesFor, payload); done {
-		return err
-	}
-	traces, err := decodeTraces(raws)
-	if err != nil {
-		return s.reply(w, MsgAck, AckPayload{Error: err.Error()})
-	}
-	// The per-program frame is all-or-nothing on a program mismatch no
-	// matter what the backend is: enforce it here so a backend without the
-	// fast path can't silently ingest a stray trace the hive would reject.
-	for _, tr := range traces {
-		if tr.ProgramID != programID {
-			return s.reply(w, MsgAck, AckPayload{
-				Error: fmt.Sprintf("wire: trace for program %q in batch submitted for %q", tr.ProgramID, programID),
-			})
-		}
-	}
-	if handled, herr := s.admitBatch(cs, w, "", len(traces)); handled {
-		return herr
-	}
-	// Use the backend's per-program fast path when it has one; a plain
-	// HiveClient backend still accepts the frame through the grouped path.
-	var submitErr error
-	if ps, ok := s.backend.(pod.ProgramSubmitter); ok {
-		submitErr = ps.SubmitTracesFor(programID, traces)
-	} else {
-		submitErr = s.backend.SubmitTraces(traces)
-	}
-	if submitErr != nil {
-		return s.reply(w, MsgAck, AckPayload{Error: submitErr.Error()})
-	}
-	return s.reply(w, MsgAck, AckPayload{Accepted: len(traces)})
-}
-
-func (s *Server) handleSubmitSeq(cs *connState, w io.Writer, payload []byte) error {
-	session, seq, programID, raws, err := decodeTraceBatchSeq(payload)
-	if err != nil {
-		return s.reply(w, MsgAck, AckPayload{Error: err.Error()})
-	}
-	if done, err := s.routeSubmission(cs, w, programID, MsgSubmitTracesSeq, payload); done {
-		return err
-	}
-	traces, err := decodeTraces(raws)
-	if err != nil {
-		return s.reply(w, MsgAck, AckPayload{Error: err.Error()})
-	}
-	for _, tr := range traces {
-		if tr.ProgramID != programID {
-			return s.reply(w, MsgAck, AckPayload{
-				Error: fmt.Sprintf("wire: trace for program %q in batch submitted for %q", tr.ProgramID, programID),
-			})
-		}
-	}
-	if handled, herr := s.admitBatch(cs, w, session, len(traces)); handled {
-		return herr
-	}
-	// Exactly-once when the backend keeps a session dedup window; otherwise
-	// degrade gracefully to the per-program (at-least-once) paths.
-	if ss, ok := s.backend.(pod.SessionSubmitter); ok {
-		dup, err, handled, herr := s.submitShed(cs, w, func() (bool, error) {
-			return ss.SubmitTracesSession(session, seq, programID, traces)
-		})
-		if handled {
-			return herr
-		}
-		if err != nil {
-			return s.reply(w, MsgAck, AckPayload{Error: err.Error()})
-		}
-		// A duplicate counts as fully accepted: the batch is already part of
-		// the collective state, and the client must not resubmit it.
-		return s.reply(w, MsgAck, AckPayload{Accepted: len(traces), Dup: dup})
-	}
-	var submitErr error
-	if ps, ok := s.backend.(pod.ProgramSubmitter); ok {
-		submitErr = ps.SubmitTracesFor(programID, traces)
-	} else {
-		submitErr = s.backend.SubmitTraces(traces)
-	}
-	if submitErr != nil {
-		return s.reply(w, MsgAck, AckPayload{Error: submitErr.Error()})
-	}
-	return s.reply(w, MsgAck, AckPayload{Accepted: len(traces)})
+	// A duplicate counts as fully accepted: the batch is already part of the
+	// collective state, and the client must not resubmit it.
+	return ackBin(w, view.Len(), dup, err)
 }
 
 func (s *Server) handleGetFixes(w io.Writer, payload []byte) error {
@@ -1068,9 +772,9 @@ func (s *Server) handleGetFixes(w io.Writer, payload []byte) error {
 	if err := json.Unmarshal(payload, &req); err != nil {
 		return s.reply(w, MsgFixes, FixesPayload{Error: err.Error()})
 	}
-	// Read paths proxy transparently for every client generation: the reply
-	// is an ordinary MsgFixes either way, so there is nothing for a routing
-	// client to learn from a redirect here.
+	// Read paths proxy transparently: the reply is an ordinary MsgFixes
+	// either way, so there is nothing for a client to learn from a redirect
+	// here.
 	if owner, local, _ := s.routeFor(req.ProgramID); !local {
 		respType, resp, perr := s.proxyFrame(owner, MsgGetFixes, payload)
 		if perr != nil {

@@ -16,15 +16,29 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgAck, []byte(`{"accepted":3}`)); err != nil {
+	if err := WriteFrame(&buf, MsgError, []byte(`{"error":"no"}`)); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgAck || string(payload) != `{"accepted":3}` {
+	if typ != MsgError || string(payload) != `{"error":"no"}` {
 		t.Fatalf("got %v %q", typ, payload)
+	}
+}
+
+// TestMsgTypeNumbers pins the protocol's numbers: deleting the per-trace
+// submission frames (1, 2, 8, 9) must not renumber what survived them.
+func TestMsgTypeNumbers(t *testing.T) {
+	for want, got := range map[MsgType]MsgType{
+		3: MsgGetFixes, 4: MsgFixes, 5: MsgGetGuidance, 6: MsgGuidance, 7: MsgError,
+		10: MsgHello, 11: MsgHelloAck, 12: MsgAckBin, 13: MsgSubmitBatchColumnar,
+		14: MsgCoalesced, 15: MsgSubmitBatchCompressed, 16: MsgRedirect, 17: MsgBusy,
+	} {
+		if got != want {
+			t.Errorf("message type %d is now %d", want, got)
+		}
 	}
 }
 
@@ -36,24 +50,63 @@ func TestFrameRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestTraceBatchRoundTrip: a sealed frame is the (session, seq) tag followed
+// by the canonical columnar encoding of the batch, and both come back out.
 func TestTraceBatchRoundTrip(t *testing.T) {
-	batch := [][]byte{[]byte("aaa"), []byte(""), []byte("cc")}
-	enc := encodeTraceBatch(batch)
-	got, err := decodeTraceBatch(enc)
+	c := Dial("unreachable.invalid:1")
+	batch := []*trace.Trace{{ProgramID: "p", PodID: "a", Seq: 1}, {ProgramID: "p", PodID: "b", Seq: 2}}
+	payload, compressed := c.sealFrameLocked(7, "p", batch)
+	if compressed {
+		t.Fatal("an un-negotiated client compressed")
+	}
+	session, seq, body, err := decodeSeqPrefix(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || string(got[0]) != "aaa" || len(got[1]) != 0 || string(got[2]) != "cc" {
-		t.Fatalf("got %q", got)
+	if session != c.session || seq != 7 {
+		t.Fatalf("tag = (%q, %d), want (%q, 7)", session, seq, c.session)
+	}
+	want, err := trace.EncodeBatch("p", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatal("frame body is not the canonical batch encoding")
+	}
+	view, err := trace.DecodeBatch(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer view.Release()
+	if view.ProgramID() != "p" || view.Len() != 2 || view.PodID(1) != "b" || view.Seq(1) != 2 {
+		t.Fatalf("decoded batch: program %q, %d traces", view.ProgramID(), view.Len())
+	}
+
+	// A batch with a stray trace has no encoding: the tag is sealed alone,
+	// which no server accepts as a batch.
+	stray := []*trace.Trace{{ProgramID: "p"}, {ProgramID: "q"}}
+	payload, _ = c.sealFrameLocked(8, "p", stray)
+	_, _, body, err = decodeSeqPrefix(payload)
+	if err != nil || len(body) != 0 {
+		t.Fatalf("mismatched batch sealed %d body bytes, err %v; want the tag alone", len(body), err)
+	}
+	if _, err := trace.DecodeBatch(body); err == nil {
+		t.Fatal("the empty body decodes as a batch")
 	}
 }
 
 func TestTraceBatchRejectsGarbage(t *testing.T) {
-	if _, err := decodeTraceBatch([]byte{0xFF}); err == nil {
-		t.Error("truncated varint accepted")
+	if _, _, _, err := decodeSeqPrefix([]byte{0xFF}); err == nil {
+		t.Error("truncated session length accepted")
 	}
-	if _, err := decodeTraceBatch([]byte{200, 1, 2}); err == nil {
-		t.Error("implausible count accepted")
+	if _, _, _, err := decodeSeqPrefix([]byte{200, 1, 'a', 'b'}); err == nil {
+		t.Error("session length past the payload accepted")
+	}
+	if _, _, _, err := decodeSeqPrefix([]byte{1, 's', 0xFF}); err == nil {
+		t.Error("truncated sequence number accepted")
+	}
+	if _, _, _, err := decodeAckBin([]byte{3}); err == nil {
+		t.Error("ack without its flags byte accepted")
 	}
 }
 
@@ -214,7 +267,8 @@ func TestClientReconnects(t *testing.T) {
 	client := Dial(addr)
 	defer client.Close()
 
-	if err := client.SubmitTraces(nil); err != nil {
+	tr := captureWireTrace(t, p, "reconnect-pod", []int64{50})
+	if err := client.SubmitTraces([]*trace.Trace{tr}); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the server; a new one on the same address picks up.
@@ -226,8 +280,11 @@ func TestClientReconnects(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	if err := client.SubmitTraces(nil); err != nil {
+	if err := client.SubmitTraces([]*trace.Trace{tr}); err != nil {
 		t.Fatalf("client did not reconnect: %v", err)
+	}
+	if st, _ := h.ProgramStats(p.ID); st.Ingested != 2 {
+		t.Fatalf("ingested %d traces across the reconnect, want 2", st.Ingested)
 	}
 }
 
