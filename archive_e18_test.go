@@ -70,7 +70,7 @@ func startArchiveNode(t *testing.T, dir string, corpus []*prog.Program, obj arch
 // only copy — and recovery must be semantically identical: every acked
 // frame dup-acks on the new owner, nothing double-applies, and the >4096
 // distinct cold sessions ingested before the kill keep their exactly-once
-// windows through materialize -> recover -> export -> import.
+// windows through archive.Load -> ImportProgram.
 func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 	corpus := clusterCorpus(t, 4)
 	obj, err := archive.NewDirStore(t.TempDir(), nil)
@@ -175,22 +175,22 @@ func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 	// Cold standby: rebuild purely from the archive and re-home onto the
 	// shrunken ring.
 	m2 := m1.Without(victim.addr)
-	snaps, scratch, err := hive.ExportFromArchive(obj, t.TempDir(), corpus, "fleet")
+	chains, closer, err := hive.ExportFromArchive(obj, "", corpus, "")
 	if err != nil {
 		t.Fatalf("cold-standby recovery: %v", err)
 	}
 	rehomed := 0
 	for _, p := range victimOwned {
-		snap, ok := snaps[p.ID]
+		chain, ok := chains[p.ID]
 		if !ok {
 			t.Fatalf("archive recovery lost program %s", p.ID)
 		}
-		if err := byAddr(m2.Owner(p.ID)).h.ImportProgram(snap); err != nil {
+		if err := byAddr(m2.Owner(p.ID)).h.ImportProgram(chain); err != nil {
 			t.Fatal(err)
 		}
 		rehomed++
 	}
-	if err := scratch.Close(); err != nil {
+	if err := closer.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if rehomed != len(victimOwned) || rehomed == 0 {

@@ -186,30 +186,29 @@ func TestE16KillOneHiveRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Takeover: recover the victim's data dir into snapshots and import
-	// each of its programs on the owner the shrunken ring assigns.
+	// Takeover: export each of the victim's chains from its data dir and
+	// import it on the owner the shrunken ring assigns.
 	m2 := m1.Without(victim.addr)
 	deadStore, err := journal.Open(victim.dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := hive.ExportFromStore(deadStore, corpus, "fleet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := deadStore.Close(); err != nil {
-		t.Fatal(err)
-	}
 	rehomed := 0
 	for _, p := range victimOwned {
-		snap, ok := snaps[p.ID]
-		if !ok {
+		chain, err := deadStore.ExportChain(p.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chain == nil {
 			t.Fatalf("takeover export lost program %s", p.ID)
 		}
-		if err := byAddr(m2.Owner(p.ID)).h.ImportProgram(snap); err != nil {
+		if err := byAddr(m2.Owner(p.ID)).h.ImportProgram(chain); err != nil {
 			t.Fatal(err)
 		}
 		rehomed++
+	}
+	if err := deadStore.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if rehomed != len(victimOwned) || rehomed == 0 {
 		t.Fatalf("re-homed %d of %d victim programs", rehomed, len(victimOwned))
@@ -223,7 +222,7 @@ func TestE16KillOneHiveRebalance(t *testing.T) {
 	// Drain everything through the stale router: the parked chunks plus a
 	// verbatim resubmission of every already-acked chunk. The victim's
 	// death forces a placement refresh; acked frames must dup-ack on the
-	// new owner (the session table traveled inside the snapshot).
+	// new owner (the session table traveled inside the chain).
 	for pi, p := range corpus {
 		acc, err := router.SubmitSealed(sealedBy[p.ID])
 		if err != nil {

@@ -21,6 +21,12 @@ type journalGuard struct {
 // handler calling the apply helper directly would mutate state that a
 // crash forgets — the exact bug class the journal exists to prevent.
 var journalGuards = []journalGuard{
+	// One function turns a chain — a directory's at reboot, one in hand at
+	// import — into live state. A second reader of snapshots or journal ops
+	// would be a second restore path to keep equal to the first.
+	{callee: "recoverProgram", callers: set("Recover", "ImportProgram")},
+	{callee: "restoreProgram", callers: set("recoverProgram")},
+	{callee: "applyOp", callers: set("recoverProgram")},
 	{callee: "applyBatchView", callers: set("SubmitColumnarSession", "applyOp")},
 	// Fix synthesis journals its own outcome op; it may only be elected
 	// from within an applied batch, never ad hoc.
@@ -35,7 +41,11 @@ var journalGuards = []journalGuard{
 	{callee: "journalBatchAppend", callers: set("SubmitColumnarSession")},
 	// The breaker may only close once a checkpoint has landed durably —
 	// closing it anywhere else would ack ingest into an unproven journal.
-	{callee: "closeReadOnly", callers: set("CheckpointProgram")},
+	// And the checkpoint itself is reached two ways only: on the timer, and
+	// as the durable tail of an import, which thereby lands through the very
+	// path the breaker trusts instead of writing a snapshot of its own.
+	{callee: "closeReadOnly", callers: set("checkpointLocked")},
+	{callee: "checkpointLocked", callers: set("CheckpointProgram", "ImportProgram")},
 	// The frozen session tier is only consulted under sessMu during the
 	// live/frozen merge; direct access would race the displacement path.
 	{callee: "entryLocked", callers: set("mergeSessions")},
@@ -56,10 +66,12 @@ var JournalFirst = &Analyzer{
 	Doc: "in internal/hive, live-mutation helpers (applyBatchView, " +
 		"synthesizeFix, markSession, journalBatchAppend, closeReadOnly, " +
 		"entryLocked) are reachable only from the one ingest path " +
-		"(SubmitColumnarSession), recovery replay (applyOp/mergeSessions), " +
-		"or the checkpoint path (CheckpointProgram); calling them from " +
-		"handlers would apply state a crash forgets or bypass the " +
-		"read-only breaker",
+		"(SubmitColumnarSession), the one restore path (recoverProgram, " +
+		"from Recover and ImportProgram, and its restoreProgram/applyOp/" +
+		"mergeSessions), or the checkpoint path (checkpointLocked, from " +
+		"CheckpointProgram and ImportProgram); calling them from handlers " +
+		"would apply state a crash forgets, bypass the read-only breaker, " +
+		"or open a second way to restore a program",
 	Run: runJournalFirst,
 }
 

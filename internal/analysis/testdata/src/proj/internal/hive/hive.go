@@ -55,6 +55,27 @@ func (h *Hive) applyOp(st *programState) {
 	h.markSession("s")
 }
 
+// restoreProgram mirrors the snapshot-chain restore.
+func (h *Hive) restoreProgram(st *programState) {}
+
+// recoverProgram is the one restore: chain, then journal suffix. Clean.
+func (h *Hive) recoverProgram(st *programState) {
+	h.restoreProgram(st)
+	h.applyOp(st)
+}
+
+// Recover restores every program at boot. Clean.
+func (h *Hive) Recover(st *programState) {
+	h.recoverProgram(st)
+}
+
+// ImportProgram restores a chain in hand through the same function and makes
+// it durable through the checkpoint path. Clean.
+func (h *Hive) ImportProgram(st *programState) {
+	h.recoverProgram(st)
+	h.checkpointLocked(st)
+}
+
 // handleDirect mutates program state without journaling. Finding expected.
 func (h *Hive) handleDirect(st *programState) {
 	h.applyBatchView(st)
@@ -87,9 +108,14 @@ func (st *programState) closeReadOnly() {}
 // entryLocked mirrors the frozen-tier session lookup under sessMu.
 func (h *Hive) entryLocked(id string) *sessionEntry { return nil }
 
-// CheckpointProgram is the sanctioned breaker-close path. Clean.
-func (h *Hive) CheckpointProgram(st *programState) {
+// checkpointLocked is the sanctioned breaker-close path. Clean.
+func (h *Hive) checkpointLocked(st *programState) {
 	st.closeReadOnly()
+}
+
+// CheckpointProgram is the periodic checkpoint. Clean.
+func (h *Hive) CheckpointProgram(st *programState) {
+	h.checkpointLocked(st)
 }
 
 // rawAppend bypasses the breaker's failure accounting. Finding expected.
@@ -106,4 +132,23 @@ func (h *Hive) forceWritable(st *programState) {
 // expected.
 func (h *Hive) peekFrozen(id string) *sessionEntry {
 	return h.entryLocked(id)
+}
+
+// takeOver restores a program around the one restore function. Findings
+// expected.
+func (h *Hive) takeOver(st *programState) {
+	h.restoreProgram(st)
+	h.applyOp(st)
+}
+
+// rebuild reaches the restore function from outside boot and import.
+// Finding expected.
+func (h *Hive) rebuild(st *programState) {
+	h.recoverProgram(st)
+}
+
+// persistDirect checkpoints outside the timer and the import. Finding
+// expected.
+func (h *Hive) persistDirect(st *programState) {
+	h.checkpointLocked(st)
 }

@@ -73,14 +73,14 @@ func seedStore(t *testing.T, dir string) *journal.Store {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Checkpoint(&journal.ProgramSnapshot{ProgramID: id, Tree: []byte("tree-" + id), Sessions: map[string]uint64{"boot": 4}}); err != nil {
+		if err := s.Checkpoint(&journal.ProgramSnapshot{ProgramID: id, Tree: []byte("tree-" + id), Sessions: map[string]uint64{"boot": 4}}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Append(id, batchOp("boot", 5, "after-ckpt")); err != nil {
 			t.Fatal(err)
 		}
 		if p == 2 { // give one program a delta segment + fresh tail
-			if err := s.CheckpointDelta(&journal.ProgramSnapshot{ProgramID: id, TreeDelta: []byte("delta-" + id), Sessions: map[string]uint64{"boot": 5}}); err != nil {
+			if err := s.CheckpointDelta(&journal.ProgramSnapshot{ProgramID: id, TreeDelta: []byte("patch-" + id), Sessions: map[string]uint64{"boot": 5}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Append(id, batchOp("boot", 6, "after-delta")); err != nil {
@@ -347,7 +347,7 @@ func TestReconcileNewestGenerationWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The program advances a generation; writer B archives the newer chain.
-	if err := s.Checkpoint(&journal.ProgramSnapshot{ProgramID: "prog-0", Tree: []byte("tree-v2"), Sessions: map[string]uint64{"boot": 9}}); err != nil {
+	if err := s.Checkpoint(&journal.ProgramSnapshot{ProgramID: "prog-0", Tree: []byte("tree-v2"), Sessions: map[string]uint64{"boot": 9}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := New(s, obj, Options{Writer: "b"}).SyncProgram("prog-0"); err != nil {
@@ -414,11 +414,11 @@ func TestDiskBudgetSoakMultiGeneration(t *testing.T) {
 			snap := &journal.ProgramSnapshot{ProgramID: id, Sessions: map[string]uint64{"soak": seq[p]}}
 			if full {
 				snap.Tree = append([]byte(fmt.Sprintf("tree-%s-r%d-", id, r)), bytes.Repeat([]byte("T"), 2048)...)
-				if err := s.Checkpoint(snap); err != nil {
+				if err := s.Checkpoint(snap, 0); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				snap.TreeDelta = append([]byte(fmt.Sprintf("delta-%s-r%d-", id, r)), bytes.Repeat([]byte("D"), 512)...)
+				snap.TreeDelta = append([]byte(fmt.Sprintf("patch-%s-r%d-", id, r)), bytes.Repeat([]byte("D"), 512)...)
 				if err := s.CheckpointDelta(snap); err != nil {
 					t.Fatal(err)
 				}

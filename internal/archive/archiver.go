@@ -2,7 +2,6 @@ package archive
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -92,7 +91,16 @@ func (a *Archiver) Stats() Stats {
 // first is returned, but one bad program never blocks the rest.
 func (a *Archiver) SyncAll() error {
 	var first error
-	for _, id := range a.store.Programs() {
+	ids := a.store.Programs()
+	// A program the hive gave away left the store; so does its sync state.
+	a.mu.Lock()
+	for id := range a.state {
+		if i := sort.SearchStrings(ids, id); i == len(ids) || ids[i] != id {
+			delete(a.state, id)
+		}
+	}
+	a.mu.Unlock()
+	for _, id := range ids {
 		if err := a.SyncProgram(id); err != nil && first == nil {
 			first = err
 		}
@@ -113,7 +121,7 @@ func (a *Archiver) SyncProgram(programID string) error {
 		a.stats.SyncErrors++
 		return err
 	}
-	exp, err := a.store.ExportChain(programID)
+	exp, err := a.store.LocalChain(programID)
 	if err != nil {
 		a.stats.SyncErrors++
 		return err
@@ -141,7 +149,7 @@ func (a *Archiver) SyncProgram(programID string) error {
 		// base and any delta generations the store doesn't already hold,
 		// then restart WAL chunking for the new generation.
 		if exp.HasBase && len(exp.Base) > 0 {
-			key := baseKey(fk, exp.BaseGen, contentHash(exp.Base))
+			key := segmentKey(fk, KindFull, exp.BaseGen, 0, contentHash(exp.Base))
 			if key != st.baseKey {
 				if err := put(key, &Segment{Kind: KindFull, ProgramID: programID, Gen: exp.BaseGen, Payload: exp.Base}); err != nil {
 					a.stats.SyncErrors++
@@ -160,7 +168,7 @@ func (a *Archiver) SyncProgram(programID string) error {
 			prev[d.Gen] = d.Key
 		}
 		for _, d := range exp.Deltas {
-			key := deltaKey(fk, d.Gen, contentHash(d.Data))
+			key := segmentKey(fk, KindDelta, d.Gen, 0, contentHash(d.Data))
 			if prev[d.Gen] != key {
 				if err := put(key, &Segment{Kind: KindDelta, ProgramID: programID, Gen: d.Gen, Payload: d.Data}); err != nil {
 					a.stats.SyncErrors++
@@ -179,7 +187,7 @@ func (a *Archiver) SyncProgram(programID string) error {
 	if grown := uint64(len(exp.WAL)); grown > st.walLen {
 		chunk := exp.WAL[st.walLen:]
 		part := uint64(len(st.walParts))
-		key := walKey(fk, st.walGen, part, contentHash(chunk))
+		key := segmentKey(fk, KindWALChunk, st.walGen, part, contentHash(chunk))
 		if err := put(key, &Segment{Kind: KindWALChunk, ProgramID: programID, Gen: st.walGen, Part: part, Offset: st.walLen, Payload: chunk}); err != nil {
 			a.stats.SyncErrors++
 			return err
@@ -241,7 +249,7 @@ func (a *Archiver) seedLocked(programID string) (*progState, error) {
 // desiredDeltasLocked computes the delta list the next manifest must carry:
 // every generation the export holds bytes for (keyed by content hash), plus
 // — on a tethered chain — previously archived generations whose local bytes
-// were pruned. ExportChain cannot re-read a pruned delta; the archive copy
+// were pruned. LocalChain does not carry a pruned delta; the archive copy
 // is the only copy, and dropping its key from the manifest would silently
 // amputate recovered history (cold standbys would refuse the chain as
 // missing a generation).
@@ -250,7 +258,7 @@ func (a *Archiver) desiredDeltasLocked(st *progState, exp *journal.ChainExport, 
 	want := make([]ManifestDelta, 0, len(exp.Deltas)+len(st.deltas))
 	for _, d := range exp.Deltas {
 		exported[d.Gen] = true
-		want = append(want, ManifestDelta{Gen: d.Gen, Key: deltaKey(fk, d.Gen, contentHash(d.Data))})
+		want = append(want, ManifestDelta{Gen: d.Gen, Key: segmentKey(fk, KindDelta, d.Gen, 0, contentHash(d.Data))})
 	}
 	if exp.Tethered {
 		// Deltas live in (baseGen, gen]: after CheckpointDelta the newest
@@ -337,10 +345,9 @@ func (a *Archiver) Prune() error {
 
 // Materialize rebuilds a journal-compatible data directory under dir from
 // the archive store alone: every program's winning manifest becomes the
-// base/delta/journal files the journal's own recovery scan expects. Opening
-// the directory with journal.Open then recovers exactly as it would from
-// the original disk — cold-standby recovery is disk recovery by
-// construction. Returns the number of programs materialized.
+// files the journal's own recovery scan expects (journal.WriteChain), so
+// opening the directory with journal.Open recovers exactly as it would from
+// the original disk. Returns the number of programs materialized.
 func Materialize(obj ObjectStore, vfs journal.FS, dir string) (int, error) {
 	if vfs == nil {
 		vfs = journal.OSFS()
@@ -361,24 +368,8 @@ func Materialize(obj ObjectStore, vfs journal.FS, dir string) (int, error) {
 		if exp == nil {
 			continue
 		}
-		fk := journal.FileKey(id)
-		if exp.HasBase {
-			path := filepath.Join(dir, fmt.Sprintf("snap-%s-%d.snap", fk, exp.BaseGen))
-			if err := journal.WriteFileAtomic(vfs, path, exp.Base); err != nil {
-				return n, fmt.Errorf("archive: materialize %s: %w", id, err)
-			}
-		}
-		for _, d := range exp.Deltas {
-			path := filepath.Join(dir, fmt.Sprintf("delta-%s-%d.snap", fk, d.Gen))
-			if err := journal.WriteFileAtomic(vfs, path, d.Data); err != nil {
-				return n, fmt.Errorf("archive: materialize %s: %w", id, err)
-			}
-		}
-		if len(exp.WAL) > 0 || !exp.HasBase {
-			path := filepath.Join(dir, fmt.Sprintf("wal-%s-%d.log", fk, exp.WALGen))
-			if err := journal.WriteFileAtomic(vfs, path, append(journal.WALHeader(id), exp.WAL...)); err != nil {
-				return n, fmt.Errorf("archive: materialize %s: %w", id, err)
-			}
+		if err := journal.WriteChain(vfs, dir, exp); err != nil {
+			return n, fmt.Errorf("archive: materialize %s: %w", id, err)
 		}
 		n++
 	}

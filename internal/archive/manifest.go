@@ -77,17 +77,17 @@ func contentHash(data []byte) string {
 }
 
 // Object-key layout. Everything for a program groups under the same
-// filename-safe key the journal derives from its ID.
-func baseKey(fileKey string, gen uint64, hash string) string {
-	return fmt.Sprintf("seg/%s/g%d-full-%s", fileKey, gen, hash)
-}
+// filename-safe key the journal derives from its ID; a segment's key names
+// its generation, its kind (and, for a journal chunk, its part) and its
+// content.
+var kindNames = map[Kind]string{KindFull: "full", KindDelta: "delta", KindWALChunk: "wal"}
 
-func deltaKey(fileKey string, gen uint64, hash string) string {
-	return fmt.Sprintf("seg/%s/g%d-delta-%s", fileKey, gen, hash)
-}
-
-func walKey(fileKey string, gen, part uint64, hash string) string {
-	return fmt.Sprintf("seg/%s/g%d-wal-p%06d-%s", fileKey, gen, part, hash)
+func segmentKey(fileKey string, kind Kind, gen, part uint64, hash string) string {
+	name := kindNames[kind]
+	if kind == KindWALChunk {
+		name = fmt.Sprintf("%s-p%06d", name, part)
+	}
+	return fmt.Sprintf("seg/%s/g%d-%s-%s", fileKey, gen, name, hash)
 }
 
 func manifestKey(fileKey string, seq uint64, writer string) string {
@@ -237,11 +237,8 @@ func Load(obj ObjectStore, programID string) (*journal.ChainExport, error) {
 	if uint64(len(wal)) != m.WALLen {
 		return nil, fmt.Errorf("%w: manifest for %s covers %d wal bytes, chunks held %d", ErrBadSegment, programID, m.WALLen, len(wal))
 	}
-	// Trim to whole records exactly like journal recovery trims a torn
-	// tail; the manifest only ever references validated bytes, so this is
-	// belt-and-suspenders against a corrupt store.
-	if valid, _ := journal.ScanRecords(wal); valid > 0 {
-		out.WAL = wal[:valid]
+	if len(wal) > 0 {
+		out.WAL = wal
 	}
 	return out, nil
 }

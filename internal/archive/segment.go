@@ -3,8 +3,11 @@
 // journal bytes into self-describing CRC-framed archive segments, tiers
 // them through a pluggable ObjectStore, prunes local generations against a
 // disk budget (a journal tether marker stands in for the pruned files), and
-// rebuilds programs purely from the archive — cold-standby recovery after a
-// member dies with its disk.
+// reads a program back purely from the archive as the journal's own chain
+// (Load returns a journal.ChainExport, which a hive imports as it would one
+// from a peer or a data directory) — cold-standby recovery after a member
+// dies with its disk. No journal file is named here: chain bytes become
+// files only in journal.WriteChain.
 //
 // Segments written concurrently by multiple replicas reconcile by
 // construction: object keys embed a content hash (identical bytes collide

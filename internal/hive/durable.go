@@ -89,15 +89,24 @@ func (h *Hive) Recover(store *journal.Store) error {
 	return nil
 }
 
-// recoverProgram restores one program: its snapshot chain, then the journal
-// suffix after the chain's last checkpoint. It touches that program's shard
-// and, through mergeSessions and applyOp, the session table.
-func (h *Hive) recoverProgram(store *journal.Store, id string) error {
+// chainSource is where recoverProgram reads a program's chain: a data
+// directory (*journal.Store) or a chain in hand (*journal.ChainExport).
+type chainSource interface {
+	LoadChain(programID string) (base *journal.ProgramSnapshot, deltas []*journal.ProgramSnapshot, err error)
+	Replay(programID string, apply func(*journal.Op) error) (int, error)
+}
+
+// recoverProgram is the one function that turns a chain into live state: the
+// snapshot chain, then the journal suffix after the chain's last checkpoint.
+// It touches that program's shard and, through mergeSessions and applyOp,
+// the session table. The replay must run unobserved — its certificates are
+// in the chain already — so callers arm the certificate observer afterwards.
+func (h *Hive) recoverProgram(src chainSource, id string) error {
 	st, err := h.state(id)
 	if err != nil {
 		return err
 	}
-	base, deltas, err := store.LoadChain(id)
+	base, deltas, err := src.LoadChain(id)
 	if err != nil {
 		return err
 	}
@@ -121,7 +130,7 @@ func (h *Hive) recoverProgram(store *journal.Store, id string) error {
 	// OpProof landed — its merges are gone, so the frontier they
 	// discharged does not exist either.
 	var deferred []*journal.Op
-	if _, err := store.Replay(id, func(op *journal.Op) error {
+	if _, err := src.Replay(id, func(op *journal.Op) error {
 		if op.Kind == journal.OpCert && !st.tree.CertifyInfeasible(op.Prefix, op.Missing) {
 			deferred = append(deferred, op)
 			return nil
@@ -345,6 +354,15 @@ func (h *Hive) CheckpointProgram(programID string) error {
 	}
 	st.ckpt.Lock()
 	defer st.ckpt.Unlock()
+	return h.checkpointLocked(st, 0)
+}
+
+// checkpointLocked is the checkpoint itself, under the program's checkpoint
+// gate held exclusively: the periodic one, and the one that makes an import
+// durable — full, the program having no base here, and at a generation past
+// above, the one the imported chain was cut at.
+func (h *Hive) checkpointLocked(st *programState, above uint64) error {
+	programID := st.prog.ID
 
 	// Quiescent program: nothing merged since the last checkpoint and no
 	// journal ops to retire — a checkpoint would write an empty segment
@@ -383,7 +401,7 @@ func (h *Hive) CheckpointProgram(programID string) error {
 		return err
 	}
 	snap.Tree = st.tree.Encode()
-	if err := h.journal.Checkpoint(snap); err != nil {
+	if err := h.journal.Checkpoint(snap, above); err != nil {
 		return err
 	}
 	st.tree.SetDeltaTracking(true) // fresh boundary over the new base

@@ -147,6 +147,16 @@ func (t *failureTable) export() []journal.FailureState {
 	return out
 }
 
+// clear empties the table.
+func (t *failureTable) clear() {
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.Lock()
+		s.recs = nil
+		s.mu.Unlock()
+	}
+}
+
 // restore rebuilds one record from its snapshot state.
 func (t *failureTable) restore(fs journal.FailureState) error {
 	rec := &failureRecord{

@@ -102,6 +102,10 @@ type programState struct {
 	hasBase     bool
 	deltasSince int
 
+	// gone is set, under the ckpt write gate, by DropProgram: a submission
+	// that resolved this shard before the drop must not be acknowledged.
+	gone bool
+
 	// readOnly is the journal breaker: latched after
 	// readOnlyAppendThreshold consecutive batch-append failures (disk
 	// full, dead device), it refuses further ingest with pod.ErrReadOnly
@@ -267,12 +271,8 @@ func (h *Hive) RegisterProgram(p *prog.Program) error {
 	if _, ok := h.programs[p.ID]; ok {
 		return nil
 	}
-	st := &programState{
-		prog:   p,
-		tree:   exectree.New(p.ID),
-		recon:  exectree.NewReconstructor(p),
-		proofs: make(map[proof.Property]*proof.Proof),
-	}
+	st := &programState{prog: p, recon: exectree.NewReconstructor(p)}
+	st.reset()
 	if p.NumThreads() == 1 {
 		sym, err := symbolic.New(p, symbolic.Config{})
 		if err != nil {
@@ -287,6 +287,28 @@ func (h *Hive) RegisterProgram(p *prog.Program) error {
 	st.gen = gen
 	h.programs[p.ID] = st
 	return nil
+}
+
+// reset puts the program's recoverable state where registration leaves it.
+// The caller holds the checkpoint gate exclusively (or the only reference).
+func (st *programState) reset() {
+	st.mu.Lock()
+	st.tree = exectree.New(st.prog.ID)
+	_ = st.fixes.Load(nil) // nothing to validate
+	st.epoch = 0
+	st.proofs = make(map[proof.Property]*proof.Proof)
+	st.mu.Unlock()
+	st.ingested.Store(0)
+	st.reconstructed.Store(0)
+	st.narrowed.Store(0)
+	st.kgMu.Lock()
+	st.knownGood = nil
+	st.kgMu.Unlock()
+	st.coordMu.Lock()
+	st.coordinated = nil
+	st.coordMu.Unlock()
+	st.failures.clear()
+	st.hasBase, st.deltasSince = false, 0
 }
 
 // state resolves a program shard by ID.
@@ -418,6 +440,9 @@ func (h *Hive) SubmitColumnarSession(session string, seq uint64, batch *trace.Ba
 	// table with them.
 	st.ckpt.RLock()
 	defer st.ckpt.RUnlock()
+	if st.gone {
+		return false, fmt.Errorf("%w: %s", ErrUnknownProgram, st.prog.ID)
+	}
 	if h.journal != nil {
 		// The op borrows the frame bytes only for the synchronous Append
 		// below: the committer copies them into its write buffer before
@@ -872,19 +897,6 @@ func compactWindowLocked(e *sessionEntry) {
 		delete(e.ahead, e.base+1)
 		e.base++
 	}
-}
-
-// markSessionBase raises a session's contiguous-applied floor (recovery
-// merge of a checkpointed base).
-func (h *Hive) markSessionBase(session string, base uint64) {
-	e := h.sessionFor(session)
-	h.sessMu.Lock()
-	defer h.sessMu.Unlock()
-	if base <= e.base {
-		return
-	}
-	e.base = base
-	compactWindowLocked(e)
 }
 
 // sessionSnapshot copies the dedup table — both the live cache and the

@@ -324,8 +324,8 @@ func TestRecoverVersion1Chain(t *testing.T) {
 
 	old := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "chain-v1"), old)
-	oldBytes := treeDeltaBytes(t, old, 1)
-	curBytes := treeDeltaBytes(t, cur, 2)
+	oldBytes := treeDeltaBytes(t, old, corpus, 1)
+	curBytes := treeDeltaBytes(t, cur, corpus, 2)
 	if curBytes*2 > oldBytes {
 		t.Errorf("version 2 segments hold %d B of tree, version 1 held %d B; want at most half", curBytes, oldBytes)
 	}
@@ -368,26 +368,25 @@ func countOps(t *testing.T, dir string, corpus []*prog.Program, kind journal.Kin
 
 // treeDeltaBytes sums TreeDelta over the delta segments in dir, each of
 // which must be of the given version.
-func treeDeltaBytes(t *testing.T, dir string, version byte) int {
+func treeDeltaBytes(t *testing.T, dir string, corpus []*prog.Program, version byte) int {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "delta-*.snap"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("%s: delta segments %v, err %v", dir, files, err)
+	store, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer store.Close()
 	total := 0
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range corpus {
+		_, deltas, err := store.LoadChain(p.ID)
+		if err != nil || len(deltas) == 0 {
+			t.Fatalf("%s: program %s: %d delta segments, err %v", dir, p.Name, len(deltas), err)
 		}
-		snap, err := journal.DecodeSnapshot(data)
-		if err != nil {
-			t.Fatal(err)
+		for i, d := range deltas {
+			if !bytes.HasPrefix(d.TreeDelta, []byte{version}) {
+				t.Fatalf("%s: program %s: delta %d is version %d, want %d", dir, p.Name, i, d.TreeDelta[0], version)
+			}
+			total += len(d.TreeDelta)
 		}
-		if !bytes.HasPrefix(snap.TreeDelta, []byte{version}) {
-			t.Fatalf("%s: delta version %d, want %d", f, snap.TreeDelta[0], version)
-		}
-		total += len(snap.TreeDelta)
 	}
 	return total
 }

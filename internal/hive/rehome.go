@@ -2,28 +2,27 @@ package hive
 
 import (
 	"fmt"
-	"sort"
+	"io"
 
 	"repro/internal/archive"
 	"repro/internal/journal"
 	"repro/internal/prog"
 )
 
-// This file is the program re-homing surface for multi-hive sharding: a
-// program's complete per-hive state (execution tree, fixes, proofs,
-// failure aggregation, counters, known-good inputs, coordinated buffer,
-// and the session dedup table) is exported as one journal.ProgramSnapshot,
-// shipped as bytes (journal.EncodeSnapshot / DecodeSnapshot), and imported
-// on another hive through the same DecodeChain restore path crash recovery
-// uses. The snapshot carries the session dedup table, so a sealed frame
-// acknowledged by the old owner is dup-acknowledged by the new one —
-// re-homing preserves exactly-once end to end.
+// This file is the program re-homing surface for multi-hive sharding. A
+// program's state changes hands as a journal.ChainExport — the journal's own
+// chain, with the generations it was cut at — whether it comes from a live
+// hive (ExportProgram), a dead hive's data directory (Store.ExportChain) or
+// the object store (archive.Load). ImportProgram restores any of them through
+// recoverProgram, as a reboot does. The chain carries the session dedup
+// table, so a sealed frame acknowledged by the old owner is dup-acknowledged
+// by the new one — re-homing preserves exactly-once end to end.
 
-// ExportProgram captures one program's full state as a self-contained
-// snapshot, taken under the program's checkpoint gate so no journaled
-// mutation is in flight. The snapshot is the same shape a full durable
-// checkpoint writes; encode it with journal.EncodeSnapshot to ship it.
-func (h *Hive) ExportProgram(programID string) (*journal.ProgramSnapshot, error) {
+// ExportProgram captures one program's full state as a one-segment chain,
+// taken under the program's checkpoint gate so no journaled mutation is in
+// flight: the base a full checkpoint would write now, at the generation of
+// the hive's own store (0 for an in-memory hive).
+func (h *Hive) ExportProgram(programID string) (*journal.ChainExport, error) {
 	st, err := h.state(programID)
 	if err != nil {
 		return nil, err
@@ -35,114 +34,106 @@ func (h *Hive) ExportProgram(programID string) (*journal.ProgramSnapshot, error)
 		return nil, err
 	}
 	snap.Tree = st.tree.Encode()
-	return snap, nil
+	var gen uint64
+	if h.journal != nil {
+		gen = h.journal.Generation(programID)
+	}
+	return journal.CutChain(snap, gen)
 }
 
-// ImportProgram installs an exported snapshot into this hive, re-homing
-// the program here. The program must already be registered (the corpus is
-// fleet-wide) and must not have ingested anything yet: an import replaces
-// state wholesale, and silently merging two divergent histories is exactly
-// the kind of loss the journal exists to prevent. Restoration runs through
-// the same DecodeChain path crash recovery uses; on a durable hive the
-// imported state is immediately checkpointed, so the new owner's next boot
-// recovers it without needing the old owner's data directory.
-func (h *Hive) ImportProgram(snap *journal.ProgramSnapshot) error {
-	if snap == nil || snap.ProgramID == "" {
-		return fmt.Errorf("hive: import: empty snapshot")
+// ImportProgram installs a chain into this hive, re-homing the program
+// here. The program must already be registered (the corpus is fleet-wide)
+// and must not have ingested anything yet: an import replaces state
+// wholesale, and silently merging two divergent histories is exactly the
+// kind of loss the journal exists to prevent. On a durable hive the restored
+// state is checkpointed in full, at a generation above the one the chain was
+// cut at: the new owner's next boot recovers it without the old owner's data
+// directory, and its archived chain outranks the old owner's.
+//
+// The import is all-or-nothing: on a corrupt chain or a failed checkpoint the
+// program is back as registration left it and the import can be retried.
+// Session marks merged by then stay; they name frames the fleet has
+// acknowledged, whoever ends up holding the program.
+func (h *Hive) ImportProgram(chain *journal.ChainExport) error {
+	if chain == nil || chain.ProgramID == "" {
+		return fmt.Errorf("hive: import: empty chain")
 	}
-	st, err := h.state(snap.ProgramID)
+	st, err := h.state(chain.ProgramID)
 	if err != nil {
-		return fmt.Errorf("hive: import %s: program not registered: %w", snap.ProgramID, err)
+		return fmt.Errorf("hive: import %s: program not registered: %w", chain.ProgramID, err)
 	}
 	st.ckpt.Lock()
 	defer st.ckpt.Unlock()
-	if st.ingested.Load() > 0 {
-		return fmt.Errorf("hive: import %s: program already holds %d ingested traces here", snap.ProgramID, st.ingested.Load())
+	if n := st.ingested.Load(); n > 0 {
+		return fmt.Errorf("hive: import %s: program already holds %d ingested traces here", chain.ProgramID, n)
 	}
-	if len(snap.Tree) == 0 {
-		return fmt.Errorf("hive: import %s: snapshot has no tree (delta segments cannot be imported alone)", snap.ProgramID)
+	st.reset() // the replay runs over nothing, on a tree nothing observes
+	err = h.recoverProgram(chain, chain.ProgramID)
+	// The chain restored lies in another directory; this one starts its own.
+	st.hasBase, st.deltasSince = false, 0
+	if err == nil && h.journal != nil {
+		err = h.checkpointLocked(st, chain.WALGen)
 	}
-	if err := h.restoreProgram(st, snap, nil); err != nil {
-		return err
+	if err != nil {
+		st.reset()
+		err = fmt.Errorf("hive: import %s: %w", chain.ProgramID, err)
 	}
-	st.tree.SetDeltaTracking(true)
 	if h.journal != nil {
-		// restoreProgram replaced st.tree; re-arm the certificate observer
-		// on the new tree so post-import certs keep being journaled.
-		h.observeCertificates(st)
-		if err := h.journal.Checkpoint(snap); err != nil {
-			return fmt.Errorf("hive: import %s: persist: %w", snap.ProgramID, err)
-		}
-		st.hasBase = true
-		st.deltasSince = 0
+		h.observeCertificates(st) // armed after the replay, as Recover does
 	}
-	return nil
+	return err
 }
 
-// DropProgram forgets a program this hive no longer owns, freeing its
-// state. Subsequent frames for it fail with ErrUnknownProgram — the
-// routing tier answers them with a redirect before they reach the hive,
-// so the error only surfaces to peers with a placement older than the
-// move. Dropping an unknown program is a no-op.
-func (h *Hive) DropProgram(programID string) {
+// DropProgram forgets a program this hive no longer owns: its state in
+// memory and, on a durable hive, its chain, tether marker and journal on
+// disk, so a reboot does not bring it back and it can be imported here again.
+// Subsequent frames for it fail with ErrUnknownProgram — the routing tier
+// answers them with a redirect before they reach the hive, so the error only
+// surfaces to peers with a placement older than the move. Dropping an
+// unknown program is a no-op.
+func (h *Hive) DropProgram(programID string) error {
+	st, err := h.state(programID)
+	if err != nil {
+		return nil
+	}
+	// The gate waits out whatever is journaling for the program now; gone
+	// turns away what resolved the shard before it left the registry.
+	st.ckpt.Lock()
+	defer st.ckpt.Unlock()
+	st.gone = true
 	h.mu.Lock()
 	delete(h.programs, programID)
 	h.mu.Unlock()
+	if h.journal == nil {
+		return nil
+	}
+	return h.journal.Remove(programID)
 }
 
-// ExportFromStore recovers a dead hive's data directory into a scratch
-// hive and exports every program persisted there — the takeover path when
-// a hive process is gone but its journal survives: survivors split the
-// dead hive's programs per the new placement and ImportProgram each.
-// corpus must cover every program in the store (Recover refuses persisted
-// state for unregistered programs) and salt must match the dead hive's.
-// The returned map is keyed by program ID and sorted iteration is the
-// caller's concern; the store stays attached to the scratch hive, so close
-// it only after the exports are consumed.
-func ExportFromStore(store *journal.Store, corpus []*prog.Program, salt string) (map[string]*journal.ProgramSnapshot, error) {
-	scratch := New(salt)
+// ExportFromArchive is cold-standby recovery (PR 10): the chains of a dead
+// hive's programs from nothing but the archive store — its process gone, its
+// data directory deleted — each the winning manifest's (archive.Load), for
+// ImportProgram on the surviving hives. A program in the store that corpus
+// does not hold is an error, as it is for Recover. The directory, the salt
+// and the Closer are left from the scratch hive this used to recover into;
+// nothing reads them.
+func ExportFromArchive(obj archive.ObjectStore, _ string, corpus []*prog.Program, _ string) (map[string]*journal.ChainExport, io.Closer, error) {
+	ids, err := archive.Programs(obj)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hive: cold standby: %w", err)
+	}
+	registered := make(map[string]bool, len(corpus))
 	for _, p := range corpus {
-		if err := scratch.RegisterProgram(p); err != nil {
-			return nil, err
-		}
+		registered[p.ID] = true
 	}
-	if err := scratch.Recover(store); err != nil {
-		return nil, fmt.Errorf("hive: takeover recovery: %w", err)
-	}
-	ids := store.Programs()
-	sort.Strings(ids)
-	out := make(map[string]*journal.ProgramSnapshot, len(ids))
+	out := make(map[string]*journal.ChainExport, len(ids))
 	for _, id := range ids {
-		snap, err := scratch.ExportProgram(id)
-		if err != nil {
-			return nil, err
+		if !registered[id] {
+			return nil, nil, fmt.Errorf("hive: cold standby: archive holds state for unregistered program %s", id)
 		}
-		out[id] = snap
+		if out[id], err = archive.Load(obj, id); err != nil {
+			return nil, nil, fmt.Errorf("hive: cold standby: %w", err)
+		}
 	}
-	return out, nil
-}
-
-// ExportFromArchive is cold-standby recovery (PR 10): rebuild a dead
-// hive's programs with nothing but the archive store — its process gone,
-// its data directory deleted. The archived chains are materialized into a
-// journal-compatible scratch directory and recovered through the exact
-// same journal.Open + Recover path a reboot from local disk takes, so
-// archive recovery is disk recovery by construction; the exports then feed
-// ImportProgram on the surviving hives. The scratch store stays attached
-// to the scratch hive — close it only after the exports are consumed.
-func ExportFromArchive(obj archive.ObjectStore, scratchDir string, corpus []*prog.Program, salt string) (map[string]*journal.ProgramSnapshot, *journal.Store, error) {
-	if _, err := archive.Materialize(obj, nil, scratchDir); err != nil {
-		return nil, nil, fmt.Errorf("hive: cold-standby materialize: %w", err)
-	}
-	store, err := journal.Open(scratchDir, journal.Options{})
-	if err != nil {
-		return nil, nil, fmt.Errorf("hive: cold-standby open: %w", err)
-	}
-	store.SetChainFetcher(archive.ChainFetcher(obj))
-	out, err := ExportFromStore(store, corpus, salt)
-	if err != nil {
-		_ = store.Close()
-		return nil, nil, err
-	}
-	return out, store, nil
+	return out, io.NopCloser(nil), nil
 }

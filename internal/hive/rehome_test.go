@@ -54,11 +54,13 @@ func TestSessionEvictionCounter(t *testing.T) {
 	}
 }
 
-// TestExportImportRoundTrip re-homes a program between two durable hives:
-// export on A (after real ingest with sequenced sessions), ship as bytes,
-// import on B. B must answer resubmitted (session, seq) frames as
-// duplicates — exactly-once survives the move — and B's own restart must
-// recover the imported state from B's data dir alone.
+// TestExportImportRoundTrip re-homes a program between two durable hives and
+// follows the new owner past the move: fresh frames keep flowing on it, and
+// its own restart recovers the imported state — and the frame that came
+// after — from its data dir alone, the dedup table with it. (That the
+// imported state equals the exported one, and that every frame the old owner
+// acknowledged is a duplicate on the new one, is TestChainRoutesRestoreAlike's
+// "live chain" route.)
 func TestExportImportRoundTrip(t *testing.T) {
 	corpus := durableCorpus(t)
 	p := corpus[0]
@@ -84,49 +86,15 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := ha.ExportProgram(p.ID)
+	chain, err := ha.ExportProgram(p.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ship as bytes: the wire form must round-trip bit-exactly.
-	raw, err := journal.EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipped, err := journal.DecodeSnapshot(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	hb, storeB := newDurableHive(t, dirB, corpus)
-	if err := hb.ImportProgram(shipped); err != nil {
+	if err := hb.ImportProgram(chain); err != nil {
 		t.Fatal(err)
 	}
-	statsB, err := hb.ProgramStats(p.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if statsB.Ingested != statsA.Ingested || statsB.Tree.Paths != statsA.Tree.Paths || statsB.FixCount != statsA.FixCount {
-		t.Fatalf("imported stats diverge: A ingested=%d paths=%d fixes=%d, B ingested=%d paths=%d fixes=%d",
-			statsA.Ingested, statsA.Tree.Paths, statsA.FixCount, statsB.Ingested, statsB.Tree.Paths, statsB.FixCount)
-	}
-
-	// Frames the old owner acknowledged must dup-ack on the new owner: the
-	// session table traveled with the snapshot.
-	for i, batch := range batches {
-		dup, err := submitSession(t, hb, session, uint64(i+1), p.ID, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dup {
-			t.Fatalf("frame %d re-applied after re-homing (exactly-once broken)", i)
-		}
-	}
-	after, _ := hb.ProgramStats(p.ID)
-	if after.Ingested != statsA.Ingested {
-		t.Fatalf("ingested moved on duplicate resubmission: %d -> %d", statsA.Ingested, after.Ingested)
-	}
-	// And new frames keep flowing on the new owner.
+	// New frames keep flowing on the new owner.
 	if dup, err := submitSession(t, hb, session, 100, p.ID, batches[0][:1]); err != nil || dup {
 		t.Fatalf("fresh frame on new owner: dup=%v err=%v", dup, err)
 	}
@@ -151,82 +119,49 @@ func TestExportImportRoundTrip(t *testing.T) {
 }
 
 // TestImportGuards: imports into an unregistered or already-populated
-// program must fail loudly instead of merging histories.
+// program, or of a chain that is not one, must fail loudly instead of merging
+// histories.
 func TestImportGuards(t *testing.T) {
 	corpus := durableCorpus(t)
 	p := corpus[0]
-	ha := New("fleet")
-	for _, pr := range corpus {
-		if err := ha.RegisterProgram(pr); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ha := newMemHive(t, corpus)
 	tr := captureSeqTrace(t, p, "pod-g", 1, []int64{3}, trace.PrivacyHashed)
 	if _, err := submitSession(t, ha, "s", 1, p.ID, []*trace.Trace{tr}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ha.ExportProgram(p.ID)
+	chain, err := ha.ExportProgram(p.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	empty := New("fleet")
-	if err := empty.ImportProgram(snap); err == nil {
+	if err := empty.ImportProgram(chain); err == nil {
 		t.Fatal("import into a hive without the program registered must fail")
 	}
-	if err := ha.ImportProgram(snap); err == nil {
+	if err := ha.ImportProgram(chain); err == nil {
 		t.Fatal("import over a program that already ingested must fail")
 	}
-	if err := ha.ImportProgram(&journal.ProgramSnapshot{ProgramID: p.ID}); err == nil {
-		t.Fatal("import of a tree-less snapshot must fail")
+	hb := newMemHive(t, corpus)
+	if err := hb.ImportProgram(nil); err == nil {
+		t.Fatal("import of no chain must fail")
+	}
+	baseless := *chain
+	baseless.HasBase, baseless.Base = false, nil
+	baseless.Deltas = []journal.ChainDelta{{Gen: chain.BaseGen + 1, Data: chain.Base}}
+	if err := hb.ImportProgram(&baseless); err == nil {
+		t.Fatal("import of delta segments without a base must fail")
+	}
+	pruned := *chain
+	pruned.Tethered = true
+	if err := hb.ImportProgram(&pruned); err == nil {
+		t.Fatal("import of a chain that does not carry its pruned generations must fail")
 	}
 
 	// DropProgram forgets the program; subsequent frames err cleanly.
-	ha.DropProgram(p.ID)
+	if err := ha.DropProgram(p.ID); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := submitSession(t, ha, "s", 2, p.ID, []*trace.Trace{tr}); err == nil {
 		t.Fatal("dropped program still accepts frames")
-	}
-	ha.DropProgram(p.ID) // idempotent
-}
-
-// TestExportFromStore is the takeover path: a dead hive's data dir is
-// recovered by a scratch hive and its programs exported for survivors.
-func TestExportFromStore(t *testing.T) {
-	corpus := durableCorpus(t)
-	p := corpus[0]
-	dir := t.TempDir()
-	ha, storeA := newDurableHive(t, dir, corpus)
-	tr := captureSeqTrace(t, p, "pod-t", 1, []int64{9}, trace.PrivacyHashed)
-	if _, err := submitSession(t, ha, "s-dead", 1, p.ID, []*trace.Trace{tr}); err != nil {
-		t.Fatal(err)
-	}
-	if err := storeA.Close(); err != nil { // the "crash"
-		t.Fatal(err)
-	}
-
-	store2, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	snaps, err := ExportFromStore(store2, corpus, "fleet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, ok := snaps[p.ID]
-	if !ok || len(snap.Tree) == 0 {
-		t.Fatalf("takeover export missing program %s (got %d snapshots)", p.ID, len(snaps))
-	}
-	hb := New("fleet")
-	for _, pr := range corpus {
-		if err := hb.RegisterProgram(pr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := hb.ImportProgram(snap); err != nil {
-		t.Fatal(err)
-	}
-	if dup, err := submitSession(t, hb, "s-dead", 1, p.ID, []*trace.Trace{tr}); err != nil || !dup {
-		t.Fatalf("acked frame from the dead hive re-applied: dup=%v err=%v", dup, err)
 	}
 }

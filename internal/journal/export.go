@@ -1,28 +1,28 @@
 package journal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
-// This file is the journal's archive-tier surface (PR 10): a program's
-// on-disk chain can be exported as raw bytes for bundling into archive
-// segments (ExportChain), its local base/delta files pruned against a disk
-// budget once they are archived (PruneChain — a tether marker stands in for
-// them), and a pruned chain rehydrated on demand through an injected
-// fetcher (SetChainFetcher) so recovery and re-homing read the same bytes
-// whether they live locally or in the archive store.
+// This file is the chain as a value: ChainExport is the one form in which a
+// program's durable state leaves a data directory, a live hive or the object
+// store. A chain in hand reads as a directory does (LoadChain, Replay — the
+// decode and the record loop are Store's) and WriteChain is the one function
+// that turns one back into files. The rest is the archive tier's surface
+// (PR 10): a chain's local base and delta files are pruned against a disk
+// budget once archived (PruneChain — a tether marker stands in for them) and
+// come back through an injected fetcher (SetChainFetcher).
 
-// ChainExport is one program's raw on-disk durable state at a consistent
-// cut: the base snapshot file bytes, each delta segment's file bytes, and
-// the current journal's framed records (header stripped, torn tail
-// trimmed — always record-aligned, so every byte is an acknowledged,
-// CRC-valid record).
+// ChainExport is one program's durable state at a consistent cut: the base
+// snapshot file bytes, each delta segment's file bytes, and the current
+// journal's framed records (header stripped, torn tail trimmed — always
+// record-aligned, so every byte is an acknowledged, CRC-valid record).
 type ChainExport struct {
 	ProgramID string
 	HasBase   bool
@@ -34,10 +34,10 @@ type ChainExport struct {
 	// generation (everything after the header, up to the last CRC-valid
 	// record boundary).
 	WAL []byte
-	// Tethered reports that the chain is pruned to the archive tier: the
-	// base and any delta generations absent from this export exist only in
-	// the archive store, and a consumer rebuilding archive metadata must
-	// carry those generations forward rather than treat them as gone.
+	// Tethered reports that the chain is pruned to the archive tier and this
+	// value (a LocalChain) does not carry the pruned generations: they exist
+	// only in the archive store, and a consumer rebuilding archive metadata
+	// must carry them forward rather than treat them as gone.
 	Tethered bool
 }
 
@@ -47,38 +47,83 @@ type ChainDelta struct {
 	Data []byte
 }
 
-// ExportChain captures a program's chain under its log lock — a consistent
-// cut relative to appends and checkpoints. Chains pruned to the archive
-// tier are exported without rehydration: the caller (the archiver) already
-// holds those generations. Returns nil for a program with no persisted
-// state at all.
+// CutChain wraps a full snapshot of live state as a one-segment chain at
+// generation gen: what a full checkpoint at gen would leave on disk.
+func CutChain(snap *ProgramSnapshot, gen uint64) (*ChainExport, error) {
+	base, err := encodeSnapshot(snap)
+	if err != nil {
+		return nil, err
+	}
+	return &ChainExport{ProgramID: snap.ProgramID, HasBase: true, BaseGen: gen, Base: base, WALGen: gen}, nil
+}
+
+// LoadChain decodes the chain's segments as Store.LoadChain does a
+// directory's.
+func (c *ChainExport) LoadChain(programID string) (*ProgramSnapshot, []*ProgramSnapshot, error) {
+	if c.ProgramID != programID || c.Tethered {
+		return nil, nil, fmt.Errorf("%w: chain of %q (pruned: %v) cannot be loaded as %q", ErrCorrupt, c.ProgramID, c.Tethered, programID)
+	}
+	return decodeChain(programID, c)
+}
+
+// Replay feeds the chain's journaled operations to apply as Store.Replay
+// does a journal file's, except that a torn record fails it: a chain's
+// journal region is record-aligned, so that is corruption, not a crash's tail.
+func (c *ChainExport) Replay(programID string, apply func(*Op) error) (int, error) {
+	n, valid, err := replayRecords(programID, c.WAL, apply)
+	if err == nil && valid != len(c.WAL) {
+		err = fmt.Errorf("%w: chain for %s: journal record %d is torn or undecodable", ErrCorrupt, programID, n)
+	}
+	return n, err
+}
+
+// WriteChain lands a chain in dir as the files Open expects there: the
+// segments it carries, and a journal when it has records or no base.
+func WriteChain(vfs FS, dir string, c *ChainExport) error {
+	if vfs == nil {
+		vfs = OSFS()
+	}
+	key := fileKey(c.ProgramID)
+	if len(c.Base) > 0 {
+		if err := writeFileAtomic(vfs, snapPath(dir, key, c.BaseGen), c.Base); err != nil {
+			return err
+		}
+	}
+	for _, d := range c.Deltas {
+		if err := writeFileAtomic(vfs, deltaPath(dir, key, d.Gen), d.Data); err != nil {
+			return err
+		}
+	}
+	if len(c.WAL) > 0 || !c.HasBase {
+		return writeFileAtomic(vfs, walPath(dir, key, c.WALGen), append(walHeader(c.ProgramID), c.WAL...))
+	}
+	return nil
+}
+
+// ExportChain captures a program's whole chain under its log lock — a
+// consistent cut relative to appends and checkpoints. Generations pruned to
+// the archive tier come through the chain fetcher, in memory: nothing is
+// written back. Returns nil for a program with no persisted state at all.
 func (s *Store) ExportChain(programID string) (*ChainExport, error) {
+	return s.exportChain(programID, true)
+}
+
+// LocalChain is ExportChain without the fetch: what the directory itself
+// holds, marked Tethered when that is not all. The archiver syncs from this —
+// it already holds what was pruned.
+func (s *Store) LocalChain(programID string) (*ChainExport, error) {
+	return s.exportChain(programID, false)
+}
+
+func (s *Store) exportChain(programID string, whole bool) (*ChainExport, error) {
 	pl := s.log(programID)
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	out := &ChainExport{ProgramID: programID, WALGen: pl.gen, Tethered: pl.tethered}
-	if pl.hasBase && !pl.tethered {
-		data, err := s.fs.ReadFile(s.snapPath(pl.key, pl.baseGen))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("journal: export %s base: %w", programID, err)
-		}
-		if err == nil {
-			out.HasBase, out.BaseGen, out.Base = true, pl.baseGen, data
-		}
-	} else if pl.tethered {
-		out.HasBase, out.BaseGen = pl.hasBase, pl.baseGen
+	out, err := s.chainLocked(pl, whole, false)
+	if err != nil {
+		return nil, err
 	}
-	for _, dg := range pl.deltas {
-		data, err := s.fs.ReadFile(s.deltaPath(pl.key, dg))
-		if errors.Is(err, os.ErrNotExist) && pl.tethered {
-			continue // pruned delta: the archive tier already holds it
-		}
-		if err != nil {
-			return nil, fmt.Errorf("journal: export %s delta %d: %w", programID, dg, err)
-		}
-		out.Deltas = append(out.Deltas, ChainDelta{Gen: dg, Data: data})
-	}
-	walData, err := s.fs.ReadFile(s.walPath(pl.key, pl.gen))
+	walData, err := s.fs.ReadFile(walPath(s.dir, pl.key, pl.gen))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("journal: export %s wal: %w", programID, err)
 	}
@@ -91,7 +136,7 @@ func (s *Store) ExportChain(programID string) (*ChainExport, error) {
 		case id != programID:
 			return nil, fmt.Errorf("%w: journal for %q found under key of %q", ErrCorrupt, id, programID)
 		default:
-			valid, _ := ScanRecords(body)
+			_, valid, _ := replayRecords(programID, body, nil)
 			out.WAL = body[:valid]
 		}
 	}
@@ -99,6 +144,55 @@ func (s *Store) ExportChain(programID string) (*ChainExport, error) {
 		return nil, nil
 	}
 	return out, nil
+}
+
+// chainLocked reads the chain's base and delta files (no journal region). On
+// a tethered chain, fetch brings the pruned generations in through the chain
+// fetcher and rehydrate also writes them back, clearing the tether.
+func (s *Store) chainLocked(pl *progLog, fetch, rehydrate bool) (*ChainExport, error) {
+	c := &ChainExport{ProgramID: pl.id, WALGen: pl.gen, Tethered: pl.tethered}
+	if !pl.hasBase {
+		return c, nil
+	}
+	var err error
+	if c.Base, err = s.fs.ReadFile(snapPath(s.dir, pl.key, pl.baseGen)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("journal: read %s base: %w", pl.id, err)
+	}
+	if c.Base == nil && !pl.tethered {
+		return c, nil
+	}
+	c.HasBase, c.BaseGen = true, pl.baseGen
+	for _, dg := range pl.deltas {
+		data, err := s.fs.ReadFile(deltaPath(s.dir, pl.key, dg))
+		if errors.Is(err, os.ErrNotExist) && pl.tethered {
+			continue // pruned: the archive tier holds it
+		}
+		if err != nil {
+			return nil, fmt.Errorf("journal: read %s delta %d: %w", pl.id, dg, err)
+		}
+		c.Deltas = append(c.Deltas, ChainDelta{Gen: dg, Data: data})
+	}
+	if !pl.tethered || !fetch {
+		return c, nil
+	}
+	pruned, err := s.fetchPrunedLocked(pl, c)
+	if err != nil {
+		return nil, err
+	}
+	if rehydrate {
+		if err := WriteChain(s.fs, s.dir, pruned); err != nil {
+			return nil, fmt.Errorf("journal: rehydrate %s: %w", pl.id, err)
+		}
+		_ = s.fs.Remove(s.tetherPath(pl.key))
+		pl.tethered = false
+	}
+	if c.Base == nil {
+		c.Base = pruned.Base
+	}
+	c.Deltas = append(c.Deltas, pruned.Deltas...)
+	sort.Slice(c.Deltas, func(i, j int) bool { return c.Deltas[i].Gen < c.Deltas[j].Gen })
+	c.Tethered = false
+	return c, nil
 }
 
 // PruneChain deletes a program's local base and delta files once the
@@ -139,9 +233,9 @@ func (s *Store) PruneChain(programID string, baseGen uint64, deltaGens []uint64)
 		}
 		_ = s.fs.Remove(path)
 	}
-	remove(s.snapPath(pl.key, pl.baseGen))
+	remove(snapPath(s.dir, pl.key, pl.baseGen))
 	for _, dg := range pl.deltas {
-		remove(s.deltaPath(pl.key, dg))
+		remove(deltaPath(s.dir, pl.key, dg))
 	}
 	pl.tethered = true
 	return freed, nil
@@ -157,67 +251,48 @@ func (s *Store) SetChainFetcher(fn func(programID string) (*ChainExport, error))
 	s.mu.Unlock()
 }
 
-// rehydrateLocked restores a tethered chain's pruned files from the archive
-// tier through the injected fetcher. Only generations missing locally are
-// written; the tether is cleared once the chain is whole again.
-func (s *Store) rehydrateLocked(pl *progLog, programID string) error {
+// fetchPrunedLocked returns, through the chain fetcher, the generations of a
+// tethered chain that local does not hold, validated.
+func (s *Store) fetchPrunedLocked(pl *progLog, local *ChainExport) (*ChainExport, error) {
 	s.mu.Lock()
 	fetch := s.fetcher
 	s.mu.Unlock()
 	if fetch == nil {
-		return fmt.Errorf("journal: chain for %s is pruned to the archive tier and no chain fetcher is installed", programID)
+		return nil, fmt.Errorf("journal: chain for %s is pruned to the archive tier and no chain fetcher is installed", pl.id)
 	}
-	exp, err := fetch(programID)
+	exp, err := fetch(pl.id)
 	if err != nil {
-		return fmt.Errorf("journal: rehydrate %s: %w", programID, err)
+		return nil, fmt.Errorf("journal: rehydrate %s: %w", pl.id, err)
 	}
-	if exp == nil || exp.ProgramID != programID {
-		return fmt.Errorf("%w: archive returned chain for %q, want %q", ErrCorrupt, exportID(exp), programID)
+	if exp == nil {
+		return nil, fmt.Errorf("%w: archive returned no chain for %q", ErrCorrupt, pl.id)
 	}
-	if pl.hasBase {
+	if _, _, err := exp.LoadChain(pl.id); err != nil {
+		return nil, err // nothing unvalidated is written back
+	}
+	pruned := &ChainExport{ProgramID: pl.id, HasBase: true, BaseGen: pl.baseGen, WALGen: pl.gen}
+	if local.Base == nil {
 		if !exp.HasBase || exp.BaseGen != pl.baseGen {
-			return fmt.Errorf("%w: archive chain for %s has base gen %d, local tether expects %d", ErrCorrupt, programID, exp.BaseGen, pl.baseGen)
+			return nil, fmt.Errorf("%w: archive chain for %s has base gen %d, local tether expects %d", ErrCorrupt, pl.id, exp.BaseGen, pl.baseGen)
 		}
-		path := s.snapPath(pl.key, pl.baseGen)
-		if _, err := s.fs.ReadFile(path); errors.Is(err, os.ErrNotExist) {
-			if _, err := decodeSnapshot(exp.Base, "archived base"); err != nil {
-				return err
-			}
-			if err := writeFileAtomic(s.fs, path, exp.Base); err != nil {
-				return fmt.Errorf("journal: rehydrate %s: %w", programID, err)
-			}
-		}
+		pruned.Base = exp.Base
 	}
 	fetched := make(map[uint64][]byte, len(exp.Deltas))
 	for _, d := range exp.Deltas {
 		fetched[d.Gen] = d.Data
 	}
+	for _, d := range local.Deltas {
+		delete(fetched, d.Gen)
+	}
 	for _, dg := range pl.deltas {
-		path := s.deltaPath(pl.key, dg)
-		if _, err := s.fs.ReadFile(path); !errors.Is(err, os.ErrNotExist) {
-			continue
-		}
-		data, ok := fetched[dg]
-		if !ok {
-			return fmt.Errorf("%w: archive chain for %s is missing delta gen %d", ErrCorrupt, programID, dg)
-		}
-		if _, err := decodeSnapshot(data, "archived delta"); err != nil {
-			return err
-		}
-		if err := writeFileAtomic(s.fs, path, data); err != nil {
-			return fmt.Errorf("journal: rehydrate %s: %w", programID, err)
+		if data, ok := fetched[dg]; ok {
+			pruned.Deltas = append(pruned.Deltas, ChainDelta{Gen: dg, Data: data})
 		}
 	}
-	_ = s.fs.Remove(s.tetherPath(pl.key))
-	pl.tethered = false
-	return nil
-}
-
-func exportID(exp *ChainExport) string {
-	if exp == nil {
-		return "<nil>"
+	if len(local.Deltas)+len(pruned.Deltas) != len(pl.deltas) {
+		return nil, fmt.Errorf("%w: archive chain for %s is missing a delta generation of %v", ErrCorrupt, pl.id, pl.deltas)
 	}
-	return exp.ProgramID
+	return pruned, nil
 }
 
 // tetherMarker is the on-disk stand-in for a pruned chain: which
@@ -291,9 +366,9 @@ func (s *Store) ChainSize(programID string) int64 {
 			_ = f.Close()
 		}
 	}
-	add(s.snapPath(pl.key, pl.baseGen))
+	add(snapPath(s.dir, pl.key, pl.baseGen))
 	for _, dg := range pl.deltas {
-		add(s.deltaPath(pl.key, dg))
+		add(deltaPath(s.dir, pl.key, dg))
 	}
 	return total
 }
@@ -302,36 +377,3 @@ func (s *Store) ChainSize(programID string) int64 {
 // archive tier's object keys group by the same identity the journal's
 // files do.
 func FileKey(programID string) string { return fileKey(programID) }
-
-// WALHeader builds the header a journal file for programID starts with —
-// the archive tier prepends it when materializing a journal-compatible
-// data directory from archived WAL chunks.
-func WALHeader(programID string) []byte {
-	hdr := []byte(walMagic)
-	hdr = binary.AppendUvarint(hdr, uint64(len(programID)))
-	return append(hdr, programID...)
-}
-
-// SplitWALHeader validates a journal file's header and returns the program
-// ID it names plus the framed-record region after it.
-func SplitWALHeader(data []byte) (programID string, records []byte, err error) {
-	return splitWALHeader(data)
-}
-
-// ScanRecords walks framed journal records and returns the length of the
-// valid (CRC-checked, whole-record) prefix plus the record count. Archive
-// materialization uses it to trim torn archived chunks exactly the way
-// recovery trims a torn journal tail.
-func ScanRecords(data []byte) (valid int, count int) {
-	rest := data
-	for len(rest) > 0 {
-		_, next, ok := readRecord(rest)
-		if !ok {
-			break
-		}
-		valid += len(rest) - len(next)
-		count++
-		rest = next
-	}
-	return valid, count
-}

@@ -288,16 +288,18 @@ func parseName(name string) (kind, key string, gen uint64, ok bool) {
 	return kind, body[:i], g, true
 }
 
-func (s *Store) walPath(key string, gen uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("wal-%s-%d.log", key, gen))
+// walPath, snapPath and deltaPath spell the chain's file names; parseName
+// reads them back.
+func walPath(dir, key string, gen uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("wal-%s-%d.log", key, gen))
 }
 
-func (s *Store) snapPath(key string, gen uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("snap-%s-%d.snap", key, gen))
+func snapPath(dir, key string, gen uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("snap-%s-%d.snap", key, gen))
 }
 
-func (s *Store) deltaPath(key string, gen uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("delta-%s-%d.snap", key, gen))
+func deltaPath(dir, key string, gen uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("delta-%s-%d.snap", key, gen))
 }
 
 // scan indexes existing files: per program, the newest full snapshot is the
@@ -413,7 +415,7 @@ func (s *Store) scan() error {
 			// Acked state always leaves at least one of those durably intact,
 			// so these remains are a creation that never completed; quarantine
 			// them instead of refusing to open the whole store.
-			s.removeKeyFiles(key)
+			_ = s.removeKeyFiles(key) // what stays is quarantined again next Open
 			continue
 		}
 		pl.id = id
@@ -437,20 +439,20 @@ func (s *Store) programIDFor(pl *progLog, tm *tetherMarker) (string, error) {
 			transient = err
 		}
 	}
-	id, err := readWALHeader(s.fs, s.walPath(pl.key, pl.gen))
+	id, err := readWALHeader(s.fs, walPath(s.dir, pl.key, pl.gen))
 	if err == nil {
 		return id, nil
 	}
 	probeFailed(err)
 	if pl.hasBase {
-		snap, err := readSnapshotFile(s.fs, s.snapPath(pl.key, pl.baseGen))
+		snap, err := readSnapshotFile(s.fs, snapPath(s.dir, pl.key, pl.baseGen))
 		if err == nil {
 			return snap.ProgramID, nil
 		}
 		probeFailed(err)
 	}
 	if n := len(pl.deltas); n > 0 {
-		snap, err := readSnapshotFile(s.fs, s.deltaPath(pl.key, pl.deltas[n-1]))
+		snap, err := readSnapshotFile(s.fs, deltaPath(s.dir, pl.key, pl.deltas[n-1]))
 		if err == nil {
 			return snap.ProgramID, nil
 		}
@@ -465,18 +467,49 @@ func (s *Store) programIDFor(pl *progLog, tm *tetherMarker) (string, error) {
 	return "", fmt.Errorf("%w: no readable header for key %s", ErrCorrupt, pl.key)
 }
 
-// removeKeyFiles deletes every chain file under a key whose identity is
-// unrecoverable (scan quarantine).
-func (s *Store) removeKeyFiles(key string) {
+// removeKeyFiles deletes everything the directory holds under a key: chain
+// files, journals and the tether marker.
+func (s *Store) removeKeyFiles(key string) error {
 	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
 	for _, e := range entries {
-		if _, k, _, ok := parseName(e.Name()); ok && k == key {
-			_ = s.fs.Remove(filepath.Join(s.dir, e.Name()))
+		_, k, _, ok := parseName(e.Name())
+		if !ok {
+			k, ok = parseTetherName(e.Name())
+		}
+		if ok && k == key {
+			if rerr := s.fs.Remove(filepath.Join(s.dir, e.Name())); rerr != nil && err == nil {
+				err = rerr
+			}
 		}
 	}
+	return err
+}
+
+// Remove deletes a program's durable state — snapshot chain, tether marker
+// and journal — and forgets the program. The caller guarantees that no Append
+// or checkpoint for it runs concurrently or later. A crash part-way leaves an
+// older, still loadable chain: the removal is to be repeated.
+func (s *Store) Remove(programID string) error {
+	s.mu.Lock()
+	pl := s.progs[programID]
+	if pl != nil {
+		delete(s.progs, programID)
+		delete(s.byKey, pl.key)
+	}
+	s.mu.Unlock()
+	if pl == nil {
+		return nil
+	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if pl.f != nil {
+		_ = pl.f.Close() // nothing in it is wanted any more
+		pl.f = nil
+	}
+	if err := s.removeKeyFiles(pl.key); err != nil {
+		return fmt.Errorf("journal: remove %s: %w", programID, err)
+	}
+	return nil
 }
 
 // cleanStale removes files superseded by the program's current chain:
@@ -536,63 +569,47 @@ func (s *Store) log(programID string) *progLog {
 	return pl
 }
 
-// LoadSnapshot returns the program's newest *base* snapshot, or nil when
-// none exists, without touching the delta segments. Callers recovering
-// full state should use LoadChain.
-func (s *Store) LoadSnapshot(programID string) (*ProgramSnapshot, error) {
-	pl := s.log(programID)
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return s.loadBaseLocked(pl, programID)
-}
-
-// loadBaseLocked reads a program's base snapshot (nil when none exists),
-// rehydrating a pruned chain from the archive tier first.
-func (s *Store) loadBaseLocked(pl *progLog, programID string) (*ProgramSnapshot, error) {
-	if !pl.hasBase {
-		return nil, nil
-	}
-	if pl.tethered {
-		if err := s.rehydrateLocked(pl, programID); err != nil {
-			return nil, err
-		}
-	}
-	base, err := readSnapshotFile(s.fs, s.snapPath(pl.key, pl.baseGen))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if base.ProgramID != programID {
-		return nil, fmt.Errorf("%w: snapshot for %q found under key of %q", ErrCorrupt, base.ProgramID, programID)
-	}
-	return base, nil
-}
-
 // LoadChain returns the program's snapshot chain: the base full snapshot
 // (nil when the program has never been fully checkpointed) and the delta
-// segments layered over it, in application order.
+// segments layered over it, in application order. A chain pruned to the
+// archive tier is rehydrated through the chain fetcher first.
 func (s *Store) LoadChain(programID string) (*ProgramSnapshot, []*ProgramSnapshot, error) {
 	pl := s.log(programID)
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	base, err := s.loadBaseLocked(pl, programID)
-	if base == nil || err != nil {
+	c, err := s.chainLocked(pl, true, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	deltas := make([]*ProgramSnapshot, 0, len(pl.deltas))
-	for _, dg := range pl.deltas {
-		d, err := readSnapshotFile(s.fs, s.deltaPath(pl.key, dg))
-		if err != nil {
-			return nil, nil, err
+	return c.LoadChain(programID)
+}
+
+// decodeChain is the one segment decode, whichever store the bytes came
+// from: each segment's CRC frame is checked, each must name programID, and
+// the generations must ascend.
+func decodeChain(programID string, c *ChainExport) (*ProgramSnapshot, []*ProgramSnapshot, error) {
+	if !c.HasBase {
+		if len(c.Deltas) > 0 {
+			return nil, nil, fmt.Errorf("%w: chain for %s has delta segments and no base", ErrCorrupt, programID)
 		}
-		if d.ProgramID != programID {
-			return nil, nil, fmt.Errorf("%w: delta for %q found under key of %q", ErrCorrupt, d.ProgramID, programID)
-		}
-		deltas = append(deltas, d)
+		return nil, nil, nil
 	}
-	return base, deltas, nil
+	segs := append([]ChainDelta{{Gen: c.BaseGen, Data: c.Base}}, c.Deltas...)
+	out := make([]*ProgramSnapshot, len(segs))
+	for i, seg := range segs {
+		name := fmt.Sprintf("segment %d of chain %s (generation %d)", i, fileKey(programID), seg.Gen)
+		snap, err := decodeSnapshot(seg.Data, name)
+		switch {
+		case err != nil:
+			return nil, nil, err
+		case snap.ProgramID != programID:
+			return nil, nil, fmt.Errorf("%w: %s belongs to %q, want %q", ErrCorrupt, name, snap.ProgramID, programID)
+		case i > 0 && seg.Gen <= segs[i-1].Gen:
+			return nil, nil, fmt.Errorf("%w: %s does not follow generation %d", ErrCorrupt, name, segs[i-1].Gen)
+		}
+		out[i] = snap
+	}
+	return out[0], out[1:], nil
 }
 
 // Replay feeds every journaled operation after the newest checkpoint to
@@ -604,7 +621,7 @@ func (s *Store) Replay(programID string, apply func(*Op) error) (int, error) {
 	pl := s.log(programID)
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	path := s.walPath(pl.key, pl.gen)
+	path := walPath(s.dir, pl.key, pl.gen)
 	data, err := s.fs.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		pl.replayed = true
@@ -628,32 +645,54 @@ func (s *Store) Replay(programID string, apply func(*Op) error) (int, error) {
 	if id != programID {
 		return 0, fmt.Errorf("%w: journal for %q found under key of %q", ErrCorrupt, id, programID)
 	}
-	n := 0
-	valid := len(data) - len(body)
-	for len(body) > 0 {
-		payload, rest, ok := readRecord(body)
-		if !ok {
-			break // torn tail: never applied, never acked
-		}
-		op, err := decodeOp(payload)
-		if err != nil {
-			break // treat undecodable tail like a torn record
-		}
-		if err := apply(op); err != nil {
-			return n, fmt.Errorf("journal: replay %s op %d: %w", programID, n, err)
-		}
-		n++
-		valid += len(body) - len(rest)
-		body = rest
+	n, valid, err := replayRecords(programID, body, apply)
+	if err != nil {
+		return n, err
 	}
-	if valid < len(data) {
-		if err := s.fs.Truncate(path, int64(valid)); err != nil {
+	if valid < len(body) {
+		// Torn tail: never applied, never acked.
+		if err := s.fs.Truncate(path, int64(len(data)-len(body)+valid)); err != nil {
 			return n, fmt.Errorf("journal: truncate torn tail of %s: %w", programID, err)
 		}
 	}
 	pl.replayed = true
 	pl.appends = uint64(n)
 	return n, nil
+}
+
+// replayRecords is the one record loop, whichever store the bytes came from:
+// it walks CRC-framed records, decoding and applying each when apply is set,
+// and returns how many it passed and the bytes they cover. It stops without
+// error at the first torn (or, decoding, undecodable) record.
+func replayRecords(programID string, body []byte, apply func(*Op) error) (n, valid int, err error) {
+	for rest := body; len(rest) > 0; {
+		payload, next, ok := readRecord(rest)
+		if !ok {
+			break
+		}
+		if apply != nil {
+			op, err := decodeOp(payload)
+			if err != nil {
+				break // an undecodable record is a torn one
+			}
+			if err := apply(op); err != nil {
+				return n, valid, fmt.Errorf("journal: replay %s op %d: %w", programID, n, err)
+			}
+		}
+		n++
+		valid = len(body) - len(next)
+		rest = next
+	}
+	return n, valid, nil
+}
+
+// Generation returns the program's current journal generation: that of its
+// newest checkpoint, 0 before the first.
+func (s *Store) Generation(programID string) uint64 {
+	pl := s.log(programID)
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return pl.gen
 }
 
 // AppendsSinceCheckpoint reports how many records sit in the program's
@@ -839,7 +878,7 @@ func (s *Store) writeFramesLocked(pl *progLog, buf []byte) error {
 		return fmt.Errorf("journal: append to %s before Replay", pl.id)
 	}
 	if pl.f == nil {
-		f, size, err := openWAL(s.fs, s.walPath(pl.key, pl.gen), pl.id)
+		f, size, err := openWAL(s.fs, walPath(s.dir, pl.key, pl.gen), pl.id)
 		if err != nil {
 			return err
 		}
@@ -877,13 +916,18 @@ func (s *Store) rollbackTornLocked(pl *progLog) {
 // superseded file (previous base, delta segments, old journal) deleted. The
 // caller must guarantee no Append for this program runs concurrently (the
 // hive holds its per-program checkpoint gate).
-func (s *Store) Checkpoint(snap *ProgramSnapshot) error {
+//
+// The snapshot lands at the generation after the program's current one, or
+// after above when that is higher: a chain imported from another directory
+// continues past the generation it was cut at, which is the order the
+// archive tier ranks manifests by.
+func (s *Store) Checkpoint(snap *ProgramSnapshot, above uint64) error {
 	pl := s.log(snap.ProgramID)
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 
-	next := pl.gen + 1
-	if err := writeSnapshotFile(s.fs, s.snapPath(pl.key, next), snap); err != nil {
+	next := max(pl.gen, above) + 1
+	if err := writeSnapshotFile(s.fs, snapPath(s.dir, pl.key, next), snap); err != nil {
 		return err
 	}
 	// New base is durable; switch appends over and drop the old chain.
@@ -891,12 +935,12 @@ func (s *Store) Checkpoint(snap *ProgramSnapshot) error {
 		_ = pl.f.Close()
 		pl.f = nil
 	}
-	_ = s.fs.Remove(s.walPath(pl.key, pl.gen))
+	_ = s.fs.Remove(walPath(s.dir, pl.key, pl.gen))
 	if pl.hasBase {
-		_ = s.fs.Remove(s.snapPath(pl.key, pl.baseGen))
+		_ = s.fs.Remove(snapPath(s.dir, pl.key, pl.baseGen))
 	}
 	for _, dg := range pl.deltas {
-		_ = s.fs.Remove(s.deltaPath(pl.key, dg))
+		_ = s.fs.Remove(deltaPath(s.dir, pl.key, dg))
 	}
 	if pl.tethered {
 		// The fresh full base supersedes the whole archived chain: the
@@ -928,14 +972,14 @@ func (s *Store) CheckpointDelta(snap *ProgramSnapshot) error {
 		return fmt.Errorf("journal: delta checkpoint for %s without a base snapshot", snap.ProgramID)
 	}
 	next := pl.gen + 1
-	if err := writeSnapshotFile(s.fs, s.deltaPath(pl.key, next), snap); err != nil {
+	if err := writeSnapshotFile(s.fs, deltaPath(s.dir, pl.key, next), snap); err != nil {
 		return err
 	}
 	if pl.f != nil {
 		_ = pl.f.Close()
 		pl.f = nil
 	}
-	_ = s.fs.Remove(s.walPath(pl.key, pl.gen))
+	_ = s.fs.Remove(walPath(s.dir, pl.key, pl.gen))
 	pl.deltas = append(pl.deltas, next)
 	pl.gen = next
 	pl.replayed = true
@@ -1001,9 +1045,7 @@ func openWAL(vfs FS, path, programID string) (File, int64, error) {
 	}
 	size := st.Size()
 	if size == 0 {
-		hdr := []byte(walMagic)
-		hdr = binary.AppendUvarint(hdr, uint64(len(programID)))
-		hdr = append(hdr, programID...)
+		hdr := walHeader(programID)
 		if _, err := f.Write(hdr); err != nil {
 			_ = f.Close()
 			return nil, 0, fmt.Errorf("journal: write wal header: %w", err)
@@ -1011,6 +1053,13 @@ func openWAL(vfs FS, path, programID string) (File, int64, error) {
 		size = int64(len(hdr))
 	}
 	return f, size, nil
+}
+
+// walHeader builds the header a journal file for programID starts with.
+func walHeader(programID string) []byte {
+	hdr := []byte(walMagic)
+	hdr = binary.AppendUvarint(hdr, uint64(len(programID)))
+	return append(hdr, programID...)
 }
 
 // readWALHeader returns the program ID recorded in a journal header.

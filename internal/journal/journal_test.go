@@ -202,7 +202,7 @@ func TestCheckpointRotatesAndRecovers(t *testing.T) {
 			{Signature: "crash@1#-1", Outcome: 2, Count: 4, Pods: []string{"p1", "p2"}, Fixed: true},
 		},
 	}
-	if err := s.Checkpoint(snap); err != nil {
+	if err := s.Checkpoint(snap, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Ops after the checkpoint land in the new generation.
@@ -216,7 +216,7 @@ func TestCheckpointRotatesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	loaded, err := s2.LoadSnapshot("prog-A")
+	loaded, _, err := s2.LoadChain("prog-A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSnapshotOnlyNoJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(&ProgramSnapshot{ProgramID: "prog-B", Tree: []byte("x")}); err != nil {
+	if err := s.Checkpoint(&ProgramSnapshot{ProgramID: "prog-B", Tree: []byte("x")}, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -251,9 +251,9 @@ func TestSnapshotOnlyNoJournal(t *testing.T) {
 	if got := s2.Programs(); len(got) != 1 || got[0] != "prog-B" {
 		t.Fatalf("Programs() = %v", got)
 	}
-	snap, err := s2.LoadSnapshot("prog-B")
+	snap, _, err := s2.LoadChain("prog-B")
 	if err != nil || snap == nil {
-		t.Fatalf("LoadSnapshot: %v %v", snap, err)
+		t.Fatalf("LoadChain: %v %v", snap, err)
 	}
 	if got := collect(t, s2, "prog-B"); len(got) != 0 {
 		t.Fatalf("expected empty journal, got %d ops", len(got))
@@ -273,7 +273,7 @@ func TestProgramsIsolated(t *testing.T) {
 	if err := s.Append("prog-B", batchOp("s", 2, "b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(&ProgramSnapshot{ProgramID: "prog-A"}); err != nil {
+	if err := s.Checkpoint(&ProgramSnapshot{ProgramID: "prog-A"}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// prog-A's checkpoint must not disturb prog-B's journal.
@@ -288,9 +288,9 @@ func TestFreshProgramHasNoState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	snap, err := s.LoadSnapshot("never-seen")
+	snap, _, err := s.LoadChain("never-seen")
 	if err != nil || snap != nil {
-		t.Fatalf("LoadSnapshot fresh: %v %v", snap, err)
+		t.Fatalf("LoadChain fresh: %v %v", snap, err)
 	}
 	if got := collect(t, s, "never-seen"); len(got) != 0 {
 		t.Fatalf("fresh program replayed %d ops", len(got))
@@ -426,7 +426,7 @@ func TestDeltaCheckpointChain(t *testing.T) {
 	if err := s.Append("prog-A", batchOp("s", 1, "pre-base")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(&ProgramSnapshot{ProgramID: "prog-A", Tree: []byte("base"), Epoch: 1}); err != nil {
+	if err := s.Checkpoint(&ProgramSnapshot{ProgramID: "prog-A", Tree: []byte("base"), Epoch: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append("prog-A", batchOp("s", 2, "in-delta-1")); err != nil {
@@ -470,7 +470,7 @@ func TestDeltaCheckpointChain(t *testing.T) {
 		t.Fatalf("replay after chain: got %d ops", len(got))
 	}
 	// A full checkpoint compacts: chain collapses to one base, deltas gone.
-	if err := s2.Checkpoint(&ProgramSnapshot{ProgramID: "prog-A", Tree: []byte("base2"), Epoch: 4}); err != nil {
+	if err := s2.Checkpoint(&ProgramSnapshot{ProgramID: "prog-A", Tree: []byte("base2"), Epoch: 4}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.ChainLength("prog-A"); got != 0 {

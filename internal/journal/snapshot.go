@@ -86,11 +86,9 @@ type FailureState struct {
 	InRepairLab bool   `json:"inRepairLab,omitempty"`
 }
 
-// EncodeSnapshot serializes a snapshot into the CRC-framed byte form —
-// the same bytes writeSnapshotFile persists. It is the ship-a-program
-// codec for re-homing: an exported program travels between hive processes
-// as exactly these bytes and DecodeSnapshot validates them on arrival.
-func EncodeSnapshot(snap *ProgramSnapshot) ([]byte, error) {
+// encodeSnapshot serializes a snapshot into the CRC-framed byte form of a
+// chain segment: what writeSnapshotFile persists and a ChainExport carries.
+func encodeSnapshot(snap *ProgramSnapshot) ([]byte, error) {
 	body, err := json.Marshal(snap)
 	if err != nil {
 		return nil, fmt.Errorf("journal: encode snapshot: %w", err)
@@ -101,11 +99,6 @@ func EncodeSnapshot(snap *ProgramSnapshot) ([]byte, error) {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
 	return append(buf, crc[:]...), nil
-}
-
-// DecodeSnapshot parses and validates EncodeSnapshot bytes.
-func DecodeSnapshot(data []byte) (*ProgramSnapshot, error) {
-	return decodeSnapshot(data, "snapshot bytes")
 }
 
 // decodeSnapshot validates the CRC frame and parses the body; where names
@@ -134,7 +127,7 @@ func decodeSnapshot(data []byte, where string) (*ProgramSnapshot, error) {
 // writeSnapshotFile persists a snapshot atomically: temp file, fsync,
 // rename.
 func writeSnapshotFile(vfs FS, path string, snap *ProgramSnapshot) error {
-	buf, err := EncodeSnapshot(snap)
+	buf, err := encodeSnapshot(snap)
 	if err != nil {
 		return err
 	}

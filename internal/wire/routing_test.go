@@ -242,14 +242,16 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 		if m.Owner(p.ID) != victim.addr {
 			continue
 		}
-		snap, err := victim.h.ExportProgram(p.ID)
+		chain, err := victim.h.ExportProgram(p.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := nodeByAddr(t, nodes, m2.Owner(p.ID)).h.ImportProgram(snap); err != nil {
+		if err := nodeByAddr(t, nodes, m2.Owner(p.ID)).h.ImportProgram(chain); err != nil {
 			t.Fatal(err)
 		}
-		victim.h.DropProgram(p.ID)
+		if err := victim.h.DropProgram(p.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, nd := range nodes {
 		nd.srv.SetPlacement(m2, nd.addr)
