@@ -86,7 +86,7 @@ func TestE17OverloadGraceful(t *testing.T) {
 	t.Logf("baseline: p50=%v p99=%v heap=%dMB", base.P50, base.P99, base.PeakHeapBytes>>20)
 	t.Logf("overload: p50=%v p99=%v heap=%dMB submitted=%d failed=%d busy=%d",
 		over.P50, over.P99, over.PeakHeapBytes>>20, over.Submitted, over.Failed, over.BusyErrors)
-	t.Logf("overload shed: %+v admission: %+v evictions=%d", over.Shed, over.Admission, over.Evictions)
+	t.Logf("overload shed: %+v admission: %+v", over.Shed, over.Admission)
 
 	// Memory budget: a 3-hive fleet under 10× hostile load must not
 	// balloon — the queues are byte-bounded and the shedder refuses the

@@ -2,9 +2,10 @@ package softborg
 
 // Cluster-level tests and the E16 scaling bench: a fleet of hive
 // processes sharded by the consistent-hash placement ring
-// (internal/ring), with per-program ownership enforced at the wire layer
-// (redirects for ring-aware clients, server-side proxying for older
-// generations) and re-homing via exported program snapshots.
+// (internal/ring), with per-program ownership enforced at the wire layer by
+// one rule (a frame for a program owned elsewhere, submission or read, is
+// answered with a redirect naming the owner) and re-homing via exported
+// chains.
 
 import (
 	"fmt"

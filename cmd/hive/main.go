@@ -8,19 +8,19 @@
 // dedup table) is journaled ahead of being applied and snapshotted every
 // -snapshot-every; on boot the hive recovers snapshot chain + journal
 // suffix, so killing the process loses nothing that was acknowledged.
-// Journal appends group-commit (-group-batch/-group-window: concurrent
-// appends coalesce into one write+fsync) and snapshots are incremental
-// delta segments compacted into a full snapshot every -compact-every
-// checkpoints, so durable ingest and checkpoint pauses both track the
-// change rate, not the accumulated tree size.
+// Journal appends group-commit (concurrent appends coalesce into one
+// write+fsync) and snapshots are incremental delta segments compacted into
+// a full snapshot every -compact-every checkpoints, so durable ingest and
+// checkpoint pauses both track the change rate, not the accumulated tree
+// size.
 //
 // With -peers the hive is one member of a sharded fleet: a consistent-hash
 // ring over the peer addresses (seeded by -ring-seed, which the whole
 // fleet must share) assigns every program an owner. A misdirected
-// submission is answered with a redirect to the owner; a misdirected read
-// is proxied to it. SIGHUP triggers a
-// rebalance: peers are probed, dead ones are dropped from the ring, and
-// the bumped placement map is installed and advertised on the next hello.
+// submission or read is answered with a redirect to the owner. SIGHUP
+// triggers a rebalance: peers are probed, dead ones are dropped from the
+// ring, and the bumped placement map is installed and advertised on the
+// next hello.
 //
 //	hive -addr 127.0.0.1:7070 -programs 4 -seed 1 -data-dir /var/lib/hive -fsync
 //	hive -addr 127.0.0.1:7071 -peers 127.0.0.1:7070,127.0.0.1:7071 -self 127.0.0.1:7071
@@ -85,9 +85,6 @@ func run(args []string) error {
 	dataDir := fs.String("data-dir", "", "journal/snapshot directory; empty runs in-memory only")
 	snapshotEvery := fs.Duration("snapshot-every", 30*time.Second, "background snapshot interval (0 disables; requires -data-dir)")
 	fsync := fs.Bool("fsync", false, "fsync every journal flush (power-failure durability)")
-	groupWindow := fs.Duration("group-window", 0, "group-commit flush window: how long an append waits for concurrent appends to coalesce (0 flushes as soon as the committer is free)")
-	groupBatch := fs.Int("group-batch", 256, "group-commit batch cap: max journal records coalesced into one write+fsync (<=1 disables group commit)")
-	commitWorkers := fs.Int("commit-workers", 0, "committer-pool cap shared across all programs' journals (0 uses the default; the pool bounds goroutines and fsync concurrency for the whole data dir)")
 	compactEvery := fs.Int("compact-every", 8, "snapshots are incremental delta segments, compacted into a full snapshot every N checkpoints (<=0 makes every snapshot full)")
 	archiveDir := fs.String("archive-dir", "", "archive object-store directory: snapshot chains and sealed WAL segments are tiered here in the background (requires -data-dir)")
 	archiveEvery := fs.Duration("archive-every", time.Minute, "background archive sync interval (0 disables; requires -archive-dir)")
@@ -109,8 +106,7 @@ func run(args []string) error {
 	}
 
 	h := hive.New("fleet")
-	// Operational warnings (e.g. the first session-table eviction) go to
-	// stderr so an operator sees dedup degrade before chasing duplicates.
+	// Operational warnings go to stderr.
 	h.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
@@ -133,12 +129,7 @@ func run(args []string) error {
 	)
 	if *dataDir != "" {
 		var err error
-		store, err = journal.Open(*dataDir, journal.Options{
-			Fsync:         *fsync,
-			GroupWindow:   *groupWindow,
-			MaxBatch:      *groupBatch,
-			CommitWorkers: *commitWorkers,
-		})
+		store, err = journal.Open(*dataDir, journal.Options{Fsync: *fsync})
 		if err != nil {
 			return err
 		}
@@ -372,8 +363,8 @@ func run(args []string) error {
 					i, st.Ingested, st.Tree.Paths, st.FixCount, len(st.Failures), st.RepairLab,
 					st.Reconstructed, rs.Hits, rs.Misses, rs.ResidentBytes)
 			}
-			live, frozen := h.SessionCount()
-			fmt.Printf("sessions: live=%d frozen=%d displaced=%d\n", live, frozen, h.SessionEvictions())
+			live, _ := h.SessionCount()
+			fmt.Printf("sessions: live=%d\n", live)
 			if ro := h.ReadOnlyPrograms(); ro > 0 {
 				fmt.Printf("READ-ONLY: %d program(s) refusing ingest after journal write failures\n", ro)
 			}

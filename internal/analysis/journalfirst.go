@@ -46,9 +46,6 @@ var journalGuards = []journalGuard{
 	// path the breaker trusts instead of writing a snapshot of its own.
 	{callee: "closeReadOnly", callers: set("checkpointLocked")},
 	{callee: "checkpointLocked", callers: set("CheckpointProgram", "ImportProgram")},
-	// The frozen session tier is only consulted under sessMu during the
-	// live/frozen merge; direct access would race the displacement path.
-	{callee: "entryLocked", callers: set("mergeSessions")},
 }
 
 func set(names ...string) map[string]bool {
@@ -64,8 +61,8 @@ func set(names ...string) map[string]bool {
 var JournalFirst = &Analyzer{
 	Name: "journalfirst",
 	Doc: "in internal/hive, live-mutation helpers (applyBatchView, " +
-		"synthesizeFix, markSession, journalBatchAppend, closeReadOnly, " +
-		"entryLocked) are reachable only from the one ingest path " +
+		"synthesizeFix, markSession, journalBatchAppend, closeReadOnly) " +
+		"are reachable only from the one ingest path " +
 		"(SubmitColumnarSession), the one restore path (recoverProgram, " +
 		"from Recover and ImportProgram, and its restoreProgram/applyOp/" +
 		"mergeSessions), or the checkpoint path (checkpointLocked, from " +

@@ -19,16 +19,16 @@ import (
 //     mu ≺ input stripes (kgMu/coordMu); the registry lock (Hive.mu) and
 //     the session-table lock (Hive.sessMu) are leaves never held across
 //     another acquisition. The wire layer's routing locks rank BELOW all
-//     of the hive's: router placement (Router.mu) ≺ server placement
-//     (Server.placeMu) ≺ client connection (Client.mu) — a server
-//     dispatching into the hive may hold a wire lock across hive
-//     acquisitions, never the reverse. The admission layer's locks
-//     (admissionState.mu for the token-bucket table, connState.qMu for
-//     queued-byte accounting) are leaves like Hive.mu, and so is the
-//     archiver's sync lock (Archiver.mu) — tiering must never couple
-//     itself to the ingest path's lock graph. Acquiring against
-//     that order within one function is an inversion that can deadlock
-//     the sharded fleet.
+//     of the hive's: router placement (Router.mu) ≺ client connection
+//     (Client.mu) — the wire layer may hold one across hive
+//     acquisitions, never the reverse. The server's placement lock
+//     (Server.placeMu: a server never dials another hive), the admission
+//     layer's locks (admissionState.mu for the token-bucket table,
+//     connState.qMu for queued-byte accounting) are leaves like Hive.mu,
+//     and so is the archiver's sync lock (Archiver.mu) — tiering must
+//     never couple itself to the ingest path's lock graph. Acquiring
+//     against that order within one function is an inversion that can
+//     deadlock the sharded fleet.
 //
 // The analysis is lexical and intraprocedural — a deliberate approximation
 // that catches the bug classes above without whole-program may-hold facts.
@@ -37,9 +37,10 @@ var LockDiscipline = &Analyzer{
 	Doc: "every Lock() must be released (defer or explicit unlock) before a " +
 		"lexically later return, and internal/hive + internal/wire + " +
 		"internal/archive lock classes must be acquired in documented order " +
-		"(Router.mu ≺ Server.placeMu ≺ Client.mu ≺ session ≺ ckpt ≺ mu ≺ " +
-		"stripes; Hive.mu/sessMu, the admission locks admissionState.mu/" +
-		"connState.qMu, and the archiver sync lock Archiver.mu are leaves)",
+		"(Router.mu ≺ Client.mu ≺ session ≺ ckpt ≺ mu ≺ stripes; " +
+		"Hive.mu/sessMu, Server.placeMu, the admission locks " +
+		"admissionState.mu/connState.qMu, and the archiver sync lock " +
+		"Archiver.mu are leaves)",
 	Run: runLockDiscipline,
 }
 
@@ -49,11 +50,10 @@ var LockDiscipline = &Analyzer{
 // below every hive class: server dispatch may hold them while entering
 // the hive, and the hive never calls back out into the wire layer.
 var lockRank = map[string]int{
-	// internal/wire (PR 8 routing tier). Router.mu is released before a
-	// per-owner client is driven; Server.placeMu is released before a
-	// proxy client call; Client.mu guards one connection's stream.
+	// internal/wire (PR 8 routing tier). Router.mu is held while its
+	// clients say hello and released before a per-owner client is driven;
+	// Client.mu guards one connection's stream.
 	"Router.mu":            1,
-	"Server.placeMu":       2,
 	"Client.mu":            5,
 	"sessionEntry.mu":      10,
 	"programState.ckpt":    20,
@@ -63,6 +63,9 @@ var lockRank = map[string]int{
 	// Leaf locks: never legal to hold across another ranked acquisition.
 	"Hive.mu":     50,
 	"Hive.sessMu": 50,
+	// The server's placement snapshot lock: taken to read or swap the map,
+	// never across a call.
+	"Server.placeMu": 50,
 	// PR 9 admission tier: the token-bucket table lock and the
 	// per-connection queued-bytes accounting lock are leaves too — debit
 	// and byte accounting never call back into any other ranked class.
@@ -279,7 +282,7 @@ func checkAcquisitionOrder(p *Pass, events []lockEvent) {
 				hr, hOK := lockRank[h.class]
 				nr, nOK := lockRank[ev.class]
 				if hOK && nOK && nr <= hr && h.class != ev.class {
-					p.Reportf(ev.pos, "lock order inversion: %s (%s) acquired while holding %s (%s); documented order is Router.mu ≺ Server.placeMu ≺ Client.mu ≺ session ≺ ckpt ≺ mu ≺ stripes, with Hive.mu/sessMu as leaf locks", ev.key, ev.class, h.key, h.class)
+					p.Reportf(ev.pos, "lock order inversion: %s (%s) acquired while holding %s (%s); documented order is Router.mu ≺ Client.mu ≺ session ≺ ckpt ≺ mu ≺ stripes, with Hive.mu/sessMu as leaf locks", ev.key, ev.class, h.key, h.class)
 				}
 			}
 			stack = append(stack, held{key: ev.key, class: ev.class, readSide: ev.readSide})

@@ -36,9 +36,8 @@ func (h *Hive) synthesizeFix(st *programState) {}
 
 func (h *Hive) markSession(id string) {}
 
-func (h *Hive) mergeSessions(a, b string) {
+func (h *Hive) mergeSessions(a string) {
 	h.markSession(a)
-	_ = h.entryLocked(b)
 }
 
 // SubmitColumnarSession is the one ingest path; it appends through the
@@ -105,9 +104,6 @@ func (h *Hive) journalBatchAppend(st *programState) error { return nil }
 // call it.
 func (st *programState) closeReadOnly() {}
 
-// entryLocked mirrors the frozen-tier session lookup under sessMu.
-func (h *Hive) entryLocked(id string) *sessionEntry { return nil }
-
 // checkpointLocked is the sanctioned breaker-close path. Clean.
 func (h *Hive) checkpointLocked(st *programState) {
 	st.closeReadOnly()
@@ -126,12 +122,6 @@ func (h *Hive) rawAppend(st *programState) {
 // forceWritable closes the breaker without a checkpoint. Finding expected.
 func (h *Hive) forceWritable(st *programState) {
 	st.closeReadOnly()
-}
-
-// peekFrozen reads the frozen tier outside the merge path. Finding
-// expected.
-func (h *Hive) peekFrozen(id string) *sessionEntry {
-	return h.entryLocked(id)
 }
 
 // takeOver restores a program around the one restore function. Findings

@@ -88,11 +88,9 @@ type Result struct {
 	// Coverage is the fleet-summed EdgesCovered after each tick — the
 	// "degrades gracefully" series, which must stay monotone.
 	Coverage []int
-	// Shed and Admission aggregate every hive's ledgers; Evictions sums
-	// session-table LRU evictions.
+	// Shed and Admission aggregate every hive's ledgers.
 	Shed      hive.ShedStats
 	Admission wire.AdmissionStats
-	Evictions int64
 	// FirstSightLanded counts injected crash signatures that made it into
 	// a failure table (must equal the injected count).
 	FirstSightLanded int
@@ -355,7 +353,6 @@ func Run(sc Scenario) (Result, error) {
 		res.Admission.SlowLorisEvicted += as.SlowLorisEvicted
 		res.Admission.ConnsRejected += as.ConnsRejected
 		res.Admission.QueuedBytes += as.QueuedBytes
-		res.Evictions += nd.h.SessionEvictions()
 	}
 	for i := 0; i < sc.FirstSightFailures; i++ {
 		sig := corpus[i].crash.FailureSignature()

@@ -320,20 +320,6 @@ func (s *Simulation) Hives() []*hive.Hive { return s.hives }
 // hiveOf returns the shard owning program index pi.
 func (s *Simulation) hiveOf(pi int) *hive.Hive { return s.hives[s.progHive[pi]] }
 
-// HiveFor returns the shard owning programID, nil when unknown (or not
-// SoftBorg mode).
-func (s *Simulation) HiveFor(programID string) *hive.Hive {
-	for pi, put := range s.progs {
-		if put.Prog.ID == programID {
-			if len(s.hives) == 0 {
-				return nil
-			}
-			return s.hiveOf(pi)
-		}
-	}
-	return nil
-}
-
 // WER exposes the crash collector (WER mode).
 func (s *Simulation) WER() *wer.Collector { return s.wer }
 

@@ -120,13 +120,6 @@ func NewGate(sigs []Signature) *Gate {
 	return g
 }
 
-// Signatures returns the enforced signatures.
-func (g *Gate) Signatures() []Signature {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]Signature(nil), g.sigs...)
-}
-
 // Allow implements prog.LockGate.
 func (g *Gate) Allow(tid, lockID, pc int, held []int) bool {
 	g.mu.Lock()

@@ -88,7 +88,7 @@ func TestReconstructedPathsMergeIdentically(t *testing.T) {
 	treeExt := New(p.ID)
 	for input := int64(0); input < 40; input++ {
 		full, ext := captureBoth(t, p, input, uint64(input))
-		treeFull.MergeTrace(full)
+		treeFull.Merge(full.Branches, full.Outcome)
 		path, err := Reconstruct(p, ext)
 		if err != nil {
 			t.Fatalf("input %d: %v", input, err)

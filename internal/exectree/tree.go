@@ -149,9 +149,6 @@ func (n *Node) removeOpen(fe *frontierEntry) {
 	}
 }
 
-// TerminalCount returns how many executions ended here with outcome o.
-func (n *Node) TerminalCount(o prog.Outcome) int64 { return n.terminal[o] }
-
 // Terminals returns a copy of the per-outcome terminal counts.
 func (n *Node) Terminals() map[prog.Outcome]int64 {
 	out := make(map[prog.Outcome]int64, len(n.terminal))
@@ -440,11 +437,6 @@ func (t *Tree) Merge(path []trace.BranchEvent, outcome prog.Outcome) MergeResult
 	return res
 }
 
-// MergeTrace merges a full-capture trace directly.
-func (t *Tree) MergeTrace(tr *trace.Trace) MergeResult {
-	return t.Merge(tr.Branches, tr.Outcome)
-}
-
 // Root returns the root node. Callers must not mutate the tree structure;
 // read access is safe only while no Merge is running unless the caller holds
 // a snapshot via Walk.
@@ -482,22 +474,6 @@ func (t *Tree) EdgeCoverage(p *prog.Program) (covered, total int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.covered, 2 * p.NumBranches()
-}
-
-// CoveredEdges returns a copy of the edge coverage multiset.
-func (t *Tree) CoveredEdges() map[Edge]int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[Edge]int64, t.covered)
-	for idx, v := range t.cover {
-		if v != 0 {
-			out[Edge{ID: int32(idx >> 1), Taken: idx&1 == 1}] = v
-		}
-	}
-	for e, v := range t.coverOverflow {
-		out[e] = v
-	}
-	return out
 }
 
 // CertifyInfeasible attaches an infeasibility certificate to the missing

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -139,5 +140,111 @@ func TestJournalSurvivesFaultStorm(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestJournalSurvivesConcurrentFaultStorm is the storm on the append path as
+// the fleet runs it: sixteen appenders share one program's committer, so a
+// torn, short or failed write, or a failed sync, fails a whole group. What
+// replays after a clean re-open must be exactly what was acknowledged: an
+// append missing from it was acked out of a group that failed, an extra one
+// was refused out of a group that landed or was not rolled back. Appends
+// keep landing after every rollback, and more appends failed than faults
+// fired, so groups of several did fail together.
+func TestJournalSurvivesConcurrentFaultStorm(t *testing.T) {
+	const (
+		program   = "prog-storm"
+		appenders = 16
+		perWorker = 40
+	)
+	type key struct {
+		w   int
+		seq uint64
+	}
+	var failedAppends, faults uint64
+	for seed := int64(1); seed <= 4; seed++ {
+		dir := t.TempDir()
+		ffs := Wrap(nil, Plan{
+			Seed:           seed,
+			TornWriteRate:  0.10,
+			ShortWriteRate: 0.05,
+			WriteErrRate:   0.05,
+			SyncErrRate:    0.10,
+		})
+		st, err := journal.Open(dir, journal.Options{Fsync: true, MaxBatch: 8, FS: ffs})
+		if err != nil {
+			t.Fatalf("seed %d: open: %v", seed, err)
+		}
+		var (
+			mu                sync.Mutex
+			acked             = map[key]bool{}
+			failed            = map[key]bool{}
+			ackedAfterFailure int
+			wg                sync.WaitGroup
+		)
+		for w := 0; w < appenders; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				sawFailure := false
+				for seq := uint64(1); seq <= perWorker; seq++ {
+					op := &journal.Op{Kind: journal.OpBatchColumnar, Session: fmt.Sprintf("w%d", w), Seq: seq, Raw: []byte{byte(w), byte(seq)}}
+					err := st.Append(program, op)
+					mu.Lock()
+					switch {
+					case err != nil:
+						failed[key{w, seq}] = true
+						sawFailure = true
+					case sawFailure:
+						ackedAfterFailure++
+						fallthrough
+					default:
+						acked[key{w, seq}] = true
+					}
+					mu.Unlock()
+				}
+			}(w)
+		}
+		wg.Wait()
+		_ = st.Close()
+
+		st2, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: re-open: %v", seed, err)
+		}
+		replayed := map[key]bool{}
+		if _, err := st2.Replay(program, func(op *journal.Op) error {
+			k := key{int(op.Raw[0]), op.Seq}
+			if replayed[k] {
+				t.Errorf("seed %d: %v replayed twice", seed, k)
+			}
+			replayed[k] = true
+			return nil
+		}); err != nil {
+			t.Fatalf("seed %d: replay: %v", seed, err)
+		}
+		_ = st2.Close()
+		for k := range acked {
+			if !replayed[k] {
+				t.Errorf("seed %d: acked %v lost (acked %d, replayed %d)", seed, k, len(acked), len(replayed))
+			}
+		}
+		for k := range failed {
+			if replayed[k] {
+				t.Errorf("seed %d: refused %v replays", seed, k)
+			}
+		}
+		fs := ffs.Stats()
+		if fs.TornWrites == 0 || fs.ShortWrites == 0 || fs.WriteErrs == 0 || fs.SyncErrs == 0 {
+			t.Errorf("seed %d: a fault kind never fired: %+v", seed, fs)
+		}
+		if len(failed) == 0 || ackedAfterFailure == 0 {
+			t.Errorf("seed %d: %d failed appends, %d acked after a failure: nothing landed after a rollback", seed, len(failed), ackedAfterFailure)
+		}
+		failedAppends += uint64(len(failed))
+		faults += fs.TornWrites + fs.ShortWrites + fs.WriteErrs + fs.SyncErrs
+	}
+	if failedAppends <= faults {
+		t.Errorf("%d appends failed on %d injected faults: no group of several failed together", failedAppends, faults)
 	}
 }

@@ -32,8 +32,7 @@ import (
 // Programs are independent shards, so min(GOMAXPROCS, programs) workers
 // restore them side by side, taking program IDs in sorted order. The session
 // table is the one thing they share; applied marks only accumulate, so it
-// answers the same whatever order the programs finish in (which sessions sit
-// in the live cache and which in the frozen tier may differ). Each worker
+// answers the same whatever order the programs finish in. Each worker
 // holds one program's decoded chain and journal at a time, so the memory
 // Recover needs beyond the restored state is bounded by workers × (largest
 // chain + journal). On failure the error is that of the lowest program ID

@@ -151,25 +151,16 @@ type programState struct {
 // maxCoordinatedFamilies bounds the fragment buffer per program.
 const maxCoordinatedFamilies = 4096
 
-// maxSessions bounds the *live cache* of the exactly-once dedup table, not
-// the table itself: past the bound, least-recently-used sessions are frozen
-// into the unbounded overflow tier with their windows intact and thaw back
-// on their next frame. Cache displacement never loses dedup state — the
-// window is exactly-once for arbitrarily many sessions (it is checkpointed
-// and archived with program state), the bound only caps LRU bookkeeping.
-const maxSessions = 4096
-
 // maxSessionAhead bounds one session's out-of-order applied set. If a
 // permanently abandoned gap lets the set grow past the bound, the base
 // slides up to the oldest retained mark — seqs under the slide degrade to
-// at-most-once on resubmission, the same bounded-memory tradeoff as LRU
-// session eviction.
+// at-most-once on resubmission.
 const maxSessionAhead = 4096
 
 // sessionEntry is one client session's dedup state: an exact window of
 // applied frame sequence numbers — every seq at or below base is applied,
-// plus the out-of-order applied marks above it — and a logical-clock touch
-// for LRU eviction. Tracking the exact set (rather than a high-water mark)
+// plus the out-of-order applied marks above it. Tracking the exact set
+// (rather than a high-water mark)
 // makes deduplication independent of arrival order: frames may be
 // delivered, rejected, parked across drains, and resubmitted in any
 // interleaving, and a seq is re-applied iff it was never applied.
@@ -179,14 +170,13 @@ type sessionEntry struct {
 	// connection's worker is still draining its queue could race the
 	// original past the applied check and double-ingest. The serialization
 	// is sound because a session maps to ONE entry object for the hive's
-	// lifetime: freezing moves the object between tiers, never replaces it,
-	// so every submitter for a session contends on the same mutex.
+	// lifetime: the table never drops or replaces an entry, so every
+	// submitter for a session contends on the same mutex.
 	mu sync.Mutex
 
-	// base, ahead, and touched are guarded by the hive's sessMu.
-	base    uint64
-	ahead   map[uint64]struct{}
-	touched uint64
+	// base and ahead are guarded by the hive's sessMu.
+	base  uint64
+	ahead map[uint64]struct{}
 }
 
 // Hive is the aggregation and analysis center. All methods are safe for
@@ -208,22 +198,16 @@ type Hive struct {
 	// never sees inconsistently typed values.
 	durabilityErr atomic.Pointer[error]
 
-	// sessions is the live cache of the exactly-once dedup table for wire
-	// resubmission (session ID -> exact applied-seq window), LRU-bounded to
-	// maxSessions; frozen is the unbounded overflow tier that displaced
-	// entries move to with their windows intact. A session's entry object
-	// migrates between the two maps but is never dropped or replaced, so
-	// dedup stays exactly-once no matter how many sessions the fleet has
-	// seen. Both maps are guarded by sessMu.
-	sessMu    sync.Mutex
-	sessions  map[string]*sessionEntry
-	frozen    map[string]*sessionEntry
-	sessClock uint64
-	// sessEvictions counts live-cache displacements into the frozen tier.
-	// Purely a cache statistic (surfaced via SessionEvictions and the
-	// cmd/hive stats line): a displaced session keeps its full dedup
-	// window and thaws on its next frame — no correctness loss.
-	sessEvictions atomic.Int64
+	// sessions is the exactly-once dedup table for wire resubmission
+	// (session ID -> exact applied-seq window), guarded by sessMu. One map,
+	// and an entry, once created, is never dropped or replaced: dedup stays
+	// exactly-once for every session the fleet has ever sent, across
+	// checkpoints, re-homes and cold standby (the table is checkpointed and
+	// archived with program state), and a lookup is one map access however
+	// many sessions there are. Memory grows with the sessions seen; giving
+	// the table a home of its own and a retirement rule is ROADMAP item 6.
+	sessMu   sync.Mutex
+	sessions map[string]*sessionEntry
 
 	// shedPolicy, pressure, and shed make up the rarity-priced load shedder
 	// (shed.go): when the injected pressure gauge passes the policy's
@@ -234,8 +218,8 @@ type Hive struct {
 	pressure   atomic.Pointer[func() float64]
 	shed       shedCounters
 
-	// Logf receives operational warnings (first session eviction); nil is
-	// silent. Set before serving traffic.
+	// Logf receives operational warnings (the read-only breaker opening
+	// and closing); nil is silent. Set before serving traffic.
 	Logf func(format string, args ...any)
 }
 
@@ -250,7 +234,6 @@ func New(salt string) *Hive {
 		programs:     make(map[string]*programState),
 		salt:         salt,
 		sessions:     make(map[string]*sessionEntry),
-		frozen:       make(map[string]*sessionEntry),
 		compactEvery: defaultCompactEvery,
 	}
 }
@@ -776,61 +759,31 @@ func (h *Hive) DurabilityError() error {
 	return nil
 }
 
-// sessionFor returns a session's dedup entry, touching it for LRU: a hit in
-// the live cache, a thaw from the frozen tier, or a fresh entry for a
-// never-seen session. Past the live-cache bound the least-recently-used
-// entry is frozen — moved, window intact, into the unbounded overflow tier —
-// so displacement is a cache event, not a correctness event.
+// sessionFor returns a session's dedup entry, creating it for a session
+// never seen.
 func (h *Hive) sessionFor(session string) *sessionEntry {
 	h.sessMu.Lock()
-	frozeOne := false
-	h.sessClock++
+	defer h.sessMu.Unlock()
+	return h.sessionLocked(session)
+}
+
+// sessionLocked is sessionFor for callers that hold sessMu.
+func (h *Hive) sessionLocked(session string) *sessionEntry {
 	e, ok := h.sessions[session]
 	if !ok {
-		if e, ok = h.frozen[session]; ok {
-			delete(h.frozen, session) // thaw: same object, window intact
-		} else {
-			e = &sessionEntry{}
-		}
-		if len(h.sessions) >= maxSessions {
-			var victim string
-			oldest := uint64(math.MaxUint64)
-			for id, se := range h.sessions {
-				if se.touched < oldest {
-					oldest, victim = se.touched, id
-				}
-			}
-			h.frozen[victim] = h.sessions[victim]
-			delete(h.sessions, victim)
-			frozeOne = true
-		}
+		e = &sessionEntry{}
 		h.sessions[session] = e
-	}
-	e.touched = h.sessClock
-	h.sessMu.Unlock()
-	if frozeOne {
-		// Count (and note once) outside sessMu: Logf is user code.
-		if h.sessEvictions.Add(1) == 1 && h.Logf != nil {
-			h.Logf("hive: session dedup live cache full (%d sessions): freezing least-recently-used sessions to the overflow tier; dedup windows are preserved and exactly-once is unaffected", maxSessions)
-		}
 	}
 	return e
 }
 
-// SessionEvictions returns how many live-cache displacements the session
-// dedup table has performed: sessions frozen to the overflow tier with
-// their windows intact. High churn is a cache-sizing signal only — frozen
-// sessions thaw on their next frame and exactly-once semantics hold for
-// arbitrarily many sessions.
-func (h *Hive) SessionEvictions() int64 {
-	return h.sessEvictions.Load()
-}
-
-// SessionCount returns the dedup table's live-cache and frozen-tier sizes.
-func (h *Hive) SessionCount() (live, frozen int) {
+// SessionCount returns the dedup table's size. The second value is always
+// zero: the table has one tier, and the signature stays only until the
+// benchmark that compiles against it can change (ROADMAP item 1).
+func (h *Hive) SessionCount() (live, _ int) {
 	h.sessMu.Lock()
 	defer h.sessMu.Unlock()
-	return len(h.sessions), len(h.frozen)
+	return len(h.sessions), 0
 }
 
 // sessionApplied reports whether seq is in the entry's applied window.
@@ -847,10 +800,9 @@ func (h *Hive) sessionApplied(e *sessionEntry, seq uint64) bool {
 // markSession records one applied sequence number, compacting contiguous
 // marks into the base.
 func (h *Hive) markSession(session string, seq uint64) {
-	e := h.sessionFor(session)
 	h.sessMu.Lock()
 	defer h.sessMu.Unlock()
-	markAppliedLocked(e, seq)
+	markAppliedLocked(h.sessionLocked(session), seq)
 }
 
 // markAppliedLocked inserts seq into the entry's applied window. Callers
@@ -899,20 +851,19 @@ func compactWindowLocked(e *sessionEntry) {
 	}
 }
 
-// sessionSnapshot copies the dedup table — both the live cache and the
-// frozen tier — for a checkpoint: the contiguous base per session, plus any
-// out-of-order applied marks above it. Because frozen sessions are included,
-// the persisted window is unbounded: a checkpoint + archive round-trip
-// preserves exactly-once for every session the hive has ever deduped.
+// sessionSnapshot copies the dedup table for a checkpoint: the contiguous
+// base per session, plus any out-of-order applied marks above it. The whole
+// table is persisted: a checkpoint + archive round-trip preserves
+// exactly-once for every session the hive has ever deduped.
 func (h *Hive) sessionSnapshot() (map[string]uint64, map[string][]uint64) {
 	h.sessMu.Lock()
 	defer h.sessMu.Unlock()
-	if len(h.sessions) == 0 && len(h.frozen) == 0 {
+	if len(h.sessions) == 0 {
 		return nil, nil
 	}
-	bases := make(map[string]uint64, len(h.sessions)+len(h.frozen))
+	bases := make(map[string]uint64, len(h.sessions))
 	var ahead map[string][]uint64
-	snap := func(id string, e *sessionEntry) {
+	for id, e := range h.sessions {
 		bases[id] = e.base
 		if len(e.ahead) > 0 {
 			if ahead == nil {
@@ -926,50 +877,28 @@ func (h *Hive) sessionSnapshot() (map[string]uint64, map[string][]uint64) {
 			ahead[id] = marks
 		}
 	}
-	for id, e := range h.sessions {
-		snap(id, e)
-	}
-	for id, e := range h.frozen {
-		snap(id, e)
-	}
 	return bases, ahead
 }
 
 // mergeSessions folds recovered dedup windows into the table (union-merge:
 // applied marks only ever accumulate, so merging snapshot and replayed-op
-// views in any order converges). Recovered sessions land in the frozen
-// tier rather than churning the live cache — a fleet-scale recovery merges
-// far more sessions than the cache holds, and each thaws on first use.
+// views in any order converges).
 func (h *Hive) mergeSessions(bases map[string]uint64, ahead map[string][]uint64) {
 	h.sessMu.Lock()
 	defer h.sessMu.Unlock()
 	for id, base := range bases {
-		e := h.entryLocked(id)
+		e := h.sessionLocked(id)
 		if base > e.base {
 			e.base = base
 			compactWindowLocked(e)
 		}
 	}
 	for id, marks := range ahead {
-		e := h.entryLocked(id)
+		e := h.sessionLocked(id)
 		for _, seq := range marks {
 			markAppliedLocked(e, seq)
 		}
 	}
-}
-
-// entryLocked finds a session's entry in either tier without LRU-touching
-// it, creating it frozen when the session is new. Callers hold sessMu.
-func (h *Hive) entryLocked(id string) *sessionEntry {
-	if e, ok := h.sessions[id]; ok {
-		return e
-	}
-	if e, ok := h.frozen[id]; ok {
-		return e
-	}
-	e := &sessionEntry{}
-	h.frozen[id] = e
-	return e
 }
 
 // synthesizeInputGuard derives a danger-zone guard from the failing trace's

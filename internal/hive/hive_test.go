@@ -454,7 +454,7 @@ func TestCoordinatedSamplingNarrowsInHive(t *testing.T) {
 	}
 	resRef := m.Run()
 	refTrace := colRef.Finish("ref", 0, resRef, []int64{99}, trace.PrivacyHashed, "fleet")
-	ref.MergeTrace(refTrace)
+	ref.Merge(refTrace.Branches, refTrace.Outcome)
 
 	// Three coordinated pods observe the same execution; each ships a
 	// fragment. The hive must end with the same tree as full capture.

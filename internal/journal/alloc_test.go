@@ -6,11 +6,12 @@ import (
 	"repro/internal/race"
 )
 
-// TestAllocsAppend guards the write-ahead append hot path: with the op
-// encoded straight into the program's reused scratch and framed into the
-// reused write buffer, a serial durable append allocates nothing — the
-// budget a fleet-scale ingest path has to hold, since every acknowledged
-// batch pays it.
+// TestAllocsAppend guards the write-ahead append hot path, the one every
+// acknowledged batch pays: the pendingAppend and its channel are pooled, the
+// pending queue is double-buffered, the op is encoded straight into the
+// program's reused scratch and framed into the reused write buffer. What a
+// lone appender still allocates is the closure of the go statement that
+// restarts a committer after the pool drained.
 func TestAllocsAppend(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc counts are skewed under the race detector")
@@ -32,12 +33,12 @@ func TestAllocsAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg > 0.5 {
-		t.Fatalf("serial journal append costs %.1f allocs; want 0", avg)
+	if avg > 1 {
+		t.Fatalf("serial journal append costs %.1f allocs; want at most 1", avg)
 	}
 }
 
-// TestAllocsEncodeOpInto guards the op encoder both append paths share.
+// TestAllocsEncodeOpInto guards the op encoder.
 func TestAllocsEncodeOpInto(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc counts are skewed under the race detector")

@@ -6,22 +6,18 @@ import (
 	"testing"
 )
 
-// BenchmarkJournalAppendParallel is the durable-ingest acceptance yardstick:
-// many goroutines appending to one program's journal with fsync enabled,
-// one-write-per-op (the PR-3 baseline) against the group committer. The
-// group variant coalesces every concurrently blocked append into a single
-// write+fsync, so its per-op cost approaches fsync/batch — the ≥5× parallel
-// throughput target falls out of the fsync cost alone (one fsync is
+// BenchmarkJournalAppendParallel is the durable-ingest yardstick: many
+// goroutines appending to one program's journal, with and without fsync.
+// The committer coalesces every concurrently blocked append into a single
+// write+fsync, so the per-op cost approaches fsync/batch (one fsync is
 // ~100–200µs on ext4 against a sub-µs buffered write).
 func BenchmarkJournalAppendParallel(b *testing.B) {
 	variants := []struct {
 		name string
 		opts Options
 	}{
-		{"baseline-fsync", Options{Fsync: true}},
-		{"group-fsync", Options{Fsync: true, MaxBatch: 256}},
-		{"baseline-nosync", Options{}},
-		{"group-nosync", Options{MaxBatch: 256}},
+		{"group-fsync", Options{Fsync: true}},
+		{"group-nosync", Options{}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -92,7 +88,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 func BenchmarkJournalAppendColdFleet(b *testing.B) {
 	for _, programs := range []int{64, 512} {
 		b.Run(fmt.Sprintf("programs=%d", programs), func(b *testing.B) {
-			s, err := Open(b.TempDir(), Options{Fsync: true, MaxBatch: 256})
+			s, err := Open(b.TempDir(), Options{Fsync: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -39,15 +39,16 @@
 //
 // # Group commit
 //
-// By default every Append is its own write (+fsync) syscall. With group
-// commit enabled (Options.GroupWindow / Options.MaxBatch) a per-program
-// committer goroutine coalesces concurrent appends into one buffered write
-// and one fsync; callers still block until their own record is durable, so
-// the write-ahead contract is unchanged — only the syscall count per record
-// drops. This is the aggregation-node batching move the sensor-network
-// aggregation literature keeps rediscovering: the aggregator is the
-// throughput bottleneck, and amortizing its per-message cost is what
-// restores scale.
+// Append has one path: the record joins its program's pending queue and a
+// committer from the store-wide pool writes every record queued by then (up
+// to Options.MaxBatch) as one buffered write and one fsync. Callers block
+// until their own record's group is durable, so the write-ahead contract
+// holds for each record; concurrent appenders share the syscalls, a lone
+// appender gets a group of one. A failed group is rolled back whole and
+// every appender in it gets the error. This is the aggregation-node
+// batching move the sensor-network aggregation literature keeps
+// rediscovering: the aggregator is the throughput bottleneck, and
+// amortizing its per-message cost is what restores scale.
 //
 // By default writes go straight to the operating system without fsync:
 // state survives process death (kill -9, panics, OOM) but a machine-level
@@ -80,7 +81,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // ErrCorrupt is wrapped by malformed journal or snapshot data.
@@ -88,31 +88,12 @@ var ErrCorrupt = errors.New("journal: corrupt")
 
 // Options configures a Store.
 type Options struct {
-	// Fsync forces an fsync after every journal flush (one per append, or
-	// one per coalesced group with group commit enabled). Off by default:
+	// Fsync forces an fsync after every flushed group. Off by default:
 	// appends then survive process death but not power loss.
 	Fsync bool
 
-	// GroupWindow is the maximum time the group committer waits after a
-	// record arrives for more records to coalesce before flushing. Zero
-	// flushes as soon as the committer is free — concurrent appends still
-	// coalesce naturally while a previous flush (typically its fsync) is in
-	// flight, which is the sweet spot on fast disks.
-	GroupWindow time.Duration
-
-	// MaxBatch caps the records flushed as one group; a full group flushes
-	// immediately, without waiting out GroupWindow. Group commit is enabled
-	// when MaxBatch > 1 or GroupWindow > 0; MaxBatch defaults to 256 when
-	// enabled and left zero.
+	// MaxBatch caps the records flushed as one group (default 256).
 	MaxBatch int
-
-	// CommitWorkers caps the store-wide committer pool (default 32).
-	// Committers are shared across programs: a worker pops the next
-	// program with pending records, flushes one group for it, and moves
-	// on, so a fleet of thousands of mostly-cold programs costs at most
-	// CommitWorkers goroutines — not one per program — while a few hot
-	// programs still get concurrent (overlapping) fsyncs up to the cap.
-	CommitWorkers int
 
 	// FS routes every file operation the store performs (journals,
 	// snapshots, tether markers). Nil uses the os package directly; tests
@@ -121,20 +102,23 @@ type Options struct {
 	FS FS
 }
 
-// grouped reports whether the options enable the group committer.
-func (o Options) grouped() bool { return o.MaxBatch > 1 || o.GroupWindow > 0 }
+// commitWorkers caps the store-wide committer pool. Committers are shared
+// across programs: a worker pops the next program with pending records,
+// flushes one group for it, and moves on, so a fleet of thousands of
+// mostly-cold programs costs at most this many goroutines — not one per
+// program. They are fsync-bound, not CPU-bound: a generous cap keeps
+// distinct programs' fsyncs overlapping (the filesystem coalesces concurrent
+// journal commits).
+const commitWorkers = 32
 
 // Store manages the snapshot and journal files for many programs inside one
 // data directory. All methods are safe for concurrent use; operations on
 // distinct programs never contend.
 type Store struct {
-	dir        string
-	fs         FS
-	fsync      bool
-	window     time.Duration
-	maxBatch   int
-	grouped    bool
-	maxWorkers int
+	dir      string
+	fs       FS
+	fsync    bool
+	maxBatch int
 
 	mu    sync.Mutex
 	progs map[string]*progLog // program ID -> log state
@@ -145,7 +129,7 @@ type Store struct {
 	fetcher func(programID string) (*ChainExport, error)
 
 	// Committer pool state: programs with pending records queue here, and
-	// up to maxWorkers committer goroutines (spawned on demand, exiting
+	// up to commitWorkers committer goroutines (spawned on demand, exiting
 	// when the queue drains) pop them round-robin. Guarded by commitMu,
 	// never held across I/O.
 	commitMu    sync.Mutex
@@ -182,11 +166,13 @@ type progLog struct {
 	// replayed records that Replay ran (or that the program is fresh), so
 	// appends cannot clobber an un-replayed torn tail.
 	replayed bool
-	// scratch is the op-payload encode buffer, owned by whoever holds the
-	// flush (pl.mu for direct appends; the flushing claim for committers).
+	// scratch is the op-payload encode buffer, owned by the committer that
+	// holds the flushing claim.
 	scratch []byte
 
-	// Group-commit queue: pending records awaiting a committer. Guarded by
+	// Group-commit queue: pending records awaiting a committer, and the
+	// emptied slice of the last delivered group, which the next cut swaps
+	// back in so a steady stream of appends allocates no queue. Guarded by
 	// pendMu (never held across I/O). queued and flushing are the store
 	// committer pool's claims on this program, guarded by the store's
 	// commitMu: queued means the program sits in the commit queue, flushing
@@ -194,6 +180,7 @@ type progLog struct {
 	// workers at once, so its records land in arrival order).
 	pendMu  sync.Mutex
 	pending []*pendingAppend
+	spare   []*pendingAppend
 
 	queued   bool
 	flushing bool
@@ -208,8 +195,10 @@ type pendingAppend struct {
 	done chan error
 }
 
-// donePool recycles completion channels (one send, one receive per use).
-var donePool = sync.Pool{New: func() any { return make(chan error, 1) }}
+// pendingPool recycles pendingAppends with their completion channels (one
+// send, one receive per use). The appender returns one after its receive;
+// the committer does not touch it after the send.
+var pendingPool = sync.Pool{New: func() any { return &pendingAppend{done: make(chan error, 1)} }}
 
 const (
 	walMagic  = "SBWAL1\n"
@@ -227,25 +216,15 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("journal: open %s: %w", dir, err)
 	}
 	s := &Store{
-		dir:        dir,
-		fs:         vfs,
-		fsync:      opts.Fsync,
-		window:     opts.GroupWindow,
-		maxBatch:   opts.MaxBatch,
-		grouped:    opts.grouped(),
-		maxWorkers: opts.CommitWorkers,
-		progs:      make(map[string]*progLog),
-		byKey:      make(map[string]string),
+		dir:      dir,
+		fs:       vfs,
+		fsync:    opts.Fsync,
+		maxBatch: opts.MaxBatch,
+		progs:    make(map[string]*progLog),
+		byKey:    make(map[string]string),
 	}
-	if s.grouped && s.maxBatch <= 1 {
+	if s.maxBatch <= 0 {
 		s.maxBatch = 256
-	}
-	if s.maxWorkers <= 0 {
-		// Committers are fsync-bound, not CPU-bound: a generous cap keeps
-		// distinct programs' fsyncs overlapping (the filesystem coalesces
-		// concurrent journal commits) while still bounding a fleet of
-		// thousands of programs to a fixed goroutine budget.
-		s.maxWorkers = 32
 	}
 	if err := s.scan(); err != nil {
 		return nil, err
@@ -708,23 +687,21 @@ func (s *Store) AppendsSinceCheckpoint(programID string) uint64 {
 
 // Append journals one operation for the program. The record is on disk (in
 // the OS, fsynced with Options.Fsync) when Append returns; callers apply
-// the operation only after a successful append. With group commit enabled
-// the record may share its write and fsync with concurrent appends, but the
-// call still blocks until the record's group is durable.
+// the operation only after a successful append. The record may share its
+// write and fsync with concurrent appends; the call blocks until the
+// record's group is durable, and a group that fails fails every append in
+// it.
 func (s *Store) Append(programID string, op *Op) error {
 	pl := s.log(programID)
-	if !s.grouped {
-		pl.mu.Lock()
-		defer pl.mu.Unlock()
-		return s.appendLocked(pl, op)
-	}
-	p := &pendingAppend{op: op, done: donePool.Get().(chan error)}
+	p := pendingPool.Get().(*pendingAppend)
+	p.op = op
 	pl.pendMu.Lock()
 	pl.pending = append(pl.pending, p)
 	pl.pendMu.Unlock()
 	s.enqueueCommit(pl)
 	err := <-p.done
-	donePool.Put(p.done)
+	p.op = nil
+	pendingPool.Put(p)
 	return err
 }
 
@@ -739,7 +716,7 @@ func (s *Store) enqueueCommit(pl *progLog) {
 		pl.queued = true
 		s.commitQueue = append(s.commitQueue, pl)
 	}
-	spawn := s.workers < s.maxWorkers && len(s.commitQueue) > 0
+	spawn := s.workers < commitWorkers && len(s.commitQueue) > 0
 	if spawn {
 		s.workers++
 	}
@@ -765,48 +742,25 @@ func (s *Store) commitWorker() {
 			s.commitMu.Unlock()
 			return
 		}
+		// Popped by shifting down, so the queue keeps its backing array: at
+		// most one entry per program with pending records.
 		pl := s.commitQueue[0]
-		s.commitQueue = s.commitQueue[1:]
+		n := copy(s.commitQueue, s.commitQueue[1:])
+		s.commitQueue[n] = nil
+		s.commitQueue = s.commitQueue[:n]
 		pl.queued = false
 		pl.flushing = true
-		alone := len(s.commitQueue) == 0
 		s.commitMu.Unlock()
 
-		if s.window > 0 {
-			// Flush window: give concurrent appenders a beat to coalesce,
-			// unless a full group is already waiting or other programs are
-			// queued behind this one (their latency would pay for our
-			// coalescing).
-			pl.pendMu.Lock()
-			n := len(pl.pending)
-			pl.pendMu.Unlock()
-			if n < s.maxBatch && alone {
-				// Pure durability pacing: the wait bounds commit latency and
-				// never feeds journaled or simulated state, so determinism
-				// (replay ≡ live) is unaffected by how long it actually takes.
-				//lint:allow wallclock group-commit flush window is pacing only; no journaled or simulated state derives from the clock
-				time.Sleep(s.window)
-			}
-		} else {
-			// No timed window: yield once so appenders already woken by the
-			// previous group's delivery get to enqueue before this group is
-			// cut. A scheduler pass costs nanoseconds and routinely doubles
-			// the records per fsync under contention; a timer would cost
-			// its quantization (~1ms under load) instead.
-			runtime.Gosched()
-		}
+		// Yield once so appenders already woken by the previous group's
+		// delivery get to enqueue before this group is cut. A scheduler pass
+		// costs nanoseconds and routinely doubles the records per fsync under
+		// contention; a timer would cost its quantization (~1ms under load)
+		// instead.
+		runtime.Gosched()
 
 		for {
-			pl.pendMu.Lock()
-			var batch []*pendingAppend
-			if len(pl.pending) > s.maxBatch {
-				batch = pl.pending[:s.maxBatch:s.maxBatch]
-				pl.pending = pl.pending[s.maxBatch:]
-			} else {
-				batch = pl.pending
-				pl.pending = nil
-			}
-			pl.pendMu.Unlock()
+			batch := pl.cutGroup(s.maxBatch)
 			if len(batch) == 0 {
 				// Release the flush claim with a final pending re-check
 				// under commitMu: an append that slipped in after the last
@@ -825,11 +779,33 @@ func (s *Store) commitWorker() {
 				break
 			}
 			err := s.flushGroup(pl, batch)
-			for _, p := range batch {
+			for i, p := range batch {
+				batch[i] = nil
 				p.done <- err
 			}
+			pl.pendMu.Lock()
+			pl.spare = batch[:0]
+			pl.pendMu.Unlock()
 		}
 	}
+}
+
+// cutGroup takes the next group of at most limit pending records, leaving
+// the queue on the spare slice. Only the committer holding the flushing
+// claim calls it, and it hands the group's slice back as the next spare
+// once delivered.
+func (pl *progLog) cutGroup(limit int) []*pendingAppend {
+	pl.pendMu.Lock()
+	defer pl.pendMu.Unlock()
+	batch := pl.pending
+	rest := pl.spare[:0]
+	if len(batch) > limit {
+		rest = append(rest, batch[limit:]...)
+		clear(batch[limit:])
+		batch = batch[:limit]
+	}
+	pl.pending, pl.spare = rest, nil
+	return batch
 }
 
 // flushGroup writes one group of records as a single write (+fsync) under
@@ -848,18 +824,6 @@ func (s *Store) flushGroup(pl *progLog, batch []*pendingAppend) error {
 		return err
 	}
 	pl.appends += uint64(len(batch))
-	return nil
-}
-
-func (s *Store) appendLocked(pl *progLog, op *Op) error {
-	pl.scratch = appendOp(pl.scratch[:0], op)
-	pl.wbuf = appendRecord(pl.wbuf[:0], pl.scratch)
-	if err := s.writeFramesLocked(pl, pl.wbuf); err != nil {
-		pl.wbuf = pl.wbuf[:0]
-		return err
-	}
-	pl.wbuf = pl.wbuf[:0]
-	pl.appends++
 	return nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/exectree"
 )
@@ -299,12 +298,12 @@ func TestFreshProgramHasNoState(t *testing.T) {
 
 func TestGroupCommitAppendReplay(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Fsync: true, GroupWindow: 200 * time.Microsecond, MaxBatch: 8})
+	s, err := Open(dir, Options{Fsync: true, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Concurrent appenders: every acknowledged record must survive, exactly
-	// once, no matter how the committer grouped them.
+	// once, however the committer cut its groups.
 	const workers, perWorker = 8, 25
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

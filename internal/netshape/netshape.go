@@ -99,16 +99,6 @@ func NewAt(target, listen string, cfg Config) (*Proxy, error) {
 // Addr is the shaped endpoint clients dial.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// SetConfig swaps the shaping parameters. Connections proxied after the
-// call use the new config; established pipes keep the one they started
-// with (a real link's in-flight segments don't re-shape either). Chaos
-// scenarios use it to move a fleet between network regimes mid-run.
-func (p *Proxy) SetConfig(cfg Config) {
-	p.mu.Lock()
-	p.cfg = cfg
-	p.mu.Unlock()
-}
-
 // Close stops the listener and tears down every proxied connection.
 func (p *Proxy) Close() error {
 	p.mu.Lock()
@@ -167,11 +157,7 @@ func (p *Proxy) untrack(c net.Conn) {
 func (p *Proxy) pipe(client net.Conn, id uint64) {
 	defer p.wg.Done()
 	defer p.untrack(client)
-	// Snapshot the config once per connection: SetConfig swaps it for
-	// later pipes without tearing this one.
-	p.mu.Lock()
 	cfg := p.cfg
-	p.mu.Unlock()
 	server, err := net.Dial("tcp", p.target)
 	if err != nil {
 		_ = client.Close()

@@ -18,12 +18,13 @@ import (
 // which trace wins fix synthesis for a new failure signature — identical to
 // a sequential fleet, no matter how the pods were scheduled.
 //
-// A buffer bound to a program (NewBufferedFor) picks its drain route from
-// the backend's type: sealed sequenced streaming (SealedStreamer, the wire
-// client — exactly-once across drains), zero-copy columnar submission
-// (ColumnarSubmitter, the in-process hive — the journal gets the batch
-// bytes verbatim, no re-encode), and plain SubmitTraces otherwise (the
-// baselines, and every unbound buffer).
+// There are two drain routes. A buffer bound to a program (NewBufferedFor)
+// over a SealedStreamer (the wire client) streams sealed sequenced frames —
+// exactly-once across drains. Every other buffer calls the backend's
+// SubmitTraces (the in-process hive, which encodes each call into the frame
+// it journals verbatim; the baselines): a bound buffer one streamChunk at a
+// time, so its frames are the ones the wire route would carry, an unbound
+// one in a single call.
 type BufferedClient struct {
 	backend   HiveClient
 	programID string
@@ -53,7 +54,7 @@ func NewBuffered(backend HiveClient) *BufferedClient {
 
 // NewBufferedFor wraps backend for a pod that runs exactly one program:
 // every queued trace is asserted to describe programID, which unlocks the
-// backend's sealed and columnar drain routes.
+// backend's sealed drain route, and frame-sized submissions without one.
 func NewBufferedFor(backend HiveClient, programID string) *BufferedClient {
 	return &BufferedClient{backend: backend, programID: programID}
 }
@@ -109,22 +110,21 @@ func (b *BufferedClient) Drain() error {
 	if ss, ok := b.backend.(SealedStreamer); ok && b.programID != "" {
 		return b.drainSealed(ss, sealed, batch)
 	}
-	if len(batch) == 0 {
-		return nil
+	chunk := len(batch)
+	if b.programID != "" {
+		chunk = streamChunk
 	}
-	requeue := batch
-	var err error
-	if cs, ok := b.backend.(ColumnarSubmitter); ok && b.programID != "" {
-		requeue, err = b.submitColumnar(cs, batch)
-	} else {
-		err = b.backend.SubmitTraces(batch)
+	for len(batch) > 0 {
+		n := min(chunk, len(batch))
+		if err := b.backend.SubmitTraces(batch[:n]); err != nil {
+			b.mu.Lock()
+			b.queued = append(batch, b.queued...)
+			b.mu.Unlock()
+			return err
+		}
+		batch = batch[n:]
 	}
-	if err != nil {
-		b.mu.Lock()
-		b.queued = append(requeue, b.queued...)
-		b.mu.Unlock()
-	}
-	return err
+	return nil
 }
 
 // drainSealed is the exactly-once drain path: leftover sealed frames from
@@ -165,39 +165,4 @@ func (b *BufferedClient) drainSealed(ss SealedStreamer, sealed []SealedBatch, ba
 	b.sealed = append(park, b.sealed...)
 	b.mu.Unlock()
 	return err
-}
-
-// submitColumnar drains straight through an in-process columnar backend:
-// each chunk is encoded once into the columnar batch form and handed over
-// as a zero-copy view, so a durable backend (hive.Hive) journals those
-// bytes verbatim — the in-process fleet path skips the per-trace journal
-// re-encode exactly like the wire path does. The submission is untagged
-// (empty session): in process there is no link to lose, so there is
-// nothing for a dedup window to suppress. On error the unaccepted suffix
-// is returned for re-queueing, starting at the failed chunk — a chunk the
-// codec refuses (a trace about another program) included.
-func (b *BufferedClient) submitColumnar(cs ColumnarSubmitter, batch []*trace.Trace) ([]*trace.Trace, error) {
-	var enc []byte
-	for start := 0; start < len(batch); start += streamChunk {
-		end := start + streamChunk
-		if end > len(batch) {
-			end = len(batch)
-		}
-		chunk := batch[start:end]
-		var err error
-		enc, err = trace.AppendBatch(enc[:0], b.programID, chunk)
-		if err != nil {
-			return batch[start:], err
-		}
-		view, err := trace.DecodeBatch(enc)
-		if err != nil {
-			return batch[start:], err
-		}
-		_, err = cs.SubmitColumnarSession("", 0, view)
-		view.Release()
-		if err != nil {
-			return batch[start:], err
-		}
-	}
-	return nil, nil
 }

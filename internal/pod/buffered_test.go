@@ -172,21 +172,19 @@ func TestBufferedForStreamsChunks(t *testing.T) {
 	}
 }
 
-// flakyColumnar is an in-process columnar backend that takes exactly one
-// chunk and then fails, once.
-type flakyColumnar struct {
+// flakyBackend is an in-process backend that takes exactly one submission
+// and then fails, once.
+type flakyBackend struct {
 	recordingClient
 	calls int
-	got   [][]*trace.Trace
 }
 
-func (f *flakyColumnar) SubmitColumnarSession(session string, seq uint64, batch *trace.BatchView) (bool, error) {
+func (f *flakyBackend) SubmitTraces(traces []*trace.Trace) error {
 	f.calls++
 	if f.calls == 2 {
-		return false, errors.New("backend refused the second chunk")
+		return errors.New("backend refused the second chunk")
 	}
-	f.got = append(f.got, batch.MaterializeAll())
-	return false, nil
+	return f.recordingClient.SubmitTraces(traces)
 }
 
 // TestBufferedForRequeuesOnlyUnackedTail pins the partial-failure contract
@@ -194,7 +192,7 @@ func (f *flakyColumnar) SubmitColumnarSession(session string, seq uint64, batch 
 // only the unaccepted tail is re-queued, so the retry delivers every trace
 // exactly once.
 func TestBufferedForRequeuesOnlyUnackedTail(t *testing.T) {
-	backend := &flakyColumnar{}
+	backend := &flakyBackend{}
 	bc := NewBufferedFor(backend, "prog-a")
 	n := streamChunk + 10
 	queued := make([]*trace.Trace, n)
@@ -215,7 +213,7 @@ func TestBufferedForRequeuesOnlyUnackedTail(t *testing.T) {
 	}
 	seen := make(map[uint64]int)
 	total := 0
-	for _, b := range backend.got {
+	for _, b := range backend.batches {
 		for _, tr := range b {
 			seen[tr.Seq]++
 			total++
@@ -229,8 +227,8 @@ func TestBufferedForRequeuesOnlyUnackedTail(t *testing.T) {
 			t.Fatalf("seq %d delivered %d times", seq, c)
 		}
 	}
-	if len(backend.batches) != 0 {
-		t.Fatalf("bound buffer over a columnar backend made %d plain submissions", len(backend.batches))
+	if len(backend.batches) != 2 || len(backend.batches[0]) != streamChunk {
+		t.Fatalf("bound buffer submitted %d batches (first %d traces), want one frame's worth and then the tail", len(backend.batches), len(backend.batches[0]))
 	}
 }
 

@@ -134,17 +134,6 @@ func (m *BatchMetrics) Speedup() float64 {
 	return float64(m.SingleTicks[m.BestSingle]) / float64(m.PortfolioTime)
 }
 
-// ResourceRatio returns portfolio-resources / best-single-total: the cost
-// multiplier paid for the speedup (the paper's "3× increase in computation
-// resources").
-func (m *BatchMetrics) ResourceRatio() float64 {
-	best := m.SingleTicks[m.BestSingle]
-	if best == 0 {
-		return 0
-	}
-	return float64(m.PortfolioResources) / float64(best)
-}
-
 // EvaluateBatch computes BatchMetrics for instances under solvers using the
 // deterministic accounting mode.
 func EvaluateBatch(instances []sat.Instance, solvers []sat.Solver, maxTicks int64) BatchMetrics {

@@ -1,3 +1,5 @@
+// Package stats holds the deterministic RNG every SoftBorg component draws
+// its reproducible randomness from.
 package stats
 
 // RNG is a small deterministic pseudo-random number generator
@@ -109,10 +111,8 @@ func (z *ZipfTable) Next() int {
 	return lo
 }
 
-// pow is a minimal positive-base power to avoid importing math for one call
-// on a hot path; it falls back to repeated multiplication for small integer
-// exponents and uses exp/log otherwise via math in stats.go's import. Here we
-// keep it simple and correct.
+// pow is a positive-base power: repeated multiplication for small integer
+// exponents, math.Pow (mathpow.go) otherwise.
 func pow(base, exp float64) float64 {
 	// base > 0 always holds for Zipf ranks.
 	result := 1.0

@@ -1,76 +1,9 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(2.5)) > 1e-9 {
-		t.Errorf("stddev = %v", s.StdDev)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Errorf("empty summary = %+v", s)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	sorted := []float64{10, 20, 30, 40}
-	cases := []struct {
-		p    float64
-		want float64
-	}{{0, 10}, {100, 40}, {50, 25}, {25, 17.5}}
-	for _, c := range cases {
-		if got := Percentile(sorted, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{3, 5, 7, 9} // y = 1 + 2x
-	a, b, r2 := LinearFit(x, y)
-	if math.Abs(a-1) > 1e-9 || math.Abs(b-2) > 1e-9 || math.Abs(r2-1) > 1e-9 {
-		t.Fatalf("fit = %v + %v x, r2=%v", a, b, r2)
-	}
-}
-
-func TestLinearFitDegenerate(t *testing.T) {
-	if _, _, r2 := LinearFit([]float64{1}, []float64{2}); r2 != 0 {
-		t.Error("single point should not fit")
-	}
-	if _, b, _ := LinearFit([]float64{2, 2}, []float64{1, 5}); b != 0 {
-		t.Error("zero x-variance should not fit")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 5, 9.99, 10, 100} {
-		h.Observe(v)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket 0 = %d", h.Buckets[0])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if h.String() == "" {
-		t.Error("empty render")
-	}
-}
 
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
@@ -142,20 +75,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 	if hits < 2200 || hits > 2800 {
 		t.Errorf("Bool(0.25) rate = %d/10000", hits)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("b", 2)
-	c.Add("a", 1)
-	c.Add("b", 3)
-	if c.Get("b") != 5 || c.Get("a") != 1 || c.Get("missing") != 0 {
-		t.Errorf("counts wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("names = %v", names)
 	}
 }
 

@@ -663,16 +663,6 @@ func (v *BatchView) Materialize(i int) *Trace {
 	return t
 }
 
-// MaterializeAll builds the whole batch as Trace values — the compatibility
-// bridge for backends without a view-based ingest path.
-func (v *BatchView) MaterializeAll() []*Trace {
-	out := make([]*Trace, v.n)
-	for i := range out {
-		out[i] = v.Materialize(i)
-	}
-	return out
-}
-
 // raw consumes n raw bytes as a zero-copy column sub-slice.
 func (d *decoder) raw(n int) []byte {
 	if d.err != nil {

@@ -102,9 +102,6 @@ func (c *Collector) Schedule(tid int) {
 	}
 }
 
-// ScheduleTrace returns the recorded schedule decisions.
-func (c *Collector) ScheduleTrace() []uint8 { return append([]uint8(nil), c.schedule...) }
-
 // Finish assembles the Trace for a completed execution. The caller supplies
 // identity, the machine result, the input, and the privacy level to apply.
 // The collector can be Reset and reused afterwards.

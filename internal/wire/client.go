@@ -168,16 +168,10 @@ func (c *Client) Close() error {
 	return err
 }
 
-// call performs one request/response exchange. On transport errors it drops
-// the connection and retries once with a fresh one; the final error wraps
-// the last underlying transport/decode failure instead of a generic
+// callLocked performs one request/response exchange. On transport errors it
+// drops the connection and retries once with a fresh one; the final error
+// wraps the last underlying transport/decode failure instead of a generic
 // unreachability string.
-func (c *Client) call(reqType MsgType, payload []byte) (MsgType, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.callLocked(reqType, payload)
-}
-
 func (c *Client) callLocked(reqType MsgType, payload []byte) (MsgType, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -732,22 +726,30 @@ func (c *Client) readGroupAck(counts []int, accepted []bool, start, end int) (er
 	return firstErr, false
 }
 
-// checkAck validates one submission's answer: the ack, or the typed error a
-// redirect or busy reply stands for.
+// checkAck validates one submission's answer: the ack, or what refusal makes
+// of anything else.
 func checkAck(respType MsgType, resp []byte, want int) error {
+	if respType != MsgAckBin {
+		return refusal(respType, resp)
+	}
+	accepted, _, errMsg, err := decodeAckBin(resp)
+	if err != nil {
+		return fmt.Errorf("wire: bad ack: %w", err)
+	}
+	if errMsg != "" {
+		return errors.New("wire: server: " + errMsg)
+	}
+	if accepted != want {
+		return fmt.Errorf("wire: server accepted %d of %d traces", accepted, want)
+	}
+	return nil
+}
+
+// refusal is the error a reply stands for when it is not the answer the
+// request asked for, submission and read alike: the typed error of a redirect
+// (the program lives elsewhere) or a busy reply (not now).
+func refusal(respType MsgType, resp []byte) error {
 	switch respType {
-	case MsgAckBin:
-		accepted, _, errMsg, err := decodeAckBin(resp)
-		if err != nil {
-			return fmt.Errorf("wire: bad ack: %w", err)
-		}
-		if errMsg != "" {
-			return errors.New("wire: server: " + errMsg)
-		}
-		if accepted != want {
-			return fmt.Errorf("wire: server accepted %d of %d traces", accepted, want)
-		}
-		return nil
 	case MsgRedirect:
 		var rp RedirectPayload
 		if err := json.Unmarshal(resp, &rp); err != nil {
@@ -769,18 +771,33 @@ func checkAck(respType MsgType, resp []byte, want int) error {
 	}
 }
 
-// FixesSince implements pod.HiveClient.
+// read performs one read exchange and returns the payload of the answer of
+// type want; a redirect or busy reply comes back as its typed error.
+func (c *Client) read(reqType MsgType, payload []byte, want MsgType) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	respType, resp, err := c.callLocked(reqType, payload)
+	if err != nil {
+		return nil, err
+	}
+	if respType != want {
+		err := refusal(respType, resp)
+		c.noteRedirectLocked(err)
+		return nil, err
+	}
+	return resp, nil
+}
+
+// FixesSince implements pod.HiveClient. On a sharded fleet a hive that does
+// not own programID answers with a *RedirectError naming the owner.
 func (c *Client) FixesSince(programID string, version int) ([]fix.Fix, int, error) {
 	payload, err := json.Marshal(GetFixesPayload{ProgramID: programID, Version: version})
 	if err != nil {
 		return nil, 0, err
 	}
-	respType, resp, err := c.call(MsgGetFixes, payload)
+	resp, err := c.read(MsgGetFixes, payload, MsgFixes)
 	if err != nil {
 		return nil, 0, err
-	}
-	if respType != MsgFixes {
-		return nil, 0, fmt.Errorf("wire: unexpected response type %d", respType)
 	}
 	var out FixesPayload
 	if err := json.Unmarshal(resp, &out); err != nil {
@@ -800,18 +817,15 @@ func (c *Client) FixesSince(programID string, version int) ([]fix.Fix, int, erro
 	return fixes, out.Version, nil
 }
 
-// Guidance implements pod.HiveClient.
+// Guidance implements pod.HiveClient; a non-owner redirects as for FixesSince.
 func (c *Client) Guidance(programID string, max int) ([]guidance.TestCase, error) {
 	payload, err := json.Marshal(GetGuidancePayload{ProgramID: programID, Max: max})
 	if err != nil {
 		return nil, err
 	}
-	respType, resp, err := c.call(MsgGetGuidance, payload)
+	resp, err := c.read(MsgGetGuidance, payload, MsgGuidance)
 	if err != nil {
 		return nil, err
-	}
-	if respType != MsgGuidance {
-		return nil, fmt.Errorf("wire: unexpected response type %d", respType)
 	}
 	var out GuidancePayload
 	if err := json.Unmarshal(resp, &out); err != nil {

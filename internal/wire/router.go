@@ -17,13 +17,15 @@ import (
 
 // Router is a pod.HiveClient over a sharded hive fleet: it learns the
 // placement ring from any member's hello ack, routes every per-program
-// frame to that program's owner, and keeps itself current from the two
-// signals the protocol emits — MsgRedirect (the owner moved: adopt the
-// newer map the redirect carries and resubmit) and transport failure
-// (the owner may be down: re-poll the seeds for a newer map). Sealed
-// frames are resubmitted verbatim, so a frame that chases a program
-// across a re-homing presents the same (session, seq) tag to every hive
-// that sees it and is ingested exactly once.
+// frame — submission or read — to that program's owner, and keeps itself
+// current from the two signals the protocol emits — MsgRedirect (the owner
+// moved: adopt the newer map the redirect carries and ask again) and
+// transport failure (the owner may be down: re-poll the seeds for a newer
+// map). Every attempt count is bounded, so members that disagree on
+// placement cost an error, never a wait. Sealed frames are resubmitted
+// verbatim, so a frame that chases a program across a re-homing presents
+// the same (session, seq) tag to every hive that sees it and is ingested
+// exactly once.
 //
 // A Router against a single unsharded hive degenerates to that hive's
 // Client: no placement is advertised, every program maps to the first
@@ -344,10 +346,11 @@ func (r *Router) SubmitTraces(traces []*trace.Trace) error {
 	return submitGrouped(r, traces)
 }
 
-// FixesSince implements pod.HiveClient, asking the program's owner (a
-// misrouted ask is proxied server-side, never redirected). A transport
-// failure refreshes placement and retries once: after a re-homing the
-// new owner answers from the migrated fix history.
+// FixesSince implements pod.HiveClient, asking the program's owner. A
+// redirect teaches the newer map, a transport failure refreshes placement,
+// and either way the ask is retried once: after a re-homing the new owner
+// answers from the migrated fix history. If the second hive redirects too
+// (the members disagree on placement) that redirect is the error.
 func (r *Router) FixesSince(programID string, version int) ([]fix.Fix, int, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -364,8 +367,8 @@ func (r *Router) FixesSince(programID string, version int) ([]fix.Fix, int, erro
 	return nil, version, lastErr
 }
 
-// Guidance implements pod.HiveClient with the same owner-first,
-// refresh-once policy as FixesSince.
+// Guidance implements pod.HiveClient with the same owner-first, retry-once
+// policy as FixesSince.
 func (r *Router) Guidance(programID string, max int) ([]guidance.TestCase, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {

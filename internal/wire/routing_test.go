@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/hive"
 	"repro/internal/leaktest"
@@ -300,13 +301,13 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 	}
 }
 
-// TestWrongNodeWritesRedirectedReadsProxied points clients at the WRONG
-// member of a sharded fleet. A write is never applied there and never
-// forwarded: a bare client is told where the program lives, and a router
-// seeded with only the wrong node chases that answer — for sealed frames and
-// for a loose batch spanning both owners alike. Reads (fixes, guidance) are
-// proxied to the owner and come back through the node that was asked.
-func TestWrongNodeWritesRedirectedReadsProxied(t *testing.T) {
+// TestWrongNodeWritesRedirectedReadsRedirected points clients at the WRONG
+// member of a sharded fleet. Nothing is applied, looked up or forwarded
+// there: a bare client is told where the program lives, for a write and for
+// a read alike, and a router seeded with only the wrong node chases that
+// answer — for sealed frames, for a loose batch spanning both owners, and
+// for fixes and guidance.
+func TestWrongNodeWritesRedirectedReadsRedirected(t *testing.T) {
 	corpus := buildRoutedCorpus(t, 4)
 	nodes, m := startFleet(t, 2, corpus)
 	wrong := nodes[0]
@@ -341,9 +342,9 @@ func TestWrongNodeWritesRedirectedReadsProxied(t *testing.T) {
 		t.Fatalf("wrong node ingested %d traces of a program it does not own", st.Ingested)
 	}
 
-	// A pod writes through the router and reads through the bare client at
-	// the wrong node: its crash mints a fix on the owner, and the fix and
-	// guidance come back proxied.
+	// A pod's crash mints a fix on the owner. Asked at the wrong node, the
+	// bare client gets the same redirect a write gets; the router asks the
+	// owner.
 	pd, err := pod.New(pod.Config{
 		Program: p, ID: "wrong-node-pod", Hive: r,
 		Privacy: trace.PrivacyHashed, Salt: "fleet", BatchSize: 1,
@@ -354,13 +355,128 @@ func TestWrongNodeWritesRedirectedReadsProxied(t *testing.T) {
 	if _, err := pd.RunOnce([]int64{105}); err != nil {
 		t.Fatal(err)
 	}
-	fixes, _, err := bare.FixesSince(p.ID, 0)
-	if err != nil || len(fixes) == 0 {
-		t.Fatalf("fixes via the wrong node: %d fixes, err %v; want the owner's fix proxied back", len(fixes), err)
+	re = nil
+	if _, _, err := bare.FixesSince(p.ID, 0); !errors.As(err, &re) || re.Owner != owner.addr || re.Version != m.Version() {
+		t.Fatalf("fixes at the wrong node: err = %v, want a redirect to %s at v%d", err, owner.addr, m.Version())
 	}
-	if _, err := bare.Guidance(p.ID, 4); err != nil {
-		t.Fatalf("guidance via wrong node: %v", err)
+	re = nil
+	if _, err := bare.Guidance(p.ID, 4); !errors.As(err, &re) || re.Owner != owner.addr {
+		t.Fatalf("guidance at the wrong node: err = %v, want a redirect to %s", err, owner.addr)
 	}
+	if fixes, _, err := r.FixesSince(p.ID, 0); err != nil || len(fixes) == 0 {
+		t.Fatalf("fixes through the router: %d fixes, err %v; want the owner's fix", len(fixes), err)
+	}
+	// The router's map goes stale: the fleet moves on to a placement that
+	// assigns everything to the wrong node. The old owner redirects the
+	// router's next reads there, and the router follows.
+	v2 := ring.NewVersion(m.Version()+1, []string{wrong.addr}, ring.DefaultVNodes, 42)
+	for _, nd := range nodes {
+		nd.srv.SetPlacement(v2, nd.addr)
+	}
+	if _, _, err := r.FixesSince(p.ID, 0); err != nil {
+		t.Fatalf("fixes through a router whose map went stale: %v", err)
+	}
+	if got := r.Owner(p.ID); got != wrong.addr || r.PlacementVersion() != v2.Version() {
+		t.Fatalf("router routes %s to %s at v%d after the redirect, want %s at v%d", p.ID, got, r.PlacementVersion(), wrong.addr, v2.Version())
+	}
+	if _, err := r.Guidance(p.ID, 4); err != nil {
+		t.Fatalf("guidance through the router after the redirect: %v", err)
+	}
+}
+
+// within fails the test if f has not returned after d.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v", what, d)
+	}
+}
+
+// TestPlacementDisagreementReadRedirects: two members on different placement
+// versions — A on v1 over {A, B} with p owned by B, B on v2 over {A} alone —
+// each believe the other owns p. Reads were once relayed server-side, and
+// here the relays chased each other: the read never returned and neither did
+// Server.Close. Now A answers the read with the redirect its map implies, a
+// router that knows both members comes back within its two attempts with
+// that redirect as the error, and succeeds as soon as A is handed v2.
+func TestPlacementDisagreementReadRedirects(t *testing.T) {
+	const deadline = 5 * time.Second
+	type member struct {
+		h    *hive.Hive
+		srv  *Server
+		addr string
+	}
+	var a, b member
+	for _, nd := range []*member{&a, &b} {
+		nd.h = hive.New("fleet")
+		nd.srv = NewServer(nd.h)
+		nd.srv.Logf = t.Logf
+		addr, err := nd.srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.addr = addr
+		srv := nd.srv
+		defer within(t, deadline, "Server.Close", func() { _ = srv.Close() })
+	}
+	v1 := ring.New([]string{a.addr, b.addr}, ring.DefaultVNodes, 42)
+	v2 := ring.NewVersion(2, []string{a.addr}, ring.DefaultVNodes, 42)
+	var p *prog.Program
+	for i := 0; p == nil; i++ {
+		if c := buildNamedCrashy(t, fmt.Sprintf("disputed-%d", i)); v1.Owner(c.ID) == b.addr {
+			p = c
+		}
+	}
+	for _, nd := range []*member{&a, &b} {
+		if err := nd.h.RegisterProgram(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.srv.SetPlacement(v1, a.addr)
+	b.srv.SetPlacement(v2, b.addr)
+
+	bare := Dial(a.addr)
+	defer bare.Close()
+	within(t, deadline, "a read at a member that disagrees with the owner it names", func() {
+		var re *RedirectError
+		if _, _, err := bare.FixesSince(p.ID, 0); !errors.As(err, &re) || re.Owner != b.addr || re.Version != 1 {
+			t.Errorf("fixes at A: err = %v, want a redirect to %s at v1", err, b.addr)
+		}
+		re = nil
+		if _, err := bare.Guidance(p.ID, 4); !errors.As(err, &re) || re.Owner != b.addr {
+			t.Errorf("guidance at A: err = %v, want a redirect to %s", err, b.addr)
+		}
+	})
+
+	r := NewRouter(a.addr, b.addr)
+	defer r.Close()
+	within(t, deadline, "a routed read across the disagreement", func() {
+		var re *RedirectError
+		if _, _, err := r.FixesSince(p.ID, 0); !errors.As(err, &re) {
+			t.Errorf("routed fixes across the disagreement: err = %v, want one wrapping a redirect", err)
+		}
+		re = nil
+		if _, err := r.Guidance(p.ID, 4); !errors.As(err, &re) {
+			t.Errorf("routed guidance across the disagreement: err = %v, want one wrapping a redirect", err)
+		}
+	})
+
+	a.srv.SetPlacement(v2, a.addr)
+	within(t, deadline, "a routed read once the members agree", func() {
+		if _, _, err := r.FixesSince(p.ID, 0); err != nil {
+			t.Errorf("routed fixes once A holds v2: %v", err)
+		}
+		if _, err := r.Guidance(p.ID, 4); err != nil {
+			t.Errorf("routed guidance once A holds v2: %v", err)
+		}
+	})
 }
 
 // TestRetryErrorNamesRedirect pins the diagnostic surface: a

@@ -47,13 +47,11 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	// placeMu guards the sharding state: the placement map this hive is a
-	// member of, its own node name within it, and the lazily dialed peer
-	// clients used to proxy reads for programs owned elsewhere. All
-	// nil/empty on an unsharded server.
+	// member of and its own node name within it. Both empty on an unsharded
+	// server.
 	placeMu   sync.RWMutex
 	placement *ring.Map
 	selfNode  string
-	proxies   map[string]*Client
 
 	// Logf receives connection-level errors; defaults to log.Printf. Set it
 	// before Serve.
@@ -251,10 +249,10 @@ func (s *Server) acceptLoop() {
 
 // SetPlacement installs (or replaces) the placement map this server is a
 // member of; self is this hive's node name within it (the address peers
-// and clients dial). From the next frame on, submissions for programs the
-// map assigns elsewhere are redirected, reads for them are proxied to the
-// owner, and hello acks advertise the map. Passing nil reverts to unsharded
-// behavior. Safe to call while serving — a rebalance is exactly that.
+// and clients dial). From the next frame on, submissions and reads for
+// programs the map assigns elsewhere are redirected, and hello acks advertise
+// the map. Passing nil reverts to unsharded behavior. Safe to call while
+// serving — a rebalance is exactly that.
 func (s *Server) SetPlacement(m *ring.Map, self string) {
 	s.placeMu.Lock()
 	s.placement = m
@@ -297,33 +295,14 @@ func placementFromPayload(p *PlacementPayload) *ring.Map {
 	return ring.NewVersion(p.Version, p.Nodes, p.VNodes, p.Seed)
 }
 
-// redirect answers a misdirected submission: the frame was not applied; the
-// client owns resubmitting it — verbatim — to the named owner.
+// redirect is the one answer to a frame — submission or read — for a program
+// the placement assigns elsewhere: nothing was applied or looked up, the
+// reply names the owner under this server's map and carries the map, and the
+// client owns going there (a submission is resent verbatim). A server never
+// dials another hive, so two members that disagree on placement cost a
+// client one bounded round trip each, never a relay between them.
 func (s *Server) redirect(w io.Writer, programID, owner string, pl *ring.Map) error {
 	return s.reply(w, MsgRedirect, RedirectPayload{ProgramID: programID, Owner: owner, Placement: placementPayload(pl)})
-}
-
-// proxyClient returns (dialing lazily) the peer client for owner. Proxy
-// clients relay reads only: if the owner's placement has moved on too, the
-// owner proxies onward.
-func (s *Server) proxyClient(owner string) *Client {
-	s.placeMu.Lock()
-	defer s.placeMu.Unlock()
-	if s.proxies == nil {
-		s.proxies = make(map[string]*Client)
-	}
-	pc, ok := s.proxies[owner]
-	if !ok {
-		pc = Dial(owner)
-		s.proxies[owner] = pc
-	}
-	return pc
-}
-
-// proxyFrame relays one read request verbatim to the owning hive and
-// returns its reply.
-func (s *Server) proxyFrame(owner string, t MsgType, payload []byte) (MsgType, []byte, error) {
-	return s.proxyClient(owner).call(t, payload)
 }
 
 // Close stops the listener and all connections, and waits for handlers.
@@ -346,13 +325,6 @@ func (s *Server) Close() error {
 	}
 	for _, c := range conns {
 		_ = c.Close()
-	}
-	s.placeMu.Lock()
-	proxies := s.proxies
-	s.proxies = nil
-	s.placeMu.Unlock()
-	for _, pc := range proxies {
-		_ = pc.Close()
 	}
 	s.wg.Wait()
 	return err
@@ -772,15 +744,8 @@ func (s *Server) handleGetFixes(w io.Writer, payload []byte) error {
 	if err := json.Unmarshal(payload, &req); err != nil {
 		return s.reply(w, MsgFixes, FixesPayload{Error: err.Error()})
 	}
-	// Read paths proxy transparently: the reply is an ordinary MsgFixes
-	// either way, so there is nothing for a client to learn from a redirect
-	// here.
-	if owner, local, _ := s.routeFor(req.ProgramID); !local {
-		respType, resp, perr := s.proxyFrame(owner, MsgGetFixes, payload)
-		if perr != nil {
-			return s.reply(w, MsgFixes, FixesPayload{Error: fmt.Sprintf("proxy to owner %s: %v", owner, perr)})
-		}
-		return WriteFrame(w, respType, resp)
+	if owner, local, pl := s.routeFor(req.ProgramID); !local {
+		return s.redirect(w, req.ProgramID, owner, pl)
 	}
 	fixes, version, err := s.backend.FixesSince(req.ProgramID, req.Version)
 	if err != nil {
@@ -802,12 +767,8 @@ func (s *Server) handleGetGuidance(w io.Writer, payload []byte) error {
 	if err := json.Unmarshal(payload, &req); err != nil {
 		return s.reply(w, MsgGuidance, GuidancePayload{Error: err.Error()})
 	}
-	if owner, local, _ := s.routeFor(req.ProgramID); !local {
-		respType, resp, perr := s.proxyFrame(owner, MsgGetGuidance, payload)
-		if perr != nil {
-			return s.reply(w, MsgGuidance, GuidancePayload{Error: fmt.Sprintf("proxy to owner %s: %v", owner, perr)})
-		}
-		return WriteFrame(w, respType, resp)
+	if owner, local, pl := s.routeFor(req.ProgramID); !local {
+		return s.redirect(w, req.ProgramID, owner, pl)
 	}
 	cases, err := s.backend.Guidance(req.ProgramID, req.Max)
 	if err != nil {

@@ -72,12 +72,13 @@ const (
 	// the journaled bytes are the canonical decompressed columnar payload,
 	// byte-identical to an uncompressed submission of the same batch.
 	MsgSubmitBatchCompressed MsgType = 15
-	// MsgRedirect answers a submission for a program this hive does not
-	// own under the current placement map: the payload (RedirectPayload)
-	// names the owning node and carries the full placement, so the client
-	// re-dials the owner and resubmits its parked sealed frames verbatim —
-	// the (session, seq) dedup guarantees no acknowledged trace is ever
-	// double-applied across the move.
+	// MsgRedirect answers a submission or a read for a program this hive
+	// does not own under the current placement map: the payload
+	// (RedirectPayload) names the owning node and carries the full
+	// placement, so the client re-dials the owner and asks again —
+	// resubmitting its parked sealed frames verbatim, where the (session,
+	// seq) dedup guarantees no acknowledged trace is ever double-applied
+	// across the move.
 	MsgRedirect MsgType = 16
 	// MsgBusy answers a submission the server declines to ingest right now
 	// under overload: the payload (BusyPayload) carries a retry-after hint
@@ -218,7 +219,8 @@ type RedirectPayload struct {
 }
 
 // RedirectError is the typed client-side form of MsgRedirect: the
-// submission was not applied because this server does not own the program.
+// submission was not applied, or the read not answered, because this server
+// does not own the program.
 // Callers (the Router, or operators reading retry-exhausted errors) use
 // Owner and Version to distinguish "owner moved" from "owner down".
 type RedirectError struct {
