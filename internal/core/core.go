@@ -579,11 +579,10 @@ func (s *Simulation) simulateDay() error {
 					// Completed single-threaded programs get no steering
 					// budget: with zero open frontiers the generator has no
 					// input gaps to target, so the pull would burn a round
-					// trip (and the checkpoint gate) to receive an empty
-					// case list. Multi-threaded programs still pull —
-					// guidance enumerates schedules for them regardless of
-					// the frontier set. FrontierCount is O(1) off the
-					// incremental index, so this gate is free.
+					// trip to receive an empty case list. Multi-threaded
+					// programs still pull — guidance enumerates schedules
+					// for them regardless of the frontier set.
+					// FrontierCount is O(1), so this gate is free.
 					if s.progs[pi].Prog.NumThreads() == 1 {
 						if tree, err := s.hiveOf(pi).Tree(s.progs[pi].Prog.ID); err == nil && tree.FrontierCount() == 0 {
 							continue

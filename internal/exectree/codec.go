@@ -104,8 +104,8 @@ func Decode(data []byte) (*Tree, error) {
 	return t, nil
 }
 
-// decodeNodes is Decode without the frontier index: DecodeChain builds the
-// index once, after the last segment has been overlaid.
+// decodeNodes is Decode without the open frontier set: DecodeChain builds it
+// once, after the last segment has been overlaid.
 func decodeNodes(data []byte) (*Tree, error) {
 	d := &treeDecoder{buf: data}
 	if v := d.byte(); v != codecVersion {

@@ -177,7 +177,7 @@ func (t *Tree) ResetDelta() {
 // DecodeChain reconstructs a tree from a base snapshot (Encode bytes) plus
 // an ordered chain of delta segments (EncodeDelta bytes). The result is
 // bit-for-bit identical to the live tree that wrote the chain: node counts,
-// aggregates, and the rarity-ordered frontier index are all rebuilt.
+// aggregates, and the open frontier set are all rebuilt.
 func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 	if len(deltas) == 0 {
 		return Decode(base)
@@ -199,7 +199,7 @@ func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 // applyDelta overlays one delta segment: every entry overwrites its node's
 // terminal counts, certificates, and outgoing-edge visit counts with the
 // absolute values recorded at encode time, creating missing nodes along the
-// way. Aggregates and the frontier index are left stale — DecodeChain
+// way. Aggregates and the open frontier set are left stale — DecodeChain
 // recomputes them once after the last segment.
 func (t *Tree) applyDelta(data []byte) error {
 	d := &treeDecoder{buf: data}

@@ -61,7 +61,9 @@ func encodeDeltaRootPaths(t *Tree) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(nodes)))
 	for _, n := range nodes {
 		buf = binary.AppendUvarint(buf, uint64(n.depth))
-		for _, e := range pathTo(n) {
+		path := make([]Edge, n.depth)
+		fillPath(path, n)
+		for _, e := range path {
 			buf = appendEdge(buf, e)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(n.terminal)))

@@ -26,7 +26,7 @@ type PathPrice struct {
 	// terminal's incoming edge for a novel outcome). It carries the same
 	// meaning as Frontier.SiblingVisits — a heavily visited sibling whose
 	// other side stayed unexplored marks a biased input distribution, the
-	// frontier the rarity treap ranks first — so a shedder deferring
+	// frontier a snapshot ranks first — so a shedder deferring
 	// "low-rarity" novelty defers LOW SiblingVisits paths and keeps the
 	// prime steering targets flowing.
 	SiblingVisits int64

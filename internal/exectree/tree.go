@@ -8,6 +8,7 @@ package exectree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -47,7 +48,7 @@ type childRef struct {
 // Node is one decision point in the execution tree.
 type Node struct {
 	// parent/in/depth place the node on its (immutable) root path: a node's
-	// position never changes once created, so the frontier index derives
+	// position never changes once created, so the open-frontier set derives
 	// prefixes from these links instead of storing a copy per entry — the
 	// whole tree shares one interned representation of every root prefix.
 	parent *Node
@@ -56,11 +57,11 @@ type Node struct {
 	// kids holds each observed decision with its traversal count and
 	// subtree, in first-observation order (Edges sorts on demand).
 	kids []childRef
-	// open holds this node's open-frontier index entries (at most one per
-	// half-observed branch ID, so almost always zero or one) — the
-	// per-node bucket that replaces a tree-global hash map on the merge
-	// hot path.
-	open []*frontierEntry
+	// open holds the positions in Tree.open of this node's open frontiers
+	// (at most one per half-observed branch ID, so almost always zero or
+	// one) — the per-node bucket that replaces a tree-global hash map on
+	// the merge hot path.
+	open []int32
 	// dirty marks membership in the tree's delta working set (delta.go).
 	dirty bool
 	// terminal counts executions that ended exactly at this node, per
@@ -126,29 +127,6 @@ func (n *Node) Visits(e Edge) int64 {
 	return 0
 }
 
-// openEntry returns the node's open-frontier entry for the missing
-// direction, or nil.
-func (n *Node) openEntry(missing Edge) *frontierEntry {
-	for _, fe := range n.open {
-		if fe.missing == missing {
-			return fe
-		}
-	}
-	return nil
-}
-
-// removeOpen unlinks fe from the node's open bucket.
-func (n *Node) removeOpen(fe *frontierEntry) {
-	for i, x := range n.open {
-		if x == fe {
-			n.open[i] = n.open[len(n.open)-1]
-			n.open[len(n.open)-1] = nil
-			n.open = n.open[:len(n.open)-1]
-			return
-		}
-	}
-}
-
 // Terminals returns a copy of the per-outcome terminal counts.
 func (n *Node) Terminals() map[prog.Outcome]int64 {
 	out := make(map[prog.Outcome]int64, len(n.terminal))
@@ -161,9 +139,8 @@ func (n *Node) Terminals() map[prog.Outcome]int64 {
 // markInfeasible attaches an infeasibility certificate to the unexplored
 // direction e (both directions of e.ID at this node are then accounted
 // for). Unexported on purpose: certificates must go through
-// Tree.CertifyInfeasible, which also retires the frontier from the
-// incremental index — a bare node-level mark would leave a stale index
-// entry.
+// Tree.CertifyInfeasible, which also retires the frontier from the open
+// set — a bare node-level mark would leave a stale entry.
 func (n *Node) markInfeasible(e Edge) {
 	if n.infeasible == nil {
 		n.infeasible = make(map[Edge]bool)
@@ -174,57 +151,43 @@ func (n *Node) markInfeasible(e Edge) {
 // Infeasible reports whether e carries an infeasibility certificate.
 func (n *Node) Infeasible(e Edge) bool { return n.infeasible[e] }
 
-// pathTo materializes the root prefix of n from its parent links. The root
-// itself has a nil prefix (matching the walk-based enumeration).
-func pathTo(n *Node) []Edge {
-	if n.depth == 0 {
-		return nil
-	}
-	out := make([]Edge, n.depth)
-	for i := int(n.depth) - 1; i >= 0; i-- {
-		out[i] = n.in
+// fillPath writes the root prefix of n, read off its parent links, into dst,
+// whose length is n's depth.
+func fillPath(dst []Edge, n *Node) {
+	for k := len(dst) - 1; k >= 0; k-- {
+		dst[k] = n.in
 		n = n.parent
 	}
-	return out
 }
 
-// frontierEntry is the index record behind one open frontier. It stores no
-// prefix — the node's parent links are the shared, interned root path — and
-// doubles as a treap node of the rarity order (see Tree.frontierRoot).
+// frontierEntry is one open frontier in Tree.open, holding inline every part
+// of its frontierLess key except the root path: a snapshot's scan reads the
+// entries as one contiguous run of memory and touches a node only to break a
+// tie on both rarity and depth. It stores no prefix — the node's parent links
+// are the shared, interned root path.
 type frontierEntry struct {
-	n       *Node
+	n *Node
+	// sib is the rarity signal: the explored sibling's visit count, which
+	// Merge keeps current in place on every traversal of the sibling.
+	sib     int64
 	missing Edge
-	// sib is the rarity signal the treap is currently ordered by (the
-	// explored sibling's visit count as of the entry's last reposition).
-	// It is the entry's search key: it must not change while the entry is
-	// linked into the treap, or removals would descend the wrong way.
-	sib int64
-	// pendingSib is the deferred rarity update: Merge bumps it on every
-	// sibling traversal (O(1)) instead of repositioning the entry
-	// (O(log n) with path-compare ties), and the next ordered snapshot
-	// batch-applies pending moves before reading. Zero means clean.
-	pendingSib int64
-	// retired marks an entry already unlinked (frontier closed); a stale
-	// reposition for it is dropped.
-	retired bool
-
-	// Treap linkage (guarded by the tree lock).
-	prio        uint64
-	left, right *frontierEntry
+	depth   int32 // n.depth
 }
 
 // Tree is the collective execution tree for one program. It is safe for
 // concurrent use: the hive ingests trace batches from many pods at once.
 //
-// The tree maintains its open-frontier set incrementally AND in rarity
-// order: Merge opens a frontier when it observes the first direction of a
-// branch at a node, retires it when the sibling direction arrives, and
-// repositions it whenever its rarity signal (explored-sibling visits)
-// changes; CertifyInfeasible retires the frontier its certificate
-// discharges. The open set lives in a treap ordered by frontierLess, so
-// Frontiers(k) reads the top k in O(k + log n) no matter how large the open
-// set grows — the guidance hot path is independent of both tree size and
-// open-set size.
+// The tree maintains its open-frontier set incrementally, as one flat
+// unordered slice: Merge opens a frontier when it observes the first
+// direction of a branch at a node (an append), retires it when the sibling
+// direction arrives (a swap-remove), and stores its rarity signal
+// (explored-sibling visits) in place whenever that changes;
+// CertifyInfeasible retires the frontier its certificate discharges. Every
+// one of those is O(1), and nothing is ordered until somebody asks:
+// Frontiers(k) selects the top k by frontierLess in one pass over the slice
+// under the read lock. A snapshot therefore costs O(open set) however the
+// tree has been used since the last one — there is no ordered index for
+// merge traffic to put out of repair, and no write for a reader to do.
 type Tree struct {
 	mu sync.RWMutex
 
@@ -243,22 +206,10 @@ type Tree struct {
 	cover         []int64
 	coverOverflow map[Edge]int64
 	covered       int
-	// The open frontier set lives in the nodes' open buckets (lookup) and
-	// in frontierRoot, a treap in frontierLess order (rarity-ordered
-	// snapshots); frontierCount tracks its size.
-	frontierCount int
-	frontierRoot  *frontierEntry
-	// prioState seeds treap priorities deterministically, so rebuilds of
-	// the same tree shape produce the same structure run to run.
-	prioState uint64
-	// repositions holds open entries whose rarity signal changed since the
-	// last ordered snapshot (deferred treap moves; see frontierEntry).
-	repositions []*frontierEntry
-	// repositionCap bounds how many deferred moves one snapshot applies
-	// (non-positive = unbounded); the backlog carries over. Entries still
-	// pending are merged into the snapshot via the overlay in frontiers, so
-	// results stay exact regardless of the cap.
-	repositionCap int
+	// open is the open frontier set, in no order (enumeration order never
+	// reaches a caller: frontierLess is a total order). The nodes' open
+	// buckets hold positions in it.
+	open []frontierEntry
 	// Delta tracking (delta.go): when tracking is on, nodes flip their
 	// dirty flag on first change since the boundary and accumulate in
 	// dirtyNodes.
@@ -273,31 +224,11 @@ type Tree struct {
 // New creates an empty tree for the program with the given ID.
 func New(programID string) *Tree {
 	return &Tree{
-		programID:     programID,
-		root:          newNode(),
-		nodes:         1,
-		outcomes:      make(map[prog.Outcome]int64),
-		prioState:     0x9e3779b97f4a7c15,
-		repositionCap: defaultRepositionFlushCap,
+		programID: programID,
+		root:      newNode(),
+		nodes:     1,
+		outcomes:  make(map[prog.Outcome]int64),
 	}
-}
-
-// defaultRepositionFlushCap bounds the deferred rarity moves applied per
-// Frontiers snapshot. Each move is an O(log n) treap unlink/relink under the
-// write lock; after a long merge-only stretch the backlog can reach the open
-// set's size, and draining it all at once turns a nominally O(k + log n)
-// snapshot into an unbounded write-lock stall. The cap amortizes the drain
-// across snapshots; the pending overlay keeps every snapshot exact anyway.
-const defaultRepositionFlushCap = 1024
-
-// SetRepositionFlushCap overrides how many deferred rarity moves one
-// Frontiers snapshot applies to the index; n <= 0 removes the bound. The cap
-// trades per-snapshot write-lock hold time against backlog length — results
-// are identical at any setting.
-func (t *Tree) SetRepositionFlushCap(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.repositionCap = n
 }
 
 // maxDenseCoverID bounds the dense coverage slice: IDs at or beyond it
@@ -399,8 +330,8 @@ func (t *Tree) Merge(path []trace.BranchEvent, outcome prog.Outcome) MergeResult
 			res.NewNodes++
 			// e's first appearance closes the frontier that pointed at it
 			// (if the sibling direction opened one earlier).
-			if fe := node.openEntry(e); fe != nil {
-				t.retireEntry(fe)
+			if i := t.openIndex(node, e); i >= 0 {
+				t.retireFrontier(i)
 			}
 		} else {
 			child = node.kids[ci].node
@@ -408,16 +339,10 @@ func (t *Tree) Merge(path []trace.BranchEvent, outcome prog.Outcome) MergeResult
 		node.kids[ci].visits++
 		vis := node.kids[ci].visits
 		sibling := Edge{ID: e.ID, Taken: !e.Taken}
-		if fe := node.openEntry(sibling); fe != nil {
-			// The explored side of an open frontier was traversed again: its
-			// rarity signal grew. Record the move instead of paying the
-			// O(log n) reposition here — later ordered snapshots apply
-			// pending moves in bounded batches (flushRepositionsLocked) and
-			// overlay whatever is still queued.
-			if fe.pendingSib == 0 {
-				t.repositions = append(t.repositions, fe)
-			}
-			fe.pendingSib = vis
+		if i := t.openIndex(node, sibling); i >= 0 {
+			// The explored side of an open frontier was traversed again:
+			// its rarity signal grew.
+			t.open[i].sib = vis
 		} else if isNew && node.kidIndex(sibling) < 0 && !node.Infeasible(sibling) {
 			t.openFrontier(node, sibling, vis)
 		}
@@ -479,7 +404,7 @@ func (t *Tree) EdgeCoverage(p *prog.Program) (covered, total int) {
 // CertifyInfeasible attaches an infeasibility certificate to the missing
 // direction at the end of prefix, under the tree lock (safe against
 // concurrent merges), and retires the frontier the certificate discharges
-// from the incremental index. It reports whether the prefix still exists.
+// from the open set. It reports whether the prefix still exists.
 func (t *Tree) CertifyInfeasible(prefix []Edge, missing Edge) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -495,8 +420,8 @@ func (t *Tree) CertifyInfeasible(prefix []Edge, missing Edge) bool {
 	}
 	n.markInfeasible(missing)
 	t.markDirty(n)
-	if fe := n.openEntry(missing); fe != nil {
-		t.retireEntry(fe)
+	if i := t.openIndex(n, missing); i >= 0 {
+		t.retireFrontier(i)
 	}
 	if t.onCertify != nil {
 		t.onCertify(prefix, missing)
@@ -549,23 +474,37 @@ type Frontier struct {
 	SiblingVisits int64
 }
 
+// AppendKey appends the frontier's identity — its prefix, then its missing
+// direction, each edge as the codec writes it (self-delimiting) — to dst.
+// Two frontiers of one program have equal keys exactly when they are the
+// same frontier, so anything that is a function of (program, prefix,
+// missing) can be remembered under these bytes.
+func (f Frontier) AppendKey(dst []byte) []byte {
+	for _, e := range f.Prefix {
+		dst = appendEdge(dst, e)
+	}
+	return appendEdge(dst, f.Missing)
+}
+
 // Frontiers enumerates the top limit unexplored branch directions,
 // excluding those carrying infeasibility certificates, in rarity order
 // (most-visited sibling first, ties broken deterministically).
 //
-// The result is served from the rarity-ordered treap: a limited snapshot
-// reads the first limit entries in order — O(limit + log n) plus a bounded
-// batch of deferred rarity moves (SetRepositionFlushCap) — regardless of
-// how large the open set is, and prefixes are materialized from the shared
-// parent links outside the lock. Moves still queued past the cap are
-// overlaid onto the snapshot at their effective rarity, so the cap never
-// changes what a snapshot returns, only how much index repair it performs.
+// The result is one bounded selection over the flat open set under the read
+// lock: a limit-entry heap keeps the best seen so far, an entry that loses to
+// the heap's worst on rarity alone — nearly all of them, on a tree that has
+// seen traffic — costs one compare and no allocation, and prefixes are
+// materialized from the shared parent links for the winners only, outside
+// the lock. The cost is O(open set) per snapshot, the same whether the
+// frontiers' siblings were all re-traversed since the last snapshot or none
+// was (BenchmarkFrontiersAdversarial has both), and a snapshot blocks no
+// other reader.
 //
 // limit must be positive: every production consumer bounds its pull (the
 // proof engine takes 64, guidance 4×max, cluster exploration a per-round
-// batch), because an unlimited snapshot is O(open set) and the open set can
-// grow with the tree. The debug/test-only full enumeration lives behind
-// FrontiersAll; asking this path for it is a programming error and panics.
+// batch), because the winners' prefixes are O(limit × depth). The
+// debug/test-only full enumeration lives behind FrontiersAll; asking this
+// path for it is a programming error and panics.
 func (t *Tree) Frontiers(limit int) []Frontier {
 	if limit <= 0 {
 		panic("exectree: Frontiers(limit <= 0) is debug-only; bound the pull or use FrontiersAll")
@@ -573,80 +512,75 @@ func (t *Tree) Frontiers(limit int) []Frontier {
 	return t.frontiers(limit)
 }
 
-// FrontiersAll enumerates the whole open frontier set — O(open set), for
-// tests, debugging, and reference comparisons only. Production code bounds
-// its pulls through Frontiers.
+// FrontiersAll enumerates the whole open frontier set, sorted — for tests,
+// debugging, and reference comparisons only. Production code bounds its
+// pulls through Frontiers.
 func (t *Tree) FrontiersAll() []Frontier {
 	return t.frontiers(0)
 }
 
 func (t *Tree) frontiers(limit int) []Frontier {
-	type cand struct {
-		n       *Node
-		missing Edge
-		sib     int64
-	}
-	// Write lock: the snapshot first applies deferred rarity moves, up to
-	// the flush cap. Snapshots are O(limit + cap·log n), so the exclusivity
-	// window is bounded next to the merge traffic it relieves.
-	t.mu.Lock()
-	t.flushRepositionsLocked(t.repositionCap)
-	want := t.frontierCount
+	t.mu.RLock()
+	want := len(t.open)
 	if limit > 0 && limit < want {
 		want = limit
 	}
-	cands := make([]cand, 0, want+len(t.repositions))
-	// Overlay for the still-pending backlog: those entries sit in the treap
-	// under a stale key, but rarity only grows, so their true rank is at or
-	// before their treap rank. Collecting all of them (at their effective
-	// key) plus the top want clean entries is therefore a superset of the
-	// true top want; the sort below re-ranks and the cut makes it exact.
-	for _, fe := range t.repositions {
-		if fe.retired || fe.pendingSib == 0 {
-			continue
-		}
-		cands = append(cands, cand{n: fe.n, missing: fe.missing, sib: fe.pendingSib})
+	// top is a max-heap on compareEntries over the best want entries seen:
+	// top[0] is the worst of them, the one the next better entry evicts.
+	top := append(make([]frontierEntry, 0, want), t.open[:want]...)
+	for i := want/2 - 1; i >= 0; i-- {
+		siftDown(top, i)
 	}
-	taken := 0
-	var walk func(fe *frontierEntry) bool
-	walk = func(fe *frontierEntry) bool {
-		if fe == nil {
-			return true
+	for i := want; i < len(t.open); i++ {
+		if e := &t.open[i]; e.sib >= top[0].sib && compareEntries(e, &top[0]) < 0 {
+			top[0] = *e
+			siftDown(top, 0)
 		}
-		if !walk(fe.left) {
-			return false
-		}
-		if taken >= want {
-			return false
-		}
-		if fe.pendingSib == 0 {
-			cands = append(cands, cand{n: fe.n, missing: fe.missing, sib: fe.sib})
-			taken++
-		}
-		return walk(fe.right)
 	}
-	walk(t.frontierRoot)
-	t.mu.Unlock()
+	t.mu.RUnlock()
+	slices.SortFunc(top, func(a, b frontierEntry) int { return compareEntries(&a, &b) })
 	// Materialize outside the lock: parent links, in-edges, and depths are
-	// immutable once a node exists.
-	out := make([]Frontier, len(cands))
-	for i, c := range cands {
-		out[i] = Frontier{
-			Prefix:        pathTo(c.n),
-			Missing:       c.missing,
-			SiblingVisits: c.sib,
-		}
+	// immutable once a node exists. The prefixes share one allocation, each
+	// capped to its own length so an append by a caller copies.
+	edges := 0
+	for i := range top {
+		edges += int(top[i].depth)
 	}
-	sortFrontiers(out)
-	if len(out) > want {
-		out = out[:want]
+	backing := make([]Edge, edges)
+	out := make([]Frontier, len(top))
+	for i, e := range top {
+		out[i] = Frontier{Missing: e.missing, SiblingVisits: e.sib}
+		if e.depth == 0 {
+			continue // the root's prefix is nil, as the walk has it
+		}
+		out[i].Prefix = backing[:e.depth:e.depth]
+		backing = backing[e.depth:]
+		fillPath(out[i].Prefix, e.n)
 	}
 	return out
 }
 
+// siftDown restores the max-heap property of h below slot i.
+func siftDown(h []frontierEntry, i int) {
+	for {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if compareEntries(&h[c], &h[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
 // FrontiersByWalk recomputes the frontier set with a full depth-first walk
-// under the read lock — the pre-index implementation, kept as the reference
-// the incremental index is property-tested and benchmarked against.
+// under the read lock — the implementation before there was an open set,
+// kept as the reference the open set is property-tested and benchmarked
+// against.
 func (t *Tree) FrontiersByWalk(limit int) []Frontier {
 	var out []Frontier
 	t.Walk(func(path []Edge, n *Node) bool {
@@ -696,10 +630,10 @@ func sortFrontiers(out []Frontier) {
 func (t *Tree) FrontierCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.frontierCount
+	return len(t.open)
 }
 
-// --- rarity-ordered index internals (all under the write lock) ---
+// --- open-set internals ---
 
 // compareEdges orders edges by ID, the untaken direction first.
 func compareEdges(a, b Edge) int {
@@ -732,160 +666,65 @@ func comparePaths(x, y *Node) int {
 	return compareEdges(x.in, y.in)
 }
 
-// compareEntries is frontierLess over index entries: rarity (desc), depth
+// compareEntries is frontierLess over open-set entries: rarity (desc), depth
 // (asc), root path (lex), missing edge — without materializing prefixes.
 func compareEntries(a, b *frontierEntry) int {
-	if a == b {
-		return 0
-	}
 	if a.sib != b.sib {
 		if a.sib > b.sib {
 			return -1
 		}
 		return 1
 	}
-	if a.n != b.n {
-		if a.n.depth != b.n.depth {
-			if a.n.depth < b.n.depth {
-				return -1
-			}
-			return 1
+	if a.depth != b.depth {
+		if a.depth < b.depth {
+			return -1
 		}
-		if c := comparePaths(a.n, b.n); c != 0 {
-			return c
-		}
+		return 1
+	}
+	if c := comparePaths(a.n, b.n); c != 0 {
+		return c
 	}
 	return compareEdges(a.missing, b.missing)
 }
 
-// nextPrio draws the next deterministic treap priority (splitmix64).
-func (t *Tree) nextPrio() uint64 {
-	t.prioState += 0x9e3779b97f4a7c15
-	z := t.prioState
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+// openIndex returns the position in t.open of n's open frontier toward
+// missing, or -1.
+func (t *Tree) openIndex(n *Node, missing Edge) int {
+	for _, i := range n.open {
+		if t.open[i].missing == missing {
+			return int(i)
+		}
+	}
+	return -1
 }
 
-// openFrontier creates and indexes a fresh open-frontier entry at n.
+// openFrontier adds a fresh open frontier at n. Callers hold the write lock.
 func (t *Tree) openFrontier(n *Node, missing Edge, sib int64) {
-	fe := &frontierEntry{n: n, missing: missing, sib: sib, prio: t.nextPrio()}
-	n.open = append(n.open, fe)
-	t.frontierRoot = treapInsert(t.frontierRoot, fe)
-	t.frontierCount++
+	n.open = append(n.open, int32(len(t.open)))
+	t.open = append(t.open, frontierEntry{n: n, sib: sib, missing: missing, depth: n.depth})
 }
 
-// retireEntry removes fe from its node's open bucket and the rarity treap
-// (by its current key — any pending reposition is dropped via the retired
-// mark).
-func (t *Tree) retireEntry(fe *frontierEntry) {
-	fe.n.removeOpen(fe)
-	t.frontierRoot = treapRemove(t.frontierRoot, fe)
-	fe.left, fe.right = nil, nil
-	fe.retired = true
-	t.frontierCount--
-}
-
-// flushRepositionsLocked applies deferred rarity moves — each pending entry
-// is unlinked at its old key and reinserted at the new one — stopping after
-// max actual moves (max <= 0 = no bound); the rest stay queued for later
-// snapshots. Retired and no-op entries are always dropped for free. Callers
-// hold the write lock. Amortization: merges record moves in O(1) and the
-// ordered-snapshot consumer pays O(min(pending, max) · log n), instead of
-// every merge paying O(log n) — under fleet ingest, snapshots (guidance
-// pulls) are orders of magnitude rarer than merges.
-func (t *Tree) flushRepositionsLocked(max int) {
-	moved := 0
-	i := len(t.repositions)
-	for i > 0 && (max <= 0 || moved < max) {
-		i--
-		fe := t.repositions[i]
-		t.repositions[i] = nil
-		if fe.retired || fe.pendingSib == 0 || fe.pendingSib == fe.sib {
-			fe.pendingSib = 0
-			continue
-		}
-		t.frontierRoot = treapRemove(t.frontierRoot, fe)
-		fe.left, fe.right = nil, nil
-		fe.sib = fe.pendingSib
-		fe.pendingSib = 0
-		t.frontierRoot = treapInsert(t.frontierRoot, fe)
-		moved++
+// retireFrontier removes the open frontier at position i by moving the last
+// entry into its place. Callers hold the write lock.
+func (t *Tree) retireFrontier(i int) {
+	last := len(t.open) - 1
+	bucket := t.open[i].n.open
+	bucket[slices.Index(bucket, int32(i))] = bucket[len(bucket)-1]
+	t.open[i].n.open = bucket[:len(bucket)-1]
+	if i != last {
+		t.open[i] = t.open[last]
+		moved := t.open[i].n.open
+		moved[slices.Index(moved, int32(last))] = int32(i)
 	}
-	t.repositions = t.repositions[:i]
+	t.open[last] = frontierEntry{}
+	t.open = t.open[:last]
 }
 
-func treapInsert(root, fe *frontierEntry) *frontierEntry {
-	if root == nil {
-		return fe
-	}
-	if compareEntries(fe, root) < 0 {
-		root.left = treapInsert(root.left, fe)
-		if root.left.prio > root.prio {
-			root = rotateRight(root)
-		}
-	} else {
-		root.right = treapInsert(root.right, fe)
-		if root.right.prio > root.prio {
-			root = rotateLeft(root)
-		}
-	}
-	return root
-}
-
-func treapRemove(root, fe *frontierEntry) *frontierEntry {
-	if root == nil {
-		return nil
-	}
-	c := compareEntries(fe, root)
-	switch {
-	case c < 0:
-		root.left = treapRemove(root.left, fe)
-	case c > 0:
-		root.right = treapRemove(root.right, fe)
-	default:
-		return treapJoin(root.left, root.right)
-	}
-	return root
-}
-
-// treapJoin merges two treaps where every key in l precedes every key in r.
-func treapJoin(l, r *frontierEntry) *frontierEntry {
-	switch {
-	case l == nil:
-		return r
-	case r == nil:
-		return l
-	case l.prio > r.prio:
-		l.right = treapJoin(l.right, r)
-		return l
-	default:
-		r.left = treapJoin(l, r.left)
-		return r
-	}
-}
-
-func rotateRight(n *frontierEntry) *frontierEntry {
-	l := n.left
-	n.left = l.right
-	l.right = n
-	return l
-}
-
-func rotateLeft(n *frontierEntry) *frontierEntry {
-	r := n.right
-	n.right = r.left
-	r.left = n
-	return r
-}
-
-// rebuildFrontierLocked recomputes the index from tree structure. Decode
-// uses it to restore the index of a deserialized tree; callers must hold the
-// write lock (or own the tree exclusively).
+// rebuildFrontierLocked recomputes the open set from tree structure, one
+// append per open frontier. Decode and DecodeChain use it on a deserialized
+// tree; callers must hold the write lock (or own the tree exclusively).
 func (t *Tree) rebuildFrontierLocked() {
-	t.frontierRoot = nil
-	t.frontierCount = 0
-	t.repositions = t.repositions[:0]
+	t.open = t.open[:0]
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		n.open = nil
@@ -903,7 +742,7 @@ func (t *Tree) rebuildFrontierLocked() {
 // observed direction and no certificate on the other — the node's open
 // frontiers — passing the missing direction and the explored sibling's
 // visit count. Visits in first-observation order; neither caller depends
-// on it (both sort downstream: the treap by comparator, the walk by
+// on it (both sort downstream: a snapshot by compareEntries, the walk by
 // sortFrontiers).
 func forEachHalfObserved(n *Node, fn func(missing Edge, sib int64)) {
 	for i := range n.kids {

@@ -9,6 +9,7 @@ package guidance
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/constraint"
@@ -37,6 +38,20 @@ type TestCase struct {
 
 // Generator produces test cases from a program's execution tree. It is safe
 // for concurrent use (the hive serves guidance to many pods at once).
+//
+// A generator remembers what the solvers said about each frontier it has
+// looked at. The verdict — a test case, a refutation, or nothing — is a pure
+// function of the program and the frontier's (prefix, missing direction), a
+// tree keeps offering its hottest open frontiers pull after pull, and most
+// of them come back Unknown for ever: so each is solved once, and a pull
+// costs its snapshot plus the solving of what it has not seen before. The
+// memory is keyed by the exact bytes of (prefix, missing) —
+// exectree.Frontier.AppendKey — never a digest, so what a pull returns is
+// case for case what a generator without a memory returns on the same tree,
+// whichever tree of the program it is handed. It is bounded by memoBudget
+// with the two-generation rotation of exectree.Reconstructor: a hit in the
+// old generation moves to the current one, so the frontiers still being
+// offered survive a rotation.
 type Generator struct {
 	mu   sync.Mutex
 	prog *prog.Program
@@ -47,13 +62,41 @@ type Generator struct {
 	symEnv *symbolic.Engine
 	// enum drives schedule-space exploration for multi-threaded programs.
 	enum *sched.Enumerator
+
+	// cur and old are the two generations of remembered verdicts, curBytes
+	// what cur is charged against genBudget, key the lookup scratch.
+	cur, old  map[string]verdict
+	curBytes  int
+	genBudget int
+	key       []byte
 }
+
+// verdict is what the solvers made of one frontier: the test case that
+// covers it, a refutation (the missing direction is infeasible and the tree
+// should be told), or — both zero — nothing.
+type verdict struct {
+	tc      *TestCase
+	refuted bool
+}
+
+// memoBudget is the byte budget of one generator's remembered verdicts, both
+// generations together. A constant, not a setting: the memory is a pure
+// cache, so its size trades memory against re-solving and never changes what
+// a pull returns. The largest pull the hive serves looks at 4 × maxGuidanceCases
+// frontiers, about 150 KB of verdicts at the depths the benchmark's trees
+// reach; one generation holds that window three times over.
+const memoBudget = 1 << 20
+
+// memoOverhead approximates the per-entry bookkeeping (map bucket share,
+// string header, verdict) charged against the budget on top of the key and
+// the test case.
+const memoOverhead = 64
 
 // NewGenerator builds a generator for p. Single-threaded programs get
 // input- and fault-directed steering; multi-threaded programs get schedule
 // enumeration.
 func NewGenerator(p *prog.Program, scheduleBound int) (*Generator, error) {
-	g := &Generator{prog: p}
+	g := &Generator{prog: p, cur: make(map[string]verdict), genBudget: memoBudget / 2}
 	if p.NumThreads() == 1 {
 		var err error
 		g.sym, err = symbolic.New(p, symbolic.Config{})
@@ -74,17 +117,26 @@ func NewGenerator(p *prog.Program, scheduleBound int) (*Generator, error) {
 }
 
 // Generate derives up to max test cases from the tree's current frontiers.
-// The frontier set is a snapshot of the tree's incrementally maintained
-// index — no full-tree walk happens under the tree's read lock, so guidance
-// requests do not starve merges on large trees. As a side effect, frontiers
-// the solver refutes are certified infeasible in the tree (the same
-// discharge the proof engine performs — guidance and proving share the gap
-// analysis).
+// The frontier set is a bounded snapshot under the tree's read lock — no
+// full-tree walk, and nothing that excludes a merge for longer than one pass
+// over the open set. As a side effect, frontiers the solver refutes are
+// certified infeasible in the tree (the same discharge the proof engine
+// performs — guidance and proving share the gap analysis).
 func (g *Generator) Generate(tree *exectree.Tree, max int) []TestCase {
+	return g.GenerateWith(tree, max, tree.CertifyInfeasible)
+}
+
+// GenerateWith is Generate with the certification of refuted frontiers left
+// to the caller: certify is called, once the cases are made and no lock of
+// the generator's is held, for each frontier in the snapshot whose missing
+// direction is infeasible. The hive uses it to take its checkpoint gate
+// around the one step of a pull that is journaled instead of around the
+// whole pull. The prefix is the snapshot's and must not be retained.
+func (g *Generator) GenerateWith(tree *exectree.Tree, max int, certify func(prefix []exectree.Edge, missing exectree.Edge) bool) []TestCase {
 	// Clamp untrusted maxima (max rides in verbatim from the wire's
 	// GetGuidance payload): non-positive asks for nothing, and a huge ask
-	// is bounded so the 4× frontier over-pull below cannot overflow or
-	// materialize an unbounded snapshot.
+	// is bounded so one request cannot hold the generator for the time it
+	// takes to solve a whole tree's frontiers.
 	if max <= 0 {
 		return nil
 	}
@@ -92,50 +144,106 @@ func (g *Generator) Generate(tree *exectree.Tree, max int) []TestCase {
 		max = maxGuidanceCases
 	}
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	var out []TestCase
+	var refuted []exectree.Frontier
 	if g.sym != nil {
-		out = g.generateInputs(tree, max)
+		out, refuted = g.generateInputs(tree, max)
 	}
 	if len(out) < max && g.enum != nil {
 		out = append(out, g.generateSchedules(max-len(out))...)
 	}
+	g.mu.Unlock()
+	for _, f := range refuted {
+		certify(f.Prefix, f.Missing)
+	}
 	return out
 }
 
-// maxGuidanceCases bounds one guidance request (wire clients ask for a
-// handful; anything larger is hostile or a bug).
-const maxGuidanceCases = 1 << 16
+// maxGuidanceCases bounds one guidance request, and with it the frontier
+// window one request snapshots and solves (4× as many). Pods ask for 4 to 8;
+// two orders of magnitude above that is hostile or a bug.
+const maxGuidanceCases = 256
 
-func (g *Generator) generateInputs(tree *exectree.Tree, max int) []TestCase {
+// generateInputs makes up to max cases from the tree's hottest frontiers,
+// and returns beside them the frontiers of that window it found refuted.
+func (g *Generator) generateInputs(tree *exectree.Tree, max int) (out []TestCase, refuted []exectree.Frontier) {
 	frontiers := tree.Frontiers(max * 4)
-	out := make([]TestCase, 0, max)
+	out = make([]TestCase, 0, min(max, len(frontiers)))
 	for _, f := range frontiers {
 		if len(out) >= max {
 			break
 		}
-		input, verdict, err := g.sym.SolveFrontier(f)
-		switch {
-		case err != nil:
-			continue
-		case verdict == constraint.SAT:
-			out = append(out, TestCase{
-				ProgramID: g.prog.ID,
-				Input:     input,
-				Reason:    fmt.Sprintf("cover %v after %d-deep prefix", f.Missing, len(f.Prefix)),
-			})
-		case verdict == constraint.UNSAT:
-			tree.CertifyInfeasible(f.Prefix, f.Missing)
-		default:
-			// Unknown under input-only consistency: retry with the
-			// environment symbolic (S2E-style relaxation) to derive a
-			// fault-injection test case.
-			if tc, ok := g.solveWithEnvironment(f); ok {
-				out = append(out, tc)
-			}
+		switch v := g.verdictOn(f); {
+		case v.tc != nil:
+			// The remembered case keeps its slices to itself: a caller owns
+			// what it is handed.
+			tc := *v.tc
+			tc.Input = slices.Clone(tc.Input)
+			tc.Faults = slices.Clone(tc.Faults)
+			out = append(out, tc)
+		case v.refuted:
+			refuted = append(refuted, f)
 		}
 	}
-	return out
+	return out, refuted
+}
+
+// verdictOn answers f from memory, or solves it and remembers the answer.
+func (g *Generator) verdictOn(f exectree.Frontier) verdict {
+	g.key = f.AppendKey(g.key[:0])
+	if v, hit := g.cur[string(g.key)]; hit {
+		return v
+	}
+	v, hit := g.old[string(g.key)]
+	if hit {
+		delete(g.old, string(g.key))
+	} else {
+		v = g.solve(f)
+	}
+	cost := verdictCost(len(g.key), v)
+	if cost > g.genBudget {
+		return v
+	}
+	if g.curBytes+cost > g.genBudget {
+		g.old, g.cur, g.curBytes = g.cur, make(map[string]verdict), 0
+	}
+	g.cur[string(g.key)] = v
+	g.curBytes += cost
+	return v
+}
+
+// verdictCost is what one remembered verdict is charged against the budget.
+func verdictCost(keyLen int, v verdict) int {
+	cost := keyLen + memoOverhead
+	if v.tc != nil {
+		const caseBytes, faultBytes = 104, 24 // unsafe.Sizeof(TestCase{}), (prog.FaultSpec{})
+		cost += caseBytes + 8*len(v.tc.Input) + faultBytes*len(v.tc.Faults) + len(v.tc.Reason)
+	}
+	return cost
+}
+
+// solve runs the solvers on one frontier: input synthesis first, and when
+// that cannot decide, the environment-symbolic retry.
+func (g *Generator) solve(f exectree.Frontier) verdict {
+	input, sat, err := g.sym.SolveFrontier(f)
+	switch {
+	case err != nil:
+		return verdict{}
+	case sat == constraint.SAT:
+		return verdict{tc: &TestCase{
+			ProgramID: g.prog.ID,
+			Input:     input,
+			Reason:    fmt.Sprintf("cover %v after %d-deep prefix", f.Missing, len(f.Prefix)),
+		}}
+	case sat == constraint.UNSAT:
+		return verdict{refuted: true}
+	}
+	// Unknown under input-only consistency: retry with the environment
+	// symbolic (S2E-style relaxation) to derive a fault-injection test case.
+	if tc, ok := g.solveWithEnvironment(f); ok {
+		return verdict{tc: &tc}
+	}
+	return verdict{}
 }
 
 // solveWithEnvironment retries a frontier with syscall returns treated as

@@ -1,10 +1,12 @@
 package guidance
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/exectree"
 	"repro/internal/prog"
+	"repro/internal/stats"
 	"repro/internal/symbolic"
 )
 
@@ -220,5 +222,149 @@ func TestGenerateClampsHostileMax(t *testing.T) {
 	}
 	if cases := g.Generate(tree, 1<<62); len(cases) == 0 {
 		t.Error("huge max clamped to nothing; want clamped-but-working guidance")
+	}
+}
+
+// buildMemoProgram mixes the three verdicts: for each of n inputs a feasible
+// branch with an infeasible one nested under it (x > 100, then x < 50), and
+// at the end a branch on a syscall's return that only fault injection
+// reaches.
+func buildMemoProgram(t *testing.T, n int) *prog.Program {
+	t.Helper()
+	b := prog.NewBuilder("memo", n)
+	for i := 0; i < n; i++ {
+		hi, dead, next := b.NewLabel(), b.NewLabel(), b.NewLabel()
+		b.Input(0, i)
+		b.BrImm(0, prog.CmpGT, 100, hi)
+		b.Jmp(next)
+		b.Bind(hi)
+		b.BrImm(0, prog.CmpLT, 50, dead)
+		b.Bind(dead)
+		b.Bind(next)
+	}
+	bad, end := b.NewLabel(), b.NewLabel()
+	b.Syscall(1, 7, 0)
+	b.BrImm(1, prog.CmpGT, 50, bad)
+	b.Jmp(end)
+	b.Bind(bad)
+	b.Const(2, 1)
+	b.Bind(end)
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestMemoMatchesFreshGenerator is the memory's metamorphic check: along a
+// seeded sequence of merges, outside certifications, codec round-trips and
+// pulls, a long-lived generator — its budget shrunk so that it rotates all
+// the time — returns case for case what a generator created for that one
+// pull returns on a copy of the tree, leaves the tree as that one leaves its
+// copy, asks for each certificate once, and never holds more than its two
+// generations' budget while ten times that many frontiers pass through it.
+func TestMemoMatchesFreshGenerator(t *testing.T) {
+	p := buildMemoProgram(t, 10)
+	sym, err := symbolic.New(p, symbolic.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenerator(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.genBudget = 1 << 10
+	resident := func() int {
+		n := 0
+		for _, gen := range []map[string]verdict{g.cur, g.old} {
+			for k, v := range gen {
+				n += verdictCost(len(k), v)
+			}
+		}
+		return n
+	}
+	keyOf := func(prefix []exectree.Edge, missing exectree.Edge) string {
+		return string(exectree.Frontier{Prefix: prefix, Missing: missing}.AppendKey(nil))
+	}
+
+	rng := stats.NewRNG(2024)
+	tree := exectree.New(p.ID)
+	run := func(input []int64) {
+		path, err := sym.Run(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree.Merge(path.Events(), path.Outcome)
+	}
+	seen := map[string]bool{}      // every frontier a pull looked at
+	certified := map[string]bool{} // every certificate the long-lived generator asked for
+	pulls, cases := 0, 0
+	for step := 0; step < 600; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4: // fleet traffic
+			for i := rng.Intn(4); i >= 0; i-- {
+				input := make([]int64, p.NumInputs)
+				for j := range input {
+					input[j] = rng.Int63n(220)
+				}
+				run(input)
+			}
+		case op == 4: // somebody else (the prover) discharges a frontier
+			if fr := tree.Frontiers(16); len(fr) > 0 {
+				f := fr[rng.Intn(len(fr))]
+				tree.CertifyInfeasible(f.Prefix, f.Missing)
+			}
+		case op == 5: // checkpoint and restore: the generator is handed a new tree
+			restored, err := exectree.Decode(tree.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree = restored
+		default: // a pull, and the pod running some of what it was given
+			if tree.FrontierCount() == 0 {
+				continue
+			}
+			max := rng.Intn(8) + 1
+			for _, f := range tree.Frontiers(4 * max) {
+				seen[keyOf(f.Prefix, f.Missing)] = true
+			}
+			copied, err := exectree.Decode(tree.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewGenerator(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fresh.Generate(copied, max)
+			live := tree
+			got := g.GenerateWith(live, max, func(prefix []exectree.Edge, missing exectree.Edge) bool {
+				key := keyOf(prefix, missing)
+				if certified[key] {
+					t.Fatalf("step %d: certificate for %v after %v asked for twice", step, missing, prefix)
+				}
+				certified[key] = true
+				return live.CertifyInfeasible(prefix, missing)
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d, max %d: remembering generator returned\n%+v\nfresh generator\n%+v", step, max, got, want)
+			}
+			if !reflect.DeepEqual(tree.FrontiersAll(), copied.FrontiersAll()) {
+				t.Fatalf("step %d: the two pulls left different trees", step)
+			}
+			if r := resident(); r > 2*g.genBudget {
+				t.Fatalf("step %d: %d bytes remembered, budget %d", step, r, 2*g.genBudget)
+			}
+			pulls++
+			cases += len(got)
+			for _, tc := range got {
+				if len(tc.Faults) == 0 && rng.Bool(0.5) {
+					run(tc.Input)
+				}
+			}
+		}
+	}
+	if pulls < 100 || cases < 100 || len(certified) < 10 {
+		t.Fatalf("vacuous run: %d pulls, %d cases, %d certificates", pulls, cases, len(certified))
+	}
+	if passed := len(seen) * memoOverhead; passed < 10*2*g.genBudget {
+		t.Fatalf("only %d distinct frontiers (at least %d bytes) passed through a %d-byte memory", len(seen), passed, 2*g.genBudget)
 	}
 }

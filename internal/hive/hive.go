@@ -999,18 +999,27 @@ func (h *Hive) FixesSince(programID string, version int) ([]fix.Fix, int, error)
 }
 
 // Guidance implements the pod-facing steering API: test cases toward the
-// program's current coverage gaps. The generator and tree synchronize
-// internally, so guidance requests never touch the program shard lock; the
-// checkpoint gate is held because the generator may certify refuted
-// frontiers infeasible — a journaled mutation.
+// program's current coverage gaps. The snapshot and the solving are reads —
+// the generator and the tree synchronize internally — and run outside the
+// checkpoint gate, so a checkpoint in progress does not hold up a pull and a
+// long pull does not hold up a checkpoint. The one journaled step, certifying
+// a frontier the solver refuted, takes the gate for itself.
 func (h *Hive) Guidance(programID string, max int) ([]guidance.TestCase, error) {
 	st, err := h.state(programID)
 	if err != nil {
 		return nil, err
 	}
-	st.ckpt.RLock()
-	defer st.ckpt.RUnlock()
-	return st.gen.Generate(st.tree, max), nil
+	st.mu.Lock()
+	tree := st.tree
+	st.mu.Unlock()
+	certify := func(prefix []exectree.Edge, missing exectree.Edge) bool {
+		st.ckpt.RLock()
+		defer st.ckpt.RUnlock()
+		// Under the gate st.tree is the program's tree, whatever an import
+		// made of the one the snapshot was taken on.
+		return !st.gone && st.tree.CertifyInfeasible(prefix, missing)
+	}
+	return st.gen.GenerateWith(tree, max, certify), nil
 }
 
 // Prove attempts a cumulative proof of the property for the program,
