@@ -87,3 +87,79 @@ func TestCIPatternsNameLiveTests(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsNameDeclaredFlags parses the FlagSet declarations of cmd/hive and
+// cmd/pod and checks that every -flag their package comments or the CI
+// workflow attribute to them is still declared: a PR that removes a flag
+// tends to leave prose and scripts naming it, and neither compiles. A -flag
+// that follows a hive or pod command word on its line (hive, ./cmd/hive,
+// /tmp/pod) belongs to that command; any other -flag in a package comment
+// belongs to the package's own command.
+func TestDocsNameDeclaredFlags(t *testing.T) {
+	declared := map[string]map[string]bool{}
+	docs := map[string]string{}
+	for _, cmd := range []string{"hive", "pod"} {
+		file, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", cmd, "main.go"), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[cmd] = file.Doc.Text()
+		flags := map[string]bool{}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != "fs" {
+				return true
+			}
+			name := 0 // fs.Int(name, ...), fs.IntVar(&v, name, ...)
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				name = 1
+			}
+			if len(call.Args) > name {
+				if lit, ok := call.Args[name].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					flags[strings.Trim(lit.Value, "`\"")] = true
+				}
+			}
+			return true
+		})
+		if len(flags) == 0 || docs[cmd] == "" {
+			t.Fatalf("cmd/%s: %d flag declarations and a %d-byte package comment: this test reads the wrong file or the wrong syntax", cmd, len(flags), len(docs[cmd]))
+		}
+		declared[cmd] = flags
+	}
+	workflow, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	flagWord := regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
+	check := func(where, text, own string) {
+		for _, line := range strings.Split(text, "\n") {
+			cmd := own
+			for _, word := range strings.Fields(line) {
+				word = strings.TrimLeft(word, "(`\"'")
+				if base := word[strings.LastIndex(word, "/")+1:]; declared[base] != nil {
+					cmd = base
+					continue
+				}
+				m := flagWord.FindStringSubmatch(word)
+				if m == nil || cmd == "" {
+					continue
+				}
+				if !declared[cmd][m[1]] {
+					t.Errorf("%s names %s -%s, which cmd/%s does not declare", where, cmd, m[1], cmd)
+				}
+			}
+		}
+	}
+	for cmd, doc := range docs {
+		check("the package comment of cmd/"+cmd, doc, cmd)
+	}
+	check(".github/workflows/ci.yml", string(workflow), "")
+}

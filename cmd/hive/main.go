@@ -22,6 +22,11 @@
 // ring, and the bumped placement map is installed and advertised on the
 // next hello.
 //
+// Nothing about the protocol is negotiated or configured: a pod's hello names
+// the one protocol version and is refused if it names another (a pod built
+// before versions sends feature strings, which read as version 0), and every
+// frame on every connection is bounded by the same 16 MiB.
+//
 //	hive -addr 127.0.0.1:7070 -programs 4 -seed 1 -data-dir /var/lib/hive -fsync
 //	hive -addr 127.0.0.1:7071 -peers 127.0.0.1:7070,127.0.0.1:7071 -self 127.0.0.1:7071
 package main
@@ -89,7 +94,6 @@ func run(args []string) error {
 	archiveDir := fs.String("archive-dir", "", "archive object-store directory: snapshot chains and sealed WAL segments are tiered here in the background (requires -data-dir)")
 	archiveEvery := fs.Duration("archive-every", time.Minute, "background archive sync interval (0 disables; requires -archive-dir)")
 	diskBudget := fs.Int64("disk-budget", 0, "local data-dir byte budget: archived chains past it are pruned to tether markers and rehydrated from the archive on demand (0 keeps everything local; requires -archive-dir)")
-	maxFrame := fs.Int("max-frame", 0, "cap on the frame-size raise granted to clients in bytes (0 uses the built-in maximum; never drops below the universal frame limit)")
 	sessRate := fs.Float64("max-sessions-rate", 0, "per-session admission rate in traces/sec; over-rate clients get busy-retry replies (0 disables)")
 	ingestQueue := fs.Int64("ingest-queue", 0, "server-wide ingest queue budget in bytes: per-conn reads pause at 1/4 of this, and queued/budget is the shed pressure gauge (0 disables)")
 	shedWatermark := fs.Float64("shed-watermark", 0, "pressure in [0,1) past which batches are priced and the cheapest shed; 0 disables shedding, negative selects the default watermark (requires -ingest-queue)")
@@ -181,7 +185,6 @@ func run(args []string) error {
 	}
 
 	srv := wire.NewServer(h)
-	srv.MaxFrame = *maxFrame
 	if *sessRate > 0 || *ingestQueue > 0 || *frameTimeout > 0 || *maxConns > 0 || *maxHalfOpen > 0 {
 		adm := &wire.Admission{
 			SessionRate:  *sessRate,

@@ -11,7 +11,10 @@
 // unacknowledged suffix with the original tags and the hive — including a
 // durable hive that crashed and recovered in between (cmd/hive -data-dir)
 // — ingests each batch exactly once. A drain whose retry also fails
-// re-queues its remainder and is at-least-once on the next drain.
+// parks its sealed remainder and resubmits it, tags intact, on the next
+// drain. The hello names one protocol version and a hive that speaks another
+// refuses it; frames travel coalesced sixteen to a mega-frame, compressed
+// when the hello's round trip looks like a WAN (-compress on forces it).
 //
 //	pod -hive 127.0.0.1:7070 -pods 8 -programs 4 -seed 1 -runs 200
 //	pod -hive 127.0.0.1:7070,127.0.0.1:7071 -pods 8 -programs 4 -seed 1
@@ -47,7 +50,6 @@ func run(args []string) error {
 	runs := fs.Int("runs", 200, "executions per pod")
 	syncEvery := fs.Int("sync", 25, "sync fixes every N runs")
 	drainEvery := fs.Int("drain", 50, "drain buffered traces every N runs (0 drains only at the end)")
-	coalesce := fs.Int("coalesce", 0, "frames per coalesced mega-frame (0 uses the default depth)")
 	compress := fs.String("compress", "auto", "batch compression over the wire: auto (engage when the hello round trip looks like a WAN) or on")
 	retryBase := fs.Duration("retry-base", 0, "first busy-retry backoff step; doubles per attempt with jitter (0 uses the built-in default)")
 	retryCap := fs.Duration("retry-cap", 0, "ceiling on the busy-retry backoff schedule (0 uses the built-in default)")
@@ -56,9 +58,6 @@ func run(args []string) error {
 	}
 	if *compress != "auto" && *compress != "on" {
 		return fmt.Errorf("-compress %q: want auto or on", *compress)
-	}
-	if *coalesce < 0 {
-		return fmt.Errorf("-coalesce %d: want 0 (the default depth) or a positive depth", *coalesce)
 	}
 
 	pop, err := population.New(population.Config{Seed: *seed, Users: *pods})
@@ -72,7 +71,7 @@ func run(args []string) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs <- runPod(i, *hiveAddr, *seed, i%*programs, *runs, *syncEvery, *drainEvery, *coalesce, *compress, *retryBase, *retryCap, pop)
+			errs <- runPod(i, *hiveAddr, *seed, i%*programs, *runs, *syncEvery, *drainEvery, *compress, *retryBase, *retryCap, pop)
 		}(i)
 	}
 	wg.Wait()
@@ -86,7 +85,7 @@ func run(args []string) error {
 	return nil
 }
 
-func runPod(idx int, hiveAddr string, seed uint64, programIdx, runs, syncEvery, drainEvery, coalesce int, compress string, retryBase, retryCap time.Duration, pop *population.Population) error {
+func runPod(idx int, hiveAddr string, seed uint64, programIdx, runs, syncEvery, drainEvery int, compress string, retryBase, retryCap time.Duration, pop *population.Population) error {
 	p, _, err := proggen.Generate(proggen.CorpusSpec(seed, programIdx))
 	if err != nil {
 		return err
@@ -96,7 +95,6 @@ func runPod(idx int, hiveAddr string, seed uint64, programIdx, runs, syncEvery, 
 	// frame goes to its program's owner.
 	client := wire.NewRouter(strings.Split(hiveAddr, ",")...)
 	defer client.Close()
-	client.CoalesceDepth = coalesce
 	client.ForceCompress = compress == "on"
 	// Busy-retry pacing: a hive answering busy-retry (admission control or
 	// deferred low-rarity work) is waited out with jittered exponential

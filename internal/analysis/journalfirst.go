@@ -38,7 +38,11 @@ var journalGuards = []journalGuard{
 	// PR 10: the read-only breaker's failure accounting wraps every live
 	// batch append. Appending to the journal around the wrapper would let
 	// a full disk fail silently without ever tripping the breaker.
-	{callee: "journalBatchAppend", callers: set("SubmitColumnarSession")},
+	{callee: "journalBatchAppend", callers: set("SubmitColumnarSession", "certify")},
+	// A live certificate is journaled ahead of its apply by one function,
+	// which expects its caller to hold the checkpoint gate: the two engines
+	// that refute frontiers reach it, nothing else does.
+	{callee: "certify", callers: set("Guidance", "Prove")},
 	// The breaker may only close once a checkpoint has landed durably —
 	// closing it anywhere else would ack ingest into an unproven journal.
 	// And the checkpoint itself is reached two ways only: on the timer, and
@@ -63,7 +67,8 @@ var JournalFirst = &Analyzer{
 	Doc: "in internal/hive, live-mutation helpers (applyBatchView, " +
 		"synthesizeFix, markSession, journalBatchAppend, closeReadOnly) " +
 		"are reachable only from the one ingest path " +
-		"(SubmitColumnarSession), the one restore path (recoverProgram, " +
+		"(SubmitColumnarSession), the one certificate path (certify, from " +
+		"Guidance and Prove), the one restore path (recoverProgram, " +
 		"from Recover and ImportProgram, and its restoreProgram/applyOp/" +
 		"mergeSessions), or the checkpoint path (checkpointLocked, from " +
 		"CheckpointProgram and ImportProgram); calling them from handlers " +

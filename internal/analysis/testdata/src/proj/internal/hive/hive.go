@@ -142,3 +142,26 @@ func (h *Hive) rebuild(st *programState) {
 func (h *Hive) persistDirect(st *programState) {
 	h.checkpointLocked(st)
 }
+
+// certify journals a certificate through the breaker-accounted wrapper, then
+// applies it. Clean.
+func (h *Hive) certify(st *programState) {
+	_ = h.journalBatchAppend(st)
+}
+
+// Guidance certifies what its generator refuted. Clean.
+func (h *Hive) Guidance(st *programState) {
+	certify := func() { h.certify(st) }
+	certify()
+}
+
+// Prove hands the proof engine the same function. Clean.
+func (h *Hive) Prove(st *programState) {
+	h.certify(st)
+}
+
+// discharge certifies from outside a pull or a proof attempt — under no
+// checkpoint gate. Finding expected.
+func (h *Hive) discharge(st *programState) {
+	h.certify(st)
+}

@@ -17,6 +17,12 @@ import (
 // is pinned in both harnesses.
 func HostileFrames(seed uint64) [][]byte {
 	rng := stats.NewRNG(seed)
+	framed := func(mt wire.MsgType, body string) []byte {
+		f := make([]byte, 5, 5+len(body))
+		binary.BigEndian.PutUint32(f, uint32(1+len(body)))
+		f[4] = byte(mt)
+		return append(f, body...)
+	}
 	frames := [][]byte{
 		{},                       // connect, say nothing, hang up
 		{0x00},                   // truncated length header
@@ -30,6 +36,13 @@ func HostileFrames(seed uint64) [][]byte {
 	binary.BigEndian.PutUint32(over, uint32(wire.MaxFrameSize+1))
 	over[4] = byte(wire.MsgSubmitBatchColumnar)
 	frames = append(frames, over)
+	// The same claim behind a well-formed hello: no hello raises the limit.
+	hello := framed(wire.MsgHello, fmt.Sprintf(`{"version":%d}`, wire.ProtocolVersion))
+	frames = append(frames, append(hello, over...))
+	// A hello from before protocol versions — feature strings and a
+	// frame-size ask: refused, and nothing it asks for granted.
+	frames = append(frames, framed(wire.MsgHello,
+		`{"features":["columnar-batch","coalesced-frames","slab-flate","busy-retry","ring-routing"],"maxFrame":67108864}`))
 	// Unknown message type carrying a large-but-legal claim and no body:
 	// the reader must not wait forever for bytes that never come, and the
 	// worker must answer an error, not crash.
@@ -41,11 +54,7 @@ func HostileFrames(seed uint64) [][]byte {
 	// columnar codec see attacker-controlled bytes, and type 1 — retired
 	// with the per-trace submission frames — must stay an unknown type.
 	for _, mt := range []wire.MsgType{wire.MsgHello, 1, wire.MsgSubmitBatchColumnar, wire.MsgCoalesced} {
-		body := []byte(`{"truncated":`)
-		f := make([]byte, 5, 5+len(body))
-		binary.BigEndian.PutUint32(f, uint32(1+len(body)))
-		f[4] = byte(mt)
-		frames = append(frames, append(f, body...))
+		frames = append(frames, framed(mt, `{"truncated":`))
 	}
 	// A coalesced frame whose inner frame lies about its own length.
 	inner := make([]byte, 5)

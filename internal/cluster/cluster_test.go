@@ -78,36 +78,3 @@ func TestExploreRejectsBadArgs(t *testing.T) {
 		t.Error("zero nodes accepted")
 	}
 }
-
-func TestExploreConcurrentMatchesSequential(t *testing.T) {
-	p, _ := proggen.MustGenerate(proggen.Spec{Seed: 55, Depth: 4})
-	seq, err := Explore(p, 1, Dynamic, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := ExploreConcurrent(p, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !conc.Complete {
-		t.Fatalf("concurrent exploration incomplete: %+v", conc)
-	}
-	if conc.Paths != seq.Paths || conc.Nodes != seq.Nodes {
-		t.Errorf("concurrent tree %d/%d != sequential %d/%d",
-			conc.Paths, conc.Nodes, seq.Paths, seq.Nodes)
-	}
-	var total int64
-	for _, c := range conc.PerWorker {
-		total += c
-	}
-	if total != conc.Discharged {
-		t.Errorf("per-worker sum %d != discharged %d", total, conc.Discharged)
-	}
-}
-
-func TestExploreConcurrentRejectsBadArgs(t *testing.T) {
-	p, _ := proggen.MustGenerate(proggen.Spec{Seed: 1, Depth: 2})
-	if _, err := ExploreConcurrent(p, 0, 0); err == nil {
-		t.Error("zero workers accepted")
-	}
-}

@@ -619,54 +619,6 @@ func (s *Simulation) simulateDay() error {
 	return nil
 }
 
-// ClusterGuidance fans one guidance pull out across every program's
-// shard owner concurrently and merges the per-program lists by rarity
-// rank: round k of the merge carries every program's k-th rarest case
-// (in corpus order), so the scarcest frontiers fleet-wide surface first
-// no matter which shard owns them. max bounds the merged total; <= 0
-// means everything. SoftBorg mode only.
-func (s *Simulation) ClusterGuidance(max int) ([]guidance.TestCase, error) {
-	if s.cfg.Mode != ModeSoftBorg {
-		return nil, fmt.Errorf("core: guidance needs %v, have %v", ModeSoftBorg, s.cfg.Mode)
-	}
-	per := max
-	if per <= 0 {
-		per = int(^uint(0) >> 1)
-	}
-	lists := make([][]guidance.TestCase, len(s.progs))
-	errs := make([]error, len(s.progs))
-	var wg sync.WaitGroup
-	for pi := range s.progs {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			lists[pi], errs[pi] = s.hiveOf(pi).Guidance(s.progs[pi].Prog.ID, per)
-		}(pi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []guidance.TestCase
-	for rank := 0; ; rank++ {
-		added := false
-		for _, l := range lists {
-			if rank < len(l) {
-				out = append(out, l[rank])
-				added = true
-				if max > 0 && len(out) >= max {
-					return out, nil
-				}
-			}
-		}
-		if !added {
-			return out, nil
-		}
-	}
-}
-
 func (s *Simulation) fillBackendMetrics(m *DayMetrics) {
 	switch s.cfg.Mode {
 	case ModeSoftBorg:

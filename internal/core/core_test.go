@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/population"
@@ -265,69 +264,6 @@ func TestShardedSimulationMatchesSingle(t *testing.T) {
 	for i := range single {
 		if single[i] != sharded[i] {
 			t.Fatalf("day %d diverged: 1-hive %+v vs 3-hive %+v", i, single[i], sharded[i])
-		}
-	}
-}
-
-// TestClusterGuidanceMergesByRarity checks the fan-out pull: cases come
-// back from every shard and the merge interleaves programs rank by rank
-// (each program's rarest case precedes any program's second-rarest).
-func TestClusterGuidanceMergesByRarity(t *testing.T) {
-	sim, err := NewSimulation(Config{
-		Seed:     9,
-		Programs: corpus(t, 4),
-		Population: population.Config{
-			Users: 24, MeanRunsPerDay: 8,
-		},
-		Days:  2,
-		Mode:  ModeSoftBorg,
-		Hives: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	all, err := sim.ClusterGuidance(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) == 0 {
-		t.Fatal("no guidance from a fleet with open frontiers")
-	}
-	// Per-program pulls must agree with the merged rounds: the merged
-	// list's first round is the set of first cases per program, in corpus
-	// order.
-	var wantFirst []string
-	for pi, put := range sim.progs {
-		cases, err := sim.hiveOf(pi).Guidance(put.Prog.ID, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cases) > 0 {
-			wantFirst = append(wantFirst, fmt.Sprint(cases[0]))
-		}
-	}
-	if len(wantFirst) == 0 {
-		t.Fatal("no per-program guidance at all")
-	}
-	for i, want := range wantFirst {
-		if got := fmt.Sprint(all[i]); got != want {
-			t.Fatalf("merge round 0 position %d = %s, want %s", i, got, want)
-		}
-	}
-	// A bound truncates without reordering.
-	bounded, err := sim.ClusterGuidance(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bounded) > 2 {
-		t.Fatalf("bounded pull returned %d cases", len(bounded))
-	}
-	for i := range bounded {
-		if fmt.Sprint(bounded[i]) != fmt.Sprint(all[i]) {
-			t.Fatalf("bounded pull reordered at %d", i)
 		}
 	}
 }

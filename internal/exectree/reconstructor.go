@@ -3,6 +3,7 @@ package exectree
 import (
 	"sync"
 
+	"repro/internal/memo"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
@@ -17,14 +18,9 @@ import (
 // re-executes its cold tail, it does not fall off a cliff.
 const reconstructorBudget = 8 << 20
 
-// memoOverhead approximates the per-entry bookkeeping (map bucket share,
-// string and slice headers) charged against the budget on top of the key
-// and path bytes.
-const memoOverhead = 64
-
-// memo is one remembered reconstruction: the full path, or — ok false —
+// reconstruction is one remembered result: the full path, or — ok false —
 // the fact that this key does not reconstruct.
-type memo struct {
+type reconstruction struct {
 	path []trace.BranchEvent
 	ok   bool
 }
@@ -51,12 +47,8 @@ type ReconstructorStats struct {
 // a key is what Reconstruct returns for any trace carrying it. A hostile
 // pod can therefore evict entries but not poison one, and a hive that
 // remembers, a hive replaying its journal cold, and a re-homed hive all
-// merge identical paths. Bounded by reconstructorBudget with two-generation
-// rotation: inserts fill the current generation; when it is full it becomes
-// the old one (dropping the previous old one) and hits in the old
-// generation move back to the current — so the working set survives
-// rotation and a full memo costs one generation of cold entries, not a
-// cliff.
+// merge identical paths. Bounded by reconstructorBudget in a memo.Memo, whose
+// two-generation rotation keeps the working set across a full memory.
 //
 // Safe for concurrent use. The lock is internal and held only around map
 // operations, never across a replay; two concurrent misses on one key both
@@ -64,22 +56,18 @@ type ReconstructorStats struct {
 type Reconstructor struct {
 	prog  *prog.Program
 	input []int64 // all-zero placeholder input, only ever read
-	// genBudget is the byte budget of one generation.
-	genBudget int
 
-	mu                 sync.Mutex
-	cur, old           map[string]memo
-	curBytes, oldBytes int
-	hits, misses       int64
+	mu           sync.Mutex
+	memo         *memo.Memo[reconstruction]
+	hits, misses int64
 }
 
 // NewReconstructor returns an empty reconstructor for p.
 func NewReconstructor(p *prog.Program) *Reconstructor {
 	return &Reconstructor{
-		prog:      p,
-		input:     make([]int64, p.NumInputs),
-		genBudget: reconstructorBudget / 2,
-		cur:       make(map[string]memo),
+		prog:  p,
+		input: make([]int64, p.NumInputs),
+		memo:  memo.New[reconstruction](reconstructorBudget),
 	}
 }
 
@@ -110,14 +98,7 @@ func (r *Reconstructor) View(v *trace.BatchView, i int) (path []trace.BranchEven
 // lookup answers sc.key from memory, or replays it and remembers the result.
 func (r *Reconstructor) lookup(sc *reconScratch) ([]trace.BranchEvent, bool) {
 	r.mu.Lock()
-	m, hit := r.cur[string(sc.key)]
-	if !hit {
-		if m, hit = r.old[string(sc.key)]; hit {
-			delete(r.old, string(sc.key))
-			r.oldBytes -= memoCost(len(sc.key), m)
-			r.storeLocked(string(sc.key), m)
-		}
-	}
+	m, hit := r.memo.Get(sc.key)
 	if hit {
 		r.hits++
 		r.mu.Unlock()
@@ -136,37 +117,14 @@ func (r *Reconstructor) lookup(sc *reconScratch) ([]trace.BranchEvent, bool) {
 	}
 	if err == nil {
 		// The remembered copy is exactly sized; the scratch keeps the slack.
-		m = memo{path: append([]trace.BranchEvent(nil), sc.full...), ok: true}
+		m = reconstruction{path: append([]trace.BranchEvent(nil), sc.full...), ok: true}
 	}
+	const eventBytes = 8 // unsafe.Sizeof(trace.BranchEvent{})
 	r.mu.Lock()
-	r.storeLocked(string(sc.key), m)
+	// A concurrent miss on the same key may have got here first; its copy stays.
+	r.memo.Put(sc.key, m, eventBytes*len(m.path))
 	r.mu.Unlock()
 	return m.path, m.ok
-}
-
-// memoCost is what one entry is charged against the budget.
-func memoCost(keyLen int, m memo) int {
-	const eventBytes = 8 // unsafe.Sizeof(trace.BranchEvent{})
-	return keyLen + eventBytes*len(m.path) + memoOverhead
-}
-
-// storeLocked remembers m under key in the current generation, rotating the
-// generations first when it would not fit. An entry too large for a whole
-// generation is not remembered at all.
-func (r *Reconstructor) storeLocked(key string, m memo) {
-	cost := memoCost(len(key), m)
-	if cost > r.genBudget {
-		return
-	}
-	if _, dup := r.cur[key]; dup {
-		return // a concurrent miss on the same key got here first
-	}
-	if r.curBytes+cost > r.genBudget {
-		r.old, r.oldBytes = r.cur, r.curBytes
-		r.cur, r.curBytes = make(map[string]memo), 0
-	}
-	r.cur[key] = m
-	r.curBytes += cost
 }
 
 // Stats snapshots the cache counters.
@@ -176,6 +134,6 @@ func (r *Reconstructor) Stats() ReconstructorStats {
 	return ReconstructorStats{
 		Hits:          r.hits,
 		Misses:        r.misses,
-		ResidentBytes: int64(r.curBytes + r.oldBytes),
+		ResidentBytes: int64(r.memo.ResidentBytes()),
 	}
 }

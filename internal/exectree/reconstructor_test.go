@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/memo"
 	"repro/internal/prog"
 	"repro/internal/proggen"
 	"repro/internal/trace"
@@ -193,60 +194,50 @@ func TestReconstructorMatchesReconstruct(t *testing.T) {
 }
 
 // TestReconstructorEviction squeezes the memo into a budget a few dozen
-// entries wide and follows one entry through the two generations: a hit
-// in the old generation moves it back to the current one (the working set
-// survives rotation), an entry nobody asks for is dropped after two
-// rotations, and asking again replays it — with the reference's answer at
-// every step and residency inside the budget.
+// entries wide (memo.TestGenerations follows an entry through the two
+// generations; this is what a caller sees of them): a reconstruction asked
+// for between every other lookup is answered from memory however much else
+// passes through — the working set survives rotation — one nobody asks for
+// while the rest of the corpus passes through is replayed when it is asked
+// for again, and every answer is the reference's with residency inside the
+// budget.
 func TestReconstructorEviction(t *testing.T) {
+	const budget = 16 << 10
 	p, cases := reconCorpus(t, proggen.BugCrash)
 	r := NewReconstructor(p)
-	r.genBudget = 8 << 10
+	r.memo = memo.New[reconstruction](budget)
 	c0, rest := cases[0], cases[1:]
-	v0 := viewOf(t, c0.tr)
-	key := string(v0.AppendReconstructionKey(nil, 0))
-	v0.Release()
-	where := func() (cur, old bool) {
-		_, cur = r.cur[key]
-		_, old = r.old[key]
-		return cur, old
-	}
-	next := 0
-	lookupOthersUntil := func(what string, done func() bool) {
+	lookupOthers := func(between func()) {
 		t.Helper()
-		for !done() {
-			if next == len(rest) {
-				t.Fatalf("corpus exhausted before %s", what)
-			}
-			c := rest[next]
-			next++
+		for _, c := range rest {
 			got, ok := lookup(t, r, c.tr)
 			c.check(t, "filling", got, ok)
-			if st := r.Stats(); st.ResidentBytes > int64(2*r.genBudget) {
-				t.Fatalf("resident %d bytes, budget %d", st.ResidentBytes, 2*r.genBudget)
+			if st := r.Stats(); st.ResidentBytes > budget {
+				t.Fatalf("resident %d bytes, budget %d", st.ResidentBytes, budget)
 			}
+			between()
 		}
 	}
 
 	got, ok := lookup(t, r, c0.tr)
 	c0.check(t, "first sight", got, ok)
-	lookupOthersUntil("the first rotation", func() bool { _, old := where(); return old })
-	before := r.Stats()
-	got, ok = lookup(t, r, c0.tr)
-	c0.check(t, "old generation", got, ok)
-	if st := r.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
-		t.Fatalf("lookup in the old generation: hits %d -> %d, misses %d -> %d; want one hit", before.Hits, st.Hits, before.Misses, st.Misses)
-	}
-	if cur, old := where(); !cur || old {
-		t.Fatalf("after a hit in the old generation: in current %v, in old %v; want moved to current", cur, old)
-	}
+	lookupOthers(func() {
+		before := r.Stats()
+		got, ok := lookup(t, r, c0.tr)
+		c0.check(t, "kept warm", got, ok)
+		if st := r.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
+			t.Fatalf("lookup of a warm entry: hits %d -> %d, misses %d -> %d; want one hit", before.Hits, st.Hits, before.Misses, st.Misses)
+		}
+	})
 
-	lookupOthersUntil("eviction", func() bool { cur, old := where(); return !cur && !old })
-	before = r.Stats()
+	// The same corpus again with c0 left alone: that it is gone afterwards
+	// also shows the pass above rotated under the warm entry.
+	lookupOthers(func() {})
+	before := r.Stats()
 	got, ok = lookup(t, r, c0.tr)
 	c0.check(t, "after eviction", got, ok)
 	if st := r.Stats(); st.Misses != before.Misses+1 {
-		t.Fatalf("lookup after eviction: misses %d -> %d; want one replay", before.Misses, st.Misses)
+		t.Fatalf("lookup after the corpus passed through: misses %d -> %d; want one replay", before.Misses, st.Misses)
 	}
 }
 
@@ -257,8 +248,9 @@ func TestReconstructorEviction(t *testing.T) {
 func TestReconstructorConcurrent(t *testing.T) {
 	for _, kind := range reconKinds {
 		p, cases := reconCorpus(t, kind)
+		const budget = 16 << 10
 		r := NewReconstructor(p)
-		r.genBudget = 8 << 10
+		r.memo = memo.New[reconstruction](budget)
 		traces := make([]*trace.Trace, len(cases))
 		for i, c := range cases {
 			traces[i] = c.tr
@@ -280,9 +272,9 @@ func TestReconstructorConcurrent(t *testing.T) {
 		}
 		wg.Wait()
 		view.Release()
-		if st := r.Stats(); st.ResidentBytes > int64(2*r.genBudget) || st.Hits+st.Misses != int64(8*len(cases)) {
+		if st := r.Stats(); st.ResidentBytes > budget || st.Hits+st.Misses != int64(8*len(cases)) {
 			t.Fatalf("kind %v: resident %d bytes (budget %d), %d hits + %d misses over %d lookups",
-				kind, st.ResidentBytes, 2*r.genBudget, st.Hits, st.Misses, 8*len(cases))
+				kind, st.ResidentBytes, budget, st.Hits, st.Misses, 8*len(cases))
 		}
 	}
 }

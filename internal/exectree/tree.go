@@ -215,10 +215,6 @@ type Tree struct {
 	// dirtyNodes.
 	tracking   bool
 	dirtyNodes []*Node
-	// onCertify, when set, observes every newly minted infeasibility
-	// certificate (hive journaling). Called under the write lock; the
-	// prefix slice is the caller's and must not be retained.
-	onCertify func(prefix []Edge, missing Edge)
 }
 
 // New creates an empty tree for the program with the given ID.
@@ -416,29 +412,14 @@ func (t *Tree) CertifyInfeasible(prefix []Edge, missing Edge) bool {
 		}
 	}
 	if n.Infeasible(missing) {
-		return true // already certified; nothing new to observe
+		return true // already certified
 	}
 	n.markInfeasible(missing)
 	t.markDirty(n)
 	if i := t.openIndex(n, missing); i >= 0 {
 		t.retireFrontier(i)
 	}
-	if t.onCertify != nil {
-		t.onCertify(prefix, missing)
-	}
 	return true
-}
-
-// SetCertifyObserver registers fn to observe every newly minted
-// infeasibility certificate (nil unregisters). The hive uses it to journal
-// certificates no matter which engine mints them — the prover discharging
-// frontiers or the guidance generator refuting one. fn runs under the tree
-// write lock and must not call back into the tree or retain the prefix
-// slice.
-func (t *Tree) SetCertifyObserver(fn func(prefix []Edge, missing Edge)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onCertify = fn
 }
 
 // Walk visits every node in depth-first order under the read lock. fn

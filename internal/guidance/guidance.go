@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/constraint"
 	"repro/internal/exectree"
+	"repro/internal/memo"
 	"repro/internal/prog"
 	"repro/internal/sched"
 	"repro/internal/symbolic"
@@ -48,10 +49,9 @@ type TestCase struct {
 // memory is keyed by the exact bytes of (prefix, missing) —
 // exectree.Frontier.AppendKey — never a digest, so what a pull returns is
 // case for case what a generator without a memory returns on the same tree,
-// whichever tree of the program it is handed. It is bounded by memoBudget
-// with the two-generation rotation of exectree.Reconstructor: a hit in the
-// old generation moves to the current one, so the frontiers still being
-// offered survive a rotation.
+// whichever tree of the program it is handed. It is bounded by memoBudget in a
+// memo.Memo, whose two-generation rotation keeps the frontiers still being
+// offered across a full memory.
 type Generator struct {
 	mu   sync.Mutex
 	prog *prog.Program
@@ -63,12 +63,9 @@ type Generator struct {
 	// enum drives schedule-space exploration for multi-threaded programs.
 	enum *sched.Enumerator
 
-	// cur and old are the two generations of remembered verdicts, curBytes
-	// what cur is charged against genBudget, key the lookup scratch.
-	cur, old  map[string]verdict
-	curBytes  int
-	genBudget int
-	key       []byte
+	// memo remembers verdicts by frontier key; key is the lookup scratch.
+	memo *memo.Memo[verdict]
+	key  []byte
 }
 
 // verdict is what the solvers made of one frontier: the test case that
@@ -87,16 +84,11 @@ type verdict struct {
 // reach; one generation holds that window three times over.
 const memoBudget = 1 << 20
 
-// memoOverhead approximates the per-entry bookkeeping (map bucket share,
-// string header, verdict) charged against the budget on top of the key and
-// the test case.
-const memoOverhead = 64
-
 // NewGenerator builds a generator for p. Single-threaded programs get
 // input- and fault-directed steering; multi-threaded programs get schedule
 // enumeration.
 func NewGenerator(p *prog.Program, scheduleBound int) (*Generator, error) {
-	g := &Generator{prog: p, cur: make(map[string]verdict), genBudget: memoBudget / 2}
+	g := &Generator{prog: p, memo: memo.New[verdict](memoBudget)}
 	if p.NumThreads() == 1 {
 		var err error
 		g.sym, err = symbolic.New(p, symbolic.Config{})
@@ -191,35 +183,21 @@ func (g *Generator) generateInputs(tree *exectree.Tree, max int) (out []TestCase
 // verdictOn answers f from memory, or solves it and remembers the answer.
 func (g *Generator) verdictOn(f exectree.Frontier) verdict {
 	g.key = f.AppendKey(g.key[:0])
-	if v, hit := g.cur[string(g.key)]; hit {
+	if v, hit := g.memo.Get(g.key); hit {
 		return v
 	}
-	v, hit := g.old[string(g.key)]
-	if hit {
-		delete(g.old, string(g.key))
-	} else {
-		v = g.solve(f)
-	}
-	cost := verdictCost(len(g.key), v)
-	if cost > g.genBudget {
-		return v
-	}
-	if g.curBytes+cost > g.genBudget {
-		g.old, g.cur, g.curBytes = g.cur, make(map[string]verdict), 0
-	}
-	g.cur[string(g.key)] = v
-	g.curBytes += cost
+	v := g.solve(f)
+	g.memo.Put(g.key, v, verdictBytes(v))
 	return v
 }
 
-// verdictCost is what one remembered verdict is charged against the budget.
-func verdictCost(keyLen int, v verdict) int {
-	cost := keyLen + memoOverhead
-	if v.tc != nil {
-		const caseBytes, faultBytes = 104, 24 // unsafe.Sizeof(TestCase{}), (prog.FaultSpec{})
-		cost += caseBytes + 8*len(v.tc.Input) + faultBytes*len(v.tc.Faults) + len(v.tc.Reason)
+// verdictBytes is what a remembered verdict holds beyond its map entry.
+func verdictBytes(v verdict) int {
+	if v.tc == nil {
+		return 0
 	}
-	return cost
+	const caseBytes, faultBytes = 104, 24 // unsafe.Sizeof(TestCase{}), (prog.FaultSpec{})
+	return caseBytes + 8*len(v.tc.Input) + faultBytes*len(v.tc.Faults) + len(v.tc.Reason)
 }
 
 // solve runs the solvers on one frontier: input synthesis first, and when

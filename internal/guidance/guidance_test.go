@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/exectree"
+	"repro/internal/memo"
 	"repro/internal/prog"
 	"repro/internal/stats"
 	"repro/internal/symbolic"
@@ -270,16 +271,8 @@ func TestMemoMatchesFreshGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.genBudget = 1 << 10
-	resident := func() int {
-		n := 0
-		for _, gen := range []map[string]verdict{g.cur, g.old} {
-			for k, v := range gen {
-				n += verdictCost(len(k), v)
-			}
-		}
-		return n
-	}
+	const budget = 2 << 10
+	g.memo = memo.New[verdict](budget)
 	keyOf := func(prefix []exectree.Edge, missing exectree.Edge) string {
 		return string(exectree.Frontier{Prefix: prefix, Missing: missing}.AppendKey(nil))
 	}
@@ -349,8 +342,8 @@ func TestMemoMatchesFreshGenerator(t *testing.T) {
 			if !reflect.DeepEqual(tree.FrontiersAll(), copied.FrontiersAll()) {
 				t.Fatalf("step %d: the two pulls left different trees", step)
 			}
-			if r := resident(); r > 2*g.genBudget {
-				t.Fatalf("step %d: %d bytes remembered, budget %d", step, r, 2*g.genBudget)
+			if r := g.memo.ResidentBytes(); r > budget {
+				t.Fatalf("step %d: %d bytes remembered, budget %d", step, r, budget)
 			}
 			pulls++
 			cases += len(got)
@@ -364,7 +357,7 @@ func TestMemoMatchesFreshGenerator(t *testing.T) {
 	if pulls < 100 || cases < 100 || len(certified) < 10 {
 		t.Fatalf("vacuous run: %d pulls, %d cases, %d certificates", pulls, cases, len(certified))
 	}
-	if passed := len(seen) * memoOverhead; passed < 10*2*g.genBudget {
-		t.Fatalf("only %d distinct frontiers (at least %d bytes) passed through a %d-byte memory", len(seen), passed, 2*g.genBudget)
+	if passed := len(seen) * 64; passed < 10*budget { // 64: the memory's per-entry overhead
+		t.Fatalf("only %d distinct frontiers (at least %d bytes) passed through a %d-byte memory", len(seen), passed, budget)
 	}
 }

@@ -75,16 +75,6 @@ func (h *Hive) Recover(store *journal.Store) error {
 		}
 	}
 	h.journal = store
-	// From here on, certificates minted anywhere — the prover discharging a
-	// frontier, the guidance generator refuting one — are journaled at the
-	// tree.
-	for _, id := range ids {
-		st, err := h.state(id)
-		if err != nil {
-			return err
-		}
-		h.observeCertificates(st)
-	}
 	return nil
 }
 
@@ -98,8 +88,8 @@ type chainSource interface {
 // recoverProgram is the one function that turns a chain into live state: the
 // snapshot chain, then the journal suffix after the chain's last checkpoint.
 // It touches that program's shard and, through mergeSessions and applyOp,
-// the session table. The replay must run unobserved — its certificates are
-// in the chain already — so callers arm the certificate observer afterwards.
+// the session table. Replay applies certificates to the tree directly: they
+// are in the chain already, and only a live one goes through certify.
 func (h *Hive) recoverProgram(src chainSource, id string) error {
 	st, err := h.state(id)
 	if err != nil {
@@ -142,22 +132,6 @@ func (h *Hive) recoverProgram(src chainSource, id string) error {
 		st.tree.CertifyInfeasible(op.Prefix, op.Missing)
 	}
 	return nil
-}
-
-// observeCertificates journals every newly minted infeasibility certificate
-// on the program's tree.
-func (h *Hive) observeCertificates(st *programState) {
-	programID := st.prog.ID
-	st.tree.SetCertifyObserver(func(prefix []exectree.Edge, missing exectree.Edge) {
-		op := &journal.Op{
-			Kind:    journal.OpCert,
-			Prefix:  append([]exectree.Edge(nil), prefix...),
-			Missing: missing,
-		}
-		if err := h.journal.Append(programID, op); err != nil {
-			h.noteDurability(err)
-		}
-	})
 }
 
 // restoreProgram rebuilds one program's state from a checkpoint chain: the
@@ -369,8 +343,10 @@ func (h *Hive) checkpointLocked(st *programState, above uint64) error {
 	// replay-debt reduction. Skipping never loses data: the journal, if it
 	// somehow had ops, stays in place. Session marks that advanced via
 	// other programs' traffic are carried by those programs' segments and
-	// ops (recovery max-merges all of them).
-	if st.hasBase && st.tree.DirtyNodes() == 0 &&
+	// ops (recovery max-merges all of them). An open breaker is not
+	// quiescence: refused appends leave nothing to retire, and only a landed
+	// checkpoint closes it.
+	if st.hasBase && st.tree.DirtyNodes() == 0 && !st.readOnly.Load() &&
 		h.journal.AppendsSinceCheckpoint(programID) == 0 {
 		return nil
 	}

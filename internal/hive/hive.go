@@ -193,8 +193,9 @@ type Hive struct {
 	// this many delta checkpoints a program's next checkpoint is full,
 	// collapsing the chain. <= 0 forces every checkpoint full.
 	compactEvery int
-	// durabilityErr latches the first non-batch journal failure (batch
-	// append failures reject the batch instead). A pointer so the CAS
+	// durabilityErr latches the first journal failure of a synthesis or proof
+	// op (a refused batch or certificate is not applied instead). A pointer
+	// so the CAS
 	// never sees inconsistently typed values.
 	durabilityErr atomic.Pointer[error]
 
@@ -332,26 +333,16 @@ func (h *Hive) Program(programID string) (*prog.Program, error) {
 // clients needing exactly-once submit sealed, tagged frames instead
 // (pod.SealedStreamer over the wire, SubmitColumnarSession in process).
 func (h *Hive) SubmitTraces(traces []*trace.Trace) error {
-	if len(traces) == 0 {
-		return nil
-	}
-	order := make([]string, 0, 1)
-	groups := make(map[string][]*trace.Trace, 1)
-	for _, tr := range traces {
-		if _, ok := groups[tr.ProgramID]; !ok {
-			order = append(order, tr.ProgramID)
-		}
-		groups[tr.ProgramID] = append(groups[tr.ProgramID], tr)
-	}
-	for _, id := range order {
-		if _, err := h.state(id); err != nil {
+	groups := trace.GroupByProgram(traces)
+	for _, g := range groups {
+		if _, err := h.state(g.ProgramID); err != nil {
 			return err
 		}
 	}
 	var enc []byte
-	for _, id := range order {
+	for _, g := range groups {
 		var err error
-		if enc, err = trace.AppendBatch(enc[:0], id, groups[id]); err != nil {
+		if enc, err = trace.AppendBatch(enc[:0], g.ProgramID, g.Traces); err != nil {
 			return err
 		}
 		view, err := trace.DecodeBatch(enc)
@@ -699,12 +690,13 @@ func (h *Hive) journalSynthesis(st *programState, signature string, minted *fix.
 // fail again.
 const readOnlyAppendThreshold = 3
 
-// journalBatchAppend is the batch path's write-ahead append with the
-// read-only breaker wrapped around it: an open breaker refuses the batch
-// immediately with pod.ErrReadOnly (no disk touch), a failed append counts
-// toward opening it, and a successful append resets the count. Only a
-// durably landed checkpoint closes an open breaker (see CheckpointProgram) —
-// proof the disk takes writes again.
+// journalBatchAppend is the write-ahead append of the ops that are refused
+// when the journal refuses them — a batch, a certificate — with the read-only
+// breaker wrapped around it: an open breaker refuses the op immediately with
+// pod.ErrReadOnly (no disk touch), a failed append counts toward opening it,
+// and a successful append resets the count. Only a durably landed checkpoint
+// closes an open breaker (see CheckpointProgram) — proof the disk takes
+// writes again.
 func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) error {
 	if st.readOnly.Load() {
 		return fmt.Errorf("hive: program %s refuses ingest (guidance still served): %w", st.prog.ID, pod.ErrReadOnly)
@@ -744,14 +736,14 @@ func (h *Hive) ReadOnlyPrograms() int {
 	return n
 }
 
-// noteDurability latches the first non-batch journal failure.
+// noteDurability latches the first journal failure of an op applied anyway.
 func (h *Hive) noteDurability(err error) {
 	h.durabilityErr.CompareAndSwap(nil, &err)
 }
 
-// DurabilityError returns the first journal failure outside the batch path
-// (synthesis, proof, certificate ops), or nil. Batch append failures reject
-// their batch instead of degrading silently.
+// DurabilityError returns the first journal failure of an op applied all the
+// same (synthesis, proof), or nil. A batch or a certificate the journal
+// refuses is not applied, so its failure degrades nothing.
 func (h *Hive) DurabilityError() error {
 	if p := h.durabilityErr.Load(); p != nil {
 		return *p
@@ -998,6 +990,27 @@ func (h *Hive) FixesSince(programID string, version int) ([]fix.Fix, int, error)
 	return fixes, cur, nil
 }
 
+// certify is the one way an infeasibility certificate reaches a live
+// program's tree, whichever engine refuted the frontier: the OpCert is
+// journaled first, through the breaker-accounted append, and applied second —
+// the order every other mutation takes — so a certificate the journal
+// refuses is not applied (the frontier stays open, and whoever pulls it next
+// tries again), and nothing waits on the tree's lock while the append waits
+// on the disk. The caller holds the read side of the program's checkpoint
+// gate. It reports whether the frontier is certified.
+func (h *Hive) certify(st *programState, prefix []exectree.Edge, missing exectree.Edge) bool {
+	if st.gone {
+		return false
+	}
+	if h.journal != nil {
+		op := &journal.Op{Kind: journal.OpCert, Prefix: prefix, Missing: missing}
+		if h.journalBatchAppend(st, op) != nil {
+			return false
+		}
+	}
+	return st.tree.CertifyInfeasible(prefix, missing)
+}
+
 // Guidance implements the pod-facing steering API: test cases toward the
 // program's current coverage gaps. The snapshot and the solving are reads —
 // the generator and the tree synchronize internally — and run outside the
@@ -1015,9 +1028,9 @@ func (h *Hive) Guidance(programID string, max int) ([]guidance.TestCase, error) 
 	certify := func(prefix []exectree.Edge, missing exectree.Edge) bool {
 		st.ckpt.RLock()
 		defer st.ckpt.RUnlock()
-		// Under the gate st.tree is the program's tree, whatever an import
-		// made of the one the snapshot was taken on.
-		return !st.gone && st.tree.CertifyInfeasible(prefix, missing)
+		// A frontier of a tree an import has since replaced certifies
+		// nothing: the program's tree may not hold its prefix.
+		return st.tree == tree && h.certify(st, prefix, missing)
 	}
 	return st.gen.GenerateWith(tree, max, certify), nil
 }
@@ -1048,16 +1061,18 @@ func (h *Hive) Prove(programID string, property proof.Property) (*proof.Proof, e
 	st.ckpt.RLock()
 	defer st.ckpt.RUnlock()
 	engine := proof.NewEngine(st.prog, sym)
-	pr, err := engine.Attempt(st.tree, property, epoch)
+	pr, err := engine.AttemptWith(st.tree, property, epoch, func(prefix []exectree.Edge, missing exectree.Edge) bool {
+		return h.certify(st, prefix, missing)
+	})
 	if err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
 	st.proofs[property] = pr
 	if h.journal != nil {
-		// The op carries the proof and its merged evidence; certificates
-		// minted during the attempt were journaled by the tree's certify
-		// observer as they happened.
+		// The op carries the proof and its merged evidence; the certificates
+		// the attempt minted were journaled one by one, each ahead of its
+		// apply.
 		if data, encErr := proof.Encode(pr); encErr != nil {
 			h.noteDurability(encErr)
 		} else if aerr := h.journal.Append(st.prog.ID, &journal.Op{Kind: journal.OpProof, Proof: data}); aerr != nil {

@@ -67,7 +67,7 @@ func (h *Hive) ImportProgram(chain *journal.ChainExport) error {
 	if n := st.ingested.Load(); n > 0 {
 		return fmt.Errorf("hive: import %s: program already holds %d ingested traces here", chain.ProgramID, n)
 	}
-	st.reset() // the replay runs over nothing, on a tree nothing observes
+	st.reset() // the replay runs over nothing
 	err = h.recoverProgram(chain, chain.ProgramID)
 	// The chain restored lies in another directory; this one starts its own.
 	st.hasBase, st.deltasSince = false, 0
@@ -77,9 +77,6 @@ func (h *Hive) ImportProgram(chain *journal.ChainExport) error {
 	if err != nil {
 		st.reset()
 		err = fmt.Errorf("hive: import %s: %w", chain.ProgramID, err)
-	}
-	if h.journal != nil {
-		h.observeCertificates(st) // armed after the replay, as Recover does
 	}
 	return err
 }

@@ -78,7 +78,8 @@ type CounterExample struct {
 // Evidence is one execution the prover synthesized and merged into the tree
 // while discharging frontiers. The attempt records every such merge so a
 // journaled hive can replay the attempt's tree mutations on recovery
-// (infeasibility certificates are journaled separately, at the tree).
+// (infeasibility certificates are journaled separately, by the certify
+// function the hive hands AttemptWith).
 type Evidence struct {
 	Path    []trace.BranchEvent `json:"path"`
 	Outcome prog.Outcome        `json:"outcome"`
@@ -150,6 +151,15 @@ func NewEngine(p *prog.Program, sym *symbolic.Engine) *Engine {
 // mutated: frontiers get discharged (merged paths or certificates). epoch
 // tags the returned proof with the current fix version.
 func (e *Engine) Attempt(tree *exectree.Tree, property Property, epoch int) (*Proof, error) {
+	return e.AttemptWith(tree, property, epoch, tree.CertifyInfeasible)
+}
+
+// AttemptWith is Attempt with the certification of refuted frontiers left to
+// the caller, as guidance.Generator.GenerateWith leaves it: certify is called
+// for each frontier whose missing direction is infeasible and reports whether
+// the tree now holds the certificate. The hive uses it to journal a
+// certificate ahead of applying it. The prefix must not be retained.
+func (e *Engine) AttemptWith(tree *exectree.Tree, property Property, epoch int, certify func(prefix []exectree.Edge, missing exectree.Edge) bool) (*Proof, error) {
 	pr := &Proof{ProgramID: tree.ProgramID(), Property: property, Epoch: epoch}
 
 	for iter := 0; iter < e.MaxDischarge; iter++ {
@@ -183,7 +193,7 @@ func (e *Engine) Attempt(tree *exectree.Tree, property Property, epoch int) (*Pr
 					})
 				}
 			case constraint.UNSAT:
-				if tree.CertifyInfeasible(f.Prefix, f.Missing) {
+				if certify(f.Prefix, f.Missing) {
 					pr.Certificates++
 					progress = true
 				}

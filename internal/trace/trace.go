@@ -191,6 +191,31 @@ func (t *Trace) Clone() *Trace {
 	return &c
 }
 
+// ProgramBatch is the traces of one program within a mixed batch.
+type ProgramBatch struct {
+	ProgramID string
+	Traces    []*Trace
+}
+
+// GroupByProgram splits a batch by ProgramID: programs in order of first
+// appearance, arrival order within a program. A batch frame names its program
+// once, so this is the cut every caller holding loose traces makes before
+// encoding them.
+func GroupByProgram(traces []*Trace) []ProgramBatch {
+	var out []ProgramBatch
+	at := make(map[string]int, 1)
+	for _, tr := range traces {
+		i, ok := at[tr.ProgramID]
+		if !ok {
+			i = len(out)
+			at[tr.ProgramID] = i
+			out = append(out, ProgramBatch{ProgramID: tr.ProgramID})
+		}
+		out[i].Traces = append(out[i].Traces, tr)
+	}
+	return out
+}
+
 // DigestInput computes the salted input digest used in Trace.InputDigest.
 func DigestInput(salt string, input []int64) string {
 	h := sha256.New()

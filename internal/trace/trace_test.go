@@ -313,3 +313,30 @@ func TestEncodeSizeReasonable(t *testing.T) {
 		t.Fatalf("branches = %d", len(got.Branches))
 	}
 }
+
+// TestGroupByProgram: programs come out in order of first appearance, each
+// with its traces in arrival order.
+func TestGroupByProgram(t *testing.T) {
+	mk := func(id string, seq uint64) *Trace { return &Trace{ProgramID: id, Seq: seq} }
+	got := GroupByProgram([]*Trace{mk("b", 1), mk("a", 2), mk("b", 3), mk("c", 4), mk("a", 5)})
+	want := []struct {
+		id   string
+		seqs []uint64
+	}{{"b", []uint64{1, 3}}, {"a", []uint64{2, 5}}, {"c", []uint64{4}}}
+	if len(got) != len(want) {
+		t.Fatalf("%d groups, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if got[i].ProgramID != w.id || len(got[i].Traces) != len(w.seqs) {
+			t.Fatalf("group %d = %s with %d traces, want %s with %d", i, got[i].ProgramID, len(got[i].Traces), w.id, len(w.seqs))
+		}
+		for j, seq := range w.seqs {
+			if got[i].Traces[j].Seq != seq {
+				t.Fatalf("group %s trace %d has seq %d, want %d", w.id, j, got[i].Traces[j].Seq, seq)
+			}
+		}
+	}
+	if GroupByProgram(nil) != nil {
+		t.Fatal("no traces made a group")
+	}
+}

@@ -217,6 +217,26 @@ func backoffDelay(base, ceil time.Duration, attempt int, hint time.Duration, jit
 	return d + time.Duration(jitter*float64(d)/2)
 }
 
+// jitter draws the next value in [0, 1) from the xorshift64 stream whose
+// state is rng, for backoffDelay. Deliberately not math/rand: it needs no
+// seeding policy and allocates nothing, and it is lock-free — any
+// interleaving of concurrent draws is fine.
+func jitter(rng *atomic.Uint64) float64 {
+	for {
+		old := rng.Load()
+		x := old
+		if x == 0 {
+			x = 0x9e3779b97f4a7c15
+		}
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		if rng.CompareAndSwap(old, x) {
+			return float64(x>>11) / float64(1<<53)
+		}
+	}
+}
+
 // defaultRetryBase and defaultRetryCap bound the client backoff schedule
 // when the client does not pin its own.
 const (

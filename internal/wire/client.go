@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,16 +41,13 @@ type Client struct {
 	// another's.
 	seq uint64
 
-	// negotiated and the fields below cache the hello exchange (guarded by
-	// mu): before sealing or submitting frames the client says hello once
-	// per session; a failed exchange is retried on the next seal or submit.
-	negotiated bool
+	// greeted and the fields below cache the hello exchange (guarded by mu):
+	// before sealing or submitting frames the client says hello once per
+	// session; a failed exchange is retried on the next seal or submit.
+	greeted bool
 	// compressing reports that sealed batches are DEFLATE-compressed:
 	// forced, or the link looks far (see helloRTT).
 	compressing bool
-	// maxFrame is the negotiated frame-size limit for writes on this
-	// connection (MaxFrameSize until a hello grant raises it).
-	maxFrame int
 	// placement is the map the server advertised (nil when unsharded).
 	// lastRedirect remembers the most recent MsgRedirect this client saw,
 	// so a later retry-exhausted error can tell "owner moved" from "owner
@@ -66,12 +61,10 @@ type Client struct {
 	// loopback fleets skip it and keep their syscall-bound throughput.
 	helloRTT time.Duration
 	// helloCount counts hello exchanges this client has run; tests use it
-	// to prove busy replies do not trigger re-negotiation storms.
+	// to prove busy replies do not trigger hello storms.
 	helloCount int
 
-	// rng is the per-client xorshift64 state behind backoff jitter —
-	// deliberately not math/rand, so jitter needs no seeding policy and
-	// stays allocation-free.
+	// rng is the per-client state of the backoff jitter stream.
 	rng atomic.Uint64
 
 	// sealScratch is the reusable columnar encode buffer for
@@ -86,9 +79,6 @@ type Client struct {
 	// and tests; real WAN links trip the floor on their own). Set before
 	// first use.
 	ForceCompress bool
-	// CoalesceDepth bounds how many inner frames one mega-frame carries
-	// (default defaultCoalesceDepth). Set before first use.
-	CoalesceDepth int
 	// RetryBase and RetryCap bound the jittered exponential backoff used
 	// after MsgBusy replies (defaults defaultRetryBase / defaultRetryCap).
 	// Set before first use.
@@ -110,18 +100,19 @@ var _ pod.SealedStreamer = (*Client)(nil)
 // a round trip across the whole window.
 const maxInflightFrames = 32
 
-// defaultCoalesceDepth is how many inner frames one mega-frame carries
-// when the client does not pin a depth.
-const defaultCoalesceDepth = 16
+// coalesceDepth is how many inner frames one mega-frame carries at most.
+const coalesceDepth = 16
 
-// maxCoalesceDepth caps the depth a client will use: the server's reply
-// amplification (one inner ack per inner frame) stays bounded.
-const maxCoalesceDepth = 1024
-
-// coalesceByteBudget bounds the bytes of one mega-frame regardless of
-// depth, keeping worst-case in-flight volume (window × budget) and the
-// server's per-frame buffer modest.
+// coalesceByteBudget bounds the bytes of a mega-frame of more than one inner
+// frame, keeping worst-case in-flight volume (window × budget) and the
+// server's per-frame buffer modest. A frame larger than the budget travels
+// as a mega-frame of one.
 const coalesceByteBudget = 1 << 20
+
+// maxSealedPayload is the largest sealed payload that can be submitted: its
+// mega-frame of one — the outer type byte, the inner header, the payload —
+// must itself be a legal frame.
+const maxSealedPayload = MaxFrameSize - 6
 
 // compressRTTFloor is the hello-RTT above which compression engages: past a
 // few milliseconds the link is a network, not a loopback, and trading CPU
@@ -216,11 +207,18 @@ func (c *Client) dialLocked() error {
 
 // retryErrLocked wraps the final transport error after a failed retry.
 // The message carries what the hello exchange settled and, on a sharded
-// fleet, the last redirect this client saw plus the placement
-// version it negotiated, so an operator can tell "owner moved" (a redirect
-// names the new owner) from "owner down" (no redirect; the placement still
-// points here) straight from the error string.
+// fleet, the last redirect this client saw plus the placement version the
+// hello advertised, so an operator can tell "owner moved" (a redirect names
+// the new owner) from "owner down" (no redirect; the placement still points
+// here) straight from the error string.
 func (c *Client) retryErrLocked(lastErr error) error {
+	link := "no hello answered"
+	switch {
+	case c.greeted && c.compressing:
+		link = "compressing"
+	case c.greeted:
+		link = "not compressing"
+	}
 	routed := ""
 	if c.lastRedirect != nil {
 		routed = fmt.Sprintf("; last redirect: program %s -> %s at placement v%d",
@@ -228,8 +226,7 @@ func (c *Client) retryErrLocked(lastErr error) error {
 	} else if c.placement != nil {
 		routed = fmt.Sprintf("; no redirect seen at placement v%d", c.placement.Version())
 	}
-	return fmt.Errorf("wire: %s unreachable after retry (features: %s%s): %w",
-		c.addr, c.featureSummaryLocked(), routed, lastErr)
+	return fmt.Errorf("wire: %s unreachable after retry (%s%s): %w", c.addr, link, routed, lastErr)
 }
 
 // noteRedirectLocked remembers the most recent redirect for error
@@ -246,45 +243,18 @@ func (c *Client) noteRedirectLocked(err error) {
 	}
 }
 
-// featureSummaryLocked renders what the hello exchange settled for error
-// messages.
-func (c *Client) featureSummaryLocked() string {
-	if !c.negotiated {
-		return "not negotiated"
-	}
-	parts := append([]string(nil), helloFeatures[:]...)
-	if c.placement != nil {
-		parts = append(parts, FeatureRouting)
-	}
-	if c.compressing {
-		parts = append(parts, "compressing")
-	}
-	if c.maxFrame > MaxFrameSize {
-		parts = append(parts, fmt.Sprintf("max-frame=%d", c.maxFrame))
-	}
-	return strings.Join(parts, ",")
-}
-
-// helloFeatures is what every server must grant: the protocol's one
-// generation.
-var helloFeatures = [...]string{FeatureColumnarBatch, FeatureCoalesce, FeatureSlabFlate, FeatureBusy}
-
-// ensureNegotiatedLocked runs the hello exchange once per client: offer the
-// features and a frame-size raise, take the grant and the placement the
-// server advertises. A failure — dial, transport, or a server that does not
-// grant the whole generation — is returned and leaves the client
-// un-negotiated, so the next seal or submit retries. The exchange doubles
-// as an RTT probe (the connection is established first, so the measurement
-// is one request/response round trip), which decides whether compression is
-// worth its CPU.
-func (c *Client) ensureNegotiatedLocked() error {
-	if c.negotiated {
+// ensureGreetedLocked runs the hello exchange once per client: name the
+// protocol version, take the placement the server advertises. A failure —
+// dial, transport, or a peer that speaks another version — is returned and
+// leaves the client un-greeted, so the next seal or submit retries. The
+// exchange doubles as an RTT probe (the connection is established first, so
+// the measurement is one request/response round trip), which decides whether
+// compression is worth its CPU.
+func (c *Client) ensureGreetedLocked() error {
+	if c.greeted {
 		return nil
 	}
-	payload, err := json.Marshal(HelloPayload{
-		Features: append(helloFeatures[:], FeatureRouting),
-		MaxFrame: MaxCoalescedFrameSize,
-	})
+	payload, err := json.Marshal(HelloPayload{Version: ProtocolVersion})
 	if err != nil {
 		return err
 	}
@@ -299,77 +269,47 @@ func (c *Client) ensureNegotiatedLocked() error {
 	c.helloRTT = time.Since(start)
 	c.helloCount++
 	if respType != MsgHelloAck {
-		return fmt.Errorf("wire: %s: hello answered with message type %d", c.addr, respType)
+		// A server of another version says so in a MsgError naming both.
+		return fmt.Errorf("wire: %s refused the hello of protocol version %d: %w", c.addr, ProtocolVersion, serverError(respType, resp))
 	}
 	var ack HelloAckPayload
 	if err := json.Unmarshal(resp, &ack); err != nil {
 		return fmt.Errorf("wire: %s: bad hello ack: %w", c.addr, err)
 	}
-	for _, f := range helloFeatures {
-		if !slices.Contains(ack.Features, f) {
-			return fmt.Errorf("wire: %s does not speak this protocol: hello did not grant %s", c.addr, f)
-		}
+	if ack.Version != ProtocolVersion {
+		return fmt.Errorf("wire: %s speaks protocol version %d, this client speaks version %d", c.addr, ack.Version, ProtocolVersion)
 	}
-	c.negotiated = true
-	c.placement = nil
-	if slices.Contains(ack.Features, FeatureRouting) {
-		c.placement = placementFromPayload(ack.Placement)
-	}
-	// Trust the grant only within what we asked for.
-	c.maxFrame = min(max(ack.MaxFrame, MaxFrameSize), MaxCoalescedFrameSize)
+	c.greeted = true
+	c.placement = placementFromPayload(ack.Placement)
 	c.compressing = c.ForceCompress || c.helloRTT >= compressRTTFloor
 	return nil
 }
 
 // HelloCount reports how many hello exchanges this client has run. Tests
 // use it to prove a shedding (busy) owner does not trigger a
-// re-negotiation storm the way a dead one does.
+// hello storm the way a dead one does.
 func (c *Client) HelloCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.helloCount
 }
 
-// jitter draws the next value in [0, 1) from the per-client xorshift64
-// stream (lock-free; any interleaving of concurrent draws is fine).
-func (c *Client) jitter() float64 {
-	for {
-		old := c.rng.Load()
-		x := old
-		if x == 0 {
-			x = 0x9e3779b97f4a7c15
-		}
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		if c.rng.CompareAndSwap(old, x) {
-			return float64(x>>11) / float64(1<<53)
-		}
-	}
-}
-
-// backoff is the delay before busy-retry round attempt (0-based),
-// honoring the server's retry-after hint as a floor.
-func (c *Client) backoff(attempt int, hint time.Duration) time.Duration {
-	return backoffDelay(c.RetryBase, c.RetryCap, attempt, hint, c.jitter())
-}
-
-// Handshake eagerly dials and negotiates. Submission paths negotiate
+// Handshake eagerly dials and says hello. Submission paths do so
 // lazily; routers call this up front so the placement map is available
 // before the first frame is sealed.
 func (c *Client) Handshake() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ensureNegotiatedLocked()
+	return c.ensureGreetedLocked()
 }
 
-// PlacementMap returns the placement advertised by the server at
-// negotiation, or nil when the server is unsharded or unreachable.
-// Negotiates on first use.
+// PlacementMap returns the placement advertised by the server in its hello
+// ack, or nil when the server is unsharded or unreachable. Says hello on
+// first use.
 func (c *Client) PlacementMap() *ring.Map {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_ = c.ensureNegotiatedLocked() // an unreachable server advertises nothing
+	_ = c.ensureGreetedLocked() // an unreachable server advertises nothing
 	return c.placement
 }
 
@@ -379,8 +319,8 @@ func (c *Client) PlacementMap() *ring.Map {
 func (c *Client) RefreshPlacement() *ring.Map {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.negotiated = false
-	_ = c.ensureNegotiatedLocked() // an unreachable server advertises nothing
+	c.greeted = false
+	_ = c.ensureGreetedLocked() // an unreachable server advertises nothing
 	return c.placement
 }
 
@@ -400,17 +340,9 @@ func (c *Client) SubmitTraces(traces []*trace.Trace) error {
 // call spanning programs is not atomic — on error the groups the hive
 // acknowledged stay ingested.
 func submitGrouped(ss pod.SealedStreamer, traces []*trace.Trace) error {
-	var order []string
-	groups := make(map[string][]*trace.Trace, 1)
-	for _, tr := range traces {
-		if _, ok := groups[tr.ProgramID]; !ok {
-			order = append(order, tr.ProgramID)
-		}
-		groups[tr.ProgramID] = append(groups[tr.ProgramID], tr)
-	}
 	var sealed []pod.SealedBatch
-	for _, id := range order {
-		sealed = append(sealed, ss.SealTraceBatches(id, [][]*trace.Trace{groups[id]})...)
+	for _, g := range trace.GroupByProgram(traces) {
+		sealed = append(sealed, ss.SealTraceBatches(g.ProgramID, [][]*trace.Trace{g.Traces})...)
 	}
 	_, err := ss.SubmitSealed(sealed)
 	return err
@@ -462,7 +394,7 @@ func (c *Client) SealTraceBatches(programID string, batches [][]*trace.Trace) []
 	defer c.mu.Unlock()
 	// The hello decides only whether to compress. Sealing carries on without
 	// it — uncompressed — and the submit that follows reports the dead link.
-	_ = c.ensureNegotiatedLocked()
+	_ = c.ensureGreetedLocked()
 	for i, batch := range batches {
 		c.seq++
 		payload, compressed := c.sealFrameLocked(c.seq, programID, batch)
@@ -516,7 +448,7 @@ func (c *Client) SubmitSealed(sealed []pod.SealedBatch) ([]bool, error) {
 		// The hive is shedding, not down: back off (jittered exponential,
 		// floored at the server's hint) and resubmit only the unaccepted
 		// frames — verbatim, so the dedup window stays exact.
-		time.Sleep(c.backoff(round, be.RetryAfter))
+		time.Sleep(backoffDelay(c.RetryBase, c.RetryCap, round, be.RetryAfter, jitter(&c.rng)))
 	}
 }
 
@@ -550,12 +482,17 @@ func (c *Client) submitSealedRound(sealed []pod.SealedBatch, accepted []bool) er
 
 // submitSealedOnce is one windowed drain attempt over sealed, marking
 // accepted positionally. It holds the client lock throughout; busy
-// backoff lives in SubmitSealed, outside the lock.
+// backoff lives in SubmitSealed, outside the lock. A payload too large to
+// wrap fails the drain before anything is dialed or written: it would fail
+// identically on any connection.
 func (c *Client) submitSealedOnce(sealed []pod.SealedBatch, accepted []bool) error {
 	payloads := make([][]byte, len(sealed))
 	counts := make([]int, len(sealed))
 	msgs := make([]MsgType, len(sealed))
 	for i, sb := range sealed {
+		if len(sb.Payload) > maxSealedPayload {
+			return fmt.Errorf("%w: sealed frame %d of %d bytes exceeds the %d a mega-frame can carry", ErrFrame, i, len(sb.Payload), maxSealedPayload)
+		}
 		payloads[i] = sb.Payload
 		counts[i] = sb.Count
 		msgs[i] = MsgSubmitBatchColumnar
@@ -571,7 +508,7 @@ func (c *Client) submitSealedOnce(sealed []pod.SealedBatch, accepted []bool) err
 		if err := c.dialLocked(); err != nil {
 			return err
 		}
-		if err := c.ensureNegotiatedLocked(); err != nil {
+		if err := c.ensureGreetedLocked(); err != nil {
 			return err
 		}
 		err, transport := c.streamCoalescedLocked(msgs, payloads, counts, &acked, accepted)
@@ -590,27 +527,15 @@ func (c *Client) submitSealedOnce(sealed []pod.SealedBatch, accepted []bool) err
 
 // streamCoalescedLocked runs one windowed write-ahead pass over the
 // unacknowledged suffix of payloads (resuming at *acked): the suffix is cut
-// into groups of up to CoalesceDepth frames under a byte budget, every
+// into groups of up to coalesceDepth frames under a byte budget, every
 // group ships as one MsgCoalesced mega-frame written with a single writev,
 // and the server answers one mega-frame of inner acks per group, with up to
 // maxInflightFrames groups in flight. *acked / accepted advance as acks
 // arrive; ack semantics are per inner frame, which is what the exactly-once
 // dedup and the resume-at-*acked retry rest on. The second return
 // distinguishes transport failures (retryable on a fresh connection) from
-// permanent ones (an oversized or malformed frame fails identically on any
-// connection; a server rejection is final).
+// permanent ones (a server rejection is final).
 func (c *Client) streamCoalescedLocked(msgs []MsgType, payloads [][]byte, counts []int, acked *int, accepted []bool) (error, bool) {
-	depth := c.CoalesceDepth
-	if depth <= 0 {
-		depth = defaultCoalesceDepth
-	}
-	if depth > maxCoalesceDepth {
-		depth = maxCoalesceDepth
-	}
-	budget := c.maxFrame - 64
-	if budget > coalesceByteBudget {
-		budget = coalesceByteBudget
-	}
 	type span struct{ start, end int }
 	groups := make([]span, 0, maxInflightFrames)
 	head := 0
@@ -619,24 +544,18 @@ func (c *Client) streamCoalescedLocked(msgs []MsgType, payloads [][]byte, counts
 		for sent < len(payloads) && len(groups)-head < maxInflightFrames {
 			end := sent
 			size := 0
-			for end < len(payloads) && end-sent < depth {
+			for end < len(payloads) && end-sent < coalesceDepth {
 				fb := 5 + len(payloads[end])
-				if end > sent && size+fb > budget {
+				if end > sent && size+fb > coalesceByteBudget {
 					break
 				}
 				size += fb
 				end++
 			}
 			var err error
-			if end == sent+1 && size+6 > c.maxFrame {
-				// A lone frame too big to wrap in a mega-frame under the
-				// negotiated limit ships plain; its ack comes back plain too.
-				err = WriteFrame(c.conn, msgs[sent], payloads[sent])
-			} else {
-				c.hdrScratch, c.bufScratch, err = writeCoalesced(c.conn, msgs, payloads, sent, end, c.hdrScratch, c.bufScratch)
-			}
+			c.hdrScratch, c.bufScratch, err = writeCoalesced(c.conn, msgs, payloads, sent, end, c.hdrScratch, c.bufScratch)
 			if err != nil {
-				return err, !errors.Is(err, ErrFrame)
+				return err, true
 			}
 			groups = append(groups, span{sent, end})
 			sent = end
@@ -684,22 +603,7 @@ func (c *Client) readGroupAck(counts []int, accepted []bool, start, end int) (er
 	}
 	defer framePool.Put(bp)
 	if respType != MsgCoalesced {
-		if end-start == 1 {
-			// Plain ack for a group that shipped as a plain frame.
-			if err := checkAck(respType, *bp, counts[start]); err != nil {
-				c.noteRedirectLocked(err)
-				return err, false
-			}
-			accepted[start] = true
-			return nil, false
-		}
-		if respType == MsgError {
-			var ep ErrorPayload
-			if json.Unmarshal(*bp, &ep) == nil && ep.Error != "" {
-				return errors.New("wire: server: " + ep.Error), false
-			}
-		}
-		return fmt.Errorf("wire: unexpected response type %d for coalesced group", respType), false
+		return fmt.Errorf("coalesced group: %w", serverError(respType, *bp)), false
 	}
 	i := start
 	var firstErr error
@@ -745,6 +649,16 @@ func checkAck(respType MsgType, resp []byte, want int) error {
 	return nil
 }
 
+// serverError is the error a reply stands for when no typed refusal applies:
+// what a MsgError says, or the unexpected type.
+func serverError(respType MsgType, resp []byte) error {
+	var ep ErrorPayload
+	if respType == MsgError && json.Unmarshal(resp, &ep) == nil && ep.Error != "" {
+		return errors.New("wire: server: " + ep.Error)
+	}
+	return fmt.Errorf("wire: unexpected response type %d", respType)
+}
+
 // refusal is the error a reply stands for when it is not the answer the
 // request asked for, submission and read alike: the typed error of a redirect
 // (the program lives elsewhere) or a busy reply (not now).
@@ -767,7 +681,7 @@ func refusal(respType MsgType, resp []byte) error {
 		}
 		return &BusyError{RetryAfter: time.Duration(bp.RetryAfterMs) * time.Millisecond, Reason: bp.Reason}
 	default:
-		return fmt.Errorf("wire: unexpected response type %d", respType)
+		return serverError(respType, resp)
 	}
 }
 

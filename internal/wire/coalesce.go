@@ -16,22 +16,21 @@ import (
 
 // forEachInner walks the inner frames of a coalesced payload in order,
 // invoking fn for each. It stops on the first malformed inner header or on
-// a callback error. Inner frames obey the standard MaxFrameSize bound no
-// matter what limit the outer frame was read under.
+// a callback error.
 func forEachInner(payload []byte, fn func(t MsgType, inner []byte) error) error {
 	for off := 0; off < len(payload); {
 		if len(payload)-off < 5 {
 			return fmt.Errorf("%w: truncated inner frame header at %d", ErrFrame, off)
 		}
-		size := binary.BigEndian.Uint32(payload[off : off+4])
-		if size == 0 || size > MaxFrameSize {
-			return fmt.Errorf("%w: inner frame size %d at %d", ErrFrame, size, off)
+		t, size, err := parseFrameHeader(payload[off : off+5])
+		if err != nil {
+			return fmt.Errorf("inner frame at %d: %w", off, err)
 		}
-		end := off + 4 + int(size)
+		end := off + 5 + size
 		if end > len(payload) {
 			return fmt.Errorf("%w: inner frame at %d overruns payload (%d > %d)", ErrFrame, off, end, len(payload))
 		}
-		if err := fn(MsgType(payload[off+4]), payload[off+5:end]); err != nil {
+		if err := fn(t, payload[off+5:end]); err != nil {
 			return err
 		}
 		off = end

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -96,79 +95,6 @@ func TestCoalescedRoundTrip(t *testing.T) {
 		}
 		_ = client.Close()
 	}
-}
-
-// rawHello performs one hello exchange on a raw connection and returns the
-// server's ack.
-func rawHello(t *testing.T, addr string, req HelloPayload) HelloAckPayload {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	payload, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, MsgHello, payload); err != nil {
-		t.Fatal(err)
-	}
-	respType, resp, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if respType != MsgHelloAck {
-		t.Fatalf("hello answered with frame type %d", respType)
-	}
-	var ack HelloAckPayload
-	if err := json.Unmarshal(resp, &ack); err != nil {
-		t.Fatal(err)
-	}
-	return ack
-}
-
-// TestNegotiatedMaxFrame pins the frame-size grant arithmetic: the server
-// grants min(requested, server cap), never below the universal MaxFrameSize,
-// and a WAN-disabled server grants neither the raise nor the WAN features.
-func TestNegotiatedMaxFrame(t *testing.T) {
-	p := buildCrashy(t)
-	ask := HelloPayload{
-		Features: []string{FeatureColumnarBatch, FeatureCoalesce, FeatureSlabFlate},
-		MaxFrame: MaxCoalescedFrameSize,
-	}
-	hasFeature := func(ack HelloAckPayload, f string) bool {
-		for _, g := range ack.Features {
-			if g == f {
-				return true
-			}
-		}
-		return false
-	}
-
-	_, _, addr := coalesceFixture(t, p)
-	ack := rawHello(t, addr, ask)
-	if ack.MaxFrame != MaxCoalescedFrameSize {
-		t.Fatalf("default server granted max frame %d, want %d", ack.MaxFrame, MaxCoalescedFrameSize)
-	}
-	if !hasFeature(ack, FeatureCoalesce) || !hasFeature(ack, FeatureSlabFlate) {
-		t.Fatalf("default server granted features %v", ack.Features)
-	}
-
-	_, srv, addr := coalesceFixture(t, p)
-	srv.MaxFrame = 20 << 20
-	if ack := rawHello(t, addr, ask); ack.MaxFrame != 20<<20 {
-		t.Fatalf("capped server granted max frame %d, want %d", ack.MaxFrame, 20<<20)
-	}
-
-	// A cap below the universal limit clamps to it — which means no raise,
-	// so the grant is omitted entirely.
-	_, srv, addr = coalesceFixture(t, p)
-	srv.MaxFrame = 1 << 20
-	if ack := rawHello(t, addr, ask); ack.MaxFrame != 0 {
-		t.Fatalf("under-floor cap still granted max frame %d", ack.MaxFrame)
-	}
-
 }
 
 // TestCompressedJournalBytesIdentity extends the write-once-bytes guarantee
@@ -333,31 +259,42 @@ func TestCoalescedMidGroupRejection(t *testing.T) {
 }
 
 // TestRetryErrorCarriesFeatures pins the diagnostic contract on the final
-// retry error: when a negotiated connection dies twice, the error names the
-// features in effect — in a mixed fleet, "failed while coalescing at a
-// raised frame limit" and "failed on the legacy path" must be
-// distinguishable from logs alone.
+// retry error: when a greeted connection dies twice, the error says what the
+// hello settled for this link — compressing or not — so "failed while
+// compressing over a far link" and "failed on a near one" are distinguishable
+// from logs alone. (What it says of redirects and the placement version is
+// TestRetryErrorNamesRedirect's.)
 func TestRetryErrorCarriesFeatures(t *testing.T) {
 	p, _, err := proggen.Generate(proggen.Spec{Seed: 7004, Depth: 4, NumInputs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, addr := coalesceFixture(t, p)
-	// Connection 0 forwards the hello ack, then kills on the first group
-	// ack; connection 1 forwards one group ack, then kills the retry too.
-	proxy := newFlakyProxy(t, addr, 1, 2)
-	client := Dial(proxy.addr())
-	defer client.Close()
-	client.CoalesceDepth = 1
+	for _, tc := range []struct {
+		force bool
+		want  string
+	}{
+		{true, "(compressing)"},
+		// Unforced, the hello's own round trip decides; either is named.
+		{false, "compressing)"},
+	} {
+		_, _, addr := coalesceFixture(t, p)
+		// Connection 0 forwards the hello ack, then kills on the first group
+		// ack; connection 1 forwards one group ack, then kills the retry too.
+		// 17 frames make two groups, so the retry has a second ack to lose.
+		proxy := newFlakyProxy(t, addr, 1, 2)
+		client := Dial(proxy.addr())
+		client.ForceCompress = tc.force
 
-	sealed := client.SealTraceBatches(p.ID, makeBatches(t, p, 2, 4))
-	_, serr := client.SubmitSealed(sealed)
-	if serr == nil {
-		t.Fatal("expected the doubly-killed submit to fail")
-	}
-	for _, want := range []string{"unreachable after retry", FeatureCoalesce, FeatureSlabFlate, "max-frame="} {
-		if !strings.Contains(serr.Error(), want) {
-			t.Fatalf("retry error missing %q: %v", want, serr)
+		sealed := client.SealTraceBatches(p.ID, makeBatches(t, p, coalesceDepth+1, 4))
+		_, serr := client.SubmitSealed(sealed)
+		_ = client.Close()
+		if serr == nil {
+			t.Fatal("expected the doubly-killed submit to fail")
+		}
+		for _, want := range []string{"unreachable after retry", tc.want} {
+			if !strings.Contains(serr.Error(), want) {
+				t.Fatalf("force=%v: retry error missing %q: %v", tc.force, want, serr)
+			}
 		}
 	}
 }

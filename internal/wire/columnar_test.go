@@ -33,9 +33,10 @@ func makeTraces(t *testing.T, p *prog.Program, n int) []*trace.Trace {
 	return out
 }
 
-// TestColumnarNegotiation pins the hello exchange: the server grants the
-// whole generation, the client takes it, and a server that does not — a
-// foreign or older endpoint — fails the hello instead of being spoken to in
+// TestColumnarNegotiation pins the hello exchange: a server of this
+// protocol version accepts the hello and is then submitted to, and a peer
+// that answers another version — a foreign or older endpoint — fails the
+// hello with an error naming both versions instead of being spoken to in
 // frames it cannot read.
 func TestColumnarNegotiation(t *testing.T) {
 	p := buildCrashy(t)
@@ -49,14 +50,6 @@ func TestColumnarNegotiation(t *testing.T) {
 	if err := client.Handshake(); err != nil {
 		t.Fatal(err)
 	}
-	client.mu.Lock()
-	summary := client.featureSummaryLocked()
-	client.mu.Unlock()
-	for _, f := range helloFeatures {
-		if !strings.Contains(summary, f) {
-			t.Errorf("negotiated client lacks %s: %s", f, summary)
-		}
-	}
 	if _, err := submitBatches(client, p.ID, [][]*trace.Trace{makeTraces(t, p, 4)}); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +57,9 @@ func TestColumnarNegotiation(t *testing.T) {
 		t.Errorf("ingested %d, want 4", st.Ingested)
 	}
 
-	// An endpoint that answers hello without the generation's features.
+	// An endpoint that answers every frame with a hello ack of the next
+	// protocol version.
+	const other = ProtocolVersion + 1
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +77,7 @@ func TestColumnarNegotiation(t *testing.T) {
 					if _, _, err := ReadFrame(conn); err != nil {
 						return
 					}
-					ack, _ := json.Marshal(HelloAckPayload{Features: []string{FeatureColumnarBatch}})
+					ack, _ := json.Marshal(HelloAckPayload{Version: other})
 					if WriteFrame(conn, MsgHelloAck, ack) != nil {
 						return
 					}
@@ -92,11 +87,17 @@ func TestColumnarNegotiation(t *testing.T) {
 	}()
 	foreign := Dial(ln.Addr().String())
 	defer foreign.Close()
-	if err := foreign.Handshake(); err == nil || !strings.Contains(err.Error(), FeatureCoalesce) {
-		t.Fatalf("hello against a server lacking %s: err = %v", FeatureCoalesce, err)
+	err = foreign.Handshake()
+	if err == nil {
+		t.Fatalf("hello against a server of protocol version %d succeeded", other)
+	}
+	for _, want := range []string{fmt.Sprintf("version %d", other), fmt.Sprintf("version %d", ProtocolVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("hello refusal %q does not name %q", err, want)
+		}
 	}
 	if _, err := submitBatches(foreign, p.ID, [][]*trace.Trace{makeTraces(t, p, 1)}); err == nil {
-		t.Fatal("submitted frames to a server that never granted them")
+		t.Fatal("submitted frames to a server of another protocol version")
 	}
 }
 

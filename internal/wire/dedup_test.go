@@ -300,19 +300,19 @@ func TestCrossDrainResubmitExactlyOnce(t *testing.T) {
 	proxy := newFlakyProxy(t, addr, 1, 2) // both attempts die after 1 ack
 	client := Dial(proxy.addr())
 	t.Cleanup(func() { _ = client.Close() })
-	// One chunk per mega-frame: the proxy's per-ack kill schedule keeps
-	// meaning "one chunk acked, the rest in limbo" on the coalesced path.
-	client.CoalesceDepth = 1
 
 	buf := pod.NewBufferedFor(client, p.ID)
-	// Three stream chunks' worth of traces (256 per chunk).
-	batches := makeBatches(t, p, 3, 256)
+	// One stream chunk more than a mega-frame carries (256 traces a chunk),
+	// so the drain is two groups and the proxy's per-ack kill schedule means
+	// "the hello, then nothing" on the first connection and "the first group
+	// acked, the last chunk in limbo" on the retry.
+	chunk := makeBatches(t, p, 1, 256)[0]
 	total := 0
-	for _, b := range batches {
-		if err := buf.SubmitTraces(b); err != nil {
+	for i := 0; i <= coalesceDepth; i++ {
+		if err := buf.SubmitTraces(chunk); err != nil {
 			t.Fatal(err)
 		}
-		total += len(b)
+		total += len(chunk)
 	}
 
 	if err := buf.Drain(); err == nil {

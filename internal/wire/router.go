@@ -44,18 +44,17 @@ type Router struct {
 	// advertises one; nil means "send everything to seeds[0]".
 	placement *ring.Map
 
-	// ForceCompress and CoalesceDepth are copied onto every client this
-	// router creates. Set before first use.
+	// ForceCompress is copied onto every client this router creates. Set
+	// before first use.
 	ForceCompress bool
-	CoalesceDepth int
 	// RetryBase, RetryCap and BusyRetries are the busy-backoff knobs,
 	// copied onto every client this router creates. Set before first use.
 	RetryBase   time.Duration
 	RetryCap    time.Duration
 	BusyRetries int
 
-	// rng is the router's own xorshift64 jitter state for fleet-level
-	// busy-round pacing (lock-free).
+	// rng is the router's own jitter stream, for fleet-level busy-round
+	// pacing.
 	rng atomic.Uint64
 }
 
@@ -105,30 +104,11 @@ func (r *Router) clientLocked(addr string) *Client {
 	}
 	c := Dial(addr)
 	c.ForceCompress = r.ForceCompress
-	c.CoalesceDepth = r.CoalesceDepth
 	c.RetryBase = r.RetryBase
 	c.RetryCap = r.RetryCap
 	c.BusyRetries = r.BusyRetries
 	r.clients[addr] = c
 	return c
-}
-
-// jitter draws the next value in [0, 1) from the router's xorshift64
-// stream.
-func (r *Router) jitter() float64 {
-	for {
-		old := r.rng.Load()
-		x := old
-		if x == 0 {
-			x = 0x6a09e667f3bcc909
-		}
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		if r.rng.CompareAndSwap(old, x) {
-			return float64(x>>11) / float64(1<<53)
-		}
-	}
 }
 
 // adoptLocked installs m if it is newer than what the router holds.
@@ -144,7 +124,7 @@ func (r *Router) adoptLocked(m *ring.Map) {
 // refreshLocked polls every seed for its advertised placement and keeps
 // the newest. force re-runs the hello exchange on each seed (a transport
 // error suggested the cached map predates a membership change); without
-// force a map already held is kept and only never-negotiated seeds are
+// force a map already held is kept and only seeds never greeted are
 // asked. Seeds that are down are skipped — any one live member suffices.
 func (r *Router) refreshLocked(force bool) {
 	if r.placement != nil && !force {
@@ -321,7 +301,7 @@ func (r *Router) SubmitSealed(sealed []pod.SealedBatch) ([]bool, error) {
 			// (jittered, floored at the largest hint any owner sent) without
 			// burning a routing attempt — the placement is already right.
 			busyRounds++
-			time.Sleep(backoffDelay(r.RetryBase, r.RetryCap, busyRounds-1, busyHint, r.jitter()))
+			time.Sleep(backoffDelay(r.RetryBase, r.RetryCap, busyRounds-1, busyHint, jitter(&r.rng)))
 			continue
 		}
 		attempt++

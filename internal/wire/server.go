@@ -57,11 +57,6 @@ type Server struct {
 	// before Serve.
 	Logf func(format string, args ...any)
 
-	// MaxFrame caps the frame-size raise hello grants (bounded by
-	// MaxCoalescedFrameSize); zero means MaxCoalescedFrameSize. Grants
-	// never go below MaxFrameSize.
-	MaxFrame int
-
 	// Admission, when non-nil, arms the overload protections: per-session
 	// token-bucket rate limits answered with MsgBusy, per-connection
 	// queued-byte backpressure feeding the backend's load-shedding pressure
@@ -82,13 +77,9 @@ type Server struct {
 	readOnlyBusy atomic.Int64
 }
 
-// connState is per-connection negotiated state shared between a
-// connection's reader and its worker. limit is the frame-size limit:
-// MaxFrameSize until a hello exchange grants a raise. Atomic because the
-// worker raises it while the reader loads it.
+// connState is the per-connection admission state shared between a
+// connection's reader and its worker.
 type connState struct {
-	limit atomic.Int64
-
 	// key is the admission bucket key for frames that carry no session:
 	// the connection's remote address.
 	key string
@@ -115,26 +106,7 @@ var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &
 // The returned box owns the payload; put it back into framePool when the
 // frame is fully handled.
 func readFramePooled(r io.Reader) (MsgType, *[]byte, error) {
-	return readFramePooledStatic(r, MaxFrameSize)
-}
-
-// readFramePooledLimit is readFramePooled under a frame-size limit loaded
-// only after the header arrives: a hello grant the worker stores while the
-// reader is blocked on the next header applies to that very frame.
-func readFramePooledLimit(r io.Reader, limit func() int) (MsgType, *[]byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	rawSize := binary.BigEndian.Uint32(hdr[:4])
-	if rawSize == 0 || rawSize > uint32(limit()) {
-		return 0, nil, fmt.Errorf("%w: size %d", ErrFrame, rawSize)
-	}
-	return readFrameBody(r, MsgType(hdr[4]), int(rawSize-1))
-}
-
-func readFramePooledStatic(r io.Reader, limit int) (MsgType, *[]byte, error) {
-	t, size, err := readFrameHeaderLimit(r, limit)
+	t, size, err := readFrameHeader(r)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -366,7 +338,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	// queue so the reader can never block on a send with no receiver.
 	cs := &connState{key: conn.RemoteAddr().String()}
 	cs.qCond = sync.NewCond(&cs.qMu)
-	cs.limit.Store(MaxFrameSize)
 	reqs := make(chan request, ingestQueueDepth)
 	workerDone := make(chan struct{})
 	// release returns a dispatched (or drained) frame's bytes to the queue
@@ -421,8 +392,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	// Reader: the connection goroutine only reads frames; backpressure is
 	// the bounded queue — frame-count always, queued bytes when admission
-	// is configured. The frame limit is re-loaded per frame so a hello
-	// grant applies from the very next frame on.
+	// is configured.
 	for {
 		if adm != nil && adm.cfg.ConnQueueBytes > 0 {
 			cs.qMu.Lock()
@@ -431,7 +401,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			cs.qMu.Unlock()
 		}
-		msgType, payload, err := s.readConnFrame(conn, cs)
+		msgType, payload, err := s.readConnFrame(conn)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.Logf("wire: read from %s: %v", conn.RemoteAddr(), err)
@@ -458,20 +428,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	<-workerDone
 }
 
-// readConnFrame reads one frame under the connection's negotiated size
-// limit and, when a FrameTimeout is armed, a progress deadline: waiting
-// for a frame to START is unbounded (an idle pod between drains is
-// legal), but once the first header byte arrives the rest of the frame
-// must land within the timeout. A peer dribbling a started frame — the
-// slow loris — is evicted, freeing its worker and queue slot.
-func (s *Server) readConnFrame(conn net.Conn, cs *connState) (MsgType, *[]byte, error) {
-	limit := func() int { return int(cs.limit.Load()) }
+// readConnFrame reads one frame and, when a FrameTimeout is armed, holds it
+// to a progress deadline: waiting for a frame to START is unbounded (an idle
+// pod between drains is legal), but once the first header byte arrives the
+// rest of the frame must land within the timeout. A peer dribbling a started
+// frame — the slow loris — is evicted, freeing its worker and queue slot.
+func (s *Server) readConnFrame(conn net.Conn) (MsgType, *[]byte, error) {
 	var timeout time.Duration
 	if s.adm != nil {
 		timeout = s.adm.cfg.FrameTimeout
 	}
 	if timeout <= 0 {
-		return readFramePooledLimit(conn, limit)
+		return readFramePooled(conn)
 	}
 	var hdr [5]byte
 	if _, err := io.ReadFull(conn, hdr[:1]); err != nil {
@@ -482,11 +450,11 @@ func (s *Server) readConnFrame(conn net.Conn, cs *connState) (MsgType, *[]byte, 
 	if _, err := io.ReadFull(conn, hdr[1:]); err != nil {
 		return 0, nil, s.slowLorisErr(err)
 	}
-	rawSize := binary.BigEndian.Uint32(hdr[:4])
-	if rawSize == 0 || rawSize > uint32(limit()) {
-		return 0, nil, fmt.Errorf("%w: size %d", ErrFrame, rawSize)
+	t, size, err := parseFrameHeader(hdr[:])
+	if err != nil {
+		return 0, nil, err
 	}
-	t, bp, err := readFrameBody(conn, MsgType(hdr[4]), int(rawSize-1))
+	t, bp, err := readFrameBody(conn, t, size)
 	if err != nil {
 		return 0, nil, s.slowLorisErr(err)
 	}
@@ -562,7 +530,7 @@ func (s *Server) busyFor(w io.Writer, err error) (handled bool, werr error) {
 func (s *Server) dispatch(cs *connState, w io.Writer, msgType MsgType, payload []byte) error {
 	switch msgType {
 	case MsgHello:
-		return s.handleHello(cs, w, payload)
+		return s.handleHello(w, payload)
 	case MsgSubmitBatchColumnar:
 		return s.handleSubmitColumnar(cs, w, payload)
 	case MsgSubmitBatchCompressed:
@@ -575,48 +543,23 @@ func (s *Server) dispatch(cs *connState, w io.Writer, msgType MsgType, payload [
 	return s.reply(w, MsgError, ErrorPayload{Error: fmt.Sprintf("unknown message type %d", msgType)})
 }
 
-// handleHello answers the hello with the intersection of what the client
-// offered and what this server speaks, plus the frame-size grant:
-// min(requested, cap), never below the default limit. The grant is stored
-// before the ack is written, so by the time the client can act on it the
-// reader accepts the raised size.
-func (s *Server) handleHello(cs *connState, w io.Writer, payload []byte) error {
+// handleHello accepts a hello that names this server's protocol version,
+// attaching the placement map when the server is a ring member (an unsharded
+// hive stays silent and clients route everything to it). Any other version —
+// an endpoint from before versions sends none, which reads as 0 — is refused
+// with an error naming both, and the connection stays open for a peer that
+// has something else to say.
+func (s *Server) handleHello(w io.Writer, payload []byte) error {
 	var req HelloPayload
 	if err := json.Unmarshal(payload, &req); err != nil {
 		return s.reply(w, MsgError, ErrorPayload{Error: err.Error()})
 	}
-	var ack HelloAckPayload
-	for _, f := range req.Features {
-		switch f {
-		case FeatureColumnarBatch, FeatureCoalesce, FeatureSlabFlate, FeatureBusy:
-			ack.Features = append(ack.Features, f)
-		case FeatureRouting:
-			// Granted only when this server actually is a ring member: an
-			// unsharded hive stays silent and clients route everything here.
-			if pl, _ := s.placementSnapshot(); pl != nil {
-				ack.Features = append(ack.Features, f)
-				ack.Placement = placementPayload(pl)
-			}
-		}
+	if req.Version != ProtocolVersion {
+		return s.reply(w, MsgError, ErrorPayload{Error: fmt.Sprintf(
+			"hello speaks protocol version %d, this server speaks version %d", req.Version, ProtocolVersion)})
 	}
-	if req.MaxFrame > MaxFrameSize {
-		capBytes := s.MaxFrame
-		if capBytes <= 0 || capBytes > MaxCoalescedFrameSize {
-			capBytes = MaxCoalescedFrameSize
-		}
-		if capBytes < MaxFrameSize {
-			capBytes = MaxFrameSize
-		}
-		granted := req.MaxFrame
-		if granted > capBytes {
-			granted = capBytes
-		}
-		if granted > MaxFrameSize {
-			ack.MaxFrame = granted
-			cs.limit.Store(int64(granted))
-		}
-	}
-	return s.reply(w, MsgHelloAck, ack)
+	pl, _ := s.placementSnapshot()
+	return s.reply(w, MsgHelloAck, HelloAckPayload{Version: ProtocolVersion, Placement: placementPayload(pl)})
 }
 
 // maxInnerFrames bounds the inner frames one mega-frame may carry: each

@@ -5,10 +5,15 @@
 // remote one without code changes; the Server wraps a pod.HiveClient
 // backend that ingests columnar batches (normally *hive.Hive).
 //
-// There is one protocol generation: a client opens with MsgHello, submits
-// (session, seq)-tagged columnar batches — plain or DEFLATE-compressed,
-// coalesced into mega-frames — and is answered with a binary ack, MsgBusy
-// (not now) or MsgRedirect (not here).
+// There is one protocol generation and nothing about it is negotiated: a
+// client opens with MsgHello naming ProtocolVersion — a peer that answers
+// another version is refused — submits (session, seq)-tagged columnar
+// batches, plain or DEFLATE-compressed, coalesced into mega-frames, and is
+// answered with a binary ack, MsgBusy (not now) or MsgRedirect (not here).
+// The hello settles two things only: the client times it as its RTT probe
+// (which decides whether compressing is worth the CPU), and a sharded server
+// answers it with its placement map. MaxFrameSize bounds every frame on every
+// connection.
 package wire
 
 import (
@@ -31,12 +36,13 @@ const (
 	MsgGetGuidance MsgType = 5
 	MsgGuidance    MsgType = 6
 	MsgError       MsgType = 7
-	// MsgHello opens a connection: the client lists the protocol features it
-	// speaks (JSON HelloPayload) and the server answers with the ones it
-	// grants (MsgHelloAck), the frame-size limit for the rest of the
-	// connection and, on a sharded fleet, its placement map.
+	// MsgHello opens a connection: the client names the protocol version it
+	// speaks (JSON HelloPayload) and a server that speaks it answers
+	// MsgHelloAck with the same version and, on a sharded fleet, its
+	// placement map. Any other version — a hello from before versions,
+	// carrying feature strings, reads as version 0 — is answered MsgError.
 	MsgHello MsgType = 10
-	// MsgHelloAck carries the server's accepted feature list.
+	// MsgHelloAck accepts a hello.
 	MsgHelloAck MsgType = 11
 	// MsgAckBin is the binary acknowledgement of a submission: uvarint
 	// accepted count, a flags byte (bit 0 = duplicate), then the error
@@ -91,49 +97,33 @@ const (
 	MsgBusy MsgType = 17
 )
 
-// The features a client offers in its hello. Every server grants the first
-// four; a client that is refused one treats the hello as failed.
+// ProtocolVersion is the one protocol generation this package speaks. The
+// hello carries it in both directions, and neither side talks to a peer that
+// names another.
+const ProtocolVersion = 1
 
-// FeatureColumnarBatch names the columnar-batch submission
-// (MsgSubmitBatchColumnar).
-const FeatureColumnarBatch = "columnar-batch"
-
-// FeatureCoalesce names the mega-frame (MsgCoalesced). Granting it also
-// grants the hello's frame-size raise.
-const FeatureCoalesce = "coalesced-frames"
-
-// FeatureSlabFlate names the compressed columnar submission
-// (MsgSubmitBatchCompressed).
-const FeatureSlabFlate = "slab-flate"
-
-// FeatureBusy names explicit backpressure: the server may answer any
-// submission with MsgBusy (a retry-after hint) instead of an ack when
-// admission control or hive load shedding declines the batch.
-const FeatureBusy = "busy-retry"
-
-// FeatureRouting names consistent-hash routing: a server that grants it
-// advertises its placement map in the hello ack. Only granted by servers
-// that actually hold a placement (a single unsharded hive stays silent, and
-// clients route everything to it).
-const FeatureRouting = "ring-routing"
-
-// MaxFrameSize bounds a frame; larger frames are rejected as hostile.
-// Connections that negotiated a larger limit via the hello exchange accept
-// frames up to the granted size (at most MaxCoalescedFrameSize) instead.
+// MaxFrameSize bounds a frame — its type byte and payload — on every
+// connection; a larger size field is rejected as hostile before anything is
+// allocated for it.
 const MaxFrameSize = 16 << 20
-
-// MaxCoalescedFrameSize caps the frame-size raise a hello exchange may
-// grant: room for a full pipelining window of coalesced maximum-size inner
-// frames without letting a hostile peer demand unbounded buffers.
-const MaxCoalescedFrameSize = 64 << 20
 
 // ErrFrame is wrapped by framing failures.
 var ErrFrame = errors.New("wire: bad frame")
 
+// checkFrameSize is the frame-size rule, applied to a frame's size field (the
+// type byte plus the payload) by whoever reads one off a connection or is
+// about to write one.
+func checkFrameSize(size uint64) error {
+	if size == 0 || size > MaxFrameSize {
+		return fmt.Errorf("%w: size %d", ErrFrame, size)
+	}
+	return nil
+}
+
 // WriteFrame writes one frame.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	if len(payload)+1 > MaxFrameSize {
-		return fmt.Errorf("%w: payload %d exceeds max", ErrFrame, len(payload))
+	if err := checkFrameSize(uint64(len(payload)) + 1); err != nil {
+		return err
 	}
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
@@ -145,24 +135,23 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return err
 }
 
-// readFrameHeader reads and validates one frame header, returning the type
-// and payload size.
-func readFrameHeader(r io.Reader) (MsgType, int, error) {
-	return readFrameHeaderLimit(r, MaxFrameSize)
+// parseFrameHeader validates a 5-byte frame header — a connection's or an
+// inner frame's of a mega-frame — and returns the type and payload size.
+func parseFrameHeader(hdr []byte) (MsgType, int, error) {
+	size := binary.BigEndian.Uint32(hdr[:4])
+	if err := checkFrameSize(uint64(size)); err != nil {
+		return 0, 0, err
+	}
+	return MsgType(hdr[4]), int(size - 1), nil
 }
 
-// readFrameHeaderLimit is readFrameHeader under a negotiated frame-size
-// limit.
-func readFrameHeaderLimit(r io.Reader, limit int) (MsgType, int, error) {
+// readFrameHeader reads and validates one frame header.
+func readFrameHeader(r io.Reader) (MsgType, int, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:4])
-	if size == 0 || size > uint32(limit) {
-		return 0, 0, fmt.Errorf("%w: size %d", ErrFrame, size)
-	}
-	return MsgType(hdr[4]), int(size - 1), nil
+	return parseFrameHeader(hdr[:])
 }
 
 // ReadFrame reads one frame.
@@ -180,22 +169,16 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 
 // --- control-message payloads (JSON) ---
 
-// HelloPayload lists the features a client offers. MaxFrame, when
-// positive, asks the server to raise the connection's frame-size limit
-// (room for mega-frames).
+// HelloPayload names the protocol version the client speaks.
 type HelloPayload struct {
-	Features []string `json:"features"`
-	MaxFrame int      `json:"maxFrame,omitempty"`
+	Version int `json:"version"`
 }
 
-// HelloAckPayload lists the features the server accepted. MaxFrame, when
-// positive, is the frame-size limit the server granted for the rest of the
-// connection — min(requested, server cap), never below MaxFrameSize; zero
-// (no raise requested) means the default limit stands. Placement, set iff
-// FeatureRouting was granted, is the server's current placement map.
+// HelloAckPayload accepts a hello: the server's protocol version (the
+// client's own, or the hello was refused) and, when the server is a member of
+// a sharded fleet, its current placement map.
 type HelloAckPayload struct {
-	Features  []string          `json:"features"`
-	MaxFrame  int               `json:"maxFrame,omitempty"`
+	Version   int               `json:"version"`
 	Placement *PlacementPayload `json:"placement,omitempty"`
 }
 
