@@ -7,14 +7,13 @@ package softborg
 // rendered tables themselves come from `go run ./cmd/softborg-bench`.
 //
 // The file also carries hot-path micro-benchmarks (VM interpretation, trace
-// codec, tree merging, solving, wire round-trips) for -benchmem profiling.
+// codec, tree merging, solving) for -benchmem profiling. The end-to-end
+// ingest, wire and WAN numbers come from benchmark/ (EXPERIMENTS.md E26).
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exectree"
@@ -22,14 +21,12 @@ import (
 	"repro/internal/fix"
 	"repro/internal/guidance"
 	"repro/internal/hive"
-	"repro/internal/netshape"
 	"repro/internal/population"
 	"repro/internal/prog"
 	"repro/internal/proggen"
 	"repro/internal/sat"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
 // runExperiment executes one experiment table per iteration and reports its
@@ -178,103 +175,6 @@ func BenchmarkDPLLPhaseTransition(b *testing.B) {
 }
 
 // --- hive sharding and fleet parallelism benchmarks ---
-
-// benchIngestSetup registers nProgs distinct programs and pre-captures a
-// pool of full-capture traces per program, so the benchmark measures pure
-// ingestion (bookkeeping, tree merging) with no VM time.
-func benchIngestSetup(b *testing.B, nProgs int) (*hive.Hive, [][]*trace.Trace) {
-	b.Helper()
-	h := hive.New("fleet")
-	pool := make([][]*trace.Trace, nProgs)
-	rng := stats.NewRNG(11)
-	for pi := 0; pi < nProgs; pi++ {
-		p, _, err := proggen.Generate(proggen.Spec{
-			Seed: uint64(900 + pi), Depth: 6, Loops: 1, NumInputs: 2, DetBranches: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := h.RegisterProgram(p); err != nil {
-			b.Fatal(err)
-		}
-		traces := make([]*trace.Trace, 64)
-		for i := range traces {
-			col := trace.NewCollector(p, trace.CaptureFull, 0, 1)
-			input := []int64{rng.Int63n(256), rng.Int63n(256)}
-			m, err := prog.NewMachine(p, prog.Config{Input: input, Observer: col})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res := m.Run()
-			traces[i] = col.Finish(fmt.Sprintf("bench-pod-%d", pi), uint64(i), res, input, trace.PrivacyHashed, "fleet")
-		}
-		pool[pi] = traces
-	}
-	return h, pool
-}
-
-// benchIngestEncodedSetup pre-encodes each program's trace pool as columnar
-// batch payloads, 8 traces at a time.
-func benchIngestEncodedSetup(b *testing.B, nProgs int) (*hive.Hive, [][][]byte) {
-	b.Helper()
-	h, pool := benchIngestSetup(b, nProgs)
-	columnar := make([][][]byte, nProgs) // program -> batch -> bytes
-	const batchSize = 8
-	for pi, traces := range pool {
-		for off := 0; off+batchSize <= len(traces); off += batchSize {
-			enc, err := trace.EncodeBatch(traces[0].ProgramID, traces[off:off+batchSize])
-			if err != nil {
-				b.Fatal(err)
-			}
-			columnar[pi] = append(columnar[pi], enc)
-		}
-	}
-	return h, columnar
-}
-
-// BenchmarkHiveIngestParallel measures the fleet ingest path — pre-encoded
-// batches (what the wire delivers), 8 goroutines round-robining across 4
-// program shards: one zero-copy view per batch, merged straight from the
-// frame bytes. The sub-benchmark keeps its name from when it ran beside the
-// per-trace decode it replaced (BENCH_PR5; benchmark/README.md
-// "Continuity").
-func BenchmarkHiveIngestParallel(b *testing.B) {
-	const goroutines = 8
-	const batchSize = 8
-	b.Run("columnar-view", func(b *testing.B) {
-		h, columnar := benchIngestEncodedSetup(b, 4)
-		batches := len(columnar[0])
-		b.ReportAllocs()
-		b.ResetTimer()
-		var (
-			wg   sync.WaitGroup
-			next int64
-			fail atomic.Value
-		)
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= b.N {
-						return
-					}
-					if _, err := submitFrame(h, "", 0, columnar[i%4][(i/4)%batches]); err != nil {
-						fail.Store(err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		b.StopTimer()
-		if err := fail.Load(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(batchSize, "traces/op")
-	})
-}
 
 // BenchmarkHiveIngestExternalOnly measures both sides of the per-program
 // reconstructor on cmd/pod's default traffic: 64 columnar frames of 16
@@ -486,11 +386,12 @@ func BenchmarkGuidanceLargeTree(b *testing.B) {
 	}
 }
 
-// nullHive is a no-op backend isolating wire-transport cost. It consumes the
-// view's branch columns, as a real backend would.
+// nullHive is a no-op backend isolating wire-transport cost
+// (BenchmarkClusterIngest). It consumes the view's branch columns, as a real
+// backend would.
 type nullHive struct {
 	ingested atomic.Int64
-	scratch  []trace.BranchEvent // single-conn benchmarks: no concurrent use
+	scratch  []trace.BranchEvent // one connection per backend: no concurrent use
 }
 
 func (n *nullHive) SubmitTraces(traces []*trace.Trace) error {
@@ -507,59 +408,6 @@ func (n *nullHive) SubmitColumnarSession(_ string, _ uint64, batch *trace.BatchV
 func (n *nullHive) FixesSince(string, int) ([]fix.Fix, int, error) { return nil, 0, nil }
 func (n *nullHive) Guidance(string, int) ([]guidance.TestCase, error) {
 	return nil, nil
-}
-
-// BenchmarkWireSubmitPipelined submits 32 batches × 8 traces per op over
-// loopback against a null backend: sealed columnar frames, streamed as
-// pipelined mega-frames. The sub-benchmark keeps its name from when it ran
-// beside the per-trace encoding (BENCH_PR5/PR7; benchmark/README.md
-// "Continuity").
-func BenchmarkWireSubmitPipelined(b *testing.B) {
-	b.Run("columnar", func(b *testing.B) {
-		p := benchProgram(b)
-		backend := &nullHive{}
-		srv := wire.NewServer(backend)
-		srv.Logf = func(string, ...any) {}
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		client := wire.Dial(addr)
-		defer client.Close()
-
-		col := trace.NewCollector(p, trace.CaptureFull, 0, 1)
-		m, err := prog.NewMachine(p, prog.Config{Input: []int64{42, 99}, Observer: col})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := m.Run()
-		tmpl := col.Finish("bench-pod", 0, res, []int64{42, 99}, trace.PrivacyHashed, "s")
-		const batches = 32
-		const perBatch = 8
-		all := make([][]*trace.Trace, batches)
-		for i := range all {
-			all[i] = make([]*trace.Trace, perBatch)
-			for j := range all[i] {
-				tr := tmpl.Clone()
-				tr.Seq = uint64(i*perBatch + j)
-				all[i][j] = tr
-			}
-		}
-
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := client.SubmitSealed(client.SealTraceBatches(p.ID, all)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if got := backend.ingested.Load(); got != int64(b.N*batches*perBatch) {
-			b.Fatalf("backend ingested %d, want %d", got, b.N*batches*perBatch)
-		}
-		b.ReportMetric(batches*perBatch, "traces/op")
-	})
 }
 
 // shapedCorpus captures varied real traces (distinct inputs, real branch
@@ -584,72 +432,4 @@ func shapedCorpus(b *testing.B, p *prog.Program, chunks, perChunk int) [][]*trac
 		}
 	}
 	return out
-}
-
-// BenchmarkShapedSubmit is the WAN experiment (E15): a 128-chunk drain
-// submitted through a netshape proxy at three RTT/loss points — coalesced
-// mega-frames, compression engaged by the hello round trip. The "wan"
-// sub-benchmark keeps its name from when it ran beside the uncoalesced,
-// uncompressed PR-5 transport (BENCH_PR7; benchmark/README.md
-// "Continuity").
-func BenchmarkShapedSubmit(b *testing.B) {
-	p := benchProgram(b)
-	const chunks = 128
-	const perChunk = 256
-	all := shapedCorpus(b, p, chunks, perChunk)
-	shapes := []struct {
-		name string
-		rtt  time.Duration
-		loss float64
-	}{
-		{"rtt=50ms,loss=0.1%", 50 * time.Millisecond, 0.001},
-		{"rtt=100ms,loss=0.5%", 100 * time.Millisecond, 0.005},
-		{"rtt=200ms,loss=1.0%", 200 * time.Millisecond, 0.01},
-	}
-	for _, shape := range shapes {
-		b.Run(shape.name, func(b *testing.B) {
-			b.Run("wan", func(b *testing.B) {
-				backend := &nullHive{}
-				srv := wire.NewServer(backend)
-				srv.Logf = func(string, ...any) {}
-				addr, err := srv.Listen("127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer srv.Close()
-				proxy, err := netshape.New(addr, netshape.Config{
-					RTT:       shape.rtt,
-					Loss:      shape.loss,
-					Bandwidth: 16 << 20, // a fleet's uplink share, not loopback
-					Seed:      42,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer proxy.Close()
-				client := wire.Dial(proxy.Addr())
-				defer client.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					accepted, err := client.SubmitSealed(client.SealTraceBatches(p.ID, all))
-					if err != nil {
-						b.Fatal(err)
-					}
-					for k, ok := range accepted {
-						if !ok {
-							b.Fatalf("chunk %d not accepted", k)
-						}
-					}
-				}
-				b.StopTimer()
-				if got := backend.ingested.Load(); got != int64(b.N*chunks*perChunk) {
-					b.Fatalf("backend ingested %d, want %d", got, b.N*chunks*perChunk)
-				}
-				elapsed := b.Elapsed()
-				if elapsed > 0 {
-					b.ReportMetric(float64(b.N*chunks*perChunk)/elapsed.Seconds(), "traces/sec")
-				}
-			})
-		})
-	}
 }

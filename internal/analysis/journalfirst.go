@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"sort"
+	"strings"
 )
 
 // journalGuard describes one protected live-mutation helper: a function in
@@ -28,8 +30,9 @@ var journalGuards = []journalGuard{
 	{callee: "restoreProgram", callers: set("recoverProgram")},
 	{callee: "applyOp", callers: set("recoverProgram")},
 	{callee: "applyBatchView", callers: set("SubmitColumnarSession", "applyOp")},
-	// Fix synthesis journals its own outcome op; it may only be elected
-	// from within an applied batch, never ad hoc.
+	// Fix synthesis journals its own outcome op (through the breaker, ahead
+	// of publishing the fix); it may only be elected from within an applied
+	// batch, never ad hoc.
 	{callee: "synthesizeFix", callers: set("applyBatchView")},
 	// The dedup window must only advance for journaled (or replayed)
 	// frames; marking a session outside those paths would let a crash
@@ -38,7 +41,7 @@ var journalGuards = []journalGuard{
 	// PR 10: the read-only breaker's failure accounting wraps every live
 	// batch append. Appending to the journal around the wrapper would let
 	// a full disk fail silently without ever tripping the breaker.
-	{callee: "journalBatchAppend", callers: set("SubmitColumnarSession", "certify")},
+	{callee: "journalBatchAppend", callers: set("SubmitColumnarSession", "certify", "synthesizeFix")},
 	// A live certificate is journaled ahead of its apply by one function,
 	// which expects its caller to hold the checkpoint gate: the two engines
 	// that refute frontiers reach it, nothing else does.
@@ -81,9 +84,21 @@ func runJournalFirst(p *Pass) {
 	if !pathMatches(p.Pkg.Path, "internal/hive") {
 		return
 	}
+	declared := map[string]bool{}
+	for _, file := range p.Pkg.Files {
+		enclosingFuncs(file, func(fd *ast.FuncDecl) { declared[funcName(fd)] = true })
+	}
 	guards := map[string]*journalGuard{}
 	for i := range journalGuards {
-		guards[journalGuards[i].callee] = &journalGuards[i]
+		g := &journalGuards[i]
+		guards[g.callee] = g
+		// Rows match by name, so a row naming a function the package no
+		// longer declares guards nothing: a rename must take its row along.
+		for _, name := range append([]string{g.callee}, sortedCallers(g)...) {
+			if !declared[name] {
+				p.Reportf(p.Pkg.Files[0].Package, "the guard on %s names %s, which %s does not declare: a renamed or deleted function silently empties the rule (update journalGuards)", g.callee, name, p.Pkg.Path)
+			}
+		}
 	}
 	for _, file := range p.Pkg.Files {
 		enclosingFuncs(file, func(fd *ast.FuncDecl) {
@@ -109,22 +124,16 @@ func runJournalFirst(p *Pass) {
 }
 
 func allowedCallers(g *journalGuard) string {
+	return strings.Join(sortedCallers(g), "/")
+}
+
+// sortedCallers lists a guard's callers in name order: deterministic message
+// text.
+func sortedCallers(g *journalGuard) []string {
 	names := make([]string, 0, len(g.callers))
 	for n := range g.callers {
 		names = append(names, n)
 	}
-	// Deterministic message text.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += "/"
-		}
-		out += n
-	}
-	return out
+	sort.Strings(names)
+	return names
 }

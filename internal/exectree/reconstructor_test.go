@@ -32,17 +32,7 @@ func reconCorpus(t testing.TB, kind proggen.BugKind) (*prog.Program, []reconCase
 		Seed: 4200 + uint64(kind), Depth: 4, Loops: 1, Syscalls: 2, DetBranches: 6,
 		Bugs: []proggen.BugKind{kind}, TriggerWidth: 32,
 	}
-	if kind == proggen.BugSyscallCrash {
-		// The generator hosts a syscall crash on a syscall branch only if the
-		// input-branch tree has not consumed the bug first, which a one-leaf
-		// tree leaves to a coin flip: take the first seed that lands it.
-		spec.Depth, spec.TriggerWidth = 1, 128
-	}
 	p, bugs, err := proggen.Generate(spec)
-	for err == nil && kind == proggen.BugSyscallCrash && bugs[0].Sysno < 0 {
-		spec.Seed++
-		p, bugs, err = proggen.Generate(spec)
-	}
 	if err != nil {
 		t.Fatal(err)
 	}

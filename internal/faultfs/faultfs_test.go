@@ -144,8 +144,9 @@ func TestJournalSurvivesFaultStorm(t *testing.T) {
 }
 
 // TestJournalSurvivesConcurrentFaultStorm is the storm on the append path as
-// the fleet runs it: sixteen appenders share one program's committer, so a
-// torn, short or failed write, or a failed sync, fails a whole group. What
+// the fleet runs it: sixteen appenders lead each other's groups on one
+// program's journal, so a torn, short or failed write, or a failed sync,
+// fails a whole group. What
 // replays after a clean re-open must be exactly what was acknowledged: an
 // append missing from it was acked out of a group that failed, an extra one
 // was refused out of a group that landed or was not rolled back. Appends

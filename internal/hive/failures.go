@@ -189,15 +189,19 @@ func (t *failureTable) restore(fs journal.FailureState) error {
 }
 
 // finishSynthesis concludes a signature's single-flight fix attempt: the
-// signature is marked fixed, or routed to the repair lab.
-func (t *failureTable) finishSynthesis(rec *failureRecord, fixed bool) {
+// signature is marked fixed, or routed to the repair lab — or, when the
+// journal refused the outcome (refused non-nil), left as it was, for the
+// next trace carrying it to win a new election.
+func (t *failureTable) finishSynthesis(rec *failureRecord, fixed bool, refused error) {
 	s := t.stripeFor(rec.signature)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec.synthesizing = false
-	if fixed {
+	switch {
+	case refused != nil:
+	case fixed:
 		rec.fixed = true
-	} else {
+	default:
 		rec.inRepairLab = true
 	}
 }

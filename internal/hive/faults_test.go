@@ -10,12 +10,16 @@ package hive
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultfs"
 	"repro/internal/journal"
 	"repro/internal/pod"
+	"repro/internal/prog"
+	"repro/internal/proggen"
 	"repro/internal/trace"
 )
 
@@ -119,6 +123,120 @@ func TestReadOnlyBreakerENOSPC(t *testing.T) {
 	if st2.Ingested != 2 {
 		t.Fatalf("recovered ingested = %d, want 2 (refused frames must not replay)", st2.Ingested)
 	}
+}
+
+// fillAfterNextWrite is a disk that fills up behind the next write once
+// armed: that write lands, every later one fails with ENOSPC until the test
+// frees space. It is how a batch gets journaled and the synthesis outcome
+// the same call elects does not.
+type fillAfterNextWrite struct {
+	*faultfs.FS
+	armed atomic.Bool
+}
+
+func (f *fillAfterNextWrite) OpenFile(name string, flag int, perm os.FileMode) (journal.File, error) {
+	inner, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &fillingFile{File: inner, fs: f}, nil
+}
+
+type fillingFile struct {
+	journal.File
+	fs *fillAfterNextWrite
+}
+
+func (f *fillingFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	if f.fs.armed.CompareAndSwap(true, false) {
+		f.fs.ForceENOSPC(true)
+	}
+	return n, err
+}
+
+// TestRefusedSynthesisPublishesNothing: a fix reaches pods only after its
+// OpSynthesis is in the journal. With the disk filling up between a crashing
+// batch's append and the append of the fix it elects, FixesSince does not
+// move — the fix used to be published at version 1, lost by a restart, and
+// its ID re-issued to the next fix, which Set.Since(1) never hands out — the
+// hive recovered from the directory equals the live one, and the next trace
+// carrying the signature, once the disk takes writes, mints the fix: once,
+// as ID 1, on the live hive and in its journal alike.
+func TestRefusedSynthesisPublishesNothing(t *testing.T) {
+	p, bugs, err := proggen.Generate(proggen.Spec{
+		Seed: 6001, Depth: 5, NumInputs: 1, TriggerWidth: 24,
+		Bugs: []proggen.BugKind{proggen.BugCrash},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := []*prog.Program{p}
+	crash := []int64{bugs[0].TriggerLo}
+	dir := t.TempDir()
+	ffs := &fillAfterNextWrite{FS: faultfs.Wrap(nil, faultfs.Plan{})}
+	h := New("fleet")
+	if err := h.RegisterProgram(p); err != nil {
+		t.Fatal(err)
+	}
+	store, err := journal.Open(dir, journal.Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := h.Recover(store); err != nil {
+		t.Fatal(err)
+	}
+	submit := func(h *Hive, seq uint64, input []int64) {
+		t.Helper()
+		batch := []*trace.Trace{captureSeqTrace(t, p, "pod-syn", seq, input, trace.PrivacyHashed)}
+		if dup, err := submitSession(t, h, "syn", seq, p.ID, batch); err != nil || dup {
+			t.Fatalf("seq %d: dup=%v err=%v", seq, dup, err)
+		}
+	}
+	fixes := func(h *Hive) int {
+		t.Helper()
+		got, version, err := h.FixesSince(p.ID, 0)
+		if err != nil || len(got) != version {
+			t.Fatalf("FixesSince: %d fixes at version %d, err %v", len(got), version, err)
+		}
+		for i, f := range got {
+			if f.ID != i+1 {
+				t.Fatalf("fix %d published with ID %d", i, f.ID)
+			}
+		}
+		return version
+	}
+	submit(h, 1, []int64{bugs[0].TriggerLo - 1}) // opens the journal: its header is a write of its own
+
+	ffs.armed.Store(true)
+	submit(h, 2, crash) // the batch lands, the fix's outcome is refused
+	if ffs.Stats().WriteErrs != 1 {
+		t.Fatalf("%d refused writes, want the one synthesis append", ffs.Stats().WriteErrs)
+	}
+	if n := fixes(h); n != 0 {
+		t.Fatalf("%d fixes published although the journal refused the synthesis", n)
+	}
+	if err := h.DurabilityError(); err != nil {
+		t.Fatalf("a fix that was never published degraded durability: %v", err)
+	}
+	killed := t.TempDir()
+	copyDir(t, dir, killed)
+	recovered, store2 := newDurableHive(t, killed, corpus)
+	defer store2.Close()
+	assertHivesEqual(t, h, recovered, corpus)
+
+	ffs.ForceENOSPC(false)
+	submit(h, 3, crash)
+	submit(h, 4, crash)
+	if n := fixes(h); n != 1 {
+		t.Fatalf("%d fixes after two more crashes on a healthy disk, want 1", n)
+	}
+	killed = t.TempDir()
+	copyDir(t, dir, killed)
+	recovered, store3 := newDurableHive(t, killed, corpus)
+	defer store3.Close()
+	assertHivesEqual(t, h, recovered, corpus)
 }
 
 // TestUnboundedSessionDedupDurable pushes the session table past 4096

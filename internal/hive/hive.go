@@ -419,8 +419,9 @@ func (h *Hive) SubmitColumnarSession(session string, seq uint64, batch *trace.Ba
 	}
 	if h.journal != nil {
 		// The op borrows the frame bytes only for the synchronous Append
-		// below: the committer copies them into its write buffer before
-		// returning, so Raw never outlives the pooled frame.
+		// below: the group's leader (this goroutine, or the appender ahead
+		// of it in the program's queue) copies them into the write buffer
+		// before Append returns, so Raw never outlives the pooled frame.
 		//lint:allow viewescape Raw is consumed (copied to the WAL buffer) before Append returns; the op does not outlive the frame
 		op := &journal.Op{Kind: journal.OpBatchColumnar, Session: session, Seq: seq, Raw: batch.Bytes()}
 		if err := h.journalBatchAppend(st, op); err != nil {
@@ -640,47 +641,35 @@ func (h *Hive) synthesizeFix(st *programState, rec *failureRecord, tr *trace.Tra
 		minted = h.synthesizeInputGuard(st, rec, tr)
 	}
 
-	if minted == nil || minted.Validate() != nil {
-		st.failures.finishSynthesis(rec, false)
-		h.journalSynthesis(st, rec.signature, nil)
-		return
+	if minted != nil && minted.Validate() != nil {
+		minted = nil // the repair lab's
 	}
-	minted.Validated = true
+	// Journal first, publish second — the order every other mutation takes —
+	// so a fix pods can sync to is one a restart still has. Under st.mu, so
+	// synthesis ops land in the journal in fix-ID order and replay re-assigns
+	// identical IDs. Synthesis runs inside an ingest's checkpoint gate, so
+	// the op is atomic with its batch relative to checkpoints.
+	var err error
+	op := &journal.Op{Kind: journal.OpSynthesis, Signature: rec.signature}
 	st.mu.Lock()
-	minted.ID = st.fixes.Add(*minted)
-	st.epoch++
-	// New fixes invalidate standing proofs (paper §3.3: the hive must decide
-	// whether instrumentation invalidates existing knowledge; we take the
-	// sound route and drop them for re-proving).
-	st.proofs = make(map[proof.Property]*proof.Proof)
-	// Journal inside the critical section: synthesis ops land in the
-	// journal in fix-ID order, so replay re-assigns identical IDs.
-	h.journalSynthesis(st, rec.signature, minted)
-	st.mu.Unlock()
-	st.failures.finishSynthesis(rec, true)
-}
-
-// journalSynthesis appends a signature's synthesis outcome (a minted fix,
-// or nil for the repair lab). Synthesis runs inside an ingest's checkpoint
-// gate, so the op is atomic with its batch relative to checkpoints; an
-// append failure degrades durability (latched in DurabilityError) without
-// rejecting the already-applied batch.
-func (h *Hive) journalSynthesis(st *programState, signature string, minted *fix.Fix) {
-	if h.journal == nil {
-		return
-	}
-	op := &journal.Op{Kind: journal.OpSynthesis, Signature: signature}
 	if minted != nil {
-		data, err := fix.Encode(minted)
-		if err != nil {
-			h.noteDurability(err)
-			return
-		}
-		op.Fix = data
+		minted.Validated = true
+		minted.ID = st.fixes.Len() + 1 // the ID Add assigns
+		op.Fix, err = fix.Encode(minted)
 	}
-	if err := h.journal.Append(st.prog.ID, op); err != nil {
-		h.noteDurability(err)
+	if err == nil && h.journal != nil {
+		err = h.journalBatchAppend(st, op)
 	}
+	if err == nil && minted != nil {
+		st.fixes.Add(*minted)
+		st.epoch++
+		// New fixes invalidate standing proofs (paper §3.3: the hive must
+		// decide whether instrumentation invalidates existing knowledge; we
+		// take the sound route and drop them for re-proving).
+		st.proofs = make(map[proof.Property]*proof.Proof)
+	}
+	st.mu.Unlock()
+	st.failures.finishSynthesis(rec, minted != nil, err)
 }
 
 // readOnlyAppendThreshold is how many consecutive batch-append failures a
@@ -691,12 +680,12 @@ func (h *Hive) journalSynthesis(st *programState, signature string, minted *fix.
 const readOnlyAppendThreshold = 3
 
 // journalBatchAppend is the write-ahead append of the ops that are refused
-// when the journal refuses them — a batch, a certificate — with the read-only
-// breaker wrapped around it: an open breaker refuses the op immediately with
-// pod.ErrReadOnly (no disk touch), a failed append counts toward opening it,
-// and a successful append resets the count. Only a durably landed checkpoint
-// closes an open breaker (see CheckpointProgram) — proof the disk takes
-// writes again.
+// when the journal refuses them — a batch, a certificate, a synthesis
+// outcome — with the read-only breaker wrapped around it: an open breaker
+// refuses the op immediately with pod.ErrReadOnly (no disk touch), a failed
+// append counts toward opening it, and a successful append resets the
+// count. Only a durably landed checkpoint closes an open breaker (see
+// CheckpointProgram) — proof the disk takes writes again.
 func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) error {
 	if st.readOnly.Load() {
 		return fmt.Errorf("hive: program %s refuses ingest (guidance still served): %w", st.prog.ID, pod.ErrReadOnly)
@@ -742,8 +731,8 @@ func (h *Hive) noteDurability(err error) {
 }
 
 // DurabilityError returns the first journal failure of an op applied all the
-// same (synthesis, proof), or nil. A batch or a certificate the journal
-// refuses is not applied, so its failure degrades nothing.
+// same (a proof), or nil. A batch, a certificate or a synthesis outcome the
+// journal refuses is not applied, so its failure degrades nothing.
 func (h *Hive) DurabilityError() error {
 	if p := h.durabilityErr.Load(); p != nil {
 		return *p

@@ -8,9 +8,10 @@ import (
 
 // BenchmarkJournalAppendParallel is the durable-ingest yardstick: many
 // goroutines appending to one program's journal, with and without fsync.
-// The committer coalesces every concurrently blocked append into a single
-// write+fsync, so the per-op cost approaches fsync/batch (one fsync is
-// ~100–200µs on ext4 against a sub-µs buffered write).
+// The leading appender coalesces every append that queued behind the
+// previous group into a single write+fsync, so the per-op cost approaches
+// fsync/batch (one fsync is ~100–200µs on ext4 against a sub-µs buffered
+// write).
 func BenchmarkJournalAppendParallel(b *testing.B) {
 	variants := []struct {
 		name string
@@ -81,10 +82,9 @@ func BenchmarkJournalAppend(b *testing.B) {
 // BenchmarkJournalAppendColdFleet models a fleet of many mostly-cold
 // programs trickling durable appends concurrently: every op lands on a
 // different program's journal, so per-record coalescing within one program
-// is rare and the cost is dominated by committer scheduling and fsync
-// traffic across files. This is the yardstick for pooling group committers
-// across programs (one bounded committer pool per data directory instead of
-// one goroutine per hot program).
+// is rare, nearly every appender leads a group of one, and the cost is the
+// fsync traffic across files: distinct programs' syncs overlap because each
+// runs on its own appender's goroutine.
 func BenchmarkJournalAppendColdFleet(b *testing.B) {
 	for _, programs := range []int{64, 512} {
 		b.Run(fmt.Sprintf("programs=%d", programs), func(b *testing.B) {

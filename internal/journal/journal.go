@@ -39,15 +39,18 @@
 //
 // # Group commit
 //
-// Append has one path: the record joins its program's pending queue and a
-// committer from the store-wide pool writes every record queued by then (up
-// to Options.MaxBatch) as one buffered write and one fsync. Callers block
-// until their own record's group is durable, so the write-ahead contract
-// holds for each record; concurrent appenders share the syscalls, a lone
-// appender gets a group of one. A failed group is rolled back whole and
-// every appender in it gets the error. This is the aggregation-node
-// batching move the sensor-network aggregation literature keeps
-// rediscovering: the aggregator is the throughput bottleneck, and
+// Append has one path: the record joins its program's pending queue, and the
+// appender that finds no flush in progress leads — it writes every record
+// queued by then (up to Options.MaxBatch, its own first) as one buffered
+// write and one fsync, hands the result to the others, and passes the lead
+// to the head of whatever queued meanwhile. Callers block until their own
+// record's group is durable, so the write-ahead contract holds for each
+// record; concurrent appenders share the syscalls, and for a lone appender
+// the path is a direct write. No appender serves a group that does not hold
+// its own record, and the package starts no goroutine. A failed group is
+// rolled back whole and every appender in it gets the error. This is the
+// aggregation-node batching move the sensor-network aggregation literature
+// keeps rediscovering: the aggregator is the throughput bottleneck, and
 // amortizing its per-message cost is what restores scale.
 //
 // By default writes go straight to the operating system without fsync:
@@ -76,7 +79,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,15 +104,6 @@ type Options struct {
 	FS FS
 }
 
-// commitWorkers caps the store-wide committer pool. Committers are shared
-// across programs: a worker pops the next program with pending records,
-// flushes one group for it, and moves on, so a fleet of thousands of
-// mostly-cold programs costs at most this many goroutines — not one per
-// program. They are fsync-bound, not CPU-bound: a generous cap keeps
-// distinct programs' fsyncs overlapping (the filesystem coalesces concurrent
-// journal commits).
-const commitWorkers = 32
-
 // Store manages the snapshot and journal files for many programs inside one
 // data directory. All methods are safe for concurrent use; operations on
 // distinct programs never contend.
@@ -127,14 +120,6 @@ type Store struct {
 	// demand: LoadChain on a tethered program fetches the missing base and
 	// delta files from the archive tier and writes them back locally.
 	fetcher func(programID string) (*ChainExport, error)
-
-	// Committer pool state: programs with pending records queue here, and
-	// up to commitWorkers committer goroutines (spawned on demand, exiting
-	// when the queue drains) pop them round-robin. Guarded by commitMu,
-	// never held across I/O.
-	commitMu    sync.Mutex
-	commitQueue []*progLog
-	workers     int
 }
 
 // progLog is one program's on-disk state: the snapshot chain (base
@@ -166,38 +151,39 @@ type progLog struct {
 	// replayed records that Replay ran (or that the program is fresh), so
 	// appends cannot clobber an un-replayed torn tail.
 	replayed bool
-	// scratch is the op-payload encode buffer, owned by the committer that
-	// holds the flushing claim.
+	// scratch is the op-payload encode buffer, owned by the group's leader.
 	scratch []byte
 
-	// Group-commit queue: pending records awaiting a committer, and the
-	// emptied slice of the last delivered group, which the next cut swaps
-	// back in so a steady stream of appends allocates no queue. Guarded by
-	// pendMu (never held across I/O). queued and flushing are the store
-	// committer pool's claims on this program, guarded by the store's
-	// commitMu: queued means the program sits in the commit queue, flushing
-	// means a worker is mid-flush (a program is never flushed by two
-	// workers at once, so its records land in arrival order).
-	pendMu  sync.Mutex
-	pending []*pendingAppend
-	spare   []*pendingAppend
-
-	queued   bool
+	// Group-commit queue: pending records in arrival order, and the emptied
+	// slice of the last delivered group, which the next cut swaps back in so
+	// a steady stream of appends allocates no queue. flushing means some
+	// appender leads a group (a program is never flushed by two appenders at
+	// once, so its records land in arrival order); while it is clear the
+	// queue is empty. All guarded by pendMu, never held across I/O.
+	pendMu   sync.Mutex
+	pending  []*pendingAppend
+	spare    []*pendingAppend
 	flushing bool
 }
 
 // pendingAppend is one enqueued operation and its caller's completion
-// channel. The op is encoded by the committer, straight into the group
+// channel. The op is encoded by the group's leader, straight into the group
 // buffer's scratch — the caller's Append blocks until delivery, so the op
-// stays immutable for exactly as long as the committer needs it.
+// stays immutable for exactly as long as the leader needs it.
 type pendingAppend struct {
 	op   *Op
 	done chan error
 }
 
-// pendingPool recycles pendingAppends with their completion channels (one
-// send, one receive per use). The appender returns one after its receive;
-// the committer does not touch it after the send.
+// errLead is the baton: sent on a queued record's done channel in place of a
+// result, it tells that appender its record heads the queue and the next
+// group is its to commit.
+var errLead = errors.New("journal: lead the next group")
+
+// pendingPool recycles pendingAppends with their completion channels (at
+// most one send and one receive per use: a result or the baton). The
+// appender returns one after its group is delivered; no leader touches it
+// after the send.
 var pendingPool = sync.Pool{New: func() any { return &pendingAppend{done: make(chan error, 1)} }}
 
 const (
@@ -697,103 +683,52 @@ func (s *Store) Append(programID string, op *Op) error {
 	p.op = op
 	pl.pendMu.Lock()
 	pl.pending = append(pl.pending, p)
+	lead := !pl.flushing
+	pl.flushing = true
 	pl.pendMu.Unlock()
-	s.enqueueCommit(pl)
-	err := <-p.done
+	var err error
+	if !lead {
+		err = <-p.done
+		lead = err == errLead
+	}
+	if lead {
+		err = s.commitGroup(pl)
+	}
 	p.op = nil
 	pendingPool.Put(p)
 	return err
 }
 
-// enqueueCommit registers a program with pending records in the store-wide
-// commit queue and makes sure a committer will see it: a worker is spawned
-// unless the pool is at its cap. A program already queued — or currently
-// being flushed, in which case the flushing worker re-checks its pending
-// queue before releasing the claim — is not re-added.
-func (s *Store) enqueueCommit(pl *progLog) {
-	s.commitMu.Lock()
-	if !pl.queued && !pl.flushing {
-		pl.queued = true
-		s.commitQueue = append(s.commitQueue, pl)
+// commitGroup is the leader's turn: the calling appender's record heads the
+// pending queue, so it cuts a group of up to maxBatch records (its own
+// first), writes the group as one buffered write plus (with Options.Fsync)
+// one fsync, and delivers the result to every other appender in it. Then it
+// hands the lead to the head of whatever queued during the flush, or, with
+// nothing queued, clears the flushing claim for the next Append to take.
+func (s *Store) commitGroup(pl *progLog) error {
+	batch := pl.cutGroup(s.maxBatch)
+	err := s.flushGroup(pl, batch)
+	for _, p := range batch[1:] {
+		p.done <- err
 	}
-	spawn := s.workers < commitWorkers && len(s.commitQueue) > 0
-	if spawn {
-		s.workers++
+	clear(batch)
+	var next *pendingAppend
+	pl.pendMu.Lock()
+	pl.spare = batch[:0]
+	if len(pl.pending) > 0 {
+		next = pl.pending[0]
 	}
-	s.commitMu.Unlock()
-	if spawn {
-		go s.commitWorker()
+	pl.flushing = next != nil
+	pl.pendMu.Unlock()
+	if next != nil {
+		next.done <- errLead
 	}
-}
-
-// commitWorker is one committer in the store's shared pool: it pops the
-// next program with pending records, cuts a group of up to maxBatch of
-// them, writes the group as one buffered write plus (with Options.Fsync)
-// one fsync, and delivers the result to every blocked appender — then moves
-// to the next program. Workers exit when the queue drains; the next Append
-// restarts one. Sharing the pool across programs is what keeps a fleet of
-// thousands of cold programs at a handful of goroutines, while distinct hot
-// programs still flush (and fsync) concurrently up to the pool cap.
-func (s *Store) commitWorker() {
-	for {
-		s.commitMu.Lock()
-		if len(s.commitQueue) == 0 {
-			s.workers--
-			s.commitMu.Unlock()
-			return
-		}
-		// Popped by shifting down, so the queue keeps its backing array: at
-		// most one entry per program with pending records.
-		pl := s.commitQueue[0]
-		n := copy(s.commitQueue, s.commitQueue[1:])
-		s.commitQueue[n] = nil
-		s.commitQueue = s.commitQueue[:n]
-		pl.queued = false
-		pl.flushing = true
-		s.commitMu.Unlock()
-
-		// Yield once so appenders already woken by the previous group's
-		// delivery get to enqueue before this group is cut. A scheduler pass
-		// costs nanoseconds and routinely doubles the records per fsync under
-		// contention; a timer would cost its quantization (~1ms under load)
-		// instead.
-		runtime.Gosched()
-
-		for {
-			batch := pl.cutGroup(s.maxBatch)
-			if len(batch) == 0 {
-				// Release the flush claim with a final pending re-check
-				// under commitMu: an append that slipped in after the last
-				// cut but saw flushing still set (and so did not queue the
-				// program) is re-queued here instead of stranding until the
-				// next append.
-				s.commitMu.Lock()
-				pl.pendMu.Lock()
-				if len(pl.pending) > 0 && !pl.queued {
-					pl.queued = true
-					s.commitQueue = append(s.commitQueue, pl)
-				}
-				pl.flushing = false
-				pl.pendMu.Unlock()
-				s.commitMu.Unlock()
-				break
-			}
-			err := s.flushGroup(pl, batch)
-			for i, p := range batch {
-				batch[i] = nil
-				p.done <- err
-			}
-			pl.pendMu.Lock()
-			pl.spare = batch[:0]
-			pl.pendMu.Unlock()
-		}
-	}
+	return err
 }
 
 // cutGroup takes the next group of at most limit pending records, leaving
-// the queue on the spare slice. Only the committer holding the flushing
-// claim calls it, and it hands the group's slice back as the next spare
-// once delivered.
+// the queue on the spare slice. Only the leader calls it, and it hands the
+// group's slice back as the next spare once delivered.
 func (pl *progLog) cutGroup(limit int) []*pendingAppend {
 	pl.pendMu.Lock()
 	defer pl.pendMu.Unlock()

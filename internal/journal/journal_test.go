@@ -303,7 +303,7 @@ func TestGroupCommitAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Concurrent appenders: every acknowledged record must survive, exactly
-	// once, however the committer cut its groups.
+	// once, however the leaders cut their groups.
 	const workers, perWorker = 8, 25
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

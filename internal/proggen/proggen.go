@@ -170,8 +170,12 @@ type gen struct {
 	rng  *stats.RNG
 	b    *prog.Builder
 	bugs []Bug
-	// nextBug indexes spec.Bugs.
+	// nextBug indexes spec.Bugs: everything before it is planted, or is a
+	// kind the input-branch tree does not host.
 	nextBug int
+	// sysBugs counts the BugSyscallCrash entries no syscall branch has
+	// hosted yet.
+	sysBugs int
 	// leafCount tracks generated leaves for bug placement spacing.
 	leafCount int
 }
@@ -193,6 +197,12 @@ const (
 )
 
 func (g *gen) build() (*prog.Program, []Bug, error) {
+	for _, kind := range g.spec.Bugs {
+		if kind == BugSyscallCrash {
+			g.sysBugs++
+		}
+	}
+
 	// Main thread.
 	g.b.Thread()
 
@@ -220,12 +230,10 @@ func (g *gen) build() (*prog.Program, []Bug, error) {
 	// guarded blocks here, so placement never depends on the tree's shape.
 	for g.pendingInputBugs() > 0 {
 		kind := g.spec.Bugs[g.nextBug]
-		if kind == BugDeadlock {
-			g.nextBug++
-			continue
-		}
 		g.nextBug++
-		g.emitGuardedBug(kind, g.nextBug%g.spec.NumInputs, 0, g.spec.Domain)
+		if inputTriggered(kind) {
+			g.emitGuardedBug(kind, g.nextBug%g.spec.NumInputs, 0, g.spec.Domain)
+		}
 	}
 
 	g.b.Halt()
@@ -250,13 +258,23 @@ func (g *gen) build() (*prog.Program, []Bug, error) {
 	if g.pendingInputBugs() > 0 {
 		return nil, nil, fmt.Errorf("program too small to place %d remaining bugs (increase Depth)", g.pendingInputBugs())
 	}
+	if g.sysBugs > 0 {
+		return nil, nil, fmt.Errorf("no syscall branch left to host %d syscall-crash bugs (increase Syscalls)", g.sysBugs)
+	}
 	return p, g.bugs, nil
+}
+
+// inputTriggered reports whether kind is planted behind an input guard
+// (emitGuardedBug); a syscall crash waits for a syscall branch, a deadlock
+// for its own thread pair.
+func inputTriggered(kind BugKind) bool {
+	return kind != BugSyscallCrash && kind != BugDeadlock
 }
 
 func (g *gen) pendingInputBugs() int {
 	n := 0
 	for i := g.nextBug; i < len(g.spec.Bugs); i++ {
-		if g.spec.Bugs[i] != BugDeadlock {
+		if inputTriggered(g.spec.Bugs[i]) {
 			n++
 		}
 	}
@@ -344,10 +362,10 @@ func (g *gen) emitGuardedBug(kind BugKind, vIdx int, lo, hi int64) {
 	g.b.Bind(skip)
 }
 
-// takeInputBug pops the next non-deadlock bug, forcing placement when the
+// takeInputBug pops the next input-triggered bug, forcing placement when the
 // remaining leaf budget gets tight.
 func (g *gen) takeInputBug() (BugKind, bool) {
-	for g.nextBug < len(g.spec.Bugs) && g.spec.Bugs[g.nextBug] == BugDeadlock {
+	for g.nextBug < len(g.spec.Bugs) && !inputTriggered(g.spec.Bugs[g.nextBug]) {
 		g.nextBug++
 	}
 	if g.nextBug >= len(g.spec.Bugs) {
@@ -398,12 +416,11 @@ func (g *gen) syscallBranch(sysno int64) {
 	g.b.Const(rTmp, 1)
 	g.b.Syscall(rSys, sysno, rTmp)
 
-	kind, ok := g.peekSyscallBug()
 	threshold := int64(200 + g.rng.Int63n(40)) // rare under the default model
 	skip := g.b.NewLabel()
 	g.b.BrImm(rSys, prog.CmpLT, threshold, skip)
-	if ok && kind == BugSyscallCrash {
-		g.nextBug++
+	if g.sysBugs > 0 {
+		g.sysBugs--
 		bug := Bug{
 			Kind: BugSyscallCrash, FaultPC: g.pc() + 1, AssertID: -1,
 			Sysno: sysno, SysTriggerLo: threshold, SysTriggerHi: 1<<62 - 1,
@@ -415,13 +432,6 @@ func (g *gen) syscallBranch(sysno int64) {
 		g.b.AddImm(rTmp, rSys, 1)
 	}
 	g.b.Bind(skip)
-}
-
-func (g *gen) peekSyscallBug() (BugKind, bool) {
-	if g.nextBug < len(g.spec.Bugs) && g.spec.Bugs[g.nextBug] == BugSyscallCrash {
-		return BugSyscallCrash, true
-	}
-	return 0, false
 }
 
 // deadlockPair appends two threads with circular lock acquisition over locks

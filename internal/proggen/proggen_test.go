@@ -211,3 +211,60 @@ func TestTooManyBugsRejected(t *testing.T) {
 		t.Skip("generator managed to place all bugs; acceptable")
 	}
 }
+
+// TestSyscallCrashLandsOnASyscallBranch: whatever the seed and the shape of
+// the input-branch tree, and whatever else is planted beside it, a syscall
+// crash is hosted by a syscall branch — the ground truth names its syscall
+// and the injected return value crashes there. The input tree used to pop
+// the bug when its coin flip said so and plant an empty guard, recorded as
+// Bug{Sysno: -1}. A spec with no syscall branch to host it is refused.
+func TestSyscallCrashLandsOnASyscallBranch(t *testing.T) {
+	for seed := uint64(1); seed <= 64; seed++ {
+		spec := Spec{Seed: seed, Depth: 1 + int(seed%4), Syscalls: 2, TriggerWidth: 16,
+			Bugs: []BugKind{BugSyscallCrash}}
+		if seed%2 == 0 {
+			spec.Bugs = []BugKind{BugCrash, BugSyscallCrash, BugAssert}
+		}
+		p, bugs, err := Generate(spec)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(bugs) != len(spec.Bugs) {
+			t.Fatalf("seed %d: %d bugs recorded for %d asked", seed, len(bugs), len(spec.Bugs))
+		}
+		for _, bug := range bugs {
+			if bug.Kind != BugSyscallCrash {
+				continue
+			}
+			if bug.Sysno < 0 {
+				t.Fatalf("seed %d: syscall crash recorded with no syscall: %+v", seed, bug)
+			}
+			// An input outside every input-triggered bug's range, so the run
+			// reaches the syscall branches.
+			input := make([]int64, p.NumInputs)
+			for v := int64(0); v < 256; v++ {
+				input[0] = v
+				clear := true
+				for _, other := range bugs {
+					clear = clear && !other.Triggered(input)
+				}
+				if clear {
+					break
+				}
+			}
+			m, err := prog.NewMachine(p, prog.Config{Input: input, Syscalls: &prog.FaultInjector{
+				Base:   &prog.DeterministicSyscalls{Range: 1},
+				Faults: []prog.FaultSpec{{Sysno: bug.Sysno, CallIndex: -1, Return: bug.SysTriggerLo}},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := m.Run(); res.Outcome != prog.OutcomeCrash || res.FaultPC != bug.FaultPC {
+				t.Fatalf("seed %d: syscall %d returning %d: outcome %v at pc %d, want a crash at %d", seed, bug.Sysno, bug.SysTriggerLo, res.Outcome, res.FaultPC, bug.FaultPC)
+			}
+		}
+	}
+	if _, _, err := Generate(Spec{Seed: 1, Depth: 3, Bugs: []BugKind{BugSyscallCrash}}); err == nil {
+		t.Fatal("a syscall crash with no syscall branch to host it was accepted")
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/memo"
 )
 
 // Admission configures the server-side overload protections (PR 9): all
@@ -51,18 +53,22 @@ type Admission struct {
 // defaultRetryAfter is the busy hint when no better estimate exists.
 const defaultRetryAfter = 25 * time.Millisecond
 
-// maxAdmissionBuckets bounds the per-session token-bucket table (LRU,
-// like the hive's session dedup table): a hostile fleet minting sessions
-// cannot grow it without bound.
-const maxAdmissionBuckets = 4096
+// admissionBucketBudget bounds the per-session token-bucket table in
+// charged bytes (memo.Memo: key + bucket + a fixed overhead, about 4096
+// buckets under fleet-length session names): a hostile fleet minting
+// sessions cannot grow it without bound, and a full table costs the coldest
+// generation of buckets, never a scan for a victim.
+const admissionBucketBudget = 512 << 10
 
 // tokenBucket is one session's admission budget. Mutated under
 // admissionState.mu.
 type tokenBucket struct {
-	tokens  float64
-	last    time.Time
-	touched uint64
+	tokens float64
+	last   time.Time
 }
+
+// tokenBucketBytes is what one bucket is charged against the budget.
+const tokenBucketBytes = 32
 
 // admissionState is the runtime form of an Admission config. Counter
 // atomics are exported through AdmissionStats; mu is a leaf lock (rank 50
@@ -71,8 +77,7 @@ type admissionState struct {
 	cfg Admission
 
 	mu      sync.Mutex
-	buckets map[string]*tokenBucket
-	clock   uint64
+	buckets *memo.Memo[*tokenBucket]
 
 	// queued is the server-wide frame-payload bytes sitting in per-conn
 	// ingest queues; the pressure gauge is queued/TotalQueueBytes.
@@ -118,7 +123,7 @@ func newAdmissionState(cfg Admission) *admissionState {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = defaultRetryAfter
 	}
-	return &admissionState{cfg: cfg, buckets: make(map[string]*tokenBucket)}
+	return &admissionState{cfg: cfg, buckets: memo.New[*tokenBucket](admissionBucketBudget)}
 }
 
 // pressure is the gauge installed into a pod.PressureSink backend.
@@ -150,16 +155,12 @@ func (a *admissionState) debit(key string, n int, now time.Time) (wait time.Dura
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.clock++
-	b := a.buckets[key]
-	if b == nil {
-		if len(a.buckets) >= maxAdmissionBuckets {
-			a.evictBucketLocked()
-		}
+	b, held := a.buckets.Get([]byte(key))
+	if !held {
+		// A session the table never held, or one it dropped: full either way.
 		b = &tokenBucket{tokens: a.cfg.SessionBurst, last: now}
-		a.buckets[key] = b
+		a.buckets.Put([]byte(key), b, tokenBucketBytes)
 	}
-	b.touched = a.clock
 	if dt := now.Sub(b.last); dt > 0 {
 		b.tokens += dt.Seconds() * a.cfg.SessionRate
 		if b.tokens > a.cfg.SessionBurst {
@@ -177,19 +178,6 @@ func (a *admissionState) debit(key string, n int, now time.Time) (wait time.Dura
 		wait = time.Millisecond
 	}
 	return wait, false
-}
-
-// evictBucketLocked drops the least-recently-touched bucket. Callers
-// hold a.mu.
-func (a *admissionState) evictBucketLocked() {
-	var victim string
-	oldest := ^uint64(0)
-	for key, b := range a.buckets {
-		if b.touched < oldest {
-			oldest, victim = b.touched, key
-		}
-	}
-	delete(a.buckets, victim)
 }
 
 // backoffDelay computes one jittered exponential backoff step: base

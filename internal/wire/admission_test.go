@@ -105,6 +105,60 @@ func TestBusyRateLimit(t *testing.T) {
 	}
 }
 
+// debitCost returns the cheapest observed per-frame cost of debit with n
+// sessions taking turns.
+func debitCost(n int) time.Duration {
+	a := newAdmissionState(Admission{SessionRate: 1e9})
+	ids := make([]string, n)
+	now := time.Unix(0, 0)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("sess-%d", i)
+		a.debit(ids[i], 1, now)
+	}
+	best := time.Duration(1 << 62)
+	for rep := 0; rep < 3; rep++ {
+		start := time.Now()
+		for _, id := range ids {
+			a.debit(id, 1, now)
+		}
+		best = min(best, time.Since(start)/time.Duration(n))
+	}
+	return max(best, time.Nanosecond)
+}
+
+// TestAdmissionTableHasNoCliff: with more sessions taking turns than the
+// bucket table holds — a hostile fleet minting a session per frame — a
+// debit costs what a map insert costs. The LRU table paid a 4096-entry
+// victim scan under the server-wide lock for every such frame, ~250×. A
+// session the table dropped is admitted with a full bucket.
+func TestAdmissionTableHasNoCliff(t *testing.T) {
+	const below = 2048 // fits the table by either bound: every debit finds its bucket
+	const past = 4 * 4096
+	at, beyond := debitCost(below), debitCost(past)
+	t.Logf("debit: %v per frame with %d sessions, %v with %d", at, below, beyond, past)
+	if beyond > 10*at {
+		t.Fatalf("a debit costs %v with %d sessions against %v with %d: more than 10×", beyond, past, at, below)
+	}
+
+	a := newAdmissionState(Admission{SessionRate: 1, SessionBurst: 2})
+	now := time.Unix(0, 0)
+	if _, ok := a.debit("first", 2, now); !ok {
+		t.Fatal("a fresh session's full bucket refused its burst")
+	}
+	if _, ok := a.debit("first", 1, now); ok {
+		t.Fatal("a drained bucket admitted a frame")
+	}
+	for i := 0; i < past; i++ {
+		a.debit(fmt.Sprintf("sess-%d", i), 1, now)
+	}
+	if r := a.buckets.ResidentBytes(); r > admissionBucketBudget {
+		t.Fatalf("bucket table holds %d bytes, budget %d", r, admissionBucketBudget)
+	}
+	if _, ok := a.debit("first", 2, now); !ok {
+		t.Fatal("a session the table dropped did not restart with a full bucket")
+	}
+}
+
 // TestSlowLorisEvicted pins the progress-based deadline: a connection
 // dribbling a started frame is evicted and counted, while a connection
 // that is merely idle — no frame started — may sit far past the timeout

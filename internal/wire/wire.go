@@ -63,9 +63,8 @@ const (
 	// MsgCoalesced is a mega-frame: its payload is a back-to-back run of
 	// complete standard frames (4-byte length, type byte, payload each),
 	// written with a single writev so a whole pipelining window costs one
-	// syscall instead of one per frame — the syscall bound BENCH_PR5
-	// measured on the loopback submit path, and the round-trip bound at WAN
-	// distances. The server dispatches each inner frame exactly as if it
+	// syscall instead of one per frame — the syscall bound E14 measured on
+	// the loopback submit path, and the round-trip bound at WAN distances. The server dispatches each inner frame exactly as if it
 	// had arrived alone and answers with one MsgCoalesced carrying the
 	// inner replies in order, so per-inner-frame acks (and with them the
 	// exactly-once session dedup) are untouched. Nested coalesced frames
