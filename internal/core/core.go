@@ -20,7 +20,6 @@ import (
 	"repro/internal/population"
 	"repro/internal/prog"
 	"repro/internal/proggen"
-	"repro/internal/ring"
 	"repro/internal/trace"
 )
 
@@ -86,21 +85,6 @@ type Config struct {
 	// until the day barrier, then ingested in pod order — so results are
 	// bit-for-bit identical across worker counts for a fixed Seed.
 	Workers int
-	// Hives shards the SoftBorg backend: programs are placed across this
-	// many hive instances by the same consistent-hash ring a wire fleet
-	// uses, keyed on program ID. 0 or 1 keeps the single hive. Per-program
-	// state never spans shards, so metrics are bit-for-bit identical at
-	// any shard count (TestShardedSimulationMatchesSingle). Other modes
-	// aggregate globally and ignore this.
-	Hives int
-	// Shed installs a rarity-priced load-shedding policy on every SoftBorg
-	// shard (nil runs unshedded — the default, and the only deterministic
-	// setting unless Pressure is itself deterministic). Chaos scenarios use
-	// it to reproduce overload behaviour without a wire server.
-	Shed *hive.ShedPolicy
-	// Pressure is the gauge Shed reads, normalized to [0,1] of queue
-	// budget; nil reads 0 (shedding never engages).
-	Pressure func() float64
 }
 
 // DayMetrics is the per-day measurement row.
@@ -125,18 +109,13 @@ type DayMetrics struct {
 
 // Simulation is a configured, runnable fleet.
 type Simulation struct {
-	cfg Config
-	pop *population.Population
-	// hives are the SoftBorg shards (one entry unless Config.Hives>1);
-	// ringMap decided each program's shard and progHive caches the
-	// program index -> shard index assignment.
-	hives    []*hive.Hive
-	ringMap  *ring.Map
-	progHive []int
-	wer      *wer.Collector
-	cbi      *cbi.Aggregator
-	pods     []*pod.Pod
-	progs    []ProgramUnderTest
+	cfg   Config
+	pop   *population.Population
+	hive  *hive.Hive
+	wer   *wer.Collector
+	cbi   *cbi.Aggregator
+	pods  []*pod.Pod
+	progs []ProgramUnderTest
 	// userProg maps user index -> program index.
 	userProg []int
 	// podsByProg lists pod indices per program, in pod order — the drain
@@ -218,38 +197,13 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	var client pod.HiveClient
 	switch cfg.Mode {
 	case ModeSoftBorg:
-		shards := cfg.Hives
-		if shards < 1 {
-			shards = 1
-		}
-		s.hives = make([]*hive.Hive, shards)
-		names := make([]string, shards)
-		for i := range s.hives {
-			s.hives[i] = hive.New("fleet")
-			if cfg.Shed != nil {
-				s.hives[i].SetShedPolicy(cfg.Shed)
-				s.hives[i].SetPressureSource(cfg.Pressure)
-			}
-			names[i] = fmt.Sprintf("hive-%d", i)
-		}
-		s.ringMap = ring.New(names, ring.DefaultVNodes, cfg.Seed)
-		s.progHive = make([]int, len(cfg.Programs))
-		for pi, put := range cfg.Programs {
-			hi := 0
-			if shards > 1 {
-				owner := s.ringMap.Owner(put.Prog.ID)
-				for i, name := range names {
-					if name == owner {
-						hi = i
-						break
-					}
-				}
-			}
-			s.progHive[pi] = hi
-			if err := s.hives[hi].RegisterProgram(put.Prog); err != nil {
+		s.hive = hive.New("fleet")
+		for _, put := range cfg.Programs {
+			if err := s.hive.RegisterProgram(put.Prog); err != nil {
 				return nil, err
 			}
 		}
+		client = s.hive
 	case ModeWER:
 		s.wer = wer.NewCollector()
 		client = werClient{c: s.wer}
@@ -274,11 +228,6 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		s.userProg[i] = pi
 		s.podsByProg[pi] = append(s.podsByProg[pi], i)
 		podClient := client
-		if cfg.Mode == ModeSoftBorg {
-			// A pod talks to the shard owning its program; nothing it
-			// submits or reads ever crosses shards.
-			podClient = s.hives[s.progHive[pi]]
-		}
 		if podClient != nil {
 			// Each pod runs exactly one program, so its buffer is bound to
 			// it: drains take the backend's per-program fast path.
@@ -306,19 +255,8 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	return s, nil
 }
 
-// Hive exposes the first hive shard (SoftBorg mode) for inspection.
-func (s *Simulation) Hive() *hive.Hive {
-	if len(s.hives) == 0 {
-		return nil
-	}
-	return s.hives[0]
-}
-
-// Hives exposes every shard (SoftBorg mode).
-func (s *Simulation) Hives() []*hive.Hive { return s.hives }
-
-// hiveOf returns the shard owning program index pi.
-func (s *Simulation) hiveOf(pi int) *hive.Hive { return s.hives[s.progHive[pi]] }
+// Hive exposes the hive (SoftBorg mode) for inspection.
+func (s *Simulation) Hive() *hive.Hive { return s.hive }
 
 // WER exposes the crash collector (WER mode).
 func (s *Simulation) WER() *wer.Collector { return s.wer }
@@ -400,8 +338,8 @@ func (s *Simulation) runPodDay(i int) error {
 // nothing observable versus draining at the barrier.
 //
 // With a per-program backend (shardedDrain) every program gets its own
-// drainer goroutine feeding its own hive shard through the per-program
-// submission path — programs ingest concurrently, and within a program
+// drainer goroutine feeding the hive through the per-program submission
+// path — programs ingest concurrently, and within a program
 // traces still land in pod order, so results stay bit-for-bit identical to
 // the sequential fleet. Otherwise one coordinator drains the whole fleet in
 // pod order.
@@ -566,7 +504,7 @@ func (s *Simulation) simulateDay() error {
 		if s.cfg.GuidancePerDay > 0 {
 			// One pod per program executes the day's steering budget; the
 			// pulls run concurrently across programs, since guidance reads
-			// (and certifies into) only its own program's hive shard and each
+			// (and certifies into) only its own program's hive state and each
 			// steering pod is owned by exactly one goroutine. Results stay
 			// bit-for-bit deterministic: steered runs land in each pod's own
 			// buffer and drain in pod order afterwards, exactly as the
@@ -584,7 +522,7 @@ func (s *Simulation) simulateDay() error {
 					// for them regardless of the frontier set.
 					// FrontierCount is O(1), so this gate is free.
 					if s.progs[pi].Prog.NumThreads() == 1 {
-						if tree, err := s.hiveOf(pi).Tree(s.progs[pi].Prog.ID); err == nil && tree.FrontierCount() == 0 {
+						if tree, err := s.hive.Tree(s.progs[pi].Prog.ID); err == nil && tree.FrontierCount() == 0 {
 							continue
 						}
 					}
@@ -623,14 +561,14 @@ func (s *Simulation) fillBackendMetrics(m *DayMetrics) {
 	switch s.cfg.Mode {
 	case ModeSoftBorg:
 		var covered, total int
-		for pi, put := range s.progs {
-			st, err := s.hiveOf(pi).ProgramStats(put.Prog.ID)
+		for _, put := range s.progs {
+			st, err := s.hive.ProgramStats(put.Prog.ID)
 			if err != nil {
 				continue
 			}
 			m.FixesCumulative += st.FixCount
 			m.DistinctFailures += len(st.Failures)
-			tree, err := s.hiveOf(pi).Tree(put.Prog.ID)
+			tree, err := s.hive.Tree(put.Prog.ID)
 			if err != nil {
 				continue
 			}

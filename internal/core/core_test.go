@@ -234,36 +234,3 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("unknown mode accepted")
 	}
 }
-
-// TestShardedSimulationMatchesSingle pins the sharding invariant: program
-// state never spans shards, so the same fleet simulated against 1 and 3
-// hives produces bit-for-bit identical day metrics.
-func TestShardedSimulationMatchesSingle(t *testing.T) {
-	run := func(hives int) []DayMetrics {
-		sim, err := NewSimulation(Config{
-			Seed:     9,
-			Programs: corpus(t, 5),
-			Population: population.Config{
-				Users: 30, MeanRunsPerDay: 8,
-			},
-			Days:           4,
-			Mode:           ModeSoftBorg,
-			GuidancePerDay: 2,
-			Hives:          hives,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	single, sharded := run(1), run(3)
-	for i := range single {
-		if single[i] != sharded[i] {
-			t.Fatalf("day %d diverged: 1-hive %+v vs 3-hive %+v", i, single[i], sharded[i])
-		}
-	}
-}

@@ -94,37 +94,25 @@ func TermsFromCondition(pc constraint.PathCondition) []GuardTerm {
 	return out
 }
 
-// Condition converts guard terms back to a path condition.
-func (g *InputGuard) Condition() constraint.PathCondition {
-	out := make(constraint.PathCondition, len(g.Danger))
-	for i, t := range g.Danger {
-		expr := constraint.Const(t.Const)
-		for v, k := range t.Coeffs {
-			expr = expr.Add(constraint.Var(v).MulConst(k))
-		}
-		out[i] = constraint.Constraint{Expr: expr, Cmp: prog.Cmp(t.Cmp)}
-	}
-	return out
-}
-
-// Matches reports whether input falls in the danger zone.
+// Matches reports whether input falls in the danger zone. A pod asks this of
+// every installed guard on every run, and reuses the one collector and one
+// machine it owns, so that a run allocates only its trace. Each term is
+// therefore evaluated in place over the input: a variable outside the input
+// reads 0, as an unassigned variable does in a path condition, and sums wrap
+// as int64.
 func (g *InputGuard) Matches(input []int64) bool {
-	assign := make(map[int]int64, len(input))
-	for i, v := range input {
-		assign[i] = v
+	for _, t := range g.Danger {
+		sum := t.Const
+		for v, k := range t.Coeffs {
+			if v >= 0 && v < len(input) {
+				sum += k * input[v]
+			}
+		}
+		if !prog.Cmp(t.Cmp).Eval(sum, 0) {
+			return false
+		}
 	}
-	return g.Condition().Holds(assign)
-}
-
-// Apply returns the input to actually execute: the original when safe, the
-// guard's replacement when dangerous. The second result reports whether the
-// guard fired.
-func (g *InputGuard) Apply(input []int64) ([]int64, bool) {
-	if !g.Matches(input) {
-		return input, false
-	}
-	out := append([]int64(nil), g.SafeInput...)
-	return out, true
+	return true
 }
 
 // ErrInvalid is wrapped by Validate failures.

@@ -1,6 +1,7 @@
 package fix
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/constraint"
@@ -18,7 +19,21 @@ func guardFor(t *testing.T) *InputGuard {
 	return &InputGuard{Danger: TermsFromCondition(pc), SafeInput: []int64{50}}
 }
 
-func TestInputGuardMatchesAndApplies(t *testing.T) {
+// Condition converts guard terms back to a path condition: the oracle
+// Matches is checked against.
+func (g *InputGuard) Condition() constraint.PathCondition {
+	out := make(constraint.PathCondition, len(g.Danger))
+	for i, t := range g.Danger {
+		expr := constraint.Const(t.Const)
+		for v, k := range t.Coeffs {
+			expr = expr.Add(constraint.Var(v).MulConst(k))
+		}
+		out[i] = constraint.Constraint{Expr: expr, Cmp: prog.Cmp(t.Cmp)}
+	}
+	return out
+}
+
+func TestInputGuardMatches(t *testing.T) {
 	g := guardFor(t)
 	if !g.Matches([]int64{105}) {
 		t.Error("guard misses danger input")
@@ -26,14 +41,38 @@ func TestInputGuardMatchesAndApplies(t *testing.T) {
 	if g.Matches([]int64{99}) || g.Matches([]int64{110}) {
 		t.Error("guard over-matches boundary")
 	}
-	out, fired := g.Apply([]int64{105})
-	if !fired || out[0] != 50 {
-		t.Errorf("apply = %v fired=%v", out, fired)
+	if allocs := testing.AllocsPerRun(100, func() { g.Matches([]int64{105}) }); allocs != 0 {
+		t.Errorf("Matches allocates %.0f times, want 0", allocs)
 	}
-	out2, fired2 := g.Apply([]int64{42})
-	if fired2 || out2[0] != 42 {
-		t.Errorf("safe input modified: %v fired=%v", out2, fired2)
+}
+
+// FuzzGuardMatches checks Matches against the path condition the guard
+// denotes, evaluated under the input as an assignment. Each case is a guard
+// of two terms over up to three inputs.
+func FuzzGuardMatches(f *testing.F) {
+	f.Add(int64(-100), 0, int64(1), 1, int64(0), uint8(prog.CmpGE), uint8(1), int64(105), int64(0), int64(0))
+	f.Add(int64(7), -1, int64(3), 5, int64(-2), uint8(prog.CmpEQ), uint8(3), int64(1), int64(2), int64(3)) // negative and out-of-range variables
+	f.Add(int64(0), 0, int64(0), 1, int64(0), uint8(prog.CmpNE), uint8(2), int64(9), int64(9), int64(9))   // zero coefficients
+	f.Add(int64(math.MaxInt64), 0, int64(3), 2, int64(math.MinInt64), uint8(prog.CmpLT), uint8(3),
+		int64(math.MaxInt64), int64(5), int64(-1)) // products and sums that wrap
+	f.Add(int64(4), 0, int64(-1), 1, int64(1), uint8(prog.CmpLE), uint8(0), int64(0), int64(0), int64(0)) // empty input
+	for cmp := uint8(0); cmp <= uint8(prog.CmpGE)+1; cmp++ {
+		f.Add(int64(-3), 0, int64(1), 2, int64(2), cmp, uint8(3), int64(3), int64(-4), int64(2))
 	}
+	f.Fuzz(func(t *testing.T, c int64, v0 int, k0 int64, v1 int, k1 int64, cmp, n uint8, x0, x1, x2 int64) {
+		g := &InputGuard{Danger: []GuardTerm{
+			{Coeffs: map[int]int64{v0: k0, v1: k1}, Const: c, Cmp: cmp},
+			{Coeffs: map[int]int64{v1: k0 * k1}, Const: -c, Cmp: cmp + 1},
+		}}
+		input := []int64{x0, x1, x2}[:n%4]
+		assign := make(map[int]int64, len(input))
+		for i, x := range input {
+			assign[i] = x
+		}
+		if got, want := g.Matches(input), g.Condition().Holds(assign); got != want {
+			t.Fatalf("Matches(%v) = %v, its path condition says %v (guard %+v)", input, got, want, g.Danger)
+		}
+	})
 }
 
 func TestConditionRoundTrip(t *testing.T) {

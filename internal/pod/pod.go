@@ -160,18 +160,23 @@ type Stats struct {
 	FailuresAverted int64 // guard fired and the run then succeeded
 }
 
-// Pod runs one program instance under observation.
+// Pod runs one program instance under observation. It owns one collector
+// and one machine and lends them to one run at a time, so a run allocates
+// only the trace it ships (plus, once deadlock signatures are installed, its
+// gate). A run that finds them lent out builds its own.
 type Pod struct {
 	cfg Config
 
-	mu      sync.Mutex
-	seq     uint64
-	pending []*trace.Trace
-	guards  []fix.InputGuard
-	sigs    []deadlock.Signature
-	version int
-	rng     *stats.RNG
-	stats   Stats
+	mu        sync.Mutex
+	seq       uint64
+	pending   []*trace.Trace
+	guards    []fix.InputGuard
+	sigs      []deadlock.Signature
+	version   int
+	rng       *stats.RNG
+	stats     Stats
+	collector *trace.Collector // nil while lent to a run
+	machine   *prog.Machine    // lent with collector
 }
 
 // New creates a pod. The configuration is validated eagerly.
@@ -212,7 +217,8 @@ func (p *Pod) Stats() Stats {
 	return s
 }
 
-// SyncFixes pulls new fixes from the hive and installs them.
+// SyncFixes pulls new fixes from the hive and installs them. Overlapping
+// syncs may fetch the same fixes; each is installed once, by ID.
 func (p *Pod) SyncFixes() error {
 	if p.cfg.Hive == nil {
 		return nil
@@ -229,6 +235,9 @@ func (p *Pod) SyncFixes() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, f := range fixes {
+		if f.ID <= p.version {
+			continue
+		}
 		switch f.Kind {
 		case fix.KindDeadlockImmunity:
 			if f.Deadlock != nil {
@@ -240,7 +249,7 @@ func (p *Pod) SyncFixes() error {
 			}
 		}
 	}
-	p.version = newVersion
+	p.version = max(p.version, newVersion)
 	return nil
 }
 
@@ -288,17 +297,25 @@ func (p *Pod) naturalInput() []int64 {
 
 func (p *Pod) run(input []int64, faults []prog.FaultSpec, scheduler prog.Scheduler) (prog.Result, error) {
 	p.mu.Lock()
-	// Apply input guards.
+	// Apply input guards: a matching input is replaced by the guard's safe
+	// input, which the run only reads (Finish copies what the trace keeps).
 	guarded := false
 	effective := input
 	for i := range p.guards {
-		if out, fired := p.guards[i].Apply(effective); fired {
-			effective = out
+		if p.guards[i].Matches(effective) {
+			effective = p.guards[i].SafeInput
 			guarded = true
 		}
 	}
-	// Build per-run instrumentation.
-	collector := trace.NewCollector(p.cfg.Program, p.cfg.Capture, p.cfg.SampleRate, p.rng.Uint64())
+	// Borrow the pod's collector and machine.
+	seed := p.rng.Uint64()
+	collector, m := p.collector, p.machine
+	p.collector, p.machine = nil, nil
+	if collector == nil {
+		collector = trace.NewCollector(p.cfg.Program, p.cfg.Capture, p.cfg.SampleRate, seed)
+	} else {
+		collector.Reseed(seed)
+	}
 	var gate *deadlock.Gate
 	observer := prog.Observer(collector)
 	if len(p.sigs) > 0 {
@@ -332,15 +349,24 @@ func (p *Pod) run(input []int64, faults []prog.FaultSpec, scheduler prog.Schedul
 		// the VM call through it.
 		mcfg.Gate = gate
 	}
-	m, err := prog.NewMachine(p.cfg.Program, mcfg)
+	var err error
+	if m == nil {
+		m, err = prog.NewMachine(p.cfg.Program, mcfg)
+	} else {
+		err = m.Restart(mcfg)
+	}
 	if err != nil {
 		return prog.Result{}, fmt.Errorf("pod %s: %w", p.cfg.ID, err)
 	}
 	res := m.Run()
 
 	tr := collector.Finish(p.cfg.ID, seq, res, effective, p.cfg.Privacy, p.cfg.Salt)
+	collector.Reset()
 
 	p.mu.Lock()
+	if p.collector == nil {
+		p.collector, p.machine = collector, m
+	}
 	p.stats.Runs++
 	if res.Outcome.IsFailure() {
 		p.stats.Failures++

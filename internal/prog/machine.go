@@ -164,15 +164,17 @@ func (t *thread) holdsSorted() []int {
 	return out
 }
 
-// Machine executes one program instance. It is not safe for concurrent use;
-// each pod goroutine owns its machine.
+// Machine executes one program instance. It is not safe for concurrent use:
+// a pod owns one machine and lends it to one run at a time, Restarting it
+// before each.
 type Machine struct {
-	prog    *Program
-	cfg     Config
-	threads []thread
-	mem     []int64
-	lockOwn []int // lock -> owning tid, or -1
-	steps   int64
+	prog     *Program
+	cfg      Config
+	threads  []thread
+	mem      []int64
+	lockOwn  []int // lock -> owning tid, or -1
+	runnable []int // Run's scratch
+	steps    int64
 }
 
 // zeroSyscalls is the default environment model: every call returns 0.
@@ -184,12 +186,29 @@ func (zeroSyscalls) Call(int, int, int64, int64) int64 { return 0 }
 // the configuration is structurally invalid (wrong input arity, missing
 // scheduler for a multi-threaded program).
 func NewMachine(p *Program, cfg Config) (*Machine, error) {
+	m := &Machine{
+		prog:     p,
+		threads:  make([]thread, p.NumThreads()),
+		mem:      make([]int64, p.MemSize),
+		lockOwn:  make([]int, p.NumLocks),
+		runnable: make([]int, 0, p.NumThreads()),
+	}
+	if err := m.Restart(cfg); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Restart prepares a new execution of m's program under cfg, with the checks
+// NewMachine makes, reusing the machine's thread, memory and lock tables.
+func (m *Machine) Restart(cfg Config) error {
+	p := m.prog
 	if len(cfg.Input) != p.NumInputs {
-		return nil, fmt.Errorf("prog: input arity %d, program %q wants %d",
+		return fmt.Errorf("prog: input arity %d, program %q wants %d",
 			len(cfg.Input), p.Name, p.NumInputs)
 	}
 	if p.NumThreads() > 1 && cfg.Scheduler == nil {
-		return nil, fmt.Errorf("prog: program %q has %d threads but no scheduler",
+		return fmt.Errorf("prog: program %q has %d threads but no scheduler",
 			p.Name, p.NumThreads())
 	}
 	if cfg.Syscalls == nil {
@@ -198,25 +217,21 @@ func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
-	m := &Machine{
-		prog:    p,
-		cfg:     cfg,
-		threads: make([]thread, p.NumThreads()),
-		mem:     make([]int64, p.MemSize),
-		lockOwn: make([]int, p.NumLocks),
-	}
+	m.cfg = cfg
+	m.steps = 0
+	clear(m.mem)
 	for i := range m.lockOwn {
 		m.lockOwn[i] = -1
 	}
 	for i, entry := range p.Entries {
-		m.threads[i] = thread{pc: entry, status: ThreadRunnable, wants: -1}
+		m.threads[i] = thread{pc: entry, status: ThreadRunnable, held: m.threads[i].held[:0], wants: -1}
 	}
-	return m, nil
+	return nil
 }
 
 // Run executes the program to completion and returns the result.
 func (m *Machine) Run() Result {
-	runnable := make([]int, 0, len(m.threads))
+	runnable := m.runnable
 	for {
 		if m.steps >= m.cfg.MaxSteps {
 			return Result{Outcome: OutcomeHang, Steps: m.steps, FaultTID: -1, FaultPC: -1, AssertID: -1,

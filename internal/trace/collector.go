@@ -6,13 +6,14 @@ import (
 )
 
 // Collector is the pod-side instrumentation sink: it implements
-// prog.Observer and accumulates one Trace per execution. A Collector is
-// reused across runs via Reset to avoid per-run allocation.
+// prog.Observer and accumulates one Trace per execution. A pod owns one
+// collector and lends it to one run at a time: Reseed before the run, Finish
+// after it, Reset before the next, so the event buffers are allocated once.
 type Collector struct {
 	program *prog.Program
 	mode    CaptureMode
 	rate    float64
-	rng     *stats.RNG
+	rng     stats.RNG
 	phase   uint32
 	k       uint32
 
@@ -30,12 +31,11 @@ var _ prog.Observer = (*Collector)(nil)
 // otherwise); seed drives the sampling decisions so coordinated sampling
 // across a pod fleet is reproducible.
 func NewCollector(p *prog.Program, mode CaptureMode, rate float64, seed uint64) *Collector {
-	return &Collector{
-		program: p,
-		mode:    mode,
-		rate:    rate,
-		rng:     stats.NewRNG(seed),
+	c := &Collector{program: p, mode: mode, rate: rate, rng: *stats.NewRNG(seed)}
+	if mode == CaptureCoordinated {
+		c.k = 1 // phase 0 of 1: every site
 	}
+	return c
 }
 
 // NewCoordinatedCollector creates a collector in CaptureCoordinated mode:
@@ -46,8 +46,11 @@ func NewCoordinatedCollector(p *prog.Program, phase, k uint32) *Collector {
 	if k == 0 {
 		k = 1
 	}
-	return &Collector{program: p, mode: CaptureCoordinated, phase: phase % k, k: k, rng: stats.NewRNG(uint64(phase))}
+	return &Collector{program: p, mode: CaptureCoordinated, phase: phase % k, k: k, rng: *stats.NewRNG(uint64(phase))}
 }
+
+// Reseed restarts the sampling stream as NewCollector(…, seed) starts it.
+func (c *Collector) Reseed(seed uint64) { c.rng = *stats.NewRNG(seed) }
 
 // RecordSchedule enables capturing the schedule decision sequence (needed
 // for multi-threaded programs so the hive can distinguish interleavings).
