@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -41,7 +42,7 @@ var journalGuards = []journalGuard{
 	// PR 10: the read-only breaker's failure accounting wraps every live
 	// batch append. Appending to the journal around the wrapper would let
 	// a full disk fail silently without ever tripping the breaker.
-	{callee: "journalBatchAppend", callers: set("SubmitColumnarSession", "certify", "synthesizeFix")},
+	{callee: "journalBatchAppend", callers: set("SubmitColumnarSession", "certify", "synthesizeFix", "Prove")},
 	// A live certificate is journaled ahead of its apply by one function,
 	// which expects its caller to hold the checkpoint gate: the two engines
 	// that refute frontiers reach it, nothing else does.
@@ -53,6 +54,18 @@ var journalGuards = []journalGuard{
 	// path the breaker trusts instead of writing a snapshot of its own.
 	{callee: "closeReadOnly", callers: set("checkpointLocked")},
 	{callee: "checkpointLocked", callers: set("CheckpointProgram", "ImportProgram")},
+}
+
+// journalOpAuthors names, for each kind of journal op a live mutation
+// journals, the one function in internal/hive that may build its journal.Op
+// literal. The guards above check who calls the journaling functions; this
+// table checks that the op itself has no second author, so no other function
+// can append it around them.
+var journalOpAuthors = []struct{ kind, author string }{
+	{"OpBatchColumnar", "SubmitColumnarSession"},
+	{"OpSynthesis", "synthesizeFix"},
+	{"OpCert", "certify"},
+	{"OpProof", "Prove"},
 }
 
 func set(names ...string) map[string]bool {
@@ -67,7 +80,10 @@ func set(names ...string) map[string]bool {
 // internal/hive.
 var JournalFirst = &Analyzer{
 	Name: "journalfirst",
-	Doc: "in internal/hive, live-mutation helpers (applyBatchView, " +
+	Doc: "in internal/hive, a journal.Op literal of a live kind is built " +
+		"only by its one author (OpBatchColumnar in SubmitColumnarSession, " +
+		"OpSynthesis in synthesizeFix, OpCert in certify, OpProof in Prove), " +
+		"and live-mutation helpers (applyBatchView, " +
 		"synthesizeFix, markSession, journalBatchAppend, closeReadOnly) " +
 		"are reachable only from the one ingest path " +
 		"(SubmitColumnarSession), the one certificate path (certify, from " +
@@ -100,6 +116,30 @@ func runJournalFirst(p *Pass) {
 			}
 		}
 	}
+	for _, row := range journalOpAuthors {
+		if !declared[row.author] {
+			p.Reportf(p.Pkg.Files[0].Package, "the %s literal row names %s, which %s does not declare: a renamed or deleted function silently empties the rule (update journalOpAuthors)", row.kind, row.author, p.Pkg.Path)
+		}
+	}
+	for _, file := range p.Pkg.Files {
+		for _, d := range file.Decls {
+			fd, _ := d.(*ast.FuncDecl)
+			builder := funcName(fd)
+			ast.Inspect(d, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok {
+					return true
+				}
+				kind := journalOpKind(p, lit)
+				for _, row := range journalOpAuthors {
+					if row.kind == kind && row.author != builder {
+						p.Reportf(lit.Pos(), "journal.Op literal of kind %s built in %s: only %s builds one, so each reaches the journal by the road the guards check", kind, builder, row.author)
+					}
+				}
+				return true
+			})
+		}
+	}
 	for _, file := range p.Pkg.Files {
 		enclosingFuncs(file, func(fd *ast.FuncDecl) {
 			caller := funcName(fd)
@@ -121,6 +161,42 @@ func runJournalFirst(p *Pass) {
 			})
 		})
 	}
+}
+
+// journalOpKind returns the name of the internal/journal constant a
+// journal.Op literal sets as its Kind, or "".
+func journalOpKind(p *Pass, lit *ast.CompositeLit) string {
+	tv, ok := p.Pkg.Info.Types[lit]
+	if !ok {
+		return ""
+	}
+	named := namedOf(tv.Type)
+	if named == nil || named.Obj().Name() != "Op" || !pkgMatches(named.Obj().Pkg(), "internal/journal") {
+		return ""
+	}
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Kind" {
+			continue
+		}
+		var id *ast.Ident
+		switch v := ast.Unparen(kv.Value).(type) {
+		case *ast.Ident:
+			id = v
+		case *ast.SelectorExpr:
+			id = v.Sel
+		}
+		if id == nil {
+			return ""
+		}
+		if c, ok := p.Pkg.Info.Uses[id].(*types.Const); ok && pkgMatches(c.Pkg(), "internal/journal") {
+			return c.Name()
+		}
+	}
+	return ""
 }
 
 func allowedCallers(g *journalGuard) string {

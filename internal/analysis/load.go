@@ -173,9 +173,6 @@ func Load(dir string, cfg LoadConfig) (*Module, error) {
 	return m, nil
 }
 
-// Lookup returns a loaded package by import path, or nil.
-func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
-
 // findModule walks up from dir to the enclosing go.mod.
 func findModule(dir string) (root, modPath string, err error) {
 	abs, err := filepath.Abs(dir)

@@ -3,7 +3,11 @@
 // graph.
 package hive
 
-import "sync"
+import (
+	"sync"
+
+	"fixture/internal/journal"
+)
 
 // Hive mirrors the real registry locks.
 type Hive struct {
@@ -35,7 +39,7 @@ func (h *Hive) applyBatchView(st *programState) {
 // synthesizeFix journals its outcome through the breaker-accounted wrapper
 // before publishing the fix. Clean.
 func (h *Hive) synthesizeFix(st *programState) {
-	_ = h.journalBatchAppend(st)
+	_ = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpSynthesis})
 }
 
 func (h *Hive) markSession(id string) {}
@@ -50,13 +54,15 @@ func (h *Hive) mergeSessionTables(a string) {
 // SubmitColumnarSession is the one ingest path; it appends through the
 // breaker-accounted wrapper before applying. Clean.
 func (h *Hive) SubmitColumnarSession(st *programState) {
-	_ = h.journalBatchAppend(st)
+	_ = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpBatchColumnar})
 	h.applyBatchView(st)
 	h.markSession("s")
 }
 
-// applyOp is the sanctioned recovery/replay path. Clean.
+// applyOp is the sanctioned recovery/replay path. A kind no live mutation
+// journals may be built anywhere. Clean.
 func (h *Hive) applyOp(st *programState) {
+	_ = journal.Op{Kind: journal.OpBatch}
 	h.applyBatchView(st)
 	h.markSession("s")
 }
@@ -105,7 +111,7 @@ func (h *Hive) replayHook(st *programState) {
 }
 
 // journalBatchAppend mirrors the PR 10 breaker-accounted append wrapper.
-func (h *Hive) journalBatchAppend(st *programState) error { return nil }
+func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) error { return nil }
 
 // closeReadOnly mirrors the breaker close; only a landed checkpoint may
 // call it.
@@ -123,7 +129,7 @@ func (h *Hive) CheckpointProgram(st *programState) {
 
 // rawAppend bypasses the breaker's failure accounting. Finding expected.
 func (h *Hive) rawAppend(st *programState) {
-	_ = h.journalBatchAppend(st)
+	_ = h.journalBatchAppend(st, nil)
 }
 
 // forceWritable closes the breaker without a checkpoint. Finding expected.
@@ -153,7 +159,7 @@ func (h *Hive) persistDirect(st *programState) {
 // certify journals a certificate through the breaker-accounted wrapper, then
 // applies it. Clean.
 func (h *Hive) certify(st *programState) {
-	_ = h.journalBatchAppend(st)
+	_ = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpCert})
 }
 
 // Guidance certifies what its generator refuted. Clean.
@@ -162,13 +168,35 @@ func (h *Hive) Guidance(st *programState) {
 	certify()
 }
 
-// Prove hands the proof engine the same function. Clean.
+// Prove hands the proof engine the same function, then journals the proof
+// through the breaker-accounted wrapper. Clean.
 func (h *Hive) Prove(st *programState) {
 	h.certify(st)
+	_ = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpProof})
 }
 
 // discharge certifies from outside a pull or a proof attempt — under no
 // checkpoint gate. Finding expected.
 func (h *Hive) discharge(st *programState) {
 	h.certify(st)
+}
+
+// staleBatch is a columnar batch op built at package scope, outside the one
+// ingest path. Finding expected.
+var staleBatch = journal.Op{Kind: journal.OpBatchColumnar}
+
+// reissueFix builds a synthesis op outside synthesizeFix. Finding expected.
+func (h *Hive) reissueFix(st *programState) journal.Op {
+	return journal.Op{Kind: journal.OpSynthesis}
+}
+
+// forgeCert builds a certificate op outside certify. Finding expected.
+func (h *Hive) forgeCert(st *programState) *journal.Op {
+	return &journal.Op{Kind: (journal.OpCert)}
+}
+
+// publishProof builds a proof op outside Prove. Finding expected.
+func (h *Hive) publishProof(st *programState) journal.Op {
+	op := journal.Op{Kind: journal.OpProof}
+	return op
 }

@@ -51,9 +51,6 @@ func NewDirStore(root string, vfs journal.FS) (*DirStore, error) {
 	return &DirStore{root: root, fs: vfs}, nil
 }
 
-// Root returns the store's directory.
-func (d *DirStore) Root() string { return d.root }
-
 func (d *DirStore) path(key string) (string, error) {
 	if key == "" || strings.Contains(key, "..") || strings.HasPrefix(key, "/") {
 		return "", fmt.Errorf("archive: bad object key %q", key)

@@ -7,7 +7,6 @@
 package wer
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/trace"
@@ -67,27 +66,6 @@ func (c *Collector) Ingest(tr *trace.Trace) {
 		c.pods[sig][tr.PodID] = true
 		b.Pods = len(c.pods[sig])
 	}
-}
-
-// TopBuckets returns the n most frequent buckets — the triage queue a human
-// developer would work through.
-func (c *Collector) TopBuckets(n int) []Bucket {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Bucket, 0, len(c.buckets))
-	for _, b := range c.buckets {
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Signature < out[j].Signature
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
 }
 
 // Stats summarizes the collector.

@@ -5,7 +5,7 @@ import "math"
 // Arrival maps a tick in [0, ticks) to a load multiplier >= 0. The
 // scenario driver multiplies it with the scenario's base rate and
 // overload factor, so an Arrival describes only the *shape* of demand
-// over time — steady, bursty, or cyclic — independent of its magnitude.
+// over time — steady or bursty — independent of its magnitude.
 type Arrival func(tick, ticks int) float64
 
 // Steady is constant demand: the control shape overload factors are
@@ -29,22 +29,5 @@ func FlashCrowd(peakAt, width, magnitude float64) Arrival {
 		x := float64(tick) / float64(ticks-1)
 		d := (x - peakAt) / width
 		return 1 + (magnitude-1)*math.Exp(-d*d/2)
-	}
-}
-
-// Diurnal is sinusoidal demand: cycles full periods over the run,
-// swinging ±amplitude around 1 (clamped at 0). The slow tide a fleet
-// sized for the trough must shed at the crest.
-func Diurnal(cycles int, amplitude float64) Arrival {
-	return func(tick, ticks int) float64 {
-		if ticks <= 1 {
-			return 1
-		}
-		x := float64(tick) / float64(ticks-1)
-		m := 1 + amplitude*math.Sin(2*math.Pi*float64(cycles)*x)
-		if m < 0 {
-			return 0
-		}
-		return m
 	}
 }

@@ -1,6 +1,6 @@
 // Package chaos is the adversarial fleet harness (PR 9, experiment E17):
 // it boots a sharded hive fleet behind shaped links, drives it with
-// hostile arrival curves (flash crowds, diurnal tides), hostile clients
+// hostile arrival curves (flash crowds), hostile clients
 // (slow-loris connection squatters, garbage-frame replayers), and
 // pathological-tree programs, and measures what the overload protections
 // actually deliver — ack latency percentiles, peak memory, coverage

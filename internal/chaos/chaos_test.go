@@ -31,21 +31,6 @@ func TestArrivalShapes(t *testing.T) {
 	if edge := fc(0, ticks); edge > 1.01 {
 		t.Fatalf("flash crowd edge = %v, want ~baseline", edge)
 	}
-
-	d := Diurnal(2, 1.5) // amplitude past 1: the trough must clamp at 0
-	clamped := false
-	for tick := 0; tick < ticks; tick++ {
-		m := d(tick, ticks)
-		if m < 0 {
-			t.Fatalf("diurnal went negative at tick %d: %v", tick, m)
-		}
-		if m == 0 {
-			clamped = true
-		}
-	}
-	if !clamped {
-		t.Fatal("over-amplitude diurnal never clamped to zero")
-	}
 }
 
 func TestHostileFramesDeterministic(t *testing.T) {

@@ -63,17 +63,18 @@ type Result struct {
 	Nodes int64
 }
 
+// maxRounds caps an exploration that has not emptied the frontier set.
+const maxRounds = 1000
+
 // Explore runs a distributed exploration of p's execution tree with the
 // given number of worker nodes under the chosen partitioning mode. The
 // model is deterministic: frontier discharge costs (solver ticks plus
 // executed VM steps) accrue to the owning node, and assignment policy is
-// the only variable — exactly what E8 isolates.
-func Explore(p *prog.Program, nodes int, mode Mode, maxRounds int) (*Result, error) {
+// the only variable — exactly what E8 isolates. It stops after maxRounds
+// rounds if frontiers remain.
+func Explore(p *prog.Program, nodes int, mode Mode) (*Result, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("cluster: need at least 1 node, got %d", nodes)
-	}
-	if maxRounds <= 0 {
-		maxRounds = 1000
 	}
 	sym, err := symbolic.New(p, symbolic.Config{})
 	if err != nil {

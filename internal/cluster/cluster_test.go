@@ -9,7 +9,7 @@ import (
 func TestExploreCompletesTree(t *testing.T) {
 	p, _ := proggen.MustGenerate(proggen.Spec{Seed: 31, Depth: 4})
 	for _, mode := range []Mode{Static, Dynamic, Markowitz} {
-		res, err := Explore(p, 4, mode, 0)
+		res, err := Explore(p, 4, mode)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -29,7 +29,7 @@ func TestModesAgreeOnTreeShape(t *testing.T) {
 	p, _ := proggen.MustGenerate(proggen.Spec{Seed: 33, Depth: 4})
 	var paths, nodes int64
 	for i, mode := range []Mode{Static, Dynamic, Markowitz} {
-		res, err := Explore(p, 3, mode, 0)
+		res, err := Explore(p, 3, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,11 +51,11 @@ func TestDynamicBalancesBetterThanStatic(t *testing.T) {
 	samples := 0
 	for seed := uint64(40); seed < 48; seed++ {
 		p, _ := proggen.MustGenerate(proggen.Spec{Seed: seed, Depth: 5, NumInputs: 2})
-		st, err := Explore(p, 8, Static, 0)
+		st, err := Explore(p, 8, Static)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dy, err := Explore(p, 8, Dynamic, 0)
+		dy, err := Explore(p, 8, Dynamic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestDynamicBalancesBetterThanStatic(t *testing.T) {
 
 func TestExploreRejectsBadArgs(t *testing.T) {
 	p, _ := proggen.MustGenerate(proggen.Spec{Seed: 1, Depth: 2})
-	if _, err := Explore(p, 0, Dynamic, 0); err == nil {
+	if _, err := Explore(p, 0, Dynamic); err == nil {
 		t.Error("zero nodes accepted")
 	}
 }

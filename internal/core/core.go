@@ -255,15 +255,6 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	return s, nil
 }
 
-// Hive exposes the hive (SoftBorg mode) for inspection.
-func (s *Simulation) Hive() *hive.Hive { return s.hive }
-
-// WER exposes the crash collector (WER mode).
-func (s *Simulation) WER() *wer.Collector { return s.wer }
-
-// CBI exposes the predicate aggregator (CBI mode).
-func (s *Simulation) CBI() *cbi.Aggregator { return s.cbi }
-
 // Run simulates the configured horizon and returns one row per day.
 func (s *Simulation) Run() ([]DayMetrics, error) {
 	out := make([]DayMetrics, 0, s.cfg.Days)

@@ -8,9 +8,7 @@
 package deadlock
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/prog"
@@ -60,15 +58,6 @@ func (s *Signature) normalize() {
 		}
 		return s.Edges[i].LockID < s.Edges[j].LockID
 	})
-}
-
-// Key returns a canonical string identity for deduplication.
-func (s Signature) Key() string {
-	parts := make([]string, len(s.Edges))
-	for i, e := range s.Edges {
-		parts[i] = fmt.Sprintf("%d:%d", e.PC, e.LockID)
-	}
-	return strings.Join(parts, ",")
 }
 
 // LockSet returns the set of lock ids the cycle waits on.

@@ -76,13 +76,6 @@ func (t *Tree) clearDirtyLocked() {
 	t.dirtyNodes = t.dirtyNodes[:0]
 }
 
-// DeltaTracking reports whether dirty-node recording is on.
-func (t *Tree) DeltaTracking() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.tracking
-}
-
 // DirtyNodes returns the size of the pending delta working set.
 func (t *Tree) DirtyNodes() int {
 	t.mu.RLock()

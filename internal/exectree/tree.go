@@ -358,11 +358,6 @@ func (t *Tree) Merge(path []trace.BranchEvent, outcome prog.Outcome) MergeResult
 	return res
 }
 
-// Root returns the root node. Callers must not mutate the tree structure;
-// read access is safe only while no Merge is running unless the caller holds
-// a snapshot via Walk.
-func (t *Tree) Root() *Node { return t.root }
-
 // Stats is a snapshot of tree-level statistics.
 type Stats struct {
 	Nodes        int64

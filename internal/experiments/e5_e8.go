@@ -216,7 +216,7 @@ func E8DynamicPartitioning() (*Table, error) {
 			return nil, err
 		}
 		for _, mode := range modes {
-			res, err := cluster.Explore(p, 8, mode, 0)
+			res, err := cluster.Explore(p, 8, mode)
 			if err != nil {
 				return nil, err
 			}

@@ -97,7 +97,6 @@ type FS struct {
 	rng     *rand.Rand
 	stats   Stats
 	crashed bool
-	healed  bool
 	forced  bool
 }
 
@@ -121,16 +120,7 @@ func (f *FS) Stats() Stats {
 func (f *FS) Crashed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.crashed && !f.healed
-}
-
-// Heal clears the crash latch and disables all further injection — the
-// "replace the disk and reboot" step of a recovery scenario that keeps
-// using the same FS value.
-func (f *FS) Heal() {
-	f.mu.Lock()
-	f.healed = true
-	f.mu.Unlock()
+	return f.crashed
 }
 
 // ForceENOSPC flips the deterministic disk-full switch: while set, every
@@ -157,9 +147,6 @@ type decision struct {
 func (f *FS) decide(rate float64) decision {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.healed {
-		return decision{}
-	}
 	f.stats.Ops++
 	if f.plan.CrashAfterOps > 0 && f.stats.Ops >= f.plan.CrashAfterOps {
 		f.crashed = true
@@ -179,9 +166,6 @@ func (f *FS) decide(rate float64) decision {
 func (f *FS) decideWrite() (d decision, kind int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.healed {
-		return decision{}, 0
-	}
 	f.stats.Ops++
 	if f.plan.CrashAfterOps > 0 && f.stats.Ops >= f.plan.CrashAfterOps {
 		f.crashed = true

@@ -38,8 +38,7 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 }
 
-// TestCrashLatch: once the crash point fires every later operation fails,
-// and Heal lifts the latch.
+// TestCrashLatch: once the crash point fires every later operation fails.
 func TestCrashLatch(t *testing.T) {
 	dir := t.TempDir()
 	ffs := Wrap(nil, Plan{Seed: 1, CrashAfterOps: 3})
@@ -62,13 +61,6 @@ func TestCrashLatch(t *testing.T) {
 	}
 	if !ffs.Crashed() {
 		t.Fatal("Crashed() false after latch")
-	}
-	ffs.Heal()
-	if ffs.Crashed() {
-		t.Fatal("Crashed() true after Heal")
-	}
-	if _, err := ffs.OpenFile(path, os.O_RDONLY, 0); err != nil {
-		t.Fatalf("open after heal: %v", err)
 	}
 }
 

@@ -206,13 +206,3 @@ func (s *Set) Load(fixes []Fix) error {
 
 // Len returns the number of fixes.
 func (s *Set) Len() int { return len(s.fixes) }
-
-// HasTarget reports whether a fix for the given failure signature exists.
-func (s *Set) HasTarget(signature string) bool {
-	for _, f := range s.fixes {
-		if f.TargetSignature == signature {
-			return true
-		}
-	}
-	return false
-}

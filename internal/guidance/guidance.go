@@ -256,23 +256,12 @@ func (g *Generator) generateSchedules(max int) []TestCase {
 			Schedule:  prefix,
 			Reason:    "explore thread interleaving",
 		})
-		// Without feedback we advance optimistically assuming binary
-		// branching at each decision; Report refines this when the pod
-		// returns observations.
+		// Pods do not report schedule observations back, so the
+		// enumeration advances optimistically, assuming binary branching
+		// at each decision.
 		g.enum.Report(s)
 	}
 	return out
-}
-
-// Report feeds back the scheduler observations from a pod that executed a
-// schedule test case, refining the enumeration. (Optional: Generate advances
-// optimistically when pods do not report.)
-func (g *Generator) Report(observed *sched.Systematic) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.enum != nil && observed != nil {
-		g.enum.Report(observed)
-	}
 }
 
 // prefixOf reconstructs the decision prefix a Systematic scheduler forces.

@@ -306,15 +306,6 @@ func (h *Hive) state(programID string) (*programState, error) {
 	return st, nil
 }
 
-// Program returns the registered program by ID.
-func (h *Hive) Program(programID string) (*prog.Program, error) {
-	st, err := h.state(programID)
-	if err != nil {
-		return nil, err
-	}
-	return st.prog, nil
-}
-
 // SubmitTraces implements pod.HiveClient for callers that hold materialized
 // traces (pods flushing without a bound buffer, the WER/CBI baselines): the
 // edge of the one ingest path. The batch is grouped by program, preserving
@@ -681,9 +672,9 @@ const readOnlyAppendThreshold = 3
 
 // journalBatchAppend is the write-ahead append of the ops that are refused
 // when the journal refuses them — a batch, a certificate, a synthesis
-// outcome — with the read-only breaker wrapped around it: an open breaker
-// refuses the op immediately with pod.ErrReadOnly (no disk touch), a failed
-// append counts toward opening it, and a successful append resets the
+// outcome, a proof — with the read-only breaker wrapped around it: an open
+// breaker refuses the op immediately with pod.ErrReadOnly (no disk touch), a
+// failed append counts toward opening it, and a successful append resets the
 // count. Only a durably landed checkpoint closes an open breaker (see
 // CheckpointProgram) — proof the disk takes writes again.
 func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) error {
@@ -702,16 +693,6 @@ func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) error {
 	return nil
 }
 
-// ProgramReadOnly reports whether a program's journal breaker is open
-// (ingest refused with pod.ErrReadOnly, guidance reads served).
-func (h *Hive) ProgramReadOnly(programID string) bool {
-	st, err := h.state(programID)
-	if err != nil {
-		return false
-	}
-	return st.readOnly.Load()
-}
-
 // ReadOnlyPrograms counts programs whose journal breaker is currently open.
 func (h *Hive) ReadOnlyPrograms() int {
 	h.mu.RLock()
@@ -725,14 +706,17 @@ func (h *Hive) ReadOnlyPrograms() int {
 	return n
 }
 
-// noteDurability latches the first journal failure of an op applied anyway.
+// noteDurability latches the first journal failure of an op whose effects
+// were applied anyway: a refused OpProof, whose evidence merges are already
+// in the tree.
 func (h *Hive) noteDurability(err error) {
 	h.durabilityErr.CompareAndSwap(nil, &err)
 }
 
-// DurabilityError returns the first journal failure of an op applied all the
-// same (a proof), or nil. A batch, a certificate or a synthesis outcome the
-// journal refuses is not applied, so its failure degrades nothing.
+// DurabilityError returns the first journal failure of an op whose effects
+// were applied all the same (a refused proof's evidence merges), or nil. A
+// batch, a certificate, a synthesis outcome or a proof the journal refuses is
+// not applied or published, so only a proof's evidence is ever lost.
 func (h *Hive) DurabilityError() error {
 	if p := h.durabilityErr.Load(); p != nil {
 		return *p
@@ -951,7 +935,7 @@ func (h *Hive) safeInput(st *programState, danger constraint.PathCondition) []in
 	// danger zone.
 	neg := danger.Clone()
 	neg[len(neg)-1] = neg[len(neg)-1].Negate()
-	res := (&constraint.Solver{Domain: st.sym.Domain()}).Solve(neg)
+	res := (&constraint.Solver{}).Solve(neg)
 	if res.Verdict != constraint.SAT {
 		return nil
 	}
@@ -1026,7 +1010,10 @@ func (h *Hive) Guidance(programID string, max int) ([]guidance.TestCase, error) 
 
 // Prove attempts a cumulative proof of the property for the program,
 // reusing a standing proof when the tree and fixes have not changed its
-// validity.
+// validity. The proof is published only once its OpProof is journaled,
+// through the read-only breaker like every other mutation: a refused op
+// publishes nothing and returns the error (wrapping pod.ErrReadOnly while
+// the breaker is open).
 func (h *Hive) Prove(programID string, property proof.Property) (*proof.Proof, error) {
 	st, err := h.state(programID)
 	if err != nil {
@@ -1057,18 +1044,23 @@ func (h *Hive) Prove(programID string, property proof.Property) (*proof.Proof, e
 		return nil, err
 	}
 	st.mu.Lock()
-	st.proofs[property] = pr
+	defer st.mu.Unlock()
 	if h.journal != nil {
 		// The op carries the proof and its merged evidence; the certificates
 		// the attempt minted were journaled one by one, each ahead of its
-		// apply.
-		if data, encErr := proof.Encode(pr); encErr != nil {
-			h.noteDurability(encErr)
-		} else if aerr := h.journal.Append(st.prog.ID, &journal.Op{Kind: journal.OpProof, Proof: data}); aerr != nil {
-			h.noteDurability(aerr)
+		// apply. The evidence merges are in the tree already, so a refused
+		// op leaves them applied and unjournaled: that is what
+		// DurabilityError latches.
+		data, err := proof.Encode(pr)
+		if err == nil {
+			err = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpProof, Proof: data})
+		}
+		if err != nil {
+			h.noteDurability(err)
+			return nil, err
 		}
 	}
-	st.mu.Unlock()
+	st.proofs[property] = pr
 	return pr, nil
 }
 
@@ -1090,61 +1082,6 @@ func (h *Hive) PublishedProofs(programID string) ([]*proof.Proof, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Property < out[j].Property })
 	return out, nil
-}
-
-// Reproducer derives a concrete test case that reproduces a recorded
-// failure signature — the artifact the repair lab hands a developer. It
-// works even at hashed/opaque privacy: the sample trace's recorded
-// input-dependent branch directions are replayed symbolically and the
-// resulting path condition is solved for *an* input that takes the same
-// path (not necessarily the user's input — deliberately so).
-func (h *Hive) Reproducer(programID, signature string) (guidance.TestCase, error) {
-	st, err := h.state(programID)
-	if err != nil {
-		return guidance.TestCase{}, err
-	}
-	rec := st.failures.get(signature)
-	if rec == nil || rec.sample == nil {
-		return guidance.TestCase{}, fmt.Errorf("hive: no failure record %q for program %s", signature, programID)
-	}
-	// sample and sym are immutable once published.
-	sample := rec.sample.Clone()
-	sym := st.sym
-
-	if sym == nil {
-		return guidance.TestCase{}, fmt.Errorf("hive: reproducer for multi-threaded program %s not supported", programID)
-	}
-
-	var forced []trace.BranchEvent
-	for _, be := range sample.Branches {
-		if st.prog.InputDependent(int(be.ID)) {
-			forced = append(forced, be)
-		}
-	}
-	base := make([]int64, st.prog.NumInputs)
-	path, err := sym.RunForced(base, forced)
-	if err != nil {
-		return guidance.TestCase{}, fmt.Errorf("hive: reproducer replay: %w", err)
-	}
-	if !path.Outcome.IsFailure() {
-		return guidance.TestCase{}, fmt.Errorf("hive: forced replay of %q did not fail (outcome %s)", signature, path.Outcome)
-	}
-	cond := path.Condition()
-	res := (&constraint.Solver{Domain: sym.Domain()}).Solve(cond)
-	if res.Verdict != constraint.SAT {
-		return guidance.TestCase{}, fmt.Errorf("hive: reproducer path condition %s for %q", res.Verdict, signature)
-	}
-	input := make([]int64, st.prog.NumInputs)
-	for v, val := range res.Model {
-		if v < len(input) {
-			input[v] = val
-		}
-	}
-	return guidance.TestCase{
-		ProgramID: programID,
-		Input:     input,
-		Reason:    fmt.Sprintf("reproduces failure %s", signature),
-	}, nil
 }
 
 // ProveNoDeadlock attempts a bounded-schedule proof that the program —

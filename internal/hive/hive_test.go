@@ -522,45 +522,6 @@ func TestPublishedProofsInvalidatedByFixes(t *testing.T) {
 	}
 }
 
-func TestReproducerFromHashedTrace(t *testing.T) {
-	// The user's input never leaves the machine (hashed privacy), yet the
-	// repair lab gets a concrete reproducer via symbolic replay.
-	p := buildCrashy(t)
-	h := New("fleet")
-	if err := h.RegisterProgram(p); err != nil {
-		t.Fatal(err)
-	}
-	pd := newPod(t, h, p, "pod-repro", trace.PrivacyHashed)
-	if _, err := pd.RunOnce([]int64{107}); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := h.ProgramStats(p.ID)
-	if len(st.Failures) != 1 {
-		t.Fatalf("failures = %+v", st.Failures)
-	}
-	tc, err := h.Reproducer(p.ID, st.Failures[0].Signature)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The synthesized input must land in the crash zone (not necessarily
-	// equal the user's 107).
-	if tc.Input[0] < 100 || tc.Input[0] >= 110 {
-		t.Fatalf("reproducer input = %v, want in [100,110)", tc.Input)
-	}
-	m, err := prog.NewMachine(p, prog.Config{Input: tc.Input})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := m.Run(); res.Outcome != prog.OutcomeCrash {
-		t.Fatalf("reproducer does not reproduce: %v", res.Outcome)
-	}
-
-	// Unknown signature errors.
-	if _, err := h.Reproducer(p.ID, "nope"); err == nil {
-		t.Error("unknown signature accepted")
-	}
-}
-
 func TestProveNoDeadlockVerifiesDistributedFix(t *testing.T) {
 	b := prog.NewBuilder("dining-v", 0).SetLocks(2)
 	b.Thread()

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/prog"
 	"repro/internal/proggen"
 	"repro/internal/proof"
@@ -27,7 +28,7 @@ func TestHiveIncrementalSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range corpus {
-		if n := store1.ChainLength(p.ID); n != 0 {
+		if n := chainLength(t, store1, p.ID); n != 0 {
 			t.Fatalf("program %s: first checkpoint left %d deltas, want full base", p.ID, n)
 		}
 	}
@@ -46,7 +47,7 @@ func TestHiveIncrementalSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range corpus {
-		if n := store1.ChainLength(p.ID); n != 2 {
+		if n := chainLength(t, store1, p.ID); n != 2 {
 			t.Fatalf("program %s: chain length %d, want 2 delta segments", p.ID, n)
 		}
 	}
@@ -71,7 +72,7 @@ func TestHiveIncrementalSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range corpus {
-		if n := store2.ChainLength(p.ID); n != 3 {
+		if n := chainLength(t, store2, p.ID); n != 3 {
 			t.Fatalf("program %s: post-recovery chain length %d, want 3", p.ID, n)
 		}
 	}
@@ -101,7 +102,7 @@ func TestHiveIncrementalCompaction(t *testing.T) {
 		if err := h.CheckpointProgram(p.ID); err != nil {
 			t.Fatal(err)
 		}
-		if got := store.ChainLength(p.ID); got != want {
+		if got := chainLength(t, store, p.ID); got != want {
 			t.Fatalf("checkpoint %d: chain length %d, want %d", i, got, want)
 		}
 	}
@@ -112,7 +113,7 @@ func TestHiveIncrementalCompaction(t *testing.T) {
 	if err := h.CheckpointProgram(p.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := store.ChainLength(p.ID); got != 0 {
+	if got := chainLength(t, store, p.ID); got != 0 {
 		t.Fatalf("always-full policy left %d deltas", got)
 	}
 }
@@ -162,7 +163,7 @@ func TestHiveDeltaCheckpointPauseIsBounded(t *testing.T) {
 	if err := h.CheckpointProgram(big.ID); err != nil {
 		t.Fatal(err)
 	}
-	if store.ChainLength(big.ID) != 1 {
+	if chainLength(t, store, big.ID) != 1 {
 		t.Fatal("tiny change did not produce a delta segment")
 	}
 }
@@ -331,4 +332,15 @@ func TestSessionDedupOutOfOrder(t *testing.T) {
 	if st2.Ingested != 7 {
 		t.Fatalf("recovered hive ingested %d, want exactly 7", st2.Ingested)
 	}
+}
+
+// chainLength counts the delta segments LoadChain layers over the program's
+// base snapshot in store (0 when compact or never checkpointed).
+func chainLength(t testing.TB, store *journal.Store, programID string) int {
+	t.Helper()
+	_, deltas, err := store.LoadChain(programID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(deltas)
 }

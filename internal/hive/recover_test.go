@@ -163,7 +163,7 @@ func buildRecoveryDir(t testing.TB, dir string, corpus []*prog.Program) (*Hive, 
 		t.Fatal(err)
 	}
 	for _, p := range corpus {
-		if n := store.ChainLength(p.ID); n != 2 {
+		if n := chainLength(t, store, p.ID); n != 2 {
 			t.Fatalf("program %s: %d delta segments, want 2", p.ID, n)
 		}
 		if n := store.AppendsSinceCheckpoint(p.ID); n == 0 {

@@ -218,9 +218,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the data directory.
-func (s *Store) Dir() string { return s.dir }
-
 // fileKey derives the filename-safe key for a program ID.
 func fileKey(programID string) string {
 	sum := sha256.Sum256([]byte(programID))
@@ -885,15 +882,6 @@ func (s *Store) CheckpointDelta(snap *ProgramSnapshot) error {
 	pl.appends = 0
 	pl.broken = false // a poisoned generation was rotated away
 	return nil
-}
-
-// ChainLength returns the number of delta segments layered over the
-// program's base snapshot (0 when compact or never checkpointed).
-func (s *Store) ChainLength(programID string) int {
-	pl := s.log(programID)
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return len(pl.deltas)
 }
 
 // Close closes every open journal file.

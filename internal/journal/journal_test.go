@@ -48,7 +48,7 @@ func TestOpCodecRoundTrip(t *testing.T) {
 		},
 	}
 	for i, op := range ops {
-		got, err := decodeOp(encodeOp(op))
+		got, err := decodeOp(appendOp(nil, op))
 		if err != nil {
 			t.Fatalf("op %d: decode: %v", i, err)
 		}

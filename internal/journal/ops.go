@@ -68,12 +68,6 @@ type Op struct {
 	Missing exectree.Edge
 }
 
-// encodeOp serializes an op (the record payload; framing and CRC are the
-// journal file's concern).
-func encodeOp(op *Op) []byte {
-	return appendOp(nil, op)
-}
-
 // appendOp appends an op's payload encoding to buf — the zero-alloc form
 // the append hot path uses with a reused scratch buffer.
 func appendOp(buf []byte, op *Op) []byte {

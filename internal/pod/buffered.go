@@ -8,9 +8,10 @@ import (
 	"repro/internal/trace"
 )
 
-// BufferedClient wraps a HiveClient and defers trace uploads: SubmitTraces
-// queues locally and Drain forwards everything queued to the backend in one
-// batch. Fix distribution and guidance pass through unbuffered.
+// BufferedClient wraps a HiveClient for a pod that runs exactly one program
+// and defers its trace uploads: SubmitTraces queues locally and Drain
+// forwards everything queued to the backend. Fix distribution and guidance
+// pass through unbuffered.
 //
 // This is the determinism lever for parallel fleets: when many pods run
 // concurrently, giving each its own BufferedClient and draining them in a
@@ -18,13 +19,12 @@ import (
 // which trace wins fix synthesis for a new failure signature — identical to
 // a sequential fleet, no matter how the pods were scheduled.
 //
-// There are two drain routes. A buffer bound to a program (NewBufferedFor)
-// over a SealedStreamer (the wire client) streams sealed sequenced frames —
-// exactly-once across drains. Every other buffer calls the backend's
-// SubmitTraces (the in-process hive, which encodes each call into the frame
-// it journals verbatim; the baselines): a bound buffer one streamChunk at a
-// time, so its frames are the ones the wire route would carry, an unbound
-// one in a single call.
+// Every buffer is bound to its program, and it drains one streamChunk-sized
+// frame at a time over either of two backends. A SealedStreamer (the wire
+// client) gets sealed sequenced frames, exactly-once across drains. Any
+// other backend (the in-process hive, which encodes each call into the
+// frame it journals verbatim) gets one SubmitTraces call per chunk, so its
+// frames are the ones the wire would carry.
 type BufferedClient struct {
 	backend   HiveClient
 	programID string
@@ -42,19 +42,14 @@ type BufferedClient struct {
 
 var _ HiveClient = (*BufferedClient)(nil)
 
-// streamChunk is the per-frame batch size a bound buffer drains in: small
+// streamChunk is the per-frame batch size a buffer drains in: small
 // enough to keep frames far under the wire limit, large enough to amortize
 // framing.
 const streamChunk = 256
 
-// NewBuffered wraps backend.
-func NewBuffered(backend HiveClient) *BufferedClient {
-	return &BufferedClient{backend: backend}
-}
-
 // NewBufferedFor wraps backend for a pod that runs exactly one program:
-// every queued trace is asserted to describe programID, which unlocks the
-// backend's sealed drain route, and frame-sized submissions without one.
+// every queued trace is asserted to describe programID, the program the
+// sealed frames name.
 func NewBufferedFor(backend HiveClient, programID string) *BufferedClient {
 	return &BufferedClient{backend: backend, programID: programID}
 }
@@ -107,15 +102,11 @@ func (b *BufferedClient) Drain() error {
 	sealed := b.sealed
 	b.sealed = nil
 	b.mu.Unlock()
-	if ss, ok := b.backend.(SealedStreamer); ok && b.programID != "" {
+	if ss, ok := b.backend.(SealedStreamer); ok {
 		return b.drainSealed(ss, sealed, batch)
 	}
-	chunk := len(batch)
-	if b.programID != "" {
-		chunk = streamChunk
-	}
 	for len(batch) > 0 {
-		n := min(chunk, len(batch))
+		n := min(streamChunk, len(batch))
 		if err := b.backend.SubmitTraces(batch[:n]); err != nil {
 			b.mu.Lock()
 			b.queued = append(batch, b.queued...)

@@ -30,11 +30,11 @@ func (r *recordingClient) Guidance(string, int) ([]guidance.TestCase, error) {
 
 func TestBufferedClientDefersAndDrainsInOrder(t *testing.T) {
 	backend := &recordingClient{}
-	bc := NewBuffered(backend)
+	bc := NewBufferedFor(backend, "a")
 
 	t1 := &trace.Trace{ProgramID: "a", Seq: 1}
 	t2 := &trace.Trace{ProgramID: "a", Seq: 2}
-	t3 := &trace.Trace{ProgramID: "b", Seq: 3}
+	t3 := &trace.Trace{ProgramID: "a", Seq: 3}
 	if err := bc.SubmitTraces([]*trace.Trace{t1, t2}); err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +73,8 @@ func TestBufferedClientDefersAndDrainsInOrder(t *testing.T) {
 
 func TestBufferedClientRequeuesOnBackendFailure(t *testing.T) {
 	backend := &recordingClient{fail: true}
-	bc := NewBuffered(backend)
-	if err := bc.SubmitTraces([]*trace.Trace{{Seq: 1}}); err != nil {
+	bc := NewBufferedFor(backend, "a")
+	if err := bc.SubmitTraces([]*trace.Trace{{ProgramID: "a", Seq: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := bc.Drain(); err == nil {
@@ -94,7 +94,7 @@ func TestBufferedClientRequeuesOnBackendFailure(t *testing.T) {
 
 func TestBufferedClientPassesThrough(t *testing.T) {
 	backend := &recordingClient{}
-	bc := NewBuffered(backend)
+	bc := NewBufferedFor(backend, "a")
 	if _, v, err := bc.FixesSince("a", 0); err != nil || v != 7 {
 		t.Errorf("FixesSince = %d, %v", v, err)
 	}
@@ -158,17 +158,6 @@ func TestBufferedForStreamsChunks(t *testing.T) {
 			}
 			seq++
 		}
-	}
-	// An unbound buffer must not seal: it cannot name the frames' program.
-	plain := NewBuffered(backend)
-	if err := plain.SubmitTraces([]*trace.Trace{{Seq: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if len(backend.sealed) != 1 || len(backend.batches) != 1 {
-		t.Fatalf("unbound buffer sealed (%d drains) instead of plain submission (%d batches)", len(backend.sealed), len(backend.batches))
 	}
 }
 

@@ -123,17 +123,5 @@ func New(cfg Config) (*Population, error) {
 // Users returns the fleet.
 func (p *Population) Users() []*User { return p.users }
 
-// Size returns the fleet size.
-func (p *Population) Size() int { return len(p.users) }
-
 // Domain returns the input domain bound.
 func (p *Population) Domain() int64 { return p.cfg.Domain }
-
-// TotalRunsPerDay sums the usage rates.
-func (p *Population) TotalRunsPerDay() int {
-	total := 0
-	for _, u := range p.users {
-		total += u.RunsPerDay
-	}
-	return total
-}

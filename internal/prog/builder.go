@@ -95,19 +95,9 @@ func (b *Builder) Const(dst int, v int64) *Builder {
 	return b.emit(Instr{Op: OpConst, A: reg(dst), Imm: v})
 }
 
-// Mov emits regs[dst] = regs[src].
-func (b *Builder) Mov(dst, src int) *Builder {
-	return b.emit(Instr{Op: OpMov, A: reg(dst), B: reg(src)})
-}
-
 // Add emits regs[dst] = regs[x] + regs[y].
 func (b *Builder) Add(dst, x, y int) *Builder {
 	return b.emit(Instr{Op: OpAdd, A: reg(dst), B: reg(x), C: reg(y)})
-}
-
-// Sub emits regs[dst] = regs[x] - regs[y].
-func (b *Builder) Sub(dst, x, y int) *Builder {
-	return b.emit(Instr{Op: OpSub, A: reg(dst), B: reg(x), C: reg(y)})
 }
 
 // Mul emits regs[dst] = regs[x] * regs[y].
@@ -123,11 +113,6 @@ func (b *Builder) Div(dst, x, y int) *Builder {
 // Mod emits regs[dst] = regs[x] % regs[y] (crashes when regs[y] == 0).
 func (b *Builder) Mod(dst, x, y int) *Builder {
 	return b.emit(Instr{Op: OpMod, A: reg(dst), B: reg(x), C: reg(y)})
-}
-
-// Xor emits regs[dst] = regs[x] ^ regs[y].
-func (b *Builder) Xor(dst, x, y int) *Builder {
-	return b.emit(Instr{Op: OpXor, A: reg(dst), B: reg(x), C: reg(y)})
 }
 
 // AddImm emits regs[dst] = regs[src] + v.
@@ -148,16 +133,6 @@ func (b *Builder) Load(dst, addr int) *Builder {
 // Store emits mem[addr] = regs[src].
 func (b *Builder) Store(addr, src int) *Builder {
 	return b.emit(Instr{Op: OpStore, A: reg(src), Imm: int64(addr)})
-}
-
-// LoadR emits regs[dst] = mem[regs[addrReg]].
-func (b *Builder) LoadR(dst, addrReg int) *Builder {
-	return b.emit(Instr{Op: OpLoadR, A: reg(dst), B: reg(addrReg)})
-}
-
-// StoreR emits mem[regs[addrReg]] = regs[src].
-func (b *Builder) StoreR(addrReg, src int) *Builder {
-	return b.emit(Instr{Op: OpStoreR, A: reg(src), B: reg(addrReg)})
 }
 
 // Jmp emits an unconditional jump to l.

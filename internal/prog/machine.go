@@ -478,19 +478,6 @@ func (m *Machine) deadlockCycle() []LockWait {
 	}
 }
 
-// Steps returns the instructions executed so far.
-func (m *Machine) Steps() int64 { return m.steps }
-
-// Mem returns a copy of shared memory (for tests and diagnostics).
-func (m *Machine) Mem() []int64 {
-	out := make([]int64, len(m.mem))
-	copy(out, m.mem)
-	return out
-}
-
-// Reg returns register r of thread tid (for tests and diagnostics).
-func (m *Machine) Reg(tid int, r int) int64 { return m.threads[tid].regs[r] }
-
 func insertSorted(s []int, v int) []int {
 	i := sort.SearchInts(s, v)
 	s = append(s, 0)

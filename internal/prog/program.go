@@ -222,9 +222,6 @@ type Program struct {
 // NumBranches returns the number of static branch instructions.
 func (p *Program) NumBranches() int { return len(p.branchPCs) }
 
-// BranchPC returns the pc of the branch with the given id.
-func (p *Program) BranchPC(id int) int { return p.branchPCs[id] }
-
 // InputDependent reports whether the branch's condition depends on
 // program-external data (inputs, syscall returns, shared memory). Branches
 // that do not are deterministic once external events are fixed and can be
@@ -244,9 +241,6 @@ func (p *Program) NumInputDependentBranches() int {
 
 // NumThreads returns the number of threads the program starts with.
 func (p *Program) NumThreads() int { return len(p.Entries) }
-
-// Instruction returns the instruction at pc.
-func (p *Program) Instruction(pc int) Instr { return p.Code[pc] }
 
 // Validate checks structural well-formedness: jump targets and register,
 // input, lock, and memory indices in range. Finalize calls it; it is
@@ -355,15 +349,4 @@ func (p *Program) contentHash() string {
 		writeInt(int64(in.Target))
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// Disassemble renders the whole program for debugging.
-func (p *Program) Disassemble() string {
-	out := fmt.Sprintf("; program %q id=%s threads=%d inputs=%d locks=%d mem=%d branches=%d (%d input-dep)\n",
-		p.Name, p.ID, len(p.Entries), p.NumInputs, p.NumLocks, p.MemSize,
-		p.NumBranches(), p.NumInputDependentBranches())
-	for pc, in := range p.Code {
-		out += fmt.Sprintf("%4d: %s\n", pc, in)
-	}
-	return out
 }

@@ -164,14 +164,6 @@ func (m *Map) Without(node string) *Map {
 	return NewVersion(m.version+1, nodes, m.vnodes, m.seed)
 }
 
-// With returns a new placement at Version+1 with node added.
-func (m *Map) With(node string) *Map {
-	nodes := make([]string, 0, len(m.nodes)+1)
-	nodes = append(nodes, m.nodes...)
-	nodes = append(nodes, node)
-	return NewVersion(m.version+1, nodes, m.vnodes, m.seed)
-}
-
 // String renders the placement for logs.
 func (m *Map) String() string {
 	return fmt.Sprintf("ring v%d over %d nodes (vnodes=%d seed=%d)", m.version, len(m.nodes), m.vnodes, m.seed)

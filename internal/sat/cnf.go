@@ -1,22 +1,14 @@
 // Package sat implements the propositional-satisfiability substrate for
-// SoftBorg's cooperative solving experiments (paper §4): CNF formulas, a
-// DIMACS codec, three complete DPLL solvers with deliberately different
-// decision heuristics (so a portfolio of them exhibits the complementary
-// per-instance variance the paper exploits), and generators for random and
-// structured instances.
+// SoftBorg's cooperative solving experiments (paper §4): CNF formulas, three
+// complete DPLL solvers with deliberately different decision heuristics (so a
+// portfolio of them exhibits the complementary per-instance variance the
+// paper exploits), and generators for random and structured instances.
+// Formulas live only in memory: the generators build them and the portfolio
+// hands them to the solvers, so there is no file format.
 //
 // Solver effort is measured in deterministic "ticks" (propagation visits +
 // decisions) rather than wall-clock time, so experiments replay exactly.
 package sat
-
-import (
-	"bufio"
-	"errors"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-)
 
 // Lit is a literal: +v for variable v, -v for its negation. Variables are
 // numbered from 1.
@@ -45,22 +37,6 @@ type Formula struct {
 	Clauses []Clause
 }
 
-// Validate checks that every literal references a variable in range and no
-// clause is empty.
-func (f *Formula) Validate() error {
-	for i, c := range f.Clauses {
-		if len(c) == 0 {
-			return fmt.Errorf("sat: clause %d is empty", i)
-		}
-		for _, l := range c {
-			if l == 0 || int(l.Var()) > f.NumVars {
-				return fmt.Errorf("sat: clause %d has invalid literal %d", i, l)
-			}
-		}
-	}
-	return nil
-}
-
 // Eval checks an assignment (1-indexed; index 0 unused) against the formula.
 func (f *Formula) Eval(assign []bool) bool {
 	for _, c := range f.Clauses {
@@ -85,80 +61,4 @@ func (f *Formula) Clone() *Formula {
 		out.Clauses[i] = append(Clause(nil), c...)
 	}
 	return out
-}
-
-// WriteDIMACS serializes the formula in DIMACS CNF format.
-func (f *Formula) WriteDIMACS(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses)); err != nil {
-		return err
-	}
-	for _, c := range f.Clauses {
-		for _, l := range c {
-			if _, err := fmt.Fprintf(bw, "%d ", l); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(bw, "0"); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ErrDIMACS is wrapped by DIMACS parse failures.
-var ErrDIMACS = errors.New("sat: invalid DIMACS")
-
-// ParseDIMACS reads a DIMACS CNF formula.
-func ParseDIMACS(r io.Reader) (*Formula, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	f := &Formula{}
-	sawHeader := false
-	var cur Clause
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "c") {
-			continue
-		}
-		if strings.HasPrefix(line, "p") {
-			fields := strings.Fields(line)
-			if len(fields) != 4 || fields[1] != "cnf" {
-				return nil, fmt.Errorf("%w: bad header %q", ErrDIMACS, line)
-			}
-			nv, err1 := strconv.Atoi(fields[2])
-			_, err2 := strconv.Atoi(fields[3])
-			if err1 != nil || err2 != nil || nv < 0 {
-				return nil, fmt.Errorf("%w: bad header %q", ErrDIMACS, line)
-			}
-			f.NumVars = nv
-			sawHeader = true
-			continue
-		}
-		if !sawHeader {
-			return nil, fmt.Errorf("%w: clause before header", ErrDIMACS)
-		}
-		for _, tok := range strings.Fields(line) {
-			v, err := strconv.Atoi(tok)
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad literal %q", ErrDIMACS, tok)
-			}
-			if v == 0 {
-				f.Clauses = append(f.Clauses, cur)
-				cur = nil
-				continue
-			}
-			cur = append(cur, Lit(v))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(cur) > 0 {
-		f.Clauses = append(f.Clauses, cur)
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return f, nil
 }

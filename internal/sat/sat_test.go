@@ -1,8 +1,6 @@
 package sat
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -149,58 +147,6 @@ func TestGraphColoringSATWhenSparse(t *testing.T) {
 	}
 	if !f.Eval(res.Model) {
 		t.Fatal("invalid model")
-	}
-}
-
-func TestDIMACSRoundTrip(t *testing.T) {
-	rng := stats.NewRNG(4)
-	f := Random3SAT(rng, 15, 4.0)
-	var buf bytes.Buffer
-	if err := f.WriteDIMACS(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := ParseDIMACS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVars != f.NumVars || len(g.Clauses) != len(f.Clauses) {
-		t.Fatalf("round trip mismatch: %d/%d vs %d/%d",
-			g.NumVars, len(g.Clauses), f.NumVars, len(f.Clauses))
-	}
-	for i := range f.Clauses {
-		if len(f.Clauses[i]) != len(g.Clauses[i]) {
-			t.Fatalf("clause %d length mismatch", i)
-		}
-		for j := range f.Clauses[i] {
-			if f.Clauses[i][j] != g.Clauses[i][j] {
-				t.Fatalf("clause %d literal %d mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestParseDIMACSRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"p cnf x y\n1 0\n",
-		"1 2 0\n", // clause before header
-		"p cnf 2 1\n1 zzz 0\n",
-		"p cnf 1 1\n5 0\n", // var out of range
-	}
-	for _, c := range cases {
-		if _, err := ParseDIMACS(strings.NewReader(c)); err == nil {
-			t.Errorf("ParseDIMACS(%q): want error", c)
-		}
-	}
-}
-
-func TestValidate(t *testing.T) {
-	bad := &Formula{NumVars: 2, Clauses: []Clause{{3}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("literal out of range: want error")
-	}
-	bad2 := &Formula{NumVars: 2, Clauses: []Clause{{0}}}
-	if err := bad2.Validate(); err == nil {
-		t.Error("zero literal: want error")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package sched provides thread schedulers for the prog VM: deterministic
 // round-robin, seeded random interleavings (a population of users naturally
-// samples schedules), recorded/replayed schedules, and a systematic
+// samples schedules), replayed schedules, and a systematic
 // preemption-bounded enumerator used by the hive's guided exploration
 // (paper §3.3: "there may be certain thread interleavings that are rare in
 // practice ... SoftBorg instructs some of the pods to guide their program
@@ -8,10 +8,6 @@
 package sched
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-
 	"repro/internal/prog"
 	"repro/internal/stats"
 )
@@ -63,8 +59,6 @@ type Random struct {
 	rng     *stats.RNG
 	preempt float64
 	last    int
-	trace   []uint8
-	record  bool
 }
 
 var _ prog.Scheduler = (*Random)(nil)
@@ -75,10 +69,6 @@ var _ prog.Scheduler = (*Random)(nil)
 func NewRandom(seed uint64, preempt float64) *Random {
 	return &Random{rng: stats.NewRNG(seed), preempt: preempt, last: -1}
 }
-
-// Record makes the scheduler keep the decision trace for later hashing or
-// replay.
-func (r *Random) Record() *Random { r.record = true; return r }
 
 // Pick implements prog.Scheduler.
 func (r *Random) Pick(step int64, runnable []int) int {
@@ -95,14 +85,8 @@ func (r *Random) Pick(step int64, runnable []int) int {
 		choice = runnable[r.rng.Intn(len(runnable))]
 	}
 	r.last = choice
-	if r.record {
-		r.trace = append(r.trace, uint8(choice))
-	}
 	return choice
 }
-
-// Trace returns the recorded decisions (nil unless Record was called).
-func (r *Random) Trace() []uint8 { return append([]uint8(nil), r.trace...) }
 
 // Replay replays a recorded decision sequence. When the script is exhausted
 // or names a non-runnable thread it falls back to the lowest runnable
@@ -129,15 +113,4 @@ func (r *Replay) Pick(step int64, runnable []int) int {
 	}
 	r.Diverged++
 	return runnable[0]
-}
-
-// Hash returns a stable digest of a schedule decision trace; the pod attaches
-// it to traces so the hive can distinguish interleavings cheaply.
-func Hash(script []uint8) string {
-	h := sha256.New()
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(script)))
-	h.Write(n[:])
-	h.Write(script)
-	return hex.EncodeToString(h.Sum(nil)[:8])
 }

@@ -33,8 +33,8 @@ func TestRoundRobinSkipsBlocked(t *testing.T) {
 }
 
 func TestRandomDeterministicPerSeed(t *testing.T) {
-	a := NewRandom(5, 0.5).Record()
-	b := NewRandom(5, 0.5).Record()
+	a := NewRandom(5, 0.5)
+	b := NewRandom(5, 0.5)
 	runnable := []int{0, 1, 2}
 	for i := 0; i < 50; i++ {
 		pa := a.Pick(int64(i), runnable)
@@ -43,14 +43,11 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("step %d: %d vs %d", i, pa, pb)
 		}
 	}
-	if Hash(a.Trace()) != Hash(b.Trace()) {
-		t.Error("identical schedules hash differently")
-	}
 }
 
 func TestRandomDifferentSeedsDiffer(t *testing.T) {
-	a := NewRandom(1, 1).Record()
-	b := NewRandom(2, 1).Record()
+	a := NewRandom(1, 1)
+	b := NewRandom(2, 1)
 	runnable := []int{0, 1, 2, 3}
 	same := true
 	for i := 0; i < 30; i++ {
@@ -186,14 +183,5 @@ func TestSystematicFairAfterRotates(t *testing.T) {
 	}
 	if picks[2] == picks[3] && picks[3] == picks[4] {
 		t.Fatalf("beyond-bound picks never rotate: %v", picks)
-	}
-}
-
-func TestHashLengthSensitive(t *testing.T) {
-	if Hash([]uint8{0, 1}) == Hash([]uint8{0, 1, 0}) {
-		t.Error("hash ignores length")
-	}
-	if Hash(nil) == Hash([]uint8{0}) {
-		t.Error("hash of empty equals hash of zero")
 	}
 }

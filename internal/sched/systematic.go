@@ -94,9 +94,6 @@ func NewEnumerator(maxDecisions int) *Enumerator {
 // Done reports whether the space is exhausted.
 func (e *Enumerator) Done() bool { return e.done }
 
-// Explored returns how many schedules have been issued.
-func (e *Enumerator) Explored() int { return e.explored }
-
 // Next returns the scheduler for the next unexplored schedule, or nil when
 // the bounded space is exhausted.
 func (e *Enumerator) Next() *Systematic {

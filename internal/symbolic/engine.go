@@ -5,8 +5,8 @@
 //
 //   - collect the path condition of an execution (one constraint per
 //     input-dependent branch),
-//   - synthesize inputs that flip a chosen branch (DART-style directed
-//     exploration, used by execution guidance),
+//   - synthesize inputs that drive execution to a chosen frontier of the
+//     hive's execution tree (the test cases of execution guidance),
 //   - certify unexplored branch directions infeasible (the certificates
 //     that complete cumulative proofs), and
 //   - perform relaxed-consistency analysis (S2E-style): syscall returns can
@@ -14,8 +14,13 @@
 //     over-approximates the environment; properties proven over the
 //     superset hold over all feasible executions.
 //
-// The engine handles single-threaded programs; multi-threaded feasibility
-// is explored by schedule enumeration (internal/sched) instead.
+// The engine answers one frontier at a time (SolveFrontier,
+// SolveFrontierEnv), the question guidance and the prover ask; it does not
+// explore a program on its own, since the hive's execution tree already
+// says which directions are missing. It handles single-threaded programs
+// over constraint.DefaultDomain with the solver's default effort budget;
+// multi-threaded feasibility is explored by schedule enumeration
+// (internal/sched) instead.
 package symbolic
 
 import (
@@ -98,18 +103,12 @@ func (p *Path) Events() []trace.BranchEvent {
 
 // Config parameterizes the engine.
 type Config struct {
-	// Domain bounds input variables (and fresh variables).
-	Domain constraint.Domain
 	// Syscalls is the concrete environment model; nil means zeros.
 	Syscalls prog.SyscallModel
 	// SymbolicSyscalls enables relaxed consistency: each syscall return
 	// becomes a fresh symbolic variable (its concrete value still drives the
 	// run).
 	SymbolicSyscalls bool
-	// MaxSteps bounds each concrete run.
-	MaxSteps int64
-	// SolverTicks bounds each feasibility query.
-	SolverTicks int64
 }
 
 // Engine performs concolic runs of one program.
@@ -124,23 +123,11 @@ func New(p *prog.Program, cfg Config) (*Engine, error) {
 	if p.NumThreads() > 1 {
 		return nil, fmt.Errorf("%w: program %q has %d threads", ErrUnsupported, p.Name, p.NumThreads())
 	}
-	if cfg.Domain == (constraint.Domain{}) {
-		cfg.Domain = constraint.DefaultDomain
-	}
-	if cfg.MaxSteps <= 0 {
-		cfg.MaxSteps = prog.DefaultMaxSteps
-	}
 	if cfg.Syscalls == nil {
 		cfg.Syscalls = &prog.DeterministicSyscalls{Seed: 0}
 	}
 	return &Engine{prog: p, cfg: cfg}, nil
 }
-
-// Program returns the engine's program.
-func (e *Engine) Program() *prog.Program { return e.prog }
-
-// Domain returns the variable domain in use.
-func (e *Engine) Domain() constraint.Domain { return e.cfg.Domain }
 
 // Run executes the program concolically on input.
 func (e *Engine) Run(input []int64) (*Path, error) {
@@ -205,7 +192,7 @@ type interp struct {
 func (st *interp) exec() (*Path, error) {
 	st.pc = st.p.Entries[0]
 	code := st.p.Code
-	for st.steps < st.cfg.MaxSteps {
+	for st.steps < prog.DefaultMaxSteps {
 		in := code[st.pc]
 		st.steps++
 		next := st.pc + 1
@@ -386,36 +373,6 @@ func (st *interp) branch(in prog.Instr) bool {
 		Exact: exact,
 	})
 	return taken
-}
-
-// solver builds a constraint solver with the engine's budget and domain.
-func (e *Engine) solver() *constraint.Solver {
-	return &constraint.Solver{Domain: e.cfg.Domain, MaxTicks: e.cfg.SolverTicks}
-}
-
-// Flip attempts to synthesize an input that follows path's branch prefix up
-// to (not including) record index k and then goes the other way at k. It
-// returns the new input, the solver verdict, and an error for structural
-// problems (k out of range, inexact condition at k).
-func (e *Engine) Flip(p *Path, k int) ([]int64, constraint.Verdict, error) {
-	if k < 0 || k >= len(p.Records) {
-		return nil, constraint.Unknown, fmt.Errorf("symbolic: flip index %d out of range", k)
-	}
-	if !p.Records[k].Exact {
-		return nil, constraint.Unknown, fmt.Errorf("%w: branch %d condition is concretized", ErrUnsupported, k)
-	}
-	pc := make(constraint.PathCondition, 0, k+1)
-	for i := 0; i < k; i++ {
-		if p.Records[i].Exact {
-			pc = append(pc, p.Records[i].Cond)
-		}
-	}
-	pc = append(pc, p.Records[k].Cond.Negate())
-	res := e.solver().Solve(pc)
-	if res.Verdict != constraint.SAT {
-		return nil, res.Verdict, nil
-	}
-	return e.modelToInput(res.Model, p.Input), constraint.SAT, nil
 }
 
 // modelToInput materializes a solver model into a full input vector, filling

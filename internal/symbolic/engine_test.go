@@ -43,6 +43,17 @@ func newEngine(t *testing.T, p *prog.Program) *Engine {
 	return e
 }
 
+// flip asks SolveFrontier for an input that follows path's decisions up to
+// record k and then goes the other way at k.
+func flip(e *Engine, path *Path, k int) ([]int64, constraint.Verdict, error) {
+	prefix := make([]exectree.Edge, k)
+	for i, r := range path.Records[:k] {
+		prefix[i] = exectree.Edge{ID: r.Event.ID, Taken: r.Event.Taken}
+	}
+	ev := path.Records[k].Event
+	return e.SolveFrontier(exectree.Frontier{Prefix: prefix, Missing: exectree.Edge{ID: ev.ID, Taken: !ev.Taken}})
+}
+
 func TestRunCollectsConstraints(t *testing.T) {
 	p := buildGuarded(t)
 	e := newEngine(t, p)
@@ -73,86 +84,20 @@ func TestFlipFindsCrashInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	input, verdict, err := e.Flip(path, 0)
+	input, verdict, err := flip(e, path, 0)
 	if err != nil || verdict != constraint.SAT {
 		t.Fatalf("flip: verdict=%v err=%v", verdict, err)
 	}
 	if input[0] <= 100 {
 		t.Fatalf("flipped input = %d, want > 100", input[0])
 	}
-	// Following the flip leads to branch 1; flipping into the crash window
-	// happens during Explore.
+	// Following the flip leads to branch 1.
 	path2, err := e.Run(input)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(path2.Records) != 2 {
 		t.Fatalf("records after flip = %d, want 2", len(path2.Records))
-	}
-}
-
-func TestExploreFindsAllPathsAndCrash(t *testing.T) {
-	p := buildGuarded(t)
-	e := newEngine(t, p)
-	// Widen the domain so x>100 is reachable.
-	e2, err := New(p, Config{Domain: constraint.Domain{Lo: 0, Hi: 255}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e2.Explore([]int64{0}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Paths: x<=100 (ok), 100<x<110 (crash), x>=110 (ok) = 3.
-	if len(res.Paths) != 3 {
-		t.Fatalf("paths = %d, want 3", len(res.Paths))
-	}
-	foundCrash := false
-	for _, path := range res.Paths {
-		if path.Outcome == prog.OutcomeCrash {
-			foundCrash = true
-			if path.Input[0] <= 100 || path.Input[0] >= 110 {
-				t.Errorf("crash input = %d, want in (100,110)", path.Input[0])
-			}
-		}
-	}
-	if !foundCrash {
-		t.Error("explore did not find the crash")
-	}
-	_ = e
-}
-
-func TestExploreCertifiesInfeasible(t *testing.T) {
-	// if x > 200 { if x < 100 { unreachable } }
-	b := prog.NewBuilder("infeas", 1)
-	outer, end := b.NewLabel(), b.NewLabel()
-	b.Input(0, 0)
-	b.BrImm(0, prog.CmpGT, 200, outer)
-	b.Jmp(end)
-	b.Bind(outer)
-	inner := b.NewLabel()
-	b.BrImm(0, prog.CmpLT, 100, inner)
-	b.Jmp(end)
-	b.Bind(inner)
-	b.Assert(0, 1) // unreachable
-	b.Bind(end)
-	b.Halt()
-	p := b.MustBuild()
-
-	e := newEngine(t, p)
-	res, err := e.Explore([]int64{0}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The inner-taken direction must be certified infeasible.
-	found := false
-	for _, inf := range res.Infeasible {
-		if inf.Missing.ID == 1 && inf.Missing.Taken {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no certificate for inner branch; got %+v", res.Infeasible)
 	}
 }
 
@@ -168,15 +113,12 @@ func TestDeterministicBranchCertifiedImmediately(t *testing.T) {
 	p := b.MustBuild()
 
 	e := newEngine(t, p)
-	res, err := e.Explore([]int64{0}, 10)
+	_, verdict, err := e.SolveFrontier(exectree.Frontier{Missing: exectree.Edge{ID: 0, Taken: false}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Infeasible) != 1 {
-		t.Fatalf("infeasible = %+v, want exactly the dead side", res.Infeasible)
-	}
-	if res.Infeasible[0].Missing != (exectree.Edge{ID: 0, Taken: false}) {
-		t.Errorf("certificate = %v", res.Infeasible[0].Missing)
+	if verdict != constraint.UNSAT {
+		t.Fatalf("dead side verdict = %v, want unsat", verdict)
 	}
 }
 
@@ -253,7 +195,7 @@ func TestSymbolicSyscallsRelaxedConsistency(t *testing.T) {
 	p := b.MustBuild()
 
 	// With symbolic syscalls, the branch condition is exact over a fresh
-	// variable, so Flip can solve for the environment.
+	// variable, so the solver can choose the environment.
 	e, err := New(p, Config{SymbolicSyscalls: true, Syscalls: &prog.ScriptedSyscalls{Returns: []int64{10}}})
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +294,7 @@ func TestSymbolicMemory(t *testing.T) {
 	if len(path.Records) != 1 || !path.Records[0].Exact {
 		t.Fatalf("memory round-trip lost symbolic info: %+v", path.Records)
 	}
-	input, verdict, err := e.Flip(path, 0)
+	input, verdict, err := flip(e, path, 0)
 	if err != nil || verdict != constraint.SAT {
 		t.Fatalf("flip via memory: %v/%v", verdict, err)
 	}

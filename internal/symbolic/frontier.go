@@ -9,111 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// ExploreResult summarizes a directed exploration.
-type ExploreResult struct {
-	// Paths are the distinct concolic paths discovered (including the seed).
-	Paths []*Path
-	// Infeasible are edges certified unreachable, keyed by their position:
-	// the prefix of events leading to the decision point plus the missing
-	// direction.
-	Infeasible []InfeasibleEdge
-	// SolverTicks is the total solver effort expended.
-	SolverTicks int64
-	// Unknown counts flip attempts abandoned on budget or concretization.
-	Unknown int
-}
-
-// InfeasibleEdge is an infeasibility certificate: no in-domain input can
-// drive execution along Prefix and then through Missing.
-type InfeasibleEdge struct {
-	Prefix  []trace.BranchEvent
-	Missing exectree.Edge
-}
-
-// Explore performs DART-style directed exploration from seed inputs: run,
-// then repeatedly flip unexplored branch directions, bounded by maxPaths
-// total paths. Flips that the solver refutes become infeasibility
-// certificates. Deterministic branch directions are certified immediately
-// (their other side can never execute at that point).
-func (e *Engine) Explore(seed []int64, maxPaths int) (*ExploreResult, error) {
-	res := &ExploreResult{}
-	seen := make(map[string]bool)
-
-	type flipTask struct {
-		path *Path
-		k    int
-	}
-	var queue []flipTask
-
-	addPath := func(p *Path) {
-		key := pathKey(p)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		res.Paths = append(res.Paths, p)
-		for k := range p.Records {
-			queue = append(queue, flipTask{path: p, k: k})
-		}
-	}
-
-	first, err := e.Run(seed)
-	if err != nil {
-		return nil, err
-	}
-	addPath(first)
-
-	flipped := make(map[string]bool) // decision-point key -> already attempted
-	for len(queue) > 0 && len(res.Paths) < maxPaths {
-		task := queue[0]
-		queue = queue[1:]
-
-		rec := task.path.Records[task.k]
-		dp := decisionKey(task.path, task.k)
-		if flipped[dp] {
-			continue
-		}
-		flipped[dp] = true
-
-		id := int(rec.Event.ID)
-		if !e.prog.InputDependent(id) {
-			// Deterministic branch: at this decision point the direction is
-			// fixed, so the other side is trivially infeasible.
-			res.Infeasible = append(res.Infeasible, InfeasibleEdge{
-				Prefix:  prefixEvents(task.path, task.k),
-				Missing: exectree.Edge{ID: rec.Event.ID, Taken: !rec.Event.Taken},
-			})
-			continue
-		}
-		if !rec.Exact {
-			res.Unknown++
-			continue
-		}
-
-		input, verdict, ferr := e.Flip(task.path, task.k)
-		if ferr != nil {
-			res.Unknown++
-			continue
-		}
-		switch verdict {
-		case constraint.SAT:
-			p, rerr := e.Run(input)
-			if rerr != nil {
-				return nil, rerr
-			}
-			addPath(p)
-		case constraint.UNSAT:
-			res.Infeasible = append(res.Infeasible, InfeasibleEdge{
-				Prefix:  prefixEvents(task.path, task.k),
-				Missing: exectree.Edge{ID: rec.Event.ID, Taken: !rec.Event.Taken},
-			})
-		default:
-			res.Unknown++
-		}
-	}
-	return res, nil
-}
-
 // SolveFrontier attempts to produce an input that drives execution along
 // frontier.Prefix and then through frontier.Missing. It re-derives the path
 // condition by a forced concolic run along the prefix and solves
@@ -164,7 +59,7 @@ func (e *Engine) SolveFrontier(f exectree.Frontier) ([]int64, constraint.Verdict
 		target = target.Negate()
 	}
 	pc = append(pc, target)
-	sres := e.solver().Solve(pc)
+	sres := (&constraint.Solver{}).Solve(pc)
 	if sres.Verdict != constraint.SAT {
 		return nil, sres.Verdict, nil
 	}
@@ -210,7 +105,7 @@ func (e *Engine) SolveFrontierEnv(f exectree.Frontier) ([]int64, []prog.FaultSpe
 		target = target.Negate()
 	}
 	pc = append(pc, target)
-	sres := e.solver().Solve(pc)
+	sres := (&constraint.Solver{}).Solve(pc)
 	if sres.Verdict != constraint.SAT {
 		return nil, nil, sres.Verdict, nil
 	}
@@ -230,28 +125,4 @@ func (e *Engine) SolveFrontierEnv(f exectree.Frontier) ([]int64, []prog.FaultSpe
 		})
 	}
 	return input, faults, constraint.SAT, nil
-}
-
-func pathKey(p *Path) string {
-	key := make([]byte, 0, len(p.Records)*3)
-	for _, r := range p.Records {
-		b := byte(0)
-		if r.Event.Taken {
-			b = 1
-		}
-		key = append(key, byte(r.Event.ID), byte(r.Event.ID>>8), b)
-	}
-	return string(key)
-}
-
-func decisionKey(p *Path, k int) string {
-	return pathKey(&Path{Records: p.Records[:k]}) + "|" + p.Records[k].Event.String()
-}
-
-func prefixEvents(p *Path, k int) []trace.BranchEvent {
-	out := make([]trace.BranchEvent, k)
-	for i := 0; i < k; i++ {
-		out[i] = p.Records[i].Event
-	}
-	return out
 }

@@ -36,8 +36,9 @@ func TestQuickPathConditionSound(t *testing.T) {
 	}
 }
 
-// Property: a successful Flip actually flips — re-running on the solver's
-// input reaches the same decision point and takes the other direction.
+// Property: a frontier SolveFrontier solves is reached — re-running on the
+// solver's input follows the prefix to the same decision point and takes the
+// missing direction.
 func TestQuickFlipActuallyFlips(t *testing.T) {
 	check := func(seed uint64, a, b uint8) bool {
 		p, _, err := proggen.Generate(proggen.Spec{
@@ -58,7 +59,7 @@ func TestQuickFlipActuallyFlips(t *testing.T) {
 			if !path.Records[k].Exact {
 				continue
 			}
-			input, verdict, err := e.Flip(path, k)
+			input, verdict, err := flip(e, path, k)
 			if err != nil || verdict != constraint.SAT {
 				continue
 			}

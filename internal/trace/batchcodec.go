@@ -539,9 +539,6 @@ func (v *BatchView) FaultPC(i int) int32 { return v.sc.faultPC[i] }
 // AssertID returns trace i's assertion ID (-1 when not applicable).
 func (v *BatchView) AssertID(i int) int64 { return v.sc.assertID[i] }
 
-// SampleK returns trace i's coordinated-sampling partition count.
-func (v *BatchView) SampleK(i int) uint32 { return v.sc.sampleK[i] }
-
 // NumBranches returns trace i's dynamic branch count.
 func (v *BatchView) NumBranches(i int) int { return int(v.sc.counts[secBranches][i]) }
 

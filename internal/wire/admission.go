@@ -44,13 +44,11 @@ type Admission struct {
 	// frame slower than this is evicted: progress-based slow-loris
 	// protection.
 	FrameTimeout time.Duration
-	// RetryAfter is the hint MsgBusy carries for hive-deferred batches
-	// (default defaultRetryAfter); rate-limit busy replies compute their
-	// own hint from the bucket deficit.
-	RetryAfter time.Duration
 }
 
-// defaultRetryAfter is the busy hint when no better estimate exists.
+// defaultRetryAfter is the hint MsgBusy carries for batches the hive
+// deferred or refused read-only, where no better estimate exists;
+// rate-limit busy replies compute their own hint from the bucket deficit.
 const defaultRetryAfter = 25 * time.Millisecond
 
 // admissionBucketBudget bounds the per-session token-bucket table in
@@ -119,9 +117,6 @@ func newAdmissionState(cfg Admission) *admissionState {
 		if cfg.SessionBurst < 256 {
 			cfg.SessionBurst = 256
 		}
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = defaultRetryAfter
 	}
 	return &admissionState{cfg: cfg, buckets: memo.New[*tokenBucket](admissionBucketBudget)}
 }

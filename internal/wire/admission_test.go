@@ -350,14 +350,17 @@ func (d *deferringBackend) Guidance(string, int) ([]guidance.TestCase, error) {
 // owner defers (sheds) a batch, the Router backs off and resubmits to the
 // SAME owner — it does not treat busy as a routing failure, so there is no
 // seed re-poll and no hello storm. The deferral count is exact: one
-// backend call per busy round plus the final admit.
+// backend call per busy round plus the final admit. The owner defers two
+// more batches than the client's own busy rounds cover, so the router's
+// paced round is the one that gets the frame in.
 func TestRoutedBusyBackoff(t *testing.T) {
 	leaktest.Check(t)
+	const deferrals = defaultBusyRetries + 2
 	backend := &deferringBackend{}
-	backend.remaining.Store(4)
+	backend.remaining.Store(deferrals)
 	srv := NewServer(backend)
 	srv.Logf = t.Logf
-	srv.Admission = &Admission{RetryAfter: 2 * time.Millisecond}
+	srv.Admission = &Admission{}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +371,6 @@ func TestRoutedBusyBackoff(t *testing.T) {
 	r := NewRouter(addr)
 	r.RetryBase = time.Millisecond
 	r.RetryCap = 10 * time.Millisecond
-	r.BusyRetries = 2
 	defer r.Close()
 
 	tr := captureWireTrace(t, p, "routed-pod", []int64{50})
@@ -376,13 +378,13 @@ func TestRoutedBusyBackoff(t *testing.T) {
 		t.Fatalf("submission through a shedding owner failed: %v", err)
 	}
 
-	// 4 deferrals + the admit: the client's busy rounds and the router's
+	// The deferrals + the admit: the client's busy rounds and the router's
 	// extra paced attempt resubmitted the same sealed frame, nothing more.
-	if got := backend.calls.Load(); got != 5 {
-		t.Fatalf("backend saw %d calls, want 5 (4 deferrals + 1 admit)", got)
+	if got := backend.calls.Load(); got != deferrals+1 {
+		t.Fatalf("backend saw %d calls, want %d (%d deferrals + 1 admit)", got, deferrals+1, deferrals)
 	}
-	if got := srv.AdmissionStats().BusyReplies; got != 4 {
-		t.Fatalf("server sent %d busy replies, want 4", got)
+	if got := srv.AdmissionStats().BusyReplies; got != deferrals {
+		t.Fatalf("server sent %d busy replies, want %d", got, deferrals)
 	}
 	// Busy is not a routing signal: one owner client, one hello, no
 	// placement re-poll.

@@ -84,10 +84,6 @@ type Client struct {
 	// Set before first use.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// BusyRetries is how many busy-backoff rounds a submission survives
-	// before the busy error surfaces to the caller (default
-	// defaultBusyRetries). Set before first use.
-	BusyRetries int
 }
 
 var _ pod.HiveClient = (*Client)(nil)
@@ -124,8 +120,8 @@ const compressRTTFloor = 5 * time.Millisecond
 const compressMinBytes = 512
 
 // defaultBusyRetries is how many busy-backoff rounds a submission
-// survives before giving up when the client does not pin its own count.
-// With the default schedule the rounds sum to a few seconds — long enough
+// survives before the busy error surfaces to the caller. With the default
+// schedule the rounds sum to a few seconds — long enough
 // to ride out a flash crowd, short enough that a caller with its own
 // retry loop (pod.BufferedClient parks unaccepted frames) gets control
 // back.
@@ -285,15 +281,6 @@ func (c *Client) ensureGreetedLocked() error {
 	return nil
 }
 
-// HelloCount reports how many hello exchanges this client has run. Tests
-// use it to prove a shedding (busy) owner does not trigger a
-// hello storm the way a dead one does.
-func (c *Client) HelloCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.helloCount
-}
-
 // Handshake eagerly dials and says hello. Submission paths do so
 // lazily; routers call this up front so the placement map is available
 // before the first frame is sealed.
@@ -428,21 +415,17 @@ func (c *Client) SealTraceBatches(programID string, batches [][]*trace.Trace) []
 // A MsgBusy reply (the server declined a frame under overload) is not a
 // failure: the drain backs off — jittered exponential, floored at the
 // server's retry-after hint — and resubmits the unaccepted frames
-// verbatim, up to BusyRetries rounds, before surfacing the busy error.
+// verbatim, up to defaultBusyRetries rounds, before surfacing the busy error.
 func (c *Client) SubmitSealed(sealed []pod.SealedBatch) ([]bool, error) {
 	accepted := make([]bool, len(sealed))
 	if len(sealed) == 0 {
 		return accepted, nil
 	}
-	retries := c.BusyRetries
-	if retries <= 0 {
-		retries = defaultBusyRetries
-	}
 	var err error
 	for round := 0; ; round++ {
 		err = c.submitSealedRound(sealed, accepted)
 		var be *BusyError
-		if err == nil || !errors.As(err, &be) || round >= retries {
+		if err == nil || !errors.As(err, &be) || round >= defaultBusyRetries {
 			return accepted, err
 		}
 		// The hive is shedding, not down: back off (jittered exponential,

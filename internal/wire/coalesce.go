@@ -38,14 +38,6 @@ func forEachInner(payload []byte, fn func(t MsgType, inner []byte) error) error 
 	return nil
 }
 
-// countInner returns the number of inner frames, or an error for a
-// malformed run.
-func countInner(payload []byte) (int, error) {
-	n := 0
-	err := forEachInner(payload, func(MsgType, []byte) error { n++; return nil })
-	return n, err
-}
-
 // appendInnerHeader appends one inner frame header (length + type) for a
 // payload of the given size.
 func appendInnerHeader(dst []byte, t MsgType, payloadLen int) []byte {

@@ -53,7 +53,7 @@ func TestReadOnlyBusyNegotiated(t *testing.T) {
 	backend.remaining.Store(3)
 	srv := NewServer(backend)
 	srv.Logf = t.Logf
-	srv.Admission = &Admission{RetryAfter: 2 * time.Millisecond}
+	srv.Admission = &Admission{}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,6 @@ func TestReadOnlyBusyNegotiated(t *testing.T) {
 	r := NewRouter(addr)
 	r.RetryBase = time.Millisecond
 	r.RetryCap = 10 * time.Millisecond
-	r.BusyRetries = 5
 	defer r.Close()
 
 	tr := captureWireTrace(t, p, "ro-pod", []int64{50})

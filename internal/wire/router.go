@@ -47,11 +47,10 @@ type Router struct {
 	// ForceCompress is copied onto every client this router creates. Set
 	// before first use.
 	ForceCompress bool
-	// RetryBase, RetryCap and BusyRetries are the busy-backoff knobs,
-	// copied onto every client this router creates. Set before first use.
-	RetryBase   time.Duration
-	RetryCap    time.Duration
-	BusyRetries int
+	// RetryBase and RetryCap are the busy-backoff knobs, copied onto every
+	// client this router creates. Set before first use.
+	RetryBase time.Duration
+	RetryCap  time.Duration
 
 	// rng is the router's own jitter stream, for fleet-level busy-round
 	// pacing.
@@ -106,7 +105,6 @@ func (r *Router) clientLocked(addr string) *Client {
 	c.ForceCompress = r.ForceCompress
 	c.RetryBase = r.RetryBase
 	c.RetryCap = r.RetryCap
-	c.BusyRetries = r.BusyRetries
 	r.clients[addr] = c
 	return c
 }
@@ -155,25 +153,6 @@ func (r *Router) ownerLocked(programID string) string {
 		return r.seeds[0]
 	}
 	return owner
-}
-
-// Owner reports where programID currently routes (tests, diagnostics).
-func (r *Router) Owner(programID string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ownerLocked(programID)
-}
-
-// PlacementVersion reports the version of the newest placement map this
-// router has adopted, 0 when it has none.
-func (r *Router) PlacementVersion() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.refreshLocked(false)
-	if r.placement == nil {
-		return 0
-	}
-	return r.placement.Version()
 }
 
 // noteRoutingError digests a per-owner submission failure: a redirect

@@ -517,12 +517,8 @@ func (s *Server) busyFor(w io.Writer, err error) (handled bool, werr error) {
 	default:
 		return false, nil
 	}
-	hint := defaultRetryAfter
-	if s.adm != nil {
-		hint = s.adm.cfg.RetryAfter
-	}
 	return true, s.reply(w, MsgBusy, BusyPayload{
-		RetryAfterMs: int64(hint / time.Millisecond),
+		RetryAfterMs: int64(defaultRetryAfter / time.Millisecond),
 		Reason:       err.Error(),
 	})
 }

@@ -162,8 +162,8 @@ type (
 	// HiveConn is a TCP HiveClient.
 	HiveConn = wire.Client
 	// TraceBuffer defers a pod's trace uploads until Drain — the
-	// determinism lever for parallel fleets, and (bound to a program via
-	// NewTraceBufferFor) the entry to the backend's per-program and
+	// determinism lever for parallel fleets. It is bound to one program
+	// (NewTraceBufferFor) and drains into the backend's per-program,
 	// pipelined streaming submission paths.
 	TraceBuffer = pod.BufferedClient
 	// Journal is the hive's persistence store: per-program write-ahead
@@ -270,13 +270,10 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 // NewPod creates a pod.
 func NewPod(cfg PodConfig) (*Pod, error) { return pod.New(cfg) }
 
-// NewTraceBuffer wraps a hive client so trace uploads defer until Drain.
-func NewTraceBuffer(backend HiveClient) *TraceBuffer { return pod.NewBuffered(backend) }
-
 // NewTraceBufferFor wraps a hive client for a pod running exactly one
-// program: drains take the backend's per-program submission fast path, and
-// over TCP they stream pipelined batches instead of one upload per round
-// trip.
+// program, so trace uploads defer until Drain. A drain ships frame-sized
+// batches: over TCP it streams pipelined sealed frames, exactly-once across
+// drains, instead of one upload per round trip.
 func NewTraceBufferFor(backend HiveClient, programID string) *TraceBuffer {
 	return pod.NewBufferedFor(backend, programID)
 }
@@ -315,5 +312,5 @@ func RaceSolvers(f *SATFormula, solvers []SATSolver, maxTicks int64) RaceResult 
 // ExploreTree distributes symbolic exploration of p's execution tree across
 // worker nodes under the given partitioning policy (paper §4).
 func ExploreTree(p *Program, nodes int, mode ClusterMode) (*ClusterResult, error) {
-	return cluster.Explore(p, nodes, mode, 0)
+	return cluster.Explore(p, nodes, mode)
 }
