@@ -114,6 +114,7 @@ func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 			batches[c] = batch
 		}
 		sealed := router.SealTraceBatches(p.ID, batches)
+		sealedBy[p.ID] = cloneSealed(sealed)
 		acc, err := router.SubmitSealed(sealed[:drained])
 		if err != nil {
 			t.Fatalf("phase-1 drain for program %d: %v", pi, err)
@@ -123,7 +124,6 @@ func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 				t.Fatalf("phase-1 chunk %d of program %d not acked", c, pi)
 			}
 		}
-		sealedBy[p.ID] = sealed
 	}
 
 	// Phase 2: flood the victim-owned program with more distinct sessions
@@ -203,7 +203,8 @@ func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 	}
 
 	// Zero loss, zero double-apply: drain the parked chunks plus a verbatim
-	// resubmission of every acked chunk through the stale router.
+	// resubmission of every acked chunk (from the copies a lost ack would
+	// have left) through the stale router.
 	for pi, p := range corpus {
 		acc, err := router.SubmitSealed(sealedBy[p.ID])
 		if err != nil {

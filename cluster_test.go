@@ -8,6 +8,7 @@ package softborg
 // chains.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -151,6 +152,7 @@ func TestE16KillOneHiveRebalance(t *testing.T) {
 			batches[c] = batch
 		}
 		sealed := router.SealTraceBatches(p.ID, batches)
+		sealedBy[p.ID] = cloneSealed(sealed)
 		acc, err := router.SubmitSealed(sealed[:drained])
 		if err != nil {
 			t.Fatalf("phase-1 drain for program %d: %v", pi, err)
@@ -160,7 +162,6 @@ func TestE16KillOneHiveRebalance(t *testing.T) {
 				t.Fatalf("phase-1 chunk %d of program %d not acked", c, pi)
 			}
 		}
-		sealedBy[p.ID] = sealed
 	}
 	for _, p := range corpus {
 		st, err := byAddr(m1.Owner(p.ID)).h.ProgramStats(p.ID)
@@ -221,7 +222,8 @@ func TestE16KillOneHiveRebalance(t *testing.T) {
 	}
 
 	// Drain everything through the stale router: the parked chunks plus a
-	// verbatim resubmission of every already-acked chunk. The victim's
+	// verbatim resubmission of every already-acked chunk, from the copies a
+	// lost ack would have left. The victim's
 	// death forces a placement refresh; acked frames must dup-ack on the
 	// new owner (the session table traveled inside the chain).
 	for pi, p := range corpus {
@@ -430,7 +432,12 @@ func BenchmarkClusterIngest(b *testing.B) {
 
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				acc, err := router.SubmitSealed(allSealed)
+				// Every iteration resends the same frames; SubmitSealed
+				// consumes what it acknowledges, so each sends a copy.
+				b.StopTimer()
+				frames := cloneSealed(allSealed)
+				b.StartTimer()
+				acc, err := router.SubmitSealed(frames)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -453,4 +460,17 @@ func BenchmarkClusterIngest(b *testing.B) {
 			}
 		})
 	}
+}
+
+// cloneSealed copies frames, payloads included: the frames a lost ack
+// leaves the caller holding. SubmitSealed consumes the frames it
+// acknowledges, so a test that resubmits an acknowledged frame clones it
+// before the first submit and resubmits the clone.
+func cloneSealed(sealed []pod.SealedBatch) []pod.SealedBatch {
+	out := make([]pod.SealedBatch, len(sealed))
+	for i, sb := range sealed {
+		sb.Payload = bytes.Clone(sb.Payload)
+		out[i] = sb
+	}
+	return out
 }

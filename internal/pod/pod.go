@@ -62,10 +62,10 @@ type HiveClient interface {
 // SealedBatch is one trace batch sealed into a transport frame whose
 // exactly-once identity (session ID + frame sequence number) was fixed at
 // seal time. The payload is opaque to the pod; what matters is that
-// resubmitting the same SealedBatch — on any connection, in any later
-// drain — presents the identical tag to the backend's dedup window, so a
-// batch delivered but never acknowledged is ingested exactly once no
-// matter how many drains retry it.
+// resubmitting the same unacknowledged SealedBatch — on any connection, in
+// any later drain — presents the identical tag to the backend's dedup
+// window, so a batch delivered but never acknowledged is ingested exactly
+// once no matter how many drains retry it.
 type SealedBatch struct {
 	// ProgramID is the program every trace in the batch describes.
 	ProgramID string
@@ -90,6 +90,9 @@ type SealedBatch struct {
 // BufferedClient uses it to persist sealed-but-unacknowledged frames
 // across drains, extending the exactly-once guarantee past a drain whose
 // transparent retry also failed.
+//
+// SubmitSealed consumes the frames it acknowledges. Resend only what it did
+// not acknowledge.
 type SealedStreamer interface {
 	SealTraceBatches(programID string, batches [][]*trace.Trace) []SealedBatch
 	SubmitSealed(sealed []SealedBatch) ([]bool, error)

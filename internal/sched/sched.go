@@ -1,7 +1,7 @@
 // Package sched provides thread schedulers for the prog VM: deterministic
 // round-robin, seeded random interleavings (a population of users naturally
-// samples schedules), replayed schedules, and a systematic
-// preemption-bounded enumerator used by the hive's guided exploration
+// samples schedules), and a systematic preemption-bounded enumerator used
+// by the hive's guided exploration
 // (paper §3.3: "there may be certain thread interleavings that are rare in
 // practice ... SoftBorg instructs some of the pods to guide their program
 // copies toward those thread schedules").
@@ -86,31 +86,4 @@ func (r *Random) Pick(step int64, runnable []int) int {
 	}
 	r.last = choice
 	return choice
-}
-
-// Replay replays a recorded decision sequence. When the script is exhausted
-// or names a non-runnable thread it falls back to the lowest runnable
-// thread, so replay degrades gracefully on divergence.
-type Replay struct {
-	Script []uint8
-	pos    int
-	// Diverged counts fallback decisions.
-	Diverged int
-}
-
-var _ prog.Scheduler = (*Replay)(nil)
-
-// Pick implements prog.Scheduler.
-func (r *Replay) Pick(step int64, runnable []int) int {
-	if r.pos < len(r.Script) {
-		want := int(r.Script[r.pos])
-		r.pos++
-		for _, tid := range runnable {
-			if tid == want {
-				return tid
-			}
-		}
-	}
-	r.Diverged++
-	return runnable[0]
 }

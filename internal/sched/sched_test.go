@@ -60,34 +60,6 @@ func TestRandomDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestReplayFollowsScript(t *testing.T) {
-	r := &Replay{Script: []uint8{2, 0, 1}}
-	runnable := []int{0, 1, 2}
-	want := []int{2, 0, 1}
-	for i, w := range want {
-		if got := r.Pick(int64(i), runnable); got != w {
-			t.Fatalf("step %d: got %d, want %d", i, got, w)
-		}
-	}
-	// Script exhausted: falls back to lowest runnable.
-	if got := r.Pick(3, runnable); got != 0 {
-		t.Fatalf("fallback pick = %d, want 0", got)
-	}
-	if r.Diverged != 1 {
-		t.Errorf("diverged = %d, want 1", r.Diverged)
-	}
-}
-
-func TestReplayDivergesGracefully(t *testing.T) {
-	r := &Replay{Script: []uint8{5}}
-	if got := r.Pick(0, []int{0, 1}); got != 0 {
-		t.Fatalf("pick = %d, want fallback 0", got)
-	}
-	if r.Diverged != 1 {
-		t.Errorf("diverged = %d", r.Diverged)
-	}
-}
-
 func TestSystematicForcesPrefix(t *testing.T) {
 	s := NewSystematic([]int{1, 0, 1})
 	runnable := []int{0, 1}

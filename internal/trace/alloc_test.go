@@ -103,3 +103,21 @@ func TestAllocsViewConsume(t *testing.T) {
 		t.Fatalf("consuming a 64-trace view costs %.1f allocs; want 0", avg)
 	}
 }
+
+// TestAllocsDigestInput: every captured trace is digested once, and the
+// hive's brute force (GuessInput) digests every candidate, so the digest
+// allocates only the string it returns.
+func TestAllocsDigestInput(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc counts are skewed under the race detector")
+	}
+	input := []int64{3, -7, 1 << 40, 9}
+	sink := ""
+	avg := testing.AllocsPerRun(1000, func() {
+		sink = DigestInput("fleet", input)
+	})
+	if avg > 1 {
+		t.Fatalf("DigestInput costs %.1f allocs; want 1, the string it returns", avg)
+	}
+	_ = sink
+}

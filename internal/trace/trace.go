@@ -186,14 +186,19 @@ func GroupByProgram(traces []*Trace) []ProgramBatch {
 	return out
 }
 
-// DigestInput computes the salted input digest used in Trace.InputDigest.
+// DigestInput computes the salted input digest used in Trace.InputDigest:
+// the first 12 bytes of SHA-256 over the salt and the little-endian input,
+// in hex. It allocates only the string it returns while the salt and input
+// fit the stack buffer; a longer message spills to the heap and hashes the
+// same.
 func DigestInput(salt string, input []int64) string {
-	h := sha256.New()
-	h.Write([]byte(salt))
-	var buf [8]byte
+	var stack [128]byte
+	msg := append(stack[:0], salt...)
 	for _, v := range input {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		msg = binary.LittleEndian.AppendUint64(msg, uint64(v))
 	}
-	return hex.EncodeToString(h.Sum(nil)[:12])
+	sum := sha256.Sum256(msg)
+	var out [24]byte
+	hex.Encode(out[:], sum[:12])
+	return string(out[:])
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -242,6 +244,29 @@ func TestPrivacyLevels(t *testing.T) {
 	ApplyPrivacy(tr, input, PrivacyOpaque, "pod-secret")
 	if n := GuessInput(tr, 256, "fleet"); n != 256 {
 		t.Errorf("opaque: candidates = %d, want 256 (no info)", n)
+	}
+}
+
+// TestDigestInputGolden pins DigestInput to the digests the sha256.New /
+// hex.EncodeToString chain produced: empty input, arity 1 to 4, an empty
+// salt, and a salt longer than the stack buffer.
+func TestDigestInputGolden(t *testing.T) {
+	for _, g := range []struct {
+		salt  string
+		input []int64
+		want  string
+	}{
+		{"fleet", nil, "5eb2ce291c7d227dd684ec83"},
+		{"fleet", []int64{0}, "5f269a82922c2ba5d8f429d2"},
+		{"fleet", []int64{42, -1}, "58709c802d2ce61401ad51c0"},
+		{"pod-secret", []int64{1, 2, 3}, "153b2e99ef1055c14d1f0301"},
+		{"fleet", []int64{math.MinInt64, math.MaxInt64, 255, -256}, "195c3fe77eeb4f45dec55603"},
+		{"", []int64{7}, "aae89fc0f03e2959ae4d701a"},
+		{strings.Repeat("salt", 40), []int64{1, 2, 3, 4}, "f0a985948aaaf0099f25829e"},
+	} {
+		if got := DigestInput(g.salt, g.input); got != g.want {
+			t.Errorf("DigestInput(%q, %v) = %s, want %s", g.salt, g.input, got, g.want)
+		}
 	}
 }
 

@@ -67,9 +67,15 @@ type Client struct {
 	// rng is the per-client state of the backoff jitter stream.
 	rng atomic.Uint64
 
-	// sealScratch is the reusable columnar encode buffer for
-	// sealFrameLocked (guarded by mu).
+	// sealScratch is sealFrameLocked's reusable columnar encode buffer for
+	// the bytes it compresses or copies into a fresh payload (guarded by
+	// mu).
 	sealScratch []byte
+	// free holds the payload buffers of frames the hive acknowledged, for
+	// sealFrameLocked to seal into again (guarded by mu). recycleLocked
+	// keeps at most maxInflightFrames of them, none larger than
+	// coalesceByteBudget.
+	free [][]byte
 	// hdrScratch and bufScratch are writeCoalesced's reusable header and
 	// vector backing arrays (guarded by mu).
 	hdrScratch []byte
@@ -337,8 +343,11 @@ func submitGrouped(ss pod.SealedStreamer, traces []*trace.Trace) error {
 
 // sealFrameLocked encodes one sequenced submission frame: the (session,
 // seq) tag, then the batch column-wise — one encoding the hive can ingest
-// zero-copy and journal verbatim. When compression is engaged the canonical
-// columnar bytes are built in a reusable scratch, compressed, and sealed
+// zero-copy and journal verbatim. The payload reuses the buffer of a frame
+// the hive already acknowledged when the free list holds one; the batch is
+// then encoded straight into it. A fresh payload is sized exactly, from the
+// batch encoded into a reusable scratch. When compression is engaged the
+// canonical columnar bytes are built in that scratch, compressed, and sealed
 // for MsgSubmitBatchCompressed if that actually saved bytes — the tag stays
 // outside the compressed region, and the server inflates back to the
 // identical canonical payload before ingest, so dedup and journal
@@ -349,32 +358,63 @@ func submitGrouped(ss pod.SealedStreamer, traces []*trace.Trace) error {
 // server refuses the empty body, and the refusal lands in this frame's slot
 // of the drain, where the caller learns of any other rejected batch.
 func (c *Client) sealFrameLocked(seq uint64, programID string, traces []*trace.Trace) (payload []byte, compressed bool) {
-	// Encode into the reusable scratch: growth amortizes across seals
-	// instead of re-estimating the frame size every time.
+	var buf []byte
+	if n := len(c.free); n > 0 {
+		buf, c.free = c.free[n-1], c.free[:n-1]
+	}
+	if buf != nil && !c.compressing {
+		// AppendBatch leaves dst as it was on error: the tag alone.
+		payload, _ = trace.AppendBatch(appendSeqPrefix(buf, c.session, seq), programID, traces)
+		return payload, false
+	}
 	raw, err := trace.AppendBatch(c.sealScratch[:0], programID, traces)
 	if err != nil {
-		return appendSeqPrefix(nil, c.session, seq), false
+		return appendSeqPrefix(buf, c.session, seq), false
 	}
 	c.sealScratch = raw
 	if c.compressing && len(raw) >= compressMinBytes {
-		comp := appendSeqPrefix(make([]byte, 0, len(raw)/4+64), c.session, seq)
-		comp = trace.CompressSlab(comp, raw)
+		if buf == nil {
+			buf = make([]byte, 0, len(raw)/4+64)
+		}
+		comp := trace.CompressSlab(appendSeqPrefix(buf, c.session, seq), raw)
 		if len(comp) < len(raw) {
 			return comp, true
 		}
+		buf = comp[:0]
 	}
-	payload = appendSeqPrefix(make([]byte, 0, len(raw)+len(c.session)+16), c.session, seq)
-	return append(payload, raw...), false
+	if buf == nil {
+		buf = make([]byte, 0, len(raw)+len(c.session)+16)
+	}
+	return append(appendSeqPrefix(buf, c.session, seq), raw...), false
+}
+
+// recycleLocked takes back the payload of a frame the hive acknowledged, for
+// a later seal to reuse. The free list is bounded twice: at
+// maxInflightFrames buffers, and at coalesceByteBudget per buffer, so a
+// client keeps at most maxInflightFrames × coalesceByteBudget bytes however
+// large a frame it once sealed. A buffer already on the list (the same frame
+// passed twice to one submit) is not listed again: two seals sharing it would
+// overwrite each other.
+func (c *Client) recycleLocked(p []byte) {
+	if cap(p) == 0 || cap(p) > coalesceByteBudget || len(c.free) == maxInflightFrames {
+		return
+	}
+	for _, f := range c.free {
+		if &f[:1][0] == &p[:1][0] {
+			return
+		}
+	}
+	c.free = append(c.free, p[:0])
 }
 
 // SealTraceBatches implements pod.SealedStreamer: every batch becomes a
 // sequenced frame whose (session, seq) tag is assigned here, once, under
 // the client lock. A sealed frame is a durable exactly-once
-// identity: SubmitSealed re-sends the payload verbatim however many times
-// (and across however many drains) it takes, so a dedup-capable backend
-// never applies it twice — in any submission order, because the backend's
-// dedup window is the exact applied set per session, not an in-order
-// high-water mark.
+// identity until it is acknowledged: SubmitSealed re-sends the payload
+// verbatim however many times (and across however many drains) it takes, so
+// a dedup-capable backend never applies it twice — in any submission order,
+// because the backend's dedup window is the exact applied set per session,
+// not an in-order high-water mark.
 func (c *Client) SealTraceBatches(programID string, batches [][]*trace.Trace) []pod.SealedBatch {
 	sealed := make([]pod.SealedBatch, len(batches))
 	c.mu.Lock()
@@ -416,8 +456,15 @@ func (c *Client) SealTraceBatches(programID string, batches [][]*trace.Trace) []
 // failure: the drain backs off — jittered exponential, floored at the
 // server's retry-after hint — and resubmits the unaccepted frames
 // verbatim, up to defaultBusyRetries rounds, before surfacing the busy error.
+//
+// SubmitSealed consumes every frame the hive acknowledged, on error too: its
+// payload goes back to this client's free list for a later seal, and the
+// caller's Payload is set to nil. An unacknowledged frame is left as it was.
 func (c *Client) SubmitSealed(sealed []pod.SealedBatch) ([]bool, error) {
 	accepted := make([]bool, len(sealed))
+	if err := checkSealed(sealed); err != nil {
+		return accepted, err
+	}
 	if len(sealed) == 0 {
 		return accepted, nil
 	}
@@ -426,12 +473,42 @@ func (c *Client) SubmitSealed(sealed []pod.SealedBatch) ([]bool, error) {
 		err = c.submitSealedRound(sealed, accepted)
 		var be *BusyError
 		if err == nil || !errors.As(err, &be) || round >= defaultBusyRetries {
+			c.consume(sealed, accepted)
 			return accepted, err
 		}
 		// The hive is shedding, not down: back off (jittered exponential,
 		// floored at the server's hint) and resubmit only the unaccepted
 		// frames — verbatim, so the dedup window stays exact.
 		time.Sleep(backoffDelay(c.RetryBase, c.RetryCap, round, be.RetryAfter, jitter(&c.rng)))
+	}
+}
+
+// checkSealed refuses, before anything is dialed, a drain holding a frame
+// that no connection could carry: one already consumed by the submit that
+// acknowledged it (its payload now belongs to another frame), or one too
+// large to wrap in a mega-frame.
+func checkSealed(sealed []pod.SealedBatch) error {
+	for i, sb := range sealed {
+		if sb.Payload == nil {
+			return fmt.Errorf("%w: sealed frame %d has no payload: the submit that acknowledged it consumed it", ErrFrame, i)
+		}
+		if len(sb.Payload) > maxSealedPayload {
+			return fmt.Errorf("%w: sealed frame %d of %d bytes exceeds the %d a mega-frame can carry", ErrFrame, i, len(sb.Payload), maxSealedPayload)
+		}
+	}
+	return nil
+}
+
+// consume recycles the payload of every acknowledged frame and clears it
+// from the caller's slice.
+func (c *Client) consume(sealed []pod.SealedBatch, accepted []bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, ok := range accepted {
+		if ok {
+			c.recycleLocked(sealed[i].Payload)
+			sealed[i].Payload = nil
+		}
 	}
 }
 
@@ -465,17 +542,12 @@ func (c *Client) submitSealedRound(sealed []pod.SealedBatch, accepted []bool) er
 
 // submitSealedOnce is one windowed drain attempt over sealed, marking
 // accepted positionally. It holds the client lock throughout; busy
-// backoff lives in SubmitSealed, outside the lock. A payload too large to
-// wrap fails the drain before anything is dialed or written: it would fail
-// identically on any connection.
+// backoff lives in SubmitSealed, outside the lock.
 func (c *Client) submitSealedOnce(sealed []pod.SealedBatch, accepted []bool) error {
 	payloads := make([][]byte, len(sealed))
 	counts := make([]int, len(sealed))
 	msgs := make([]MsgType, len(sealed))
 	for i, sb := range sealed {
-		if len(sb.Payload) > maxSealedPayload {
-			return fmt.Errorf("%w: sealed frame %d of %d bytes exceeds the %d a mega-frame can carry", ErrFrame, i, len(sb.Payload), maxSealedPayload)
-		}
 		payloads[i] = sb.Payload
 		counts[i] = sb.Count
 		msgs[i] = MsgSubmitBatchColumnar

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hive"
 	"repro/internal/journal"
+	"repro/internal/pod"
 	"repro/internal/prog"
 	"repro/internal/proggen"
 	"repro/internal/trace"
@@ -45,10 +46,11 @@ func chunkTraces(traces []*trace.Trace, per int) [][]*trace.Trace {
 }
 
 // TestCoalescedRoundTrip drives the full coalesced path end to end — with
-// and without compression — and then re-submits the identical sealed frames:
-// the hive must ingest every trace exactly once both times, because group
-// acks are per inner frame and the (session, seq) dedup identity is sealed
-// into the payload, not the transport framing.
+// and without compression — and then re-submits copies of the identical
+// sealed frames, as a caller whose acks were lost would: the hive must
+// ingest every trace exactly once both times, because group acks are per
+// inner frame and the (session, seq) dedup identity is sealed into the
+// payload, not the transport framing.
 func TestCoalescedRoundTrip(t *testing.T) {
 	p := buildCrashy(t)
 	for _, compress := range []bool{false, true} {
@@ -75,8 +77,9 @@ func TestCoalescedRoundTrip(t *testing.T) {
 		if !compress && near && compressed != 0 {
 			t.Fatalf("client sealed %d compressed frames on a link it measured under the floor, without ForceCompress", compressed)
 		}
-		for round := 0; round < 2; round++ {
-			accepted, err := client.SubmitSealed(sealed)
+		rounds := [][]pod.SealedBatch{sealed, cloneSealed(sealed)}
+		for round, frames := range rounds {
+			accepted, err := client.SubmitSealed(frames)
 			if err != nil {
 				t.Fatalf("compress=%v round %d: %v", compress, round, err)
 			}

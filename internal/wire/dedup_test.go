@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 
 	"io"
@@ -143,6 +144,19 @@ func dedupFixture(t *testing.T, forwardAcks int) (*hive.Hive, *prog.Program, *Cl
 	client := Dial(proxy.addr())
 	t.Cleanup(func() { _ = client.Close() })
 	return h, p, client
+}
+
+// cloneSealed copies frames, payloads included: the frames a lost ack
+// leaves the caller holding. SubmitSealed consumes the frames it
+// acknowledges, so a test that resubmits an acknowledged frame clones it
+// before the first submit and resubmits the clone.
+func cloneSealed(sealed []pod.SealedBatch) []pod.SealedBatch {
+	out := make([]pod.SealedBatch, len(sealed))
+	for i, sb := range sealed {
+		sb.Payload = bytes.Clone(sb.Payload)
+		out[i] = sb
+	}
+	return out
 }
 
 func makeBatches(t *testing.T, p *prog.Program, batches, perBatch int) [][]*trace.Trace {
@@ -371,6 +385,7 @@ func TestSealedResubmissionUnderShedding(t *testing.T) {
 	// the limbo frames; dedup keeps ingestion exact.
 	const batches, perBatch = 10, 4
 	sealed := client.SealTraceBatches(p.ID, makeBatches(t, p, batches, perBatch))
+	replay := cloneSealed(sealed)
 	accepted, err := client.SubmitSealed(sealed)
 	if err != nil {
 		t.Fatalf("drain 1: %v", err)
@@ -395,7 +410,7 @@ func TestSealedResubmissionUnderShedding(t *testing.T) {
 	// frame is a session duplicate and must be dup-acked by the dedup
 	// window before the shedder prices it.
 	pressure.Store(math.Float64bits(0.9))
-	accepted, err = client.SubmitSealed(sealed)
+	accepted, err = client.SubmitSealed(replay)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -414,6 +429,7 @@ func TestSealedResubmissionUnderShedding(t *testing.T) {
 	// Fresh frames carrying already-covered work at high pressure: acked
 	// but shed, and — critically — never session-marked.
 	shedSealed := client.SealTraceBatches(p.ID, makeBatches(t, p, 5, perBatch))
+	shedReplay := cloneSealed(shedSealed)
 	accepted, err = client.SubmitSealed(shedSealed)
 	if err != nil {
 		t.Fatalf("shed drain: %v", err)
@@ -433,7 +449,7 @@ func TestSealedResubmissionUnderShedding(t *testing.T) {
 	// Pressure clears; the identical sealed frames now land: the shed path
 	// left no session mark behind to swallow them.
 	pressure.Store(0)
-	accepted, err = client.SubmitSealed(shedSealed)
+	accepted, err = client.SubmitSealed(shedReplay)
 	if err != nil {
 		t.Fatalf("post-shed drain: %v", err)
 	}

@@ -186,8 +186,15 @@ func (r *Router) noteRoutingError(err error) {
 // resubmitted verbatim — their (session, seq) tags are already fixed, so
 // however many hives see a frame, exactly one application happens and
 // every later delivery is acknowledged as a duplicate.
+//
+// Like Client.SubmitSealed it consumes every frame the fleet acknowledged:
+// the payload goes back to the free list of the member client that got the
+// ack, and the caller's Payload is set to nil.
 func (r *Router) SubmitSealed(sealed []pod.SealedBatch) ([]bool, error) {
 	accepted := make([]bool, len(sealed))
+	if err := checkSealed(sealed); err != nil {
+		return accepted, err
+	}
 	if len(sealed) == 0 {
 		return accepted, nil
 	}
@@ -219,7 +226,8 @@ func (r *Router) SubmitSealed(sealed []pod.SealedBatch) ([]bool, error) {
 		// uplink, which is exactly where fleet scaling comes from — the
 		// drain finishes when the slowest owner's share does, not when the
 		// sum of all shares has crossed one link. Each goroutine touches
-		// only its group's disjoint accepted indexes.
+		// only its group's disjoint accepted and sealed indexes; the member
+		// client has already recycled what it acknowledged.
 		lastErr = nil
 		errs := make([]error, len(owners))
 		var wg sync.WaitGroup
@@ -236,6 +244,7 @@ func (r *Router) SubmitSealed(sealed []pod.SealedBatch) ([]bool, error) {
 				for j, ok := range got {
 					if ok {
 						accepted[idx[j]] = true
+						sealed[idx[j]].Payload = nil
 					}
 				}
 				errs[oi] = err

@@ -126,8 +126,8 @@ func pickOwnedBy(t *testing.T, nodes []*fleetNode, corpus []*prog.Program, m *ri
 
 // TestRoutedSealedExactlyOnce drives a Router over a 3-hive fleet: every
 // program's traces land on exactly its ring owner and nowhere else, and a
-// verbatim resubmission of the already-acked sealed frames is dup-acked
-// without re-ingesting.
+// verbatim resubmission of copies of the already-acked sealed frames (a
+// lost ack's view) is dup-acked without re-ingesting.
 func TestRoutedSealedExactlyOnce(t *testing.T) {
 	leaktest.Check(t)
 	corpus := buildRoutedCorpus(t, 6)
@@ -148,6 +148,7 @@ func TestRoutedSealedExactlyOnce(t *testing.T) {
 			{captureWireTrace(t, p, "route-pod", []int64{int64(100 + pi)})},
 		}
 		sealed := r.SealTraceBatches(p.ID, batches)
+		allSealed[p.ID] = cloneSealed(sealed)
 		acc, err := r.SubmitSealed(sealed)
 		if err != nil {
 			t.Fatalf("program %d: %v", pi, err)
@@ -157,7 +158,6 @@ func TestRoutedSealedExactlyOnce(t *testing.T) {
 				t.Fatalf("program %d frame %d not accepted", pi, i)
 			}
 		}
-		allSealed[p.ID] = sealed
 	}
 
 	spread := make(map[string]bool)
@@ -232,7 +232,9 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 		batches = append(batches, []*trace.Trace{captureWireTrace(t, moved, "move-pod", []int64{int64(i)})})
 	}
 	sealed := c.SealTraceBatches(moved.ID, batches)
-	// Frame 0 is acked by the original owner before the move.
+	// Frame 0 is acked by the original owner before the move, and its ack
+	// is then lost: the client still holds a copy of all four frames.
+	parked := cloneSealed(sealed)
 	if acc, err := c.SubmitSealed(sealed[:1]); err != nil || !acc[0] {
 		t.Fatalf("pre-move submit: acc=%v err=%v", acc, err)
 	}
@@ -261,7 +263,7 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 
 	// The stale direct client resubmits to the old owner: the answer is a
 	// typed redirect naming the new owner at placement v2.
-	_, err := c.SubmitSealed(sealed)
+	_, err := c.SubmitSealed(parked)
 	var re *RedirectError
 	if !errors.As(err, &re) {
 		t.Fatalf("stale submit error = %v, want RedirectError", err)
@@ -275,7 +277,7 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 
 	// The stale router chases the redirect: all four frames delivered, the
 	// pre-move acked frame exactly once.
-	acc, err := r.SubmitSealed(sealed)
+	acc, err := r.SubmitSealed(parked)
 	if err != nil {
 		t.Fatal(err)
 	}
