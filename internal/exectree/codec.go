@@ -60,9 +60,9 @@ func (enc *treeEncoder) node(n *Node) {
 // snapshots and delta entries share it.
 func (enc *treeEncoder) state(n *Node) {
 	buf := binary.AppendUvarint(enc.buf, uint64(len(n.terminal)))
-	for _, o := range orderedOutcomes(n.terminal) {
-		buf = append(buf, byte(o))
-		buf = binary.AppendUvarint(buf, uint64(n.terminal[o]))
+	for _, tc := range n.terminal {
+		buf = append(buf, byte(tc.o))
+		buf = binary.AppendUvarint(buf, uint64(tc.c))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(n.infeasible)))
 	for _, e := range orderedEdges(n.infeasible) {
@@ -96,18 +96,20 @@ func appendEdge(buf []byte, e Edge) []byte {
 
 // Decode reconstructs a tree serialized by Encode.
 func Decode(data []byte) (*Tree, error) {
-	t, err := decodeNodes(data)
+	var s slab
+	t, err := decodeNodes(data, &s)
 	if err != nil {
 		return nil, err
 	}
-	t.rebuildFrontierLocked()
+	t.rebuildFrontierLocked(&s)
 	return t, nil
 }
 
 // decodeNodes is Decode without the open frontier set: DecodeChain builds it
-// once, after the last segment has been overlaid.
-func decodeNodes(data []byte) (*Tree, error) {
-	d := &treeDecoder{buf: data}
+// once, after the last segment has been overlaid. Nodes, child slots and
+// terminal counts come from s.
+func decodeNodes(data []byte, s *slab) (*Tree, error) {
+	d := &treeDecoder{buf: data, slab: s}
 	if v := d.byte(); v != codecVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrCodec, v)
 	}
@@ -131,9 +133,10 @@ func decodeNodes(data []byte) (*Tree, error) {
 const maxDecodeDepth = 1 << 16
 
 type treeDecoder struct {
-	buf []byte
-	pos int
-	err error
+	buf  []byte
+	pos  int
+	err  error
+	slab *slab
 }
 
 func (d *treeDecoder) fail() {
@@ -155,6 +158,12 @@ func (d *treeDecoder) byte() byte {
 func (d *treeDecoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
+	}
+	// Most values — counts, edges, small visit counts — fit in one byte.
+	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
+		v := uint64(d.buf[d.pos])
+		d.pos++
+		return v
 	}
 	v, n := binary.Uvarint(d.buf[d.pos:])
 	if n <= 0 {
@@ -197,28 +206,18 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 	if depth > maxDecodeDepth {
 		return nil, fmt.Errorf("%w: depth exceeds %d", ErrCodec, maxDecodeDepth)
 	}
-	n := newNode()
+	n := d.slab.node()
 	if parent != nil {
 		n.parent, n.in, n.depth = parent, in, parent.depth+1
 	}
 	t.nodes++
 
-	nt := d.length()
-	if d.err != nil {
-		return nil, d.err
+	if err := d.terminals(n); err != nil {
+		return nil, err
 	}
-	for i := 0; i < nt; i++ {
-		o := prog.Outcome(d.byte())
-		c := int64(d.uvarint())
-		if d.err != nil {
-			return nil, d.err
-		}
-		if n.terminal == nil {
-			n.terminal = make(map[prog.Outcome]int64, nt)
-		}
-		n.terminal[o] = c
-		t.outcomes[o] += c
-		t.executions += c
+	for _, tc := range n.terminal {
+		t.outcomes[tc.o] += tc.c
+		t.executions += tc.c
 		t.paths++
 	}
 
@@ -238,6 +237,7 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 	if d.err != nil {
 		return nil, d.err
 	}
+	n.kids = d.slab.kids.take(nc)
 	for i := 0; i < nc; i++ {
 		e := d.edge()
 		visits := int64(d.uvarint())
@@ -257,16 +257,33 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 	return n, nil
 }
 
-func orderedOutcomes(m map[prog.Outcome]int64) []prog.Outcome {
-	if len(m) == 0 {
-		return nil // most nodes: sort.Slice would still allocate its swapper
+// terminals reads a node's terminal counts over whatever n holds: into
+// n.terminal's own room when it has enough (a delta entry overwriting a node
+// the base filled in), else into room carved from the slab. Encode writes
+// the outcomes in ascending order, and a decode holds them to it: the slice
+// is kept sorted, and a repeated outcome would be counted twice.
+func (d *treeDecoder) terminals(n *Node) error {
+	nt := d.length()
+	if d.err != nil {
+		return d.err
 	}
-	out := make([]prog.Outcome, 0, len(m))
-	for o := range m {
-		out = append(out, o)
+	if cap(n.terminal) >= nt {
+		n.terminal = n.terminal[:0]
+	} else {
+		n.terminal = d.slab.terms.take(nt)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	for i := 0; i < nt; i++ {
+		o := prog.Outcome(d.byte())
+		c := int64(d.uvarint())
+		if d.err != nil {
+			return d.err
+		}
+		if i > 0 && o <= n.terminal[i-1].o {
+			return fmt.Errorf("%w: terminal outcome %d after %d", ErrCodec, o, n.terminal[i-1].o)
+		}
+		n.terminal = append(n.terminal, outcomeCount{o: o, c: c})
+	}
+	return nil
 }
 
 func orderedEdges(m map[Edge]bool) []Edge {

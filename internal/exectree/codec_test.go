@@ -1,6 +1,9 @@
 package exectree
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -154,5 +157,74 @@ func TestDecodedTreeAcceptsMerges(t *testing.T) {
 	got.Merge([]trace.BranchEvent{{ID: 99, Taken: true}}, prog.OutcomeOK)
 	if got.Stats().Executions != before+1 {
 		t.Fatal("decoded tree rejects merges")
+	}
+}
+
+// goldenHistory merges a fixed history into t: n paths over six branches,
+// merged with outcomes chosen so that most terminals end with several.
+func goldenHistory(t *Tree, from, n int) {
+	outcomes := []prog.Outcome{prog.OutcomeOK, prog.OutcomeCrash, prog.OutcomeAssertFail, prog.OutcomeDeadlock, prog.OutcomeHang}
+	for i := from; i < from+n; i++ {
+		path := make([]trace.BranchEvent, 1+i%5)
+		for d := range path {
+			path[d] = trace.BranchEvent{ID: int32((i*7 + d*3) % 6), Taken: (i>>d)&1 == 1}
+		}
+		for r := 0; r <= i%3; r++ {
+			t.Merge(path, outcomes[(i+r*2)%len(outcomes)])
+		}
+		t.Merge(path, outcomes[(i*3+1)%len(outcomes)])
+	}
+}
+
+// TestEncodeBytesGolden pins the bytes of Encode and EncodeDelta (length
+// and SHA-256, taken when terminal counts were a map and the encoder sorted
+// its keys) for a fixed tree whose terminals hold several outcomes each: a
+// base, the delta over a further round of merges and a certificate, and the
+// full encoding after it. Every data directory and archived segment holds
+// these bytes, so they do not change with the node's in-memory layout.
+func TestEncodeBytesGolden(t *testing.T) {
+	tr := New("golden-prog")
+	goldenHistory(tr, 0, 40)
+	fr := tr.FrontiersAll()
+	tr.CertifyInfeasible(fr[len(fr)/2].Prefix, fr[len(fr)/2].Missing)
+	base := tr.Encode()
+	tr.SetDeltaTracking(true)
+	goldenHistory(tr, 40, 12)
+	fr = tr.FrontiersAll()
+	tr.CertifyInfeasible(fr[0].Prefix, fr[0].Missing)
+	delta := tr.EncodeDelta()
+	full := tr.Encode()
+
+	several := 0
+	tr.Walk(func(_ []Edge, n *Node) bool {
+		if len(n.Terminals()) >= 3 {
+			several++
+		}
+		return true
+	})
+	if several < 10 {
+		t.Fatalf("%d terminals hold three outcomes or more; the golden tree should have at least 10", several)
+	}
+	for _, c := range []struct {
+		name string
+		got  []byte
+		n    int
+		sum  string
+	}{
+		{"Encode (base)", base, 513, "194e12087dc9ac29f8daf477be467e1f6e04cde9e4cc20ee3745e06b3a4bcc85"},
+		{"EncodeDelta", delta, 380, "80a8887b6c723043184fabe76ddec983b888f8b02b7ca13438ed5c91d99cdc17"},
+		{"Encode (after the delta)", full, 600, "7601e408bfc12ea0ea2a7b289d60ea689e298c2a537bd6095ce1591c4138b2e9"},
+	} {
+		sum := sha256.Sum256(c.got)
+		if len(c.got) != c.n || hex.EncodeToString(sum[:]) != c.sum {
+			t.Errorf("%s: %d B, sha256 %x; want %d B, %s", c.name, len(c.got), sum, c.n, c.sum)
+		}
+	}
+	got, err := DecodeChain(base, [][]byte{delta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Encode(), full) {
+		t.Fatal("the decoded chain re-encodes to other bytes than the tree that wrote it")
 	}
 }

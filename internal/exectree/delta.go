@@ -171,21 +171,25 @@ func (t *Tree) ResetDelta() {
 // an ordered chain of delta segments (EncodeDelta bytes). The result is
 // bit-for-bit identical to the live tree that wrote the chain: node counts,
 // aggregates, and the open frontier set are all rebuilt.
+//
+// The whole chain is decoded from one slab: the nodes and slots the deltas
+// add come from the same chunks as the base's.
 func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 	if len(deltas) == 0 {
 		return Decode(base)
 	}
-	t, err := decodeNodes(base)
+	var s slab
+	t, err := decodeNodes(base, &s)
 	if err != nil {
 		return nil, err
 	}
 	for i, d := range deltas {
-		if err := t.applyDelta(d); err != nil {
+		if err := t.applyDelta(d, &s); err != nil {
 			return nil, fmt.Errorf("delta %d: %w", i, err)
 		}
 	}
 	t.recomputeAggregatesLocked()
-	t.rebuildFrontierLocked()
+	t.rebuildFrontierLocked(&s)
 	return t, nil
 }
 
@@ -193,9 +197,10 @@ func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 // terminal counts, certificates, and outgoing-edge visit counts with the
 // absolute values recorded at encode time, creating missing nodes along the
 // way. Aggregates and the open frontier set are left stale — DecodeChain
-// recomputes them once after the last segment.
-func (t *Tree) applyDelta(data []byte) error {
-	d := &treeDecoder{buf: data}
+// recomputes them once after the last segment. New nodes and slots come from
+// s.
+func (t *Tree) applyDelta(data []byte, s *slab) error {
+	d := &treeDecoder{buf: data, slab: s}
 	version := d.byte()
 	if d.err == nil && version != deltaVersion && version != deltaVersionRootPaths {
 		return fmt.Errorf("%w: delta version %d", ErrCodec, version)
@@ -231,26 +236,17 @@ func (t *Tree) applyDelta(data []byte) error {
 			}
 			child := n.Child(e)
 			if child == nil {
-				child = newChild(n, e)
+				child = s.child(n, e)
 				n.addKid(e, child, 0)
 			}
 			stack = append(stack, child)
 			n = child
 		}
 
-		// The maps a node already has are reused: most entries overwrite a
-		// node the base or an earlier segment filled in.
-		clear(n.terminal)
-		for nt := d.length(); nt > 0; nt-- {
-			o := prog.Outcome(d.byte())
-			c := int64(d.uvarint())
-			if d.err != nil {
-				return d.err
-			}
-			if n.terminal == nil {
-				n.terminal = make(map[prog.Outcome]int64, nt)
-			}
-			n.terminal[o] = c
+		// What a node already holds is reused: most entries overwrite a node
+		// the base or an earlier segment filled in.
+		if err := d.terminals(n); err != nil {
+			return err
 		}
 		clear(n.infeasible)
 		for ni := d.length(); ni > 0; ni-- {
@@ -260,7 +256,14 @@ func (t *Tree) applyDelta(data []byte) error {
 			}
 			n.markInfeasible(e)
 		}
-		for nc := d.length(); nc > 0; nc-- {
+		nc := d.length()
+		if need := max(nc, len(n.kids)); cap(n.kids) < need {
+			// The entry lists every outgoing edge the node has now, old ones
+			// included: one carve holds them all.
+			kids := s.kids.take(need)
+			n.kids = append(kids, n.kids...)
+		}
+		for ; nc > 0; nc-- {
 			e := d.edge()
 			visits := int64(d.uvarint())
 			if d.err != nil {
@@ -269,7 +272,7 @@ func (t *Tree) applyDelta(data []byte) error {
 			if i := n.kidIndex(e); i >= 0 {
 				n.kids[i].visits = visits
 			} else {
-				n.addKid(e, newChild(n, e), visits)
+				n.addKid(e, s.child(n, e), visits)
 			}
 		}
 	}
@@ -295,9 +298,9 @@ func (t *Tree) recomputeAggregatesLocked() {
 	var rec func(n *Node)
 	rec = func(n *Node) {
 		t.nodes++
-		for o, c := range n.terminal {
-			t.outcomes[o] += c
-			t.executions += c
+		for _, tc := range n.terminal {
+			t.outcomes[tc.o] += tc.c
+			t.executions += tc.c
 			t.paths++
 		}
 		for i := range n.kids {

@@ -67,9 +67,9 @@ func encodeDeltaRootPaths(t *Tree) []byte {
 			buf = appendEdge(buf, e)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(n.terminal)))
-		for _, o := range orderedOutcomes(n.terminal) {
-			buf = append(buf, byte(o))
-			buf = binary.AppendUvarint(buf, uint64(n.terminal[o]))
+		for _, tc := range n.terminal {
+			buf = append(buf, byte(tc.o))
+			buf = binary.AppendUvarint(buf, uint64(tc.c))
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(n.infeasible)))
 		for _, e := range orderedEdges(n.infeasible) {

@@ -60,7 +60,7 @@ func (t *Tree) PricePath(path []trace.BranchEvent, outcome prog.Outcome) PathPri
 		incoming = node.kids[ci].visits
 		node = node.kids[ci].node
 	}
-	if node != nil && node.terminal[outcome] == 0 {
+	if node != nil && node.terminalCount(outcome) == 0 {
 		// The structure is fully known but no execution ever ended here
 		// with this outcome — a novel terminal (this is how a first crash
 		// on a well-trodden path shows up).

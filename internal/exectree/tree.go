@@ -54,6 +54,9 @@ type Node struct {
 	parent *Node
 	in     Edge
 	depth  int32
+	// dirty marks membership in the tree's delta working set (delta.go).
+	// It sits in depth's padding word.
+	dirty bool
 	// kids holds each observed decision with its traversal count and
 	// subtree, in first-observation order (Edges sorts on demand).
 	kids []childRef
@@ -62,14 +65,20 @@ type Node struct {
 	// one) — the per-node bucket that replaces a tree-global hash map on
 	// the merge hot path.
 	open []int32
-	// dirty marks membership in the tree's delta working set (delta.go).
-	dirty bool
-	// terminal counts executions that ended exactly at this node, per
-	// outcome.
-	terminal map[prog.Outcome]int64
+	// terminal counts executions that ended exactly at this node, one entry
+	// per outcome in ascending outcome order: a handful of outcomes exist,
+	// so a sorted slice reads and encodes in order where a map would hash
+	// and sort.
+	terminal []outcomeCount
 	// infeasible records edges proven unreachable by symbolic analysis
 	// (proof certificates; see internal/proof).
 	infeasible map[Edge]bool
+}
+
+// outcomeCount is how many executions ended at a node with one outcome.
+type outcomeCount struct {
+	o prog.Outcome
+	c int64
 }
 
 func newNode() *Node {
@@ -130,10 +139,33 @@ func (n *Node) Visits(e Edge) int64 {
 // Terminals returns a copy of the per-outcome terminal counts.
 func (n *Node) Terminals() map[prog.Outcome]int64 {
 	out := make(map[prog.Outcome]int64, len(n.terminal))
-	for k, v := range n.terminal {
-		out[k] = v
+	for _, tc := range n.terminal {
+		out[tc.o] = tc.c
 	}
 	return out
+}
+
+// terminalCount returns how many executions ended at n with outcome o.
+func (n *Node) terminalCount(o prog.Outcome) int64 {
+	for _, tc := range n.terminal {
+		if tc.o == o {
+			return tc.c
+		}
+	}
+	return 0
+}
+
+// terminalSlot returns the position of outcome o in n.terminal, inserting a
+// zero count at its place in the order first when o is absent.
+func (n *Node) terminalSlot(o prog.Outcome) int {
+	i := 0
+	for i < len(n.terminal) && n.terminal[i].o < o {
+		i++
+	}
+	if i == len(n.terminal) || n.terminal[i].o != o {
+		n.terminal = slices.Insert(n.terminal, i, outcomeCount{o: o})
+	}
+	return i
 }
 
 // markInfeasible attaches an infeasibility certificate to the unexplored
@@ -344,14 +376,12 @@ func (t *Tree) Merge(path []trace.BranchEvent, outcome prog.Outcome) MergeResult
 		}
 		node = child
 	}
-	if node.terminal == nil {
-		node.terminal = make(map[prog.Outcome]int64, 2)
-	}
-	if node.terminal[outcome] == 0 {
+	ti := node.terminalSlot(outcome)
+	if node.terminal[ti].c == 0 {
 		res.NewPath = true
 		t.paths++
 	}
-	node.terminal[outcome]++
+	node.terminal[ti].c++
 	t.markDirty(node)
 	t.outcomes[outcome]++
 	t.executions++
@@ -697,13 +727,17 @@ func (t *Tree) retireFrontier(i int) {
 }
 
 // rebuildFrontierLocked recomputes the open set from tree structure, one
-// append per open frontier. Decode and DecodeChain use it on a deserialized
-// tree; callers must hold the write lock (or own the tree exclusively).
-func (t *Tree) rebuildFrontierLocked() {
+// append per open frontier, with every node's open bucket carved from the
+// decode's slab at its exact size. Decode and DecodeChain use it on a
+// deserialized tree; callers must hold the write lock (or own the tree
+// exclusively).
+func (t *Tree) rebuildFrontierLocked(s *slab) {
 	t.open = t.open[:0]
 	var rec func(n *Node)
 	rec = func(n *Node) {
-		n.open = nil
+		open := 0
+		forEachHalfObserved(n, func(Edge, int64) { open++ })
+		n.open = s.open.take(open)
 		forEachHalfObserved(n, func(missing Edge, sib int64) {
 			t.openFrontier(n, missing, sib)
 		})

@@ -8,10 +8,13 @@ package hive
 // import that fails half-way.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/archive"
@@ -570,4 +573,103 @@ func TestImportReplaysUnobserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertHivesEqual(t, ha, hb, corpus)
+}
+
+// TestVersion1EnvelopeRestoresByEveryRoute: every segment of testdata/chain-v1
+// is in envelope version 1 (the whole snapshot as JSON, the tree in base64),
+// which nothing writes any more. TestRecoverVersion1Chain reboots from it;
+// here it restores, to the hive that builds the same directory today, by
+// the other routes a chain takes: exported from the directory and imported
+// (dead-hive takeover), synced to the archive and exported from there (cold
+// standby), and rebooted after a checkpoint on top of it, which appends a
+// version 2 segment to each version 1 chain.
+func TestVersion1EnvelopeRestoresByEveryRoute(t *testing.T) {
+	corpus := recoveryCorpus(t, 3)
+	want, acked := buildRecoveryDir(t, t.TempDir(), corpus)
+	fixture := func(t *testing.T) string {
+		dir := t.TempDir()
+		copyDir(t, filepath.Join("testdata", "chain-v1"), dir)
+		return dir
+	}
+	t.Run("export and import", func(t *testing.T) {
+		store, err := journal.Open(fixture(t), journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		got := importAll(t, corpus, store.ExportChain)
+		assertRestored(t, want, got, corpus, acked)
+	})
+	t.Run("archive", func(t *testing.T) {
+		obj, err := archive.NewDirStore(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := openStore(t, fixture(t), obj)
+		if err := archive.New(store, obj, archive.Options{Writer: "v1"}).SyncAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		chains, _, err := ExportFromArchive(obj, "", corpus, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := importAll(t, corpus, func(id string) (*journal.ChainExport, error) { return chains[id], nil })
+		assertRestored(t, want, got, corpus, acked)
+	})
+	t.Run("checkpoint on top", func(t *testing.T) {
+		dir := fixture(t)
+		h, store := newDurableHive(t, dir, corpus)
+		if err := h.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertEnvelopes(t, dir, corpus)
+		got, store := newDurableHive(t, dir, corpus)
+		defer store.Close()
+		assertRestored(t, want, got, corpus, acked)
+	})
+}
+
+// assertEnvelopes checks that each program's chain in dir is version 1
+// segments topped by one version 2 segment: the newest generation.
+func assertEnvelopes(t *testing.T, dir string, corpus []*prog.Program) {
+	t.Helper()
+	for _, p := range corpus {
+		segs, err := filepath.Glob(filepath.Join(dir, "*-"+journal.FileKey(p.ID)+"-*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newest, newestGen := "", uint64(0)
+		for _, seg := range segs {
+			var gen uint64
+			name := filepath.Base(seg)
+			if _, err := fmt.Sscanf(name[strings.LastIndexByte(name, '-')+1:], "%d.snap", &gen); err != nil {
+				t.Fatal(err)
+			}
+			if gen > newestGen {
+				newest, newestGen = seg, gen
+			}
+		}
+		if len(segs) < 2 {
+			t.Fatalf("program %s: %d segments; want the version 1 chain and the checkpoint on top", p.Name, len(segs))
+		}
+		for _, seg := range segs {
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			magic := "SBSNAP1\n"
+			if seg == newest {
+				magic = "SBSNAP2\n"
+			}
+			if !bytes.HasPrefix(data, []byte(magic)) {
+				t.Errorf("program %s: %s starts %q; want %q", p.Name, filepath.Base(seg), data[:min(len(data), 8)], magic)
+			}
+		}
+	}
 }

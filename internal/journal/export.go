@@ -22,7 +22,9 @@ import (
 // ChainExport is one program's durable state at a consistent cut: the base
 // snapshot file bytes, each delta segment's file bytes, and the current
 // journal's framed records (header stripped, torn tail trimmed — always
-// record-aligned, so every byte is an acknowledged, CRC-valid record).
+// record-aligned, so every byte is an acknowledged, CRC-valid record). The
+// snapshots LoadChain decodes from it hold their tree bytes in place, in
+// Base and the deltas' Data: nobody writes into a ChainExport's bytes.
 type ChainExport struct {
 	ProgramID string
 	HasBase   bool

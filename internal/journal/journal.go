@@ -37,6 +37,16 @@
 // the torn record was never applied (append happens before apply) and never
 // acknowledged.
 //
+// Every segment, base or delta, is one CRC-framed envelope (version 2, see
+// encodeSnapshot): the program ID, the tree bytes and the tree-delta bytes
+// as length-prefixed binary fields, then the rest of the snapshot as JSON.
+// A restore reads the tree bytes where they lie: a decoded ProgramSnapshot's
+// Tree and TreeDelta alias the segment's bytes, so no caller may write into
+// them, nor into the bytes of a ChainExport. Open names a program from the
+// header's first field without parsing the JSON. Segments of envelope
+// version 1 (the whole snapshot as JSON, the tree in base64) are still read,
+// and a chain may mix both.
+//
 // # Group commit
 //
 // Append has one path: the record joins its program's pending queue, and the
@@ -188,7 +198,9 @@ var pendingPool = sync.Pool{New: func() any { return &pendingAppend{done: make(c
 
 const (
 	walMagic  = "SBWAL1\n"
-	snapMagic = "SBSNAP1\n"
+	snapMagic = "SBSNAP2\n"
+	// snapMagicV1 opens a segment written before envelope version 2.
+	snapMagicV1 = "SBSNAP1\n"
 )
 
 // Open opens (creating if needed) a data directory and indexes the
@@ -407,16 +419,16 @@ func (s *Store) programIDFor(pl *progLog, tm *tetherMarker) (string, error) {
 	}
 	probeFailed(err)
 	if pl.hasBase {
-		snap, err := readSnapshotFile(s.fs, snapPath(s.dir, pl.key, pl.baseGen))
+		id, err := readSnapshotID(s.fs, snapPath(s.dir, pl.key, pl.baseGen))
 		if err == nil {
-			return snap.ProgramID, nil
+			return id, nil
 		}
 		probeFailed(err)
 	}
 	if n := len(pl.deltas); n > 0 {
-		snap, err := readSnapshotFile(s.fs, deltaPath(s.dir, pl.key, pl.deltas[n-1]))
+		id, err := readSnapshotID(s.fs, deltaPath(s.dir, pl.key, pl.deltas[n-1]))
 		if err == nil {
-			return snap.ProgramID, nil
+			return id, nil
 		}
 		probeFailed(err)
 	}

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -36,8 +37,17 @@ import (
 // same nodes plus one small entry header a node, whatever their depth.
 // Segments of version 1 (every entry a whole root path) are still read, so a
 // chain may mix both.
+//
+// A chain segment holds a snapshot in envelope version 2 (see
+// encodeSnapshot): the program ID, Tree and TreeDelta as length-prefixed
+// binary fields, then every other field as JSON. A decoded snapshot's Tree
+// and TreeDelta alias the segment bytes it was read from, so nothing may
+// write into them, nor into the bytes of a ChainExport it came from.
+// Envelope version 1 (the whole snapshot as JSON, the tree in base64) is
+// still read; the envelope's version and the delta encoding's are
+// independent.
 type ProgramSnapshot struct {
-	ProgramID string `json:"programId"`
+	ProgramID string `json:"programId,omitempty"`
 	// Tree is the exectree.Encode serialization (full snapshots only).
 	Tree []byte `json:"tree,omitempty"`
 	// TreeDelta is the exectree.EncodeDelta serialization (delta segments
@@ -88,40 +98,142 @@ type FailureState struct {
 
 // encodeSnapshot serializes a snapshot into the CRC-framed byte form of a
 // chain segment: what writeSnapshotFile persists and a ChainExport carries.
+// The envelope (version 2) is
+//
+//	"SBSNAP2\n" | uvarint body length | body | CRC32 (IEEE, little endian) of body
+//
+//	body = uvarint len | program ID
+//	     | uvarint len | Tree
+//	     | uvarint len | TreeDelta
+//	     | the remaining fields as JSON (ProgramSnapshot's tags)
+//
+// so a reader takes the tree bytes as they lie, where version 1 ("SBSNAP1\n",
+// the body the whole snapshot as JSON) made it unquote and base64-decode
+// them first. The writer emits version 2 only.
 func encodeSnapshot(snap *ProgramSnapshot) ([]byte, error) {
-	body, err := json.Marshal(snap)
+	rest := *snap
+	rest.ProgramID, rest.Tree, rest.TreeDelta = "", nil, nil
+	state, err := json.Marshal(&rest)
 	if err != nil {
 		return nil, fmt.Errorf("journal: encode snapshot: %w", err)
 	}
-	buf := []byte(snapMagic)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = append(buf, body...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	return append(buf, crc[:]...), nil
+	n := uvarintLen(len(snap.ProgramID)) + len(snap.ProgramID) +
+		uvarintLen(len(snap.Tree)) + len(snap.Tree) +
+		uvarintLen(len(snap.TreeDelta)) + len(snap.TreeDelta) + len(state)
+	buf := make([]byte, 0, len(snapMagic)+uvarintLen(n)+n+4)
+	buf = append(buf, snapMagic...)
+	buf = binary.AppendUvarint(buf, uint64(n))
+	start := len(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(snap.ProgramID)))
+	buf = append(buf, snap.ProgramID...)
+	buf = binary.AppendUvarint(buf, uint64(len(snap.Tree)))
+	buf = append(buf, snap.Tree...)
+	buf = binary.AppendUvarint(buf, uint64(len(snap.TreeDelta)))
+	buf = append(buf, snap.TreeDelta...)
+	buf = append(buf, state...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), nil
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v int) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }
 
 // decodeSnapshot validates the CRC frame and parses the body; where names
-// the source for error messages.
+// the source for error messages. Tree and TreeDelta alias data.
 func decodeSnapshot(data []byte, where string) (*ProgramSnapshot, error) {
-	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("%w: bad snapshot magic in %s", ErrCorrupt, where)
+	v2, body, err := openSnapshot(data, where)
+	if err != nil {
+		return nil, err
 	}
-	rest := data[len(snapMagic):]
-	n, sz := binary.Uvarint(rest)
-	if sz <= 0 || uint64(len(rest)-sz) < n+4 {
-		return nil, fmt.Errorf("%w: truncated snapshot %s", ErrCorrupt, where)
+	if !v2 {
+		var snap ProgramSnapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			return nil, fmt.Errorf("%w: snapshot json in %s: %v", ErrCorrupt, where, err)
+		}
+		return &snap, nil
 	}
-	body := rest[sz : sz+int(n)]
-	want := binary.LittleEndian.Uint32(rest[sz+int(n) : sz+int(n)+4])
-	if crc32.ChecksumIEEE(body) != want {
-		return nil, fmt.Errorf("%w: snapshot checksum mismatch in %s", ErrCorrupt, where)
+	id, body, ok := splitField(body)
+	tree, body, ok2 := splitField(body)
+	delta, state, ok3 := splitField(body)
+	if !ok || !ok2 || !ok3 {
+		return nil, fmt.Errorf("%w: bad snapshot header in %s", ErrCorrupt, where)
 	}
 	var snap ProgramSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return nil, fmt.Errorf("%w: snapshot json: %v", ErrCorrupt, err)
+	if err := json.Unmarshal(state, &snap); err != nil {
+		return nil, fmt.Errorf("%w: snapshot json in %s: %v", ErrCorrupt, where, err)
 	}
+	snap.ProgramID, snap.Tree, snap.TreeDelta = string(id), tree, delta
 	return &snap, nil
+}
+
+// openSnapshot checks a segment's magic (either version's: both are the same
+// length) and CRC frame and returns its body, reporting whether the
+// envelope is version 2.
+func openSnapshot(data []byte, where string) (v2 bool, body []byte, err error) {
+	v2 = bytes.HasPrefix(data, []byte(snapMagic))
+	if !v2 && !bytes.HasPrefix(data, []byte(snapMagicV1)) {
+		return false, nil, fmt.Errorf("%w: bad snapshot magic in %s", ErrCorrupt, where)
+	}
+	body, rest, ok := splitField(data[len(snapMagic):])
+	if !ok || len(rest) < 4 {
+		return false, nil, fmt.Errorf("%w: truncated snapshot %s", ErrCorrupt, where)
+	}
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(rest) {
+		return false, nil, fmt.Errorf("%w: snapshot checksum mismatch in %s", ErrCorrupt, where)
+	}
+	return v2, body, nil
+}
+
+// splitField splits a uvarint-length-prefixed field off b. The field is a
+// subslice of b capped at its own length (nil when empty), so an append to
+// it copies rather than overwrite what follows. The length check cannot
+// wrap: a hostile prefix near 2^64 is a short field, not a panic.
+func splitField(b []byte) (field, rest []byte, ok bool) {
+	n, sz := binary.Uvarint(b)
+	if sz <= 0 || n > uint64(len(b)-sz) {
+		return nil, nil, false
+	}
+	end := sz + int(n)
+	if n > 0 {
+		field = b[sz:end:end]
+	}
+	return field, b[end:], true
+}
+
+// readSnapshotID returns the program ID the segment file at path names.
+func readSnapshotID(vfs FS, path string) (string, error) {
+	data, err := vfs.ReadFile(path)
+	if err != nil {
+		return "", err
+	}
+	return snapshotID(data, path)
+}
+
+// snapshotID returns the program ID a segment names. In version 2 it is the
+// body's first field, taken once the magic and the CRC check out, with no
+// JSON parsed; a version 1 segment is decoded whole.
+func snapshotID(data []byte, where string) (string, error) {
+	v2, body, err := openSnapshot(data, where)
+	if err != nil {
+		return "", err
+	}
+	if !v2 {
+		snap, err := decodeSnapshot(data, where)
+		if err != nil {
+			return "", err
+		}
+		return snap.ProgramID, nil
+	}
+	id, _, ok := splitField(body)
+	if !ok {
+		return "", fmt.Errorf("%w: bad snapshot header in %s", ErrCorrupt, where)
+	}
+	return string(id), nil
 }
 
 // writeSnapshotFile persists a snapshot atomically: temp file, fsync,
@@ -175,13 +287,4 @@ func WriteFileAtomic(vfs FS, path string, data []byte) error {
 		vfs = OSFS()
 	}
 	return writeFileAtomic(vfs, path, data)
-}
-
-// readSnapshotFile loads and validates a snapshot file.
-func readSnapshotFile(vfs FS, path string) (*ProgramSnapshot, error) {
-	data, err := vfs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(data, path)
 }

@@ -241,6 +241,13 @@ func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
+	// Most values — lengths, counts, branch IDs, thread IDs — fit in one
+	// byte.
+	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
+		v := uint64(d.buf[d.pos])
+		d.pos++
+		return v
+	}
 	v, n := binary.Uvarint(d.buf[d.pos:])
 	if n <= 0 {
 		d.fail()
