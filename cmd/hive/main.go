@@ -10,7 +10,7 @@
 // suffix, so killing the process loses nothing that was acknowledged.
 // Journal appends group-commit (concurrent appends coalesce into one
 // write+fsync) and snapshots are incremental delta segments compacted into
-// a full snapshot every -compact-every checkpoints, so durable ingest and
+// a full snapshot every 8 checkpoints, so durable ingest and
 // checkpoint pauses both track the change rate, not the accumulated tree
 // size.
 //
@@ -90,7 +90,6 @@ func run(args []string) error {
 	dataDir := fs.String("data-dir", "", "journal/snapshot directory; empty runs in-memory only")
 	snapshotEvery := fs.Duration("snapshot-every", 30*time.Second, "background snapshot interval (0 disables; requires -data-dir)")
 	fsync := fs.Bool("fsync", false, "fsync every journal flush (power-failure durability)")
-	compactEvery := fs.Int("compact-every", 8, "snapshots are incremental delta segments, compacted into a full snapshot every N checkpoints (<=0 makes every snapshot full)")
 	archiveDir := fs.String("archive-dir", "", "archive object-store directory: snapshot chains and sealed WAL segments are tiered here in the background (requires -data-dir)")
 	archiveEvery := fs.Duration("archive-every", time.Minute, "background archive sync interval (0 disables; requires -archive-dir)")
 	diskBudget := fs.Int64("disk-budget", 0, "local data-dir byte budget: archived chains past it are pruned to tether markers and rehydrated from the archive on demand (0 keeps everything local; requires -archive-dir)")
@@ -164,7 +163,6 @@ func run(args []string) error {
 		} else if *diskBudget > 0 {
 			return fmt.Errorf("-disk-budget needs -archive-dir: chains can only be pruned locally once they are archived")
 		}
-		h.SetCompactEvery(*compactEvery)
 		if err := h.Recover(store); err != nil {
 			return err
 		}

@@ -16,7 +16,7 @@ import (
 //  2. Acquisition order (internal/hive, internal/wire, internal/archive):
 //     the hive's
 //     documented order is session-entry lock ≺ checkpoint gate ≺ program
-//     mu ≺ input stripes (kgMu/coordMu); the registry lock (Hive.mu) and
+//     mu; the registry lock (Hive.mu) and
 //     the session-table lock (Hive.sessMu) are leaves never held across
 //     another acquisition. The wire layer's routing locks rank BELOW all
 //     of the hive's: router placement (Router.mu) ≺ client connection
@@ -37,7 +37,7 @@ var LockDiscipline = &Analyzer{
 	Doc: "every Lock() must be released (defer or explicit unlock) before a " +
 		"lexically later return, and internal/hive + internal/wire + " +
 		"internal/archive lock classes must be acquired in documented order " +
-		"(Router.mu ≺ Client.mu ≺ session ≺ ckpt ≺ mu ≺ stripes; " +
+		"(Router.mu ≺ Client.mu ≺ session ≺ ckpt ≺ mu; " +
 		"Hive.mu/sessMu, Server.placeMu, the admission locks " +
 		"admissionState.mu/connState.qMu, and the archiver sync lock " +
 		"Archiver.mu are leaves)",
@@ -53,13 +53,11 @@ var lockRank = map[string]int{
 	// internal/wire (PR 8 routing tier). Router.mu is held while its
 	// clients say hello and released before a per-owner client is driven;
 	// Client.mu guards one connection's stream.
-	"Router.mu":            1,
-	"Client.mu":            5,
-	"sessionEntry.mu":      10,
-	"programState.ckpt":    20,
-	"programState.mu":      30,
-	"programState.kgMu":    40,
-	"programState.coordMu": 40,
+	"Router.mu":         1,
+	"Client.mu":         5,
+	"sessionEntry.mu":   10,
+	"programState.ckpt": 20,
+	"programState.mu":   30,
 	// Leaf locks: never legal to hold across another ranked acquisition.
 	"Hive.mu":     50,
 	"Hive.sessMu": 50,
@@ -282,7 +280,7 @@ func checkAcquisitionOrder(p *Pass, events []lockEvent) {
 				hr, hOK := lockRank[h.class]
 				nr, nOK := lockRank[ev.class]
 				if hOK && nOK && nr <= hr && h.class != ev.class {
-					p.Reportf(ev.pos, "lock order inversion: %s (%s) acquired while holding %s (%s); documented order is Router.mu ≺ Client.mu ≺ session ≺ ckpt ≺ mu ≺ stripes, with Hive.mu/sessMu as leaf locks", ev.key, ev.class, h.key, h.class)
+					p.Reportf(ev.pos, "lock order inversion: %s (%s) acquired while holding %s (%s); documented order is Router.mu ≺ Client.mu ≺ session ≺ ckpt ≺ mu, with Hive.mu/sessMu as leaf locks", ev.key, ev.class, h.key, h.class)
 				}
 			}
 			stack = append(stack, held{key: ev.key, class: ev.class, readSide: ev.readSide})

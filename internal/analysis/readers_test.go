@@ -22,7 +22,11 @@ import (
 // support (faultfs, leaktest, proggen.MustGenerate) earns its keep. A method
 // that implements a method of an interface declared in the module or in a
 // package the module imports counts as read, since a call through the
-// interface names the interface method, not the concrete one.
+// interface names the interface method, not the concrete one. The interface
+// method is then the name that needs a reader: a method of an exported
+// interface declared under internal/ must be called through the interface
+// outside its own package's tests, or every implementation of it is code
+// nothing runs.
 //
 // Load skips external test packages (package foo_test): the root's
 // example_test.go and internal/wire's fuzz_hostile_test.go. This test
@@ -43,17 +47,18 @@ func TestEveryExportHasAReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	if problems := unreadExports(m, ext); len(problems) > 0 {
-		t.Errorf("%d exported functions or methods in internal/ have no reader outside their own package's tests:\n\t%s",
+		t.Errorf("%d exported functions, methods or interface methods in internal/ have no reader outside their own package's tests:\n\t%s",
 			len(problems), strings.Join(problems, "\n\t"))
 	}
 }
 
 // exportDecl is one exported function or method the rule inspects.
 type exportDecl struct {
-	fn   *types.Func
-	pkg  *Package
-	pos  token.Position
-	body [2]token.Pos // the declaration's extent: uses inside it are not readers
+	fn    *types.Func
+	pkg   *Package
+	pos   token.Position
+	body  [2]token.Pos // the declaration's extent: uses inside it are not readers
+	iface bool         // a method of an exported interface: implementing it is not reading it
 }
 
 // externalTests type-checks every external test package (package foo_test)
@@ -91,10 +96,10 @@ func externalTests(m *Module) ([]*Package, error) {
 	return out, nil
 }
 
-// unreadExports lists, in position order, every exported function or method
-// in a non-test file under internal/ with no reader but its own package's
-// tests, counting the external test packages ext as tests of the package in
-// their directory.
+// unreadExports lists, in position order, every exported function or method,
+// and every method of an exported interface, in a non-test file under
+// internal/ with no reader but its own package's tests, counting the external
+// test packages ext as tests of the package in their directory.
 func unreadExports(m *Module, ext []*Package) []string {
 	decls := map[*types.Func]*exportDecl{}
 	for _, pkg := range m.Pkgs {
@@ -106,6 +111,11 @@ func unreadExports(m *Module, ext []*Package) []string {
 				continue
 			}
 			for _, d := range f.Decls {
+				for _, id := range interfaceMethods(d) {
+					if fn, ok := pkg.Info.Defs[id].(*types.Func); ok {
+						decls[fn] = &exportDecl{fn: fn, pkg: pkg, pos: m.Fset.Position(id.Pos()), body: [2]token.Pos{id.Pos(), id.End()}, iface: true}
+					}
+				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || !fd.Name.IsExported() {
 					continue
@@ -153,7 +163,7 @@ func unreadExports(m *Module, ext []*Package) []string {
 	ifaces := moduleInterfaces(m)
 	var out []exportDecl
 	for fn, d := range decls {
-		if read[fn] || implementsInterface(fn, ifaces) {
+		if read[fn] || (!d.iface && implementsInterface(fn, ifaces)) {
 			continue
 		}
 		out = append(out, *d)
@@ -177,6 +187,32 @@ func unreadExports(m *Module, ext []*Package) []string {
 		lines = append(lines, filepath.ToSlash(rel)+":"+strconv.Itoa(d.pos.Line)+": "+exportName(d.fn)+": "+why)
 	}
 	return lines
+}
+
+// interfaceMethods returns the exported methods listed in the exported
+// interface types d declares; an embedded interface's methods are checked
+// where that interface is declared.
+func interfaceMethods(d ast.Decl) []*ast.Ident {
+	gd, ok := d.(*ast.GenDecl)
+	if !ok || gd.Tok != token.TYPE {
+		return nil
+	}
+	var out []*ast.Ident
+	for _, spec := range gd.Specs {
+		ts := spec.(*ast.TypeSpec)
+		it, ok := ts.Type.(*ast.InterfaceType)
+		if !ok || !ts.Name.IsExported() {
+			continue
+		}
+		for _, f := range it.Methods.List {
+			for _, id := range f.Names {
+				if id.IsExported() {
+					out = append(out, id)
+				}
+			}
+		}
+	}
+	return out
 }
 
 func isTestFile(m *Module, f *ast.File) bool {

@@ -16,12 +16,12 @@ type Hive struct {
 	progs  map[string]*programState
 }
 
-// programState mirrors the real per-program lock set.
+// programState mirrors the real per-program lock set: the checkpoint gate
+// and the one lock over the program's books. The real type holds no other
+// mutex.
 type programState struct {
 	mu      sync.Mutex
 	ckpt    sync.RWMutex
-	kgMu    sync.Mutex
-	coordMu sync.Mutex
 	applied int
 }
 

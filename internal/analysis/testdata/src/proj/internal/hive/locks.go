@@ -38,14 +38,14 @@ func doubleAcquire(st *programState) {
 	st.mu.Unlock()
 }
 
-// correctOrder follows ckpt before mu before the stripe locks. Clean.
-func correctOrder(st *programState) {
+// correctOrder follows the session entry before ckpt before mu. Clean.
+func correctOrder(e *sessionEntry, st *programState) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	st.ckpt.RLock()
 	defer st.ckpt.RUnlock()
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.kgMu.Lock()
-	st.kgMu.Unlock()
+	st.mu.Unlock()
 }
 
 // deferredUnlock returns early safely under a deferred unlock. Clean.

@@ -18,7 +18,7 @@ var ErrNotFound = errors.New("archive: object not found")
 // blobs. Keys are slash-separated paths; Put is idempotent (archive keys
 // embed a content hash, so concurrent writers racing on one key are writing
 // identical bytes). DirStore is the local-directory implementation; an S3-
-// or blob-backed store drops in behind the same four calls.
+// or blob-backed store drops in behind the same three calls.
 type ObjectStore interface {
 	// Put stores data at key, replacing any existing object.
 	Put(key string, data []byte) error
@@ -26,8 +26,6 @@ type ObjectStore interface {
 	Get(key string) ([]byte, error)
 	// List returns every key with the given prefix, sorted.
 	List(prefix string) ([]string, error)
-	// Delete removes the object at key (nil if absent).
-	Delete(key string) error
 }
 
 // DirStore is the local-directory ObjectStore: each object is one file
@@ -126,16 +124,4 @@ func (d *DirStore) List(prefix string) ([]string, error) {
 	}
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// Delete removes the object at key; absent objects are a no-op.
-func (d *DirStore) Delete(key string) error {
-	path, err := d.path(key)
-	if err != nil {
-		return err
-	}
-	if err := d.fs.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("archive: delete %s: %w", key, err)
-	}
-	return nil
 }

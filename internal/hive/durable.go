@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -154,68 +153,18 @@ func (h *Hive) restoreProgram(st *programState, base *journal.ProgramSnapshot, d
 	if len(deltas) > 0 {
 		snap = deltas[len(deltas)-1]
 	}
-	fixes := make([]fix.Fix, 0, len(snap.Fixes))
-	for i, raw := range snap.Fixes {
-		f, err := fix.Decode(raw)
-		if err != nil {
-			return fmt.Errorf("hive: restore %s fix %d: %w", st.prog.ID, i, err)
-		}
-		fixes = append(fixes, *f)
-	}
-	proofs := make(map[proof.Property]*proof.Proof, len(snap.Proofs))
-	for i, raw := range snap.Proofs {
-		pr, err := proof.Decode(raw)
-		if err != nil {
-			return fmt.Errorf("hive: restore %s proof %d: %w", st.prog.ID, i, err)
-		}
-		proofs[pr.Property] = pr
-	}
-	var coordinated map[string][]*trace.Trace
-	if len(snap.Coordinated) > 0 {
-		coordinated = make(map[string][]*trace.Trace, len(snap.Coordinated))
-		for key, raws := range snap.Coordinated {
-			fam := make([]*trace.Trace, 0, len(raws))
-			for _, raw := range raws {
-				tr, err := trace.Decode(raw)
-				if err != nil {
-					return fmt.Errorf("hive: restore %s coordinated fragment: %w", st.prog.ID, err)
-				}
-				fam = append(fam, tr)
-			}
-			coordinated[key] = fam
-		}
-	}
-	knownGood := make([][]int64, 0, len(snap.KnownGood))
-	for _, g := range snap.KnownGood {
-		knownGood = append(knownGood, append([]int64(nil), g...))
+	b, err := decodeBooks(snap)
+	if err != nil {
+		return fmt.Errorf("hive: restore %s: %w", st.prog.ID, err)
 	}
 
 	st.mu.Lock()
 	st.tree = tree
-	if err := st.fixes.Load(fixes); err != nil {
-		st.mu.Unlock()
-		return fmt.Errorf("hive: restore %s fixes: %w", st.prog.ID, err)
-	}
-	st.epoch = snap.Epoch
-	st.proofs = proofs
+	st.books = b
 	st.mu.Unlock()
 	st.ingested.Store(snap.Ingested)
 	st.reconstructed.Store(snap.Reconstructed)
 	st.narrowed.Store(snap.Narrowed)
-	if len(knownGood) > 0 {
-		st.kgMu.Lock()
-		st.knownGood = knownGood
-		st.kgMu.Unlock()
-	}
-	st.coordMu.Lock()
-	st.coordinated = coordinated
-	st.coordMu.Unlock()
-
-	for _, fs := range snap.Failures {
-		if err := st.failures.restore(fs); err != nil {
-			return err
-		}
-	}
 	h.mergeSessions(snap.Sessions, snap.SessionsAhead)
 	return nil
 }
@@ -256,22 +205,23 @@ func (h *Hive) applyOp(st *programState, op *journal.Op) error {
 			h.markSession(op.Session, op.Seq)
 		}
 	case journal.OpSynthesis:
-		if len(op.Fix) == 0 {
-			st.failures.applyOutcome(op.Signature, 0, false)
-			return nil
-		}
-		f, err := fix.Decode(op.Fix)
-		if err != nil {
-			return fmt.Errorf("hive: replay %s fix for %q: %w", st.prog.ID, op.Signature, err)
+		var f *fix.Fix
+		if len(op.Fix) > 0 {
+			var err error
+			if f, err = fix.Decode(op.Fix); err != nil {
+				return fmt.Errorf("hive: replay %s fix for %q: %w", st.prog.ID, op.Signature, err)
+			}
 		}
 		st.mu.Lock()
-		// Synthesis ops were journaled in fix-ID order, so Add re-assigns
-		// the same IDs the live hive handed out.
-		st.fixes.Add(*f)
-		st.epoch++
-		st.proofs = make(map[proof.Property]*proof.Proof)
+		if f != nil {
+			// Synthesis ops were journaled in fix-ID order, so Add re-assigns
+			// the same IDs the live hive handed out.
+			st.fixes.Add(*f)
+			st.epoch++
+			st.proofs = make(map[proof.Property]*proof.Proof)
+		}
+		st.applyOutcome(op.Signature, f != nil)
 		st.mu.Unlock()
-		st.failures.applyOutcome(op.Signature, 0, true)
 	case journal.OpProof:
 		pr, err := proof.Decode(op.Proof)
 		if err != nil {
@@ -409,52 +359,12 @@ func (h *Hive) snapshotProgramMeta(st *programState) (*journal.ProgramSnapshot, 
 		Reconstructed: st.reconstructed.Load(),
 		Narrowed:      st.narrowed.Load(),
 	}
-	st.kgMu.Lock()
-	for _, g := range st.knownGood {
-		snap.KnownGood = append(snap.KnownGood, append([]int64(nil), g...))
-	}
-	st.kgMu.Unlock()
-	st.coordMu.Lock()
-	if len(st.coordinated) > 0 {
-		snap.Coordinated = make(map[string][][]byte, len(st.coordinated))
-		for key, fam := range st.coordinated {
-			raws := make([][]byte, 0, len(fam))
-			for _, tr := range fam {
-				raws = append(raws, trace.Encode(tr))
-			}
-			snap.Coordinated[key] = raws
-		}
-	}
-	st.coordMu.Unlock()
 	st.mu.Lock()
-	snap.Epoch = st.epoch
-	fixes := st.fixes.All()
-	props := make([]proof.Property, 0, len(st.proofs))
-	for p := range st.proofs {
-		props = append(props, p)
-	}
-	sort.Slice(props, func(i, j int) bool { return props[i] < props[j] })
-	proofs := make([]*proof.Proof, 0, len(props))
-	for _, p := range props {
-		proofs = append(proofs, st.proofs[p])
-	}
+	err := st.books.encode(snap)
 	st.mu.Unlock()
-
-	for i := range fixes {
-		raw, err := fix.Encode(&fixes[i])
-		if err != nil {
-			return nil, fmt.Errorf("hive: snapshot %s fix %d: %w", st.prog.ID, i, err)
-		}
-		snap.Fixes = append(snap.Fixes, raw)
+	if err != nil {
+		return nil, fmt.Errorf("hive: snapshot %s: %w", st.prog.ID, err)
 	}
-	for _, pr := range proofs {
-		raw, err := proof.Encode(pr)
-		if err != nil {
-			return nil, fmt.Errorf("hive: snapshot %s proof: %w", st.prog.ID, err)
-		}
-		snap.Proofs = append(snap.Proofs, raw)
-	}
-	snap.Failures = st.failures.export()
 	snap.Sessions, snap.SessionsAhead = h.sessionSnapshot()
 	return snap, nil
 }

@@ -46,8 +46,8 @@ import (
 var ErrUnknownProgram = errors.New("hive: unknown program")
 
 // FailureRecord is a point-in-time snapshot of one failure signature's
-// fleet-wide aggregation (the live bookkeeping is striped per signature, see
-// failureTable).
+// fleet-wide aggregation (the live bookkeeping is a failureRecord in the
+// program's books).
 type FailureRecord struct {
 	// Signature is the bucketing key (outcome @ fault site).
 	Signature string
@@ -67,13 +67,9 @@ type FailureRecord struct {
 }
 
 // programState is the hive's per-program knowledge. Each program is its own
-// lock shard: mu guards the fix/proof/epoch state below, while prog, sym,
-// and gen are immutable after registration (gen and tree synchronize
-// internally). State that raw-privacy-heavy fleets hammer — known-good
-// inputs, the coordinated-fragment buffer, and the ingest counters — is
-// striped out from under the shard lock onto its own synchronization
-// (kgMu, coordMu, atomics), so a hot program's benign traffic never
-// serializes behind fix bookkeeping.
+// lock shard: mu guards the books and the tree pointer, while prog, sym, and
+// gen are immutable after registration (gen and tree synchronize
+// internally). The ingest counters and the journal breaker are atomics.
 type programState struct {
 	mu sync.Mutex
 
@@ -85,10 +81,11 @@ type programState struct {
 	// half in each.
 	ckpt sync.RWMutex
 
-	prog  *prog.Program
-	tree  *exectree.Tree
-	fixes fix.Set
-	epoch int
+	prog *prog.Program
+	tree *exectree.Tree
+
+	// books is the program's journaled bookkeeping, guarded by mu.
+	books
 
 	// recon expands external-only traces to full paths, remembering each
 	// distinct reconstruction (it synchronizes internally). A pure cache:
@@ -115,22 +112,9 @@ type programState struct {
 	readOnly    atomic.Bool
 	appendFails atomic.Int32
 
-	// failures stripes per-signature bookkeeping so a single hot program's
-	// failure traffic does not serialize on mu (it synchronizes internally).
-	failures failureTable
-
-	// knownGood holds raw inputs observed to succeed (only available from
-	// PrivacyRaw pods); used to pick safe replacements and validate guards.
-	// Guarded by kgMu, not mu: harvesting happens on every raw-privacy OK
-	// trace, far hotter than the fix-state mutations mu protects.
-	kgMu      sync.Mutex
-	knownGood [][]int64
-
 	// sym and gen exist for single-threaded programs.
 	sym *symbolic.Engine
 	gen *guidance.Generator
-
-	proofs map[proof.Property]*proof.Proof
 
 	// ingested counts merged traces; reconstructed counts external-only
 	// traces expanded to full paths; narrowed counts completed coordinated
@@ -139,17 +123,7 @@ type programState struct {
 	ingested      atomic.Int64
 	reconstructed atomic.Int64
 	narrowed      atomic.Int64
-
-	// coordinated buffers coordinated-sampling fragments by execution
-	// identity until every phase has arrived (paper §3.1: "subsequent
-	// aggregation of traces can narrow down this family"). Guarded by
-	// coordMu.
-	coordMu     sync.Mutex
-	coordinated map[string][]*trace.Trace
 }
-
-// maxCoordinatedFamilies bounds the fragment buffer per program.
-const maxCoordinatedFamilies = 4096
 
 // maxSessionAhead bounds one session's out-of-order applied set. If a
 // permanently abandoned gap lets the set grow past the bound, the base
@@ -278,20 +252,11 @@ func (h *Hive) RegisterProgram(p *prog.Program) error {
 func (st *programState) reset() {
 	st.mu.Lock()
 	st.tree = exectree.New(st.prog.ID)
-	_ = st.fixes.Load(nil) // nothing to validate
-	st.epoch = 0
-	st.proofs = make(map[proof.Property]*proof.Proof)
+	st.books = newBooks()
 	st.mu.Unlock()
 	st.ingested.Store(0)
 	st.reconstructed.Store(0)
 	st.narrowed.Store(0)
-	st.kgMu.Lock()
-	st.knownGood = nil
-	st.kgMu.Unlock()
-	st.coordMu.Lock()
-	st.coordinated = nil
-	st.coordMu.Unlock()
-	st.failures.clear()
 	st.hasBase, st.deltasSince = false, 0
 }
 
@@ -426,14 +391,6 @@ func (h *Hive) SubmitColumnarSession(session string, seq uint64, batch *trace.Ba
 	return false, nil
 }
 
-// pendingSynthesis is a single-flight election won during batch bookkeeping:
-// the trigger trace that will synthesize the signature's fix after the lock
-// is released.
-type pendingSynthesis struct {
-	rec *failureRecord
-	tr  *trace.Trace
-}
-
 // ingestScratch is the pooled per-batch working set of the apply path: one
 // branch-path buffer, one input buffer, and one signature buffer serve a
 // whole batch, so steady-state ingestion of benign traces allocates nothing
@@ -448,9 +405,9 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 
 // applyBatchView folds one columnar batch into the hive — the one apply,
 // shared by live ingestion and journal replay — reading fields directly out
-// of the view. Only fix synthesis takes the shard lock: bookkeeping rides
-// its own striped synchronization, and reconstruction, narrowing and tree
-// merging run outside any lock. A Trace is materialized only where one is
+// of the view. Bookkeeping runs under the shard lock, taken once per batch
+// and only by a batch that has some; reconstruction, narrowing and tree
+// merging run outside it. A Trace is materialized only where one is
 // retained: failure samples (once per signature ever) and coordinated
 // fragments. Full-capture traffic is merged straight from the frame bytes
 // through a reused path buffer, and an external-only trace is keyed by its
@@ -475,16 +432,26 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 	sc := ingestScratchPool.Get().(*ingestScratch)
 	defer ingestScratchPool.Put(sc)
 
-	// Pass 1 — bookkeeping, each on its own striped synchronization
-	// (coordMu, kgMu, per-signature stripes, atomics), so benign traffic on
-	// a raw-privacy-heavy program never serializes behind the fix/proof
-	// state mu protects: coordinated fragment buffering, known-good
-	// harvesting, and failure aggregation with its single-flight synthesis
-	// election, in batch order.
+	// Pass 1 — bookkeeping, in batch order: coordinated fragment buffering,
+	// known-good harvesting, and failure aggregation with its single-flight
+	// synthesis election. mu is taken at the first trace that has any, so a
+	// batch of benign hashed traces never waits on a synthesis append
+	// holding it.
 	var families map[int][]*trace.Trace
-	var toSynthesize []pendingSynthesis
+	var toSynthesize []*failureRecord
+	held := false
 	for i := 0; i < n; i++ {
-		if v.Mode(i) == trace.CaptureCoordinated && singleThreaded {
+		coordinated := v.Mode(i) == trace.CaptureCoordinated && singleThreaded
+		good := v.Privacy(i) == trace.PrivacyRaw && v.Outcome(i) == prog.OutcomeOK && v.NumInputs(i) > 0
+		failed := v.Outcome(i).IsFailure()
+		if !coordinated && !good && !failed {
+			continue
+		}
+		if !held {
+			st.mu.Lock()
+			held = true
+		}
+		if coordinated {
 			if fam, complete := st.bufferCoordinated(v.Materialize(i)); complete {
 				if families == nil {
 					families = make(map[int][]*trace.Trace)
@@ -492,21 +459,22 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 				families[i] = fam
 			}
 		}
-		if v.Privacy(i) == trace.PrivacyRaw && v.Outcome(i) == prog.OutcomeOK && v.NumInputs(i) > 0 {
+		if good {
 			sc.input = v.AppendInput(sc.input[:0], i)
 			st.harvestKnownGood(sc.input)
 		}
-		if v.Outcome(i).IsFailure() {
+		if failed {
 			sc.sig = v.FailureSignature(sc.sig[:0], i)
 			i := i
-			rec, elected := st.failures.recordLazy(string(sc.sig), v.PodID(i), v.Outcome(i),
+			rec, elected := st.recordFailure(sc.sig, v.PodID(i), v.Outcome(i),
 				func() *trace.Trace { return v.Materialize(i) }, live)
 			if elected {
-				// The sample is the materialized trigger trace; synthesis
-				// reads it after the batch's locks are gone.
-				toSynthesize = append(toSynthesize, pendingSynthesis{rec: rec, tr: rec.sample})
+				toSynthesize = append(toSynthesize, rec)
 			}
 		}
+	}
+	if held {
+		st.mu.Unlock()
 	}
 	st.ingested.Add(int64(n))
 
@@ -543,51 +511,16 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 
 	// Pass 3 — synthesize fixes for the signatures this batch saw first.
 	// Rare (once per signature ever), and single-flight by construction.
-	for _, p := range toSynthesize {
-		h.synthesizeFix(st, p.rec, p.tr)
+	for _, rec := range toSynthesize {
+		h.synthesizeFix(st, rec)
 	}
 }
 
-// harvestKnownGood records a raw input observed to succeed, bounded, under
-// the dedicated known-good stripe.
-func (st *programState) harvestKnownGood(input []int64) {
-	st.kgMu.Lock()
-	if len(st.knownGood) < 1024 {
-		st.knownGood = append(st.knownGood, append([]int64(nil), input...))
-	}
-	st.kgMu.Unlock()
-}
-
-// knownGoodSnapshot copies the known-good input set under its stripe.
+// knownGoodSnapshot copies the known-good input set.
 func (st *programState) knownGoodSnapshot() [][]int64 {
-	st.kgMu.Lock()
-	defer st.kgMu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	return append([][]int64(nil), st.knownGood...)
-}
-
-// bufferCoordinated appends a coordinated-sampling fragment to its family
-// buffer, under the dedicated coordination stripe. When the last missing
-// phase arrives the family is removed from the buffer and returned for
-// narrowing.
-func (st *programState) bufferCoordinated(tr *trace.Trace) ([]*trace.Trace, bool) {
-	key := fmt.Sprintf("%s|%s|%s|%d|%d", tr.InputDigest, tr.ScheduleHash, tr.Outcome, tr.SampleK, tr.FaultPC)
-	st.coordMu.Lock()
-	defer st.coordMu.Unlock()
-	if st.coordinated == nil {
-		st.coordinated = make(map[string][]*trace.Trace)
-	}
-	if len(st.coordinated) >= maxCoordinatedFamilies {
-		// Bounded buffer: reset rather than grow without limit on a hostile
-		// or lossy fleet (incomplete families are abandoned).
-		st.coordinated = make(map[string][]*trace.Trace)
-	}
-	st.coordinated[key] = append(st.coordinated[key], tr.Clone())
-	family := st.coordinated[key]
-	if len(trace.MissingPhases(family, tr.SampleK)) != 0 {
-		return nil, false
-	}
-	delete(st.coordinated, key)
-	return family, true
 }
 
 // narrowFamily combines a completed fragment family into per-site directions
@@ -614,8 +547,10 @@ func narrowFamily(p *prog.Program, family []*trace.Trace, outcome prog.Outcome) 
 // assertion failures become validated input guards; everything else goes to
 // the repair lab. Exactly one call ever happens per signature (single-flight
 // via failureRecord.synthesizing), so concurrent traces carrying the same
-// new signature cannot mint duplicate fixes or double-bump the epoch.
-func (h *Hive) synthesizeFix(st *programState, rec *failureRecord, tr *trace.Trace) {
+// new signature cannot mint duplicate fixes or double-bump the epoch. The
+// trigger trace is the record's sample.
+func (h *Hive) synthesizeFix(st *programState, rec *failureRecord) {
+	tr := rec.sample
 	var minted *fix.Fix
 	switch tr.Outcome {
 	case prog.OutcomeDeadlock:
@@ -639,7 +574,10 @@ func (h *Hive) synthesizeFix(st *programState, rec *failureRecord, tr *trace.Tra
 	// so a fix pods can sync to is one a restart still has. Under st.mu, so
 	// synthesis ops land in the journal in fix-ID order and replay re-assigns
 	// identical IDs. Synthesis runs inside an ingest's checkpoint gate, so
-	// the op is atomic with its batch relative to checkpoints.
+	// the op is atomic with its batch relative to checkpoints. The same
+	// section concludes the election: the signature is marked fixed, or
+	// routed to the repair lab — or, when the journal refused the outcome,
+	// left as it was, for the next trace carrying it to win a new election.
 	var err error
 	op := &journal.Op{Kind: journal.OpSynthesis, Signature: rec.signature}
 	st.mu.Lock()
@@ -651,16 +589,21 @@ func (h *Hive) synthesizeFix(st *programState, rec *failureRecord, tr *trace.Tra
 	if err == nil && h.journal != nil {
 		err = h.journalBatchAppend(st, op)
 	}
-	if err == nil && minted != nil {
+	rec.synthesizing = false
+	switch {
+	case err != nil:
+	case minted != nil:
 		st.fixes.Add(*minted)
 		st.epoch++
 		// New fixes invalidate standing proofs (paper §3.3: the hive must
 		// decide whether instrumentation invalidates existing knowledge; we
 		// take the sound route and drop them for re-proving).
 		st.proofs = make(map[proof.Property]*proof.Proof)
+		rec.fixed = true
+	default:
+		rec.inRepairLab = true
 	}
 	st.mu.Unlock()
-	st.failures.finishSynthesis(rec, minted != nil, err)
 }
 
 // readOnlyAppendThreshold is how many consecutive batch-append failures a
@@ -1148,11 +1091,11 @@ func (h *Hive) ProgramStats(programID string) (Stats, error) {
 		Narrowed:      st.narrowed.Load(),
 		Reconstructor: st.recon.Stats(),
 		Tree:          st.tree.Stats(),
+		Failures:      st.failureRecords(),
 		FixCount:      st.fixes.Len(),
 		Epoch:         st.epoch,
 	}
 	st.mu.Unlock()
-	out.Failures = st.failures.snapshot()
 	for _, rec := range out.Failures {
 		if rec.InRepairLab {
 			out.RepairLab++

@@ -168,13 +168,11 @@ func TestHiveDeltaCheckpointPauseIsBounded(t *testing.T) {
 	}
 }
 
-// TestRawPrivacyHeavyStriped hammers one program with the traffic mix that
-// previously serialized on the shard lock: raw-privacy known-good inputs,
-// coordinated-sampling fragments, and crash signatures, from many
+// TestRawPrivacyHeavyStriped hammers one program with raw-privacy known-good
+// inputs, coordinated-sampling fragments, and crash signatures, from many
 // goroutines, with stats/guidance readers in flight. Run under -race this
-// is the regression test for striping knownGood and the coordinated buffer
-// out from under the shard lock (ROADMAP follow-up from PR 2); the
-// counters must still be exact.
+// is the regression test for knownGood and the coordinated buffer under the
+// program's lock; the counters must be exact.
 func TestRawPrivacyHeavyStriped(t *testing.T) {
 	p := buildTwoSiteCrashy(t)
 	h := New("fleet")
@@ -229,7 +227,7 @@ func TestRawPrivacyHeavyStriped(t *testing.T) {
 			errs <- nil
 		}(g)
 	}
-	// Concurrent readers on the striped state.
+	// Concurrent readers on the same state.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {

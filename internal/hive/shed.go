@@ -168,7 +168,10 @@ func (h *Hive) shedView(st *programState, v *trace.BatchView) (bool, error) {
 			continue
 		}
 		sc.sig = v.FailureSignature(sc.sig[:0], i)
-		if st.failures.get(string(sc.sig)) == nil {
+		st.mu.Lock()
+		_, seen := st.failures[string(sc.sig)]
+		st.mu.Unlock()
+		if !seen {
 			h.shed.firstSight.Add(1)
 			h.shed.admitted.Add(1)
 			return false, nil

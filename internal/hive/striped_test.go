@@ -2,6 +2,8 @@ package hive
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 
 // buildTwoSiteCrashy builds a program with two distinct crash sites: inputs
 // below 10 divide by zero at one PC, inputs above 200 at another — two
-// failure signatures that land on different stripes of the failure table.
+// failure signatures.
 func buildTwoSiteCrashy(t *testing.T) *prog.Program {
 	t.Helper()
 	b := prog.NewBuilder("hot-striped", 1)
@@ -37,8 +39,8 @@ func buildTwoSiteCrashy(t *testing.T) *prog.Program {
 // bookkeeping from many goroutines through the per-program submission path:
 // two signatures, every goroutine reporting both from its own pod, with
 // concurrent stats and guidance readers. Run under -race this is the
-// regression test for the striped failure table (ROADMAP item a); the
-// counters must still be exact.
+// regression test for the failure bookkeeping under the program's lock; the
+// counters must be exact.
 func TestHotProgramStripedFailures(t *testing.T) {
 	p := buildTwoSiteCrashy(t)
 	h := New("fleet")
@@ -80,7 +82,7 @@ func TestHotProgramStripedFailures(t *testing.T) {
 		}(g)
 	}
 	// Concurrent readers: stats snapshots and guidance generation must not
-	// race with the striped writers.
+	// race with the writers.
 	readerDone := make(chan struct{})
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -169,5 +171,146 @@ func TestBoundBufferRejectsMismatch(t *testing.T) {
 	}
 	if got := buf.Pending(); got != 2 {
 		t.Errorf("pending = %d after rejected drain, want both traces", got)
+	}
+}
+
+// TestCheckpointUnderBookkeepingTraffic checkpoints one program in a loop
+// while goroutines send it failing, raw-privacy OK and coordinated traces —
+// every part of the program's books at once — then recovers a second hive
+// from the data dir. The recovered hive must hold the same failure records,
+// known-good inputs, coordinated buffer and ingest count: a checkpoint cuts
+// between whole batches, whichever of them it catches mid-flight.
+func TestCheckpointUnderBookkeepingTraffic(t *testing.T) {
+	p := buildTwoSiteCrashy(t)
+	corpus := []*prog.Program{p}
+	dir := t.TempDir()
+	h, store := newDurableHive(t, dir, corpus)
+
+	const goroutines = 8
+	const rounds = 20
+	const k = 2 // coordinated family width
+	type feed struct{ crashes, ok, frags []*trace.Trace }
+	feeds := make([]feed, goroutines)
+	for g := range feeds {
+		podID := fmt.Sprintf("books-pod-%d", g)
+		feeds[g].crashes = []*trace.Trace{
+			captureTrace(t, p, podID, []int64{5}, trace.PrivacyRaw),
+			captureTrace(t, p, podID, []int64{250}, trace.PrivacyHashed),
+		}
+		feeds[g].ok = []*trace.Trace{captureTrace(t, p, podID, []int64{int64(20 + g)}, trace.PrivacyRaw)}
+		// Odd goroutines ship one phase only, so their families stay
+		// buffered across every checkpoint and the recovery.
+		input := []int64{int64(60 + g)}
+		for phase := uint32(0); phase < k; phase++ {
+			if g%2 == 1 && phase > 0 {
+				break
+			}
+			col := trace.NewCoordinatedCollector(p, phase, k)
+			m, err := prog.NewMachine(p, prog.Config{Input: input, Observer: col})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feeds[g].frags = append(feeds[g].frags, col.Finish(podID, uint64(phase), m.Run(), input, trace.PrivacyRaw, "fleet"))
+		}
+	}
+
+	start, stop := make(chan struct{}), make(chan struct{})
+	var senders, checkpointer sync.WaitGroup
+	for g := range feeds {
+		senders.Add(1)
+		go func(f feed) {
+			defer senders.Done()
+			<-start
+			for r := 0; r < rounds; r++ {
+				batch := append(append([]*trace.Trace(nil), f.crashes...), f.ok...)
+				if r == rounds/2 {
+					batch = append(batch, f.frags...)
+				}
+				if err := h.SubmitTraces(batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(feeds[g])
+	}
+	checkpoints := 0
+	checkpointer.Add(1)
+	go func() {
+		defer checkpointer.Done()
+		<-start
+		for {
+			if err := h.CheckpointProgram(p.ID); err != nil {
+				t.Error(err)
+				return
+			}
+			checkpoints++
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	close(start)
+	senders.Wait()
+	close(stop)
+	checkpointer.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h2, store2 := newDurableHive(t, dir, corpus)
+	defer store2.Close()
+
+	type failure struct {
+		Signature        string
+		Count            int64
+		Pods             int
+		Fixed, RepairLab bool
+	}
+	type state struct {
+		Ingested    int64
+		Failures    []failure
+		KnownGood   [][]int64
+		Coordinated map[string][][]byte
+	}
+	read := func(h *Hive) state {
+		t.Helper()
+		st, err := h.ProgramStats(p.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := state{Ingested: st.Ingested}
+		for _, rec := range st.Failures {
+			b.Failures = append(b.Failures, failure{rec.Signature, rec.Count, rec.Pods, rec.Fixed, rec.InRepairLab})
+		}
+		ps, err := h.state(p.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := h.snapshotProgramMeta(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Harvest order is apply order, which concurrent batches need not
+		// share with journal order; the set is what recovery promises.
+		b.KnownGood = snap.KnownGood
+		slices.SortFunc(b.KnownGood, slices.Compare[[]int64])
+		b.Coordinated = snap.Coordinated
+		return b
+	}
+	t.Logf("%d checkpoints under traffic", checkpoints)
+	want, got := read(h), read(h2)
+	if want.Ingested != goroutines*rounds*3+goroutines/2*(k+1) {
+		t.Fatalf("ingested %d traces, want %d", want.Ingested, goroutines*rounds*3+goroutines/2*(k+1))
+	}
+	if len(want.Failures) != 2 || len(want.Coordinated) != goroutines/2 || len(want.KnownGood) == 0 {
+		t.Fatalf("live books hold %d failure records, %d buffered families, %d known-good inputs; want 2, %d, some",
+			len(want.Failures), len(want.Coordinated), len(want.KnownGood), goroutines/2)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("recovered books differ after %d checkpoints under traffic:\n want %+v\n  got %+v", checkpoints, want, got)
 	}
 }

@@ -18,7 +18,8 @@ import (
 // and the exactly-once session dedup table as of the checkpoint.
 //
 // Trace payloads (failure samples, coordinated fragments) are stored in the
-// wire codec (trace.Encode); fixes and proofs in their JSON codecs. All of
+// per-trace codec (trace.Encode), not the wire's columnar batch form; fixes
+// and proofs in their JSON codecs. All of
 // them are post-privacy: the snapshot persists what pods shipped, never
 // more (see the package privacy invariant).
 // A snapshot is either *full* (Tree set: the complete exectree.Encode
@@ -90,7 +91,7 @@ type FailureState struct {
 	Count     int64  `json:"count"`
 	// Pods lists the distinct reporting pod IDs.
 	Pods []string `json:"pods,omitempty"`
-	// Sample is one representative trace (wire codec).
+	// Sample is one representative trace (per-trace codec, trace.Encode).
 	Sample      []byte `json:"sample,omitempty"`
 	Fixed       bool   `json:"fixed,omitempty"`
 	InRepairLab bool   `json:"inRepairLab,omitempty"`

@@ -8,16 +8,18 @@ import (
 	"repro/internal/prog"
 )
 
-// codecVersion is bumped on any wire-incompatible change.
+// codecVersion is bumped on any incompatible change to the encoding.
 const codecVersion = 2
 
 // ErrCodec is returned (wrapped) for any malformed encoded trace.
 var ErrCodec = errors.New("trace: malformed encoding")
 
-// Encode serializes the trace into a compact varint-based binary form. The
-// encoding is the pod→hive payload; it is deliberately independent of
-// encoding/json so that capture-overhead measurements reflect a realistic
-// telemetry codec.
+// Encode serializes the trace into a compact varint-based binary form: the
+// per-trace codec. The wire carries columnar batches (AppendBatch), not this
+// form; it is what checkpoints keep failure samples and coordinated fragments
+// in, what legacy journal.OpBatch records hold, and what the experiments'
+// byte columns count. It is deliberately independent of encoding/json so
+// that capture-overhead measurements reflect a realistic telemetry codec.
 func Encode(t *Trace) []byte {
 	// Rough capacity guess: header + 1-3 bytes per event.
 	buf := make([]byte, 0, 64+3*len(t.Branches)+8*len(t.Syscalls)+6*len(t.Locks))
