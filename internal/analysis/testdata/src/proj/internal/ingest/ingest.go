@@ -72,3 +72,27 @@ func syncConsume(v *trace.BatchView) []byte {
 	//lint:allow viewescape caller consumes the frame synchronously before Release
 	return v.Bytes()
 }
+
+type pathHolder struct {
+	path []trace.BranchEvent
+}
+
+// stashBranches keeps a trace's slice of the branch column past the frame,
+// through a local. Finding expected.
+func stashBranches(h *pathHolder, v *trace.BatchView) {
+	path := v.Branches(0)
+	h.path = path
+}
+
+// countTaken reads the branch column while the view is live. Clean.
+func countTaken(v *trace.BatchView) int {
+	taken := 0
+	for i := 0; i < v.Len(); i++ {
+		for _, b := range v.Branches(i) {
+			if b.Taken {
+				taken++
+			}
+		}
+	}
+	return taken
+}

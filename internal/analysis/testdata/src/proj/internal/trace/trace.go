@@ -41,10 +41,17 @@ func (c *Collector) Finish(input []int64, level PrivacyLevel, salt string) *Trac
 	return t
 }
 
+// BranchEvent mirrors one recorded branch decision.
+type BranchEvent struct {
+	ID    int32
+	Taken bool
+}
+
 // BatchView mirrors the pooled zero-copy decode result.
 type BatchView struct {
-	buf []byte
-	n   int
+	buf      []byte
+	branches []BranchEvent
+	n        int
 }
 
 // DecodeBatch mirrors the pooled constructor.
@@ -54,6 +61,9 @@ func DecodeBatch(buf []byte) (*BatchView, error) {
 
 // Bytes borrows the underlying frame.
 func (v *BatchView) Bytes() []byte { return v.buf }
+
+// Branches borrows trace i's slice of the pooled branch column.
+func (v *BatchView) Branches(i int) []BranchEvent { return v.branches }
 
 // Len reports the batch size.
 func (v *BatchView) Len() int { return v.n }

@@ -9,17 +9,18 @@ import (
 // ViewEscape enforces the pooled zero-copy lifetimes PR 5 introduced.
 //
 // A trace.BatchView decodes in place over a pooled frame buffer: its Bytes()
-// result and the view itself are borrows that die when Release() returns the
-// scratch to the pool. Likewise sync.Pool-recycled buffers are borrows that
-// die at Put(). Storing a borrow where it can outlive the frame — a struct
-// field, a channel, a return value — is a use-after-recycle time bomb: the
-// pool hands the same bytes to the next decode and the stored slice silently
-// mutates. Retention requires Materialize (views) or an explicit copy
+// result, its Branches(i) slices of the pooled branch column, and the view
+// itself are borrows that die when Release() returns the scratch to the
+// pool. Likewise sync.Pool-recycled buffers are borrows that die at Put().
+// Storing a borrow where it can outlive the frame — a struct field, a
+// channel, a return value — is a use-after-recycle time bomb: the pool hands
+// the same bytes to the next decode and the stored slice silently mutates. Retention requires Materialize (views) or an explicit copy
 // (buffers); synchronous consumption before the pool reclaim is legal but
 // must carry //lint:allow viewescape with the ownership argument.
 var ViewEscape = &Analyzer{
 	Name: "viewescape",
-	Doc: "bytes borrowed from pooled trace.BatchView frames (Bytes()) and " +
+	Doc: "bytes borrowed from pooled trace.BatchView frames (Bytes()), " +
+		"their branch column (Branches(i)), and " +
 		"sync.Pool buffers must not be stored in fields, sent on channels, or " +
 		"returned; copy/Materialize to retain, and never use a view after " +
 		"Release() or a buffer after Put()",
@@ -46,7 +47,8 @@ func runViewEscape(p *Pass) {
 // stores that can outlive the frame.
 func checkBorrowSinks(p *Pass, fd *ast.FuncDecl) {
 	info := p.Pkg.Info
-	tracked := map[types.Object]bool{}
+	// tracked maps a local holding a borrow to the borrow's kind.
+	tracked := map[types.Object]string{}
 	isBorrowedExpr := func(e ast.Expr) (string, bool) {
 		e = ast.Unparen(e)
 		if call, ok := e.(*ast.CallExpr); ok {
@@ -54,8 +56,8 @@ func checkBorrowSinks(p *Pass, fd *ast.FuncDecl) {
 				return kind, true
 			}
 		}
-		if obj := identObj(info, e); obj != nil && tracked[obj] {
-			return "view-borrowed bytes", true
+		if obj := identObj(info, e); obj != nil && tracked[obj] != "" {
+			return tracked[obj], true
 		}
 		return "", false
 	}
@@ -82,7 +84,7 @@ func checkBorrowSinks(p *Pass, fd *ast.FuncDecl) {
 						if isPackageLevel(obj) {
 							p.Reportf(v.Pos(), "%s stored in package-level %s: the borrow dies when the frame returns to its pool; copy or Materialize to retain", kind, lhs.Name)
 						} else {
-							tracked[obj] = true
+							tracked[obj] = kind
 						}
 					}
 				default:
@@ -124,8 +126,14 @@ func borrowKind(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if recv == nil {
 		return "", false
 	}
-	if f.Name() == "Bytes" && recv.Obj().Name() == "BatchView" && pkgMatches(recv.Obj().Pkg(), "internal/trace") {
+	if recv.Obj().Name() != "BatchView" || !pkgMatches(recv.Obj().Pkg(), "internal/trace") {
+		return "", false
+	}
+	switch f.Name() {
+	case "Bytes":
 		return "BatchView.Bytes() frame borrow", true
+	case "Branches":
+		return "BatchView.Branches() column borrow", true
 	}
 	return "", false
 }

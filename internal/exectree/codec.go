@@ -252,7 +252,9 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 			return nil, fmt.Errorf("%w: duplicate edge %v", ErrCodec, e)
 		}
 		n.addKid(e, child, visits)
-		t.addCover(e, visits)
+		if visits > 0 {
+			t.addCover(e)
+		}
 	}
 	return n, nil
 }

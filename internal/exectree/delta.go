@@ -304,7 +304,9 @@ func (t *Tree) recomputeAggregatesLocked() {
 			t.paths++
 		}
 		for i := range n.kids {
-			t.addCover(n.kids[i].e, n.kids[i].visits)
+			if n.kids[i].visits > 0 {
+				t.addCover(n.kids[i].e)
+			}
 			rec(n.kids[i].node)
 		}
 	}

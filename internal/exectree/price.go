@@ -12,8 +12,8 @@ import (
 // admitting (a just-covered edge still looks new), never toward shedding
 // novel work.
 type PathPrice struct {
-	// NewEdges counts (branch, direction) decisions the coverage multiset
-	// has never seen — merging this path would raise branch coverage.
+	// NewEdges counts (branch, direction) decisions the coverage set has
+	// never seen — merging this path would raise branch coverage.
 	NewEdges int
 	// NovelPath is true when the path's root-to-terminal walk is not fully
 	// known: it diverges from the tree, or it terminates with an outcome
@@ -34,7 +34,7 @@ type PathPrice struct {
 
 // PricePath prices one execution path against the current tree under the
 // read lock, mutating nothing — unlike Merge it never grows the coverage
-// slice or the node structure, so concurrent pricing scales like any
+// set or the node structure, so concurrent pricing scales like any
 // other read.
 func (t *Tree) PricePath(path []trace.BranchEvent, outcome prog.Outcome) PathPrice {
 	t.mu.RLock()
@@ -44,7 +44,7 @@ func (t *Tree) PricePath(path []trace.BranchEvent, outcome prog.Outcome) PathPri
 	var incoming int64
 	for _, be := range path {
 		e := Edge{ID: be.ID, Taken: be.Taken}
-		if t.coverCountLocked(e) == 0 {
+		if !t.coveredLocked(e) {
 			p.NewEdges++
 		}
 		if node == nil {
@@ -68,21 +68,4 @@ func (t *Tree) PricePath(path []trace.BranchEvent, outcome prog.Outcome) PathPri
 		p.SiblingVisits = incoming
 	}
 	return p
-}
-
-// coverCountLocked reads an edge's traversal count without mutating:
-// addCover grows the dense slice on miss, which the pricer must never do
-// under the read lock.
-func (t *Tree) coverCountLocked(e Edge) int64 {
-	if e.ID >= 0 && e.ID < maxDenseCoverID {
-		idx := int(e.ID) << 1
-		if e.Taken {
-			idx |= 1
-		}
-		if idx < len(t.cover) {
-			return t.cover[idx]
-		}
-		return 0
-	}
-	return t.coverOverflow[e]
 }

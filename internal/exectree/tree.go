@@ -230,13 +230,14 @@ type Tree struct {
 	paths      int64 // distinct root-to-terminal paths (new-path merges)
 	executions int64 // total merged executions
 	outcomes   map[prog.Outcome]int64
-	// cover is the per-direction traversal multiset, indexed by
-	// ID<<1|taken: static branch IDs are small and dense, so a slice
-	// (grown on demand, overflow map for hostile IDs from decoded bytes)
-	// turns the per-edge coverage bump from a hash into an index. covered
-	// counts the distinct directions seen.
-	cover         []int64
-	coverOverflow map[Edge]int64
+	// cover is the set of observed directions — those with an edge slot
+	// somewhere of visits > 0 — as a bitset indexed by ID<<1|taken: static
+	// branch IDs are small and dense, so a bit (grown on demand, overflow
+	// set for hostile IDs from decoded bytes) answers "ever taken?" with an
+	// index. A count per direction would be bumped on every step of every
+	// merge, and no reader asks how many. covered counts the set's members.
+	cover         []uint64
+	coverOverflow map[Edge]bool
 	covered       int
 	// open is the open frontier set, in no order (enumeration order never
 	// reaches a caller: frontierLess is a total order). The nodes' open
@@ -259,49 +260,59 @@ func New(programID string) *Tree {
 	}
 }
 
-// maxDenseCoverID bounds the dense coverage slice: IDs at or beyond it
+// maxDenseCoverID bounds the dense coverage bitset: IDs at or beyond it
 // (possible only in decoded hostile bytes — real programs have small
-// branch spaces) fall into the overflow map instead of growing the slice.
+// branch spaces) fall into the overflow set instead of growing the bitset.
 const maxDenseCoverID = 1 << 16
 
-// addCover bumps an edge's coverage count by v, reporting whether the
-// direction is new. Zero-visit bumps (possible only in degenerate decoded
-// bytes) do not count as coverage.
-func (t *Tree) addCover(e Edge, v int64) bool {
-	if v == 0 {
-		return false
+// coverBit locates a dense direction in the bitset: word w, bit mask.
+func coverBit(e Edge) (w int, mask uint64) {
+	idx := int(e.ID) << 1
+	if e.Taken {
+		idx |= 1
 	}
-	if e.ID >= 0 && e.ID < maxDenseCoverID {
-		idx := int(e.ID) << 1
-		if e.Taken {
-			idx |= 1
-		}
-		if idx >= len(t.cover) {
-			grown := make([]int64, idx+16)
-			copy(grown, t.cover)
-			t.cover = grown
-		}
-		isNew := t.cover[idx] == 0
-		t.cover[idx] += v
-		if isNew {
-			t.covered++
-		}
-		return isNew
-	}
-	if t.coverOverflow == nil {
-		t.coverOverflow = make(map[Edge]int64)
-	}
-	isNew := t.coverOverflow[e] == 0
-	t.coverOverflow[e] += v
-	if isNew {
-		t.covered++
-	}
-	return isNew
+	return idx >> 6, 1 << (idx & 63)
 }
 
-// resetCover clears the coverage multiset.
+// addCover adds an edge's direction to the coverage set, reporting whether
+// it is new. Callers add a direction when one of its slots has visits > 0.
+func (t *Tree) addCover(e Edge) bool {
+	if e.ID >= 0 && e.ID < maxDenseCoverID {
+		w, mask := coverBit(e)
+		if w >= len(t.cover) {
+			t.cover = append(t.cover, make([]uint64, w+1-len(t.cover))...)
+		}
+		if t.cover[w]&mask != 0 {
+			return false
+		}
+		t.cover[w] |= mask
+		t.covered++
+		return true
+	}
+	if t.coverOverflow[e] {
+		return false
+	}
+	if t.coverOverflow == nil {
+		t.coverOverflow = make(map[Edge]bool)
+	}
+	t.coverOverflow[e] = true
+	t.covered++
+	return true
+}
+
+// coveredLocked reports whether e's direction is in the coverage set. It
+// never grows the bitset, so the pricer may ask under the read lock.
+func (t *Tree) coveredLocked(e Edge) bool {
+	if e.ID >= 0 && e.ID < maxDenseCoverID {
+		w, mask := coverBit(e)
+		return w < len(t.cover) && t.cover[w]&mask != 0
+	}
+	return t.coverOverflow[e]
+}
+
+// resetCover empties the coverage set.
 func (t *Tree) resetCover() {
-	t.cover = t.cover[:0]
+	clear(t.cover)
 	t.coverOverflow = nil
 	t.covered = 0
 }
@@ -343,9 +354,6 @@ func (t *Tree) Merge(path []trace.BranchEvent, outcome prog.Outcome) MergeResult
 	node := t.root
 	for _, be := range path {
 		e := Edge{ID: be.ID, Taken: be.Taken}
-		if t.addCover(e, 1) {
-			res.NewEdges++
-		}
 		t.markDirty(node)
 		ci := node.kidIndex(e)
 		isNew := ci < 0
@@ -363,6 +371,12 @@ func (t *Tree) Merge(path []trace.BranchEvent, outcome prog.Outcome) MergeResult
 			}
 		} else {
 			child = node.kids[ci].node
+		}
+		// A slot of visits > 0 has its direction in the coverage set
+		// already: only a first traversal — of a new slot, or of a decoded
+		// one that carried 0 visits — can add to it.
+		if node.kids[ci].visits == 0 && t.addCover(e) {
+			res.NewEdges++
 		}
 		node.kids[ci].visits++
 		vis := node.kids[ci].visits

@@ -392,11 +392,9 @@ func (h *Hive) SubmitColumnarSession(session string, seq uint64, batch *trace.Ba
 }
 
 // ingestScratch is the pooled per-batch working set of the apply path: one
-// branch-path buffer, one input buffer, and one signature buffer serve a
-// whole batch, so steady-state ingestion of benign traces allocates nothing
-// per trace.
+// input buffer and one signature buffer serve a whole batch, so steady-state
+// ingestion of benign traces allocates nothing per trace.
 type ingestScratch struct {
-	path  []trace.BranchEvent
 	input []int64
 	sig   []byte
 }
@@ -409,8 +407,8 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 // and only by a batch that has some; reconstruction, narrowing and tree
 // merging run outside it. A Trace is materialized only where one is
 // retained: failure samples (once per signature ever) and coordinated
-// fragments. Full-capture traffic is merged straight from the frame bytes
-// through a reused path buffer, and an external-only trace is keyed by its
+// fragments. Full-capture traffic is merged straight from the view's
+// decoded branch column, and an external-only trace is keyed by its
 // frame bytes into the program's reconstructor, which re-executes the
 // program only for a trace it has not expanded before; when reconstruction
 // fails the trace merges at recorded granularity — the tree stays sound,
@@ -497,8 +495,7 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 			}
 		}
 		if path == nil {
-			sc.path = v.AppendBranches(sc.path[:0], i)
-			path = sc.path
+			path = v.Branches(i)
 		}
 		st.tree.Merge(path, outcome)
 	}

@@ -181,8 +181,7 @@ func (h *Hive) shedView(st *programState, v *trace.BatchView) (bool, error) {
 	for i := 0; i < n; i++ {
 		path, ok := st.recon.View(v, i)
 		if !ok {
-			sc.path = v.AppendBranches(sc.path[:0], i)
-			path = sc.path
+			path = v.Branches(i)
 		}
 		pr := st.tree.PricePath(path, v.Outcome(i))
 		bp.newEdges += pr.NewEdges

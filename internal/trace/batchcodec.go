@@ -22,9 +22,12 @@ const batchVersion = 1
 //
 //   - Encoding amortizes the per-trace framing across the batch (shared
 //     header, one length column instead of N interleaved prefixes).
-//   - Decoding can stop at *indexing*: BatchView records column offsets
-//     into the original buffer and serves field reads directly out of it,
-//     so the hive ingests a batch without materializing Trace structs.
+//   - Decoding is *indexing* plus one branch column: BatchView records
+//     column offsets into the original buffer and serves field reads
+//     directly out of it, and the validation pass that must parse every
+//     branch event anyway keeps what it parsed, so the hive merges every
+//     trace's path straight out of the view without materializing Trace
+//     structs or parsing a branch twice.
 //   - The validated frame bytes are a self-contained replayable record:
 //     the hive journals them verbatim (journal.OpBatchColumnar), so one
 //     serialization per trace survives pod → wire → hive → journal.
@@ -269,17 +272,28 @@ type viewScratch struct {
 	// offs[s] holds n+1 absolute buffer offsets: trace i's slab bytes for
 	// section s are buf[offs[s][i]:offs[s][i+1]].
 	offs [numSections][]uint32
+
+	// branches is the batch's decoded branch section, every trace's events
+	// back to back: trace i's are branches[branchAt[i]:branchAt[i+1]].
+	branches []BranchEvent
+	branchAt []uint32
 }
+
+// maxRetainedBranches bounds the branch column a pooled scratch keeps across
+// batches: a column past it (8 MiB) is dropped at Release, so one hostile or
+// oversized frame does not pin its column in the pool. A full-capture frame
+// of 256 traces at about 80 encoded bytes a trace decodes to under 200 KiB.
+const maxRetainedBranches = 1 << 20
 
 var viewScratchPool = sync.Pool{New: func() any { return &viewScratch{} }}
 
 // BatchView is a read-only view over a columnar-encoded batch. All field
-// accessors read directly out of the encoded buffer (or the small decoded
-// scalar columns) without materializing Trace values; DecodeBatch validates
-// the whole buffer up front, so accessors cannot fail. A view holds pooled
-// index state — call Release when done with it; the view (and any
-// sub-slices of Bytes) must not be used after Release, and the underlying
-// buffer must not be mutated while the view is live.
+// accessors read directly out of the encoded buffer (or the decoded scalar
+// and branch columns) without materializing Trace values; DecodeBatch
+// validates the whole buffer up front, so accessors cannot fail. A view
+// holds pooled index state — call Release when done with it; the view (and
+// any sub-slices of Bytes or Branches) must not be used after Release, and
+// the underlying buffer must not be mutated while the view is live.
 type BatchView struct {
 	buf       []byte
 	programID string
@@ -296,6 +310,21 @@ type BatchView struct {
 // DecodeBatch indexes and validates a columnar batch. The returned view
 // borrows data: it keeps buf and serves reads from it.
 func DecodeBatch(buf []byte) (*BatchView, error) {
+	v, err := indexBatch(buf)
+	if err != nil {
+		return nil, err
+	}
+	if err := v.validateSlabs(); err != nil {
+		v.Release()
+		return nil, err
+	}
+	return v, nil
+}
+
+// indexBatch decodes a batch's header and scalar columns and locates every
+// trace's slab bytes in each section, checking that the sections exactly
+// fill the buffer. The slabs' contents are validateSlabs' to check.
+func indexBatch(buf []byte) (*BatchView, error) {
 	if len(buf) > 1<<30 {
 		// The view indexes the buffer with 32-bit offsets; real batches are
 		// wire frames (≤16MB) or journal records of the same payloads.
@@ -428,24 +457,22 @@ func DecodeBatch(buf []byte) (*BatchView, error) {
 		release()
 		return nil, fmt.Errorf("%w: %d trailing batch bytes", ErrCodec, len(buf)-d.pos)
 	}
-	if err := v.validateSlabs(); err != nil {
-		release()
-		return nil, err
-	}
 	return v, nil
 }
 
-// validateSlabs fully parses every per-trace event stream once so the
-// accessors can decode without error paths: each stream must contain
-// exactly its column's event count and consume exactly its recorded bytes.
+// validateSlabs fully parses every per-trace event stream once: each stream
+// must contain exactly its column's event count and consume exactly its
+// recorded bytes. The branch streams are decoded into the view's branch
+// column on the way, which is what Branches serves; every other section is
+// only checked, and its accessors re-read the bytes.
 func (v *BatchView) validateSlabs() error {
+	if err := v.decodeBranches(); err != nil {
+		return err
+	}
 	// One reused cursor for the whole pass: slab validation runs per trace
 	// per section and must not allocate.
 	var d decoder
 	for i := 0; i < v.n; i++ {
-		if err := v.checkEvents(&d, secBranches, i, 1, checkBranch); err != nil {
-			return err
-		}
 		if err := v.checkEvents(&d, secSyscalls, i, 3, checkSyscall); err != nil {
 			return err
 		}
@@ -465,8 +492,58 @@ func (v *BatchView) validateSlabs() error {
 	return nil
 }
 
+// decodeBranches decodes every trace's branch stream into the branch column.
+// Every event takes at least one byte, so the column is sized only once the
+// batch's total event count is known to fit in its branch slab: a hostile
+// count column cannot size it past the frame.
+func (v *BatchView) decodeBranches() error {
+	sc := v.sc
+	counts := sc.counts[secBranches][:v.n]
+	total := uint64(0)
+	for _, c := range counts {
+		total += uint64(c)
+	}
+	if slab := sc.offs[secBranches][v.n] - sc.offs[secBranches][0]; total > uint64(slab) {
+		return fmt.Errorf("%w: %d branch events in a %d-byte branch slab", ErrCodec, total, slab)
+	}
+	if cap(sc.branches) < int(total) {
+		sc.branches = make([]BranchEvent, total)
+	}
+	sc.branches = sc.branches[:total]
+	sc.branchAt = growU32(sc.branchAt, v.n+1)
+	at := uint32(0)
+	for i, c := range counts {
+		sc.branchAt[i] = at
+		slab := v.slab(secBranches, i)
+		col := sc.branches[at : at+c]
+		// The uvarint loop inlined, with the one-byte case first: nearly
+		// every event of a real program (ID < 64) is one byte.
+		p := 0
+		for k := range col {
+			var raw uint64
+			if p < len(slab) && slab[p] < 0x80 {
+				raw = uint64(slab[p])
+				p++
+			} else {
+				x, m := binary.Uvarint(slab[p:])
+				if m <= 0 {
+					return fmt.Errorf("%w: section %d trace %d: truncated branch %d", ErrCodec, secBranches, i, k)
+				}
+				raw = x
+				p += m
+			}
+			col[k] = BranchEvent{ID: int32(raw >> 1), Taken: raw&1 == 1}
+		}
+		if p != len(slab) {
+			return fmt.Errorf("%w: section %d trace %d: %d trailing bytes", ErrCodec, secBranches, i, len(slab)-p)
+		}
+		at += c
+	}
+	sc.branchAt[v.n] = at
+	return nil
+}
+
 // Per-section event skippers for validation.
-func checkBranch(d *decoder)   { d.uvarint() }
 func checkSyscall(d *decoder)  { d.uvarint(); d.varint(); d.varint() }
 func checkLock(d *decoder)     { d.uvarint(); d.uvarint(); d.uvarint(); d.byte() }
 func checkDeadlock(d *decoder) { d.uvarint(); d.uvarint(); d.uvarint() }
@@ -498,6 +575,9 @@ func (v *BatchView) checkEvents(d *decoder, sec, i, minBytes int, one func(*deco
 func (v *BatchView) Release() {
 	if v.sc == nil {
 		return
+	}
+	if cap(v.sc.branches) > maxRetainedBranches {
+		v.sc.branches = nil
 	}
 	viewScratchPool.Put(v.sc)
 	v.sc = nil
@@ -552,17 +632,12 @@ func (v *BatchView) slab(sec, i int) []byte {
 	return v.buf[offs[i]:offs[i+1]]
 }
 
-// AppendBranches decodes trace i's branch events into dst (reusing its
-// capacity) and returns the extended slice — the zero-copy path tree
-// merging consumes: one scratch slice serves a whole batch.
-func (v *BatchView) AppendBranches(dst []BranchEvent, i int) []BranchEvent {
-	d := &decoder{buf: v.slab(secBranches, i)}
-	count := v.NumBranches(i)
-	for k := 0; k < count; k++ {
-		raw := d.uvarint()
-		dst = append(dst, BranchEvent{ID: int32(raw >> 1), Taken: raw&1 == 1})
-	}
-	return dst
+// Branches returns trace i's branch events — the path tree merging
+// consumes. The slice is capped at its length and borrows the view's pooled
+// branch column: it must not be modified, and it dies at Release.
+func (v *BatchView) Branches(i int) []BranchEvent {
+	lo, hi := v.sc.branchAt[i], v.sc.branchAt[i+1]
+	return v.sc.branches[lo:hi:hi]
 }
 
 // AppendInput decodes trace i's raw input vector into dst (reusing its
@@ -613,7 +688,7 @@ func (v *BatchView) Materialize(i int) *Trace {
 		Privacy:     v.Privacy(i),
 	}
 	if n := v.NumBranches(i); n > 0 {
-		t.Branches = v.AppendBranches(make([]BranchEvent, 0, n), i)
+		t.Branches = append(make([]BranchEvent, 0, n), v.Branches(i)...)
 	}
 	if n := int(v.sc.counts[secSyscalls][i]); n > 0 {
 		t.Syscalls = make([]SyscallEvent, n)

@@ -86,14 +86,14 @@ func BenchmarkBatchCodec(b *testing.B) {
 	})
 	b.Run("consume-columnar-view", func(b *testing.B) {
 		b.ReportAllocs()
-		var path []BranchEvent
 		for i := 0; i < b.N; i++ {
 			v, err := DecodeBatch(columnar)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for k := 0; k < v.Len(); k++ {
-				path = v.AppendBranches(path[:0], k)
+				for range v.Branches(k) {
+				}
 			}
 			v.Release()
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/prog"
@@ -113,13 +114,8 @@ func TestPropColumnarMatchesV2(t *testing.T) {
 			if sig := string(v.FailureSignature(nil, i)); sig != orig.FailureSignature() {
 				t.Fatalf("round %d trace %d: signature %q, want %q", round, i, sig, orig.FailureSignature())
 			}
-			var scratch []BranchEvent
-			scratch = v.AppendBranches(scratch[:0], i)
-			if len(scratch) == 0 {
-				scratch = nil
-			}
-			if !reflect.DeepEqual(scratch, viaV2.Branches) {
-				t.Fatalf("round %d trace %d: branches %v, want %v", round, i, scratch, viaV2.Branches)
+			if got := v.Branches(i); !slices.Equal(got, viaV2.Branches) || cap(got) != len(got) {
+				t.Fatalf("round %d trace %d: branches %v (cap %d), want %v", round, i, got, cap(got), viaV2.Branches)
 			}
 		}
 		v.Release()
@@ -156,7 +152,8 @@ func TestBatchCodecEmptyBatch(t *testing.T) {
 
 // TestBatchDecodeRejectsCorruption flips every byte of a valid encoding and
 // truncates at every length; DecodeBatch must either reject the mutation or
-// decode something internally consistent — never panic, never over-read.
+// decode something internally consistent — never panic, never over-read —
+// and it must accept exactly what the reference validation accepts.
 func TestBatchDecodeRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	batch := []*Trace{randomTrace(rng, "prog-corrupt"), randomTrace(rng, "prog-corrupt")}
@@ -167,24 +164,87 @@ func TestBatchDecodeRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(enc); i++ {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x41
-		if v, err := DecodeBatch(mut); err == nil {
-			for k := 0; k < v.Len(); k++ {
-				_ = v.Materialize(k)
-			}
-			v.Release()
-		}
-		if v, err := DecodeBatch(enc[:i]); err == nil {
-			for k := 0; k < v.Len(); k++ {
-				_ = v.Materialize(k)
-			}
-			v.Release()
-		}
+		checkAgainstReference(t, mut)
+		checkAgainstReference(t, enc[:i])
 	}
 }
 
-// FuzzBatchCodec feeds arbitrary bytes to DecodeBatch; anything that
-// decodes must materialize, re-encode, and decode again to the same traces
-// (decode is a normalizing projection onto valid batches).
+// refValidateBatch is the validation pass as it stood before the branch
+// column: indexBatch, then every section of every trace walked through
+// checkEvents with one skipper call per event. DecodeBatch must fail exactly
+// when it does.
+func refValidateBatch(buf []byte) error {
+	v, err := indexBatch(buf)
+	if err != nil {
+		return err
+	}
+	defer v.Release()
+	var d decoder
+	refCheckBranch := func(d *decoder) { d.uvarint() }
+	for i := 0; i < v.n; i++ {
+		for _, c := range []struct {
+			sec, minBytes int
+			one           func(*decoder)
+		}{
+			{secBranches, 1, refCheckBranch},
+			{secSyscalls, 3, checkSyscall},
+			{secLocks, 4, checkLock},
+			{secDeadlock, 3, checkDeadlock},
+			{secInput, 1, checkVarint},
+			{secInputBuckets, 1, checkVarint},
+		} {
+			if err := v.checkEvents(&d, c.sec, i, c.minBytes, c.one); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// refBranches decodes trace i's branch slab one uvarint at a time, the way
+// the view's accessor did before the branch column.
+func refBranches(v *BatchView, i int) []BranchEvent {
+	d := &decoder{buf: v.slab(secBranches, i)}
+	out := make([]BranchEvent, v.NumBranches(i))
+	for k := range out {
+		raw := d.uvarint()
+		out[k] = BranchEvent{ID: int32(raw >> 1), Taken: raw&1 == 1}
+	}
+	return out
+}
+
+// checkAgainstReference holds DecodeBatch on data to the reference: it fails
+// exactly when refValidateBatch fails, and every accepted trace's Branches
+// holds NumBranches events, capped, equal to refBranches. Whatever decodes
+// also materializes.
+func checkAgainstReference(t *testing.T, data []byte) *BatchView {
+	t.Helper()
+	refErr := refValidateBatch(data)
+	v, err := DecodeBatch(data)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("DecodeBatch error %v, reference error %v", err, refErr)
+	}
+	if err != nil {
+		return nil
+	}
+	for i := 0; i < v.Len(); i++ {
+		got := v.Branches(i)
+		if len(got) != v.NumBranches(i) || cap(got) != len(got) {
+			t.Fatalf("trace %d: Branches has len %d cap %d, NumBranches %d", i, len(got), cap(got), v.NumBranches(i))
+		}
+		if want := refBranches(v, i); !slices.Equal(got, want) {
+			t.Fatalf("trace %d: Branches %v, reference %v", i, got, want)
+		}
+		_ = v.Materialize(i)
+	}
+	return v
+}
+
+// FuzzBatchCodec feeds arbitrary bytes to DecodeBatch, which must accept
+// exactly what the reference validation accepts and decode every accepted
+// trace's branches as the reference does (checkAgainstReference); anything
+// that decodes must materialize, re-encode, and decode again to the same
+// traces (decode is a normalizing projection onto valid batches).
 func FuzzBatchCodec(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for n := 0; n < 4; n++ {
@@ -201,8 +261,8 @@ func FuzzBatchCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{batchVersion})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := DecodeBatch(data)
-		if err != nil {
+		v := checkAgainstReference(t, data)
+		if v == nil {
 			return
 		}
 		defer v.Release()
