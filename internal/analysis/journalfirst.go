@@ -7,22 +7,21 @@ import (
 	"strings"
 )
 
-// journalGuard describes one protected live-mutation helper: a function in
-// internal/hive that mutates recoverable state and therefore may only run
-// after its operation has been journaled (or while replaying the journal).
+// journalGuard describes one protected function: it may only be called from
+// the functions named as its callers.
 type journalGuard struct {
-	// callee is the protected function's name within the package.
+	// callee is the protected function's name within internal/hive, or
+	// journal.<Type>.<method> for a method of a type in internal/journal.
 	callee string
-	// callers are the function names allowed to invoke it.
+	// callers are the internal/hive function names allowed to invoke it.
 	callers map[string]bool
 }
 
-// journalGuards encodes the hive's write-ahead discipline (PR 3): every
-// mutation is appended to the journal *before* it is applied, so the only
-// legal callers of the apply helper are the one ingest path (which appends
-// first) and recovery replay (which applies ops already journaled). A
-// handler calling the apply helper directly would mutate state that a
-// crash forgets — the exact bug class the journal exists to prevent.
+// journalGuards holds what the types cannot say about the hive's
+// write-ahead discipline. That an op is journaled before it is applied is
+// carried by journal.Receipt, which only internal/journal mints and every
+// apply takes; these rows keep restore single, every live append counted by
+// the read-only breaker, and the breaker closed only by a landed checkpoint.
 var journalGuards = []journalGuard{
 	// One function turns a chain — a directory's at reboot, one in hand at
 	// import — into live state. A second reader of snapshots or journal ops
@@ -30,23 +29,10 @@ var journalGuards = []journalGuard{
 	{callee: "recoverProgram", callers: set("Recover", "ImportProgram")},
 	{callee: "restoreProgram", callers: set("recoverProgram")},
 	{callee: "applyOp", callers: set("recoverProgram")},
-	{callee: "applyBatchView", callers: set("SubmitColumnarSession", "applyOp")},
-	// Fix synthesis journals its own outcome op (through the breaker, ahead
-	// of publishing the fix); it may only be elected from within an applied
-	// batch, never ad hoc.
-	{callee: "synthesizeFix", callers: set("applyBatchView")},
-	// The dedup window must only advance for journaled (or replayed)
-	// frames; marking a session outside those paths would let a crash
-	// acknowledge-and-forget a frame.
-	{callee: "markSession", callers: set("SubmitColumnarSession", "applyOp", "mergeSessions")},
-	// PR 10: the read-only breaker's failure accounting wraps every live
-	// batch append. Appending to the journal around the wrapper would let
-	// a full disk fail silently without ever tripping the breaker.
-	{callee: "journalBatchAppend", callers: set("SubmitColumnarSession", "certify", "synthesizeFix", "Prove")},
-	// A live certificate is journaled ahead of its apply by one function,
-	// which expects its caller to hold the checkpoint gate: the two engines
-	// that refute frontiers reach it, nothing else does.
-	{callee: "certify", callers: set("Guidance", "Prove")},
+	// The receipt-minting append runs inside the breaker's failure
+	// accounting. Appending around the wrapper would let a full disk fail
+	// silently without ever tripping the breaker.
+	{callee: "journal.Store.Commit", callers: set("journalBatchAppend")},
 	// The breaker may only close once a checkpoint has landed durably —
 	// closing it anywhere else would ack ingest into an unproven journal.
 	// And the checkpoint itself is reached two ways only: on the timer, and
@@ -54,18 +40,6 @@ var journalGuards = []journalGuard{
 	// path the breaker trusts instead of writing a snapshot of its own.
 	{callee: "closeReadOnly", callers: set("checkpointLocked")},
 	{callee: "checkpointLocked", callers: set("CheckpointProgram", "ImportProgram")},
-}
-
-// journalOpAuthors names, for each kind of journal op a live mutation
-// journals, the one function in internal/hive that may build its journal.Op
-// literal. The guards above check who calls the journaling functions; this
-// table checks that the op itself has no second author, so no other function
-// can append it around them.
-var journalOpAuthors = []struct{ kind, author string }{
-	{"OpBatchColumnar", "SubmitColumnarSession"},
-	{"OpSynthesis", "synthesizeFix"},
-	{"OpCert", "certify"},
-	{"OpProof", "Prove"},
 }
 
 func set(names ...string) map[string]bool {
@@ -76,23 +50,19 @@ func set(names ...string) map[string]bool {
 	return m
 }
 
-// JournalFirst enforces journal-ahead-of-apply reachability in
-// internal/hive.
+// JournalFirst enforces, in internal/hive, the call-graph rules of
+// journal-before-apply that journal.Receipt does not carry.
 var JournalFirst = &Analyzer{
 	Name: "journalfirst",
-	Doc: "in internal/hive, a journal.Op literal of a live kind is built " +
-		"only by its one author (OpBatchColumnar in SubmitColumnarSession, " +
-		"OpSynthesis in synthesizeFix, OpCert in certify, OpProof in Prove), " +
-		"and live-mutation helpers (applyBatchView, " +
-		"synthesizeFix, markSession, journalBatchAppend, closeReadOnly) " +
-		"are reachable only from the one ingest path " +
-		"(SubmitColumnarSession), the one certificate path (certify, from " +
-		"Guidance and Prove), the one restore path (recoverProgram, " +
-		"from Recover and ImportProgram, and its restoreProgram/applyOp/" +
-		"mergeSessions), or the checkpoint path (checkpointLocked, from " +
-		"CheckpointProgram and ImportProgram); calling them from handlers " +
-		"would apply state a crash forgets, bypass the read-only breaker, " +
-		"or open a second way to restore a program",
+	Doc: "in internal/hive, the one restore path (recoverProgram, from " +
+		"Recover and ImportProgram, and its restoreProgram/applyOp) is " +
+		"reached only from boot and import, the journal's receipt-minting " +
+		"append (journal.Store.Commit) only from the breaker-accounted " +
+		"journalBatchAppend, and the breaker closes (closeReadOnly) only " +
+		"from the checkpoint path (checkpointLocked, from CheckpointProgram " +
+		"and ImportProgram); anything else would open a second way to " +
+		"restore a program, append past the read-only breaker, or ack " +
+		"ingest into an unproven journal",
 	Run: runJournalFirst,
 }
 
@@ -104,40 +74,28 @@ func runJournalFirst(p *Pass) {
 	for _, file := range p.Pkg.Files {
 		enclosingFuncs(file, func(fd *ast.FuncDecl) { declared[funcName(fd)] = true })
 	}
+	for _, imp := range p.Pkg.Types.Imports() {
+		if !pkgMatches(imp, "internal/journal") {
+			continue
+		}
+		for _, name := range imp.Scope().Names() {
+			if named := namedOf(imp.Scope().Lookup(name).Type()); named != nil {
+				for i := 0; i < named.NumMethods(); i++ {
+					declared["journal."+name+"."+named.Method(i).Name()] = true
+				}
+			}
+		}
+	}
 	guards := map[string]*journalGuard{}
 	for i := range journalGuards {
 		g := &journalGuards[i]
 		guards[g.callee] = g
-		// Rows match by name, so a row naming a function the package no
-		// longer declares guards nothing: a rename must take its row along.
+		// Rows match by name, so a row naming a function nobody declares
+		// guards nothing: a rename must take its row along.
 		for _, name := range append([]string{g.callee}, sortedCallers(g)...) {
 			if !declared[name] {
-				p.Reportf(p.Pkg.Files[0].Package, "the guard on %s names %s, which %s does not declare: a renamed or deleted function silently empties the rule (update journalGuards)", g.callee, name, p.Pkg.Path)
+				p.Reportf(p.Pkg.Files[0].Package, "the guard on %s names %s, which is not declared: a renamed or deleted function silently empties the rule (update journalGuards)", g.callee, name)
 			}
-		}
-	}
-	for _, row := range journalOpAuthors {
-		if !declared[row.author] {
-			p.Reportf(p.Pkg.Files[0].Package, "the %s literal row names %s, which %s does not declare: a renamed or deleted function silently empties the rule (update journalOpAuthors)", row.kind, row.author, p.Pkg.Path)
-		}
-	}
-	for _, file := range p.Pkg.Files {
-		for _, d := range file.Decls {
-			fd, _ := d.(*ast.FuncDecl)
-			builder := funcName(fd)
-			ast.Inspect(d, func(n ast.Node) bool {
-				lit, ok := n.(*ast.CompositeLit)
-				if !ok {
-					return true
-				}
-				kind := journalOpKind(p, lit)
-				for _, row := range journalOpAuthors {
-					if row.kind == kind && row.author != builder {
-						p.Reportf(lit.Pos(), "journal.Op literal of kind %s built in %s: only %s builds one, so each reaches the journal by the road the guards check", kind, builder, row.author)
-					}
-				}
-				return true
-			})
 		}
 	}
 	for _, file := range p.Pkg.Files {
@@ -149,52 +107,30 @@ func runJournalFirst(p *Pass) {
 					return true
 				}
 				f := calleeFunc(p.Pkg.Info, call)
-				if f == nil || f.Pkg() != p.Pkg.Types {
+				if f == nil {
 					return true
 				}
-				g, protected := guards[f.Name()]
+				name := guardName(p, f)
+				g, protected := guards[name]
 				if !protected || g.callers[caller] || caller == g.callee {
 					return true
 				}
-				p.Reportf(call.Pos(), "%s called from %s: %s mutates journaled state and is reachable only from %s (journal the op first, or route through the journaled wrapper)", f.Name(), caller, f.Name(), allowedCallers(g))
+				p.Reportf(call.Pos(), "%s called from %s: it is reachable only from %s", name, caller, allowedCallers(g))
 				return true
 			})
 		})
 	}
 }
 
-// journalOpKind returns the name of the internal/journal constant a
-// journal.Op literal sets as its Kind, or "".
-func journalOpKind(p *Pass, lit *ast.CompositeLit) string {
-	tv, ok := p.Pkg.Info.Types[lit]
-	if !ok {
-		return ""
+// guardName names a called function as journalGuards does: a function of
+// the package under analysis by its name, a method of a type in
+// internal/journal as journal.<Type>.<method>, anything else "".
+func guardName(p *Pass, f *types.Func) string {
+	if f.Pkg() == p.Pkg.Types {
+		return f.Name()
 	}
-	named := namedOf(tv.Type)
-	if named == nil || named.Obj().Name() != "Op" || !pkgMatches(named.Obj().Pkg(), "internal/journal") {
-		return ""
-	}
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Kind" {
-			continue
-		}
-		var id *ast.Ident
-		switch v := ast.Unparen(kv.Value).(type) {
-		case *ast.Ident:
-			id = v
-		case *ast.SelectorExpr:
-			id = v.Sel
-		}
-		if id == nil {
-			return ""
-		}
-		if c, ok := p.Pkg.Info.Uses[id].(*types.Const); ok && pkgMatches(c.Pkg(), "internal/journal") {
-			return c.Name()
-		}
+	if recv := recvNamed(f); recv != nil && pkgMatches(f.Pkg(), "internal/journal") {
+		return "journal." + recv.Obj().Name() + "." + f.Name()
 	}
 	return ""
 }

@@ -38,10 +38,7 @@ func TestEveryExportHasAReader(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module with its tests")
 	}
-	m, err := Load(filepath.Join("..", ".."), LoadConfig{Tests: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadRepo(t)
 	ext, err := externalTests(m)
 	if err != nil {
 		t.Fatal(err)

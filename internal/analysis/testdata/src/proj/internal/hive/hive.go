@@ -1,6 +1,6 @@
 // Package hive seeds journalfirst and lockdiscipline violations against
-// miniature stand-ins for the real hive's types and journaled-apply call
-// graph.
+// miniature stand-ins for the real hive's types and the call graph the
+// journal's receipt does not carry.
 package hive
 
 import (
@@ -11,9 +11,10 @@ import (
 
 // Hive mirrors the real registry locks.
 type Hive struct {
-	mu     sync.RWMutex
-	sessMu sync.Mutex
-	progs  map[string]*programState
+	mu      sync.RWMutex
+	sessMu  sync.Mutex
+	progs   map[string]*programState
+	journal *journal.Store
 }
 
 // programState mirrors the real per-program lock set: the checkpoint gate
@@ -31,41 +32,20 @@ type sessionEntry struct {
 	seen int
 }
 
-func (h *Hive) applyBatchView(st *programState) {
-	st.applied++
-	h.synthesizeFix(st)
+// journalBatchAppend mirrors the breaker-accounted append, the one caller
+// of the receipt-minting Commit. Clean.
+func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) (journal.Receipt, error) {
+	return h.journal.Commit(op)
 }
 
-// synthesizeFix journals its outcome through the breaker-accounted wrapper
-// before publishing the fix. Clean.
-func (h *Hive) synthesizeFix(st *programState) {
-	_ = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpSynthesis})
+// rawCommit mints a receipt past the breaker's failure accounting. Finding
+// expected.
+func (h *Hive) rawCommit(op *journal.Op) (journal.Receipt, error) {
+	return h.journal.Commit(op)
 }
 
-func (h *Hive) markSession(id string) {}
-
-// mergeSessionTables was mergeSessions until a rename the guard table did not
-// follow. Findings expected: the name the markSession row still lists, and
-// the call that row no longer admits.
-func (h *Hive) mergeSessionTables(a string) {
-	h.markSession(a)
-}
-
-// SubmitColumnarSession is the one ingest path; it appends through the
-// breaker-accounted wrapper before applying. Clean.
-func (h *Hive) SubmitColumnarSession(st *programState) {
-	_ = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpBatchColumnar})
-	h.applyBatchView(st)
-	h.markSession("s")
-}
-
-// applyOp is the sanctioned recovery/replay path. A kind no live mutation
-// journals may be built anywhere. Clean.
-func (h *Hive) applyOp(st *programState) {
-	_ = journal.Op{Kind: journal.OpBatch}
-	h.applyBatchView(st)
-	h.markSession("s")
-}
+// applyOp is the sanctioned replay of one op.
+func (h *Hive) applyOp(st *programState) {}
 
 // restoreProgram mirrors the snapshot-chain restore.
 func (h *Hive) restoreProgram(st *programState) {}
@@ -88,55 +68,6 @@ func (h *Hive) ImportProgram(st *programState) {
 	h.checkpointLocked(st)
 }
 
-// handleDirect mutates program state without journaling. Finding expected.
-func (h *Hive) handleDirect(st *programState) {
-	h.applyBatchView(st)
-}
-
-// retryFix elects synthesis outside an applied batch. Finding expected.
-func (h *Hive) retryFix(st *programState) {
-	h.synthesizeFix(st)
-}
-
-// touchSession marks a session outside the sanctioned paths. Finding
-// expected.
-func (h *Hive) touchSession(id string) {
-	h.markSession(id)
-}
-
-// replayHook is a deliberate exception: the suppression must silence it.
-func (h *Hive) replayHook(st *programState) {
-	//lint:allow journalfirst test-only replay hook; never reachable in production
-	h.applyBatchView(st)
-}
-
-// journalBatchAppend mirrors the PR 10 breaker-accounted append wrapper.
-func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) error { return nil }
-
-// closeReadOnly mirrors the breaker close; only a landed checkpoint may
-// call it.
-func (st *programState) closeReadOnly() {}
-
-// checkpointLocked is the sanctioned breaker-close path. Clean.
-func (h *Hive) checkpointLocked(st *programState) {
-	st.closeReadOnly()
-}
-
-// CheckpointProgram is the periodic checkpoint. Clean.
-func (h *Hive) CheckpointProgram(st *programState) {
-	h.checkpointLocked(st)
-}
-
-// rawAppend bypasses the breaker's failure accounting. Finding expected.
-func (h *Hive) rawAppend(st *programState) {
-	_ = h.journalBatchAppend(st, nil)
-}
-
-// forceWritable closes the breaker without a checkpoint. Finding expected.
-func (h *Hive) forceWritable(st *programState) {
-	st.closeReadOnly()
-}
-
 // takeOver restores a program around the one restore function. Findings
 // expected.
 func (h *Hive) takeOver(st *programState) {
@@ -150,53 +81,35 @@ func (h *Hive) rebuild(st *programState) {
 	h.recoverProgram(st)
 }
 
+// replayHook is a deliberate exception: the suppression must silence it.
+func (h *Hive) replayHook(st *programState) {
+	//lint:allow journalfirst test-only replay hook; never reachable in production
+	h.applyOp(st)
+}
+
+// closeReadOnly mirrors the breaker close; only a landed checkpoint may
+// call it.
+func (st *programState) closeReadOnly() {}
+
+// checkpointLocked is the sanctioned breaker-close path. Clean.
+func (h *Hive) checkpointLocked(st *programState) {
+	st.closeReadOnly()
+}
+
+// CheckpointEvery was CheckpointProgram until a rename the guard table did
+// not follow. Findings expected: the name the checkpointLocked row still
+// lists, and the call that row no longer admits.
+func (h *Hive) CheckpointEvery(st *programState) {
+	h.checkpointLocked(st)
+}
+
+// forceWritable closes the breaker without a checkpoint. Finding expected.
+func (h *Hive) forceWritable(st *programState) {
+	st.closeReadOnly()
+}
+
 // persistDirect checkpoints outside the timer and the import. Finding
 // expected.
 func (h *Hive) persistDirect(st *programState) {
 	h.checkpointLocked(st)
-}
-
-// certify journals a certificate through the breaker-accounted wrapper, then
-// applies it. Clean.
-func (h *Hive) certify(st *programState) {
-	_ = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpCert})
-}
-
-// Guidance certifies what its generator refuted. Clean.
-func (h *Hive) Guidance(st *programState) {
-	certify := func() { h.certify(st) }
-	certify()
-}
-
-// Prove hands the proof engine the same function, then journals the proof
-// through the breaker-accounted wrapper. Clean.
-func (h *Hive) Prove(st *programState) {
-	h.certify(st)
-	_ = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpProof})
-}
-
-// discharge certifies from outside a pull or a proof attempt — under no
-// checkpoint gate. Finding expected.
-func (h *Hive) discharge(st *programState) {
-	h.certify(st)
-}
-
-// staleBatch is a columnar batch op built at package scope, outside the one
-// ingest path. Finding expected.
-var staleBatch = journal.Op{Kind: journal.OpBatchColumnar}
-
-// reissueFix builds a synthesis op outside synthesizeFix. Finding expected.
-func (h *Hive) reissueFix(st *programState) journal.Op {
-	return journal.Op{Kind: journal.OpSynthesis}
-}
-
-// forgeCert builds a certificate op outside certify. Finding expected.
-func (h *Hive) forgeCert(st *programState) *journal.Op {
-	return &journal.Op{Kind: (journal.OpCert)}
-}
-
-// publishProof builds a proof op outside Prove. Finding expected.
-func (h *Hive) publishProof(st *programState) journal.Op {
-	op := journal.Op{Kind: journal.OpProof}
-	return op
 }

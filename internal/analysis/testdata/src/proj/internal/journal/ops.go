@@ -1,19 +1,13 @@
 package journal
 
-// OpKind mirrors the journal's record kinds.
-type OpKind uint8
-
-// The record kinds; all but OpBatch are live mutations with one author each
-// in the hive.
-const (
-	OpBatch OpKind = iota + 1
-	OpBatchColumnar
-	OpSynthesis
-	OpProof
-	OpCert
-)
-
 // Op mirrors the record the hive appends.
-type Op struct {
-	Kind OpKind
-}
+type Op struct{}
+
+// Receipt mirrors the journal's word that an op is on record.
+type Receipt struct{ op *Op }
+
+// Store mirrors the journal store.
+type Store struct{}
+
+// Commit mirrors the receipt-minting append.
+func (s *Store) Commit(op *Op) (Receipt, error) { return Receipt{op: op}, nil }

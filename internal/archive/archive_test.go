@@ -17,7 +17,8 @@ func batchOp(session string, seq uint64, payload string) *journal.Op {
 func replayOps(t *testing.T, s *journal.Store, programID string) []*journal.Op {
 	t.Helper()
 	var out []*journal.Op
-	if _, err := s.Replay(programID, func(op *journal.Op) error {
+	if _, err := s.Replay(programID, func(r journal.Receipt) error {
+		op := r.Op()
 		out = append(out, op)
 		return nil
 	}); err != nil {

@@ -120,7 +120,8 @@ func TestJournalSurvivesFaultStorm(t *testing.T) {
 			}
 			defer st2.Close()
 			got := map[uint64]bool{}
-			if _, err := st2.Replay(program, func(op *journal.Op) error {
+			if _, err := st2.Replay(program, func(r journal.Receipt) error {
+				op := r.Op()
 				got[op.Seq] = true
 				return nil
 			}); err != nil {
@@ -206,7 +207,8 @@ func TestJournalSurvivesConcurrentFaultStorm(t *testing.T) {
 			t.Fatalf("seed %d: re-open: %v", seed, err)
 		}
 		replayed := map[key]bool{}
-		if _, err := st2.Replay(program, func(op *journal.Op) error {
+		if _, err := st2.Replay(program, func(r journal.Receipt) error {
+			op := r.Op()
 			k := key{int(op.Raw[0]), op.Seq}
 			if replayed[k] {
 				t.Errorf("seed %d: %v replayed twice", seed, k)

@@ -59,10 +59,11 @@ type failureRecord struct {
 
 // recordFailure folds one failing trace into the aggregation and — when
 // elect is set — elects at most one synthesizer per signature: the first
-// trace to see a signature wins the election, and synthesizeFix concludes it
-// once a fix attempt is over; every other trace (concurrent or later) only
-// bumps counters. Journal replay records with elect false: synthesis outcomes
-// are replayed from their own journal ops, never re-derived.
+// trace to see a signature wins the election, and applySynthesis concludes
+// it once the attempt's outcome is journaled (a refused one reopens it);
+// every other trace (concurrent or later) only bumps counters. Journal
+// replay records with elect false: synthesis outcomes are replayed from
+// their own journal ops, never re-derived.
 //
 // The sample is supplied lazily: sample() runs only when the signature is
 // new, so repeat failures aggregate from a batch view without materializing
@@ -80,23 +81,6 @@ func (b *books) recordFailure(sig []byte, podID string, outcome prog.Outcome, sa
 	}
 	rec.synthesizing = true
 	return rec, true
-}
-
-// applyOutcome replays a journaled synthesis outcome onto a signature's
-// record, creating the record if the batch that elected it was snapshotted
-// away.
-func (b *books) applyOutcome(sig string, fixed bool) {
-	rec, ok := b.failures[sig]
-	if !ok {
-		rec = &failureRecord{signature: sig, podsSeen: make(map[string]bool)}
-		b.failures[sig] = rec
-	}
-	rec.synthesizing = false
-	if fixed {
-		rec.fixed = true
-	} else {
-		rec.inRepairLab = true
-	}
 }
 
 // harvestKnownGood records a raw input observed to succeed, bounded.

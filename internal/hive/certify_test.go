@@ -81,7 +81,7 @@ func twoDeadHive(t *testing.T, dir string, fs journal.FS) (*Hive, *journal.Store
 			t.Fatalf("seed %d: dup=%v err=%v", x, dup, err)
 		}
 	}
-	tree, _ := h.Tree(p.ID)
+	tree := h.liveTree(p.ID)
 	if n := tree.FrontierCount(); n != 3 {
 		t.Fatalf("fixture: %d open frontiers, want 3", n)
 	}
@@ -130,7 +130,7 @@ func TestCertificateAppendHoldsNoTreeLock(t *testing.T) {
 			fs := newStallFS()
 			dir := t.TempDir()
 			h, _, p := twoDeadHive(t, dir, fs)
-			tree, _ := h.Tree(p.ID)
+			tree := h.liveTree(p.ID)
 			path := captureSeqTrace(t, p, "pod-c", 3, []int64{0}, trace.PrivacyHashed).Branches
 
 			fs.armed.Store(true)
@@ -164,7 +164,7 @@ func TestCertificateAppendHoldsNoTreeLock(t *testing.T) {
 
 			recovered, store2 := newDurableHive(t, killed, []*prog.Program{p})
 			defer store2.Close()
-			rtree, _ := recovered.Tree(p.ID)
+			rtree := recovered.liveTree(p.ID)
 			if n := deadOpen(rtree); n != 1 {
 				t.Fatalf("hive recovered from a kill between append and apply has %d refutable frontiers open, want 1 (the journaled certificate applied)", n)
 			}

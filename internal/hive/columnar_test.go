@@ -110,7 +110,8 @@ func TestSubmitTracesEncodesAtEdge(t *testing.T) {
 			t.Fatal(err)
 		}
 		batches := 0
-		if _, err := reread.Replay(p.ID, func(op *journal.Op) error {
+		if _, err := reread.Replay(p.ID, func(r journal.Receipt) error {
+			op := r.Op()
 			switch op.Kind {
 			case journal.OpBatchColumnar:
 				batches++

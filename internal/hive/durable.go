@@ -81,14 +81,14 @@ func (h *Hive) Recover(store *journal.Store) error {
 // directory (*journal.Store) or a chain in hand (*journal.ChainExport).
 type chainSource interface {
 	LoadChain(programID string) (base *journal.ProgramSnapshot, deltas []*journal.ProgramSnapshot, err error)
-	Replay(programID string, apply func(*journal.Op) error) (int, error)
+	Replay(programID string, apply func(journal.Receipt) error) (int, error)
 }
 
 // recoverProgram is the one function that turns a chain into live state: the
 // snapshot chain, then the journal suffix after the chain's last checkpoint.
 // It touches that program's shard and, through mergeSessions and applyOp,
-// the session table. Replay applies certificates to the tree directly: they
-// are in the chain already, and only a live one goes through certify.
+// the session table. Every op is applied under the receipt the replay hands
+// out, by the apply the live path uses for its kind.
 func (h *Hive) recoverProgram(src chainSource, id string) error {
 	st, err := h.state(id)
 	if err != nil {
@@ -117,18 +117,20 @@ func (h *Hive) recoverProgram(src chainSource, id string) error {
 	// unresolvable then belong to an attempt that crashed before its
 	// OpProof landed — its merges are gone, so the frontier they
 	// discharged does not exist either.
-	var deferred []*journal.Op
-	if _, err := src.Replay(id, func(op *journal.Op) error {
-		if op.Kind == journal.OpCert && !st.tree.CertifyInfeasible(op.Prefix, op.Missing) {
-			deferred = append(deferred, op)
-			return nil
+	var deferred []journal.Receipt
+	if _, err := src.Replay(id, func(r journal.Receipt) error {
+		if r.Op().Kind != journal.OpCert {
+			return h.applyOp(st, r)
 		}
-		return h.applyOp(st, op)
+		if !st.applyCert(r) {
+			deferred = append(deferred, r)
+		}
+		return nil
 	}); err != nil {
 		return err
 	}
-	for _, op := range deferred {
-		st.tree.CertifyInfeasible(op.Prefix, op.Missing)
+	for _, r := range deferred {
+		st.applyCert(r)
 	}
 	return nil
 }
@@ -169,9 +171,12 @@ func (h *Hive) restoreProgram(st *programState, base *journal.ProgramSnapshot, d
 	return nil
 }
 
-// applyOp replays one journaled operation through the same apply path live
-// ingestion uses.
-func (h *Hive) applyOp(st *programState, op *journal.Op) error {
+// applyOp replays one journaled operation other than a certificate (which
+// recoverProgram applies itself, deferring those whose prefix is not in the
+// tree yet) through the apply the live path uses for its kind, decoding
+// what the live path holds decoded already.
+func (h *Hive) applyOp(st *programState, r journal.Receipt) error {
+	op := r.Op()
 	switch op.Kind {
 	case journal.OpBatchColumnar, journal.OpBatch:
 		raw := op.Raw
@@ -199,11 +204,8 @@ func (h *Hive) applyOp(st *programState, op *journal.Op) error {
 		// The journaled bytes ARE the wire bytes and replay runs through the
 		// apply live ingestion uses, so a recovered hive reproduces the live
 		// one's state exactly.
-		h.applyBatchView(st, view, false)
+		h.applyBatchView(st, view, r)
 		view.Release()
-		if op.Session != "" {
-			h.markSession(op.Session, op.Seq)
-		}
 	case journal.OpSynthesis:
 		var f *fix.Fix
 		if len(op.Fix) > 0 {
@@ -213,32 +215,69 @@ func (h *Hive) applyOp(st *programState, op *journal.Op) error {
 			}
 		}
 		st.mu.Lock()
-		if f != nil {
-			// Synthesis ops were journaled in fix-ID order, so Add re-assigns
-			// the same IDs the live hive handed out.
-			st.fixes.Add(*f)
-			st.epoch++
-			st.proofs = make(map[proof.Property]*proof.Proof)
-		}
-		st.applyOutcome(op.Signature, f != nil)
+		st.applySynthesis(r, f)
 		st.mu.Unlock()
 	case journal.OpProof:
 		pr, err := proof.Decode(op.Proof)
 		if err != nil {
 			return fmt.Errorf("hive: replay %s proof: %w", st.prog.ID, err)
 		}
-		for _, ev := range pr.Evidence {
-			st.tree.Merge(ev.Path, ev.Outcome)
-		}
 		st.mu.Lock()
-		st.proofs[pr.Property] = pr
+		st.applyProof(r, pr)
 		st.mu.Unlock()
-	case journal.OpCert:
-		st.tree.CertifyInfeasible(op.Prefix, op.Missing)
 	default:
 		return fmt.Errorf("hive: unknown journal op kind %d", op.Kind)
 	}
 	return nil
+}
+
+// applySynthesis concludes a signature's synthesis election under the
+// receipt of its OpSynthesis, live or replayed: the fix f the attempt minted
+// is published, or, with none, the signature goes to the repair lab. A new
+// fix bumps the epoch and drops the standing proofs (paper §3.3: the hive
+// must decide whether instrumentation invalidates existing knowledge; we
+// take the sound route and drop them for re-proving). Synthesis ops are
+// journaled in fix-ID order, so Add assigns a replayed fix the ID the live
+// hive handed out. The record is created if the batch that elected it was
+// snapshotted away. The caller holds mu.
+func (st *programState) applySynthesis(r journal.Receipt, f *fix.Fix) {
+	sig := r.Must(journal.OpSynthesis).Signature
+	rec, ok := st.failures[sig]
+	if !ok {
+		rec = &failureRecord{signature: sig, podsSeen: make(map[string]bool)}
+		st.failures[sig] = rec
+	}
+	rec.synthesizing = false
+	if f == nil {
+		rec.inRepairLab = true
+		return
+	}
+	st.fixes.Add(*f)
+	st.epoch++
+	st.proofs = make(map[proof.Property]*proof.Proof)
+	rec.fixed = true
+}
+
+// applyCert attaches an infeasibility certificate to the tree under the
+// receipt of its OpCert, live or replayed, and reports whether the frontier
+// it names is certified.
+func (st *programState) applyCert(r journal.Receipt) bool {
+	op := r.Must(journal.OpCert)
+	return st.tree.CertifyInfeasible(op.Prefix, op.Missing)
+}
+
+// applyProof publishes a proof under the receipt of its OpProof. Replay
+// also merges the evidence paths the proof carries; a live attempt merged
+// them itself, ahead of its op, which is why a refused op leaves them
+// applied (see DurabilityError). The caller holds mu.
+func (st *programState) applyProof(r journal.Receipt, pr *proof.Proof) {
+	r.Must(journal.OpProof)
+	if r.Replayed() {
+		for _, ev := range pr.Evidence {
+			st.tree.Merge(ev.Path, ev.Outcome)
+		}
+	}
+	st.proofs[pr.Property] = pr
 }
 
 // Checkpoint writes a fresh snapshot for every program and rotates its

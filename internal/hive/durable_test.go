@@ -1,11 +1,13 @@
 package hive
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/exectree"
+	"repro/internal/fix"
 	"repro/internal/journal"
 	"repro/internal/prog"
 	"repro/internal/proggen"
@@ -127,8 +129,7 @@ func assertHivesEqual(t *testing.T, want, got *Hive, corpus []*prog.Program) {
 			}
 		}
 
-		wt, _ := want.Tree(p.ID)
-		gt, _ := got.Tree(p.ID)
+		wt, gt := want.liveTree(p.ID), got.liveTree(p.ID)
 		sameFrontiers := func(a, b []exectree.Frontier) bool {
 			if len(a) == 0 && len(b) == 0 {
 				return true // nil vs empty: both mean "no frontiers"
@@ -205,15 +206,31 @@ func feedExternalOnly(t *testing.T, h *Hive, p *prog.Program, rounds int) {
 // semantically identical to the original — including external-only traffic
 // the live hive merged from remembered reconstructions: replay runs the
 // same lookups against its own, cold, reconstructor and arrives at the same
-// counters and the same tree.
+// counters and the same tree. The original is itself held to an in-memory
+// hive fed the same batches, proof and certifying pulls: the in-memory
+// hive's nil journal records nothing and hands back the receipt each apply
+// takes, so both run the same applies and end in the same state.
 func TestHiveJournalReplayRoundTrip(t *testing.T) {
-	corpus := durableCorpus(t)
+	corpus := append(durableCorpus(t), buildTwoDead(t))
 	dir := t.TempDir()
 	h1, store1 := newDurableHive(t, dir, corpus)
-	feedFleet(t, h1, corpus, 40, 1)
-	feedExternalOnly(t, h1, corpus[0], 5)
-	if _, err := h1.Prove(corpus[1].ID, proof.PropNoCrash); err != nil {
-		t.Fatal(err)
+	mem := New("fleet")
+	for _, p := range corpus {
+		if err := mem.RegisterProgram(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range []*Hive{mem, h1} {
+		feedFleet(t, h, corpus, 40, 1)
+		feedExternalOnly(t, h, corpus[0], 5)
+		for _, p := range corpus {
+			if _, err := h.Guidance(p.ID, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := h.Prove(corpus[1].ID, proof.PropNoCrash); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st, err := h1.ProgramStats(corpus[0].ID)
 	if err != nil {
@@ -222,8 +239,29 @@ func TestHiveJournalReplayRoundTrip(t *testing.T) {
 	if st.FixCount == 0 {
 		t.Fatal("workload minted no fixes; test would prove nothing")
 	}
+	if journaledCerts(t, store1, corpus[2].ID) == 0 {
+		t.Fatal("the pulls certified nothing; test would prove nothing")
+	}
 	if err := h1.DurabilityError(); err != nil {
 		t.Fatal(err)
+	}
+	assertHivesEqual(t, mem, h1, corpus)
+	for _, p := range corpus {
+		mf, _, _ := mem.FixesSince(p.ID, 0)
+		df, _, _ := h1.FixesSince(p.ID, 0)
+		for i := 0; i < min(len(mf), len(df)); i++ {
+			me, err := fix.Encode(&mf[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			de, err := fix.Encode(&df[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(me, de) {
+				t.Errorf("program %s: fix %d differs between the in-memory and the durable hive:\n%s\n%s", p.Name, i, me, de)
+			}
+		}
 	}
 	// Crash: no checkpoint, no graceful anything — just drop the hive.
 	if err := store1.Close(); err != nil {

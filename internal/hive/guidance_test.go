@@ -48,7 +48,8 @@ func journaledCerts(t *testing.T, store *journal.Store, programID string) int {
 		t.Fatal(err)
 	}
 	certs := 0
-	if _, err := chain.Replay(programID, func(op *journal.Op) error {
+	if _, err := chain.Replay(programID, func(r journal.Receipt) error {
+		op := r.Op()
 		if op.Kind == journal.OpCert {
 			certs++
 		}

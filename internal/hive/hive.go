@@ -361,35 +361,38 @@ func (h *Hive) SubmitColumnarSession(session string, seq uint64, batch *trace.Ba
 		return false, err
 	}
 
-	// Journal (when durable) and apply under the checkpoint gate. The op is
-	// appended *before* it is applied — the write-ahead discipline — so an
-	// acknowledged batch is always recoverable; if the journal cannot take
-	// the op the batch is rejected un-applied and the client retries. The op
-	// carries the batch's raw bytes verbatim and the (session, seq) tag, so
-	// recovery replays them through the same apply and rebuilds the dedup
-	// table with them.
+	// Journal and apply under the checkpoint gate. The op is appended
+	// *before* it is applied — the write-ahead discipline, carried by the
+	// receipt the apply takes — so an acknowledged batch is always
+	// recoverable; if the journal cannot take the op the batch is rejected
+	// un-applied and the client retries. The op carries the batch's raw bytes
+	// verbatim and the (session, seq) tag, so recovery replays them through
+	// the same apply and rebuilds the dedup table with them.
 	st.ckpt.RLock()
 	defer st.ckpt.RUnlock()
 	if st.gone {
 		return false, fmt.Errorf("%w: %s", ErrUnknownProgram, st.prog.ID)
 	}
-	if h.journal != nil {
-		// The op borrows the frame bytes only for the synchronous Append
-		// below: the group's leader (this goroutine, or the appender ahead
-		// of it in the program's queue) copies them into the write buffer
-		// before Append returns, so Raw never outlives the pooled frame.
-		//lint:allow viewescape Raw is consumed (copied to the WAL buffer) before Append returns; the op does not outlive the frame
-		op := &journal.Op{Kind: journal.OpBatchColumnar, Session: session, Seq: seq, Raw: batch.Bytes()}
-		if err := h.journalBatchAppend(st, op); err != nil {
-			return false, err
-		}
+	// The op borrows the frame bytes only while this call runs: the group's
+	// leader (this goroutine, or the appender ahead of it in the program's
+	// queue) copies them into the write buffer before Commit returns, the
+	// apply reads only the op's session tag, and the op is cleared before it
+	// goes back to the pool, so Raw never outlives the frame.
+	op := opPool.Get().(*journal.Op)
+	//lint:allow viewescape Raw is consumed (copied to the WAL buffer) before Commit returns; the op is cleared before the frame is released
+	*op = journal.Op{Kind: journal.OpBatchColumnar, Session: session, Seq: seq, Raw: batch.Bytes()}
+	r, err := h.journalBatchAppend(st, op)
+	if err == nil {
+		h.applyBatchView(st, batch, r)
 	}
-	h.applyBatchView(st, batch, true)
-	if session != "" {
-		h.markSession(session, seq)
-	}
-	return false, nil
+	*op = journal.Op{}
+	opPool.Put(op)
+	return false, err
 }
+
+// opPool recycles the ops batches are journaled and applied under: an op is
+// done with once its apply returns.
+var opPool = sync.Pool{New: func() any { return new(journal.Op) }}
 
 // ingestScratch is the pooled per-batch working set of the apply path: one
 // input buffer and one signature buffer serve a whole batch, so steady-state
@@ -401,11 +404,12 @@ type ingestScratch struct {
 
 var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 
-// applyBatchView folds one columnar batch into the hive — the one apply,
-// shared by live ingestion and journal replay — reading fields directly out
-// of the view. Bookkeeping runs under the shard lock, taken once per batch
-// and only by a batch that has some; reconstruction, narrowing and tree
-// merging run outside it. A Trace is materialized only where one is
+// applyBatchView folds one columnar batch into the hive under the receipt of
+// its journaled op — the one apply, shared by live ingestion and journal
+// replay — reading fields directly out of the view, and marks the session
+// the op names as applied. Bookkeeping runs under the shard lock, taken once
+// per batch and only by a batch that has some; reconstruction, narrowing and
+// tree merging run outside it. A Trace is materialized only where one is
 // retained: failure samples (once per signature ever) and coordinated
 // fragments. Full-capture traffic is merged straight from the view's
 // decoded branch column, and an external-only trace is keyed by its
@@ -414,9 +418,8 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 // fails the trace merges at recorded granularity — the tree stays sound,
 // only less detailed.
 //
-// live distinguishes fresh ingestion from journal replay: replay never
-// re-elects fix synthesis — synthesis outcomes are replayed from their own
-// journal ops.
+// A replayed receipt never re-elects fix synthesis — synthesis outcomes are
+// replayed from their own journal ops.
 //
 // Evidence visibility is batch-granular: known-good inputs harvested
 // anywhere in the batch are visible when fixes for the batch's failures are
@@ -424,7 +427,9 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 // competes against strictly more collective knowledge than under per-trace
 // ingestion — failing validation routes the signature to the repair lab
 // rather than shipping a guard that contradicts an observed-good input.
-func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
+func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, r journal.Receipt) {
+	op := r.Must(journal.OpBatchColumnar, journal.OpBatch)
+	live := !r.Replayed()
 	singleThreaded := st.prog.NumThreads() == 1
 	n := v.Len()
 	sc := ingestScratchPool.Get().(*ingestScratch)
@@ -511,6 +516,12 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, live bool) {
 	for _, rec := range toSynthesize {
 		h.synthesizeFix(st, rec)
 	}
+
+	if op.Session != "" {
+		h.sessMu.Lock()
+		markAppliedLocked(h.sessionLocked(op.Session), op.Seq)
+		h.sessMu.Unlock()
+	}
 }
 
 // knownGoodSnapshot copies the known-good input set.
@@ -572,35 +583,27 @@ func (h *Hive) synthesizeFix(st *programState, rec *failureRecord) {
 	// synthesis ops land in the journal in fix-ID order and replay re-assigns
 	// identical IDs. Synthesis runs inside an ingest's checkpoint gate, so
 	// the op is atomic with its batch relative to checkpoints. The same
-	// section concludes the election: the signature is marked fixed, or
-	// routed to the repair lab — or, when the journal refused the outcome,
-	// left as it was, for the next trace carrying it to win a new election.
+	// section concludes the election under the op's receipt — or, when the
+	// journal refused the outcome, leaves the signature as it was, for the
+	// next trace carrying it to win a new election.
 	var err error
 	op := &journal.Op{Kind: journal.OpSynthesis, Signature: rec.signature}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if minted != nil {
 		minted.Validated = true
 		minted.ID = st.fixes.Len() + 1 // the ID Add assigns
 		op.Fix, err = fix.Encode(minted)
 	}
-	if err == nil && h.journal != nil {
-		err = h.journalBatchAppend(st, op)
+	var r journal.Receipt
+	if err == nil {
+		r, err = h.journalBatchAppend(st, op)
 	}
-	rec.synthesizing = false
-	switch {
-	case err != nil:
-	case minted != nil:
-		st.fixes.Add(*minted)
-		st.epoch++
-		// New fixes invalidate standing proofs (paper §3.3: the hive must
-		// decide whether instrumentation invalidates existing knowledge; we
-		// take the sound route and drop them for re-proving).
-		st.proofs = make(map[proof.Property]*proof.Proof)
-		rec.fixed = true
-	default:
-		rec.inRepairLab = true
+	if err != nil {
+		rec.synthesizing = false
+		return
 	}
-	st.mu.Unlock()
+	st.applySynthesis(r, minted)
 }
 
 // readOnlyAppendThreshold is how many consecutive batch-append failures a
@@ -616,21 +619,24 @@ const readOnlyAppendThreshold = 3
 // breaker refuses the op immediately with pod.ErrReadOnly (no disk touch), a
 // failed append counts toward opening it, and a successful append resets the
 // count. Only a durably landed checkpoint closes an open breaker (see
-// CheckpointProgram) — proof the disk takes writes again.
-func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) error {
+// CheckpointProgram) — proof the disk takes writes again. It returns the
+// receipt the op is applied under; an in-memory hive's nil journal records
+// nothing and hands the receipt straight back.
+func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) (journal.Receipt, error) {
 	if st.readOnly.Load() {
-		return fmt.Errorf("hive: program %s refuses ingest (guidance still served): %w", st.prog.ID, pod.ErrReadOnly)
+		return journal.Receipt{}, fmt.Errorf("hive: program %s refuses ingest (guidance still served): %w", st.prog.ID, pod.ErrReadOnly)
 	}
-	if err := h.journal.Append(st.prog.ID, op); err != nil {
+	r, err := h.journal.Commit(st.prog.ID, op)
+	if err != nil {
 		if st.appendFails.Add(1) >= readOnlyAppendThreshold {
 			if !st.readOnly.Swap(true) && h.Logf != nil {
 				h.Logf("hive: program %s: %d consecutive journal append failures (%v); flipping read-only — guidance is still served, ingest refused until a checkpoint lands", st.prog.ID, readOnlyAppendThreshold, err)
 			}
 		}
-		return fmt.Errorf("hive: journal %s: %w", st.prog.ID, err)
+		return journal.Receipt{}, fmt.Errorf("hive: journal %s: %w", st.prog.ID, err)
 	}
 	st.appendFails.Store(0)
-	return nil
+	return r, nil
 }
 
 // ReadOnlyPrograms counts programs whose journal breaker is currently open.
@@ -700,14 +706,6 @@ func (h *Hive) sessionApplied(e *sessionEntry, seq uint64) bool {
 	}
 	_, ok := e.ahead[seq]
 	return ok
-}
-
-// markSession records one applied sequence number, compacting contiguous
-// marks into the base.
-func (h *Hive) markSession(session string, seq uint64) {
-	h.sessMu.Lock()
-	defer h.sessMu.Unlock()
-	markAppliedLocked(h.sessionLocked(session), seq)
 }
 
 // markAppliedLocked inserts seq into the entry's applied window. Callers
@@ -915,13 +913,8 @@ func (h *Hive) certify(st *programState, prefix []exectree.Edge, missing exectre
 	if st.gone {
 		return false
 	}
-	if h.journal != nil {
-		op := &journal.Op{Kind: journal.OpCert, Prefix: prefix, Missing: missing}
-		if h.journalBatchAppend(st, op) != nil {
-			return false
-		}
-	}
-	return st.tree.CertifyInfeasible(prefix, missing)
+	r, err := h.journalBatchAppend(st, &journal.Op{Kind: journal.OpCert, Prefix: prefix, Missing: missing})
+	return err == nil && st.applyCert(r)
 }
 
 // Guidance implements the pod-facing steering API: test cases toward the
@@ -985,22 +978,20 @@ func (h *Hive) Prove(programID string, property proof.Property) (*proof.Proof, e
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if h.journal != nil {
-		// The op carries the proof and its merged evidence; the certificates
-		// the attempt minted were journaled one by one, each ahead of its
-		// apply. The evidence merges are in the tree already, so a refused
-		// op leaves them applied and unjournaled: that is what
-		// DurabilityError latches.
-		data, err := proof.Encode(pr)
-		if err == nil {
-			err = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpProof, Proof: data})
-		}
-		if err != nil {
-			h.noteDurability(err)
-			return nil, err
-		}
+	// The op carries the proof and its merged evidence; the certificates the
+	// attempt minted were journaled one by one, each ahead of its apply. The
+	// evidence merges are in the tree already, so a refused op leaves them
+	// applied and unjournaled: that is what DurabilityError latches.
+	data, err := proof.Encode(pr)
+	var r journal.Receipt
+	if err == nil {
+		r, err = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpProof, Proof: data})
 	}
-	st.proofs[property] = pr
+	if err != nil {
+		h.noteDurability(err)
+		return nil, err
+	}
+	st.applyProof(r, pr)
 	return pr, nil
 }
 
@@ -1101,13 +1092,32 @@ func (h *Hive) ProgramStats(programID string) (Stats, error) {
 	return out, nil
 }
 
-// Tree exposes a program's execution tree (experiments and proof drivers).
-func (h *Hive) Tree(programID string) (*exectree.Tree, error) {
+// TreeView is a read-only view of a program's execution tree, for callers
+// outside the hive (experiments, the fleet simulation, examples): only the
+// hive changes the tree, as it applies journaled ops.
+type TreeView struct{ t *exectree.Tree }
+
+// Stats summarizes the tree.
+func (v TreeView) Stats() exectree.Stats { return v.t.Stats() }
+
+// FrontierCount returns the number of open frontiers.
+func (v TreeView) FrontierCount() int { return v.t.FrontierCount() }
+
+// EdgeCoverage returns the branch directions the tree covers, of p's total.
+func (v TreeView) EdgeCoverage(p *prog.Program) (covered, total int) { return v.t.EdgeCoverage(p) }
+
+// Encode serializes the tree.
+func (v TreeView) Encode() []byte { return v.t.Encode() }
+
+// Tree returns a read-only view of a program's execution tree.
+func (h *Hive) Tree(programID string) (TreeView, error) {
 	st, err := h.state(programID)
 	if err != nil {
-		return nil, err
+		return TreeView{}, err
 	}
-	return st.tree, nil
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return TreeView{st.tree}, nil
 }
 
 // Programs lists registered program IDs.

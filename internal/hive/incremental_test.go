@@ -146,10 +146,7 @@ func TestHiveDeltaCheckpointPauseIsBounded(t *testing.T) {
 	if err := h.CheckpointProgram(big.ID); err != nil { // full base
 		t.Fatal(err)
 	}
-	tree, err := h.Tree(big.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := h.liveTree(big.ID)
 	full := len(tree.Encode())
 	// A single new trace, then a delta checkpoint.
 	tr := captureSeqTrace(t, big, "pod-tiny", 1000, []int64{3, 5, 7, 9}, trace.PrivacyHashed)

@@ -71,7 +71,8 @@ func TestBufferedInProcessColumnarJournal(t *testing.T) {
 	defer reread.Close()
 	var got [][]byte
 	perTrace := 0
-	if _, err := reread.Replay(p.ID, func(op *journal.Op) error {
+	if _, err := reread.Replay(p.ID, func(r journal.Receipt) error {
+		op := r.Op()
 		switch op.Kind {
 		case journal.OpBatchColumnar:
 			got = append(got, append([]byte(nil), op.Raw...))

@@ -354,7 +354,8 @@ func countOps(t *testing.T, dir string, corpus []*prog.Program, kind journal.Kin
 	defer store.Close()
 	n := 0
 	for _, p := range corpus {
-		if _, err := store.Replay(p.ID, func(op *journal.Op) error {
+		if _, err := store.Replay(p.ID, func(r journal.Receipt) error {
+			op := r.Op()
 			if op.Kind == kind {
 				n++
 			}

@@ -22,7 +22,9 @@ func TestSessionEvictionCounter(t *testing.T) {
 	first := h.sessionFor("sess-0")
 	const total = sessionCliff + 5
 	for i := 0; i < total; i++ {
-		h.markSession(fmt.Sprintf("sess-%d", i), 1)
+		h.sessMu.Lock()
+		markAppliedLocked(h.sessionLocked(fmt.Sprintf("sess-%d", i)), 1)
+		h.sessMu.Unlock()
 	}
 	if n, _ := h.SessionCount(); n != total {
 		t.Fatalf("table holds %d sessions, want %d", n, total)

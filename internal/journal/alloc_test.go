@@ -7,10 +7,12 @@ import (
 )
 
 // TestAllocsAppend guards the write-ahead append hot path, the one every
-// acknowledged batch pays: the pendingAppend and its channel are pooled, the
-// pending queue is double-buffered, the op is encoded straight into the
-// program's reused scratch and framed into the reused write buffer. A lone
-// appender leads its own group of one, so nothing is left to allocate.
+// acknowledged batch pays, through the receipt-minting Commit the hive calls:
+// the pendingAppend and its channel are pooled, the pending queue is
+// double-buffered, the op is encoded straight into the program's reused
+// scratch and framed into the reused write buffer, and the receipt is
+// returned by value. A lone appender leads its own group of one, so nothing
+// is left to allocate.
 func TestAllocsAppend(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc counts are skewed under the race detector")
@@ -23,13 +25,14 @@ func TestAllocsAppend(t *testing.T) {
 	payload := make([]byte, 200)
 	op := &Op{Kind: OpBatchColumnar, Session: "alloc-session", Seq: 1, Raw: payload}
 	// Warm: open the file, grow the scratch buffers.
-	if err := s.Append("alloc-program", op); err != nil {
+	if _, err := s.Commit("alloc-program", op); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
 		op.Seq++
-		if err := s.Append("alloc-program", op); err != nil {
-			t.Fatal(err)
+		r, err := s.Commit("alloc-program", op)
+		if err != nil || r.Must(OpBatchColumnar) != op {
+			t.Fatalf("commit: receipt for %v, err %v", r.Op(), err)
 		}
 	})
 	if avg > 0 {

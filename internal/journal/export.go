@@ -71,7 +71,7 @@ func (c *ChainExport) LoadChain(programID string) (*ProgramSnapshot, []*ProgramS
 // Replay feeds the chain's journaled operations to apply as Store.Replay
 // does a journal file's, except that a torn record fails it: a chain's
 // journal region is record-aligned, so that is corruption, not a crash's tail.
-func (c *ChainExport) Replay(programID string, apply func(*Op) error) (int, error) {
+func (c *ChainExport) Replay(programID string, apply func(Receipt) error) (int, error) {
 	n, valid, err := replayRecords(programID, c.WAL, apply)
 	if err == nil && valid != len(c.WAL) {
 		err = fmt.Errorf("%w: chain for %s: journal record %d is torn or undecodable", ErrCorrupt, programID, n)

@@ -80,7 +80,8 @@ func FuzzJournalTornTail(f *testing.F) {
 			}
 		}
 		var replayed []*Op
-		if _, err := s2.Replay("prog-A", func(op *Op) error {
+		if _, err := s2.Replay("prog-A", func(r Receipt) error {
+			op := r.Op()
 			replayed = append(replayed, op)
 			return nil
 		}); err != nil {
@@ -106,7 +107,8 @@ func FuzzJournalTornTail(f *testing.F) {
 		}
 		defer s3.Close()
 		var final []*Op
-		if _, err := s3.Replay("prog-A", func(op *Op) error {
+		if _, err := s3.Replay("prog-A", func(r Receipt) error {
+			op := r.Op()
 			final = append(final, op)
 			return nil
 		}); err != nil {

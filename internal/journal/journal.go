@@ -10,7 +10,10 @@
 // (write-ahead log of replayable operations, see Op) and its own snapshot
 // chain. A mutation is appended to the program's journal *before* it is
 // applied to the in-memory hive, so an acknowledged submission is always
-// either in a snapshot or in the journal suffix after it. Recovery loads the
+// either in a snapshot or in the journal suffix after it. The order is
+// carried by a value: the hive applies an op only under the Receipt that
+// Commit returns once the op is durable, or that Replay hands out for a
+// record it read back, and only this package can mint one. Recovery loads the
 // newest snapshot chain and replays the journal suffix through the same
 // apply path live ingestion uses; snapshot + suffix reconstructs the hive
 // exactly — including the execution tree's incremental frontier index,
@@ -49,7 +52,7 @@
 //
 // # Group commit
 //
-// Append has one path: the record joins its program's pending queue, and the
+// Commit has one path: the record joins its program's pending queue, and the
 // appender that finds no flush in progress leads — it writes every record
 // queued by then (up to Options.MaxBatch, its own first) as one buffered
 // write and one fsync, hands the result to the others, and passes the lead
@@ -587,11 +590,11 @@ func decodeChain(programID string, c *ChainExport) (*ProgramSnapshot, []*Program
 }
 
 // Replay feeds every journaled operation after the newest checkpoint to
-// apply, in append order. A torn tail (crash mid-append) is truncated so
-// subsequent appends extend a valid journal. Replay must run before the
-// first Append for a recovered program; it returns the number of
-// operations replayed.
-func (s *Store) Replay(programID string, apply func(*Op) error) (int, error) {
+// apply, in append order, each under a receipt of its own. A torn tail
+// (crash mid-append) is truncated so subsequent appends extend a valid
+// journal. Replay must run before the first Commit for a recovered program;
+// it returns the number of operations replayed.
+func (s *Store) Replay(programID string, apply func(Receipt) error) (int, error) {
 	pl := s.log(programID)
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -638,7 +641,7 @@ func (s *Store) Replay(programID string, apply func(*Op) error) (int, error) {
 // it walks CRC-framed records, decoding and applying each when apply is set,
 // and returns how many it passed and the bytes they cover. It stops without
 // error at the first torn (or, decoding, undecodable) record.
-func replayRecords(programID string, body []byte, apply func(*Op) error) (n, valid int, err error) {
+func replayRecords(programID string, body []byte, apply func(Receipt) error) (n, valid int, err error) {
 	for rest := body; len(rest) > 0; {
 		payload, next, ok := readRecord(rest)
 		if !ok {
@@ -649,7 +652,7 @@ func replayRecords(programID string, body []byte, apply func(*Op) error) (n, val
 			if err != nil {
 				break // an undecodable record is a torn one
 			}
-			if err := apply(op); err != nil {
+			if err := apply(Receipt{op: op, replay: true}); err != nil {
 				return n, valid, fmt.Errorf("journal: replay %s op %d: %w", programID, n, err)
 			}
 		}
@@ -680,13 +683,17 @@ func (s *Store) AppendsSinceCheckpoint(programID string) uint64 {
 	return pl.appends
 }
 
-// Append journals one operation for the program. The record is on disk (in
-// the OS, fsynced with Options.Fsync) when Append returns; callers apply
-// the operation only after a successful append. The record may share its
-// write and fsync with concurrent appends; the call blocks until the
-// record's group is durable, and a group that fails fails every append in
-// it.
-func (s *Store) Append(programID string, op *Op) error {
+// Commit journals one operation for the program and returns its receipt,
+// which is what a caller applies the operation under. The record is on disk
+// (in the OS, fsynced with Options.Fsync) when Commit returns. The record may
+// share its write and fsync with concurrent commits; the call blocks until
+// the record's group is durable, and a group that fails fails every commit
+// in it. A nil Store records nothing and returns the receipt at once, so an
+// in-memory hive takes the road a durable one does.
+func (s *Store) Commit(programID string, op *Op) (Receipt, error) {
+	if s == nil {
+		return Receipt{op: op}, nil
+	}
 	pl := s.log(programID)
 	p := pendingPool.Get().(*pendingAppend)
 	p.op = op
@@ -705,6 +712,15 @@ func (s *Store) Append(programID string, op *Op) error {
 	}
 	p.op = nil
 	pendingPool.Put(p)
+	if err != nil {
+		return Receipt{}, err
+	}
+	return Receipt{op: op}, nil
+}
+
+// Append is Commit for a caller that applies nothing: it drops the receipt.
+func (s *Store) Append(programID string, op *Op) error {
+	_, err := s.Commit(programID, op)
 	return err
 }
 

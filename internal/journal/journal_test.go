@@ -25,7 +25,8 @@ func batchOp(session string, seq uint64, traces ...string) *Op {
 func collect(t *testing.T, s *Store, programID string) []*Op {
 	t.Helper()
 	var out []*Op
-	if _, err := s.Replay(programID, func(op *Op) error {
+	if _, err := s.Replay(programID, func(r Receipt) error {
+		op := r.Op()
 		out = append(out, op)
 		return nil
 	}); err != nil {
@@ -404,7 +405,7 @@ func TestGroupCommitBeforeReplayFails(t *testing.T) {
 	if err := s2.Append("prog-A", batchOp("s", 2, "b")); err == nil {
 		t.Fatal("group append before Replay succeeded")
 	}
-	if _, err := s2.Replay("prog-A", func(*Op) error { return nil }); err != nil {
+	if _, err := s2.Replay("prog-A", func(Receipt) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Append("prog-A", batchOp("s", 2, "b")); err != nil {

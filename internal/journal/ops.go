@@ -68,6 +68,38 @@ type Op struct {
 	Missing exectree.Edge
 }
 
+// Receipt is the journal's word that one op is on record: Commit mints one
+// for an op it has made durable, and a replay hands out one per record it
+// reads back. Its fields are unexported, so no other package can make a
+// non-zero Receipt: a mutator that takes one cannot run ahead of the record
+// of the op it applies. The zero Receipt stands for no record at all.
+type Receipt struct {
+	op     *Op
+	replay bool
+}
+
+// Op returns the op the receipt was minted for, nil for the zero Receipt.
+func (r Receipt) Op() *Op { return r.op }
+
+// Replayed reports whether a replay handed the receipt out, not a live
+// Commit.
+func (r Receipt) Replayed() bool { return r.replay }
+
+// Must returns the op the receipt was minted for, and panics if r is the
+// zero Receipt or was minted for an op of none of kinds: an apply handed a
+// receipt for another op is a bug in its caller, not a condition to handle.
+func (r Receipt) Must(kinds ...Kind) *Op {
+	if r.op != nil {
+		for _, k := range kinds {
+			if r.op.Kind == k {
+				return r.op
+			}
+		}
+		panic(fmt.Sprintf("journal: an apply of another op kind was handed the receipt of a kind %d op", r.op.Kind))
+	}
+	panic("journal: an apply was handed the zero Receipt: its op is on no record")
+}
+
 // appendOp appends an op's payload encoding to buf — the zero-alloc form
 // the append hot path uses with a reused scratch buffer.
 func appendOp(buf []byte, op *Op) []byte {

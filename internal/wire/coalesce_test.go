@@ -159,7 +159,8 @@ func TestCompressedJournalBytesIdentity(t *testing.T) {
 	}
 	defer reread.Close()
 	var journaled [][]byte
-	if _, err := reread.Replay(p.ID, func(op *journal.Op) error {
+	if _, err := reread.Replay(p.ID, func(r journal.Receipt) error {
+		op := r.Op()
 		if op.Kind == journal.OpBatchColumnar {
 			journaled = append(journaled, append([]byte(nil), op.Raw...))
 		}
