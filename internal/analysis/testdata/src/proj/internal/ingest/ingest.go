@@ -96,3 +96,15 @@ func countTaken(v *trace.BatchView) int {
 	}
 	return taken
 }
+
+// keyByBranchBytes keeps a trace's branch bytes past the frame in a struct.
+// Finding expected.
+func keyByBranchBytes(h *holder, v *trace.BatchView) {
+	h.raw = v.BranchBytes(0)
+}
+
+// countKeys reads a trace's branch bytes while the view is live and keeps
+// only a copy. Clean.
+func countKeys(seen map[string]int, v *trace.BatchView) {
+	seen[string(v.BranchBytes(0))]++
+}

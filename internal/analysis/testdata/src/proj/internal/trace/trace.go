@@ -62,6 +62,9 @@ func DecodeBatch(buf []byte) (*BatchView, error) {
 // Bytes borrows the underlying frame.
 func (v *BatchView) Bytes() []byte { return v.buf }
 
+// BranchBytes borrows trace i's branch bytes out of the frame.
+func (v *BatchView) BranchBytes(i int) []byte { return v.buf }
+
 // Branches borrows trace i's slice of the pooled branch column.
 func (v *BatchView) Branches(i int) []BranchEvent { return v.branches }
 

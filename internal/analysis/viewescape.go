@@ -9,7 +9,7 @@ import (
 // ViewEscape enforces the pooled zero-copy lifetimes PR 5 introduced.
 //
 // A trace.BatchView decodes in place over a pooled frame buffer: its Bytes()
-// result, its Branches(i) slices of the pooled branch column, and the view
+// and BranchBytes(i) results, its Branches(i) slices of the pooled branch column, and the view
 // itself are borrows that die when Release() returns the scratch to the
 // pool. Likewise sync.Pool-recycled buffers are borrows that die at Put().
 // Storing a borrow where it can outlive the frame — a struct field, a
@@ -19,7 +19,7 @@ import (
 // must carry //lint:allow viewescape with the ownership argument.
 var ViewEscape = &Analyzer{
 	Name: "viewescape",
-	Doc: "bytes borrowed from pooled trace.BatchView frames (Bytes()), " +
+	Doc: "bytes borrowed from pooled trace.BatchView frames (Bytes(), BranchBytes(i)), " +
 		"their branch column (Branches(i)), and " +
 		"sync.Pool buffers must not be stored in fields, sent on channels, or " +
 		"returned; copy/Materialize to retain, and never use a view after " +
@@ -130,8 +130,8 @@ func borrowKind(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch f.Name() {
-	case "Bytes":
-		return "BatchView.Bytes() frame borrow", true
+	case "Bytes", "BranchBytes":
+		return "BatchView." + f.Name() + "() frame borrow", true
 	case "Branches":
 		return "BatchView.Branches() column borrow", true
 	}

@@ -347,6 +347,27 @@ type MergeResult struct {
 // the path diverges from the known tree (the lowest common ancestor), then
 // paste the new suffix.
 func (t *Tree) Merge(path []trace.BranchEvent, outcome prog.Outcome) MergeResult {
+	return t.MergeN(path, outcome, 1)
+}
+
+// MergeN folds n executions of one path at once: every visit count along it,
+// its terminal count, the outcome tally and the execution count go up by n,
+// in one walk. n must be positive.
+//
+// Merging a sequence of executions distinct path by distinct path — each
+// once, with its multiplicity, in order of first occurrence — leaves the
+// tree byte-identical to merging them one by one. Every order-dependent
+// effect of a merge happens at a path's first occurrence: node creation and
+// so the kids' order, frontiers opened and retired (and so the open set's
+// positions), the first traversal that adds a direction to the coverage
+// set, and the order of the delta working set. A repeat of a path already
+// merged only adds to counts, and counts are sums, so where the repeats land
+// does not matter. A frontier's rarity signal is the explored sibling's
+// current visit count whichever way it got there.
+func (t *Tree) MergeN(path []trace.BranchEvent, outcome prog.Outcome, n int64) MergeResult {
+	if n < 1 {
+		panic("exectree: MergeN of a non-positive multiplicity")
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
@@ -378,7 +399,7 @@ func (t *Tree) Merge(path []trace.BranchEvent, outcome prog.Outcome) MergeResult
 		if node.kids[ci].visits == 0 && t.addCover(e) {
 			res.NewEdges++
 		}
-		node.kids[ci].visits++
+		node.kids[ci].visits += n
 		vis := node.kids[ci].visits
 		sibling := Edge{ID: e.ID, Taken: !e.Taken}
 		if i := t.openIndex(node, sibling); i >= 0 {
@@ -395,10 +416,10 @@ func (t *Tree) Merge(path []trace.BranchEvent, outcome prog.Outcome) MergeResult
 		res.NewPath = true
 		t.paths++
 	}
-	node.terminal[ti].c++
+	node.terminal[ti].c += n
 	t.markDirty(node)
-	t.outcomes[outcome]++
-	t.executions++
+	t.outcomes[outcome] += n
+	t.executions += n
 	return res
 }
 

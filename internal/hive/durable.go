@@ -89,6 +89,20 @@ type chainSource interface {
 // It touches that program's shard and, through mergeSessions and applyOp,
 // the session table. Every op is applied under the receipt the replay hands
 // out, by the apply the live path uses for its kind.
+//
+// The replay's tree merges go through a path fold this function owns for the
+// length of the replay and hands down to the batch apply: a journal suffix
+// repeats its executions many times over, and the fold merges each distinct
+// (outcome, path) once with its count (Tree.MergeN), in order of first
+// occurrence. Every order-dependent effect of a merge — node and kid order,
+// frontiers opened and retired, the delta working set's order — happens at a
+// path's first occurrence, so the tree comes out byte-identical to a trace by
+// trace replay, delta working set included. That holds only while nothing
+// else touches the tree between a trace and its flush: the fold is flushed
+// before every op that is not a batch (a certificate reads the tree, a proof
+// merges its evidence), at the end of the replay before the deferred
+// certificates, and whenever it holds foldLimit events, which bounds its
+// memory at about 8 MiB of path copies plus their keys.
 func (h *Hive) recoverProgram(src chainSource, id string) error {
 	st, err := h.state(id)
 	if err != nil {
@@ -118,9 +132,14 @@ func (h *Hive) recoverProgram(src chainSource, id string) error {
 	// OpProof landed — its merges are gone, so the frontier they
 	// discharged does not exist either.
 	var deferred []journal.Receipt
+	fold := newPathFold(st.tree)
 	if _, err := src.Replay(id, func(r journal.Receipt) error {
-		if r.Op().Kind != journal.OpCert {
-			return h.applyOp(st, r)
+		kind := r.Op().Kind
+		if kind != journal.OpBatchColumnar && kind != journal.OpBatch {
+			fold.flush()
+		}
+		if kind != journal.OpCert {
+			return h.applyOp(st, r, fold)
 		}
 		if !st.applyCert(r) {
 			deferred = append(deferred, r)
@@ -129,6 +148,7 @@ func (h *Hive) recoverProgram(src chainSource, id string) error {
 	}); err != nil {
 		return err
 	}
+	fold.flush()
 	for _, r := range deferred {
 		st.applyCert(r)
 	}
@@ -174,8 +194,8 @@ func (h *Hive) restoreProgram(st *programState, base *journal.ProgramSnapshot, d
 // applyOp replays one journaled operation other than a certificate (which
 // recoverProgram applies itself, deferring those whose prefix is not in the
 // tree yet) through the apply the live path uses for its kind, decoding
-// what the live path holds decoded already.
-func (h *Hive) applyOp(st *programState, r journal.Receipt) error {
+// what the live path holds decoded already. A batch's merges go to fold.
+func (h *Hive) applyOp(st *programState, r journal.Receipt, fold *pathFold) error {
 	op := r.Op()
 	switch op.Kind {
 	case journal.OpBatchColumnar, journal.OpBatch:
@@ -204,7 +224,7 @@ func (h *Hive) applyOp(st *programState, r journal.Receipt) error {
 		// The journaled bytes ARE the wire bytes and replay runs through the
 		// apply live ingestion uses, so a recovered hive reproduces the live
 		// one's state exactly.
-		h.applyBatchView(st, view, r)
+		h.applyBatchView(st, view, r, fold)
 		view.Release()
 	case journal.OpSynthesis:
 		var f *fix.Fix

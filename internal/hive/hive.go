@@ -383,7 +383,7 @@ func (h *Hive) SubmitColumnarSession(session string, seq uint64, batch *trace.Ba
 	*op = journal.Op{Kind: journal.OpBatchColumnar, Session: session, Seq: seq, Raw: batch.Bytes()}
 	r, err := h.journalBatchAppend(st, op)
 	if err == nil {
-		h.applyBatchView(st, batch, r)
+		h.applyBatchView(st, batch, r, nil)
 	}
 	*op = journal.Op{}
 	opPool.Put(op)
@@ -419,7 +419,10 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 // only less detailed.
 //
 // A replayed receipt never re-elects fix synthesis — synthesis outcomes are
-// replayed from their own journal ops.
+// replayed from their own journal ops. Replay also passes the fold its
+// program's replay owns (see recoverProgram): each trace's path goes to the
+// fold, which merges each distinct path once with its count, instead of to
+// the tree. Live ingestion passes nil and merges trace by trace.
 //
 // Evidence visibility is batch-granular: known-good inputs harvested
 // anywhere in the batch are visible when fixes for the batch's failures are
@@ -427,7 +430,7 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 // competes against strictly more collective knowledge than under per-trace
 // ingestion — failing validation routes the signature to the repair lab
 // rather than shipping a guard that contradicts an observed-good input.
-func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, r journal.Receipt) {
+func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, r journal.Receipt, fold *pathFold) {
 	op := r.Must(journal.OpBatchColumnar, journal.OpBatch)
 	live := !r.Replayed()
 	singleThreaded := st.prog.NumThreads() == 1
@@ -499,10 +502,15 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, r journal.Re
 				narrowed++
 			}
 		}
+		var frame []byte
 		if path == nil {
-			path = v.Branches(i)
+			path, frame = v.Branches(i), v.BranchBytes(i)
 		}
-		st.tree.Merge(path, outcome)
+		if fold != nil {
+			fold.add(outcome, path, frame)
+		} else {
+			st.tree.Merge(path, outcome)
+		}
 	}
 	if reconstructed > 0 {
 		st.reconstructed.Add(reconstructed)

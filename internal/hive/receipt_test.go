@@ -34,7 +34,7 @@ func TestAppliesTakeOnlyTheirOwnReceipt(t *testing.T) {
 		takes []journal.Kind
 		apply func(journal.Receipt)
 	}{
-		{"batch", []journal.Kind{journal.OpBatch, journal.OpBatchColumnar}, func(r journal.Receipt) { h.applyBatchView(st, view, r) }},
+		{"batch", []journal.Kind{journal.OpBatch, journal.OpBatchColumnar}, func(r journal.Receipt) { h.applyBatchView(st, view, r, nil) }},
 		{"synthesis", []journal.Kind{journal.OpSynthesis}, func(r journal.Receipt) { locked(func() { st.applySynthesis(r, nil) }) }},
 		{"certificate", []journal.Kind{journal.OpCert}, func(r journal.Receipt) { st.applyCert(r) }},
 		{"proof", []journal.Kind{journal.OpProof}, func(r journal.Receipt) { locked(func() { st.applyProof(r, &proof.Proof{}) }) }},

@@ -71,6 +71,8 @@ func (c *ChainExport) LoadChain(programID string) (*ProgramSnapshot, []*ProgramS
 // Replay feeds the chain's journaled operations to apply as Store.Replay
 // does a journal file's, except that a torn record fails it: a chain's
 // journal region is record-aligned, so that is corruption, not a crash's tail.
+// As there, a replayed OpBatchColumnar's Raw aliases the chain's WAL bytes
+// and is valid only during the apply call it is handed to.
 func (c *ChainExport) Replay(programID string, apply func(Receipt) error) (int, error) {
 	n, valid, err := replayRecords(programID, c.WAL, apply)
 	if err == nil && valid != len(c.WAL) {

@@ -594,6 +594,10 @@ func decodeChain(programID string, c *ChainExport) (*ProgramSnapshot, []*Program
 // (crash mid-append) is truncated so subsequent appends extend a valid
 // journal. Replay must run before the first Commit for a recovered program;
 // it returns the number of operations replayed.
+//
+// A replayed OpBatchColumnar's Raw aliases the journal bytes Replay read and
+// is valid only during the apply call it is handed to: an apply that keeps
+// batch bytes copies them. No other field of a replayed op borrows anything.
 func (s *Store) Replay(programID string, apply func(Receipt) error) (int, error) {
 	pl := s.log(programID)
 	pl.mu.Lock()

@@ -131,7 +131,9 @@ func appendOp(buf []byte, op *Op) []byte {
 	return buf
 }
 
-// decodeOp parses an op payload.
+// decodeOp parses an op payload. Every field is a copy except an
+// OpBatchColumnar's Raw, which aliases data: a replay hands the batch bytes
+// to its apply in place, and data outlives the apply (see Store.Replay).
 func decodeOp(data []byte) (*Op, error) {
 	d := &opDecoder{buf: data}
 	if v := d.byte(); v != opVersion {
@@ -152,7 +154,7 @@ func decodeOp(data []byte) (*Op, error) {
 	case OpBatchColumnar:
 		op.Session = string(d.bytes())
 		op.Seq = d.uvarint()
-		op.Raw = d.bytes()
+		op.Raw = d.view()
 	case OpSynthesis:
 		op.Signature = string(d.bytes())
 		op.Fix = d.bytes()
@@ -228,13 +230,19 @@ func (d *opDecoder) uvarint() uint64 {
 	return v
 }
 
+// bytes is a length-prefixed field, copied out of the payload.
 func (d *opDecoder) bytes() []byte {
+	return append([]byte(nil), d.view()...)
+}
+
+// view is a length-prefixed field in place: it aliases the payload.
+func (d *opDecoder) view() []byte {
 	n := int(d.uvarint())
 	if d.err != nil || n < 0 || d.pos+n > len(d.buf) {
 		d.fail()
 		return nil
 	}
-	b := append([]byte(nil), d.buf[d.pos:d.pos+n]...)
+	b := d.buf[d.pos : d.pos+n : d.pos+n]
 	d.pos += n
 	return b
 }

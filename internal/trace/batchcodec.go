@@ -469,23 +469,17 @@ func (v *BatchView) validateSlabs() error {
 	if err := v.decodeBranches(); err != nil {
 		return err
 	}
-	// One reused cursor for the whole pass: slab validation runs per trace
-	// per section and must not allocate.
-	var d decoder
-	for i := 0; i < v.n; i++ {
-		if err := v.checkEvents(&d, secSyscalls, i, 3, checkSyscall); err != nil {
-			return err
-		}
-		if err := v.checkEvents(&d, secLocks, i, 4, checkLock); err != nil {
-			return err
-		}
-		if err := v.checkEvents(&d, secDeadlock, i, 3, checkDeadlock); err != nil {
-			return err
-		}
-		if err := v.checkEvents(&d, secInput, i, 1, checkVarint); err != nil {
-			return err
-		}
-		if err := v.checkEvents(&d, secInputBuckets, i, 1, checkVarint); err != nil {
+	// Syscall: TID, sysno, ret. Lock: TID, lock ID, PC, then the acquire
+	// byte. Deadlock wait: TID, PC, wanted lock. Inputs and input buckets:
+	// one varint each.
+	for _, c := range [...]struct{ sec, varints, raw int }{
+		{secSyscalls, 3, 0},
+		{secLocks, 3, 1},
+		{secDeadlock, 3, 0},
+		{secInput, 1, 0},
+		{secInputBuckets, 1, 0},
+	} {
+		if err := v.checkEvents(c.sec, c.varints, c.raw); err != nil {
 			return err
 		}
 	}
@@ -543,29 +537,41 @@ func (v *BatchView) decodeBranches() error {
 	return nil
 }
 
-// Per-section event skippers for validation.
-func checkSyscall(d *decoder)  { d.uvarint(); d.varint(); d.varint() }
-func checkLock(d *decoder)     { d.uvarint(); d.uvarint(); d.uvarint(); d.byte() }
-func checkDeadlock(d *decoder) { d.uvarint(); d.uvarint(); d.uvarint() }
-func checkVarint(d *decoder)   { d.varint() }
-
-// checkEvents parses trace i's slab for one section and verifies the event
-// count and byte length agree.
-func (v *BatchView) checkEvents(d *decoder, sec, i, minBytes int, one func(*decoder)) error {
-	slab := v.slab(sec, i)
-	count := int(v.sc.counts[sec][i])
-	if count > len(slab)/minBytes {
-		return fmt.Errorf("%w: section %d trace %d: %d events in %d bytes", ErrCodec, sec, i, count, len(slab))
-	}
-	d.buf, d.pos, d.err = slab, 0, nil
-	for k := 0; k < count; k++ {
-		one(d)
-	}
-	if d.err != nil {
-		return fmt.Errorf("%w: section %d trace %d: %v", ErrCodec, sec, i, d.err)
-	}
-	if d.pos != len(slab) {
-		return fmt.Errorf("%w: section %d trace %d: %d trailing bytes", ErrCodec, sec, i, len(slab)-d.pos)
+// checkEvents verifies that every trace's slab for one section holds
+// exactly its column's event count and nothing after. An event of the
+// section is a fixed number of varint fields (a uvarint and a zigzag varint
+// span the same bytes, so one skip serves both) followed by a fixed number
+// of raw bytes. The skip is inlined with the one-byte case first, as in
+// decodeBranches: validation runs over every trace of every section and
+// must not pay a call per event.
+func (v *BatchView) checkEvents(sec, varints, raw int) error {
+	offs, counts := v.sc.offs[sec], v.sc.counts[sec]
+	for i := 0; i < v.n; i++ {
+		slab := v.buf[offs[i]:offs[i+1]]
+		count := int(counts[i])
+		if count > len(slab)/(varints+raw) {
+			return fmt.Errorf("%w: section %d trace %d: %d events in %d bytes", ErrCodec, sec, i, count, len(slab))
+		}
+		p := 0
+		for k := 0; k < count; k++ {
+			for f := 0; f < varints; f++ {
+				if p < len(slab) && slab[p] < 0x80 {
+					p++
+					continue
+				}
+				_, m := binary.Uvarint(slab[p:])
+				if m <= 0 {
+					return fmt.Errorf("%w: section %d trace %d: truncated event %d", ErrCodec, sec, i, k)
+				}
+				p += m
+			}
+			if p += raw; p > len(slab) {
+				return fmt.Errorf("%w: section %d trace %d: truncated event %d", ErrCodec, sec, i, k)
+			}
+		}
+		if p != len(slab) {
+			return fmt.Errorf("%w: section %d trace %d: %d trailing bytes", ErrCodec, sec, i, len(slab)-p)
+		}
 	}
 	return nil
 }
@@ -631,6 +637,11 @@ func (v *BatchView) slab(sec, i int) []byte {
 	offs := v.sc.offs[sec]
 	return v.buf[offs[i]:offs[i+1]]
 }
+
+// BranchBytes returns trace i's branch events as the frame encodes them, one
+// uvarint ID<<1|taken an event: bytes that decode to exactly Branches(i). A
+// borrow of the frame, like Bytes.
+func (v *BatchView) BranchBytes(i int) []byte { return v.slab(secBranches, i) }
 
 // Branches returns trace i's branch events — the path tree merging
 // consumes. The slice is capped at its length and borrows the view's pooled

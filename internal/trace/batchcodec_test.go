@@ -170,9 +170,9 @@ func TestBatchDecodeRejectsCorruption(t *testing.T) {
 }
 
 // refValidateBatch is the validation pass as it stood before the branch
-// column: indexBatch, then every section of every trace walked through
-// checkEvents with one skipper call per event. DecodeBatch must fail exactly
-// when it does.
+// column and the inlined section checks: indexBatch, then every section of
+// every trace walked through refCheckEvents with one skipper call per event.
+// DecodeBatch must fail exactly when it does.
 func refValidateBatch(buf []byte) error {
 	v, err := indexBatch(buf)
 	if err != nil {
@@ -180,23 +180,44 @@ func refValidateBatch(buf []byte) error {
 	}
 	defer v.Release()
 	var d decoder
-	refCheckBranch := func(d *decoder) { d.uvarint() }
 	for i := 0; i < v.n; i++ {
 		for _, c := range []struct {
 			sec, minBytes int
 			one           func(*decoder)
 		}{
-			{secBranches, 1, refCheckBranch},
-			{secSyscalls, 3, checkSyscall},
-			{secLocks, 4, checkLock},
-			{secDeadlock, 3, checkDeadlock},
-			{secInput, 1, checkVarint},
-			{secInputBuckets, 1, checkVarint},
+			{secBranches, 1, func(d *decoder) { d.uvarint() }},
+			{secSyscalls, 3, func(d *decoder) { d.uvarint(); d.varint(); d.varint() }},
+			{secLocks, 4, func(d *decoder) { d.uvarint(); d.uvarint(); d.uvarint(); d.byte() }},
+			{secDeadlock, 3, func(d *decoder) { d.uvarint(); d.uvarint(); d.uvarint() }},
+			{secInput, 1, func(d *decoder) { d.varint() }},
+			{secInputBuckets, 1, func(d *decoder) { d.varint() }},
 		} {
-			if err := v.checkEvents(&d, c.sec, i, c.minBytes, c.one); err != nil {
+			if err := refCheckEvents(v, &d, c.sec, i, c.minBytes, c.one); err != nil {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// refCheckEvents parses trace i's slab for one section through the trace
+// decoder, one skipper call per event, and verifies the event count and
+// byte length agree.
+func refCheckEvents(v *BatchView, d *decoder, sec, i, minBytes int, one func(*decoder)) error {
+	slab := v.slab(sec, i)
+	count := int(v.sc.counts[sec][i])
+	if count > len(slab)/minBytes {
+		return fmt.Errorf("%w: section %d trace %d: %d events in %d bytes", ErrCodec, sec, i, count, len(slab))
+	}
+	d.buf, d.pos, d.err = slab, 0, nil
+	for k := 0; k < count; k++ {
+		one(d)
+	}
+	if d.err != nil {
+		return fmt.Errorf("%w: section %d trace %d: %v", ErrCodec, sec, i, d.err)
+	}
+	if d.pos != len(slab) {
+		return fmt.Errorf("%w: section %d trace %d: %d trailing bytes", ErrCodec, sec, i, len(slab)-d.pos)
 	}
 	return nil
 }
