@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/constraint"
 	"repro/internal/exectree"
@@ -173,7 +174,6 @@ func assign(frontiers []exectree.Frontier, nodes int, mode Mode, load []int64, e
 	case Markowitz:
 		// Allocate node shares to subtree equities, then deal frontiers of
 		// each equity across its allocated nodes.
-		eqs := make([]portfolio.Equity, 0, len(equities))
 		byKey := make(map[string][]int)
 		for i, f := range frontiers {
 			key := equityKey(f)
@@ -182,21 +182,34 @@ func assign(frontiers []exectree.Frontier, nodes int, mode Mode, load []int64, e
 				equities[key] = &portfolio.Equity{ID: key}
 			}
 		}
-		for _, eq := range equities {
-			eqs = append(eqs, *eq)
+		// Windows are dealt from one shared counter, so the equities are
+		// visited in key order: map order would make the deal, and the
+		// imbalance it yields, differ from run to run.
+		keys := make([]string, 0, len(equities))
+		for key := range equities {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		eqs := make([]portfolio.Equity, 0, len(keys))
+		for _, key := range keys {
+			eqs = append(eqs, *equities[key])
 		}
 		alloc := portfolio.Allocate(eqs, nodes, portfolio.EfficientFrontier, 0.5)
 		// Deal each equity's frontiers round-robin over a node window sized
 		// by its allocation.
 		next := 0
 		windows := make(map[string][]int)
-		for key, share := range alloc {
-			for w := 0; w < share; w++ {
+		for _, key := range keys {
+			for w := 0; w < alloc[key]; w++ {
 				windows[key] = append(windows[key], next%nodes)
 				next++
 			}
 		}
-		for key, idxs := range byKey {
+		for _, key := range keys {
+			idxs := byKey[key]
+			if len(idxs) == 0 {
+				continue
+			}
 			win := windows[key]
 			if len(win) == 0 {
 				win = []int{next % nodes}

@@ -232,6 +232,6 @@ func E8DynamicPartitioning() (*Table, error) {
 			fmt.Sprintf("%d/%d", completes[mode], programs))
 		t.metric("imbalance_"+mode.String(), sums[mode]/programs)
 	}
-	t.Notes = "imbalance = makespan / mean node load (1.0 is perfect); dynamic partitioning approaches 1.0 while static splits leave nodes idle, matching the paper's undecidability argument for static partitioning"
+	t.Notes = "imbalance = makespan / mean node load (1.0 is perfect); dynamic partitioning less than halves static's imbalance yet stays well above 1.0 at this scale, and Markowitz allocation lands between the two; static splits leave nodes idle, matching the paper's undecidability argument for static partitioning"
 	return t, nil
 }
