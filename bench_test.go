@@ -111,28 +111,6 @@ func BenchmarkVMExecutionInstrumented(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceEncodeDecode measures the telemetry codec round trip.
-func BenchmarkTraceEncodeDecode(b *testing.B) {
-	p := benchProgram(b)
-	col := trace.NewCollector(p, trace.CaptureFull, 0, 1)
-	m, err := prog.NewMachine(p, prog.Config{Input: []int64{42, 99}, Observer: col})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res := m.Run()
-	tr := col.Finish("pod", 0, res, []int64{42, 99}, trace.PrivacyHashed, "s")
-	encoded := trace.Encode(tr)
-	b.SetBytes(int64(len(encoded)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data := trace.Encode(tr)
-		if _, err := trace.Decode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTreeMerge measures per-trace merge cost into a warm tree. Its 256
 // paths and the tree they build stay in cache, so it cannot show a change in
 // per-step memory traffic; BenchmarkApplyFrame (internal/hive) merges whole

@@ -42,18 +42,10 @@ import (
 // bytes: O(nodes on dirty paths), never O(Σ depth). With every node dirty
 // each entry's suffix is its own in-edge, so the segment is the full Encode
 // of the same nodes plus one entry header (keep, suffix, in-edge) a node.
-//
-// Version 1 wrote every entry as depth + its whole root path, in no
-// particular order. The reader takes it as the degenerate case keep = 0, so
-// data directories and archived segments written before version 2 still
-// restore; the writer emits version 2 only.
 
 // deltaVersion is bumped on any serialization-incompatible change to the
-// delta encoding. deltaVersionRootPaths is the oldest version still read.
-const (
-	deltaVersion          = 2
-	deltaVersionRootPaths = 1
-)
+// delta encoding, and is the only version read.
+const deltaVersion = 2
 
 // SetDeltaTracking turns dirty-node recording on or off. Turning it on (or
 // on again) establishes a fresh delta boundary: the dirty set is cleared,
@@ -201,8 +193,7 @@ func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 // s.
 func (t *Tree) applyDelta(data []byte, s *slab) error {
 	d := &treeDecoder{buf: data, slab: s}
-	version := d.byte()
-	if d.err == nil && version != deltaVersion && version != deltaVersionRootPaths {
+	if version := d.byte(); d.err == nil && version != deltaVersion {
 		return fmt.Errorf("%w: delta version %d", ErrCodec, version)
 	}
 	if id := d.string(); d.err == nil && id != t.programID {
@@ -212,14 +203,11 @@ func (t *Tree) applyDelta(data []byte, s *slab) error {
 	// last: an entry keeps a prefix of it and descends its suffix from there.
 	stack := []*Node{t.root}
 	for count := d.length(); count > 0 && d.err == nil; count-- {
-		keep := 0
-		if version != deltaVersionRootPaths {
-			k := d.uvarint()
-			if k >= uint64(len(stack)) {
-				return fmt.Errorf("%w: delta entry keeps %d of a %d-deep path", ErrCodec, k, len(stack)-1)
-			}
-			keep = int(k)
+		k := d.uvarint()
+		if k >= uint64(len(stack)) {
+			return fmt.Errorf("%w: delta entry keeps %d of a %d-deep path", ErrCodec, k, len(stack)-1)
 		}
+		keep := int(k)
 		suffix := d.length()
 		if d.err != nil {
 			break

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/prog"
@@ -42,48 +41,6 @@ func assertTreesEquivalent(t *testing.T, want, got *Tree, label string) {
 	}
 }
 
-// encodeDeltaRootPaths is the version-1 writer, kept as the reference the
-// reader's backward compatibility is tested against: every dirty node as
-// depth + its whole root path + body, sorted by depth and then by path.
-func encodeDeltaRootPaths(t *Tree) []byte {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	nodes := append([]*Node(nil), t.dirtyNodes...)
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].depth != nodes[j].depth {
-			return nodes[i].depth < nodes[j].depth
-		}
-		return comparePaths(nodes[i], nodes[j]) < 0
-	})
-	buf := []byte{deltaVersionRootPaths}
-	buf = binary.AppendUvarint(buf, uint64(len(t.programID)))
-	buf = append(buf, t.programID...)
-	buf = binary.AppendUvarint(buf, uint64(len(nodes)))
-	for _, n := range nodes {
-		buf = binary.AppendUvarint(buf, uint64(n.depth))
-		path := make([]Edge, n.depth)
-		fillPath(path, n)
-		for _, e := range path {
-			buf = appendEdge(buf, e)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(n.terminal)))
-		for _, tc := range n.terminal {
-			buf = append(buf, byte(tc.o))
-			buf = binary.AppendUvarint(buf, uint64(tc.c))
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(n.infeasible)))
-		for _, e := range orderedEdges(n.infeasible) {
-			buf = appendEdge(buf, e)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(n.kids)))
-		for _, e := range n.Edges() {
-			buf = appendEdge(buf, e)
-			buf = binary.AppendUvarint(buf, uint64(n.Visits(e)))
-		}
-	}
-	return buf
-}
-
 // certifyRandomFrontier certifies one open frontier infeasible, if any.
 func certifyRandomFrontier(t *Tree, rng *rand.Rand) {
 	if fr := t.FrontiersAll(); len(fr) > 0 {
@@ -107,10 +64,10 @@ func dirtyUnderClean(t *Tree) int {
 // TestPropDeltaChainRoundTrip is the incremental-snapshot property: a base
 // snapshot plus an ordered chain of delta segments, cut at random points in
 // a random merge/certify history, must reconstruct the live tree exactly —
-// whichever version wrote each segment, and also when a segment holds
-// nothing but certificates on nodes whose ancestors did not change.
+// also when a segment holds nothing but certificates on nodes whose
+// ancestors did not change.
 func TestPropDeltaChainRoundTrip(t *testing.T) {
-	underClean, byVersion := 0, map[byte]int{}
+	underClean := 0
 	for seed := int64(0); seed < 160; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		live := New("prop-prog")
@@ -139,12 +96,7 @@ func TestPropDeltaChainRoundTrip(t *testing.T) {
 				}
 			}
 			underClean += dirtyUnderClean(live)
-			d := live.EncodeDelta()
-			if rng.Intn(3) == 0 {
-				d = encodeDeltaRootPaths(live)
-			}
-			byVersion[d[0]]++
-			deltas = append(deltas, d)
+			deltas = append(deltas, live.EncodeDelta())
 			live.ResetDelta()
 		}
 
@@ -154,8 +106,8 @@ func TestPropDeltaChainRoundTrip(t *testing.T) {
 		}
 		assertTreesEquivalent(t, live, rebuilt, fmt.Sprintf("seed %d", seed))
 	}
-	if underClean == 0 || byVersion[deltaVersionRootPaths] == 0 || byVersion[deltaVersion] == 0 {
-		t.Fatalf("histories covered %d dirty nodes under clean parents and versions %v; want all three", underClean, byVersion)
+	if underClean == 0 {
+		t.Fatal("no history dirtied a node under clean parents")
 	}
 }
 
@@ -210,7 +162,7 @@ func FuzzDeltaChain(f *testing.F) {
 	certifyRandomFrontier(live, rng)
 	good := live.EncodeDelta()
 	f.Add(good)
-	f.Add(encodeDeltaRootPaths(live))
+	f.Add(append([]byte{1}, good[1:]...)) // version 1, which no segment carries
 	f.Add([]byte{})
 	f.Add(good[:len(good)/2])
 	header := append([]byte{deltaVersion, 9}, "prop-prog"...)

@@ -12,7 +12,8 @@ type CaptureCostRow struct {
 	Mode string
 	// EventsPerRun is the mean recorded branch events per execution.
 	EventsPerRun float64
-	// BytesPerRun is the mean encoded trace size.
+	// BytesPerRun is the mean shipped trace size: the bytes of the columnar
+	// frames of shipFrame traces the runs ship in, divided per run.
 	BytesPerRun float64
 	// RelativeSteps is executed VM steps relative to the uninstrumented
 	// baseline (1.0 = identical; the VM's step count is observer-invariant,
@@ -41,7 +42,8 @@ func CaptureCostRows(p *prog.Program, runs int) ([]CaptureCostRow, error) {
 	out := make([]CaptureCostRow, 0, len(specs))
 	for _, spec := range specs {
 		rng := stats.NewRNG(1234)
-		var events, bytes, steps int64
+		var events, steps int64
+		var shipped []*trace.Trace
 		for i := 0; i < runs; i++ {
 			input := make([]int64, p.NumInputs)
 			for j := range input {
@@ -62,8 +64,12 @@ func CaptureCostRows(p *prog.Program, runs int) ([]CaptureCostRow, error) {
 			if col != nil {
 				tr := col.Finish("pod", uint64(i), res, input, trace.PrivacyHashed, "s")
 				events += int64(len(tr.Branches))
-				bytes += int64(len(trace.Encode(tr)))
+				shipped = append(shipped, tr)
 			}
+		}
+		bytes, err := frameBytes(p.ID, shipped)
+		if err != nil {
+			return nil, err
 		}
 		if spec.off {
 			baselineSteps = float64(steps)
@@ -80,4 +86,23 @@ func CaptureCostRows(p *prog.Program, runs int) ([]CaptureCostRow, error) {
 		})
 	}
 	return out, nil
+}
+
+// shipFrame is the pod's default BatchSize: the byte columns of E7 and E10
+// count traces as pods ship them, in columnar frames of this many traces.
+const shipFrame = 16
+
+// frameBytes is the size of traces shipped in order as columnar frames
+// (trace.AppendBatch) of shipFrame traces each.
+func frameBytes(programID string, traces []*trace.Trace) (int64, error) {
+	var total int64
+	var buf []byte
+	for lo := 0; lo < len(traces); lo += shipFrame {
+		var err error
+		if buf, err = trace.AppendBatch(buf[:0], programID, traces[lo:min(lo+shipFrame, len(traces))]); err != nil {
+			return 0, err
+		}
+		total += int64(len(buf))
+	}
+	return total, nil
 }

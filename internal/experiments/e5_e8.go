@@ -192,7 +192,7 @@ func E7CaptureOverhead() (*Table, error) {
 		t.addRow(r.Mode, f2(r.EventsPerRun), f2(r.BytesPerRun), f3(r.RelativeSteps))
 		t.metric("bytes_"+r.Mode, r.BytesPerRun)
 	}
-	t.Notes = "the VM executes the same instruction count regardless of observer, so cost is reported as recorded events and encoded bytes; external-only capture preserves full reconstructability (E1/hive) at a fraction of full capture's volume"
+	t.Notes = "the VM executes the same instruction count regardless of observer, so cost is reported as recorded events and shipped bytes (columnar frames of 16 traces, the pod's default BatchSize, divided per run); external-only capture preserves full reconstructability (E1/hive) at a fraction of full capture's volume"
 	return t, nil
 }
 

@@ -133,15 +133,34 @@ func E10Privacy() (*Table, error) {
 		}
 
 		// Attacker: reconstruct the user's input from a shipped trace.
-		col := trace.NewCollector(p, trace.CaptureFull, 0, 1)
-		m, err := prog.NewMachine(p, prog.Config{Input: trigger, Observer: col})
+		ship := func(seq uint64, input []int64) (*trace.Trace, error) {
+			col := trace.NewCollector(p, trace.CaptureFull, 0, 1)
+			m, err := prog.NewMachine(p, prog.Config{Input: input, Observer: col})
+			if err != nil {
+				return nil, err
+			}
+			return col.Finish("pod-priv", seq, m.Run(), input, level, salt), nil
+		}
+		shipped, err := ship(31, trigger)
 		if err != nil {
 			return nil, err
 		}
-		res := m.Run()
-		shipped := col.Finish("pod-priv", 0, res, trigger, level, salt)
 		candidates := trace.GuessInput(shipped, 256, "fleet")
-		bytes := len(trace.Encode(shipped))
+		// The crash's trace as it ships: last in a frame of shipFrame, after
+		// the benign runs just before it.
+		frame := make([]*trace.Trace, 0, shipFrame)
+		for v := int64(30 - shipFrame + 1); v < 30; v++ {
+			tr, err := ship(uint64(v+1), []int64{v})
+			if err != nil {
+				return nil, err
+			}
+			frame = append(frame, tr)
+		}
+		frame = append(frame, shipped)
+		bytes, err := frameBytes(p.ID, frame)
+		if err != nil {
+			return nil, err
+		}
 
 		correl := "yes"
 		if level == trace.PrivacyOpaque {
@@ -151,10 +170,10 @@ func E10Privacy() (*Table, error) {
 		if st.FixCount > 0 {
 			fixed = "yes"
 		}
-		t.addRow(level.String(), d(candidates), fixed, correl, d(int64(bytes)))
+		t.addRow(level.String(), d(candidates), fixed, correl, f2(float64(bytes)/shipFrame))
 		t.metric("candidates_"+level.String(), float64(candidates))
 	}
-	t.Notes = "fix synthesis survives every level (the hive replays recorded branch directions, not inputs); what degrades is attacker ambiguity (up) and cross-pod input correlation (lost at opaque) — the trade-off the paper calls for quantifying"
+	t.Notes = "fix synthesis survives every level (the hive replays recorded branch directions, not inputs); what degrades is attacker ambiguity (up) and cross-pod input correlation (lost at opaque) — the trade-off the paper calls for quantifying; trace-bytes is the crash's columnar frame of 16 traces (the pod's default BatchSize) divided per trace"
 	return t, nil
 }
 

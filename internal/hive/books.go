@@ -140,7 +140,8 @@ func (b *books) failureRecords() []FailureRecord {
 // their full bookkeeping (distinct pod IDs included), sorted by signature.
 // In-flight synthesis elections are written as not-synthesizing: if the
 // election's outcome op never lands in the journal, recovery must be able to
-// re-elect.
+// re-elect. Each failure sample is a one-trace columnar batch and each
+// coordinated family one batch, under snap.ProgramID, which the caller sets.
 func (b *books) encode(snap *journal.ProgramSnapshot) error {
 	snap.Epoch = b.epoch
 	for i, f := range b.fixes.All() {
@@ -175,7 +176,11 @@ func (b *books) encode(snap *journal.ProgramSnapshot) error {
 		}
 		sort.Strings(fs.Pods)
 		if rec.sample != nil {
-			fs.Sample = trace.Encode(rec.sample)
+			raw, err := trace.EncodeBatch(snap.ProgramID, []*trace.Trace{rec.sample})
+			if err != nil {
+				return fmt.Errorf("failure %q sample: %w", rec.signature, err)
+			}
+			fs.Sample = raw
 		}
 		snap.Failures = append(snap.Failures, fs)
 	}
@@ -184,16 +189,31 @@ func (b *books) encode(snap *journal.ProgramSnapshot) error {
 		snap.KnownGood = append(snap.KnownGood, append([]int64(nil), g...))
 	}
 	if len(b.coordinated) > 0 {
-		snap.Coordinated = make(map[string][][]byte, len(b.coordinated))
+		snap.Coordinated = make(map[string][]byte, len(b.coordinated))
 		for key, fam := range b.coordinated {
-			raws := make([][]byte, 0, len(fam))
-			for _, tr := range fam {
-				raws = append(raws, trace.Encode(tr))
+			raw, err := trace.EncodeBatch(snap.ProgramID, fam)
+			if err != nil {
+				return fmt.Errorf("coordinated family: %w", err)
 			}
-			snap.Coordinated[key] = raws
+			snap.Coordinated[key] = raw
 		}
 	}
 	return nil
+}
+
+// decodeTraces materializes every trace of one columnar batch: the form the
+// books keep their traces in inside a checkpoint.
+func decodeTraces(raw []byte) ([]*trace.Trace, error) {
+	v, err := trace.DecodeBatch(raw)
+	if err != nil {
+		return nil, err
+	}
+	defer v.Release()
+	out := make([]*trace.Trace, v.Len())
+	for i := range out {
+		out[i] = v.Materialize(i)
+	}
+	return out, nil
 }
 
 // decodeBooks rebuilds the books a checkpoint snapshot holds.
@@ -231,11 +251,14 @@ func decodeBooks(snap *journal.ProgramSnapshot) (books, error) {
 			rec.podsSeen[pod] = true
 		}
 		if len(fs.Sample) > 0 {
-			sample, err := trace.Decode(fs.Sample)
+			sample, err := decodeTraces(fs.Sample)
+			if err == nil && len(sample) != 1 {
+				err = fmt.Errorf("%d traces, want 1", len(sample))
+			}
 			if err != nil {
 				return books{}, fmt.Errorf("failure %q sample: %w", fs.Signature, err)
 			}
-			rec.sample = sample
+			rec.sample = sample[0]
 		}
 		b.failures[fs.Signature] = rec
 	}
@@ -244,14 +267,10 @@ func decodeBooks(snap *journal.ProgramSnapshot) (books, error) {
 	}
 	if len(snap.Coordinated) > 0 {
 		b.coordinated = make(map[string][]*trace.Trace, len(snap.Coordinated))
-		for key, raws := range snap.Coordinated {
-			fam := make([]*trace.Trace, 0, len(raws))
-			for _, raw := range raws {
-				tr, err := trace.Decode(raw)
-				if err != nil {
-					return books{}, fmt.Errorf("coordinated fragment: %w", err)
-				}
-				fam = append(fam, tr)
+		for key, raw := range snap.Coordinated {
+			fam, err := decodeTraces(raw)
+			if err != nil {
+				return books{}, fmt.Errorf("coordinated family: %w", err)
 			}
 			b.coordinated[key] = fam
 		}

@@ -8,13 +8,10 @@ package hive
 // import that fails half-way.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/archive"
@@ -575,101 +572,96 @@ func TestImportReplaysUnobserved(t *testing.T) {
 	assertHivesEqual(t, ha, hb, corpus)
 }
 
-// TestVersion1EnvelopeRestoresByEveryRoute: every segment of testdata/chain-v1
-// is in envelope version 1 (the whole snapshot as JSON, the tree in base64),
-// which nothing writes any more. TestRecoverVersion1Chain reboots from it;
-// here it restores, to the hive that builds the same directory today, by
-// the other routes a chain takes: exported from the directory and imported
-// (dead-hive takeover), synced to the archive and exported from there (cold
-// standby), and rebooted after a checkpoint on top of it, which appends a
-// version 2 segment to each version 1 chain.
+// TestVersion1EnvelopeRestoresByEveryRoute: the legacy fixtures (see
+// legacyFixtures) restore by no route. Each refuses with
+// journal.ErrUnknownVersion and leaves the fixture's files as they were: an
+// export from the directory imported elsewhere (dead-hive takeover), a sync
+// to the archive and an import from there (cold standby), and a reboot meant
+// to checkpoint on top, where Recover refuses before any checkpoint runs.
 func TestVersion1EnvelopeRestoresByEveryRoute(t *testing.T) {
 	corpus := recoveryCorpus(t, 3)
-	want, acked := buildRecoveryDir(t, t.TempDir(), corpus)
-	fixture := func(t *testing.T) string {
+	fixture := func(t *testing.T, name string) (string, map[string][]byte) {
 		dir := t.TempDir()
-		copyDir(t, filepath.Join("testdata", "chain-v1"), dir)
-		return dir
+		copyDir(t, filepath.Join("testdata", name), dir)
+		return dir, dirFiles(t, dir)
 	}
-	t.Run("export and import", func(t *testing.T) {
-		store, err := journal.Open(fixture(t), journal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	// importEach imports every program's chain into a fresh durable hive,
+	// each of which must be refused without leaving a file there.
+	importEach := func(t *testing.T, name string, chain func(id string) (*journal.ChainExport, error)) {
+		dst := t.TempDir()
+		h, store := newDurableHive(t, dst, corpus)
 		defer store.Close()
-		got := importAll(t, corpus, store.ExportChain)
-		assertRestored(t, want, got, corpus, acked)
-	})
-	t.Run("archive", func(t *testing.T) {
-		obj, err := archive.NewDirStore(t.TempDir(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := openStore(t, fixture(t), obj)
-		if err := archive.New(store, obj, archive.Options{Writer: "v1"}).SyncAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Close(); err != nil {
-			t.Fatal(err)
-		}
-		chains, _, err := ExportFromArchive(obj, "", corpus, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := importAll(t, corpus, func(id string) (*journal.ChainExport, error) { return chains[id], nil })
-		assertRestored(t, want, got, corpus, acked)
-	})
-	t.Run("checkpoint on top", func(t *testing.T) {
-		dir := fixture(t)
-		h, store := newDurableHive(t, dir, corpus)
-		if err := h.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Close(); err != nil {
-			t.Fatal(err)
-		}
-		assertEnvelopes(t, dir, corpus)
-		got, store := newDurableHive(t, dir, corpus)
-		defer store.Close()
-		assertRestored(t, want, got, corpus, acked)
-	})
-}
-
-// assertEnvelopes checks that each program's chain in dir is version 1
-// segments topped by one version 2 segment: the newest generation.
-func assertEnvelopes(t *testing.T, dir string, corpus []*prog.Program) {
-	t.Helper()
-	for _, p := range corpus {
-		segs, err := filepath.Glob(filepath.Join(dir, "*-"+journal.FileKey(p.ID)+"-*.snap"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		newest, newestGen := "", uint64(0)
-		for _, seg := range segs {
-			var gen uint64
-			name := filepath.Base(seg)
-			if _, err := fmt.Sscanf(name[strings.LastIndexByte(name, '-')+1:], "%d.snap", &gen); err != nil {
-				t.Fatal(err)
+		for _, p := range corpus {
+			c, err := chain(p.ID)
+			if err != nil || c == nil {
+				t.Fatalf("%s: chain of %s: %v (nil: %v)", name, p.Name, err, c == nil)
 			}
-			if gen > newestGen {
-				newest, newestGen = seg, gen
+			if err := h.ImportProgram(c); !errors.Is(err, journal.ErrUnknownVersion) {
+				t.Errorf("%s: import of %s returned %v; want journal.ErrUnknownVersion", name, p.Name, err)
+			}
+			if files := keyFiles(t, dst, p.ID); len(files) != 0 {
+				t.Errorf("%s: the refused import of %s left %v", name, p.Name, files)
 			}
 		}
-		if len(segs) < 2 {
-			t.Fatalf("program %s: %d segments; want the version 1 chain and the checkpoint on top", p.Name, len(segs))
-		}
-		for _, seg := range segs {
-			data, err := os.ReadFile(seg)
+	}
+	routes := []struct {
+		name    string
+		refuses func(t *testing.T, fixture string)
+	}{
+		{"export and import", func(t *testing.T, name string) {
+			dir, before := fixture(t, name)
+			store, err := journal.Open(dir, journal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			magic := "SBSNAP1\n"
-			if seg == newest {
-				magic = "SBSNAP2\n"
+			importEach(t, name, store.ExportChain)
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.HasPrefix(data, []byte(magic)) {
-				t.Errorf("program %s: %s starts %q; want %q", p.Name, filepath.Base(seg), data[:min(len(data), 8)], magic)
+			assertRefusedIntact(t, name+": export and import", journal.ErrUnknownVersion, dir, before)
+		}},
+		{"archive", func(t *testing.T, name string) {
+			dir, before := fixture(t, name)
+			obj, err := archive.NewDirStore(t.TempDir(), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			store := openStore(t, dir, obj)
+			if err := archive.New(store, obj, archive.Options{Writer: "legacy"}).SyncAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			chains, _, err := ExportFromArchive(obj, "", corpus, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			importEach(t, name, func(id string) (*journal.ChainExport, error) { return chains[id], nil })
+			assertRefusedIntact(t, name+": archive", journal.ErrUnknownVersion, dir, before)
+		}},
+		{"checkpoint on top", func(t *testing.T, name string) {
+			dir, before := fixture(t, name)
+			store, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := newMemHive(t, corpus)
+			err = h.Recover(store)
+			if err == nil {
+				err = h.Checkpoint()
+			}
+			if cerr := store.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
+			assertRefusedIntact(t, name+": Recover", err, dir, before)
+		}},
+	}
+	for _, route := range routes {
+		t.Run(route.name, func(t *testing.T) {
+			for _, name := range legacyFixtures {
+				route.refuses(t, name)
+			}
+		})
 	}
 }

@@ -135,7 +135,7 @@ func (h *Hive) recoverProgram(src chainSource, id string) error {
 	fold := newPathFold(st.tree)
 	if _, err := src.Replay(id, func(r journal.Receipt) error {
 		kind := r.Op().Kind
-		if kind != journal.OpBatchColumnar && kind != journal.OpBatch {
+		if kind != journal.OpBatchColumnar {
 			fold.flush()
 		}
 		if kind != journal.OpCert {
@@ -198,26 +198,8 @@ func (h *Hive) restoreProgram(st *programState, base *journal.ProgramSnapshot, d
 func (h *Hive) applyOp(st *programState, r journal.Receipt, fold *pathFold) error {
 	op := r.Op()
 	switch op.Kind {
-	case journal.OpBatchColumnar, journal.OpBatch:
-		raw := op.Raw
-		if op.Kind == journal.OpBatch {
-			// A record written before the hive journaled frame bytes
-			// verbatim: per-trace encodings. Re-encode them into the batch
-			// form so old data dirs replay through the one apply.
-			batch := make([]*trace.Trace, 0, len(op.Traces))
-			for i, enc := range op.Traces {
-				tr, err := trace.Decode(enc)
-				if err != nil {
-					return fmt.Errorf("hive: replay %s batch trace %d: %w", st.prog.ID, i, err)
-				}
-				batch = append(batch, tr)
-			}
-			var err error
-			if raw, err = trace.EncodeBatch(st.prog.ID, batch); err != nil {
-				return fmt.Errorf("hive: replay %s batch: %w", st.prog.ID, err)
-			}
-		}
-		view, err := trace.DecodeBatch(raw)
+	case journal.OpBatchColumnar:
+		view, err := trace.DecodeBatch(op.Raw)
 		if err != nil {
 			return fmt.Errorf("hive: replay %s columnar batch: %w", st.prog.ID, err)
 		}

@@ -431,7 +431,7 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 // ingestion — failing validation routes the signature to the repair lab
 // rather than shipping a guard that contradicts an observed-good input.
 func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, r journal.Receipt, fold *pathFold) {
-	op := r.Must(journal.OpBatchColumnar, journal.OpBatch)
+	op := r.Must(journal.OpBatchColumnar)
 	live := !r.Replayed()
 	singleThreaded := st.prog.NumThreads() == 1
 	n := v.Len()

@@ -1,7 +1,7 @@
 package hive
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -310,84 +310,79 @@ func TestRecoverErrorIsLowestProgram(t *testing.T) {
 	}
 }
 
-// TestRecoverVersion1Chain: testdata/chain-v1 is the directory
-// buildRecoveryDir wrote for recoveryCorpus(3) at the last commit whose
-// delta segments were version 1 (every entry a whole root path). It must
-// recover to the hive that builds the same directory today, whose own
-// segments are version 2 and smaller. That commit also still journaled
-// per-trace OpBatch records for half the frames; nothing writes them any
-// more, so this fixture is what keeps their replay pinned.
-func TestRecoverVersion1Chain(t *testing.T) {
-	corpus := recoveryCorpus(t, 3)
-	cur := t.TempDir()
-	want, acked := buildRecoveryDir(t, cur, corpus)
+// legacyFixtures are data directories that buildRecoveryDir wrote for
+// recoveryCorpus(3) at earlier commits, in formats this build does not read.
+// chain-v1 is from the last commit whose segments were envelope version 1
+// with delta version 1 inside, and which journaled half its frames as
+// per-trace batch records (op kind 1). chain-v2 is from the last commit that
+// wrote envelope version 2, whose failure samples were per-trace encodings.
+// Both journals have a current header, so Open names every program and
+// refusal falls to whatever reads a segment or a record.
+var legacyFixtures = []string{"chain-v1", "chain-v2"}
 
-	old := t.TempDir()
-	copyDir(t, filepath.Join("testdata", "chain-v1"), old)
-	oldBytes := treeDeltaBytes(t, old, corpus, 1)
-	curBytes := treeDeltaBytes(t, cur, corpus, 2)
-	if curBytes*2 > oldBytes {
-		t.Errorf("version 2 segments hold %d B of tree, version 1 held %d B; want at most half", curBytes, oldBytes)
-	}
-
-	if n := countOps(t, old, corpus, journal.OpBatch); n == 0 {
-		t.Fatal("the fixture's journal suffix holds no OpBatch record: the legacy replay is not exercised")
-	}
-	if n := countOps(t, cur, corpus, journal.OpBatch); n != 0 {
-		t.Fatalf("today's hive journaled %d OpBatch records; want OpBatchColumnar only", n)
-	}
-
-	got, store := newDurableHive(t, old, corpus)
-	defer store.Close()
-	assertHivesEqual(t, want, got, corpus)
-	assertSessionsAnswerAlike(t, got, acked)
-}
-
-// countOps counts the journal-suffix records of one kind in dir, over every
-// program of corpus.
-func countOps(t *testing.T, dir string, corpus []*prog.Program, kind journal.Kind) int {
+// dirFiles reads every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	store, err := journal.Open(dir, journal.Options{})
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	n := 0
-	for _, p := range corpus {
-		if _, err := store.Replay(p.ID, func(r journal.Receipt) error {
-			op := r.Op()
-			if op.Kind == kind {
-				n++
-			}
-			return nil
-		}); err != nil {
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
 			t.Fatal(err)
 		}
+		out[e.Name()] = data
 	}
-	return n
+	return out
 }
 
-// treeDeltaBytes sums TreeDelta over the delta segments in dir, each of
-// which must be of the given version.
-func treeDeltaBytes(t *testing.T, dir string, corpus []*prog.Program, version byte) int {
+// assertRefusedIntact fails unless err is journal.ErrUnknownVersion and dir
+// still holds exactly the files and bytes of before.
+func assertRefusedIntact(t *testing.T, what string, err error, dir string, before map[string][]byte) {
 	t.Helper()
-	store, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, journal.ErrUnknownVersion) {
+		t.Errorf("%s returned %v; want journal.ErrUnknownVersion", what, err)
 	}
-	defer store.Close()
-	total := 0
-	for _, p := range corpus {
-		_, deltas, err := store.LoadChain(p.ID)
-		if err != nil || len(deltas) == 0 {
-			t.Fatalf("%s: program %s: %d delta segments, err %v", dir, p.Name, len(deltas), err)
+	if !reflect.DeepEqual(dirFiles(t, dir), before) {
+		t.Errorf("%s changed the data directory it refused", what)
+	}
+}
+
+// TestRecoverVersion1Chain: a reboot over testdata/chain-v1 — or chain-v2,
+// see legacyFixtures — refuses with journal.ErrUnknownVersion and leaves
+// every file as it was. chain-v1's per-trace batch records are refused by the
+// journal replay on its own too.
+func TestRecoverVersion1Chain(t *testing.T) {
+	corpus := recoveryCorpus(t, 3)
+	for _, fixture := range legacyFixtures {
+		dir := t.TempDir()
+		copyDir(t, filepath.Join("testdata", fixture), dir)
+		before := dirFiles(t, dir)
+		store, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", fixture, err)
 		}
-		for i, d := range deltas {
-			if !bytes.HasPrefix(d.TreeDelta, []byte{version}) {
-				t.Fatalf("%s: program %s: delta %d is version %d, want %d", dir, p.Name, i, d.TreeDelta[0], version)
+		err = newMemHive(t, corpus).Recover(store)
+		assertRefusedIntact(t, fixture+": Recover", err, dir, before)
+
+		refused := 0
+		for _, p := range corpus {
+			_, err := store.Replay(p.ID, func(journal.Receipt) error { return nil })
+			switch {
+			case errors.Is(err, journal.ErrUnknownVersion):
+				refused++
+			case err != nil:
+				t.Errorf("%s: program %s: replay: %v", fixture, p.Name, err)
 			}
-			total += len(d.TreeDelta)
 		}
+		if fixture == "chain-v1" && refused == 0 {
+			t.Error("chain-v1: no journal refused a per-trace batch record: the fixture no longer holds one")
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertRefusedIntact(t, fixture+": Replay", journal.ErrUnknownVersion, dir, before)
 	}
-	return total
 }

@@ -274,7 +274,7 @@ func TestCheckpointUnderBookkeepingTraffic(t *testing.T) {
 		Ingested    int64
 		Failures    []failure
 		KnownGood   [][]int64
-		Coordinated map[string][][]byte
+		Coordinated map[string][]byte
 	}
 	read := func(h *Hive) state {
 		t.Helper()

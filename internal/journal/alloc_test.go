@@ -45,9 +45,7 @@ func TestAllocsEncodeOpInto(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc counts are skewed under the race detector")
 	}
-	payload := make([]byte, 200)
-	op := &Op{Kind: OpBatch, Session: "alloc-session", Seq: 9,
-		Traces: [][]byte{payload, payload, payload, payload}}
+	op := &Op{Kind: OpBatchColumnar, Session: "alloc-session", Seq: 9, Raw: make([]byte, 800)}
 	var scratch, frame []byte
 	scratch = appendOp(scratch[:0], op)
 	frame = appendRecord(frame[:0], scratch)

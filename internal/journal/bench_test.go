@@ -27,16 +27,12 @@ func BenchmarkJournalAppendParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			payload := make([]byte, 200)
-			for i := range payload {
-				payload[i] = byte(i)
-			}
+			payload := benchPayload(8)
 			b.SetParallelism(16)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				op := &Op{Kind: OpBatch, Session: "bench-session", Seq: 1,
-					Traces: [][]byte{payload, payload, payload, payload, payload, payload, payload, payload}}
+				op := &Op{Kind: OpBatchColumnar, Session: "bench-session", Seq: 1, Raw: payload}
 				for pb.Next() {
 					if err := s.Append("bench-program", op); err != nil {
 						b.Fatal(err)
@@ -58,15 +54,8 @@ func BenchmarkJournalAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			op := &Op{Kind: OpBatch, Session: "bench-session", Seq: 1}
-			payload := make([]byte, 200)
-			for i := range payload {
-				payload[i] = byte(i)
-			}
-			for i := 0; i < traces; i++ {
-				op.Traces = append(op.Traces, payload)
-			}
-			b.SetBytes(int64(traces * len(payload)))
+			op := &Op{Kind: OpBatchColumnar, Session: "bench-session", Seq: 1, Raw: benchPayload(traces)}
+			b.SetBytes(int64(len(op.Raw)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -93,17 +82,13 @@ func BenchmarkJournalAppendColdFleet(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			payload := make([]byte, 200)
-			for i := range payload {
-				payload[i] = byte(i)
-			}
+			payload := benchPayload(1)
 			var next atomic.Int64
 			b.SetParallelism(16)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				op := &Op{Kind: OpBatch, Session: "bench-session", Seq: 1,
-					Traces: [][]byte{payload}}
+				op := &Op{Kind: OpBatchColumnar, Session: "bench-session", Seq: 1, Raw: payload}
 				for pb.Next() {
 					id := fmt.Sprintf("bench-program-%d", next.Add(1)%int64(programs))
 					if err := s.Append(id, op); err != nil {
@@ -113,4 +98,14 @@ func BenchmarkJournalAppendColdFleet(b *testing.B) {
 			})
 		})
 	}
+}
+
+// benchPayload stands in for the batch bytes of traces encoded traces of
+// about 200 bytes each: the journal carries them without parsing.
+func benchPayload(traces int) []byte {
+	payload := make([]byte, 200*traces)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	return payload
 }

@@ -132,8 +132,10 @@ func (s *Store) exportChain(programID string, whole bool) (*ChainExport, error) 
 		return nil, fmt.Errorf("journal: export %s wal: %w", programID, err)
 	}
 	if err == nil {
-		id, body, herr := splitWALHeader(walData)
+		id, body, herr := splitWALHeader(walData, walPath(s.dir, pl.key, pl.gen))
 		switch {
+		case errors.Is(herr, ErrUnknownVersion):
+			return nil, fmt.Errorf("journal: export %s: %w", programID, herr)
 		case herr != nil:
 			// Torn header: the creation write never completed, so the file
 			// holds no acked records — export an empty WAL region.

@@ -40,15 +40,24 @@
 // the torn record was never applied (append happens before apply) and never
 // acknowledged.
 //
-// Every segment, base or delta, is one CRC-framed envelope (version 2, see
+// Every segment, base or delta, is one CRC-framed envelope (version 3, see
 // encodeSnapshot): the program ID, the tree bytes and the tree-delta bytes
 // as length-prefixed binary fields, then the rest of the snapshot as JSON.
 // A restore reads the tree bytes where they lie: a decoded ProgramSnapshot's
 // Tree and TreeDelta alias the segment's bytes, so no caller may write into
 // them, nor into the bytes of a ChainExport. Open names a program from the
-// header's first field without parsing the JSON. Segments of envelope
-// version 1 (the whole snapshot as JSON, the tree in base64) are still read,
-// and a chain may mix both.
+// header's first field without parsing the JSON.
+//
+// # One format per file, and refusal
+//
+// Each file kind has one format this build reads and writes: envelope
+// version 3 for segments, journal header version 1, and op version 1 with
+// the kinds below. A file or record that names its family (the SBSNAP or
+// SBWAL magic, a CRC-valid op) at a version or kind this build does not
+// speak is ErrUnknownVersion, which does not wrap ErrCorrupt: every path
+// that would otherwise delete, truncate or export as empty what it cannot
+// parse refuses instead and leaves every byte in place. Only a file that is
+// actually torn — bad CRC, a short header, a record cut off — is cut back.
 //
 // # Group commit
 //
@@ -100,6 +109,13 @@ import (
 
 // ErrCorrupt is wrapped by malformed journal or snapshot data.
 var ErrCorrupt = errors.New("journal: corrupt")
+
+// ErrUnknownVersion is wrapped by a segment, journal header or journal
+// record of a format version or op kind this build does not read: data
+// another build wrote, never a crash's tail. It does not wrap ErrCorrupt, so
+// nothing quarantines, truncates or drops what carries it; the store, the
+// replay or the export refuses instead.
+var ErrUnknownVersion = errors.New("journal: unknown format version")
 
 // Options configures a Store.
 type Options struct {
@@ -199,12 +215,27 @@ var errLead = errors.New("journal: lead the next group")
 // after the send.
 var pendingPool = sync.Pool{New: func() any { return &pendingAppend{done: make(chan error, 1)} }}
 
+// The magics this build writes and reads. Each is a family prefix, one
+// version character and a newline; checkMagic tells another version of the
+// same family from a file that is not one.
 const (
 	walMagic  = "SBWAL1\n"
-	snapMagic = "SBSNAP2\n"
-	// snapMagicV1 opens a segment written before envelope version 2.
-	snapMagicV1 = "SBSNAP1\n"
+	snapMagic = "SBSNAP3\n"
 )
+
+// checkMagic checks that data opens with magic. It returns ErrUnknownVersion
+// when data opens with magic's family at another version, and ErrCorrupt for
+// anything else, a torn prefix of magic included. where names the source.
+func checkMagic(data []byte, magic, where string) error {
+	if len(data) >= len(magic) && string(data[:len(magic)]) == magic {
+		return nil
+	}
+	family := magic[:len(magic)-2]
+	if v := len(family); len(data) > v && string(data[:v]) == family && data[v] != magic[v] {
+		return fmt.Errorf("%w: %s is %s version %q; this build reads version %q only", ErrUnknownVersion, where, family, data[v], magic[v])
+	}
+	return fmt.Errorf("%w: bad %s magic in %s", ErrCorrupt, family, where)
+}
 
 // Open opens (creating if needed) a data directory and indexes the
 // snapshot/journal files already in it.
@@ -407,8 +438,9 @@ func (s *Store) scan() error {
 // base snapshot, delta header, or tether marker (one of them exists at the
 // current chain by construction). The returned error wraps ErrCorrupt only
 // when every probe found its file missing, empty, or corrupt — the scan's
-// quarantine condition; a transient read failure (EIO on an intact file)
-// propagates as-is so the caller refuses to open rather than deletes.
+// quarantine condition; a transient read failure (EIO on an intact file) or
+// a file of a version this build does not read (ErrUnknownVersion) propagates
+// as-is so the caller refuses to open rather than deletes.
 func (s *Store) programIDFor(pl *progLog, tm *tetherMarker) (string, error) {
 	var transient error
 	probeFailed := func(err error) {
@@ -611,7 +643,10 @@ func (s *Store) Replay(programID string, apply func(Receipt) error) (int, error)
 	if err != nil {
 		return 0, fmt.Errorf("journal: replay %s: %w", programID, err)
 	}
-	id, body, err := splitWALHeader(data)
+	id, body, err := splitWALHeader(data, path)
+	if errors.Is(err, ErrUnknownVersion) {
+		return 0, fmt.Errorf("journal: replay %s: %w", programID, err)
+	}
 	if err != nil {
 		// Torn header: the creation write never completed, so no record in
 		// this file was ever acked. Reset it to empty; the next append
@@ -644,7 +679,9 @@ func (s *Store) Replay(programID string, apply func(Receipt) error) (int, error)
 // replayRecords is the one record loop, whichever store the bytes came from:
 // it walks CRC-framed records, decoding and applying each when apply is set,
 // and returns how many it passed and the bytes they cover. It stops without
-// error at the first torn (or, decoding, undecodable) record.
+// error at the first torn (or, decoding, undecodable) record. A CRC-valid
+// record of an op version or kind this build does not read is no crash's
+// tail: it fails the loop with ErrUnknownVersion, so nothing after it is cut.
 func replayRecords(programID string, body []byte, apply func(Receipt) error) (n, valid int, err error) {
 	for rest := body; len(rest) > 0; {
 		payload, next, ok := readRecord(rest)
@@ -653,6 +690,9 @@ func replayRecords(programID string, body []byte, apply func(Receipt) error) (n,
 		}
 		if apply != nil {
 			op, err := decodeOp(payload)
+			if errors.Is(err, ErrUnknownVersion) {
+				return n, valid, fmt.Errorf("journal: replay %s record %d: %w", programID, n, err)
+			}
 			if err != nil {
 				break // an undecodable record is a torn one
 			}
@@ -948,7 +988,9 @@ func openWAL(vfs FS, path, programID string) (File, int64, error) {
 	switch id, err := readWALHeader(vfs, path); {
 	case err == nil && id != programID:
 		return nil, 0, fmt.Errorf("%w: journal for %q found under key of %q", ErrCorrupt, id, programID)
-	case err != nil && errors.Is(err, ErrCorrupt):
+	case errors.Is(err, ErrUnknownVersion):
+		return nil, 0, fmt.Errorf("journal: open wal: %w", err)
+	case errors.Is(err, ErrCorrupt):
 		if terr := vfs.Truncate(path, 0); terr != nil {
 			return nil, 0, fmt.Errorf("journal: reset torn wal header: %w", terr)
 		}
@@ -993,19 +1035,20 @@ func readWALHeader(vfs FS, path string) (string, error) {
 	if err != nil && n == 0 {
 		return "", err
 	}
-	id, _, err := splitWALHeader(buf[:n])
+	id, _, err := splitWALHeader(buf[:n], path)
 	return id, err
 }
 
-// splitWALHeader validates the header and returns (programID, records).
-func splitWALHeader(data []byte) (string, []byte, error) {
-	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		return "", nil, fmt.Errorf("%w: bad wal magic", ErrCorrupt)
+// splitWALHeader validates the header and returns (programID, records);
+// where names the source for error messages.
+func splitWALHeader(data []byte, where string) (string, []byte, error) {
+	if err := checkMagic(data, walMagic, where); err != nil {
+		return "", nil, err
 	}
 	rest := data[len(walMagic):]
 	n, sz := binary.Uvarint(rest)
 	if sz <= 0 || n > uint64(len(rest)-sz) {
-		return "", nil, fmt.Errorf("%w: bad wal header", ErrCorrupt)
+		return "", nil, fmt.Errorf("%w: bad wal header in %s", ErrCorrupt, where)
 	}
 	id := string(rest[sz : sz+int(n)])
 	return id, rest[sz+int(n):], nil

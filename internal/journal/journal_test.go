@@ -14,12 +14,10 @@ import (
 	"repro/internal/exectree"
 )
 
-func batchOp(session string, seq uint64, traces ...string) *Op {
-	op := &Op{Kind: OpBatch, Session: session, Seq: seq}
-	for _, tr := range traces {
-		op.Traces = append(op.Traces, []byte(tr))
-	}
-	return op
+// batchOp is a batch op whose batch bytes are raw: the journal carries them
+// without parsing.
+func batchOp(session string, seq uint64, raw string) *Op {
+	return &Op{Kind: OpBatchColumnar, Session: session, Seq: seq, Raw: []byte(raw)}
 }
 
 func collect(t *testing.T, s *Store, programID string) []*Op {
@@ -37,8 +35,8 @@ func collect(t *testing.T, s *Store, programID string) []*Op {
 
 func TestOpCodecRoundTrip(t *testing.T) {
 	ops := []*Op{
-		batchOp("sess-1", 7, "trace-a", "trace-b"),
-		batchOp("", 0),
+		batchOp("sess-1", 7, "trace-a|trace-b"),
+		batchOp("", 0, ""),
 		{Kind: OpSynthesis, Signature: "crash@3#-1", Fix: []byte(`{"id":1}`)},
 		{Kind: OpSynthesis, Signature: "hang@9#-1"},
 		{Kind: OpProof, Proof: []byte(`{"Property":1}`)},
@@ -62,8 +60,8 @@ func TestOpCodecRoundTrip(t *testing.T) {
 // normalize maps nil and empty slices to a comparable form.
 func normalize(op *Op) *Op {
 	c := *op
-	if len(c.Traces) == 0 {
-		c.Traces = nil
+	if len(c.Raw) == 0 {
+		c.Raw = nil
 	}
 	if len(c.Fix) == 0 {
 		c.Fix = nil
@@ -82,7 +80,7 @@ func TestAppendReplay(t *testing.T) {
 	}
 	want := []*Op{
 		batchOp("s", 1, "t1"),
-		batchOp("s", 2, "t2", "t3"),
+		batchOp("s", 2, "t2|t3"),
 		{Kind: OpSynthesis, Signature: "sig", Fix: []byte("{}")},
 	}
 	for _, op := range want {
@@ -149,7 +147,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	}
 	defer s2.Close()
 	got := collect(t, s2, "prog-A")
-	if len(got) != 1 || string(got[0].Traces[0]) != "good" {
+	if len(got) != 1 || string(got[0].Raw) != "good" {
 		t.Fatalf("after torn tail: got %d ops, want the 1 intact op", len(got))
 	}
 	// The torn bytes were truncated, so a new append yields a valid journal.
@@ -163,7 +161,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	}
 	defer s3.Close()
 	got = collect(t, s3, "prog-A")
-	if len(got) != 2 || string(got[1].Traces[0]) != "resent" {
+	if len(got) != 2 || string(got[1].Raw) != "resent" {
 		t.Fatalf("after truncate+append: got %d ops", len(got))
 	}
 }
@@ -228,7 +226,7 @@ func TestCheckpointRotatesAndRecovers(t *testing.T) {
 		t.Fatalf("failure state mismatch: %+v", loaded.Failures)
 	}
 	got := collect(t, s2, "prog-A")
-	if len(got) != 1 || string(got[0].Traces[0]) != "post" {
+	if len(got) != 1 || string(got[0].Raw) != "post" {
 		t.Fatalf("replay after checkpoint: got %d ops, want only the post-checkpoint op", len(got))
 	}
 }
@@ -277,7 +275,7 @@ func TestProgramsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// prog-A's checkpoint must not disturb prog-B's journal.
-	if got := collect(t, s, "prog-B"); len(got) != 1 || string(got[0].Traces[0]) != "b" {
+	if got := collect(t, s, "prog-B"); len(got) != 1 || string(got[0].Raw) != "b" {
 		t.Fatalf("prog-B journal disturbed: %d ops", len(got))
 	}
 }
@@ -339,7 +337,7 @@ func TestGroupCommitAppendReplay(t *testing.T) {
 	seen := make(map[string]int)
 	perSession := make(map[string]uint64)
 	for _, op := range collect(t, s2, "prog-A") {
-		seen[string(op.Traces[0])]++
+		seen[string(op.Raw)]++
 		// Within one appender the journal preserves submission order: each
 		// worker's sequence numbers must replay ascending.
 		if op.Seq <= perSession[op.Session] {
@@ -466,7 +464,7 @@ func TestDeltaCheckpointChain(t *testing.T) {
 	}
 	// Only the post-chain suffix replays.
 	got := collect(t, s2, "prog-A")
-	if len(got) != 1 || string(got[0].Traces[0]) != "post-chain" {
+	if len(got) != 1 || string(got[0].Raw) != "post-chain" {
 		t.Fatalf("replay after chain: got %d ops", len(got))
 	}
 	// A full checkpoint compacts: chain collapses to one base, deltas gone.

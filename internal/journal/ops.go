@@ -8,7 +8,8 @@ import (
 )
 
 // opVersion is bumped on any journal-incompatible change to the op
-// encoding.
+// encoding. A record of another version, or of a kind not listed below, is
+// refused with ErrUnknownVersion.
 const opVersion = 1
 
 // Kind discriminates journaled operations.
@@ -16,18 +17,13 @@ type Kind uint8
 
 // Journaled operation kinds. Together they cover every mutation of durable
 // hive state: trace ingestion, fix synthesis outcomes, proof attempts (with
-// the evidence the prover merged), and infeasibility certificates.
+// the evidence the prover merged), and infeasibility certificates. Kind 1
+// is reserved: it held per-trace batch encodings, which no build reads any
+// more.
 const (
-	// OpBatch is one ingested trace batch as per-trace encodings
-	// (post-privacy traces). The hive no longer writes it — every batch is
-	// journaled as OpBatchColumnar — and reads it only so data directories
-	// written before that still replay. Session/Seq are set for
-	// deduplicated wire submissions so recovery also rebuilds the
-	// exactly-once dedup table.
-	OpBatch Kind = iota + 1
 	// OpSynthesis records the single-flight synthesis outcome for a failure
 	// signature: a minted fix (JSON) or, with an empty Fix, the repair lab.
-	OpSynthesis
+	OpSynthesis Kind = iota + 2
 	// OpProof records one successful proof attempt: the proof document
 	// (JSON, including the evidence paths the prover merged into the tree).
 	OpProof
@@ -39,7 +35,9 @@ const (
 	// Transport compression never reaches here: a batch that crossed the
 	// wire DEFLATE-compressed is inflated before ingest, so Raw is always
 	// the decompressed canonical payload, byte-identical to an uncompressed
-	// submission of the same batch. Session/Seq as in OpBatch.
+	// submission of the same batch. Session/Seq are set for deduplicated
+	// wire submissions, so recovery also rebuilds the exactly-once dedup
+	// table.
 	OpBatchColumnar
 )
 
@@ -48,13 +46,11 @@ const (
 type Op struct {
 	Kind Kind
 
-	// OpBatch (Session/Seq shared with OpBatchColumnar).
+	// OpBatchColumnar: the session and sequence number of a deduplicated
+	// submission, and the verbatim wire-batch bytes.
 	Session string
 	Seq     uint64
-	Traces  [][]byte
-
-	// OpBatchColumnar: the verbatim wire-batch bytes.
-	Raw []byte
+	Raw     []byte
 
 	// OpSynthesis.
 	Signature string
@@ -86,18 +82,16 @@ func (r Receipt) Op() *Op { return r.op }
 func (r Receipt) Replayed() bool { return r.replay }
 
 // Must returns the op the receipt was minted for, and panics if r is the
-// zero Receipt or was minted for an op of none of kinds: an apply handed a
+// zero Receipt or was minted for an op of another kind: an apply handed a
 // receipt for another op is a bug in its caller, not a condition to handle.
-func (r Receipt) Must(kinds ...Kind) *Op {
-	if r.op != nil {
-		for _, k := range kinds {
-			if r.op.Kind == k {
-				return r.op
-			}
-		}
-		panic(fmt.Sprintf("journal: an apply of another op kind was handed the receipt of a kind %d op", r.op.Kind))
+func (r Receipt) Must(kind Kind) *Op {
+	switch {
+	case r.op == nil:
+		panic("journal: an apply was handed the zero Receipt: its op is on no record")
+	case r.op.Kind != kind:
+		panic(fmt.Sprintf("journal: an apply of kind %d ops was handed the receipt of a kind %d op", kind, r.op.Kind))
 	}
-	panic("journal: an apply was handed the zero Receipt: its op is on no record")
+	return r.op
 }
 
 // appendOp appends an op's payload encoding to buf — the zero-alloc form
@@ -105,13 +99,6 @@ func (r Receipt) Must(kinds ...Kind) *Op {
 func appendOp(buf []byte, op *Op) []byte {
 	buf = append(buf, opVersion, byte(op.Kind))
 	switch op.Kind {
-	case OpBatch:
-		buf = appendBytes(buf, []byte(op.Session))
-		buf = binary.AppendUvarint(buf, op.Seq)
-		buf = binary.AppendUvarint(buf, uint64(len(op.Traces)))
-		for _, tr := range op.Traces {
-			buf = appendBytes(buf, tr)
-		}
 	case OpBatchColumnar:
 		buf = appendBytes(buf, []byte(op.Session))
 		buf = binary.AppendUvarint(buf, op.Seq)
@@ -136,21 +123,11 @@ func appendOp(buf []byte, op *Op) []byte {
 // to its apply in place, and data outlives the apply (see Store.Replay).
 func decodeOp(data []byte) (*Op, error) {
 	d := &opDecoder{buf: data}
-	if v := d.byte(); v != opVersion {
-		return nil, fmt.Errorf("%w: op version %d", ErrCorrupt, v)
+	if v := d.byte(); d.err == nil && v != opVersion {
+		return nil, fmt.Errorf("%w: op version %d; this build reads version %d only", ErrUnknownVersion, v, opVersion)
 	}
 	op := &Op{Kind: Kind(d.byte())}
 	switch op.Kind {
-	case OpBatch:
-		op.Session = string(d.bytes())
-		op.Seq = d.uvarint()
-		n := int(d.uvarint())
-		if d.err == nil && n > len(data) {
-			return nil, fmt.Errorf("%w: implausible batch count %d", ErrCorrupt, n)
-		}
-		for i := 0; i < n && d.err == nil; i++ {
-			op.Traces = append(op.Traces, d.bytes())
-		}
 	case OpBatchColumnar:
 		op.Session = string(d.bytes())
 		op.Seq = d.uvarint()
@@ -170,7 +147,9 @@ func decodeOp(data []byte) (*Op, error) {
 		}
 		op.Missing = d.edge()
 	default:
-		return nil, fmt.Errorf("%w: unknown op kind %d", ErrCorrupt, op.Kind)
+		if d.err == nil {
+			return nil, fmt.Errorf("%w: op kind %d", ErrUnknownVersion, op.Kind)
+		}
 	}
 	if d.err != nil {
 		return nil, d.err

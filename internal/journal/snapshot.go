@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -17,9 +16,9 @@ import (
 // collective known-good inputs, the coordinated-sampling fragment buffer,
 // and the exactly-once session dedup table as of the checkpoint.
 //
-// Trace payloads (failure samples, coordinated fragments) are stored in the
-// per-trace codec (trace.Encode), not the wire's columnar batch form; fixes
-// and proofs in their JSON codecs. All of
+// Trace payloads (failure samples, coordinated families) are columnar
+// batches (trace.AppendBatch), the one trace encoding the wire, the journal
+// and the archive carry; fixes and proofs are in their JSON codecs. All of
 // them are post-privacy: the snapshot persists what pods shipped, never
 // more (see the package privacy invariant).
 // A snapshot is either *full* (Tree set: the complete exectree.Encode
@@ -31,22 +30,17 @@ import (
 // (exectree.DecodeChain) and takes the non-tree fields from the newest
 // segment.
 //
-// TreeDelta is opaque here; exectree/delta.go owns its layout. Since delta
-// version 2 the changed nodes are written in Encode's pre-order, each entry
-// as (depth shared with the previous entry, the edges below it, the node's
-// body), so a segment's tree bytes are bounded by the full encoding of the
-// same nodes plus one small entry header a node, whatever their depth.
-// Segments of version 1 (every entry a whole root path) are still read, so a
-// chain may mix both.
+// TreeDelta is opaque here; exectree/delta.go owns its layout (delta
+// version 2: the changed nodes in Encode's pre-order, each entry as the
+// depth shared with the previous entry, the edges below it and the node's
+// body).
 //
-// A chain segment holds a snapshot in envelope version 2 (see
+// A chain segment holds a snapshot in envelope version 3 (see
 // encodeSnapshot): the program ID, Tree and TreeDelta as length-prefixed
 // binary fields, then every other field as JSON. A decoded snapshot's Tree
 // and TreeDelta alias the segment bytes it was read from, so nothing may
-// write into them, nor into the bytes of a ChainExport it came from.
-// Envelope version 1 (the whole snapshot as JSON, the tree in base64) is
-// still read; the envelope's version and the delta encoding's are
-// independent.
+// write into them, nor into the bytes of a ChainExport it came from. A
+// segment of any other envelope version is refused with ErrUnknownVersion.
 type ProgramSnapshot struct {
 	ProgramID string `json:"programId,omitempty"`
 	// Tree is the exectree.Encode serialization (full snapshots only).
@@ -71,8 +65,8 @@ type ProgramSnapshot struct {
 	// shipped at PrivacyRaw).
 	KnownGood [][]int64 `json:"knownGood,omitempty"`
 	// Coordinated buffers incomplete coordinated-sampling families:
-	// family key -> encoded fragment traces.
-	Coordinated map[string][][]byte `json:"coordinated,omitempty"`
+	// family key -> the family's fragments as one columnar batch.
+	Coordinated map[string][]byte `json:"coordinated,omitempty"`
 
 	// Sessions is the exactly-once dedup table (session -> contiguous
 	// applied-sequence base) as of this checkpoint; SessionsAhead carries
@@ -91,7 +85,7 @@ type FailureState struct {
 	Count     int64  `json:"count"`
 	// Pods lists the distinct reporting pod IDs.
 	Pods []string `json:"pods,omitempty"`
-	// Sample is one representative trace (per-trace codec, trace.Encode).
+	// Sample is one representative trace as a one-trace columnar batch.
 	Sample      []byte `json:"sample,omitempty"`
 	Fixed       bool   `json:"fixed,omitempty"`
 	InRepairLab bool   `json:"inRepairLab,omitempty"`
@@ -99,18 +93,18 @@ type FailureState struct {
 
 // encodeSnapshot serializes a snapshot into the CRC-framed byte form of a
 // chain segment: what writeSnapshotFile persists and a ChainExport carries.
-// The envelope (version 2) is
+// The envelope (version 3) is
 //
-//	"SBSNAP2\n" | uvarint body length | body | CRC32 (IEEE, little endian) of body
+//	"SBSNAP3\n" | uvarint body length | body | CRC32 (IEEE, little endian) of body
 //
 //	body = uvarint len | program ID
 //	     | uvarint len | Tree
 //	     | uvarint len | TreeDelta
 //	     | the remaining fields as JSON (ProgramSnapshot's tags)
 //
-// so a reader takes the tree bytes as they lie, where version 1 ("SBSNAP1\n",
-// the body the whole snapshot as JSON) made it unquote and base64-decode
-// them first. The writer emits version 2 only.
+// so a reader takes the tree bytes as they lie. Version 3 has version 2's
+// layout; the version changed with what the trace fields hold (columnar
+// batches, where version 2 held per-trace encodings).
 func encodeSnapshot(snap *ProgramSnapshot) ([]byte, error) {
 	rest := *snap
 	rest.ProgramID, rest.Tree, rest.TreeDelta = "", nil, nil
@@ -147,16 +141,9 @@ func uvarintLen(v int) int {
 // decodeSnapshot validates the CRC frame and parses the body; where names
 // the source for error messages. Tree and TreeDelta alias data.
 func decodeSnapshot(data []byte, where string) (*ProgramSnapshot, error) {
-	v2, body, err := openSnapshot(data, where)
+	body, err := openSnapshot(data, where)
 	if err != nil {
 		return nil, err
-	}
-	if !v2 {
-		var snap ProgramSnapshot
-		if err := json.Unmarshal(body, &snap); err != nil {
-			return nil, fmt.Errorf("%w: snapshot json in %s: %v", ErrCorrupt, where, err)
-		}
-		return &snap, nil
 	}
 	id, body, ok := splitField(body)
 	tree, body, ok2 := splitField(body)
@@ -172,22 +159,19 @@ func decodeSnapshot(data []byte, where string) (*ProgramSnapshot, error) {
 	return &snap, nil
 }
 
-// openSnapshot checks a segment's magic (either version's: both are the same
-// length) and CRC frame and returns its body, reporting whether the
-// envelope is version 2.
-func openSnapshot(data []byte, where string) (v2 bool, body []byte, err error) {
-	v2 = bytes.HasPrefix(data, []byte(snapMagic))
-	if !v2 && !bytes.HasPrefix(data, []byte(snapMagicV1)) {
-		return false, nil, fmt.Errorf("%w: bad snapshot magic in %s", ErrCorrupt, where)
+// openSnapshot checks a segment's magic and CRC frame and returns its body.
+func openSnapshot(data []byte, where string) ([]byte, error) {
+	if err := checkMagic(data, snapMagic, where); err != nil {
+		return nil, err
 	}
 	body, rest, ok := splitField(data[len(snapMagic):])
 	if !ok || len(rest) < 4 {
-		return false, nil, fmt.Errorf("%w: truncated snapshot %s", ErrCorrupt, where)
+		return nil, fmt.Errorf("%w: truncated snapshot %s", ErrCorrupt, where)
 	}
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(rest) {
-		return false, nil, fmt.Errorf("%w: snapshot checksum mismatch in %s", ErrCorrupt, where)
+		return nil, fmt.Errorf("%w: snapshot checksum mismatch in %s", ErrCorrupt, where)
 	}
-	return v2, body, nil
+	return body, nil
 }
 
 // splitField splits a uvarint-length-prefixed field off b. The field is a
@@ -215,20 +199,12 @@ func readSnapshotID(vfs FS, path string) (string, error) {
 	return snapshotID(data, path)
 }
 
-// snapshotID returns the program ID a segment names. In version 2 it is the
-// body's first field, taken once the magic and the CRC check out, with no
-// JSON parsed; a version 1 segment is decoded whole.
+// snapshotID returns the program ID a segment names: the body's first
+// field, taken once the magic and the CRC check out, with no JSON parsed.
 func snapshotID(data []byte, where string) (string, error) {
-	v2, body, err := openSnapshot(data, where)
+	body, err := openSnapshot(data, where)
 	if err != nil {
 		return "", err
-	}
-	if !v2 {
-		snap, err := decodeSnapshot(data, where)
-		if err != nil {
-			return "", err
-		}
-		return snap.ProgramID, nil
 	}
 	id, _, ok := splitField(body)
 	if !ok {

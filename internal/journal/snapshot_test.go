@@ -25,25 +25,10 @@ func sampleSnapshot() *ProgramSnapshot {
 		Reconstructed: 40,
 		Narrowed:      2,
 		KnownGood:     [][]int64{{1, 2}, {300}},
-		Coordinated:   map[string][][]byte{"fam": {{1}, {2, 3}}},
+		Coordinated:   map[string][]byte{"fam": {1, 2, 3}},
 		Sessions:      map[string]uint64{"s1": 7, "s2": 1 << 40},
 		SessionsAhead: map[string][]uint64{"s1": {9, 11}},
 	}
-}
-
-// encodeSnapshotV1 is the version 1 writer: the whole snapshot as JSON in
-// the CRC frame. Nothing writes it any more; segments written before
-// version 2 are still read.
-func encodeSnapshotV1(t testing.TB, snap *ProgramSnapshot) []byte {
-	t.Helper()
-	body, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := []byte(snapMagicV1)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = append(buf, body...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
 }
 
 // frame wraps body in a CRC frame after magic, declaring length n.
@@ -53,35 +38,31 @@ func frame(magic string, n uint64, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
 }
 
-// TestSnapshotEnvelope: a version 2 segment decodes to the snapshot that was
+// TestSnapshotEnvelope: a version 3 segment decodes to the snapshot that was
 // encoded, with Tree and TreeDelta read in place — subslices of the segment,
-// each capped at its own length — and the header names the program; the
-// version 1 segment of the same snapshot decodes to it too.
+// each capped at its own length — and the header names the program.
 func TestSnapshotEnvelope(t *testing.T) {
 	full := sampleSnapshot()
 	delta := sampleSnapshot()
 	delta.Tree, delta.TreeDelta = nil, []byte{2, 0, 1, 0}
 	for _, want := range []*ProgramSnapshot{full, delta} {
-		v2, err := encodeSnapshot(want)
+		data, err := encodeSnapshot(want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(v2, []byte("SBSNAP2\n")) {
-			t.Fatalf("segment starts %q; want version 2", v2[:8])
+		if !bytes.HasPrefix(data, []byte("SBSNAP3\n")) {
+			t.Fatalf("segment starts %q; want version 3", data[:8])
 		}
-		for _, data := range [][]byte{v2, encodeSnapshotV1(t, want)} {
-			got, err := decodeSnapshot(data, "test")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("decoded %s\n got %+v\nwant %+v", data[:8], got, want)
-			}
-			if id, err := snapshotID(data, "test"); err != nil || id != want.ProgramID {
-				t.Fatalf("%s names program %q (%v); want %q", data[:8], id, err, want.ProgramID)
-			}
+		got, err := decodeSnapshot(data, "test")
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, _ := decodeSnapshot(v2, "test")
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded\n got %+v\nwant %+v", got, want)
+		}
+		if id, err := snapshotID(data, "test"); err != nil || id != want.ProgramID {
+			t.Fatalf("segment names program %q (%v); want %q", id, err, want.ProgramID)
+		}
 		for _, field := range [][]byte{got.Tree, got.TreeDelta} {
 			if field == nil {
 				continue
@@ -89,7 +70,7 @@ func TestSnapshotEnvelope(t *testing.T) {
 			if cap(field) != len(field) {
 				t.Errorf("a tree field has capacity %d past its %d bytes", cap(field), len(field))
 			}
-			if start := bytes.Index(v2, field); start < 0 || &v2[start] != &field[0] {
+			if start := bytes.Index(data, field); start < 0 || &data[start] != &field[0] {
 				t.Error("a tree field was copied out of the segment, not read in place")
 			}
 		}
@@ -98,26 +79,24 @@ func TestSnapshotEnvelope(t *testing.T) {
 
 // TestSnapshotLengthOverflowIsCorrupt: a length prefix near 2^64 — one
 // flipped bit in a segment's header — is ErrCorrupt, from the frame and from
-// each field of a version 2 body, whether the segment is decoded, loaded
+// each field of the body, whether the segment is decoded, loaded
 // from a directory after Open's probe, or loaded from a chain in hand. Such a prefix once
 // wrapped the bounds check and panicked with a slice bound out of range.
 func TestSnapshotLengthOverflowIsCorrupt(t *testing.T) {
 	tail := bytes.Repeat([]byte{'x'}, 16)
 	var bad [][]byte
-	for _, magic := range []string{"SBSNAP1\n", "SBSNAP2\n"} {
-		for _, n := range []uint64{1<<64 - 1, 1<<64 - 4, 1<<64 - 2, 1 << 63} {
-			bad = append(bad, append(binary.AppendUvarint([]byte(magic), n), tail...))
-		}
+	for _, n := range []uint64{1<<64 - 1, 1<<64 - 4, 1<<64 - 2, 1 << 63} {
+		bad = append(bad, append(binary.AppendUvarint([]byte(snapMagic), n), tail...))
 	}
 	for _, n := range []uint64{1<<64 - 1, 1<<64 - 4} {
 		field := append(binary.AppendUvarint(nil, n), tail...)
 		for _, before := range [][]byte{nil, {1, 'p'}, {1, 'p', 0}} { // the ID's, Tree's, TreeDelta's length
 			body := append(append([]byte(nil), before...), field...)
-			bad = append(bad, frame("SBSNAP2\n", uint64(len(body)), body))
+			bad = append(bad, frame(snapMagic, uint64(len(body)), body))
 		}
 	}
 	// A TreeDelta declared past the end of the body.
-	bad = append(bad, frame("SBSNAP2\n", 5, []byte{1, 'p', 0, 9, '{'}))
+	bad = append(bad, frame(snapMagic, 5, []byte{1, 'p', 0, 9, '{'}))
 	for i, data := range bad {
 		if _, err := decodeSnapshot(data, "test"); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("segment %d: decode returned %v; want ErrCorrupt", i, err)
@@ -146,21 +125,18 @@ func TestSnapshotLengthOverflowIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestOpenNamesEitherEnvelope: with no journal at the current generation,
-// Open takes a program's identity from its chain — the base, or else the
-// newest delta — in either envelope, and the chain loads.
-func TestOpenNamesEitherEnvelope(t *testing.T) {
+// TestOpenNamesProgramFromSegment: with no journal at the current
+// generation, Open takes a program's identity from its chain — the base, or
+// else the newest delta — and the chain loads.
+func TestOpenNamesProgramFromSegment(t *testing.T) {
 	dir := t.TempDir()
 	want := map[string]*ProgramSnapshot{}
-	for i, id := range []string{"prog-v1", "prog-v2"} {
+	for _, id := range []string{"prog-a", "prog-b"} {
 		snap := sampleSnapshot()
 		snap.ProgramID = id
 		data, err := encodeSnapshot(snap)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if i == 0 {
-			data = encodeSnapshotV1(t, snap)
 		}
 		if err := os.WriteFile(snapPath(dir, fileKey(id), 4), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -175,7 +151,7 @@ func TestOpenNamesEitherEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := fileKey(delta.ProgramID)
-	if err := os.WriteFile(snapPath(dir, key, 1), []byte("SBSNAP2\ntorn"), 0o644); err != nil {
+	if err := os.WriteFile(snapPath(dir, key, 1), []byte("SBSNAP3\ntorn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(deltaPath(dir, key, 2), data, 0o644); err != nil {
@@ -187,7 +163,7 @@ func TestOpenNamesEitherEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.Programs(); !reflect.DeepEqual(got, []string{"prog-delta", "prog-v1", "prog-v2"}) {
+	if got := s.Programs(); !reflect.DeepEqual(got, []string{"prog-a", "prog-b", "prog-delta"}) {
 		t.Fatalf("open named %v", got)
 	}
 	for id, snap := range want {
@@ -202,32 +178,37 @@ func TestOpenNamesEitherEnvelope(t *testing.T) {
 }
 
 // FuzzSnapshotEnvelope: whatever the bytes, decoding a segment never panics
-// and refuses with ErrCorrupt. A segment it accepts names the same program
-// through Open's probe, and re-encodes as version 2 into a segment that
-// decodes to an equal snapshot.
+// and refuses with ErrCorrupt, or with ErrUnknownVersion (and never both)
+// exactly when the bytes open with the SBSNAP family at another version. A
+// segment it accepts names the same program through Open's probe, and
+// re-encodes into a segment that decodes to an equal snapshot.
 func FuzzSnapshotEnvelope(f *testing.F) {
 	snap := sampleSnapshot()
-	v2, err := encodeSnapshot(snap)
+	seg, err := encodeSnapshot(snap)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2)
-	f.Add(encodeSnapshotV1(f, snap))
-	f.Add(v2[:len(v2)/2])
-	f.Add(v2[:len(v2)-1])
-	f.Add([]byte("SBSNAP2\n"))
+	f.Add(seg)
+	f.Add(append([]byte("SBSNAP9\n"), seg[len(snapMagic):]...))
+	f.Add(seg[:len(seg)/2])
+	f.Add(seg[:len(seg)-1])
+	f.Add([]byte(snapMagic))
 	f.Add([]byte{})
-	f.Add(append(binary.AppendUvarint([]byte("SBSNAP1\n"), 1<<64-4), 1, 2, 3, 4, 5, 6))
-	f.Add(append(binary.AppendUvarint([]byte("SBSNAP2\n"), 1<<64-1), 1, 2, 3, 4, 5, 6))
+	f.Add(append(binary.AppendUvarint([]byte("SBSNAP2\n"), 1<<64-4), 1, 2, 3, 4, 5, 6))
+	f.Add(append(binary.AppendUvarint([]byte(snapMagic), 1<<64-1), 1, 2, 3, 4, 5, 6))
 	field := binary.AppendUvarint([]byte{1, 'p'}, 1<<64-4)
-	f.Add(frame("SBSNAP2\n", uint64(len(field)), field))
-	f.Add(frame("SBSNAP2\n", 5, []byte{1, 'p', 0, 0, '{'}))
-	f.Add(frame("SBSNAP2\n", 6, []byte{0, 0, 0, '{', '}', ' '}))
+	f.Add(frame(snapMagic, uint64(len(field)), field))
+	f.Add(frame(snapMagic, 5, []byte{1, 'p', 0, 0, '{'}))
+	f.Add(frame(snapMagic, 6, []byte{0, 0, 0, '{', '}', ' '}))
+	f.Add([]byte("SBSNAP1\n"))
+	f.Add([]byte("SBSNAP"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeSnapshot(data, "fuzz")
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("refused with %v; want ErrCorrupt", err)
+			family := "SBSNAP"
+			foreign := len(data) > len(family) && string(data[:len(family)]) == family && data[len(family)] != snapMagic[len(family)]
+			if errors.Is(err, ErrCorrupt) == errors.Is(err, ErrUnknownVersion) || foreign != errors.Is(err, ErrUnknownVersion) {
+				t.Fatalf("refused with %v; want ErrUnknownVersion exactly for another SBSNAP version, ErrCorrupt otherwise", err)
 			}
 			return
 		}

@@ -122,7 +122,11 @@ func TestPodReuseMatchesFresh(t *testing.T) {
 				}
 				out := make([][]byte, len(pd.pending))
 				for i, tr := range pd.pending {
-					out[i] = trace.Encode(tr)
+					enc, err := trace.EncodeBatch(tr.ProgramID, []*trace.Trace{tr})
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[i] = enc
 				}
 				return out
 			}

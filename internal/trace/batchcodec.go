@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -12,6 +13,9 @@ import (
 // batchVersion is bumped on any wire-incompatible change to the columnar
 // batch encoding.
 const batchVersion = 1
+
+// ErrCodec is returned (wrapped) for any malformed encoded batch.
+var ErrCodec = errors.New("trace: malformed encoding")
 
 // The columnar batch codec is the fleet-scale answer to per-trace encode
 // cost: a whole pod batch is serialized column-wise — the program ID once,
@@ -48,8 +52,9 @@ const batchVersion = 1
 //	  branches, syscalls, locks, deadlock, scheduleHash, inputDigest,
 //	  input, inputBuckets
 //
-// Event encodings inside the slabs are identical to the per-trace v2
-// codec, so the columnar form is a reshuffling, not a new dialect.
+// It is the one trace encoding: the wire, the journal's batch records, the
+// archive and the checkpoints' failure samples and coordinated families all
+// carry it.
 
 // batchSection indexes the variable-length sections in layout order.
 const (
@@ -681,8 +686,9 @@ func (v *BatchView) FailureSignature(dst []byte, i int) []byte {
 // Materialize builds a full Trace for index i — the escape hatch for the
 // few consumers that must retain or mutate one (failure samples,
 // coordinated-fragment buffering, privacy re-application). The result
-// shares no memory with the view except the pod-ID dictionary string and is
-// bit-for-bit what the per-trace v2 codec would have decoded.
+// shares no memory with the view except the pod-ID dictionary string, and a
+// section with no events is nil, so a trace built by appending events
+// materializes DeepEqual to itself.
 func (v *BatchView) Materialize(i int) *Trace {
 	t := &Trace{
 		ProgramID:   v.programID,
@@ -787,4 +793,119 @@ func growI64(s []int64, n int) []int64 {
 		return make([]int64, n)
 	}
 	return s[:n]
+}
+
+// appendBranchEvents appends the event encoding of a branch stream — one
+// uvarint per event, ID<<1|taken — shared by the batch codec's branch slab
+// and reconstruction keys.
+func appendBranchEvents(buf []byte, branches []BranchEvent) []byte {
+	for _, b := range branches {
+		v := uint64(b.ID) << 1
+		if b.Taken {
+			v |= 1
+		}
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return buf
+}
+
+// appendSyscallEvents appends the event encoding of a syscall stream.
+func appendSyscallEvents(buf []byte, syscalls []SyscallEvent) []byte {
+	for _, s := range syscalls {
+		buf = binary.AppendUvarint(buf, uint64(s.TID))
+		buf = binary.AppendVarint(buf, s.Sysno)
+		buf = binary.AppendVarint(buf, s.Ret)
+	}
+	return buf
+}
+
+// appendString writes a length-prefixed string.
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+// decoder is a cursor over an encoded batch that latches the first error.
+type decoder struct {
+	buf []byte
+	pos int
+	err error
+}
+
+func (d *decoder) fail() {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: truncated at offset %d", ErrCodec, d.pos)
+	}
+}
+
+func (d *decoder) byte() byte {
+	if d.err != nil || d.pos >= len(d.buf) {
+		d.fail()
+		return 0
+	}
+	b := d.buf[d.pos]
+	d.pos++
+	return b
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	// Most values — lengths, counts, branch IDs, thread IDs — fit in one
+	// byte.
+	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
+		v := uint64(d.buf[d.pos])
+		d.pos++
+		return v
+	}
+	v, n := binary.Uvarint(d.buf[d.pos:])
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.buf[d.pos:])
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+func (d *decoder) string() string {
+	n := int(d.uvarint())
+	if d.err != nil {
+		return ""
+	}
+	if n < 0 || d.pos+n > len(d.buf) {
+		d.fail()
+		return ""
+	}
+	s := string(d.buf[d.pos : d.pos+n])
+	d.pos += n
+	return s
+}
+
+// checkCount guards slice allocations against hostile counts: the remaining
+// bytes must be able to hold count items of at least minBytes each.
+func (d *decoder) checkCount(count, minBytes int) error {
+	if d.err != nil {
+		return d.err
+	}
+	// Divide instead of multiplying: a hostile count near the int ceiling
+	// must not overflow the plausibility product.
+	if count < 0 || count > (len(d.buf)-d.pos)/minBytes {
+		d.err = fmt.Errorf("%w: implausible count %d at offset %d", ErrCodec, count, d.pos)
+		return d.err
+	}
+	return nil
 }

@@ -1,8 +1,10 @@
 // Package trace defines execution by-products (paper §3.1): branch
 // bit-vectors, syscall summaries, lock/schedule events and outcome labels,
-// together with a capture collector (the pod-side instrumentation sink), a
-// compact binary codec for the wire, and the privacy filter that controls
-// how much end-user data leaves the machine.
+// together with a capture collector (the pod-side instrumentation sink), the
+// one binary trace encoding (the columnar batch of AppendBatch and
+// DecodeBatch, which the wire, the journal, the archive and checkpoints all
+// carry), and the privacy filter that controls how much end-user data leaves
+// the machine.
 package trace
 
 import (

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -149,14 +148,29 @@ func TestFailureSignature(t *testing.T) {
 	}
 }
 
+// roundTrip ships tr as a one-trace columnar batch and materializes it back.
+func roundTrip(tr *Trace) (*Trace, error) {
+	data, err := EncodeBatch(tr.ProgramID, []*Trace{tr})
+	if err != nil {
+		return nil, err
+	}
+	v, err := DecodeBatch(data)
+	if err != nil {
+		return nil, err
+	}
+	defer v.Release()
+	return v.Materialize(0), nil
+}
+
+// TestCodecRoundTrip: a captured trace at every privacy level survives the
+// one trace encoding, the columnar batch.
 func TestCodecRoundTrip(t *testing.T) {
 	p := buildBranchy(t)
 	for _, level := range []PrivacyLevel{PrivacyRaw, PrivacyBucketed, PrivacyHashed, PrivacyOpaque} {
 		tr := capture(t, p, CaptureFull, []int64{33}, level)
-		data := Encode(tr)
-		got, err := Decode(data)
+		got, err := roundTrip(tr)
 		if err != nil {
-			t.Fatalf("%v: decode: %v", level, err)
+			t.Fatalf("%v: round trip: %v", level, err)
 		}
 		if got.PathKey() != tr.PathKey() {
 			t.Errorf("%v: path key mismatch", level)
@@ -179,33 +193,33 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsCorruption: every truncation of a one-trace batch and a
+// batch of an unknown version are errors, never a panic.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	p := buildBranchy(t)
-	tr := capture(t, p, CaptureFull, []int64{33}, PrivacyHashed)
-	data := Encode(tr)
-
-	// Truncations must error, never panic.
-	for cut := 0; cut < len(data); cut += 3 {
-		if _, err := Decode(data[:cut]); err == nil {
-			// Some prefixes may parse if all trailing fields default; only
-			// the full length must round-trip. Accept nil error only at full
-			// length.
-			if cut != len(data) {
-				t.Errorf("truncation at %d decoded without error", cut)
-			}
+	data, err := EncodeBatch(p.ID, []*Trace{capture(t, p, CaptureFull, []int64{33}, PrivacyHashed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(data); cut++ {
+		if v, err := DecodeBatch(data[:cut]); err == nil {
+			v.Release()
+			t.Errorf("truncation at %d of %d decoded without error", cut, len(data))
 		}
 	}
-	// Bad version byte.
 	bad := append([]byte(nil), data...)
 	bad[0] = 99
-	if _, err := Decode(bad); err == nil {
+	if v, err := DecodeBatch(bad); err == nil {
+		v.Release()
 		t.Error("bad version: want error")
 	}
 }
 
 func TestQuickCodecNeverPanics(t *testing.T) {
 	check := func(data []byte) bool {
-		_, _ = Decode(data) // must not panic
+		if v, err := DecodeBatch(data); err == nil { // must not panic
+			v.Release()
+		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
@@ -318,19 +332,20 @@ func TestSampledCaptureSubsets(t *testing.T) {
 }
 
 func TestEncodeSizeReasonable(t *testing.T) {
-	// The varint codec should beat a naive 16-bytes-per-event encoding.
+	// The varint codec should beat a naive 4-bytes-per-event encoding.
 	rng := stats.NewRNG(5)
 	tr := &Trace{ProgramID: "p", PodID: "pod"}
 	for i := 0; i < 1000; i++ {
 		tr.Branches = append(tr.Branches, BranchEvent{ID: int32(rng.Intn(100)), Taken: rng.Bool(0.5)})
 	}
-	size := len(Encode(tr))
-	if size > 4*1000 {
+	data, err := EncodeBatch(tr.ProgramID, []*Trace{tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := len(data); size > 4*1000 {
 		t.Errorf("encoded size = %d for 1000 events, want < 4KB", size)
 	}
-	var buf bytes.Buffer
-	buf.Write(Encode(tr))
-	got, err := Decode(buf.Bytes())
+	got, err := roundTrip(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
