@@ -13,16 +13,22 @@ import (
 // simulation equivalence (PR 1), journal replay ≡ live state (PR 3), and
 // byte-identical wire/journal frames (PR 5).
 //
+// The fourth sink is an outer counter: a variable declared outside the
+// range, advanced inside it from its own value (next++, offset += n,
+// x = f(x)) and read into another value there
+// (windows[key] = append(windows[key], next%nodes)). What each entry gets
+// then depends on how many entries came before it, which is map order.
+//
 // Order-insensitive uses stay legal: folding into another map, summing,
 // min/max selection, deletes. The one sanctioned order-sensitive idiom is
-// collect-then-sort — appending keys/values to a slice that is passed to a
-// sort call (sort.*, slices.Sort*, or a local sortXxx helper) later in the
-// same function.
+// collect-then-sort — appending keys/values to a slice (or storing them at a
+// counter's index) that is passed to a sort call (sort.*, slices.Sort*, or a
+// local sortXxx helper) later in the same function.
 var Detrange = &Analyzer{
 	Name: "detrange",
 	Doc: "in deterministic packages, ranging over a map must not feed order-sensitive " +
-		"sinks (slice appends without a subsequent sort, stream writes, channel sends); " +
-		"map iteration order is randomized per run",
+		"sinks (slice appends without a subsequent sort, stream writes, channel sends, " +
+		"outer counters read into other values); map iteration order is randomized per run",
 	Run: runDetrange,
 }
 
@@ -80,6 +86,83 @@ func checkMapRange(p *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt) {
 		}
 		return true
 	})
+	checkOuterCounters(p, fd, rng)
+}
+
+// checkOuterCounters reports every read, inside the range body, of an outer
+// variable the body advances, where the read sits in an assignment to
+// something else: that value depends on how many iterations came before.
+// An assignment that updates the counter itself (total += v, n = n + 1) is
+// a fold, and a store at the counter's index into a slice sorted later is
+// collect-then-sort.
+func checkOuterCounters(p *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt) {
+	info := p.Pkg.Info
+	advanced := map[types.Object]bool{}
+	advance := func(e ast.Expr) {
+		if obj, ok := identObj(info, e).(*types.Var); ok && !declaredInside(obj, rng) {
+			advanced[obj] = true
+		}
+	}
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.IncDecStmt:
+			advance(s.X)
+		case *ast.AssignStmt:
+			// Advanced means the new value derives from the old: x += n,
+			// or x = f(x). A plain store (a lazily made map) is not.
+			for i, lhs := range s.Lhs {
+				switch {
+				case s.Tok != token.ASSIGN && s.Tok != token.DEFINE:
+					advance(lhs)
+				case s.Tok == token.ASSIGN && len(s.Rhs) == len(s.Lhs) && mentions(info, s.Rhs[i], identObj(info, lhs)):
+					advance(lhs)
+				}
+			}
+		}
+		return true
+	})
+	if len(advanced) == 0 {
+		return
+	}
+	mapName := exprString(rng.X)
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for _, lhs := range as.Lhs {
+			if advanced[identObj(info, lhs)] {
+				return true // the counter's own update
+			}
+		}
+		if len(as.Lhs) == 1 {
+			if ix, ok := ast.Unparen(as.Lhs[0]).(*ast.IndexExpr); ok {
+				if obj := identObj(info, ix.X); obj != nil && sortedAfter(info, fd, obj, rng.End()) {
+					return true
+				}
+			}
+		}
+		ast.Inspect(as, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if ok && advanced[info.Uses[id]] {
+				p.Reportf(id.Pos(), "%s is advanced inside range over map %s and read into another value: what each entry gets depends on randomized map order (iterate sorted keys)", id.Name, mapName)
+			}
+			return true
+		})
+		return true
+	})
+}
+
+// mentions reports whether e refers to obj (a nil obj is never mentioned).
+func mentions(info *types.Info, e ast.Expr, obj types.Object) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && obj != nil && info.Uses[id] == obj {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // appendTarget matches `x = append(x, ...)` / `x := append(x, ...)` and

@@ -59,3 +59,60 @@ func sumValues(m map[string]int) int {
 	}
 	return total
 }
+
+// dealUnsorted deals node windows from one counter while ranging over a map:
+// which nodes a key gets depends on the keys visited before it. Finding
+// expected.
+func dealUnsorted(alloc map[string]int, nodes int) map[string][]int {
+	next := 0
+	windows := make(map[string][]int)
+	for key, share := range alloc {
+		for w := 0; w < share; w++ {
+			windows[key] = append(windows[key], next%nodes)
+			next++
+		}
+	}
+	return windows
+}
+
+// dealSorted deals the same windows over sorted keys. Clean.
+func dealSorted(alloc map[string]int, nodes int) map[string][]int {
+	keys := make([]string, 0, len(alloc))
+	for key := range alloc {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	next := 0
+	windows := make(map[string][]int)
+	for _, key := range keys {
+		for w := 0; w < alloc[key]; w++ {
+			windows[key] = append(windows[key], next%nodes)
+			next++
+		}
+	}
+	return windows
+}
+
+// fillSorted stores keys at a counter's index and sorts the slice after:
+// collect-then-sort. Clean.
+func fillSorted(m map[string]int) []string {
+	out := make([]string, len(m))
+	i := 0
+	for k := range m {
+		out[i] = k
+		i++
+	}
+	sort.Strings(out)
+	return out
+}
+
+// maxKey keeps the largest value seen: min/max selection. Clean.
+func maxKey(m map[string]int) int {
+	best := 0
+	for _, v := range m {
+		if v > best {
+			best = v
+		}
+	}
+	return best
+}

@@ -8,14 +8,35 @@ import (
 // must evolve bit-for-bit identically across runs, worker counts, and
 // crash-recovery replays: the fleet simulation (core), the collective
 // execution tree and its frontier index (exectree), the write-ahead log
-// (journal), and the hive's apply paths. PR 1 pinned the determinism
-// contract (TestParallelRunMatchesSequential); PR 3 extended it to
-// replay ≡ live.
+// (journal), and the hive's apply paths (TestParallelRunMatchesSequential,
+// replay ≡ live); and every package without I/O that the experiments reach,
+// whose tables are a golden (TestTablesGolden).
 var deterministicPkgs = []string{
 	"internal/core",
 	"internal/exectree",
 	"internal/journal",
 	"internal/hive",
+
+	"internal/baseline/cbi",
+	"internal/baseline/wer",
+	"internal/cluster",
+	"internal/constraint",
+	"internal/deadlock",
+	"internal/experiments",
+	"internal/fix",
+	"internal/guidance",
+	"internal/memo",
+	"internal/pod",
+	"internal/population",
+	"internal/portfolio",
+	"internal/prog",
+	"internal/proggen",
+	"internal/proof",
+	"internal/sat",
+	"internal/sched",
+	"internal/stats",
+	"internal/symbolic",
+	"internal/trace",
 }
 
 func inDeterministicPkg(path string) bool {
@@ -44,7 +65,7 @@ var wallclockFuncs = map[string]bool{
 var Wallclock = &Analyzer{
 	Name: "wallclock",
 	Doc: "no time.Now/time.Since/timers or global math/rand in deterministic packages " +
-		"(internal/core, internal/exectree, internal/journal, internal/hive); " +
+		"(core, exectree, journal, hive and the packages the experiments reach); " +
 		"use the seeded internal/stats RNG and explicit injected clocks",
 	Run: runWallclock,
 }

@@ -316,9 +316,11 @@ func TestRecoverErrorIsLowestProgram(t *testing.T) {
 // with delta version 1 inside, and which journaled half its frames as
 // per-trace batch records (op kind 1). chain-v2 is from the last commit that
 // wrote envelope version 2, whose failure samples were per-trace encodings.
-// Both journals have a current header, so Open names every program and
-// refusal falls to whatever reads a segment or a record.
-var legacyFixtures = []string{"chain-v1", "chain-v2"}
+// chain-v3 is from the last commit that wrote envelope version 3, whose state
+// after the tree fields was JSON. Every journal has a current header, so Open
+// names every program and refusal falls to whatever reads a segment or a
+// record.
+var legacyFixtures = []string{"chain-v1", "chain-v2", "chain-v3"}
 
 // dirFiles reads every file in dir, by name.
 func dirFiles(t *testing.T, dir string) map[string][]byte {
@@ -350,8 +352,8 @@ func assertRefusedIntact(t *testing.T, what string, err error, dir string, befor
 	}
 }
 
-// TestRecoverVersion1Chain: a reboot over testdata/chain-v1 — or chain-v2,
-// see legacyFixtures — refuses with journal.ErrUnknownVersion and leaves
+// TestRecoverVersion1Chain: a reboot over testdata/chain-v1 — or chain-v2 or
+// chain-v3, see legacyFixtures — refuses with journal.ErrUnknownVersion and leaves
 // every file as it was. chain-v1's per-trace batch records are refused by the
 // journal replay on its own too.
 func TestRecoverVersion1Chain(t *testing.T) {

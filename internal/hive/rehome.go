@@ -38,7 +38,7 @@ func (h *Hive) ExportProgram(programID string) (*journal.ChainExport, error) {
 	if h.journal != nil {
 		gen = h.journal.Generation(programID)
 	}
-	return journal.CutChain(snap, gen)
+	return journal.CutChain(snap, gen), nil
 }
 
 // ImportProgram installs a chain into this hive, re-homing the program

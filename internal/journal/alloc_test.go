@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/race"
@@ -55,5 +56,35 @@ func TestAllocsEncodeOpInto(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("op encode+frame costs %.1f allocs; want 0", avg)
+	}
+}
+
+// TestAllocsDecodeSegment guards a segment's state decode on a table of 1536
+// sessions, some with marks ahead: the strings share one allocation and every
+// list and map is sized once from its count, so the decode costs a handful
+// of allocations whatever the table's size, not one or more per session.
+func TestAllocsDecodeSegment(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc counts are skewed under the race detector")
+	}
+	snap := sampleSnapshot()
+	snap.Sessions = make(map[string]uint64, 1536)
+	snap.SessionsAhead = make(map[string][]uint64)
+	for i := 0; i < 1536; i++ {
+		id := fmt.Sprintf("pod-%04d/session-%08x", i, i*2654435761)
+		snap.Sessions[id] = uint64(i) * 37
+		if i%64 == 0 {
+			snap.SessionsAhead[id] = []uint64{uint64(i)*37 + 2, uint64(i)*37 + 5}
+		}
+	}
+	seg := encodeSnapshot(snap)
+	avg := testing.AllocsPerRun(50, func() {
+		got, err := decodeSnapshot(seg, "alloc")
+		if err != nil || len(got.Sessions) != 1536 {
+			t.Fatalf("decode: %d sessions, err %v", len(got.Sessions), err)
+		}
+	})
+	if avg > 32 {
+		t.Fatalf("decoding a segment of 1536 sessions costs %.1f allocs; want at most 32", avg)
 	}
 }

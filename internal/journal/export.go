@@ -51,12 +51,8 @@ type ChainDelta struct {
 
 // CutChain wraps a full snapshot of live state as a one-segment chain at
 // generation gen: what a full checkpoint at gen would leave on disk.
-func CutChain(snap *ProgramSnapshot, gen uint64) (*ChainExport, error) {
-	base, err := encodeSnapshot(snap)
-	if err != nil {
-		return nil, err
-	}
-	return &ChainExport{ProgramID: snap.ProgramID, HasBase: true, BaseGen: gen, Base: base, WALGen: gen}, nil
+func CutChain(snap *ProgramSnapshot, gen uint64) *ChainExport {
+	return &ChainExport{ProgramID: snap.ProgramID, HasBase: true, BaseGen: gen, Base: encodeSnapshot(snap), WALGen: gen}
 }
 
 // LoadChain decodes the chain's segments as Store.LoadChain does a
@@ -76,7 +72,7 @@ func (c *ChainExport) LoadChain(programID string) (*ProgramSnapshot, []*ProgramS
 func (c *ChainExport) Replay(programID string, apply func(Receipt) error) (int, error) {
 	n, valid, err := replayRecords(programID, c.WAL, apply)
 	if err == nil && valid != len(c.WAL) {
-		err = fmt.Errorf("%w: chain for %s: journal record %d is torn or undecodable", ErrCorrupt, programID, n)
+		err = fmt.Errorf("%w: chain for %s: journal record %d is torn", ErrCorrupt, programID, n)
 	}
 	return n, err
 }

@@ -11,12 +11,15 @@ import (
 // FuzzJournalTornTail is the crash-consistency fuzz: a journal whose tail
 // was torn at an arbitrary byte offset — optionally with garbage appended
 // after the cut, the shape a crashed write or a partially reused disk block
-// leaves behind — must (a) never panic or error out of Replay, (b) replay
+// leaves behind — must (a) never panic, nor error out of Replay but over the
+// record named below, (b) replay
 // every record wholly on disk before the cut, in order — an acknowledged
 // record ahead of the damage is never lost — and (c) leave a journal that
 // accepts appends and round-trips them on the next recovery. Garbage that
-// parses as a CRC-valid record of an op version or kind this build does not
-// read is no torn tail: Replay refuses it and leaves the file as it found it.
+// parses as a CRC-valid record is no torn tail, since a torn write cannot
+// leave one: if it does not decode, Replay refuses it — ErrUnknownVersion for
+// an op version or kind this build does not read, ErrCorrupt otherwise — and
+// leaves the file as it found it.
 func FuzzJournalTornTail(f *testing.F) {
 	f.Add(uint16(3), uint16(0), []byte{})
 	f.Add(uint16(8), uint16(17), []byte{0x00, 0xff, 0x7f})
@@ -24,6 +27,8 @@ func FuzzJournalTornTail(f *testing.F) {
 	f.Add(uint16(40), uint16(512), bytes.Repeat([]byte{0xaa}, 64))
 	f.Add(uint16(2), uint16(0), appendRecord(nil, []byte{9, byte(OpBatchColumnar), 0, 0, 0}))
 	f.Add(uint16(2), uint16(5), appendRecord(nil, []byte{opVersion, 99}))
+	f.Add(uint16(2), uint16(0), appendRecord(nil, []byte{opVersion, byte(OpBatchColumnar), 9, 's'}))
+	f.Add(uint16(3), uint16(0), appendRecord(nil, append(appendOp(nil, batchOp("s", 9, "x")), 0)))
 	f.Fuzz(func(t *testing.T, numOps uint16, cutBack uint16, garbage []byte) {
 		ops := int(numOps%64) + 1
 		dir := t.TempDir()
@@ -70,14 +75,13 @@ func FuzzJournalTornTail(f *testing.F) {
 		if err := os.WriteFile(path, torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		foreign := false
+		var undecodable error
 		for rest := torn[headerLen:]; len(rest) > 0; {
 			payload, next, ok := readRecord(rest)
 			if !ok {
 				break
 			}
-			if _, err := decodeOp(payload); err != nil {
-				foreign = errors.Is(err, ErrUnknownVersion)
+			if _, undecodable = decodeOp(payload); undecodable != nil {
 				break
 			}
 			rest = next
@@ -102,9 +106,13 @@ func FuzzJournalTornTail(f *testing.F) {
 			replayed = append(replayed, op)
 			return nil
 		})
-		if foreign {
-			if !errors.Is(err, ErrUnknownVersion) {
-				t.Fatalf("replay over a record of an unknown op version or kind returned %v; want ErrUnknownVersion", err)
+		if undecodable != nil {
+			want := ErrCorrupt
+			if errors.Is(undecodable, ErrUnknownVersion) {
+				want = ErrUnknownVersion
+			}
+			if !errors.Is(err, want) || errors.Is(err, ErrCorrupt) == errors.Is(err, ErrUnknownVersion) {
+				t.Fatalf("replay over a CRC-valid record that does not decode (%v) returned %v; want %v", undecodable, err, want)
 			}
 			if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, torn) {
 				t.Fatalf("the refused replay changed the journal (read err %v)", rerr)

@@ -40,24 +40,29 @@
 // the torn record was never applied (append happens before apply) and never
 // acknowledged.
 //
-// Every segment, base or delta, is one CRC-framed envelope (version 3, see
+// Every segment, base or delta, is one CRC-framed envelope (version 4, see
 // encodeSnapshot): the program ID, the tree bytes and the tree-delta bytes
-// as length-prefixed binary fields, then the rest of the snapshot as JSON.
-// A restore reads the tree bytes where they lie: a decoded ProgramSnapshot's
-// Tree and TreeDelta alias the segment's bytes, so no caller may write into
-// them, nor into the bytes of a ChainExport. Open names a program from the
-// header's first field without parsing the JSON.
+// as length-prefixed fields, then the rest of the snapshot — counters,
+// fixes, proofs, failure records, known-good inputs, coordinated batches and
+// the session table — in the same uvarint framing the journal's records use,
+// with fixes and proofs as their own codecs' bytes. A restore reads the byte
+// fields where they lie: a decoded ProgramSnapshot's Tree, TreeDelta and
+// other byte fields alias the segment's bytes, so no caller may write into
+// them, nor into the bytes of a ChainExport. Every segment of a chain is
+// parsed in full, and one whose state does not parse is ErrCorrupt. Open
+// names a program from the header's first field without parsing the rest.
 //
 // # One format per file, and refusal
 //
 // Each file kind has one format this build reads and writes: envelope
-// version 3 for segments, journal header version 1, and op version 1 with
+// version 4 for segments, journal header version 1, and op version 1 with
 // the kinds below. A file or record that names its family (the SBSNAP or
 // SBWAL magic, a CRC-valid op) at a version or kind this build does not
 // speak is ErrUnknownVersion, which does not wrap ErrCorrupt: every path
 // that would otherwise delete, truncate or export as empty what it cannot
 // parse refuses instead and leaves every byte in place. Only a file that is
-// actually torn — bad CRC, a short header, a record cut off — is cut back.
+// actually torn — bad CRC, a short header, a record cut off — is cut back; a
+// CRC-valid record that does not decode is ErrCorrupt, and is not cut either.
 //
 // # Group commit
 //
@@ -220,7 +225,7 @@ var pendingPool = sync.Pool{New: func() any { return &pendingAppend{done: make(c
 // same family from a file that is not one.
 const (
 	walMagic  = "SBWAL1\n"
-	snapMagic = "SBSNAP3\n"
+	snapMagic = "SBSNAP4\n"
 )
 
 // checkMagic checks that data opens with magic. It returns ErrUnknownVersion
@@ -624,8 +629,10 @@ func decodeChain(programID string, c *ChainExport) (*ProgramSnapshot, []*Program
 // Replay feeds every journaled operation after the newest checkpoint to
 // apply, in append order, each under a receipt of its own. A torn tail
 // (crash mid-append) is truncated so subsequent appends extend a valid
-// journal. Replay must run before the first Commit for a recovered program;
-// it returns the number of operations replayed.
+// journal. A CRC-valid record that does not decode is corruption, not a torn
+// tail: Replay fails naming the file and the record, and cuts nothing.
+// Replay must run before the first Commit for a recovered program; it
+// returns the number of operations replayed.
 //
 // A replayed OpBatchColumnar's Raw aliases the journal bytes Replay read and
 // is valid only during the apply call it is handed to: an apply that keeps
@@ -661,7 +668,7 @@ func (s *Store) Replay(programID string, apply func(Receipt) error) (int, error)
 	if id != programID {
 		return 0, fmt.Errorf("%w: journal for %q found under key of %q", ErrCorrupt, id, programID)
 	}
-	n, valid, err := replayRecords(programID, body, apply)
+	n, valid, err := replayRecords(fmt.Sprintf("%s (%s)", programID, filepath.Base(path)), body, apply)
 	if err != nil {
 		return n, err
 	}
@@ -679,10 +686,12 @@ func (s *Store) Replay(programID string, apply func(Receipt) error) (int, error)
 // replayRecords is the one record loop, whichever store the bytes came from:
 // it walks CRC-framed records, decoding and applying each when apply is set,
 // and returns how many it passed and the bytes they cover. It stops without
-// error at the first torn (or, decoding, undecodable) record. A CRC-valid
-// record of an op version or kind this build does not read is no crash's
-// tail: it fails the loop with ErrUnknownVersion, so nothing after it is cut.
-func replayRecords(programID string, body []byte, apply func(Receipt) error) (n, valid int, err error) {
+// error at the first torn record (a bad CRC, a frame cut off). A CRC-valid
+// record is no crash's tail, since a torn write cannot leave one: decoding,
+// one of an op version or kind this build does not read fails the loop with
+// ErrUnknownVersion, and one that does not decode with ErrCorrupt, so nothing
+// after it is cut. where names the journal in errors.
+func replayRecords(where string, body []byte, apply func(Receipt) error) (n, valid int, err error) {
 	for rest := body; len(rest) > 0; {
 		payload, next, ok := readRecord(rest)
 		if !ok {
@@ -690,14 +699,11 @@ func replayRecords(programID string, body []byte, apply func(Receipt) error) (n,
 		}
 		if apply != nil {
 			op, err := decodeOp(payload)
-			if errors.Is(err, ErrUnknownVersion) {
-				return n, valid, fmt.Errorf("journal: replay %s record %d: %w", programID, n, err)
-			}
 			if err != nil {
-				break // an undecodable record is a torn one
+				return n, valid, fmt.Errorf("journal: replay %s record %d: %w", where, n, err)
 			}
 			if err := apply(Receipt{op: op, replay: true}); err != nil {
-				return n, valid, fmt.Errorf("journal: replay %s op %d: %w", programID, n, err)
+				return n, valid, fmt.Errorf("journal: replay %s op %d: %w", where, n, err)
 			}
 		}
 		n++

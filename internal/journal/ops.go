@@ -100,11 +100,11 @@ func appendOp(buf []byte, op *Op) []byte {
 	buf = append(buf, opVersion, byte(op.Kind))
 	switch op.Kind {
 	case OpBatchColumnar:
-		buf = appendBytes(buf, []byte(op.Session))
+		buf = appendBytes(buf, op.Session)
 		buf = binary.AppendUvarint(buf, op.Seq)
 		buf = appendBytes(buf, op.Raw)
 	case OpSynthesis:
-		buf = appendBytes(buf, []byte(op.Signature))
+		buf = appendBytes(buf, op.Signature)
 		buf = appendBytes(buf, op.Fix)
 	case OpProof:
 		buf = appendBytes(buf, op.Proof)
@@ -122,7 +122,7 @@ func appendOp(buf []byte, op *Op) []byte {
 // OpBatchColumnar's Raw, which aliases data: a replay hands the batch bytes
 // to its apply in place, and data outlives the apply (see Store.Replay).
 func decodeOp(data []byte) (*Op, error) {
-	d := &opDecoder{buf: data}
+	d := &decoder{buf: data, what: "op"}
 	if v := d.byte(); d.err == nil && v != opVersion {
 		return nil, fmt.Errorf("%w: op version %d; this build reads version %d only", ErrUnknownVersion, v, opVersion)
 	}
@@ -138,10 +138,7 @@ func decodeOp(data []byte) (*Op, error) {
 	case OpProof:
 		op.Proof = d.bytes()
 	case OpCert:
-		n := int(d.uvarint())
-		if d.err == nil && n > len(data) {
-			return nil, fmt.Errorf("%w: implausible prefix length %d", ErrCorrupt, n)
-		}
+		n := d.count(1)
 		for i := 0; i < n && d.err == nil; i++ {
 			op.Prefix = append(op.Prefix, d.edge())
 		}
@@ -160,7 +157,8 @@ func decodeOp(data []byte) (*Op, error) {
 	return op, nil
 }
 
-func appendBytes(buf, b []byte) []byte {
+// appendBytes appends a length-prefixed field, string or bytes.
+func appendBytes[T string | []byte](buf []byte, b T) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b)))
 	return append(buf, b...)
 }
@@ -173,20 +171,25 @@ func appendEdge(buf []byte, e exectree.Edge) []byte {
 	return binary.AppendUvarint(buf, v)
 }
 
-// opDecoder is a cursor over an encoded op that latches the first error.
-type opDecoder struct {
-	buf []byte
-	pos int
-	err error
+// decoder is a cursor over an encoded op or snapshot state that latches the
+// first error. what names the encoding in that error.
+type decoder struct {
+	buf  []byte
+	pos  int
+	err  error
+	what string
+	// str, when set, is buf as one string: text serves every string field
+	// as a substring of it, one allocation for all of them.
+	str string
 }
 
-func (d *opDecoder) fail() {
+func (d *decoder) fail() {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated op at offset %d", ErrCorrupt, d.pos)
+		d.err = fmt.Errorf("%w: truncated %s at offset %d", ErrCorrupt, d.what, d.pos)
 	}
 }
 
-func (d *opDecoder) byte() byte {
+func (d *decoder) byte() byte {
 	if d.err != nil || d.pos >= len(d.buf) {
 		d.fail()
 		return 0
@@ -196,7 +199,7 @@ func (d *opDecoder) byte() byte {
 	return b
 }
 
-func (d *opDecoder) uvarint() uint64 {
+func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -209,24 +212,68 @@ func (d *opDecoder) uvarint() uint64 {
 	return v
 }
 
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.buf[d.pos:])
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+// count reads the length of a list whose every item takes at least
+// minBytes, and refuses one the bytes left cannot hold: no list is sized
+// past the input. It divides rather than multiplies, so a count near 2^64
+// cannot wrap the check.
+func (d *decoder) count(minBytes int) int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64((len(d.buf)-d.pos)/minBytes) {
+		d.err = fmt.Errorf("%w: %s claims %d items in %d bytes at offset %d", ErrCorrupt, d.what, n, len(d.buf)-d.pos, d.pos)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 // bytes is a length-prefixed field, copied out of the payload.
-func (d *opDecoder) bytes() []byte {
+func (d *decoder) bytes() []byte {
 	return append([]byte(nil), d.view()...)
 }
 
-// view is a length-prefixed field in place: it aliases the payload.
-func (d *opDecoder) view() []byte {
-	n := int(d.uvarint())
-	if d.err != nil || n < 0 || d.pos+n > len(d.buf) {
-		d.fail()
+// view is a length-prefixed field in place: it aliases the payload, capped at
+// its own length, and is nil when empty. The bounds check cannot wrap.
+func (d *decoder) view() []byte {
+	start, end := d.span()
+	if start == end {
 		return nil
 	}
-	b := d.buf[d.pos : d.pos+n : d.pos+n]
-	d.pos += n
-	return b
+	return d.buf[start:end:end]
 }
 
-func (d *opDecoder) edge() exectree.Edge {
+// text is a length-prefixed string field: a substring of d.str.
+func (d *decoder) text() string {
+	start, end := d.span()
+	return d.str[start:end]
+}
+
+// span consumes a length-prefixed field and returns its bounds.
+func (d *decoder) span() (start, end int) {
+	n := d.uvarint()
+	if d.err != nil || n > uint64(len(d.buf)-d.pos) {
+		d.fail()
+		return d.pos, d.pos
+	}
+	start = d.pos
+	d.pos += int(n)
+	return start, d.pos
+}
+
+func (d *decoder) edge() exectree.Edge {
 	v := d.uvarint()
 	return exectree.Edge{ID: int32(v >> 1), Taken: v&1 == 1}
 }

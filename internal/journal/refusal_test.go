@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -49,16 +50,13 @@ func assertRefused(t *testing.T, what string, err error, file string) {
 }
 
 // TestOpenRefusesUnknownSegmentVersion: a segment of an envelope version this
-// build does not read — a future one, or version 2, which an earlier build
-// wrote — under a key with no journal at the current generation makes Open
+// build does not read — a future one, or version 3, 2 or 1, which earlier
+// builds wrote — under a key with no journal at the current generation makes Open
 // fail with ErrUnknownVersion, naming the file, and leaves every byte where
 // it was. Reading it as corrupt quarantined the key and deleted the file.
 func TestOpenRefusesUnknownSegmentVersion(t *testing.T) {
-	seg, err := encodeSnapshot(sampleSnapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, magic := range []string{"SBSNAP9\n", "SBSNAP2\n", "SBSNAP1\n"} {
+	seg := encodeSnapshot(sampleSnapshot())
+	for _, magic := range []string{"SBSNAP9\n", "SBSNAP3\n", "SBSNAP2\n", "SBSNAP1\n"} {
 		dir := t.TempDir()
 		name := filepath.Base(snapPath(dir, fileKey("prog-envelope"), 3))
 		data := append([]byte(magic), seg[len(snapMagic):]...)
@@ -199,6 +197,80 @@ func TestReplayRefusesUnknownOp(t *testing.T) {
 		}
 		if _, err := c.Replay("prog-A", func(Receipt) error { return nil }); !errors.Is(err, ErrUnknownVersion) {
 			t.Errorf("ChainExport.Replay returned %v; want ErrUnknownVersion", err)
+		}
+		s.Close()
+		assertUntouched(t, dir, before)
+	}
+}
+
+// TestReplayRefusesUndecodableRecord: a CRC-valid record of a known op kind
+// whose payload does not decode, between two acknowledged records, fails
+// Replay with ErrCorrupt naming the file and the record, after applying the
+// record before it, and leaves the journal byte-identical; ChainExport.Replay
+// refuses it too. The payloads: a batch record whose session field claims
+// nine bytes that are not there, one whose batch length is 2^63-1 (a length
+// that wrapped the decoder's bounds check and panicked), a certificate
+// claiming 2^64-1 prefix edges, and a whole batch record with one byte after
+// it. Replay once read such a record as a torn tail and truncated it and
+// every acknowledged record after it.
+func TestReplayRefusesUndecodableRecord(t *testing.T) {
+	for _, payload := range [][]byte{
+		{opVersion, byte(OpBatchColumnar), 9, 's'},
+		binary.AppendUvarint([]byte{opVersion, byte(OpBatchColumnar), 0, 0}, 1<<63-1),
+		binary.AppendUvarint([]byte{opVersion, byte(OpCert)}, 1<<64-1),
+		append(appendOp(nil, batchOp("s", 9, "x")), 0),
+	} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append("prog-A", batchOp("s", 1, "first")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := walFileIn(t, dir)
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(appendRecord(nil, payload)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(appendRecord(nil, appendOp(nil, batchOp("s", 2, "last")))); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, dir)
+
+		s, err = Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var applied []string
+		n, err := s.Replay("prog-A", func(r Receipt) error {
+			applied = append(applied, string(r.Op().Raw))
+			return nil
+		})
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrUnknownVersion) {
+			t.Errorf("% x: Replay returned %v; want ErrCorrupt", payload, err)
+		} else if name := filepath.Base(path); !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "record 1") {
+			t.Errorf("% x: Replay returned %q, which does not name %s and record 1", payload, err, name)
+		}
+		if n != 1 || !reflect.DeepEqual(applied, []string{"first"}) {
+			t.Errorf("% x: Replay passed %d records and applied %q; want the one before the undecodable record", payload, n, applied)
+		}
+		assertUntouched(t, dir, before)
+		c, err := s.ExportChain("prog-A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Replay("prog-A", func(Receipt) error { return nil }); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("% x: ChainExport.Replay returned %v; want ErrCorrupt", payload, err)
 		}
 		s.Close()
 		assertUntouched(t, dir, before)

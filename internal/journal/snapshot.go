@@ -2,11 +2,11 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // ProgramSnapshot is one program's full durable state at a checkpoint: the
@@ -35,83 +35,94 @@ import (
 // depth shared with the previous entry, the edges below it and the node's
 // body).
 //
-// A chain segment holds a snapshot in envelope version 3 (see
-// encodeSnapshot): the program ID, Tree and TreeDelta as length-prefixed
-// binary fields, then every other field as JSON. A decoded snapshot's Tree
-// and TreeDelta alias the segment bytes it was read from, so nothing may
-// write into them, nor into the bytes of a ChainExport it came from. A
+// A chain segment holds a snapshot in envelope version 4 (see
+// encodeSnapshot): every field in the journal's uvarint framing, fixes and
+// proofs as opaque bytes, so no JSON is parsed to read one. A decoded
+// snapshot's byte fields (Tree, TreeDelta, fixes, proofs, samples,
+// coordinated batches) alias the segment bytes it was read from, so nothing
+// may write into them, nor into the bytes of a ChainExport it came from; its
+// strings share one allocation. Empty lists and maps decode as nil. A
 // segment of any other envelope version is refused with ErrUnknownVersion.
 type ProgramSnapshot struct {
-	ProgramID string `json:"programId,omitempty"`
+	ProgramID string
 	// Tree is the exectree.Encode serialization (full snapshots only).
-	Tree []byte `json:"tree,omitempty"`
+	Tree []byte
 	// TreeDelta is the exectree.EncodeDelta serialization (delta segments
 	// only): the nodes changed since the previous checkpoint.
-	TreeDelta []byte `json:"treeDelta,omitempty"`
+	TreeDelta []byte
 	// Fixes are fix JSON documents in ID order.
-	Fixes [][]byte `json:"fixes,omitempty"`
-	Epoch int      `json:"epoch"`
+	Fixes [][]byte
+	Epoch int
 	// Proofs are proof JSON documents (standing and superseded; readers
 	// filter by epoch).
-	Proofs [][]byte `json:"proofs,omitempty"`
+	Proofs [][]byte
 	// Failures is the per-signature aggregation state.
-	Failures []FailureState `json:"failures,omitempty"`
+	Failures []FailureState
 
-	Ingested      int64 `json:"ingested"`
-	Reconstructed int64 `json:"reconstructed"`
-	Narrowed      int64 `json:"narrowed"`
+	Ingested      int64
+	Reconstructed int64
+	Narrowed      int64
 
 	// KnownGood are raw inputs observed to succeed (present only when pods
 	// shipped at PrivacyRaw).
-	KnownGood [][]int64 `json:"knownGood,omitempty"`
+	KnownGood [][]int64
 	// Coordinated buffers incomplete coordinated-sampling families:
 	// family key -> the family's fragments as one columnar batch.
-	Coordinated map[string][]byte `json:"coordinated,omitempty"`
+	Coordinated map[string][]byte
 
 	// Sessions is the exactly-once dedup table (session -> contiguous
 	// applied-sequence base) as of this checkpoint; SessionsAhead carries
 	// any out-of-order applied marks above a session's base. Recovery
 	// union-merges both from every program snapshot and replayed batch op.
-	Sessions      map[string]uint64   `json:"sessions,omitempty"`
-	SessionsAhead map[string][]uint64 `json:"sessionsAhead,omitempty"`
+	Sessions      map[string]uint64
+	SessionsAhead map[string][]uint64
 }
 
 // FailureState is the serialized form of one failure signature's fleet-wide
 // aggregation — the codec for hive.FailureRecord plus the bookkeeping the
 // exported snapshot type omits (distinct reporting pods).
 type FailureState struct {
-	Signature string `json:"signature"`
-	Outcome   uint8  `json:"outcome"`
-	Count     int64  `json:"count"`
+	Signature string
+	Outcome   uint8
+	Count     int64
 	// Pods lists the distinct reporting pod IDs.
-	Pods []string `json:"pods,omitempty"`
+	Pods []string
 	// Sample is one representative trace as a one-trace columnar batch.
-	Sample      []byte `json:"sample,omitempty"`
-	Fixed       bool   `json:"fixed,omitempty"`
-	InRepairLab bool   `json:"inRepairLab,omitempty"`
+	Sample      []byte
+	Fixed       bool
+	InRepairLab bool
 }
+
+// The flag bits of a FailureState in a segment; any other bit is corrupt.
+const (
+	failureFixed = 1 << iota
+	failureInRepairLab
+)
 
 // encodeSnapshot serializes a snapshot into the CRC-framed byte form of a
 // chain segment: what writeSnapshotFile persists and a ChainExport carries.
-// The envelope (version 3) is
+// The envelope (version 4) is
 //
-//	"SBSNAP3\n" | uvarint body length | body | CRC32 (IEEE, little endian) of body
+//	"SBSNAP4\n" | uvarint body length | body | CRC32 (IEEE, little endian) of body
 //
-//	body = uvarint len | program ID
-//	     | uvarint len | Tree
-//	     | uvarint len | TreeDelta
-//	     | the remaining fields as JSON (ProgramSnapshot's tags)
+//	body  = field program ID | field Tree | field TreeDelta | state
+//	state = varint Ingested, Reconstructed, Narrowed, Epoch
+//	      | list of field (Fixes) | list of field (Proofs)
+//	      | list of failure
+//	      | list of (list of varint) (KnownGood)
+//	      | list of (field key, field batch) (Coordinated)
+//	      | list of (field session, uvarint base) (Sessions)
+//	      | list of (field session, list of uvarint) (SessionsAhead)
+//	failure = field signature | byte outcome | varint count
+//	      | list of field (pods) | field sample | byte flags
 //
-// so a reader takes the tree bytes as they lie. Version 3 has version 2's
-// layout; the version changed with what the trace fields hold (columnar
-// batches, where version 2 held per-trace encodings).
-func encodeSnapshot(snap *ProgramSnapshot) ([]byte, error) {
-	rest := *snap
-	rest.ProgramID, rest.Tree, rest.TreeDelta = "", nil, nil
-	state, err := json.Marshal(&rest)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encode snapshot: %w", err)
-	}
+// where a field is a uvarint length and that many bytes, and a list a
+// uvarint count and that many items. The three maps are written in
+// ascending key order, so a segment's bytes are a function of the state, and
+// a reader takes the tree bytes as they lie. Version 4 replaced version 3's
+// JSON state with this one.
+func encodeSnapshot(snap *ProgramSnapshot) []byte {
+	state := appendState(nil, snap)
 	n := uvarintLen(len(snap.ProgramID)) + len(snap.ProgramID) +
 		uvarintLen(len(snap.Tree)) + len(snap.Tree) +
 		uvarintLen(len(snap.TreeDelta)) + len(snap.TreeDelta) + len(state)
@@ -119,14 +130,82 @@ func encodeSnapshot(snap *ProgramSnapshot) ([]byte, error) {
 	buf = append(buf, snapMagic...)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	start := len(buf)
-	buf = binary.AppendUvarint(buf, uint64(len(snap.ProgramID)))
-	buf = append(buf, snap.ProgramID...)
-	buf = binary.AppendUvarint(buf, uint64(len(snap.Tree)))
-	buf = append(buf, snap.Tree...)
-	buf = binary.AppendUvarint(buf, uint64(len(snap.TreeDelta)))
-	buf = append(buf, snap.TreeDelta...)
+	buf = appendBytes(buf, snap.ProgramID)
+	buf = appendBytes(buf, snap.Tree)
+	buf = appendBytes(buf, snap.TreeDelta)
 	buf = append(buf, state...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), nil
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
+// appendState appends every field after the header in the layout
+// encodeSnapshot gives.
+func appendState(buf []byte, snap *ProgramSnapshot) []byte {
+	for _, v := range [...]int64{snap.Ingested, snap.Reconstructed, snap.Narrowed, int64(snap.Epoch)} {
+		buf = binary.AppendVarint(buf, v)
+	}
+	for _, docs := range [...][][]byte{snap.Fixes, snap.Proofs} {
+		buf = binary.AppendUvarint(buf, uint64(len(docs)))
+		for _, doc := range docs {
+			buf = appendBytes(buf, doc)
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(snap.Failures)))
+	for i := range snap.Failures {
+		fs := &snap.Failures[i]
+		buf = appendBytes(buf, fs.Signature)
+		buf = append(buf, fs.Outcome)
+		buf = binary.AppendVarint(buf, fs.Count)
+		buf = binary.AppendUvarint(buf, uint64(len(fs.Pods)))
+		for _, pod := range fs.Pods {
+			buf = appendBytes(buf, pod)
+		}
+		buf = appendBytes(buf, fs.Sample)
+		var flags byte
+		if fs.Fixed {
+			flags |= failureFixed
+		}
+		if fs.InRepairLab {
+			flags |= failureInRepairLab
+		}
+		buf = append(buf, flags)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(snap.KnownGood)))
+	for _, input := range snap.KnownGood {
+		buf = binary.AppendUvarint(buf, uint64(len(input)))
+		for _, v := range input {
+			buf = binary.AppendVarint(buf, v)
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(snap.Coordinated)))
+	for _, key := range sortedKeys(snap.Coordinated) {
+		buf = appendBytes(buf, key)
+		buf = appendBytes(buf, snap.Coordinated[key])
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(snap.Sessions)))
+	for _, id := range sortedKeys(snap.Sessions) {
+		buf = appendBytes(buf, id)
+		buf = binary.AppendUvarint(buf, snap.Sessions[id])
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(snap.SessionsAhead)))
+	for _, id := range sortedKeys(snap.SessionsAhead) {
+		buf = appendBytes(buf, id)
+		marks := snap.SessionsAhead[id]
+		buf = binary.AppendUvarint(buf, uint64(len(marks)))
+		for _, seq := range marks {
+			buf = binary.AppendUvarint(buf, seq)
+		}
+	}
+	return buf
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // uvarintLen is the length of v's uvarint encoding.
@@ -139,7 +218,7 @@ func uvarintLen(v int) int {
 }
 
 // decodeSnapshot validates the CRC frame and parses the body; where names
-// the source for error messages. Tree and TreeDelta alias data.
+// the source for error messages. The byte fields alias data.
 func decodeSnapshot(data []byte, where string) (*ProgramSnapshot, error) {
 	body, err := openSnapshot(data, where)
 	if err != nil {
@@ -151,12 +230,120 @@ func decodeSnapshot(data []byte, where string) (*ProgramSnapshot, error) {
 	if !ok || !ok2 || !ok3 {
 		return nil, fmt.Errorf("%w: bad snapshot header in %s", ErrCorrupt, where)
 	}
-	var snap ProgramSnapshot
-	if err := json.Unmarshal(state, &snap); err != nil {
-		return nil, fmt.Errorf("%w: snapshot json in %s: %v", ErrCorrupt, where, err)
+	snap := &ProgramSnapshot{ProgramID: string(id), Tree: tree, TreeDelta: delta}
+	if err := decodeState(state, snap); err != nil {
+		return nil, fmt.Errorf("%s: %w", where, err)
 	}
-	snap.ProgramID, snap.Tree, snap.TreeDelta = string(id), tree, delta
-	return &snap, nil
+	return snap, nil
+}
+
+// decodeState parses a segment's state into snap. Every list is sized only
+// once its count fits in the bytes left (an item takes at least one byte,
+// most more), map keys must ascend strictly, and nothing may follow the last
+// field: whatever the bytes, the decode allocates at most a small multiple
+// of them and refuses what encodeSnapshot cannot have written.
+func decodeState(state []byte, snap *ProgramSnapshot) error {
+	d := &decoder{buf: state, what: "snapshot state", str: string(state)}
+	snap.Ingested, snap.Reconstructed, snap.Narrowed = d.varint(), d.varint(), d.varint()
+	snap.Epoch = int(d.varint())
+	snap.Fixes = d.views()
+	snap.Proofs = d.views()
+	// A failure takes at least six bytes: four empty fields or counts, the
+	// outcome and the flags.
+	if n := d.count(6); n > 0 {
+		snap.Failures = make([]FailureState, n)
+		for i := range snap.Failures {
+			fs := &snap.Failures[i]
+			fs.Signature = d.text()
+			fs.Outcome = d.byte()
+			fs.Count = d.varint()
+			if pods := d.count(1); pods > 0 {
+				fs.Pods = make([]string, pods)
+				for j := range fs.Pods {
+					fs.Pods[j] = d.text()
+				}
+			}
+			fs.Sample = d.view()
+			flags := d.byte()
+			if d.err == nil && flags&^(failureFixed|failureInRepairLab) != 0 {
+				return fmt.Errorf("%w: failure %q has flags %#x", ErrCorrupt, fs.Signature, flags)
+			}
+			fs.Fixed, fs.InRepairLab = flags&failureFixed != 0, flags&failureInRepairLab != 0
+		}
+	}
+	if n := d.count(1); n > 0 {
+		snap.KnownGood = make([][]int64, n)
+		for i := range snap.KnownGood {
+			if m := d.count(1); m > 0 {
+				input := make([]int64, m)
+				for j := range input {
+					input[j] = d.varint()
+				}
+				snap.KnownGood[i] = input
+			}
+		}
+	}
+	if n := d.count(2); n > 0 {
+		snap.Coordinated = make(map[string][]byte, n)
+		for i, prev := 0, ""; i < n && d.err == nil; i++ {
+			key := d.key(i, prev)
+			snap.Coordinated[key] = d.view()
+			prev = key
+		}
+	}
+	if n := d.count(2); n > 0 {
+		snap.Sessions = make(map[string]uint64, n)
+		for i, prev := 0, ""; i < n && d.err == nil; i++ {
+			id := d.key(i, prev)
+			snap.Sessions[id] = d.uvarint()
+			prev = id
+		}
+	}
+	if n := d.count(2); n > 0 {
+		snap.SessionsAhead = make(map[string][]uint64, n)
+		// Every session's marks share one array: the section is the last,
+		// and a mark takes at least one of its bytes.
+		slab := make([]uint64, 0, len(state)-d.pos)
+		for i, prev := 0, ""; i < n && d.err == nil; i++ {
+			id := d.key(i, prev)
+			var marks []uint64
+			if m := d.count(1); m > 0 {
+				for j := 0; j < m; j++ {
+					slab = append(slab, d.uvarint())
+				}
+				marks = slab[len(slab)-m : len(slab) : len(slab)]
+			}
+			snap.SessionsAhead[id] = marks
+			prev = id
+		}
+	}
+	if d.err == nil && d.pos != len(state) {
+		return fmt.Errorf("%w: %d trailing snapshot state bytes", ErrCorrupt, len(state)-d.pos)
+	}
+	return d.err
+}
+
+// views reads a list of length-prefixed byte fields, each in place.
+func (d *decoder) views() [][]byte {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = d.view()
+	}
+	return out
+}
+
+// key reads the i-th key of a map written in ascending key order, refusing
+// one that does not follow prev.
+func (d *decoder) key(i int, prev string) string {
+	k := d.text()
+	if d.err == nil && i > 0 && k <= prev {
+		d.err = fmt.Errorf("%w: %s key %q at offset %d does not follow %q", ErrCorrupt, d.what, k, d.pos, prev)
+	}
+	return k
 }
 
 // openSnapshot checks a segment's magic and CRC frame and returns its body.
@@ -200,7 +387,7 @@ func readSnapshotID(vfs FS, path string) (string, error) {
 }
 
 // snapshotID returns the program ID a segment names: the body's first
-// field, taken once the magic and the CRC check out, with no JSON parsed.
+// field, taken once the magic and the CRC check out, with no state parsed.
 func snapshotID(data []byte, where string) (string, error) {
 	body, err := openSnapshot(data, where)
 	if err != nil {
@@ -216,11 +403,7 @@ func snapshotID(data []byte, where string) (string, error) {
 // writeSnapshotFile persists a snapshot atomically: temp file, fsync,
 // rename.
 func writeSnapshotFile(vfs FS, path string, snap *ProgramSnapshot) error {
-	buf, err := encodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
-	if err := writeFileAtomic(vfs, path, buf); err != nil {
+	if err := writeFileAtomic(vfs, path, encodeSnapshot(snap)); err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 
@@ -359,110 +360,167 @@ func indexBatch(buf []byte) (*BatchView, error) {
 
 	sc := viewScratchPool.Get().(*viewScratch)
 	v.sc = sc
-	release := func() { v.Release() }
+	fail := func(err error) (*BatchView, error) {
+		v.Release()
+		return nil, err
+	}
 
+	// Each column is one loop over a local position, the one-byte case
+	// first; a column that runs off the buffer is refused once, at its end.
+	pos := d.pos
+	var err error
+	if npods == 0 && n > 0 {
+		return fail(fmt.Errorf("%w: %d traces and no pod", ErrCodec, n))
+	}
 	sc.podIdx = growU32(sc.podIdx, n)
-	for i := 0; i < n; i++ {
-		idx := d.uvarint()
-		if d.err == nil && idx >= uint64(npods) {
-			release()
-			return nil, fmt.Errorf("%w: pod index %d of %d", ErrCodec, idx, npods)
+	if pos, err = uvarintColumn(buf, pos, sc.podIdx, "pod index", uint64(npods)-1); err != nil {
+		return fail(err)
+	}
+	if pos+3*n > len(buf) {
+		return fail(errCutColumn)
+	}
+	v.mode, v.outcome, v.privacy = buf[pos:pos+n], buf[pos+n:pos+2*n], buf[pos+2*n:pos+3*n]
+	pos += 3 * n
+	for _, col := range [...]*[]uint32{&sc.sampleRate, &sc.samplePhase, &sc.sampleK} {
+		*col = growU32(*col, n)
+		if pos, err = uvarintColumn(buf, pos, *col, "", math.MaxUint64); err != nil {
+			return fail(err)
 		}
-		sc.podIdx[i] = uint32(idx)
-	}
-	v.mode = d.raw(n)
-	v.outcome = d.raw(n)
-	v.privacy = d.raw(n)
-	sc.sampleRate = growU32(sc.sampleRate, n)
-	for i := 0; i < n; i++ {
-		sc.sampleRate[i] = uint32(d.uvarint())
-	}
-	sc.samplePhase = growU32(sc.samplePhase, n)
-	for i := 0; i < n; i++ {
-		sc.samplePhase[i] = uint32(d.uvarint())
-	}
-	sc.sampleK = growU32(sc.sampleK, n)
-	for i := 0; i < n; i++ {
-		sc.sampleK[i] = uint32(d.uvarint())
 	}
 	sc.seq = growU64(sc.seq, n)
-	var prev uint64
-	for i := 0; i < n; i++ {
-		if i == 0 {
-			prev = d.uvarint()
-		} else {
-			prev += uint64(d.varint())
-		}
-		sc.seq[i] = prev
+	if pos, err = seqColumn(buf, pos, sc.seq); err != nil {
+		return fail(err)
 	}
 	sc.faultPC = growI32(sc.faultPC, n)
-	for i := 0; i < n; i++ {
-		sc.faultPC[i] = int32(d.varint())
+	if pos, err = varintColumn(buf, pos, sc.faultPC); err != nil {
+		return fail(err)
 	}
 	sc.assertID = growI64(sc.assertID, n)
-	for i := 0; i < n; i++ {
-		sc.assertID[i] = d.varint()
+	if pos, err = varintColumn(buf, pos, sc.assertID); err != nil {
+		return fail(err)
 	}
 	sc.steps = growI64(sc.steps, n)
-	for i := 0; i < n; i++ {
-		sc.steps[i] = int64(d.uvarint())
+	if pos, err = uvarintColumn(buf, pos, sc.steps, "", math.MaxUint64); err != nil {
+		return fail(err)
 	}
 
+	// A count or a length past the whole buffer is refused before anything
+	// sums it: a length near 2^64 would wrap total past the bounds check
+	// below and leave offs non-monotonic (out-of-range slab slices).
+	limit := uint64(len(buf))
 	for s := 0; s < numSections; s++ {
 		if sectionHasCounts(s) {
 			sc.counts[s] = growU32(sc.counts[s], n)
-			for i := 0; i < n; i++ {
-				c := d.uvarint()
-				if d.err == nil && c > uint64(len(buf)) {
-					release()
-					return nil, fmt.Errorf("%w: implausible section count %d", ErrCodec, c)
-				}
-				sc.counts[s][i] = uint32(c)
+			if pos, err = uvarintColumn(buf, pos, sc.counts[s], "implausible section count", limit); err != nil {
+				return fail(err)
 			}
 		}
 		offs := growU32(sc.offs[s], n+1)
+		if pos, err = uvarintColumn(buf, pos, offs[1:], "implausible section length", limit); err != nil {
+			return fail(err)
+		}
+		// Each length is at most 2^30 and there are fewer than 2^30 of
+		// them, so the sum cannot wrap.
 		total := uint64(0)
-		for i := 0; i < n; i++ {
-			l := d.uvarint()
-			// Reject any single hostile length before summing: a length
-			// near 2^64 would wrap total past the bounds check below and
-			// leave offs non-monotonic (out-of-range slab slices).
-			if d.err == nil && l > uint64(len(buf)) {
-				release()
-				return nil, fmt.Errorf("%w: implausible section length %d", ErrCodec, l)
-			}
-			total += l
-			if d.err == nil && total > uint64(len(buf)) {
-				release()
-				return nil, fmt.Errorf("%w: section slab overruns buffer", ErrCodec)
-			}
-			offs[i+1] = uint32(total) // lengths for now; rebased below
+		for i := 1; i <= n; i++ {
+			total += uint64(offs[i])
+			offs[i] = uint32(total) // rebased below once the sum fits
 		}
-		if d.err != nil {
-			release()
-			return nil, d.err
+		if total > limit {
+			return fail(fmt.Errorf("%w: section slab overruns buffer", ErrCodec))
 		}
-		base := uint32(d.pos)
-		if uint64(d.pos)+total > uint64(len(buf)) {
-			release()
-			return nil, fmt.Errorf("%w: truncated section slab", ErrCodec)
+		if uint64(pos)+total > limit {
+			return fail(fmt.Errorf("%w: truncated section slab", ErrCodec))
 		}
+		base := uint32(pos)
 		offs[0] = base
 		for i := 1; i <= n; i++ {
 			offs[i] += base
 		}
-		d.pos += int(total)
+		pos += int(total)
 		sc.offs[s] = offs
 	}
-	if d.err != nil {
-		release()
-		return nil, d.err
-	}
-	if d.pos != len(buf) {
-		release()
-		return nil, fmt.Errorf("%w: %d trailing batch bytes", ErrCodec, len(buf)-d.pos)
+	if pos != len(buf) {
+		return fail(fmt.Errorf("%w: %d trailing batch bytes", ErrCodec, len(buf)-pos))
 	}
 	return v, nil
+}
+
+// errCutColumn is a scalar, count or length column that runs off the end
+// of its batch.
+var errCutColumn = fmt.Errorf("%w: truncated column", ErrCodec)
+
+// uvarintColumn decodes len(col) uvarints from buf at pos into col, the
+// one-byte case first, and returns the position after them. A value above
+// limit is refused, named by what.
+func uvarintColumn[T uint32 | int64](buf []byte, pos int, col []T, what string, limit uint64) (int, error) {
+	for i := range col {
+		var x uint64
+		if pos < len(buf) && buf[pos] < 0x80 {
+			x = uint64(buf[pos])
+			pos++
+		} else {
+			var m int
+			if x, m = binary.Uvarint(buf[pos:]); m <= 0 {
+				return 0, errCutColumn
+			}
+			pos += m
+		}
+		if x > limit {
+			return 0, fmt.Errorf("%w: %s %d over %d", ErrCodec, what, x, limit)
+		}
+		col[i] = T(x)
+	}
+	return pos, nil
+}
+
+// varintColumn decodes len(col) zigzag varints from buf at pos into col, the
+// one-byte case first, and returns the position after them.
+func varintColumn[T int32 | int64](buf []byte, pos int, col []T) (int, error) {
+	for i := range col {
+		if pos < len(buf) && buf[pos] < 0x80 {
+			b := int64(buf[pos])
+			col[i] = T(b>>1 ^ -(b & 1))
+			pos++
+			continue
+		}
+		x, m := binary.Varint(buf[pos:])
+		if m <= 0 {
+			return 0, errCutColumn
+		}
+		col[i] = T(x)
+		pos += m
+	}
+	return pos, nil
+}
+
+// seqColumn decodes the sequence column as varintColumn does: the first
+// number as a uvarint, each later one as a zigzag delta from the one before.
+func seqColumn(buf []byte, pos int, col []uint64) (int, error) {
+	var prev uint64
+	for i := range col {
+		var x uint64
+		if i == 0 {
+			var m int
+			if x, m = binary.Uvarint(buf[pos:]); m <= 0 {
+				return 0, errCutColumn
+			}
+			pos += m
+		} else if pos < len(buf) && buf[pos] < 0x80 {
+			b := int64(buf[pos])
+			x = prev + uint64(b>>1^-(b&1))
+			pos++
+		} else {
+			delta, m := binary.Varint(buf[pos:])
+			if m <= 0 {
+				return 0, errCutColumn
+			}
+			x = prev + uint64(delta)
+			pos += m
+		}
+		col[i], prev = x, x
+	}
+	return pos, nil
 }
 
 // validateSlabs fully parses every per-trace event stream once: each stream
@@ -750,20 +808,6 @@ func (v *BatchView) Materialize(i int) *Trace {
 		}
 	}
 	return t
-}
-
-// raw consumes n raw bytes as a zero-copy column sub-slice.
-func (d *decoder) raw(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.pos+n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	out := d.buf[d.pos : d.pos+n]
-	d.pos += n
-	return out
 }
 
 // growU32 returns s resized to n entries, reusing capacity.

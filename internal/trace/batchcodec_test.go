@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -163,12 +164,166 @@ func TestBatchDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// refValidateBatch is the validation pass as it stood before the branch
-// column and the inlined section checks: indexBatch, then every section of
-// every trace walked through refCheckEvents with one skipper call per event.
-// DecodeBatch must fail exactly when it does.
+// refIndexBatch is indexBatch as it stood before the column loops: every
+// scalar, count and length read through the latching decoder, one call per
+// value per trace. indexBatch must accept exactly what it accepts and index
+// it alike.
+func refIndexBatch(buf []byte) (*BatchView, error) {
+	if len(buf) > 1<<30 {
+		// The view indexes the buffer with 32-bit offsets; real batches are
+		// wire frames (≤16MB) or journal records of the same payloads.
+		return nil, fmt.Errorf("%w: batch of %d bytes exceeds view limit", ErrCodec, len(buf))
+	}
+	d := &decoder{buf: buf}
+	if v := d.byte(); v != batchVersion {
+		return nil, fmt.Errorf("%w: batch version %d", ErrCodec, v)
+	}
+	v := &BatchView{buf: buf}
+	v.programID = d.string()
+	npods := int(d.uvarint())
+	if err := d.checkCount(npods, 1); err != nil {
+		return nil, err
+	}
+	if npods > 0 {
+		v.pods = make([]string, npods)
+		for i := range v.pods {
+			v.pods[i] = d.string()
+		}
+	}
+	n := int(d.uvarint())
+	if err := d.checkCount(n, 8); err != nil {
+		return nil, err
+	}
+	v.n = n
+
+	sc := viewScratchPool.Get().(*viewScratch)
+	v.sc = sc
+	release := func() { v.Release() }
+
+	sc.podIdx = growU32(sc.podIdx, n)
+	for i := 0; i < n; i++ {
+		idx := d.uvarint()
+		if d.err == nil && idx >= uint64(npods) {
+			release()
+			return nil, fmt.Errorf("%w: pod index %d of %d", ErrCodec, idx, npods)
+		}
+		sc.podIdx[i] = uint32(idx)
+	}
+	v.mode = d.raw(n)
+	v.outcome = d.raw(n)
+	v.privacy = d.raw(n)
+	sc.sampleRate = growU32(sc.sampleRate, n)
+	for i := 0; i < n; i++ {
+		sc.sampleRate[i] = uint32(d.uvarint())
+	}
+	sc.samplePhase = growU32(sc.samplePhase, n)
+	for i := 0; i < n; i++ {
+		sc.samplePhase[i] = uint32(d.uvarint())
+	}
+	sc.sampleK = growU32(sc.sampleK, n)
+	for i := 0; i < n; i++ {
+		sc.sampleK[i] = uint32(d.uvarint())
+	}
+	sc.seq = growU64(sc.seq, n)
+	var prev uint64
+	for i := 0; i < n; i++ {
+		if i == 0 {
+			prev = d.uvarint()
+		} else {
+			prev += uint64(d.varint())
+		}
+		sc.seq[i] = prev
+	}
+	sc.faultPC = growI32(sc.faultPC, n)
+	for i := 0; i < n; i++ {
+		sc.faultPC[i] = int32(d.varint())
+	}
+	sc.assertID = growI64(sc.assertID, n)
+	for i := 0; i < n; i++ {
+		sc.assertID[i] = d.varint()
+	}
+	sc.steps = growI64(sc.steps, n)
+	for i := 0; i < n; i++ {
+		sc.steps[i] = int64(d.uvarint())
+	}
+
+	for s := 0; s < numSections; s++ {
+		if sectionHasCounts(s) {
+			sc.counts[s] = growU32(sc.counts[s], n)
+			for i := 0; i < n; i++ {
+				c := d.uvarint()
+				if d.err == nil && c > uint64(len(buf)) {
+					release()
+					return nil, fmt.Errorf("%w: implausible section count %d", ErrCodec, c)
+				}
+				sc.counts[s][i] = uint32(c)
+			}
+		}
+		offs := growU32(sc.offs[s], n+1)
+		total := uint64(0)
+		for i := 0; i < n; i++ {
+			l := d.uvarint()
+			// Reject any single hostile length before summing: a length
+			// near 2^64 would wrap total past the bounds check below and
+			// leave offs non-monotonic (out-of-range slab slices).
+			if d.err == nil && l > uint64(len(buf)) {
+				release()
+				return nil, fmt.Errorf("%w: implausible section length %d", ErrCodec, l)
+			}
+			total += l
+			if d.err == nil && total > uint64(len(buf)) {
+				release()
+				return nil, fmt.Errorf("%w: section slab overruns buffer", ErrCodec)
+			}
+			offs[i+1] = uint32(total) // lengths for now; rebased below
+		}
+		if d.err != nil {
+			release()
+			return nil, d.err
+		}
+		base := uint32(d.pos)
+		if uint64(d.pos)+total > uint64(len(buf)) {
+			release()
+			return nil, fmt.Errorf("%w: truncated section slab", ErrCodec)
+		}
+		offs[0] = base
+		for i := 1; i <= n; i++ {
+			offs[i] += base
+		}
+		d.pos += int(total)
+		sc.offs[s] = offs
+	}
+	if d.err != nil {
+		release()
+		return nil, d.err
+	}
+	if d.pos != len(buf) {
+		release()
+		return nil, fmt.Errorf("%w: %d trailing batch bytes", ErrCodec, len(buf)-d.pos)
+	}
+	return v, nil
+}
+
+// raw consumes n raw bytes as a zero-copy column sub-slice.
+func (d *decoder) raw(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if d.pos+n > len(d.buf) {
+		d.fail()
+		return nil
+	}
+	out := d.buf[d.pos : d.pos+n]
+	d.pos += n
+	return out
+}
+
+// refValidateBatch is the validation pass as it stood before the column
+// loops, the branch column and the inlined section checks: refIndexBatch,
+// then every section of every trace walked through refCheckEvents with one
+// skipper call per event. DecodeBatch must fail exactly when it does.
 func refValidateBatch(buf []byte) error {
-	v, err := indexBatch(buf)
+	v, err := refIndexBatch(buf)
 	if err != nil {
 		return err
 	}
@@ -228,12 +383,14 @@ func refBranches(v *BatchView, i int) []BranchEvent {
 	return out
 }
 
-// checkAgainstReference holds DecodeBatch on data to the reference: it fails
-// exactly when refValidateBatch fails, and every accepted trace's Branches
+// checkAgainstReference holds DecodeBatch on data to the reference: its index
+// is refIndexBatch's (checkIndexAgainstReference), it fails exactly when
+// refValidateBatch fails, and every accepted trace's Branches
 // holds NumBranches events, capped, equal to refBranches. Whatever decodes
 // also materializes.
 func checkAgainstReference(t *testing.T, data []byte) *BatchView {
 	t.Helper()
+	checkIndexAgainstReference(t, data)
 	refErr := refValidateBatch(data)
 	v, err := DecodeBatch(data)
 	if (err == nil) != (refErr == nil) {
@@ -253,6 +410,43 @@ func checkAgainstReference(t *testing.T, data []byte) *BatchView {
 		_ = v.Materialize(i)
 	}
 	return v
+}
+
+// checkIndexAgainstReference holds indexBatch on data to refIndexBatch: both
+// accept or both refuse, a refusal wraps ErrCodec, and an accepted batch's
+// header, scalar columns, counts and slab offsets are equal.
+func checkIndexAgainstReference(t *testing.T, data []byte) {
+	t.Helper()
+	v, err := indexBatch(data)
+	ref, refErr := refIndexBatch(data)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("indexBatch error %v, reference error %v", err, refErr)
+	}
+	if err != nil {
+		if !errors.Is(err, ErrCodec) {
+			t.Fatalf("indexBatch refused with %v, which does not wrap ErrCodec", err)
+		}
+		return
+	}
+	defer v.Release()
+	defer ref.Release()
+	same := v.programID == ref.programID && slices.Equal(v.pods, ref.pods) && v.n == ref.n &&
+		bytes.Equal(v.mode, ref.mode) && bytes.Equal(v.outcome, ref.outcome) && bytes.Equal(v.privacy, ref.privacy)
+	a, b := v.sc, ref.sc
+	n := v.n
+	same = same && slices.Equal(a.podIdx[:n], b.podIdx[:n]) && slices.Equal(a.sampleRate[:n], b.sampleRate[:n]) &&
+		slices.Equal(a.samplePhase[:n], b.samplePhase[:n]) && slices.Equal(a.sampleK[:n], b.sampleK[:n]) &&
+		slices.Equal(a.seq[:n], b.seq[:n]) && slices.Equal(a.faultPC[:n], b.faultPC[:n]) &&
+		slices.Equal(a.assertID[:n], b.assertID[:n]) && slices.Equal(a.steps[:n], b.steps[:n])
+	for s := 0; s < numSections; s++ {
+		same = same && slices.Equal(a.offs[s][:n+1], b.offs[s][:n+1])
+		if sectionHasCounts(s) {
+			same = same && slices.Equal(a.counts[s][:n], b.counts[s][:n])
+		}
+	}
+	if !same {
+		t.Fatalf("indexBatch and refIndexBatch index % x differently", data)
+	}
 }
 
 // FuzzBatchCodec feeds arbitrary bytes to DecodeBatch, which must accept
@@ -275,6 +469,9 @@ func FuzzBatchCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{batchVersion})
+	// One trace and no pod to index, then one pod and an index past it.
+	f.Add(append([]byte{batchVersion, 1, 'p', 0, 1}, make([]byte, 40)...))
+	f.Add(append([]byte{batchVersion, 1, 'p', 1, 1, 'q', 1, 1}, make([]byte, 40)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v := checkAgainstReference(t, data)
 		if v == nil {
