@@ -3,18 +3,13 @@
 // journal's receipt does not carry.
 package hive
 
-import (
-	"sync"
-
-	"fixture/internal/journal"
-)
+import "sync"
 
 // Hive mirrors the real registry locks.
 type Hive struct {
-	mu      sync.RWMutex
-	sessMu  sync.Mutex
-	progs   map[string]*programState
-	journal *journal.Store
+	mu     sync.RWMutex
+	sessMu sync.Mutex
+	progs  map[string]*programState
 }
 
 // programState mirrors the real per-program lock set: the checkpoint gate
@@ -30,18 +25,6 @@ type programState struct {
 type sessionEntry struct {
 	mu   sync.Mutex
 	seen int
-}
-
-// journalBatchAppend mirrors the breaker-accounted append, the one caller
-// of the receipt-minting Commit. Clean.
-func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) (journal.Receipt, error) {
-	return h.journal.Commit(op)
-}
-
-// rawCommit mints a receipt past the breaker's failure accounting. Finding
-// expected.
-func (h *Hive) rawCommit(op *journal.Op) (journal.Receipt, error) {
-	return h.journal.Commit(op)
 }
 
 // applyOp is the sanctioned replay of one op.
@@ -61,11 +44,11 @@ func (h *Hive) Recover(st *programState) {
 	h.recoverProgram(st)
 }
 
-// ImportProgram restores a chain in hand through the same function and makes
-// it durable through the checkpoint path. Clean.
-func (h *Hive) ImportProgram(st *programState) {
+// ImportChain was ImportProgram until a rename the guard table did not
+// follow. Findings expected: the name the recoverProgram row still lists,
+// and the call that row no longer admits.
+func (h *Hive) ImportChain(st *programState) {
 	h.recoverProgram(st)
-	h.checkpointLocked(st)
 }
 
 // takeOver restores a program around the one restore function. Findings
@@ -85,31 +68,4 @@ func (h *Hive) rebuild(st *programState) {
 func (h *Hive) replayHook(st *programState) {
 	//lint:allow journalfirst test-only replay hook; never reachable in production
 	h.applyOp(st)
-}
-
-// closeReadOnly mirrors the breaker close; only a landed checkpoint may
-// call it.
-func (st *programState) closeReadOnly() {}
-
-// checkpointLocked is the sanctioned breaker-close path. Clean.
-func (h *Hive) checkpointLocked(st *programState) {
-	st.closeReadOnly()
-}
-
-// CheckpointEvery was CheckpointProgram until a rename the guard table did
-// not follow. Findings expected: the name the checkpointLocked row still
-// lists, and the call that row no longer admits.
-func (h *Hive) CheckpointEvery(st *programState) {
-	h.checkpointLocked(st)
-}
-
-// forceWritable closes the breaker without a checkpoint. Finding expected.
-func (h *Hive) forceWritable(st *programState) {
-	st.closeReadOnly()
-}
-
-// persistDirect checkpoints outside the timer and the import. Finding
-// expected.
-func (h *Hive) persistDirect(st *programState) {
-	h.checkpointLocked(st)
 }

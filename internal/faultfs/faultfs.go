@@ -125,7 +125,7 @@ func (f *FS) Crashed() bool {
 
 // ForceENOSPC flips the deterministic disk-full switch: while set, every
 // Write fails cleanly with ENOSPC regardless of the plan's rates. Tests
-// flip it mid-run to drive persistent-failure paths (the hive's read-only
+// flip it mid-run to drive persistent-failure paths (the journal's write
 // breaker) at an exact point in the operation sequence, then flip it back
 // to model the operator freeing space.
 func (f *FS) ForceENOSPC(on bool) {

@@ -83,8 +83,33 @@ func TestENOSPCSurfacesCleanly(t *testing.T) {
 	}
 }
 
+// checkpointPast closes the program's write breaker the one way there is, a
+// checkpoint that lands, as the hive's checkpoint timer would, so a storm
+// keeps appending after the breaker opens. It first hands keep every op of
+// the journal generation the checkpoint rotates away, read back through
+// ExportChain. The injected faults hit the checkpoint's own writes too, so it
+// retries until one lands. The caller holds off every append meanwhile.
+func checkpointPast(st *journal.Store, program string, keep func(*journal.Op)) error {
+	ce, err := st.ExportChain(program)
+	if err != nil {
+		return err
+	}
+	if ce != nil { // nil: no record ever landed
+		if _, err := ce.Replay(program, func(r journal.Receipt) error { keep(r.Op()); return nil }); err != nil {
+			return err
+		}
+	}
+	for try := 0; try < 100; try++ {
+		if err = st.Checkpoint(&journal.ProgramSnapshot{ProgramID: program}, 0); err == nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("no checkpoint landed in 100 tries: %w", err)
+}
+
 // TestJournalSurvivesFaultStorm: a journal hammered through the injector
-// never lies — every append it acked is replayed intact after a clean
+// never lies — every append it acked is replayed intact, from the generation
+// a checkpoint rotated away once the write breaker opened or after a clean
 // re-open, and every append it failed is absent or rolled back. This is the
 // core faultfs/journal contract the matrix tests build on.
 func TestJournalSurvivesFaultStorm(t *testing.T) {
@@ -105,10 +130,17 @@ func TestJournalSurvivesFaultStorm(t *testing.T) {
 			}
 			const program = "prog-storm"
 			var acked []uint64
+			got := map[uint64]bool{}
+			keep := func(op *journal.Op) { got[op.Seq] = true }
 			for seq := uint64(1); seq <= 200; seq++ {
 				op := &journal.Op{Kind: journal.OpBatchColumnar, Session: "s", Seq: seq, Raw: []byte{byte(seq)}}
-				if err := st.Append(program, op); err == nil {
+				switch err := st.Append(program, op); {
+				case err == nil:
 					acked = append(acked, seq)
+				case errors.Is(err, journal.ErrReadOnly):
+					if err := checkpointPast(st, program, keep); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			_ = st.Close()
@@ -119,10 +151,8 @@ func TestJournalSurvivesFaultStorm(t *testing.T) {
 				t.Fatalf("re-open: %v", err)
 			}
 			defer st2.Close()
-			got := map[uint64]bool{}
 			if _, err := st2.Replay(program, func(r journal.Receipt) error {
-				op := r.Op()
-				got[op.Seq] = true
+				keep(r.Op())
 				return nil
 			}); err != nil {
 				t.Fatalf("replay: %v", err)
@@ -144,7 +174,9 @@ func TestJournalSurvivesFaultStorm(t *testing.T) {
 // append missing from it was acked out of a group that failed, an extra one
 // was refused out of a group that landed or was not rolled back. Appends
 // keep landing after every rollback, and more appends failed than faults
-// fired, so groups of several did fail together.
+// fired, so groups of several did fail together. When the write breaker
+// opens, the appender that met it checkpoints under a gate the others share,
+// as the hive's timer would, after reading back the generation that goes.
 func TestJournalSurvivesConcurrentFaultStorm(t *testing.T) {
 	const (
 		program   = "prog-storm"
@@ -170,12 +202,22 @@ func TestJournalSurvivesConcurrentFaultStorm(t *testing.T) {
 			t.Fatalf("seed %d: open: %v", seed, err)
 		}
 		var (
+			gate              sync.RWMutex // appends share it, a checkpoint holds it alone
 			mu                sync.Mutex
 			acked             = map[key]bool{}
 			failed            = map[key]bool{}
+			faulted           int // failed appends less the breaker's refusals
+			replayed          = map[key]bool{}
 			ackedAfterFailure int
 			wg                sync.WaitGroup
 		)
+		replay := func(op *journal.Op) {
+			k := key{int(op.Raw[0]), op.Seq}
+			if replayed[k] {
+				t.Errorf("seed %d: %v replayed twice", seed, k)
+			}
+			replayed[k] = true
+		}
 		for w := 0; w < appenders; w++ {
 			wg.Add(1)
 			go func(w int) {
@@ -183,12 +225,17 @@ func TestJournalSurvivesConcurrentFaultStorm(t *testing.T) {
 				sawFailure := false
 				for seq := uint64(1); seq <= perWorker; seq++ {
 					op := &journal.Op{Kind: journal.OpBatchColumnar, Session: fmt.Sprintf("w%d", w), Seq: seq, Raw: []byte{byte(w), byte(seq)}}
+					gate.RLock()
 					err := st.Append(program, op)
+					gate.RUnlock()
 					mu.Lock()
 					switch {
 					case err != nil:
 						failed[key{w, seq}] = true
 						sawFailure = true
+						if !errors.Is(err, journal.ErrReadOnly) {
+							faulted++
+						}
 					case sawFailure:
 						ackedAfterFailure++
 						fallthrough
@@ -196,6 +243,17 @@ func TestJournalSurvivesConcurrentFaultStorm(t *testing.T) {
 						acked[key{w, seq}] = true
 					}
 					mu.Unlock()
+					if errors.Is(err, journal.ErrReadOnly) {
+						gate.Lock()
+						if _, open := st.Breaker(program); open {
+							mu.Lock()
+							if err := checkpointPast(st, program, replay); err != nil {
+								t.Errorf("seed %d: %v", seed, err)
+							}
+							mu.Unlock()
+						}
+						gate.Unlock()
+					}
 				}
 			}(w)
 		}
@@ -206,14 +264,8 @@ func TestJournalSurvivesConcurrentFaultStorm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: re-open: %v", seed, err)
 		}
-		replayed := map[key]bool{}
 		if _, err := st2.Replay(program, func(r journal.Receipt) error {
-			op := r.Op()
-			k := key{int(op.Raw[0]), op.Seq}
-			if replayed[k] {
-				t.Errorf("seed %d: %v replayed twice", seed, k)
-			}
-			replayed[k] = true
+			replay(r.Op())
 			return nil
 		}); err != nil {
 			t.Fatalf("seed %d: replay: %v", seed, err)
@@ -236,7 +288,7 @@ func TestJournalSurvivesConcurrentFaultStorm(t *testing.T) {
 		if len(failed) == 0 || ackedAfterFailure == 0 {
 			t.Errorf("seed %d: %d failed appends, %d acked after a failure: nothing landed after a rollback", seed, len(failed), ackedAfterFailure)
 		}
-		failedAppends += uint64(len(failed))
+		failedAppends += uint64(faulted)
 		faults += fs.TornWrites + fs.ShortWrites + fs.WriteErrs + fs.SyncErrs
 	}
 	if failedAppends <= faults {

@@ -185,10 +185,6 @@ func TestRefusedCertificateStaysOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree, _ := h.Tree(p.ID)
-	st, err := h.state(p.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	ffs.ForceENOSPC(true)
 	cases, err := h.Guidance(p.ID, 4)
@@ -198,14 +194,14 @@ func TestRefusedCertificateStaysOpen(t *testing.T) {
 	if n := tree.FrontierCount(); n != 3 {
 		t.Fatalf("%d open frontiers after a pull whose certificates the journal refused, want 3", n)
 	}
-	if n := st.appendFails.Load(); n != 2 {
+	if n, _ := store.Breaker(p.ID); n != 2 {
 		t.Fatalf("breaker counted %d failed appends, want the 2 refused certificates", n)
 	}
 	if _, err := h.Guidance(p.ID, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !h.ProgramReadOnly(p.ID) {
-		t.Fatalf("breaker still closed after %d refused certificates", readOnlyAppendThreshold)
+		t.Fatalf("breaker still closed after %d refused certificates", journal.ReadOnlyThreshold)
 	}
 	if err := h.DurabilityError(); err != nil {
 		t.Fatalf("a certificate that was never applied degraded durability: %v", err)

@@ -334,57 +334,48 @@ func (h *Hive) checkpointLocked(st *programState, above uint64) error {
 	// replay-debt reduction. Skipping never loses data: the journal, if it
 	// somehow had ops, stays in place. Session marks that advanced via
 	// other programs' traffic are carried by those programs' segments and
-	// ops (recovery max-merges all of them). An open breaker is not
+	// ops (recovery max-merges all of them). An open write breaker is not
 	// quiescence: refused appends leave nothing to retire, and only a landed
 	// checkpoint closes it.
-	if st.hasBase && st.tree.DirtyNodes() == 0 && !st.readOnly.Load() &&
+	_, open := h.journal.Breaker(programID)
+	if st.hasBase && st.tree.DirtyNodes() == 0 && !open &&
 		h.journal.AppendsSinceCheckpoint(programID) == 0 {
 		return nil
 	}
 
+	var delta []byte
 	if st.hasBase && h.compactEvery > 0 && st.deltasSince < h.compactEvery {
-		if delta := st.tree.EncodeDelta(); delta != nil {
-			snap, err := h.snapshotProgramMeta(st)
-			if err != nil {
-				return err
-			}
-			snap.TreeDelta = delta
-			if err := h.journal.CheckpointDelta(snap); err != nil {
-				return err
-			}
-			// Only now that the segment is durable does the boundary move;
-			// a failed write above leaves the dirty set (and the journal)
-			// intact, so nothing acknowledged can fall between snapshots.
-			st.tree.ResetDelta()
-			st.deltasSince++
-			h.closeReadOnly(st)
-			return nil
-		}
+		delta = st.tree.EncodeDelta()
 	}
-
 	snap, err := h.snapshotProgramMeta(st)
 	if err != nil {
 		return err
 	}
-	snap.Tree = st.tree.Encode()
-	if err := h.journal.Checkpoint(snap, above); err != nil {
-		return err
+	if delta != nil {
+		snap.TreeDelta = delta
+		if err := h.journal.CheckpointDelta(snap); err != nil {
+			return err
+		}
+		// Only now that the segment is durable does the boundary move; a
+		// failed write above leaves the dirty set (and the journal) intact,
+		// so nothing acknowledged can fall between snapshots.
+		st.tree.ResetDelta()
+		st.deltasSince++
+	} else {
+		snap.Tree = st.tree.Encode()
+		if err := h.journal.Checkpoint(snap, above); err != nil {
+			return err
+		}
+		st.tree.SetDeltaTracking(true) // fresh boundary over the new base
+		st.hasBase = true
+		st.deltasSince = 0
 	}
-	st.tree.SetDeltaTracking(true) // fresh boundary over the new base
-	st.hasBase = true
-	st.deltasSince = 0
-	h.closeReadOnly(st)
+	// The landed segment closed the journal's write breaker. Under the
+	// exclusive gate no append ran since it was read above.
+	if open && h.Logf != nil {
+		h.Logf("hive: program %s: checkpoint landed; read-only breaker closed, ingest resumes", programID)
+	}
 	return nil
-}
-
-// closeReadOnly closes a program's journal breaker after a checkpoint
-// landed durably: the disk demonstrably takes writes again, and the
-// checkpoint rotated away any poisoned journal generation.
-func (h *Hive) closeReadOnly(st *programState) {
-	st.appendFails.Store(0)
-	if st.readOnly.Swap(false) && h.Logf != nil {
-		h.Logf("hive: program %s: checkpoint landed; read-only breaker closed, ingest resumes", st.prog.ID)
-	}
 }
 
 // snapshotProgramMeta serializes everything in one program's durable state

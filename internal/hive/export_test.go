@@ -2,14 +2,11 @@ package hive
 
 import "repro/internal/exectree"
 
-// ProgramReadOnly reports whether a program's journal breaker is open
+// ProgramReadOnly reports whether a program's journal write breaker is open
 // (ingest refused with pod.ErrReadOnly, guidance reads served).
 func (h *Hive) ProgramReadOnly(programID string) bool {
-	st, err := h.state(programID)
-	if err != nil {
-		return false
-	}
-	return st.readOnly.Load()
+	_, open := h.journal.Breaker(programID)
+	return open
 }
 
 // liveTree returns a program's execution tree itself, for tests that read

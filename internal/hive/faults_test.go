@@ -25,10 +25,11 @@ import (
 
 // TestReadOnlyBreakerENOSPC drives the journal into persistent clean write
 // failure (disk full) and pins the degradation contract: after
-// readOnlyAppendThreshold consecutive batch-append failures the program
+// journal.ReadOnlyThreshold consecutive batch-append failures the program
 // flips read-only — ingest refused with pod.ErrReadOnly, guidance and dup
 // detection still served — and only a durably landed checkpoint closes the
-// breaker, even after the disk recovers.
+// breaker, even after the disk recovers. The flip and the close are each
+// logged once.
 func TestReadOnlyBreakerENOSPC(t *testing.T) {
 	corpus := durableCorpus(t)
 	p := corpus[0]
@@ -57,7 +58,7 @@ func TestReadOnlyBreakerENOSPC(t *testing.T) {
 	}
 
 	ffs.ForceENOSPC(true)
-	for i := 0; i < readOnlyAppendThreshold; i++ {
+	for i := 0; i < journal.ReadOnlyThreshold; i++ {
 		_, err := submitSession(t, h, "ro", uint64(2+i), p.ID, batch)
 		if err == nil {
 			t.Fatalf("append %d succeeded on a full disk", i)
@@ -67,7 +68,7 @@ func TestReadOnlyBreakerENOSPC(t *testing.T) {
 		}
 	}
 	if !h.ProgramReadOnly(p.ID) || h.ReadOnlyPrograms() != 1 {
-		t.Fatalf("breaker not open after %d consecutive failures", readOnlyAppendThreshold)
+		t.Fatalf("breaker not open after %d consecutive failures", journal.ReadOnlyThreshold)
 	}
 	if _, err := submitSession(t, h, "ro", 9, p.ID, batch); !errors.Is(err, pod.ErrReadOnly) {
 		t.Fatalf("read-only program accepted ingest path: %v", err)
@@ -103,6 +104,21 @@ func TestReadOnlyBreakerENOSPC(t *testing.T) {
 	}
 	if dup, err := submitSession(t, h, "ro", 2, p.ID, batch); err != nil || dup {
 		t.Fatalf("ingest after breaker close: dup=%v err=%v", dup, err)
+	}
+	if err := h.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	flips, closes := 0, 0
+	for _, w := range warned {
+		if strings.Contains(w, "flipping read-only") {
+			flips++
+		}
+		if strings.Contains(w, "breaker closed") {
+			closes++
+		}
+	}
+	if flips != 1 || closes != 1 {
+		t.Fatalf("breaker logged %d flips and %d closes, want one each: %v", flips, closes, warned)
 	}
 
 	// Restart: exactly the acked frames (seq 1 and 2) recovered.

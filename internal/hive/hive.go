@@ -69,7 +69,7 @@ type FailureRecord struct {
 // programState is the hive's per-program knowledge. Each program is its own
 // lock shard: mu guards the books and the tree pointer, while prog, sym, and
 // gen are immutable after registration (gen and tree synchronize
-// internally). The ingest counters and the journal breaker are atomics.
+// internally). The ingest counters are atomics.
 type programState struct {
 	mu sync.Mutex
 
@@ -102,15 +102,6 @@ type programState struct {
 	// gone is set, under the ckpt write gate, by DropProgram: a submission
 	// that resolved this shard before the drop must not be acknowledged.
 	gone bool
-
-	// readOnly is the journal breaker: latched after
-	// readOnlyAppendThreshold consecutive batch-append failures (disk
-	// full, dead device), it refuses further ingest with pod.ErrReadOnly
-	// while guidance reads keep working, and clears when a checkpoint
-	// lands durably (the disk is writable again). appendFails counts the
-	// consecutive failures.
-	readOnly    atomic.Bool
-	appendFails atomic.Int32
 
 	// sym and gen exist for single-threaded programs.
 	sym *symbolic.Engine
@@ -614,46 +605,34 @@ func (h *Hive) synthesizeFix(st *programState, rec *failureRecord) {
 	st.applySynthesis(r, minted)
 }
 
-// readOnlyAppendThreshold is how many consecutive batch-append failures a
-// program absorbs before its journal breaker opens. One failure can be a
-// transient (a torn write the journal rolled back); a run of them means the
-// disk is full or gone, and every retried batch would burn a write cycle to
-// fail again.
-const readOnlyAppendThreshold = 3
-
 // journalBatchAppend is the write-ahead append of the ops that are refused
 // when the journal refuses them — a batch, a certificate, a synthesis
-// outcome, a proof — with the read-only breaker wrapped around it: an open
-// breaker refuses the op immediately with pod.ErrReadOnly (no disk touch), a
-// failed append counts toward opening it, and a successful append resets the
-// count. Only a durably landed checkpoint closes an open breaker (see
-// CheckpointProgram) — proof the disk takes writes again. It returns the
-// receipt the op is applied under; an in-memory hive's nil journal records
-// nothing and hands the receipt straight back.
+// outcome, a proof. It returns the receipt the op is applied under; an
+// in-memory hive's nil journal records nothing and hands the receipt straight
+// back. The journal's write breaker turns a program whose disk keeps failing
+// read-only until a checkpoint lands: its refusal is pod.ErrReadOnly here,
+// which the wire answers "readonly" while guidance reads keep working, and
+// the failure that opened it is logged.
 func (h *Hive) journalBatchAppend(st *programState, op *journal.Op) (journal.Receipt, error) {
-	if st.readOnly.Load() {
-		return journal.Receipt{}, fmt.Errorf("hive: program %s refuses ingest (guidance still served): %w", st.prog.ID, pod.ErrReadOnly)
-	}
 	r, err := h.journal.Commit(st.prog.ID, op)
-	if err != nil {
-		if st.appendFails.Add(1) >= readOnlyAppendThreshold {
-			if !st.readOnly.Swap(true) && h.Logf != nil {
-				h.Logf("hive: program %s: %d consecutive journal append failures (%v); flipping read-only — guidance is still served, ingest refused until a checkpoint lands", st.prog.ID, readOnlyAppendThreshold, err)
-			}
-		}
-		return journal.Receipt{}, fmt.Errorf("hive: journal %s: %w", st.prog.ID, err)
+	switch {
+	case err == nil:
+		return r, nil
+	case errors.Is(err, journal.ErrReadOnly):
+		return journal.Receipt{}, fmt.Errorf("hive: program %s refuses ingest (guidance still served): %w", st.prog.ID, pod.ErrReadOnly)
+	case errors.Is(err, journal.ErrBreakerOpened) && h.Logf != nil:
+		h.Logf("hive: program %s: %d consecutive journal append failures (%v); flipping read-only — guidance is still served, ingest refused until a checkpoint lands", st.prog.ID, journal.ReadOnlyThreshold, err)
 	}
-	st.appendFails.Store(0)
-	return r, nil
+	return journal.Receipt{}, fmt.Errorf("hive: journal %s: %w", st.prog.ID, err)
 }
 
-// ReadOnlyPrograms counts programs whose journal breaker is currently open.
+// ReadOnlyPrograms counts programs whose journal write breaker is open.
 func (h *Hive) ReadOnlyPrograms() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	n := 0
-	for _, st := range h.programs {
-		if st.readOnly.Load() {
+	for id := range h.programs {
+		if _, open := h.journal.Breaker(id); open {
 			n++
 		}
 	}
@@ -911,7 +890,7 @@ func (h *Hive) FixesSince(programID string, version int) ([]fix.Fix, int, error)
 
 // certify is the one way an infeasibility certificate reaches a live
 // program's tree, whichever engine refuted the frontier: the OpCert is
-// journaled first, through the breaker-accounted append, and applied second —
+// journaled first, through the journal's write breaker, and applied second —
 // the order every other mutation takes — so a certificate the journal
 // refuses is not applied (the frontier stays open, and whoever pulls it next
 // tries again), and nothing waits on the tree's lock while the append waits
@@ -952,7 +931,7 @@ func (h *Hive) Guidance(programID string, max int) ([]guidance.TestCase, error) 
 // Prove attempts a cumulative proof of the property for the program,
 // reusing a standing proof when the tree and fixes have not changed its
 // validity. The proof is published only once its OpProof is journaled,
-// through the read-only breaker like every other mutation: a refused op
+// through the journal's write breaker like every other mutation: a refused op
 // publishes nothing and returns the error (wrapping pod.ErrReadOnly while
 // the breaker is open).
 func (h *Hive) Prove(programID string, property proof.Property) (*proof.Proof, error) {

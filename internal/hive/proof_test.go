@@ -26,7 +26,7 @@ func TestRefusedProofPublishesNothing(t *testing.T) {
 
 	// Refused certificates open the breaker, as refused batches do.
 	ffs.ForceENOSPC(true)
-	for i := 0; i < readOnlyAppendThreshold && !h.ProgramReadOnly(p.ID); i++ {
+	for i := 0; i < journal.ReadOnlyThreshold && !h.ProgramReadOnly(p.ID); i++ {
 		if _, err := h.Guidance(p.ID, 4); err != nil {
 			t.Fatal(err)
 		}

@@ -150,8 +150,11 @@ func TestLeaderHandsBaton(t *testing.T) {
 }
 
 // TestFailedGroupFailsItsMembers: a group whose fsync fails is rolled back
-// whole and every appender in it gets the error; the appender queued behind
-// it takes the lead and its group lands.
+// whole and every appender in it gets the error, each counting one failed
+// commit on the write breaker; the appender queued behind it takes the lead
+// and its group lands, which resets the count. The failed group holds two
+// records: a third would open the breaker, and the next group would be
+// refused unwritten (TestCommitBreaker).
 func TestFailedGroupFailsItsMembers(t *testing.T) {
 	dir := t.TempDir()
 	fs := newSteppedFS()
@@ -159,8 +162,8 @@ func TestFailedGroupFailsItsMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg, errs := queueBehindLeader(t, s, fs, "prog-A", 1, 2, 3, 4)
-	fs.verdict <- nil // 1 lands; 2 leads {2, 3, 4}
+	wg, errs := queueBehindLeader(t, s, fs, "prog-A", 1, 2, 3)
+	fs.verdict <- nil // 1 lands; 2 leads {2, 3}
 	<-fs.entered
 	wg.Add(1)
 	var lateErr error
@@ -172,8 +175,14 @@ func TestFailedGroupFailsItsMembers(t *testing.T) {
 	injected := errors.New("injected fsync failure")
 	fs.verdict <- injected
 	<-fs.entered // 5 leads the next group
+	if n, open := s.Breaker("prog-A"); n != 2 || open {
+		t.Fatalf("breaker after a failed group of 2 = %d failures, open %v; want 2, closed", n, open)
+	}
 	fs.verdict <- nil
 	wg.Wait()
+	if n, _ := s.Breaker("prog-A"); n != 0 {
+		t.Fatalf("breaker counts %d failures after a group landed, want 0", n)
+	}
 
 	if errs[0] != nil || lateErr != nil {
 		t.Fatalf("appends outside the failed group: %v, %v", errs[0], lateErr)

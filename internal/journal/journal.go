@@ -85,6 +85,17 @@
 // crash can lose the last instants of un-synced journal. Options.Fsync
 // forces an fsync per flushed group for power-failure durability.
 //
+// # The write breaker
+//
+// Each program has one write breaker. Every record of a failed group counts
+// one failed commit, and a successful group resets the count. After
+// ReadOnlyThreshold consecutive failures (disk full, dead device) the
+// breaker is open: Commit refuses with ErrReadOnly at once and touches no
+// file, so a program whose disk keeps failing turns read-only instead of
+// burning a write per retry. Only a checkpoint closes it — Checkpoint and
+// CheckpointDelta alike — because a segment that landed proves the disk
+// takes writes again, and the rotation leaves any torn generation behind.
+//
 // # Privacy invariant
 //
 // The journal stores trace batches exactly as they were submitted — *after*
@@ -110,6 +121,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrCorrupt is wrapped by malformed journal or snapshot data.
@@ -121,6 +133,19 @@ var ErrCorrupt = errors.New("journal: corrupt")
 // nothing quarantines, truncates or drops what carries it; the store, the
 // replay or the export refuses instead.
 var ErrUnknownVersion = errors.New("journal: unknown format version")
+
+// ErrReadOnly is returned by Commit while the program's write breaker is
+// open; no file was touched.
+var ErrReadOnly = errors.New("journal: read-only after repeated write failures")
+
+// ErrBreakerOpened is wrapped by the error of the one commit whose failure
+// opened its program's write breaker: the leader of that failed group.
+var ErrBreakerOpened = errors.New("journal: write breaker opened")
+
+// ReadOnlyThreshold is how many consecutive failed commits open a program's
+// write breaker. One failure can be a transient (a torn write rolled back); a
+// run of them means the disk is full or gone.
+const ReadOnlyThreshold = 3
 
 // Options configures a Store.
 type Options struct {
@@ -170,10 +195,14 @@ type progLog struct {
 	f       File     // current journal, opened lazily for append
 	size    int64    // current journal length (the truncate point after a torn write)
 	wbuf    []byte   // reusable group write buffer
-	// broken latches a torn write that could not be truncated away: further
-	// appends would land beyond the tear and be silently discarded by
-	// recovery's truncate-at-first-bad-record, so they are refused instead.
-	broken bool
+	// The write breaker. fails counts consecutive failed commits (written
+	// under mu, read by Breaker without it); at ReadOnlyThreshold the breaker
+	// is open. torn latches a torn write that could not be cut back: appends
+	// would land beyond the tear and be silently discarded by recovery's
+	// truncate-at-first-bad-record, so each is refused, and counts. Only a
+	// checkpoint's rotation (rotateLocked) clears them.
+	fails atomic.Int32
+	torn  bool
 	// appends counts records written to the current journal generation
 	// (including any found on disk at scan/replay time); checkpoints reset
 	// it. The hive uses it to skip checkpoints for quiescent programs.
@@ -738,8 +767,9 @@ func (s *Store) AppendsSinceCheckpoint(programID string) uint64 {
 // (in the OS, fsynced with Options.Fsync) when Commit returns. The record may
 // share its write and fsync with concurrent commits; the call blocks until
 // the record's group is durable, and a group that fails fails every commit
-// in it. A nil Store records nothing and returns the receipt at once, so an
-// in-memory hive takes the road a durable one does.
+// in it. While the program's write breaker is open Commit returns
+// ErrReadOnly. A nil Store records nothing and returns the receipt at once,
+// so an in-memory hive takes the road a durable one does.
 func (s *Store) Commit(programID string, op *Op) (Receipt, error) {
 	if s == nil {
 		return Receipt{op: op}, nil
@@ -774,15 +804,33 @@ func (s *Store) Append(programID string, op *Op) error {
 	return err
 }
 
+// Breaker reports the program's write breaker: how many consecutive commits
+// failed, and whether it is open. It creates no state for a program the store
+// does not know, and a nil Store's breaker is never open.
+func (s *Store) Breaker(programID string) (fails int, open bool) {
+	if s == nil {
+		return 0, false
+	}
+	s.mu.Lock()
+	pl := s.progs[programID]
+	s.mu.Unlock()
+	if pl == nil {
+		return 0, false
+	}
+	n := int(pl.fails.Load())
+	return n, n >= ReadOnlyThreshold
+}
+
 // commitGroup is the leader's turn: the calling appender's record heads the
 // pending queue, so it cuts a group of up to maxBatch records (its own
 // first), writes the group as one buffered write plus (with Options.Fsync)
 // one fsync, and delivers the result to every other appender in it. Then it
 // hands the lead to the head of whatever queued during the flush, or, with
 // nothing queued, clears the flushing claim for the next Append to take.
+// When the group's failure opened the breaker, the leader's error says so.
 func (s *Store) commitGroup(pl *progLog) error {
 	batch := pl.cutGroup(s.maxBatch)
-	err := s.flushGroup(pl, batch)
+	opened, err := s.flushGroup(pl, batch)
 	for _, p := range batch[1:] {
 		p.done <- err
 	}
@@ -797,6 +845,9 @@ func (s *Store) commitGroup(pl *progLog) error {
 	pl.pendMu.Unlock()
 	if next != nil {
 		next.done <- errLead
+	}
+	if opened {
+		err = fmt.Errorf("%w (%w)", err, ErrBreakerOpened)
 	}
 	return err
 }
@@ -820,10 +871,15 @@ func (pl *progLog) cutGroup(limit int) []*pendingAppend {
 
 // flushGroup writes one group of records as a single write (+fsync) under
 // the program's file lock, encoding each op straight into the reused group
-// buffer — no per-record allocations.
-func (s *Store) flushGroup(pl *progLog, batch []*pendingAppend) error {
+// buffer — no per-record allocations — and keeps the write breaker: an open
+// one refuses the group unwritten, every record of a failed group counts one
+// failure, and opened reports that this group's failure opened it.
+func (s *Store) flushGroup(pl *progLog, batch []*pendingAppend) (opened bool, err error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
+	if pl.fails.Load() >= ReadOnlyThreshold {
+		return false, fmt.Errorf("%w: %s, until a checkpoint lands", ErrReadOnly, pl.id)
+	}
 	buf := pl.wbuf[:0]
 	for _, p := range batch {
 		pl.scratch = appendOp(pl.scratch[:0], p.op)
@@ -831,10 +887,13 @@ func (s *Store) flushGroup(pl *progLog, batch []*pendingAppend) error {
 	}
 	pl.wbuf = buf[:0]
 	if err := s.writeFramesLocked(pl, buf); err != nil {
-		return err
+		return pl.fails.Add(int32(len(batch))) >= ReadOnlyThreshold, err
 	}
 	pl.appends += uint64(len(batch))
-	return nil
+	if pl.fails.Load() != 0 {
+		pl.fails.Store(0)
+	}
+	return false, nil
 }
 
 // writeFramesLocked lands one or more framed records at the end of the
@@ -842,10 +901,10 @@ func (s *Store) flushGroup(pl *progLog, batch []*pendingAppend) error {
 // write is rolled back by truncating to the last good record boundary —
 // otherwise later appends would be acknowledged *beyond* torn bytes, and
 // recovery's truncate-at-first-bad-record would silently discard them. If
-// the rollback itself fails the journal is poisoned: further appends are
+// the rollback itself fails the generation is torn: further appends are
 // refused until a checkpoint rotates to a fresh generation.
 func (s *Store) writeFramesLocked(pl *progLog, buf []byte) error {
-	if pl.broken {
+	if pl.torn {
 		return fmt.Errorf("journal: %s has an unremovable torn tail; appends disabled until checkpoint", pl.id)
 	}
 	if !pl.replayed {
@@ -876,12 +935,29 @@ func (s *Store) writeFramesLocked(pl *progLog, buf []byte) error {
 }
 
 // rollbackTornLocked cuts the journal back to the last good record
-// boundary after a failed write, poisoning the generation if the cut
+// boundary after a failed write, latching the generation torn if the cut
 // fails.
 func (s *Store) rollbackTornLocked(pl *progLog) {
 	if err := pl.f.Truncate(pl.size); err != nil {
-		pl.broken = true
+		pl.torn = true
 	}
+}
+
+// rotateLocked starts journal generation next once the checkpoint that
+// covers the current one is durable: it closes and deletes the old journal
+// and closes the write breaker, since the segment that landed proves the
+// disk takes writes again and a torn generation goes with its file.
+func (s *Store) rotateLocked(pl *progLog, next uint64) {
+	if pl.f != nil {
+		_ = pl.f.Close()
+		pl.f = nil
+	}
+	_ = s.fs.Remove(walPath(s.dir, pl.key, pl.gen))
+	pl.gen = next
+	pl.replayed = true
+	pl.appends = 0
+	pl.fails.Store(0)
+	pl.torn = false
 }
 
 // Checkpoint installs a new *full* snapshot for snap.ProgramID, compacting
@@ -905,11 +981,7 @@ func (s *Store) Checkpoint(snap *ProgramSnapshot, above uint64) error {
 		return err
 	}
 	// New base is durable; switch appends over and drop the old chain.
-	if pl.f != nil {
-		_ = pl.f.Close()
-		pl.f = nil
-	}
-	_ = s.fs.Remove(walPath(s.dir, pl.key, pl.gen))
+	s.rotateLocked(pl, next)
 	if pl.hasBase {
 		_ = s.fs.Remove(snapPath(s.dir, pl.key, pl.baseGen))
 	}
@@ -922,13 +994,9 @@ func (s *Store) Checkpoint(snap *ProgramSnapshot, above uint64) error {
 		_ = s.fs.Remove(s.tetherPath(pl.key))
 		pl.tethered = false
 	}
-	pl.gen = next
 	pl.baseGen = next
 	pl.hasBase = true
 	pl.deltas = nil
-	pl.replayed = true
-	pl.appends = 0
-	pl.broken = false // a poisoned generation was rotated away
 	return nil
 }
 
@@ -949,16 +1017,8 @@ func (s *Store) CheckpointDelta(snap *ProgramSnapshot) error {
 	if err := writeSnapshotFile(s.fs, deltaPath(s.dir, pl.key, next), snap); err != nil {
 		return err
 	}
-	if pl.f != nil {
-		_ = pl.f.Close()
-		pl.f = nil
-	}
-	_ = s.fs.Remove(walPath(s.dir, pl.key, pl.gen))
+	s.rotateLocked(pl, next)
 	pl.deltas = append(pl.deltas, next)
-	pl.gen = next
-	pl.replayed = true
-	pl.appends = 0
-	pl.broken = false // a poisoned generation was rotated away
 	return nil
 }
 

@@ -32,8 +32,9 @@ var ErrDeferred = errors.New("pod: ingest deferred under overload")
 // after persistent journal write failures (disk full, dead device): the
 // batch was NOT applied and resubmitting it will keep failing until the
 // disk recovers — unlike ErrDeferred, this is not transient backpressure.
-// Guidance reads still work. hive.Hive wraps it when a program's journal
-// breaker opens; wire.Server maps it to MsgBusy (reason "readonly").
+// Guidance reads still work. hive.Hive wraps it while the program's journal
+// write breaker (journal.ErrReadOnly) is open; wire.Server maps it to MsgBusy
+// (reason "readonly").
 var ErrReadOnly = errors.New("pod: backend read-only after journal write failure")
 
 // PressureSink is an optional backend extension letting the transport

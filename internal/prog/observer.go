@@ -40,24 +40,3 @@ func (m MultiObserver) Schedule(tid int) {
 		o.Schedule(tid)
 	}
 }
-
-// NopObserver ignores every event; useful as an explicit "capture disabled"
-// marker in overhead experiments.
-type NopObserver struct{}
-
-var _ Observer = NopObserver{}
-
-// Branch implements Observer.
-func (NopObserver) Branch(tid, branchID int, taken bool) {}
-
-// LockAcquire implements Observer.
-func (NopObserver) LockAcquire(tid, lockID, pc int) {}
-
-// LockRelease implements Observer.
-func (NopObserver) LockRelease(tid, lockID, pc int) {}
-
-// Syscall implements Observer.
-func (NopObserver) Syscall(tid int, sysno, arg, ret int64) {}
-
-// Schedule implements Observer.
-func (NopObserver) Schedule(tid int) {}

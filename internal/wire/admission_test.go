@@ -105,25 +105,37 @@ func TestBusyRateLimit(t *testing.T) {
 	}
 }
 
-// debitCost returns the cheapest observed per-frame cost of debit with n
-// sessions taking turns.
-func debitCost(n int) time.Duration {
-	a := newAdmissionState(Admission{SessionRate: 1e9})
-	ids := make([]string, n)
+// debitCosts returns, for each of ns, the cheapest observed per-frame cost
+// of debit with that many sessions taking turns. The reps of every size
+// alternate, so a burst of contention on a shared host lands on each size
+// alike instead of on one of them.
+func debitCosts(ns ...int) []time.Duration {
 	now := time.Unix(0, 0)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("sess-%d", i)
-		a.debit(ids[i], 1, now)
-	}
-	best := time.Duration(1 << 62)
-	for rep := 0; rep < 3; rep++ {
-		start := time.Now()
-		for _, id := range ids {
-			a.debit(id, 1, now)
+	tables := make([]*admissionState, len(ns))
+	ids := make([][]string, len(ns))
+	best := make([]time.Duration, len(ns))
+	for k, n := range ns {
+		tables[k] = newAdmissionState(Admission{SessionRate: 1e9})
+		ids[k] = make([]string, n)
+		for i := range ids[k] {
+			ids[k][i] = fmt.Sprintf("sess-%d", i)
+			tables[k].debit(ids[k][i], 1, now)
 		}
-		best = min(best, time.Since(start)/time.Duration(n))
+		best[k] = time.Duration(1 << 62)
 	}
-	return max(best, time.Nanosecond)
+	for rep := 0; rep < 3; rep++ {
+		for k, n := range ns {
+			start := time.Now()
+			for _, id := range ids[k] {
+				tables[k].debit(id, 1, now)
+			}
+			best[k] = min(best[k], time.Since(start)/time.Duration(n))
+		}
+	}
+	for k := range best {
+		best[k] = max(best[k], time.Nanosecond)
+	}
+	return best
 }
 
 // TestAdmissionTableHasNoCliff: with more sessions taking turns than the
@@ -134,7 +146,8 @@ func debitCost(n int) time.Duration {
 func TestAdmissionTableHasNoCliff(t *testing.T) {
 	const below = 2048 // fits the table by either bound: every debit finds its bucket
 	const past = 4 * 4096
-	at, beyond := debitCost(below), debitCost(past)
+	costs := debitCosts(below, past)
+	at, beyond := costs[0], costs[1]
 	t.Logf("debit: %v per frame with %d sessions, %v with %d", at, below, beyond, past)
 	if beyond > 10*at {
 		t.Fatalf("a debit costs %v with %d sessions against %v with %d: more than 10×", beyond, past, at, below)

@@ -500,7 +500,7 @@ func (s *Server) admitBatch(cs *connState, w io.Writer, session string, n int) (
 
 // busyFor maps the two backend refusals that mean "not now" to MsgBusy:
 // pod.ErrDeferred — the hive's load shedder asking for the batch later —
-// and pod.ErrReadOnly — the backend's journal breaker after persistent disk
+// and pod.ErrReadOnly — the journal's write breaker after persistent disk
 // write failures, which persists until a checkpoint lands. Either way the
 // frame stays unacked and the client resubmits it verbatim after the hint.
 // The two are counted apart (BusyReplies, ReadOnlyBusy): operators must be
