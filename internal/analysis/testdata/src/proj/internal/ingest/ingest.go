@@ -108,3 +108,18 @@ func keyByBranchBytes(h *holder, v *trace.BatchView) {
 func countKeys(seen map[string]int, v *trace.BatchView) {
 	seen[string(v.BranchBytes(0))]++
 }
+
+// useAfterRecycle reads a batch after handing its traces back to the free
+// list. Finding expected.
+func useAfterRecycle(batch []*trace.Trace) string {
+	trace.Recycle(batch)
+	return batch[0].PodID
+}
+
+// reuseAfterRecycle empties the recycled batch before reusing its slice.
+// Clean.
+func reuseAfterRecycle(batch []*trace.Trace, next *trace.Trace) []*trace.Trace {
+	trace.Recycle(batch)
+	batch = batch[:0]
+	return append(batch, next)
+}

@@ -11,7 +11,9 @@ import (
 // A trace.BatchView decodes in place over a pooled frame buffer: its Bytes()
 // and BranchBytes(i) results, its Branches(i) slices of the pooled branch column, and the view
 // itself are borrows that die when Release() returns the scratch to the
-// pool. Likewise sync.Pool-recycled buffers are borrows that die at Put().
+// pool. Likewise sync.Pool-recycled buffers are borrows that die at Put(),
+// and traces handed to trace.Recycle die there: the free list builds the next
+// trace over them.
 // Storing a borrow where it can outlive the frame — a struct field, a
 // channel, a return value — is a use-after-recycle time bomb: the pool hands
 // the same bytes to the next decode and the stored slice silently mutates. Retention requires Materialize (views) or an explicit copy
@@ -23,7 +25,7 @@ var ViewEscape = &Analyzer{
 		"their branch column (Branches(i)), and " +
 		"sync.Pool buffers must not be stored in fields, sent on channels, or " +
 		"returned; copy/Materialize to retain, and never use a view after " +
-		"Release() or a buffer after Put()",
+		"Release(), a buffer after Put(), or traces after trace.Recycle()",
 	Run: runViewEscape,
 }
 
@@ -172,8 +174,9 @@ func checkUseAfterReclaim(p *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// reclaimedObject matches `v.Release()` (trace.BatchView) and `pool.Put(x)`
-// (sync.Pool) expression statements, returning the reclaimed object.
+// reclaimedObject matches `v.Release()` (trace.BatchView), `pool.Put(x)`
+// (sync.Pool) and `trace.Recycle(x)` expression statements, returning the
+// reclaimed object.
 func reclaimedObject(info *types.Info, stmt ast.Stmt) (types.Object, string) {
 	es, ok := stmt.(*ast.ExprStmt)
 	if !ok {
@@ -189,6 +192,9 @@ func reclaimedObject(info *types.Info, stmt ast.Stmt) (types.Object, string) {
 	}
 	recv := recvNamed(f)
 	if recv == nil {
+		if f.Name() == "Recycle" && pkgMatches(f.Pkg(), "internal/trace") && len(call.Args) == 1 {
+			return identObj(info, call.Args[0]), "trace.Recycle()"
+		}
 		return nil, ""
 	}
 	switch {

@@ -2,8 +2,10 @@ package journal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -96,6 +98,46 @@ func replayedSeqs(t *testing.T, dir, programID string) []uint64 {
 	return seqs
 }
 
+// goroutineStacks returns the stack of every goroutine in the process.
+func goroutineStacks() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Split(string(buf[:n]), "\n\n")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// checkOnlyAppenders fails unless exactly n goroutines sit in Store.Commit
+// and no goroutine alive was started by a function of this package outside
+// its tests: the store runs no goroutine of its own. Goroutines other tests
+// or earlier runs left exiting do not count, whoever started them.
+func checkOnlyAppenders(t *testing.T, n int) {
+	t.Helper()
+	const pkg = "repro/internal/journal."
+	committing := 0
+	for _, g := range goroutineStacks() {
+		if strings.Contains(g, pkg+"(*Store).Commit(") {
+			committing++
+		}
+		lines := strings.Split(g, "\n")
+		for i, line := range lines {
+			if !strings.HasPrefix(line, "created by "+pkg) || i+1 == len(lines) {
+				continue
+			}
+			file, _, _ := strings.Cut(strings.TrimSpace(lines[i+1]), ":")
+			if !strings.HasSuffix(file, "_test.go") {
+				t.Fatalf("the store started a goroutine of its own:\n%s", g)
+			}
+		}
+	}
+	if committing != n {
+		t.Fatalf("%d goroutines in Store.Commit, want the %d blocked appenders", committing, n)
+	}
+}
+
 // TestLeaderHandsBaton pins leader-based group commit: with one leader
 // stalled in fsync and seven appenders queued behind it at MaxBatch 3, the
 // queue drains in ⌈7/3⌉ further groups, each led by the appender whose
@@ -108,11 +150,8 @@ func TestLeaderHandsBaton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
 	wg, errs := queueBehindLeader(t, s, fs, "prog-A", 1, 2, 3, 4, 5, 6, 7, 8)
-	if got := runtime.NumGoroutine(); got != before+8 {
-		t.Fatalf("%d goroutines with 8 appenders blocked, want %d: the store started its own", got, before+8)
-	}
+	checkOnlyAppenders(t, 8)
 
 	fs.verdict <- nil // the stalled leader's group of one
 	done := make(chan struct{})
@@ -149,12 +188,22 @@ func TestLeaderHandsBaton(t *testing.T) {
 	}
 }
 
+// waitEntered returns once a journal Sync has started, and fails the test if
+// none does: a group refused unwritten never reaches its fsync.
+func waitEntered(t *testing.T, fs steppedFS, what string) {
+	t.Helper()
+	select {
+	case <-fs.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never reached its fsync", what)
+	}
+}
+
 // TestFailedGroupFailsItsMembers: a group whose fsync fails is rolled back
-// whole and every appender in it gets the error, each counting one failed
-// commit on the write breaker; the appender queued behind it takes the lead
-// and its group lands, which resets the count. The failed group holds two
-// records: a third would open the breaker, and the next group would be
-// refused unwritten (TestCommitBreaker).
+// whole and every appender in it gets the error; the group counts one
+// failure on the write breaker, however many records it held. The appender
+// queued behind it takes the lead and its group lands, which resets the
+// count.
 func TestFailedGroupFailsItsMembers(t *testing.T) {
 	dir := t.TempDir()
 	fs := newSteppedFS()
@@ -162,9 +211,9 @@ func TestFailedGroupFailsItsMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg, errs := queueBehindLeader(t, s, fs, "prog-A", 1, 2, 3)
-	fs.verdict <- nil // 1 lands; 2 leads {2, 3}
-	<-fs.entered
+	wg, errs := queueBehindLeader(t, s, fs, "prog-A", 1, 2, 3, 4)
+	fs.verdict <- nil // 1 lands; 2 leads {2, 3, 4}
+	waitEntered(t, fs, "the group {2, 3, 4}")
 	wg.Add(1)
 	var lateErr error
 	go func() {
@@ -174,9 +223,9 @@ func TestFailedGroupFailsItsMembers(t *testing.T) {
 	waitPending(t, s.log("prog-A"), 1)
 	injected := errors.New("injected fsync failure")
 	fs.verdict <- injected
-	<-fs.entered // 5 leads the next group
-	if n, open := s.Breaker("prog-A"); n != 2 || open {
-		t.Fatalf("breaker after a failed group of 2 = %d failures, open %v; want 2, closed", n, open)
+	waitEntered(t, fs, "the group {5} behind the failed one")
+	if n, open := s.Breaker("prog-A"); n != 1 || open {
+		t.Fatalf("breaker after a failed group of 3 = %d failures, open %v; want 1, closed", n, open)
 	}
 	fs.verdict <- nil
 	wg.Wait()
@@ -188,7 +237,7 @@ func TestFailedGroupFailsItsMembers(t *testing.T) {
 		t.Fatalf("appends outside the failed group: %v, %v", errs[0], lateErr)
 	}
 	for i, err := range errs[1:] {
-		if !errors.Is(err, injected) {
+		if !errors.Is(err, injected) || errors.Is(err, ErrBreakerOpened) {
 			t.Fatalf("append %d shared the failed group and returned %v", i+2, err)
 		}
 	}
@@ -197,5 +246,79 @@ func TestFailedGroupFailsItsMembers(t *testing.T) {
 	}
 	if got := replayedSeqs(t, dir, "prog-A"); len(got) != 2 || got[0] != 1 || got[1] != 5 {
 		t.Fatalf("replayed %v, want [1 5]: the failed group must leave no record", got)
+	}
+}
+
+// TestBreakerCountsFailedGroups: full groups fail one after another. The
+// first, MaxBatch records, leaves the breaker closed and the group behind it
+// reaches the disk; ReadOnlyThreshold consecutive failed groups open it, the
+// leader of the last is told so, and the next commit is refused unwritten.
+func TestBreakerCountsFailedGroups(t *testing.T) {
+	const maxBatch = 4
+	dir := t.TempDir()
+	fs := newSteppedFS()
+	s, err := Open(dir, Options{Fsync: true, MaxBatch: maxBatch, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := s.log("prog-A")
+	var wg sync.WaitGroup
+	errs := make([]error, 2+ReadOnlyThreshold*maxBatch) // by seq
+	appendAsync := func(seq uint64) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[seq] = s.Append("prog-A", batchOp("s", seq, "r"))
+		}()
+	}
+	seq := uint64(1)
+	appendAsync(seq)
+	waitEntered(t, fs, "the first record")
+	queueGroup := func() {
+		for i := 1; i <= maxBatch; i++ {
+			seq++
+			appendAsync(seq)
+			waitPending(t, pl, i)
+		}
+	}
+	queueGroup()
+	fs.verdict <- nil // 1 lands; the first full group leads
+	waitEntered(t, fs, "failed group 1")
+	injected := errors.New("injected fsync failure")
+	for g := 1; g <= ReadOnlyThreshold; g++ {
+		if g < ReadOnlyThreshold {
+			queueGroup()
+		}
+		fs.verdict <- injected
+		if g == ReadOnlyThreshold {
+			break
+		}
+		waitEntered(t, fs, fmt.Sprintf("the group behind %d failed groups of %d", g, maxBatch))
+		if n, open := s.Breaker("prog-A"); n != g || open {
+			t.Fatalf("breaker after %d failed groups of %d = %d failures, open %v; want %d, closed", g, maxBatch, n, open, g)
+		}
+	}
+	wg.Wait()
+	if n, open := s.Breaker("prog-A"); n != ReadOnlyThreshold || !open {
+		t.Fatalf("breaker after %d failed groups = %d failures, open %v; want open", ReadOnlyThreshold, n, open)
+	}
+	if errs[1] != nil {
+		t.Fatalf("append 1: %v", errs[1])
+	}
+	lastLeader := uint64(2 + (ReadOnlyThreshold-1)*maxBatch)
+	for seq := uint64(2); seq < uint64(len(errs)); seq++ {
+		err := errs[seq]
+		if !errors.Is(err, injected) || errors.Is(err, ErrBreakerOpened) != (seq == lastLeader) {
+			t.Fatalf("append %d: %v; want the injected failure, and ErrBreakerOpened for %d alone", seq, err, lastLeader)
+		}
+	}
+	if err := s.Append("prog-A", batchOp("s", 99, "r")); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("append with the breaker open: %v; want ErrReadOnly", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayedSeqs(t, dir, "prog-A"); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("replayed %v, want [1]: failed and refused groups leave no record", got)
 	}
 }

@@ -87,14 +87,15 @@
 //
 // # The write breaker
 //
-// Each program has one write breaker. Every record of a failed group counts
-// one failed commit, and a successful group resets the count. After
-// ReadOnlyThreshold consecutive failures (disk full, dead device) the
-// breaker is open: Commit refuses with ErrReadOnly at once and touches no
-// file, so a program whose disk keeps failing turns read-only instead of
-// burning a write per retry. Only a checkpoint closes it — Checkpoint and
-// CheckpointDelta alike — because a segment that landed proves the disk
-// takes writes again, and the rotation leaves any torn generation behind.
+// Each program has one write breaker. A failed group write counts one
+// failure, however many records the group held, and a successful group
+// resets the count. After ReadOnlyThreshold consecutive failed group writes
+// (disk full, dead device) the breaker is open: Commit refuses with
+// ErrReadOnly at once and touches no file, so a program whose disk keeps
+// failing turns read-only instead of burning a write per retry. Only a
+// checkpoint closes it — Checkpoint and CheckpointDelta alike — because a
+// segment that landed proves the disk takes writes again, and the rotation
+// leaves any torn generation behind.
 //
 // # Privacy invariant
 //
@@ -142,9 +143,10 @@ var ErrReadOnly = errors.New("journal: read-only after repeated write failures")
 // opened its program's write breaker: the leader of that failed group.
 var ErrBreakerOpened = errors.New("journal: write breaker opened")
 
-// ReadOnlyThreshold is how many consecutive failed commits open a program's
-// write breaker. One failure can be a transient (a torn write rolled back); a
-// run of them means the disk is full or gone.
+// ReadOnlyThreshold is how many consecutive failed group writes open a
+// program's write breaker. One failure can be a transient (a torn write
+// rolled back), whatever the size of the group it failed; a run of them
+// means the disk is full or gone.
 const ReadOnlyThreshold = 3
 
 // Options configures a Store.
@@ -195,7 +197,7 @@ type progLog struct {
 	f       File     // current journal, opened lazily for append
 	size    int64    // current journal length (the truncate point after a torn write)
 	wbuf    []byte   // reusable group write buffer
-	// The write breaker. fails counts consecutive failed commits (written
+	// The write breaker. fails counts consecutive failed group writes (written
 	// under mu, read by Breaker without it); at ReadOnlyThreshold the breaker
 	// is open. torn latches a torn write that could not be cut back: appends
 	// would land beyond the tear and be silently discarded by recovery's
@@ -804,9 +806,9 @@ func (s *Store) Append(programID string, op *Op) error {
 	return err
 }
 
-// Breaker reports the program's write breaker: how many consecutive commits
-// failed, and whether it is open. It creates no state for a program the store
-// does not know, and a nil Store's breaker is never open.
+// Breaker reports the program's write breaker: how many consecutive group
+// writes failed, and whether it is open. It creates no state for a program
+// the store does not know, and a nil Store's breaker is never open.
 func (s *Store) Breaker(programID string) (fails int, open bool) {
 	if s == nil {
 		return 0, false
@@ -872,8 +874,8 @@ func (pl *progLog) cutGroup(limit int) []*pendingAppend {
 // flushGroup writes one group of records as a single write (+fsync) under
 // the program's file lock, encoding each op straight into the reused group
 // buffer — no per-record allocations — and keeps the write breaker: an open
-// one refuses the group unwritten, every record of a failed group counts one
-// failure, and opened reports that this group's failure opened it.
+// one refuses the group unwritten, a failed group counts one failure
+// whatever its size, and opened reports that this group's failure opened it.
 func (s *Store) flushGroup(pl *progLog, batch []*pendingAppend) (opened bool, err error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -887,7 +889,7 @@ func (s *Store) flushGroup(pl *progLog, batch []*pendingAppend) (opened bool, er
 	}
 	pl.wbuf = buf[:0]
 	if err := s.writeFramesLocked(pl, buf); err != nil {
-		return pl.fails.Add(int32(len(batch))) >= ReadOnlyThreshold, err
+		return pl.fails.Add(1) >= ReadOnlyThreshold, err
 	}
 	pl.appends += uint64(len(batch))
 	if pl.fails.Load() != 0 {

@@ -54,10 +54,15 @@ func NewBufferedFor(backend HiveClient, programID string) *BufferedClient {
 	return &BufferedClient{backend: backend, programID: programID}
 }
 
-// SubmitTraces queues the batch for the next Drain.
+// SubmitTraces queues a copy of the batch for the next Drain. It is the one
+// backend that holds traces past the call, so it copies them (Trace.Clone)
+// and the caller keeps, or recycles, its own; Drain recycles the copies once
+// they are sealed or acknowledged.
 func (b *BufferedClient) SubmitTraces(traces []*trace.Trace) error {
 	b.mu.Lock()
-	b.queued = append(b.queued, traces...)
+	for _, tr := range traces {
+		b.queued = append(b.queued, tr.Clone())
+	}
 	b.mu.Unlock()
 	return nil
 }
@@ -94,7 +99,8 @@ func (b *BufferedClient) Pending() int {
 // SealedStreamer backend, by later drains too: frames are sealed once,
 // parked on failure, and re-submitted verbatim until acknowledged, so a
 // dedup-capable backend ingests every chunk exactly once across any number
-// of failed drains.
+// of failed drains. Queued traces are recycled once sealed (a sealed frame
+// is bytes of its own) or, in process, once their chunk is acknowledged.
 func (b *BufferedClient) Drain() error {
 	b.mu.Lock()
 	batch := b.queued
@@ -105,23 +111,37 @@ func (b *BufferedClient) Drain() error {
 	if ss, ok := b.backend.(SealedStreamer); ok {
 		return b.drainSealed(ss, sealed, batch)
 	}
-	for len(batch) > 0 {
-		n := min(streamChunk, len(batch))
-		if err := b.backend.SubmitTraces(batch[:n]); err != nil {
+	for rest := batch; len(rest) > 0; {
+		n := min(streamChunk, len(rest))
+		if err := b.backend.SubmitTraces(rest[:n]); err != nil {
 			b.mu.Lock()
-			b.queued = append(batch, b.queued...)
+			b.queued = append(rest, b.queued...)
 			b.mu.Unlock()
 			return err
 		}
-		batch = batch[n:]
+		trace.Recycle(rest[:n])
+		rest = rest[n:]
 	}
+	b.release(batch)
 	return nil
+}
+
+// release recycles a drained queue's traces and keeps its slice for the
+// next SubmitTraces, unless traces were queued during the drain.
+func (b *BufferedClient) release(drained []*trace.Trace) {
+	trace.Recycle(drained)
+	drained = drained[:0]
+	b.mu.Lock()
+	if b.queued == nil {
+		b.queued = drained
+	}
+	b.mu.Unlock()
 }
 
 // drainSealed is the exactly-once drain path: leftover sealed frames from
 // failed drains go first (oldest tags first), the fresh queue is sealed
-// behind them, and whatever the backend does not acknowledge is parked —
-// still sealed — for the next drain.
+// behind them and recycled, and whatever the backend does not acknowledge
+// is parked — still sealed — for the next drain.
 func (b *BufferedClient) drainSealed(ss SealedStreamer, sealed []SealedBatch, batch []*trace.Trace) error {
 	if len(batch) > 0 {
 		rest := batch
@@ -133,6 +153,7 @@ func (b *BufferedClient) drainSealed(ss SealedStreamer, sealed []SealedBatch, ba
 		chunks = append(chunks, rest)
 		sealed = append(sealed, ss.SealTraceBatches(b.programID, chunks)...)
 	}
+	b.release(batch)
 	if len(sealed) == 0 {
 		return nil
 	}

@@ -1,16 +1,19 @@
 package pod
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/fix"
 	"repro/internal/guidance"
+	"repro/internal/prog"
 	"repro/internal/trace"
 )
 
-// recordingClient captures SubmitTraces batches and can be told to fail.
+// recordingClient captures copies of SubmitTraces batches (the caller
+// recycles what it sent) and can be told to fail.
 type recordingClient struct {
 	batches [][]*trace.Trace
 	fail    bool
@@ -20,8 +23,16 @@ func (r *recordingClient) SubmitTraces(traces []*trace.Trace) error {
 	if r.fail {
 		return errors.New("backend down")
 	}
-	r.batches = append(r.batches, traces)
+	r.batches = append(r.batches, cloneAll(traces))
 	return nil
+}
+
+func cloneAll(traces []*trace.Trace) []*trace.Trace {
+	out := make([]*trace.Trace, len(traces))
+	for i, tr := range traces {
+		out[i] = tr.Clone()
+	}
+	return out
 }
 func (r *recordingClient) FixesSince(string, int) ([]fix.Fix, int, error) { return nil, 7, nil }
 func (r *recordingClient) Guidance(string, int) ([]guidance.TestCase, error) {
@@ -104,15 +115,19 @@ func TestBufferedClientPassesThrough(t *testing.T) {
 	}
 }
 
-// sealRecorder is a SealedStreamer that records the batches it is asked to
-// seal and acknowledges everything.
+// sealRecorder is a SealedStreamer that records copies of the batches it is
+// asked to seal and acknowledges everything.
 type sealRecorder struct {
 	recordingClient
 	sealed [][][]*trace.Trace // one entry per SealTraceBatches call
 }
 
 func (s *sealRecorder) SealTraceBatches(programID string, batches [][]*trace.Trace) []SealedBatch {
-	s.sealed = append(s.sealed, batches)
+	kept := make([][]*trace.Trace, len(batches))
+	for i, b := range batches {
+		kept[i] = cloneAll(b)
+	}
+	s.sealed = append(s.sealed, kept)
 	out := make([]SealedBatch, len(batches))
 	for i, b := range batches {
 		out[i] = SealedBatch{ProgramID: programID, Count: len(b)}
@@ -393,5 +408,52 @@ func TestBufferedForReattemptsRejectedFrameSameTag(t *testing.T) {
 	}
 	if bc.Pending() != 0 {
 		t.Fatalf("pending after retry drain = %d", bc.Pending())
+	}
+}
+
+// TestBufferedClientCopiesOnSubmit: SubmitTraces hands the traces back to
+// their caller, which may mutate them or recycle them — and the free list
+// then builds other traces over their memory — while the buffer still seals
+// the traces as they were when submitted.
+func TestBufferedClientCopiesOnSubmit(t *testing.T) {
+	mk := func(seq uint64) *trace.Trace {
+		return &trace.Trace{
+			ProgramID: "prog-a", PodID: "pod-1", Seq: seq, Mode: trace.CaptureFull, Outcome: prog.OutcomeCrash,
+			Branches: []trace.BranchEvent{{ID: 1, Taken: true}, {ID: int32(seq)}},
+			Syscalls: []trace.SyscallEvent{{Sysno: 3, Ret: int64(seq)}},
+			Input:    []int64{int64(seq), 9}, InputDigest: "digest", Privacy: trace.PrivacyRaw,
+		}
+	}
+	want, err := trace.EncodeBatch("prog-a", []*trace.Trace{mk(1), mk(2), mk(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := &sealRecorder{}
+	bc := NewBufferedFor(backend, "prog-a")
+	sent := []*trace.Trace{mk(1), mk(2), mk(3)}
+	if err := bc.SubmitTraces(sent); err != nil {
+		t.Fatal(err)
+	}
+	sent[0].Seq = 99
+	sent[0].Branches[0].Taken = false
+	sent[0].Input[0] = -1
+	trace.Recycle(sent[1:])
+	junk := mk(77)
+	junk.Branches = append(junk.Branches, trace.BranchEvent{ID: 5}, trace.BranchEvent{ID: 6})
+	for i := 0; i < 8; i++ {
+		_ = junk.Clone() // over the recycled traces' memory, when the free list still holds it
+	}
+	if err := bc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if len(backend.sealed) != 1 || len(backend.sealed[0]) != 1 {
+		t.Fatalf("sealed %d drains, want one of one frame", len(backend.sealed))
+	}
+	got, err := trace.EncodeBatch("prog-a", backend.sealed[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the drain sealed other traces than the ones submitted")
 	}
 }

@@ -52,7 +52,11 @@ type PressureSink interface {
 // HiveClient is what a pod needs from the hive. internal/hive implements it
 // directly (in-process fleets) and internal/wire implements it over TCP.
 type HiveClient interface {
-	// SubmitTraces uploads a batch of traces.
+	// SubmitTraces uploads a batch of traces. The backend keeps neither the
+	// slice nor its traces once it returns: a pod recycles the batch
+	// (trace.Recycle) when the call returns nil, and the next run's trace
+	// reuses that memory. A backend that holds traces past the call copies
+	// them (Trace.Clone), as BufferedClient does.
 	SubmitTraces(traces []*trace.Trace) error
 	// FixesSince returns fixes with ID > version and the current version.
 	FixesSince(programID string, version int) ([]fix.Fix, int, error)
@@ -92,8 +96,10 @@ type SealedBatch struct {
 // across drains, extending the exactly-once guarantee past a drain whose
 // transparent retry also failed.
 //
-// SubmitSealed consumes the frames it acknowledges. Resend only what it did
-// not acknowledge.
+// SealTraceBatches keeps neither the batches nor their traces once it
+// returns: a sealed frame's payload is bytes of its own, and BufferedClient
+// recycles the traces as soon as they are sealed. SubmitSealed consumes the
+// frames it acknowledges. Resend only what it did not acknowledge.
 type SealedStreamer interface {
 	SealTraceBatches(programID string, batches [][]*trace.Trace) []SealedBatch
 	SubmitSealed(sealed []SealedBatch) ([]bool, error)
@@ -165,9 +171,10 @@ type Stats struct {
 }
 
 // Pod runs one program instance under observation. It owns one collector
-// and one machine and lends them to one run at a time, so a run allocates
-// only the trace it ships (plus, once deadlock signatures are installed, its
-// gate). A run that finds them lent out builds its own.
+// and one machine and lends them to one run at a time, and recycles every
+// batch it has handed off, so a warm run allocates only its trace's input
+// digest (plus, once deadlock signatures are installed, its gate). A run
+// that finds the collector and machine lent out builds its own.
 type Pod struct {
 	cfg Config
 
@@ -396,30 +403,37 @@ func (p *Pod) run(input []int64, faults []prog.FaultSpec, scheduler prog.Schedul
 	return res, nil
 }
 
-// Flush uploads pending traces to the hive.
+// Flush uploads pending traces to the hive. Once the hive has taken the
+// batch (a dark pod drops it) its traces are recycled for later runs and the
+// pending slice is kept for the next batch; a failed upload re-queues it.
 func (p *Pod) Flush() error {
-	if p.cfg.Hive == nil {
-		p.mu.Lock()
-		p.pending = nil
-		p.mu.Unlock()
-		return nil
-	}
 	p.mu.Lock()
 	batch := p.pending
-	p.pending = nil
-	p.mu.Unlock()
 	if len(batch) == 0 {
+		p.mu.Unlock()
 		return nil
 	}
-	if err := p.cfg.Hive.SubmitTraces(batch); err != nil {
-		// Re-queue on failure: telemetry must tolerate flaky links.
-		p.mu.Lock()
-		p.pending = append(batch, p.pending...)
-		p.mu.Unlock()
-		return fmt.Errorf("pod %s: flush: %w", p.cfg.ID, err)
+	p.pending = nil
+	p.mu.Unlock()
+	if p.cfg.Hive != nil {
+		if err := p.cfg.Hive.SubmitTraces(batch); err != nil {
+			// Re-queue on failure: telemetry must tolerate flaky links.
+			p.mu.Lock()
+			p.pending = append(batch, p.pending...)
+			p.mu.Unlock()
+			return fmt.Errorf("pod %s: flush: %w", p.cfg.ID, err)
+		}
 	}
+	uploaded := len(batch)
+	trace.Recycle(batch)
+	batch = batch[:0]
 	p.mu.Lock()
-	p.stats.TracesUploaded += int64(len(batch))
+	if p.cfg.Hive != nil {
+		p.stats.TracesUploaded += int64(uploaded)
+	}
+	if p.pending == nil {
+		p.pending = batch
+	}
 	p.mu.Unlock()
 	return nil
 }

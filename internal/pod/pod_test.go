@@ -12,7 +12,8 @@ import (
 	"repro/internal/trace"
 )
 
-// fakeHive is a scriptable HiveClient.
+// fakeHive is a scriptable HiveClient. It keeps what it is sent, so it
+// keeps copies: a pod recycles every batch its backend has taken.
 type fakeHive struct {
 	mu       sync.Mutex
 	traces   []*trace.Trace
@@ -33,7 +34,9 @@ func (f *fakeHive) SubmitTraces(traces []*trace.Trace) error {
 		f.failNext = false
 		return errInjected
 	}
-	f.traces = append(f.traces, traces...)
+	for _, tr := range traces {
+		f.traces = append(f.traces, tr.Clone())
+	}
 	return nil
 }
 

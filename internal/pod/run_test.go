@@ -3,6 +3,7 @@ package pod
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -77,8 +78,10 @@ func guardFixes(n int, safe []int64) []fix.Fix {
 }
 
 // TestPodReuseMatchesFresh runs the same pod twice under one seed: once
-// reusing its collector and machine, once building both afresh for every
-// run. Each capture mode, and a multi-threaded program, must ship
+// building its collector, machine and traces afresh for every run and
+// keeping every trace, once reusing its collector and machine and flushing
+// every four runs, so each batch is recycled and later traces are built over
+// its memory. Each capture mode, and a multi-threaded program, must ship
 // byte-identical traces either way.
 func TestPodReuseMatchesFresh(t *testing.T) {
 	cases := []struct {
@@ -98,9 +101,17 @@ func TestPodReuseMatchesFresh(t *testing.T) {
 			run := func(fresh bool) [][]byte {
 				safe := make([]int64, tc.program.NumInputs)
 				h := &fakeHive{fixes: guardFixes(3, safe), version: 3}
+				batch := 4
+				if fresh {
+					batch = 1 << 20
+					// Two collections empty the free list, so the fresh
+					// run's traces are new.
+					runtime.GC()
+					runtime.GC()
+				}
 				pd, err := New(Config{
 					Program: tc.program, ID: "p", Hive: h, Capture: tc.capture, SampleRate: tc.rate,
-					Privacy: trace.PrivacyRaw, Seed: 3, BatchSize: 1 << 20,
+					Privacy: trace.PrivacyRaw, Seed: 3, BatchSize: batch,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -120,8 +131,12 @@ func TestPodReuseMatchesFresh(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				out := make([][]byte, len(pd.pending))
-				for i, tr := range pd.pending {
+				shipped := pd.pending
+				if !fresh {
+					shipped = h.traces
+				}
+				out := make([][]byte, len(shipped))
+				for i, tr := range shipped {
 					enc, err := trace.EncodeBatch(tr.ProgramID, []*trace.Trace{tr})
 					if err != nil {
 						t.Fatal(err)
@@ -130,13 +145,13 @@ func TestPodReuseMatchesFresh(t *testing.T) {
 				}
 				return out
 			}
-			reused, fresh := run(false), run(true)
+			fresh, reused := run(true), run(false)
 			if len(reused) != 64 || len(fresh) != 64 {
 				t.Fatalf("captured %d and %d traces, want 64 each", len(reused), len(fresh))
 			}
 			for i := range reused {
 				if !bytes.Equal(reused[i], fresh[i]) {
-					t.Fatalf("run %d: reused collector and machine ship a different trace than fresh ones", i)
+					t.Fatalf("run %d: reused collector, machine and traces ship a different trace than fresh ones", i)
 				}
 			}
 		})
@@ -189,10 +204,16 @@ func TestRunOnceConcurrent(t *testing.T) {
 	}
 }
 
+// discardHive takes every batch and keeps nothing, as a HiveClient may.
+type discardHive struct{ *fakeHive }
+
+func (discardHive) SubmitTraces([]*trace.Trace) error { return nil }
+
 // TestAllocsPodRun holds a warm pod with three guards installed to its
-// budget: RunOnce allocates no more than Finish does to build the trace it
-// ships (the *Trace, its copied event slices and its input digest). Guard
-// evaluation, the collector and the machine cost nothing.
+// budget: RunOnce allocates no more than Finish does to build a trace over a
+// recycled one (its input digest). Guard evaluation, the collector, the
+// machine, the pending batch and the trace itself cost nothing, because the
+// pod recycles every batch its backend took.
 func TestAllocsPodRun(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc counts are skewed under the race detector")
@@ -201,8 +222,8 @@ func TestAllocsPodRun(t *testing.T) {
 	syscalls := &prog.DeterministicSyscalls{Seed: 9}
 	for _, input := range [][]int64{{205}, {42}} {
 		t.Run(fmt.Sprint(input[0]), func(t *testing.T) {
-			h := &fakeHive{fixes: guardFixes(3, []int64{5}), version: 3}
-			pd, err := New(Config{Program: p, ID: "p", Hive: h, Syscalls: syscalls, BatchSize: 1 << 20})
+			h := discardHive{&fakeHive{fixes: guardFixes(3, []int64{5}), version: 3}}
+			pd, err := New(Config{Program: p, ID: "p", Hive: h, Syscalls: syscalls})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,28 +240,101 @@ func TestAllocsPodRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := m.Run()
+			shipped := make([]*trace.Trace, 1)
 			budget := testing.AllocsPerRun(100, func() {
-				col.Finish("p", 0, res, effective, trace.PrivacyHashed, "")
+				shipped[0] = col.Finish("p", 0, res, effective, trace.PrivacyHashed, "")
+				trace.Recycle(shipped)
 			})
 
-			for i := 0; i < 4; i++ { // warm: the pod builds its collector and machine once
+			for i := 0; i < 64; i++ { // warm: the collector, the machine, the batch and its traces
 				if _, err := pd.RunOnce(input); err != nil {
 					t.Fatal(err)
 				}
 			}
-			got := testing.AllocsPerRun(200, func() {
+			got := testing.AllocsPerRun(256, func() {
 				if _, err := pd.RunOnce(input); err != nil {
 					t.Fatal(err)
 				}
 			})
-			t.Logf("RunOnce: %.0f allocations per run; budget, Finish's trace: %.0f", got, budget)
+			t.Logf("RunOnce: %.0f allocations per run; budget, Finish over a recycled trace: %.0f", got, budget)
 			if got > budget {
-				t.Errorf("RunOnce allocates %.0f times per run, Finish's trace %.0f", got, budget)
+				t.Errorf("RunOnce allocates %.0f times per run, Finish over a recycled trace %.0f", got, budget)
 			}
 			if st := pd.Stats(); input[0] == 205 && st.GuardedRuns == 0 {
 				t.Fatal("the guard never fired")
 			}
 		})
+	}
+}
+
+// ackStreamer is a SealedStreamer that encodes nothing and acknowledges
+// every frame, reusing its own slices: what remains of a drain is the pod's
+// and its buffer's share.
+type ackStreamer struct {
+	discardHive
+	sealed []SealedBatch
+	acked  []bool
+}
+
+func (a *ackStreamer) SealTraceBatches(programID string, batches [][]*trace.Trace) []SealedBatch {
+	a.sealed = a.sealed[:0]
+	for _, b := range batches {
+		a.sealed = append(a.sealed, SealedBatch{ProgramID: programID, Count: len(b)})
+	}
+	return a.sealed
+}
+
+func (a *ackStreamer) SubmitSealed(sealed []SealedBatch) ([]bool, error) {
+	a.acked = a.acked[:0]
+	for range sealed {
+		a.acked = append(a.acked, true)
+	}
+	return a.acked, nil
+}
+
+// TestAllocsPodDrain holds a warm pod behind a BufferedClient to its budget:
+// one cycle of drainRuns runs (four flushes) and one sealed drain allocates
+// one input digest per run, plus perDrain for the drain itself (its chunk
+// list and the sealed frames it appends). Each trace is shipped by the pod
+// and copied by the buffer over recycled traces, and both are recycled.
+func TestAllocsPodDrain(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc counts are skewed under the race detector")
+	}
+	const drainRuns, perDrain = 64, 2
+	p, _ := proggen.MustGenerate(proggen.CorpusSpec(1, 0))
+	buf := NewBufferedFor(&ackStreamer{discardHive: discardHive{&fakeHive{}}}, p.ID)
+	pd, err := New(Config{Program: p, ID: "p", Hive: buf, Syscalls: &prog.DeterministicSyscalls{Seed: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []int64{42}
+	cycles := 0
+	cycle := func() {
+		cycles++
+		for i := 0; i < drainRuns; i++ {
+			if _, err := pd.RunOnce(input); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := buf.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	got := testing.AllocsPerRun(50, cycle)
+	t.Logf("one cycle of %d runs and a drain: %.0f allocations", drainRuns, got)
+	if got > drainRuns+perDrain {
+		t.Errorf("%d runs and a drain allocate %.0f times, want at most %d: one digest per run and %d per drain",
+			drainRuns, got, drainRuns+perDrain, perDrain)
+	}
+	if n := buf.Pending(); n != 0 {
+		t.Fatalf("%d traces left queued after the drain", n)
+	}
+	if st := pd.Stats(); st.TracesUploaded != int64(cycles*drainRuns) {
+		t.Fatalf("uploaded %d traces, want %d", st.TracesUploaded, cycles*drainRuns)
 	}
 }
 

@@ -108,22 +108,32 @@ func (c *Collector) Schedule(tid int) {
 // Finish assembles the Trace for a completed execution. The caller supplies
 // identity, the machine result, the input, and the privacy level to apply.
 // The collector can be Reset and reused afterwards.
+//
+// The trace comes from the package free list (see Recycle): every field is
+// overwritten, and the event and input slices are appended into the capacity
+// the trace kept from its previous use, so a warm pod that recycles what it
+// ships allocates only the input digest. A slice left empty by this run may
+// be empty rather than nil.
 func (c *Collector) Finish(podID string, seq uint64, res prog.Result, input []int64, level PrivacyLevel, salt string) *Trace {
-	t := &Trace{
-		ProgramID:   c.program.ID,
-		PodID:       podID,
-		Seq:         seq,
-		Mode:        c.mode,
-		SampleRate:  uint32(c.rate * 65536),
-		SamplePhase: c.phase,
-		SampleK:     c.k,
-		Branches:    append([]BranchEvent(nil), c.branches...),
-		Syscalls:    append([]SyscallEvent(nil), c.syscalls...),
-		Locks:       append([]LockEvent(nil), c.locks...),
-		Outcome:     res.Outcome,
-		FaultPC:     int32(res.FaultPC),
-		AssertID:    res.AssertID,
-		Steps:       res.Steps,
+	t := newTrace()
+	*t = Trace{
+		ProgramID:    c.program.ID,
+		PodID:        podID,
+		Seq:          seq,
+		Mode:         c.mode,
+		SampleRate:   uint32(c.rate * 65536),
+		SamplePhase:  c.phase,
+		SampleK:      c.k,
+		Branches:     append(t.Branches[:0], c.branches...),
+		Syscalls:     append(t.Syscalls[:0], c.syscalls...),
+		Locks:        append(t.Locks[:0], c.locks...),
+		Outcome:      res.Outcome,
+		FaultPC:      int32(res.FaultPC),
+		AssertID:     res.AssertID,
+		Deadlock:     t.Deadlock[:0],
+		Steps:        res.Steps,
+		Input:        t.Input[:0],
+		InputBuckets: t.InputBuckets[:0],
 	}
 	for _, w := range res.DeadlockCycle {
 		t.Deadlock = append(t.Deadlock, DeadlockWait{TID: int32(w.TID), PC: int32(w.PC), Wants: int32(w.Wants)})

@@ -49,20 +49,22 @@ func (p PrivacyLevel) String() string {
 // ApplyPrivacy populates the input-derived fields of t from input according
 // to the level. salt is the digest salt: a fleet-wide constant for levels
 // Raw..Hashed (enabling cross-pod correlation of identical inputs) and must
-// be the pod's own secret for PrivacyOpaque.
+// be the pod's own secret for PrivacyOpaque. The level's input field is
+// written into the capacity t already holds there, so t must own it (Finish
+// hands over a recycled trace's); the other input field is set nil.
 func ApplyPrivacy(t *Trace, input []int64, level PrivacyLevel, salt string) {
 	t.Privacy = level
-	t.Input = nil
-	t.InputBuckets = nil
 	t.InputDigest = DigestInput(salt, input)
+	raw, buckets := t.Input[:0], t.InputBuckets[:0]
+	t.Input, t.InputBuckets = nil, nil
 	switch level {
 	case PrivacyRaw:
-		t.Input = append([]int64(nil), input...)
+		t.Input = append(raw, input...)
 	case PrivacyBucketed:
-		t.InputBuckets = make([]int64, len(input))
-		for i, v := range input {
-			t.InputBuckets[i] = bucket(v)
+		for _, v := range input {
+			buckets = append(buckets, bucket(v))
 		}
+		t.InputBuckets = buckets
 	case PrivacyHashed, PrivacyOpaque:
 		// Digest only.
 	}

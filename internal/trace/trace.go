@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"repro/internal/prog"
 )
@@ -151,16 +152,45 @@ func (t *Trace) FailureSignature() string {
 	return fmt.Sprintf("%s@%d#%d", t.Outcome, t.FaultPC, t.AssertID)
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. Like Finish it takes the copy from the free
+// list and appends into the capacity the copy kept from its previous use, so
+// an empty slice of t may come back empty rather than nil.
 func (t *Trace) Clone() *Trace {
-	c := *t
-	c.Branches = append([]BranchEvent(nil), t.Branches...)
-	c.Syscalls = append([]SyscallEvent(nil), t.Syscalls...)
-	c.Locks = append([]LockEvent(nil), t.Locks...)
-	c.Deadlock = append([]DeadlockWait(nil), t.Deadlock...)
-	c.Input = append([]int64(nil), t.Input...)
-	c.InputBuckets = append([]int64(nil), t.InputBuckets...)
-	return &c
+	c := newTrace()
+	branches, syscalls, locks := c.Branches[:0], c.Syscalls[:0], c.Locks[:0]
+	deadlock, input, buckets := c.Deadlock[:0], c.Input[:0], c.InputBuckets[:0]
+	*c = *t
+	c.Branches = append(branches, t.Branches...)
+	c.Syscalls = append(syscalls, t.Syscalls...)
+	c.Locks = append(locks, t.Locks...)
+	c.Deadlock = append(deadlock, t.Deadlock...)
+	c.Input = append(input, t.Input...)
+	c.InputBuckets = append(buckets, t.InputBuckets...)
+	return c
+}
+
+// freeTraces is the free list Finish and Clone take traces from and Recycle
+// hands them back to. It is shared by every pod in the process, not kept per
+// pod: a fleet that replaces its pods (a restarted cmd/pod, a benchmark
+// cycling its workers) keeps the memory its retired pods shipped.
+var freeTraces = sync.Pool{New: func() any { return new(Trace) }}
+
+func newTrace() *Trace { return freeTraces.Get().(*Trace) }
+
+// Recycle hands traces back to the free list Finish and Clone draw from, and
+// nils every entry of the slice. The caller must hold the only references to
+// them: a trace recycled while anything still reads it, or any of its slices,
+// is overwritten by the next Finish or Clone. A pod recycles a batch once its
+// backend's SubmitTraces has returned (pod.HiveClient keeps nothing), and a
+// pod.BufferedClient recycles its queued copies once they are sealed or
+// acknowledged. Traces a caller keeps are simply never recycled.
+func Recycle(traces []*Trace) {
+	for i, t := range traces {
+		if t != nil {
+			freeTraces.Put(t)
+		}
+		traces[i] = nil
+	}
 }
 
 // ProgramBatch is the traces of one program within a mixed batch.
