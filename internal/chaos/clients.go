@@ -3,6 +3,7 @@ package chaos
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -37,12 +38,28 @@ func HostileFrames(seed uint64) [][]byte {
 	over[4] = byte(wire.MsgSubmitBatchColumnar)
 	frames = append(frames, over)
 	// The same claim behind a well-formed hello: no hello raises the limit.
-	hello := framed(wire.MsgHello, fmt.Sprintf(`{"version":%d}`, wire.ProtocolVersion))
+	hello := framed(wire.MsgHello, string(wire.AppendHello(nil)))
 	frames = append(frames, append(hello, over...))
 	// A hello from before protocol versions — feature strings and a
-	// frame-size ask: refused, and nothing it asks for granted.
+	// frame-size ask — and the JSON hello of version 1, and one claiming
+	// this version in JSON: refused, and nothing they ask for granted.
 	frames = append(frames, framed(wire.MsgHello,
 		`{"features":["columnar-batch","coalesced-frames","slab-flate","busy-retry","ring-routing"],"maxFrame":67108864}`))
+	frames = append(frames, framed(wire.MsgHello, `{"version":1}`))
+	frames = append(frames, framed(wire.MsgHello, fmt.Sprintf(`{"version":%d}`, wire.ProtocolVersion)))
+	// Reads after a well-formed hello whose program ID length, version or
+	// case count is hostile: none is sized past its frame, and the
+	// connection is answered, not dropped.
+	for _, v := range []uint64{0, 1, math.MaxUint64, 1 << 60, 1<<63 - 1, 1<<64 - 4} {
+		long := binary.AppendUvarint(nil, v) // a program ID length
+		frames = append(frames, append(append([]byte(nil), hello...),
+			framed(wire.MsgGetFixes, string(append(long, 'p')))...))
+		count := binary.AppendUvarint([]byte{1, 'p'}, v) // a version or a case count
+		frames = append(frames, append(append([]byte(nil), hello...),
+			framed(wire.MsgGetGuidance, string(count))...))
+		frames = append(frames, append(append([]byte(nil), hello...),
+			framed(wire.MsgGetFixes, string(append(count, 0x80)))...))
+	}
 	// Unknown message type carrying a large-but-legal claim and no body:
 	// the reader must not wait forever for bytes that never come, and the
 	// worker must answer an error, not crash.
@@ -50,7 +67,7 @@ func HostileFrames(seed uint64) [][]byte {
 	binary.BigEndian.PutUint32(unknown, 1<<20)
 	unknown[4] = 0xee
 	frames = append(frames, unknown)
-	// Well-formed header, garbage payloads: JSON decoders and the
+	// Well-formed header, garbage payloads: the control decoders and the
 	// columnar codec see attacker-controlled bytes, and type 1 — retired
 	// with the per-trace submission frames — must stay an unknown type.
 	for _, mt := range []wire.MsgType{wire.MsgHello, 1, wire.MsgSubmitBatchColumnar, wire.MsgCoalesced} {

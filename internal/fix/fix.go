@@ -3,13 +3,19 @@
 // Fixes never change program code; they are instrumentation-level behaviour
 // corrections ("smoothing over the hurdles that prevent the proof"), plus a
 // repair-lab channel for fixes a human must confirm.
+//
+// A fix has one encoding (Append, Read, Decode), in the uvarint framing of
+// package codec: the bytes the journal's synthesis records, every checkpoint
+// segment and the wire's fix replies carry. Decoding validates the fix.
 package fix
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
+	"repro/internal/codec"
 	"repro/internal/constraint"
 	"repro/internal/deadlock"
 	"repro/internal/prog"
@@ -46,52 +52,77 @@ func (k Kind) String() string {
 // is set, per Kind.
 type Fix struct {
 	// ID is assigned by the hive; monotonically increasing per program.
-	ID int `json:"id"`
+	ID int
 	// ProgramID binds the fix to a program version.
-	ProgramID string `json:"programId"`
+	ProgramID string
 	// Kind selects the payload.
-	Kind Kind `json:"kind"`
+	Kind Kind
 	// TargetSignature is the failure signature this fix addresses.
-	TargetSignature string `json:"targetSignature"`
+	TargetSignature string
 
 	// Deadlock is set for KindDeadlockImmunity.
-	Deadlock *deadlock.Signature `json:"deadlock,omitempty"`
+	Deadlock *deadlock.Signature
 	// Guard is set for KindInputGuard.
-	Guard *InputGuard `json:"guard,omitempty"`
+	Guard *InputGuard
 
 	// Validated records that the hive checked the fix against its execution
 	// tree before distribution.
-	Validated bool `json:"validated"`
+	Validated bool
 }
 
 // InputGuard describes a danger zone in input space and a safe replacement.
 type InputGuard struct {
 	// Danger is the conjunction matching failing inputs. It is stored in a
 	// serializable form (see GuardTerm).
-	Danger []GuardTerm `json:"danger"`
+	Danger []GuardTerm
 	// SafeInput replaces any matching input.
-	SafeInput []int64 `json:"safeInput"`
+	SafeInput []int64
 }
 
 // GuardTerm is one linear constraint in serializable form:
 // sum(coeff_i * input_i) + c <cmp> 0.
 type GuardTerm struct {
-	Coeffs map[int]int64 `json:"coeffs"`
-	Const  int64         `json:"const"`
-	Cmp    uint8         `json:"cmp"`
+	// Coeffs are the term's (variable, coefficient) pairs, sorted by
+	// variable.
+	Coeffs []Coeff
+	Const  int64
+	Cmp    uint8
 }
 
-// TermsFromCondition converts a path condition into guard terms.
+// Coeff is one variable of a guard term and its coefficient.
+type Coeff struct {
+	Var int
+	K   int64
+}
+
+// TermsFromCondition converts a path condition into guard terms. The terms
+// of one condition share one array of coefficients; a constant term has
+// none (nil), as a decoded one does.
 func TermsFromCondition(pc constraint.PathCondition) []GuardTerm {
+	n := 0
+	for _, c := range pc {
+		n += len(c.Expr.Coeffs)
+	}
+	slab := make([]Coeff, 0, n)
 	out := make([]GuardTerm, len(pc))
 	for i, c := range pc {
-		coeffs := make(map[int]int64, len(c.Expr.Coeffs))
+		start := len(slab)
 		for v, k := range c.Expr.Coeffs {
-			coeffs[v] = k
+			slab = append(slab, Coeff{Var: v, K: k})
 		}
-		out[i] = GuardTerm{Coeffs: coeffs, Const: c.Expr.Const, Cmp: uint8(c.Cmp)}
+		sortTermFrom(slab, start)
+		out[i] = GuardTerm{Const: c.Expr.Const, Cmp: uint8(c.Cmp)}
+		if len(slab) > start {
+			out[i].Coeffs = slab[start:len(slab):len(slab)]
+		}
 	}
 	return out
+}
+
+// sortTermFrom sorts the coefficients of the term that starts at slab[start]
+// by variable.
+func sortTermFrom(slab []Coeff, start int) {
+	slices.SortFunc(slab[start:], func(a, b Coeff) int { return a.Var - b.Var })
 }
 
 // Matches reports whether input falls in the danger zone. A pod asks this of
@@ -103,9 +134,9 @@ func TermsFromCondition(pc constraint.PathCondition) []GuardTerm {
 func (g *InputGuard) Matches(input []int64) bool {
 	for _, t := range g.Danger {
 		sum := t.Const
-		for v, k := range t.Coeffs {
-			if v >= 0 && v < len(input) {
-				sum += k * input[v]
+		for _, c := range t.Coeffs {
+			if c.Var >= 0 && c.Var < len(input) {
+				sum += c.K * input[c.Var]
 			}
 		}
 		if !prog.Cmp(t.Cmp).Eval(sum, 0) {
@@ -141,21 +172,141 @@ func (f *Fix) Validate() error {
 	return nil
 }
 
-// Encode serializes the fix for the wire.
-func Encode(f *Fix) ([]byte, error) {
-	return json.Marshal(f)
+// Append appends f's encoding to buf:
+//
+//	fix     = varint ID | field ProgramID | byte Kind | field TargetSignature
+//	        | bool Validated | bool has-deadlock [deadlock] | bool has-guard [guard]
+//	deadlock = list of (varint PC, varint LockID)
+//	guard   = list of (varint var, varint coeff) | list of term | list of varint (SafeInput)
+//	term    = uvarint coefficient count | varint Const | byte Cmp
+//
+// where a field is a uvarint length and that many bytes, a list a uvarint
+// count and that many items, and a bool one byte, 0 or 1. A guard's
+// coefficients come first, all terms' in term order, and each term takes the
+// next run of them, so a decoded guard holds all of them in one array.
+func Append(buf []byte, f *Fix) []byte {
+	buf = binary.AppendVarint(buf, int64(f.ID))
+	buf = codec.AppendField(buf, f.ProgramID)
+	buf = append(buf, byte(f.Kind))
+	buf = codec.AppendField(buf, f.TargetSignature)
+	buf = codec.AppendBool(buf, f.Validated)
+	buf = codec.AppendBool(buf, f.Deadlock != nil)
+	if f.Deadlock != nil {
+		buf = binary.AppendUvarint(buf, uint64(len(f.Deadlock.Edges)))
+		for _, e := range f.Deadlock.Edges {
+			buf = binary.AppendVarint(buf, int64(e.PC))
+			buf = binary.AppendVarint(buf, int64(e.LockID))
+		}
+	}
+	buf = codec.AppendBool(buf, f.Guard != nil)
+	if g := f.Guard; g != nil {
+		n := 0
+		for _, t := range g.Danger {
+			n += len(t.Coeffs)
+		}
+		buf = binary.AppendUvarint(buf, uint64(n))
+		for _, t := range g.Danger {
+			for _, c := range t.Coeffs {
+				buf = binary.AppendVarint(buf, int64(c.Var))
+				buf = binary.AppendVarint(buf, c.K)
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(g.Danger)))
+		for _, t := range g.Danger {
+			buf = binary.AppendUvarint(buf, uint64(len(t.Coeffs)))
+			buf = binary.AppendVarint(buf, t.Const)
+			buf = append(buf, t.Cmp)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(g.SafeInput)))
+		for _, x := range g.SafeInput {
+			buf = binary.AppendVarint(buf, x)
+		}
+	}
+	return buf
 }
 
-// Decode parses a fix.
-func Decode(data []byte) (*Fix, error) {
-	var f Fix
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("fix: decode: %w", err)
+// MinBytes is the fewest bytes a fix's encoding takes, for sizing a list of
+// them (codec.Decoder.Count).
+const MinBytes = 7
+
+// Read reads one fix from d into f and validates it. f shares no memory with
+// d's input.
+func Read(d *codec.Decoder, f *Fix) error {
+	*f = Fix{
+		ID:              int(d.Varint()),
+		ProgramID:       d.String(),
+		Kind:            Kind(d.Byte()),
+		TargetSignature: d.String(),
+		Validated:       d.Bool(),
 	}
-	if err := f.Validate(); err != nil {
+	if d.Bool() {
+		sig := &deadlock.Signature{}
+		if n := d.Count(2); n > 0 {
+			sig.Edges = make([]deadlock.SignatureEdge, n)
+			for i := range sig.Edges {
+				sig.Edges[i] = deadlock.SignatureEdge{PC: int32(d.Varint()), LockID: int32(d.Varint())}
+			}
+		}
+		f.Deadlock = sig
+	}
+	if d.Bool() {
+		f.Guard = readGuard(d)
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	return f.Validate()
+}
+
+// readGuard reads the guard Append writes.
+func readGuard(d *codec.Decoder) *InputGuard {
+	g := &InputGuard{}
+	var slab []Coeff
+	if n := d.Count(2); n > 0 {
+		slab = make([]Coeff, n)
+		for i := range slab {
+			slab[i] = Coeff{Var: int(d.Varint()), K: d.Varint()}
+		}
+	}
+	if n := d.Count(3); n > 0 {
+		g.Danger = make([]GuardTerm, n)
+		for i := range g.Danger {
+			m := d.Uvarint()
+			if m > uint64(len(slab)) {
+				d.Fail("term of %d coefficients past the %d left", m, len(slab))
+				return g
+			}
+			if m > 0 {
+				g.Danger[i].Coeffs = slab[:m:m]
+				slab = slab[m:]
+			}
+			g.Danger[i].Const = d.Varint()
+			g.Danger[i].Cmp = d.Byte()
+		}
+	}
+	if len(slab) > 0 {
+		d.Fail("%d coefficients no term takes", len(slab))
+	}
+	if n := d.Count(1); n > 0 {
+		g.SafeInput = make([]int64, n)
+		for i := range g.SafeInput {
+			g.SafeInput[i] = d.Varint()
+		}
+	}
+	return g
+}
+
+// Decode parses a fix that fills data, and validates it.
+func Decode(data []byte) (*Fix, error) {
+	d := codec.NewDecoder(data, ErrInvalid, "fix")
+	f := &Fix{}
+	if err := Read(&d, f); err != nil {
 		return nil, err
 	}
-	return &f, nil
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Set is an ordered, versioned collection of fixes for one program, as held

@@ -1,9 +1,15 @@
 package fix
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/codec/codectest"
 	"repro/internal/constraint"
 	"repro/internal/deadlock"
 	"repro/internal/prog"
@@ -25,8 +31,8 @@ func (g *InputGuard) Condition() constraint.PathCondition {
 	out := make(constraint.PathCondition, len(g.Danger))
 	for i, t := range g.Danger {
 		expr := constraint.Const(t.Const)
-		for v, k := range t.Coeffs {
-			expr = expr.Add(constraint.Var(v).MulConst(k))
+		for _, c := range t.Coeffs {
+			expr = expr.Add(constraint.Var(c.Var).MulConst(c.K))
 		}
 		out[i] = constraint.Constraint{Expr: expr, Cmp: prog.Cmp(t.Cmp)}
 	}
@@ -61,8 +67,8 @@ func FuzzGuardMatches(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, c int64, v0 int, k0 int64, v1 int, k1 int64, cmp, n uint8, x0, x1, x2 int64) {
 		g := &InputGuard{Danger: []GuardTerm{
-			{Coeffs: map[int]int64{v0: k0, v1: k1}, Const: c, Cmp: cmp},
-			{Coeffs: map[int]int64{v1: k0 * k1}, Const: -c, Cmp: cmp + 1},
+			{Coeffs: []Coeff{{v0, k0}, {v1, k1}}, Const: c, Cmp: cmp},
+			{Coeffs: []Coeff{{v1, k0 * k1}}, Const: -c, Cmp: cmp + 1},
 		}}
 		input := []int64{x0, x1, x2}[:n%4]
 		assign := make(map[int]int64, len(input))
@@ -114,16 +120,12 @@ func TestEncodeDecode(t *testing.T) {
 		ID: 3, ProgramID: "prog-x", Kind: KindInputGuard,
 		TargetSignature: "crash@12#-1", Guard: guardFor(t), Validated: true,
 	}
-	data, err := Encode(f)
+	got, err := Decode(Append(nil, f))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != 3 || got.ProgramID != "prog-x" || got.Kind != KindInputGuard || !got.Validated {
-		t.Errorf("decoded = %+v", got)
+	if !reflect.DeepEqual(got, f) {
+		t.Errorf("decoded = %+v, want %+v", got, f)
 	}
 	if !got.Guard.Matches([]int64{105}) {
 		t.Error("decoded guard lost semantics")
@@ -131,12 +133,114 @@ func TestEncodeDecode(t *testing.T) {
 }
 
 func TestDecodeRejectsInvalid(t *testing.T) {
-	if _, err := Decode([]byte(`{"kind":99}`)); err == nil {
-		t.Error("invalid kind decoded")
+	if _, err := Decode(Append(nil, &Fix{Kind: 99})); !errors.Is(err, ErrInvalid) {
+		t.Errorf("invalid kind: err = %v, want ErrInvalid", err)
 	}
-	if _, err := Decode([]byte(`not json`)); err == nil {
-		t.Error("garbage decoded")
+	if _, err := Decode([]byte(`not a fix`)); !errors.Is(err, ErrInvalid) {
+		t.Errorf("garbage: err = %v, want ErrInvalid", err)
 	}
+	good := Append(nil, &Fix{Kind: KindInputGuard, Guard: guardFor(t)})
+	if _, err := Decode(append(good, 0)); err == nil {
+		t.Error("a trailing byte decoded")
+	}
+	for n := range good {
+		if _, err := Decode(good[:n]); err == nil {
+			t.Errorf("a fix cut at byte %d of %d decoded", n, len(good))
+		}
+	}
+}
+
+// randomFix draws a fix of either kind, valid or not, with every field set
+// from rng and lists of every length from empty up.
+func randomFix(rng *rand.Rand) *Fix {
+	f := &Fix{
+		ID:              rng.Intn(1 << 20),
+		ProgramID:       fmt.Sprintf("prog-%d", rng.Intn(100)),
+		Kind:            Kind(1 + rng.Intn(2)),
+		TargetSignature: fmt.Sprintf("crash@%d#-1", rng.Intn(50)),
+		Validated:       rng.Intn(2) == 0,
+	}
+	if f.Kind == KindDeadlockImmunity {
+		sig := &deadlock.Signature{}
+		for i := rng.Intn(4); i >= 0; i-- {
+			sig.Edges = append(sig.Edges, deadlock.SignatureEdge{PC: rng.Int31() - 1<<30, LockID: rng.Int31n(8)})
+		}
+		f.Deadlock = sig
+		return f
+	}
+	g := &InputGuard{}
+	for i := rng.Intn(5); i >= 0; i-- {
+		var term GuardTerm
+		for v := 0; v < rng.Intn(4); v++ {
+			term.Coeffs = append(term.Coeffs, Coeff{Var: v, K: rng.Int63() - 1<<62})
+		}
+		term.Const = rng.Int63() - 1<<62
+		term.Cmp = uint8(rng.Intn(int(prog.CmpGE) + 1))
+		g.Danger = append(g.Danger, term)
+	}
+	for i := rng.Intn(4); i >= 0; i-- {
+		g.SafeInput = append(g.SafeInput, rng.Int63()-1<<62)
+	}
+	f.Guard = g
+	return f
+}
+
+// TestCodecRoundTrip: every fix that validates decodes from its encoding to
+// itself, and its encoding is the same bytes again; every fix that does not
+// validate is refused.
+func TestCodecRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	valid := 0
+	for i := 0; i < 2000; i++ {
+		f := randomFix(rng)
+		data := Append(nil, f)
+		got, err := Decode(data)
+		if verr := f.Validate(); verr != nil {
+			if err == nil {
+				t.Fatalf("fix %+v does not validate (%v) but decoded", f, verr)
+			}
+			continue
+		}
+		valid++
+		if err != nil {
+			t.Fatalf("fix %+v: %v", f, err)
+		}
+		if !reflect.DeepEqual(got, f) {
+			t.Fatalf("decoded %+v, want %+v", got, f)
+		}
+		if again := Append(nil, got); !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding a decoded fix gave other bytes")
+		}
+	}
+	if valid < 500 {
+		t.Fatalf("only %d of 2000 random fixes validate: the property covers too little", valid)
+	}
+}
+
+// FuzzFixDecode: a hostile count or length in any list or field of a fix is
+// refused without sizing anything past the input, and whatever decodes
+// survives a round trip through its encoding.
+func FuzzFixDecode(f *testing.F) {
+	guard := Append(nil, &Fix{Kind: KindInputGuard, Guard: guardFor(&testing.T{})})
+	f.Add(guard)
+	decode := func(data []byte) error { _, err := Decode(data); return err }
+	codectest.Fuzz(f, decode,
+		nil,                            // the ID
+		[]byte{2},                      // the program ID's length
+		[]byte{2, 0, 1, 0, 0, 1},       // the deadlock's edge count
+		[]byte{2, 0, 2, 0, 0, 0, 1},    // the guard's coefficient count
+		[]byte{2, 0, 2, 0, 0, 0, 1, 0}, // the guard's term count
+	)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got *Fix
+		if codectest.Decode(t, data, func(b []byte) (err error) { got, err = Decode(b); return err }) != nil {
+			return
+		}
+		again, err := Decode(Append(nil, got))
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("%x decoded to %+v, which round-trips to %+v (%v)", data, got, again, err)
+		}
+	})
 }
 
 func TestSetVersioning(t *testing.T) {

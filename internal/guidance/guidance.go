@@ -5,13 +5,19 @@
 // their natural workload. Guidance never changes program semantics: steered
 // executions are ordinary feasible executions the population just hadn't
 // produced yet, so "learning" accelerates without polluting the tree.
+//
+// A test case has one encoding (Append, Read), in the uvarint framing of
+// package codec: the wire's guidance replies carry cases back to back.
 package guidance
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/constraint"
 	"repro/internal/exectree"
 	"repro/internal/memo"
@@ -23,18 +29,85 @@ import (
 // TestCase is one steering instruction for a pod.
 type TestCase struct {
 	// ProgramID binds the test case to a program.
-	ProgramID string `json:"programId"`
+	ProgramID string
 	// Input is the input vector to execute; nil means keep the natural
 	// input.
-	Input []int64 `json:"input,omitempty"`
+	Input []int64
 	// Schedule is a systematic schedule decision prefix for multi-threaded
 	// programs; nil means the pod's natural schedule. An empty non-nil
 	// prefix is meaningful: it forces the all-first-choice schedule.
-	Schedule []int `json:"schedule"`
+	Schedule []int
 	// Faults are syscall faults to inject (e.g. a short read).
-	Faults []prog.FaultSpec `json:"faults,omitempty"`
+	Faults []prog.FaultSpec
 	// Reason documents the coverage gap this targets.
-	Reason string `json:"reason,omitempty"`
+	Reason string
+}
+
+// ErrCodec is wrapped by Read failures.
+var ErrCodec = errors.New("guidance: malformed test case")
+
+// Append appends tc's encoding to buf:
+//
+//	case     = field ProgramID | list of varint (Input)
+//	         | uvarint 0 (nil Schedule) or 1+length, then that many varints
+//	         | list of (varint Sysno, varint CallIndex, varint Return) (Faults)
+//	         | field Reason
+//
+// where a field is a uvarint length and that many bytes, and a list a
+// uvarint count and that many items. An empty Input or Faults decodes as
+// nil; a Schedule keeps nil and empty apart.
+func Append(buf []byte, tc *TestCase) []byte {
+	buf = codec.AppendField(buf, tc.ProgramID)
+	buf = binary.AppendUvarint(buf, uint64(len(tc.Input)))
+	for _, x := range tc.Input {
+		buf = binary.AppendVarint(buf, x)
+	}
+	if tc.Schedule == nil {
+		buf = append(buf, 0)
+	} else {
+		buf = binary.AppendUvarint(buf, uint64(len(tc.Schedule))+1)
+		for _, c := range tc.Schedule {
+			buf = binary.AppendVarint(buf, int64(c))
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(tc.Faults)))
+	for _, f := range tc.Faults {
+		buf = binary.AppendVarint(buf, f.Sysno)
+		buf = binary.AppendVarint(buf, int64(f.CallIndex))
+		buf = binary.AppendVarint(buf, f.Return)
+	}
+	return codec.AppendField(buf, tc.Reason)
+}
+
+// MinBytes is the fewest bytes a test case's encoding takes, for sizing a
+// list of them (codec.Decoder.Count).
+const MinBytes = 5
+
+// Read reads one test case from d into tc. tc shares no memory with d's
+// input.
+func Read(d *codec.Decoder, tc *TestCase) error {
+	*tc = TestCase{ProgramID: d.String()}
+	if n := d.Count(1); n > 0 {
+		tc.Input = make([]int64, n)
+		for i := range tc.Input {
+			tc.Input[i] = d.Varint()
+		}
+	}
+	// The schedule's count is its length plus one; zero is nil.
+	if n := d.Count(1); n > 0 {
+		tc.Schedule = make([]int, n-1)
+		for i := range tc.Schedule {
+			tc.Schedule[i] = int(d.Varint())
+		}
+	}
+	if n := d.Count(3); n > 0 {
+		tc.Faults = make([]prog.FaultSpec, n)
+		for i := range tc.Faults {
+			tc.Faults[i] = prog.FaultSpec{Sysno: d.Varint(), CallIndex: int(d.Varint()), Return: d.Varint()}
+		}
+	}
+	tc.Reason = d.String()
+	return d.Err()
 }
 
 // Generator produces test cases from a program's execution tree. It is safe

@@ -144,12 +144,8 @@ func (b *books) failureRecords() []FailureRecord {
 // coordinated family one batch, under snap.ProgramID, which the caller sets.
 func (b *books) encode(snap *journal.ProgramSnapshot) error {
 	snap.Epoch = b.epoch
-	for i, f := range b.fixes.All() {
-		raw, err := fix.Encode(&f)
-		if err != nil {
-			return fmt.Errorf("fix %d: %w", i, err)
-		}
-		snap.Fixes = append(snap.Fixes, raw)
+	for _, f := range b.fixes.All() {
+		snap.Fixes = append(snap.Fixes, fix.Append(nil, &f))
 	}
 	props := make([]proof.Property, 0, len(b.proofs))
 	for p := range b.proofs {
@@ -157,11 +153,7 @@ func (b *books) encode(snap *journal.ProgramSnapshot) error {
 	}
 	sort.Slice(props, func(i, j int) bool { return props[i] < props[j] })
 	for _, p := range props {
-		raw, err := proof.Encode(b.proofs[p])
-		if err != nil {
-			return fmt.Errorf("proof: %w", err)
-		}
-		snap.Proofs = append(snap.Proofs, raw)
+		snap.Proofs = append(snap.Proofs, proof.Append(nil, b.proofs[p]))
 	}
 	for _, rec := range b.failures {
 		fs := journal.FailureState{

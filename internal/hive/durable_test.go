@@ -250,16 +250,8 @@ func TestHiveJournalReplayRoundTrip(t *testing.T) {
 		mf, _, _ := mem.FixesSince(p.ID, 0)
 		df, _, _ := h1.FixesSince(p.ID, 0)
 		for i := 0; i < min(len(mf), len(df)); i++ {
-			me, err := fix.Encode(&mf[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			de, err := fix.Encode(&df[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(me, de) {
-				t.Errorf("program %s: fix %d differs between the in-memory and the durable hive:\n%s\n%s", p.Name, i, me, de)
+			if me, de := fix.Append(nil, &mf[i]), fix.Append(nil, &df[i]); !bytes.Equal(me, de) {
+				t.Errorf("program %s: fix %d differs between the in-memory and the durable hive:\n%+v\n%+v", p.Name, i, mf[i], df[i])
 			}
 		}
 	}

@@ -585,19 +585,15 @@ func (h *Hive) synthesizeFix(st *programState, rec *failureRecord) {
 	// section concludes the election under the op's receipt — or, when the
 	// journal refused the outcome, leaves the signature as it was, for the
 	// next trace carrying it to win a new election.
-	var err error
 	op := &journal.Op{Kind: journal.OpSynthesis, Signature: rec.signature}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if minted != nil {
 		minted.Validated = true
 		minted.ID = st.fixes.Len() + 1 // the ID Add assigns
-		op.Fix, err = fix.Encode(minted)
+		op.Fix = fix.Append(nil, minted)
 	}
-	var r journal.Receipt
-	if err == nil {
-		r, err = h.journalBatchAppend(st, op)
-	}
+	r, err := h.journalBatchAppend(st, op)
 	if err != nil {
 		rec.synthesizing = false
 		return
@@ -969,11 +965,7 @@ func (h *Hive) Prove(programID string, property proof.Property) (*proof.Proof, e
 	// attempt minted were journaled one by one, each ahead of its apply. The
 	// evidence merges are in the tree already, so a refused op leaves them
 	// applied and unjournaled: that is what DurabilityError latches.
-	data, err := proof.Encode(pr)
-	var r journal.Receipt
-	if err == nil {
-		r, err = h.journalBatchAppend(st, &journal.Op{Kind: journal.OpProof, Proof: data})
-	}
+	r, err := h.journalBatchAppend(st, &journal.Op{Kind: journal.OpProof, Proof: proof.Append(nil, pr)})
 	if err != nil {
 		h.noteDurability(err)
 		return nil, err

@@ -317,10 +317,14 @@ func TestRecoverErrorIsLowestProgram(t *testing.T) {
 // per-trace batch records (op kind 1). chain-v2 is from the last commit that
 // wrote envelope version 2, whose failure samples were per-trace encodings.
 // chain-v3 is from the last commit that wrote envelope version 3, whose state
-// after the tree fields was JSON. Every journal has a current header, so Open
-// names every program and refusal falls to whatever reads a segment or a
-// record.
-var legacyFixtures = []string{"chain-v1", "chain-v2", "chain-v3"}
+// after the tree fields was JSON. chain-v4 is from the last commit that wrote
+// envelope version 4 and op version 1, whose fixes and proofs were JSON: its
+// books hold a fix, and its journal suffixes an OpSynthesis with a minted fix
+// (after buildRecoveryDir, a reboot ingested one crash reported at a fault
+// site no fix covered) and an OpProof. Every journal has a current header, so
+// Open names every program and refusal falls to whatever reads a segment or
+// a record.
+var legacyFixtures = []string{"chain-v1", "chain-v2", "chain-v3", "chain-v4"}
 
 // dirFiles reads every file in dir, by name.
 func dirFiles(t *testing.T, dir string) map[string][]byte {
@@ -352,8 +356,8 @@ func assertRefusedIntact(t *testing.T, what string, err error, dir string, befor
 	}
 }
 
-// TestRecoverVersion1Chain: a reboot over testdata/chain-v1 — or chain-v2 or
-// chain-v3, see legacyFixtures — refuses with journal.ErrUnknownVersion and leaves
+// TestRecoverVersion1Chain: a reboot over testdata/chain-v1 — or chain-v2,
+// chain-v3 or chain-v4, see legacyFixtures — refuses with journal.ErrUnknownVersion and leaves
 // every file as it was. chain-v1's per-trace batch records are refused by the
 // journal replay on its own too.
 func TestRecoverVersion1Chain(t *testing.T) {
@@ -381,6 +385,9 @@ func TestRecoverVersion1Chain(t *testing.T) {
 		}
 		if fixture == "chain-v1" && refused == 0 {
 			t.Error("chain-v1: no journal refused a per-trace batch record: the fixture no longer holds one")
+		}
+		if fixture == "chain-v4" && refused != len(corpus) {
+			t.Errorf("chain-v4: %d of %d journals refused their version 1 records", refused, len(corpus))
 		}
 		if err := store.Close(); err != nil {
 			t.Fatal(err)

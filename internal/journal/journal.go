@@ -40,7 +40,7 @@
 // the torn record was never applied (append happens before apply) and never
 // acknowledged.
 //
-// Every segment, base or delta, is one CRC-framed envelope (version 4, see
+// Every segment, base or delta, is one CRC-framed envelope (version 5, see
 // encodeSnapshot): the program ID, the tree bytes and the tree-delta bytes
 // as length-prefixed fields, then the rest of the snapshot — counters,
 // fixes, proofs, failure records, known-good inputs, coordinated batches and
@@ -55,7 +55,7 @@
 // # One format per file, and refusal
 //
 // Each file kind has one format this build reads and writes: envelope
-// version 4 for segments, journal header version 1, and op version 1 with
+// version 5 for segments, journal header version 1, and op version 2 with
 // the kinds below. A file or record that names its family (the SBSNAP or
 // SBWAL magic, a CRC-valid op) at a version or kind this build does not
 // speak is ErrUnknownVersion, which does not wrap ErrCorrupt: every path
@@ -256,7 +256,7 @@ var pendingPool = sync.Pool{New: func() any { return &pendingAppend{done: make(c
 // same family from a file that is not one.
 const (
 	walMagic  = "SBWAL1\n"
-	snapMagic = "SBSNAP4\n"
+	snapMagic = "SBSNAP5\n"
 )
 
 // checkMagic checks that data opens with magic. It returns ErrUnknownVersion

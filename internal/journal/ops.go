@@ -4,13 +4,15 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/exectree"
 )
 
 // opVersion is bumped on any journal-incompatible change to the op
 // encoding. A record of another version, or of a kind not listed below, is
-// refused with ErrUnknownVersion.
-const opVersion = 1
+// refused with ErrUnknownVersion. Version 2 carries fixes and proofs in
+// their binary codecs (fix.Append, proof.Append); version 1 carried JSON.
+const opVersion = 2
 
 // Kind discriminates journaled operations.
 type Kind uint8
@@ -22,10 +24,11 @@ type Kind uint8
 // more.
 const (
 	// OpSynthesis records the single-flight synthesis outcome for a failure
-	// signature: a minted fix (JSON) or, with an empty Fix, the repair lab.
+	// signature: a minted fix (fix.Append) or, with an empty Fix, the repair lab.
 	OpSynthesis Kind = iota + 2
 	// OpProof records one successful proof attempt: the proof document
-	// (JSON, including the evidence paths the prover merged into the tree).
+	// (proof.Append, including the evidence paths the prover merged into the
+	// tree).
 	OpProof
 	// OpCert records one infeasibility certificate attached to the tree.
 	OpCert
@@ -100,14 +103,14 @@ func appendOp(buf []byte, op *Op) []byte {
 	buf = append(buf, opVersion, byte(op.Kind))
 	switch op.Kind {
 	case OpBatchColumnar:
-		buf = appendBytes(buf, op.Session)
+		buf = codec.AppendField(buf, op.Session)
 		buf = binary.AppendUvarint(buf, op.Seq)
-		buf = appendBytes(buf, op.Raw)
+		buf = codec.AppendField(buf, op.Raw)
 	case OpSynthesis:
-		buf = appendBytes(buf, op.Signature)
-		buf = appendBytes(buf, op.Fix)
+		buf = codec.AppendField(buf, op.Signature)
+		buf = codec.AppendField(buf, op.Fix)
 	case OpProof:
-		buf = appendBytes(buf, op.Proof)
+		buf = codec.AppendField(buf, op.Proof)
 	case OpCert:
 		buf = binary.AppendUvarint(buf, uint64(len(op.Prefix)))
 		for _, e := range op.Prefix {
@@ -122,45 +125,36 @@ func appendOp(buf []byte, op *Op) []byte {
 // OpBatchColumnar's Raw, which aliases data: a replay hands the batch bytes
 // to its apply in place, and data outlives the apply (see Store.Replay).
 func decodeOp(data []byte) (*Op, error) {
-	d := &decoder{buf: data, what: "op"}
-	if v := d.byte(); d.err == nil && v != opVersion {
+	d := codec.NewDecoder(data, ErrCorrupt, "op")
+	if v := d.Byte(); d.Err() == nil && v != opVersion {
 		return nil, fmt.Errorf("%w: op version %d; this build reads version %d only", ErrUnknownVersion, v, opVersion)
 	}
-	op := &Op{Kind: Kind(d.byte())}
+	op := &Op{Kind: Kind(d.Byte())}
 	switch op.Kind {
 	case OpBatchColumnar:
-		op.Session = string(d.bytes())
-		op.Seq = d.uvarint()
-		op.Raw = d.view()
+		op.Session = d.String()
+		op.Seq = d.Uvarint()
+		op.Raw = d.View()
 	case OpSynthesis:
-		op.Signature = string(d.bytes())
-		op.Fix = d.bytes()
+		op.Signature = d.String()
+		op.Fix = d.Bytes()
 	case OpProof:
-		op.Proof = d.bytes()
+		op.Proof = d.Bytes()
 	case OpCert:
-		n := d.count(1)
-		for i := 0; i < n && d.err == nil; i++ {
-			op.Prefix = append(op.Prefix, d.edge())
+		n := d.Count(1)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			op.Prefix = append(op.Prefix, decodeEdge(&d))
 		}
-		op.Missing = d.edge()
+		op.Missing = decodeEdge(&d)
 	default:
-		if d.err == nil {
+		if d.Err() == nil {
 			return nil, fmt.Errorf("%w: op kind %d", ErrUnknownVersion, op.Kind)
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing op bytes", ErrCorrupt, len(data)-d.pos)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return op, nil
-}
-
-// appendBytes appends a length-prefixed field, string or bytes.
-func appendBytes[T string | []byte](buf []byte, b T) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
 }
 
 func appendEdge(buf []byte, e exectree.Edge) []byte {
@@ -171,109 +165,8 @@ func appendEdge(buf []byte, e exectree.Edge) []byte {
 	return binary.AppendUvarint(buf, v)
 }
 
-// decoder is a cursor over an encoded op or snapshot state that latches the
-// first error. what names the encoding in that error.
-type decoder struct {
-	buf  []byte
-	pos  int
-	err  error
-	what string
-	// str, when set, is buf as one string: text serves every string field
-	// as a substring of it, one allocation for all of them.
-	str string
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated %s at offset %d", ErrCorrupt, d.what, d.pos)
-	}
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil || d.pos >= len(d.buf) {
-		d.fail()
-		return 0
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-// count reads the length of a list whose every item takes at least
-// minBytes, and refuses one the bytes left cannot hold: no list is sized
-// past the input. It divides rather than multiplies, so a count near 2^64
-// cannot wrap the check.
-func (d *decoder) count(minBytes int) int {
-	n := d.uvarint()
-	if d.err == nil && n > uint64((len(d.buf)-d.pos)/minBytes) {
-		d.err = fmt.Errorf("%w: %s claims %d items in %d bytes at offset %d", ErrCorrupt, d.what, n, len(d.buf)-d.pos, d.pos)
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-// bytes is a length-prefixed field, copied out of the payload.
-func (d *decoder) bytes() []byte {
-	return append([]byte(nil), d.view()...)
-}
-
-// view is a length-prefixed field in place: it aliases the payload, capped at
-// its own length, and is nil when empty. The bounds check cannot wrap.
-func (d *decoder) view() []byte {
-	start, end := d.span()
-	if start == end {
-		return nil
-	}
-	return d.buf[start:end:end]
-}
-
-// text is a length-prefixed string field: a substring of d.str.
-func (d *decoder) text() string {
-	start, end := d.span()
-	return d.str[start:end]
-}
-
-// span consumes a length-prefixed field and returns its bounds.
-func (d *decoder) span() (start, end int) {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.buf)-d.pos) {
-		d.fail()
-		return d.pos, d.pos
-	}
-	start = d.pos
-	d.pos += int(n)
-	return start, d.pos
-}
-
-func (d *decoder) edge() exectree.Edge {
-	v := d.uvarint()
+// decodeEdge reads an edge appendEdge wrote.
+func decodeEdge(d *codec.Decoder) exectree.Edge {
+	v := d.Uvarint()
 	return exectree.Edge{ID: int32(v >> 1), Taken: v&1 == 1}
 }

@@ -56,7 +56,7 @@ func assertRefused(t *testing.T, what string, err error, file string) {
 // it was. Reading it as corrupt quarantined the key and deleted the file.
 func TestOpenRefusesUnknownSegmentVersion(t *testing.T) {
 	seg := encodeSnapshot(sampleSnapshot())
-	for _, magic := range []string{"SBSNAP9\n", "SBSNAP3\n", "SBSNAP2\n", "SBSNAP1\n"} {
+	for _, magic := range []string{"SBSNAP9\n", "SBSNAP4\n", "SBSNAP3\n", "SBSNAP2\n", "SBSNAP1\n"} {
 		dir := t.TempDir()
 		name := filepath.Base(snapPath(dir, fileKey("prog-envelope"), 3))
 		data := append([]byte(magic), seg[len(snapMagic):]...)
@@ -150,7 +150,7 @@ func TestUnknownWALVersionRefused(t *testing.T) {
 // build's record, and reading it as a torn tail truncated it and every
 // acknowledged record after it.
 func TestReplayRefusesUnknownOp(t *testing.T) {
-	for _, payload := range [][]byte{{opVersion, 99}, {opVersion, 1, 0, 0, 0}, {9, byte(OpBatchColumnar), 0, 0, 0}} {
+	for _, payload := range [][]byte{{opVersion, 99}, {opVersion, 1, 0, 0, 0}, {9, byte(OpBatchColumnar), 0, 0, 0}, {opVersion - 1, byte(OpSynthesis), 0, 0}} {
 		dir := t.TempDir()
 		s, err := Open(dir, Options{})
 		if err != nil {

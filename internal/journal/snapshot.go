@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/codec"
 )
 
 // ProgramSnapshot is one program's full durable state at a checkpoint: the
@@ -18,7 +20,8 @@ import (
 //
 // Trace payloads (failure samples, coordinated families) are columnar
 // batches (trace.AppendBatch), the one trace encoding the wire, the journal
-// and the archive carry; fixes and proofs are in their JSON codecs. All of
+// and the archive carry; fixes and proofs are in their own binary codecs
+// (fix.Append, proof.Append). All of
 // them are post-privacy: the snapshot persists what pods shipped, never
 // more (see the package privacy invariant).
 // A snapshot is either *full* (Tree set: the complete exectree.Encode
@@ -35,7 +38,7 @@ import (
 // depth shared with the previous entry, the edges below it and the node's
 // body).
 //
-// A chain segment holds a snapshot in envelope version 4 (see
+// A chain segment holds a snapshot in envelope version 5 (see
 // encodeSnapshot): every field in the journal's uvarint framing, fixes and
 // proofs as opaque bytes, so no JSON is parsed to read one. A decoded
 // snapshot's byte fields (Tree, TreeDelta, fixes, proofs, samples,
@@ -50,10 +53,10 @@ type ProgramSnapshot struct {
 	// TreeDelta is the exectree.EncodeDelta serialization (delta segments
 	// only): the nodes changed since the previous checkpoint.
 	TreeDelta []byte
-	// Fixes are fix JSON documents in ID order.
+	// Fixes are fix encodings (fix.Append) in ID order.
 	Fixes [][]byte
 	Epoch int
-	// Proofs are proof JSON documents (standing and superseded; readers
+	// Proofs are proof encodings (proof.Append) (standing and superseded; readers
 	// filter by epoch).
 	Proofs [][]byte
 	// Failures is the per-signature aggregation state.
@@ -101,9 +104,9 @@ const (
 
 // encodeSnapshot serializes a snapshot into the CRC-framed byte form of a
 // chain segment: what writeSnapshotFile persists and a ChainExport carries.
-// The envelope (version 4) is
+// The envelope (version 5) is
 //
-//	"SBSNAP4\n" | uvarint body length | body | CRC32 (IEEE, little endian) of body
+//	"SBSNAP5\n" | uvarint body length | body | CRC32 (IEEE, little endian) of body
 //
 //	body  = field program ID | field Tree | field TreeDelta | state
 //	state = varint Ingested, Reconstructed, Narrowed, Epoch
@@ -120,7 +123,8 @@ const (
 // uvarint count and that many items. The three maps are written in
 // ascending key order, so a segment's bytes are a function of the state, and
 // a reader takes the tree bytes as they lie. Version 4 replaced version 3's
-// JSON state with this one.
+// JSON state with this one; version 5 has the same layout, with fixes and
+// proofs in their binary codecs where version 4 held their JSON.
 func encodeSnapshot(snap *ProgramSnapshot) []byte {
 	state := appendState(nil, snap)
 	n := uvarintLen(len(snap.ProgramID)) + len(snap.ProgramID) +
@@ -130,9 +134,9 @@ func encodeSnapshot(snap *ProgramSnapshot) []byte {
 	buf = append(buf, snapMagic...)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	start := len(buf)
-	buf = appendBytes(buf, snap.ProgramID)
-	buf = appendBytes(buf, snap.Tree)
-	buf = appendBytes(buf, snap.TreeDelta)
+	buf = codec.AppendField(buf, snap.ProgramID)
+	buf = codec.AppendField(buf, snap.Tree)
+	buf = codec.AppendField(buf, snap.TreeDelta)
 	buf = append(buf, state...)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
@@ -146,20 +150,20 @@ func appendState(buf []byte, snap *ProgramSnapshot) []byte {
 	for _, docs := range [...][][]byte{snap.Fixes, snap.Proofs} {
 		buf = binary.AppendUvarint(buf, uint64(len(docs)))
 		for _, doc := range docs {
-			buf = appendBytes(buf, doc)
+			buf = codec.AppendField(buf, doc)
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(snap.Failures)))
 	for i := range snap.Failures {
 		fs := &snap.Failures[i]
-		buf = appendBytes(buf, fs.Signature)
+		buf = codec.AppendField(buf, fs.Signature)
 		buf = append(buf, fs.Outcome)
 		buf = binary.AppendVarint(buf, fs.Count)
 		buf = binary.AppendUvarint(buf, uint64(len(fs.Pods)))
 		for _, pod := range fs.Pods {
-			buf = appendBytes(buf, pod)
+			buf = codec.AppendField(buf, pod)
 		}
-		buf = appendBytes(buf, fs.Sample)
+		buf = codec.AppendField(buf, fs.Sample)
 		var flags byte
 		if fs.Fixed {
 			flags |= failureFixed
@@ -178,17 +182,17 @@ func appendState(buf []byte, snap *ProgramSnapshot) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(snap.Coordinated)))
 	for _, key := range sortedKeys(snap.Coordinated) {
-		buf = appendBytes(buf, key)
-		buf = appendBytes(buf, snap.Coordinated[key])
+		buf = codec.AppendField(buf, key)
+		buf = codec.AppendField(buf, snap.Coordinated[key])
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(snap.Sessions)))
 	for _, id := range sortedKeys(snap.Sessions) {
-		buf = appendBytes(buf, id)
+		buf = codec.AppendField(buf, id)
 		buf = binary.AppendUvarint(buf, snap.Sessions[id])
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(snap.SessionsAhead)))
 	for _, id := range sortedKeys(snap.SessionsAhead) {
-		buf = appendBytes(buf, id)
+		buf = codec.AppendField(buf, id)
 		marks := snap.SessionsAhead[id]
 		buf = binary.AppendUvarint(buf, uint64(len(marks)))
 		for _, seq := range marks {
@@ -243,73 +247,74 @@ func decodeSnapshot(data []byte, where string) (*ProgramSnapshot, error) {
 // field: whatever the bytes, the decode allocates at most a small multiple
 // of them and refuses what encodeSnapshot cannot have written.
 func decodeState(state []byte, snap *ProgramSnapshot) error {
-	d := &decoder{buf: state, what: "snapshot state", str: string(state)}
-	snap.Ingested, snap.Reconstructed, snap.Narrowed = d.varint(), d.varint(), d.varint()
-	snap.Epoch = int(d.varint())
-	snap.Fixes = d.views()
-	snap.Proofs = d.views()
+	d := codec.NewDecoder(state, ErrCorrupt, "snapshot state")
+	d.ShareStrings()
+	snap.Ingested, snap.Reconstructed, snap.Narrowed = d.Varint(), d.Varint(), d.Varint()
+	snap.Epoch = int(d.Varint())
+	snap.Fixes = views(&d)
+	snap.Proofs = views(&d)
 	// A failure takes at least six bytes: four empty fields or counts, the
 	// outcome and the flags.
-	if n := d.count(6); n > 0 {
+	if n := d.Count(6); n > 0 {
 		snap.Failures = make([]FailureState, n)
 		for i := range snap.Failures {
 			fs := &snap.Failures[i]
-			fs.Signature = d.text()
-			fs.Outcome = d.byte()
-			fs.Count = d.varint()
-			if pods := d.count(1); pods > 0 {
+			fs.Signature = d.String()
+			fs.Outcome = d.Byte()
+			fs.Count = d.Varint()
+			if pods := d.Count(1); pods > 0 {
 				fs.Pods = make([]string, pods)
 				for j := range fs.Pods {
-					fs.Pods[j] = d.text()
+					fs.Pods[j] = d.String()
 				}
 			}
-			fs.Sample = d.view()
-			flags := d.byte()
-			if d.err == nil && flags&^(failureFixed|failureInRepairLab) != 0 {
+			fs.Sample = d.View()
+			flags := d.Byte()
+			if d.Err() == nil && flags&^(failureFixed|failureInRepairLab) != 0 {
 				return fmt.Errorf("%w: failure %q has flags %#x", ErrCorrupt, fs.Signature, flags)
 			}
 			fs.Fixed, fs.InRepairLab = flags&failureFixed != 0, flags&failureInRepairLab != 0
 		}
 	}
-	if n := d.count(1); n > 0 {
+	if n := d.Count(1); n > 0 {
 		snap.KnownGood = make([][]int64, n)
 		for i := range snap.KnownGood {
-			if m := d.count(1); m > 0 {
+			if m := d.Count(1); m > 0 {
 				input := make([]int64, m)
 				for j := range input {
-					input[j] = d.varint()
+					input[j] = d.Varint()
 				}
 				snap.KnownGood[i] = input
 			}
 		}
 	}
-	if n := d.count(2); n > 0 {
+	if n := d.Count(2); n > 0 {
 		snap.Coordinated = make(map[string][]byte, n)
-		for i, prev := 0, ""; i < n && d.err == nil; i++ {
-			key := d.key(i, prev)
-			snap.Coordinated[key] = d.view()
+		for i, prev := 0, ""; i < n && d.Err() == nil; i++ {
+			key := mapKey(&d, i, prev)
+			snap.Coordinated[key] = d.View()
 			prev = key
 		}
 	}
-	if n := d.count(2); n > 0 {
+	if n := d.Count(2); n > 0 {
 		snap.Sessions = make(map[string]uint64, n)
-		for i, prev := 0, ""; i < n && d.err == nil; i++ {
-			id := d.key(i, prev)
-			snap.Sessions[id] = d.uvarint()
+		for i, prev := 0, ""; i < n && d.Err() == nil; i++ {
+			id := mapKey(&d, i, prev)
+			snap.Sessions[id] = d.Uvarint()
 			prev = id
 		}
 	}
-	if n := d.count(2); n > 0 {
+	if n := d.Count(2); n > 0 {
 		snap.SessionsAhead = make(map[string][]uint64, n)
 		// Every session's marks share one array: the section is the last,
 		// and a mark takes at least one of its bytes.
-		slab := make([]uint64, 0, len(state)-d.pos)
-		for i, prev := 0, ""; i < n && d.err == nil; i++ {
-			id := d.key(i, prev)
+		slab := make([]uint64, 0, d.Left())
+		for i, prev := 0, ""; i < n && d.Err() == nil; i++ {
+			id := mapKey(&d, i, prev)
 			var marks []uint64
-			if m := d.count(1); m > 0 {
+			if m := d.Count(1); m > 0 {
 				for j := 0; j < m; j++ {
-					slab = append(slab, d.uvarint())
+					slab = append(slab, d.Uvarint())
 				}
 				marks = slab[len(slab)-m : len(slab) : len(slab)]
 			}
@@ -317,31 +322,28 @@ func decodeState(state []byte, snap *ProgramSnapshot) error {
 			prev = id
 		}
 	}
-	if d.err == nil && d.pos != len(state) {
-		return fmt.Errorf("%w: %d trailing snapshot state bytes", ErrCorrupt, len(state)-d.pos)
-	}
-	return d.err
+	return d.Finish()
 }
 
 // views reads a list of length-prefixed byte fields, each in place.
-func (d *decoder) views() [][]byte {
-	n := d.count(1)
+func views(d *codec.Decoder) [][]byte {
+	n := d.Count(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([][]byte, n)
 	for i := range out {
-		out[i] = d.view()
+		out[i] = d.View()
 	}
 	return out
 }
 
 // key reads the i-th key of a map written in ascending key order, refusing
 // one that does not follow prev.
-func (d *decoder) key(i int, prev string) string {
-	k := d.text()
-	if d.err == nil && i > 0 && k <= prev {
-		d.err = fmt.Errorf("%w: %s key %q at offset %d does not follow %q", ErrCorrupt, d.what, k, d.pos, prev)
+func mapKey(d *codec.Decoder, i int, prev string) string {
+	k := d.String()
+	if i > 0 && k <= prev {
+		d.Fail("key %q does not follow %q", k, prev)
 	}
 	return k
 }

@@ -10,6 +10,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // sampleSnapshot fills every field a segment carries.
@@ -48,7 +50,7 @@ func TestSnapshotEnvelope(t *testing.T) {
 	delta.Tree, delta.TreeDelta = nil, []byte{2, 0, 1, 0}
 	for _, want := range []*ProgramSnapshot{full, delta} {
 		data := encodeSnapshot(want)
-		if !bytes.HasPrefix(data, []byte("SBSNAP4\n")) {
+		if !bytes.HasPrefix(data, []byte(snapMagic)) {
 			t.Fatalf("segment starts %q; want version 4", data[:8])
 		}
 		got, err := decodeSnapshot(data, "test")
@@ -142,7 +144,7 @@ func TestOpenNamesProgramFromSegment(t *testing.T) {
 	delta := sampleSnapshot()
 	delta.ProgramID, delta.Tree, delta.TreeDelta = "prog-delta", nil, []byte{2}
 	key := fileKey(delta.ProgramID)
-	if err := os.WriteFile(snapPath(dir, key, 1), []byte("SBSNAP4\ntorn"), 0o644); err != nil {
+	if err := os.WriteFile(snapPath(dir, key, 1), []byte(snapMagic+"torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(deltaPath(dir, key, 2), encodeSnapshot(delta), 0o644); err != nil {
@@ -274,7 +276,7 @@ func hostileStates() [][]byte {
 	for _, keys := range [][2]string{{"s2", "s1"}, {"s1", "s1"}} {
 		s := append(append([]byte(nil), counters...), 0, 0, 0, 0, 0, 2)
 		for _, k := range keys {
-			s = binary.AppendUvarint(appendBytes(s, k), 1)
+			s = binary.AppendUvarint(codec.AppendField(s, k), 1)
 		}
 		out = append(out, append(s, 0))
 	}

@@ -5,12 +5,18 @@
 // (inputs that cover them, or infeasibility certificates), and once the tree
 // is complete, the accumulated test suite *is* a proof of the property over
 // all feasible in-domain executions.
+//
+// A proof has one encoding (Append, Decode), in the uvarint framing of
+// package codec: the bytes the journal's proof records and every checkpoint
+// segment carry.
 package proof
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/constraint"
 	"repro/internal/exectree"
 	"repro/internal/prog"
@@ -81,8 +87,8 @@ type CounterExample struct {
 // (infeasibility certificates are journaled separately, by the certify
 // function the hive hands AttemptWith).
 type Evidence struct {
-	Path    []trace.BranchEvent `json:"path"`
-	Outcome prog.Outcome        `json:"outcome"`
+	Path    []trace.BranchEvent
+	Outcome prog.Outcome
 }
 
 // Proof is the (possibly partial) result of a proving attempt. The paper's
@@ -111,7 +117,7 @@ type Proof struct {
 	// Evidence lists the executions the prover merged into the tree during
 	// this attempt (replay support for hive persistence; len(Evidence) ==
 	// NewEvidence).
-	Evidence []Evidence `json:",omitempty"`
+	Evidence []Evidence
 	// Epoch is the fix-set version this proof is valid for; applying a new
 	// fix invalidates it.
 	Epoch int
@@ -238,18 +244,118 @@ func (e *Engine) AttemptWith(tree *exectree.Tree, property Property, epoch int, 
 	return pr, nil
 }
 
-// Encode serializes the proof for hive persistence.
-func Encode(p *Proof) ([]byte, error) {
-	return json.Marshal(p)
+// ErrCodec is wrapped by Decode failures.
+var ErrCodec = errors.New("proof: malformed encoding")
+
+// Append appends p's encoding to buf:
+//
+//	proof = field ProgramID | byte Property | byte flags (1 Complete, 2 Holds)
+//	      | varint PathsCovered, NodesExplored, Certificates, NewEvidence, Epoch
+//	      | list of (path | byte outcome | list of varint) (CounterExamples)
+//	      | list of (path | byte outcome) (Evidence)
+//	path  = list of uvarint ID<<1|taken
+//
+// where a field is a uvarint length and that many bytes, and a list a
+// uvarint count and that many items. An empty list decodes as nil.
+func Append(buf []byte, p *Proof) []byte {
+	buf = codec.AppendField(buf, p.ProgramID)
+	var flags byte
+	if p.Complete {
+		flags |= proofComplete
+	}
+	if p.Holds {
+		flags |= proofHolds
+	}
+	buf = append(buf, byte(p.Property), flags)
+	for _, v := range [...]int64{p.PathsCovered, p.NodesExplored, int64(p.Certificates), int64(p.NewEvidence), int64(p.Epoch)} {
+		buf = binary.AppendVarint(buf, v)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(p.CounterExamples)))
+	for _, ce := range p.CounterExamples {
+		buf = append(appendPath(buf, ce.Path), byte(ce.Outcome))
+		buf = binary.AppendUvarint(buf, uint64(len(ce.Input)))
+		for _, x := range ce.Input {
+			buf = binary.AppendVarint(buf, x)
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(p.Evidence)))
+	for _, ev := range p.Evidence {
+		buf = append(appendPath(buf, ev.Path), byte(ev.Outcome))
+	}
+	return buf
 }
 
-// Decode parses a proof serialized by Encode.
-func Decode(data []byte) (*Proof, error) {
-	var p Proof
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("proof: decode: %w", err)
+// The flag bits of an encoded proof; any other bit is malformed.
+const (
+	proofComplete = 1 << iota
+	proofHolds
+)
+
+func appendPath(buf []byte, path []trace.BranchEvent) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(path)))
+	for _, ev := range path {
+		v := uint64(uint32(ev.ID)) << 1
+		if ev.Taken {
+			v |= 1
+		}
+		buf = binary.AppendUvarint(buf, v)
 	}
-	return &p, nil
+	return buf
+}
+
+func readPath(d *codec.Decoder) []trace.BranchEvent {
+	n := d.Count(1)
+	if n == 0 {
+		return nil
+	}
+	path := make([]trace.BranchEvent, n)
+	for i := range path {
+		v := d.Uvarint()
+		if v>>33 != 0 {
+			d.Fail("branch event %#x", v)
+		}
+		path[i] = trace.BranchEvent{ID: int32(uint32(v >> 1)), Taken: v&1 == 1}
+	}
+	return path
+}
+
+// Decode parses a proof that fills data. The proof shares no memory with
+// data.
+func Decode(data []byte) (*Proof, error) {
+	d := codec.NewDecoder(data, ErrCodec, "proof")
+	p := &Proof{ProgramID: d.String(), Property: Property(d.Byte())}
+	flags := d.Byte()
+	if flags&^(proofComplete|proofHolds) != 0 {
+		d.Fail("flags %#x", flags)
+	}
+	p.Complete, p.Holds = flags&proofComplete != 0, flags&proofHolds != 0
+	p.PathsCovered, p.NodesExplored = d.Varint(), d.Varint()
+	p.Certificates, p.NewEvidence, p.Epoch = int(d.Varint()), int(d.Varint()), int(d.Varint())
+	// A counter-example takes at least three bytes (two empty lists and the
+	// outcome), an evidence path two.
+	if n := d.Count(3); n > 0 {
+		p.CounterExamples = make([]CounterExample, n)
+		for i := range p.CounterExamples {
+			ce := &p.CounterExamples[i]
+			ce.Path, ce.Outcome = readPath(&d), prog.Outcome(d.Byte())
+			if m := d.Count(1); m > 0 {
+				ce.Input = make([]int64, m)
+				for j := range ce.Input {
+					ce.Input[j] = d.Varint()
+				}
+			}
+		}
+	}
+	if n := d.Count(2); n > 0 {
+		p.Evidence = make([]Evidence, n)
+		for i := range p.Evidence {
+			p.Evidence[i] = Evidence{Path: readPath(&d), Outcome: prog.Outcome(d.Byte())}
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 func edgesToEvents(path []exectree.Edge) []trace.BranchEvent {

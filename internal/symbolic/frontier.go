@@ -9,33 +9,47 @@ import (
 	"repro/internal/trace"
 )
 
+// replayPrefix runs the engine along f.Prefix from the zero input and returns
+// the path it took, the frontier's record at index len(f.Prefix). RunForced
+// takes its forced list to hold only input-dependent decisions — a
+// deterministic branch decides itself and consumes no entry — so the prefix
+// is filtered the way synthesizeInputGuard filters a trace. ok is false unless the run
+// took every edge of the prefix, deterministic ones included, and then
+// reached the frontier's branch: a run that left the prefix anywhere is not
+// evidence about the frontier, whatever it reaches later.
+func (e *Engine) replayPrefix(f exectree.Frontier) (p *Path, ok bool, err error) {
+	forced := make([]trace.BranchEvent, 0, len(f.Prefix))
+	for _, edge := range f.Prefix {
+		if e.prog.InputDependent(int(edge.ID)) {
+			forced = append(forced, trace.BranchEvent{ID: edge.ID, Taken: edge.Taken})
+		}
+	}
+	p, err = e.RunForced(make([]int64, e.prog.NumInputs), forced)
+	if err != nil || len(p.Records) <= len(f.Prefix) {
+		return p, false, err
+	}
+	for i, edge := range f.Prefix {
+		if ev := p.Records[i].Event; ev.ID != edge.ID || ev.Taken != edge.Taken {
+			return p, false, nil
+		}
+	}
+	return p, p.Records[len(f.Prefix)].Event.ID == f.Missing.ID, nil
+}
+
 // SolveFrontier attempts to produce an input that drives execution along
 // frontier.Prefix and then through frontier.Missing. It re-derives the path
 // condition by a forced concolic run along the prefix and solves
 // prefix-conditions ∧ missing-direction-condition. The returned verdict is
 // SAT (input found), UNSAT (certificate: the direction is infeasible), or
-// Unknown.
+// Unknown — always Unknown when the forced run leaves the prefix or does not
+// reach the frontier (the prefix came from a different syscall environment,
+// say): no verdict is drawn from a run that was not on the prefix.
 func (e *Engine) SolveFrontier(f exectree.Frontier) ([]int64, constraint.Verdict, error) {
-	forced := make([]trace.BranchEvent, len(f.Prefix))
-	for i, edge := range f.Prefix {
-		forced[i] = trace.BranchEvent{ID: edge.ID, Taken: edge.Taken}
-	}
-	base := make([]int64, e.prog.NumInputs)
-	p, err := e.RunForced(base, forced)
-	if err != nil {
+	p, ok, err := e.replayPrefix(f)
+	if err != nil || !ok {
 		return nil, constraint.Unknown, err
 	}
-	// Locate the decision point: the record at depth len(f.Prefix) should be
-	// the frontier branch.
-	if len(p.Records) <= len(f.Prefix) {
-		return nil, constraint.Unknown, nil
-	}
 	rec := p.Records[len(f.Prefix)]
-	if rec.Event.ID != f.Missing.ID {
-		// Forced replay diverged (e.g. the prefix came from a different
-		// syscall environment); give up rather than certify wrongly.
-		return nil, constraint.Unknown, nil
-	}
 	if !e.prog.InputDependent(int(f.Missing.ID)) {
 		// Deterministic branch: missing direction is infeasible iff the
 		// natural direction differs.
@@ -49,7 +63,7 @@ func (e *Engine) SolveFrontier(f exectree.Frontier) ([]int64, constraint.Verdict
 	}
 
 	pc := make(constraint.PathCondition, 0, len(f.Prefix)+1)
-	for i := 0; i < len(f.Prefix) && i < len(p.Records); i++ {
+	for i := 0; i < len(f.Prefix); i++ {
 		if p.Records[i].Exact {
 			pc = append(pc, p.Records[i].Cond)
 		}
@@ -77,25 +91,17 @@ func (e *Engine) SolveFrontierEnv(f exectree.Frontier) ([]int64, []prog.FaultSpe
 	if !e.cfg.SymbolicSyscalls {
 		return nil, nil, constraint.Unknown, fmt.Errorf("%w: engine not in relaxed-consistency mode", ErrUnsupported)
 	}
-	forced := make([]trace.BranchEvent, len(f.Prefix))
-	for i, edge := range f.Prefix {
-		forced[i] = trace.BranchEvent{ID: edge.ID, Taken: edge.Taken}
-	}
-	base := make([]int64, e.prog.NumInputs)
-	p, err := e.RunForced(base, forced)
-	if err != nil {
+	p, ok, err := e.replayPrefix(f)
+	if err != nil || !ok {
 		return nil, nil, constraint.Unknown, err
 	}
-	if len(p.Records) <= len(f.Prefix) {
-		return nil, nil, constraint.Unknown, nil
-	}
 	rec := p.Records[len(f.Prefix)]
-	if rec.Event.ID != f.Missing.ID || !rec.Exact {
+	if !rec.Exact {
 		return nil, nil, constraint.Unknown, nil
 	}
 
 	pc := make(constraint.PathCondition, 0, len(f.Prefix)+1)
-	for i := 0; i < len(f.Prefix) && i < len(p.Records); i++ {
+	for i := 0; i < len(f.Prefix); i++ {
 		if p.Records[i].Exact {
 			pc = append(pc, p.Records[i].Cond)
 		}

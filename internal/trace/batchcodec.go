@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/prog"
 )
 
@@ -336,24 +337,21 @@ func indexBatch(buf []byte) (*BatchView, error) {
 		// wire frames (≤16MB) or journal records of the same payloads.
 		return nil, fmt.Errorf("%w: batch of %d bytes exceeds view limit", ErrCodec, len(buf))
 	}
-	d := &decoder{buf: buf}
-	if v := d.byte(); v != batchVersion {
+	d := codec.NewDecoder(buf, ErrCodec, "batch")
+	if v := d.Byte(); v != batchVersion {
 		return nil, fmt.Errorf("%w: batch version %d", ErrCodec, v)
 	}
 	v := &BatchView{buf: buf}
-	v.programID = d.string()
-	npods := int(d.uvarint())
-	if err := d.checkCount(npods, 1); err != nil {
-		return nil, err
-	}
+	v.programID = d.String()
+	npods := d.Count(1)
 	if npods > 0 {
 		v.pods = make([]string, npods)
 		for i := range v.pods {
-			v.pods[i] = d.string()
+			v.pods[i] = d.String()
 		}
 	}
-	n := int(d.uvarint())
-	if err := d.checkCount(n, 8); err != nil {
+	n := d.Count(8)
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	v.n = n
@@ -367,7 +365,7 @@ func indexBatch(buf []byte) (*BatchView, error) {
 
 	// Each column is one loop over a local position, the one-byte case
 	// first; a column that runs off the buffer is refused once, at its end.
-	pos := d.pos
+	pos := d.Pos()
 	var err error
 	if npods == 0 && n > 0 {
 		return fail(fmt.Errorf("%w: %d traces and no pod", ErrCodec, n))
@@ -717,10 +715,10 @@ func (v *BatchView) Branches(i int) []BranchEvent {
 // AppendInput decodes trace i's raw input vector into dst (reusing its
 // capacity) — the known-good harvesting path, which copies anyway.
 func (v *BatchView) AppendInput(dst []int64, i int) []int64 {
-	d := &decoder{buf: v.slab(secInput, i)}
+	d := codec.NewDecoder(v.slab(secInput, i), ErrCodec, "batch")
 	count := v.NumInputs(i)
 	for k := 0; k < count; k++ {
-		dst = append(dst, d.varint())
+		dst = append(dst, d.Varint())
 	}
 	return dst
 }
@@ -767,31 +765,31 @@ func (v *BatchView) Materialize(i int) *Trace {
 	}
 	if n := int(v.sc.counts[secSyscalls][i]); n > 0 {
 		t.Syscalls = make([]SyscallEvent, n)
-		d := &decoder{buf: v.slab(secSyscalls, i)}
+		d := codec.NewDecoder(v.slab(secSyscalls, i), ErrCodec, "batch")
 		for k := range t.Syscalls {
-			t.Syscalls[k] = SyscallEvent{TID: int32(d.uvarint()), Sysno: d.varint(), Ret: d.varint()}
+			t.Syscalls[k] = SyscallEvent{TID: int32(d.Uvarint()), Sysno: d.Varint(), Ret: d.Varint()}
 		}
 	}
 	if n := int(v.sc.counts[secLocks][i]); n > 0 {
 		t.Locks = make([]LockEvent, n)
-		d := &decoder{buf: v.slab(secLocks, i)}
+		d := codec.NewDecoder(v.slab(secLocks, i), ErrCodec, "batch")
 		for k := range t.Locks {
 			t.Locks[k] = LockEvent{
-				TID:     int32(d.uvarint()),
-				LockID:  int32(d.uvarint()),
-				PC:      int32(d.uvarint()),
-				Acquire: d.byte() == 1,
+				TID:     int32(d.Uvarint()),
+				LockID:  int32(d.Uvarint()),
+				PC:      int32(d.Uvarint()),
+				Acquire: d.Byte() == 1,
 			}
 		}
 	}
 	if n := int(v.sc.counts[secDeadlock][i]); n > 0 {
 		t.Deadlock = make([]DeadlockWait, n)
-		d := &decoder{buf: v.slab(secDeadlock, i)}
+		d := codec.NewDecoder(v.slab(secDeadlock, i), ErrCodec, "batch")
 		for k := range t.Deadlock {
 			t.Deadlock[k] = DeadlockWait{
-				TID:   int32(d.uvarint()),
-				PC:    int32(d.uvarint()),
-				Wants: int32(d.uvarint()),
+				TID:   int32(d.Uvarint()),
+				PC:    int32(d.Uvarint()),
+				Wants: int32(d.Uvarint()),
 			}
 		}
 	}
@@ -802,9 +800,9 @@ func (v *BatchView) Materialize(i int) *Trace {
 	}
 	if n := int(v.sc.counts[secInputBuckets][i]); n > 0 {
 		t.InputBuckets = make([]int64, n)
-		d := &decoder{buf: v.slab(secInputBuckets, i)}
+		d := codec.NewDecoder(v.slab(secInputBuckets, i), ErrCodec, "batch")
 		for k := range t.InputBuckets {
-			t.InputBuckets[k] = d.varint()
+			t.InputBuckets[k] = d.Varint()
 		}
 	}
 	return t
@@ -867,89 +865,4 @@ func appendSyscallEvents(buf []byte, syscalls []SyscallEvent) []byte {
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-// decoder is a cursor over an encoded batch that latches the first error.
-type decoder struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated at offset %d", ErrCodec, d.pos)
-	}
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil || d.pos >= len(d.buf) {
-		d.fail()
-		return 0
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	// Most values — lengths, counts, branch IDs, thread IDs — fit in one
-	// byte.
-	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
-		v := uint64(d.buf[d.pos])
-		d.pos++
-		return v
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) string() string {
-	n := int(d.uvarint())
-	if d.err != nil {
-		return ""
-	}
-	if n < 0 || d.pos+n > len(d.buf) {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[d.pos : d.pos+n])
-	d.pos += n
-	return s
-}
-
-// checkCount guards slice allocations against hostile counts: the remaining
-// bytes must be able to hold count items of at least minBytes each.
-func (d *decoder) checkCount(count, minBytes int) error {
-	if d.err != nil {
-		return d.err
-	}
-	// Divide instead of multiplying: a hostile count near the int ceiling
-	// must not overflow the plausibility product.
-	if count < 0 || count > (len(d.buf)-d.pos)/minBytes {
-		d.err = fmt.Errorf("%w: implausible count %d at offset %d", ErrCodec, count, d.pos)
-		return d.err
-	}
-	return nil
 }

@@ -561,3 +561,90 @@ func TestBatchDecodeRejectsLengthOverflow(t *testing.T) {
 		t.Fatal("batch with wrapping section lengths decoded without error")
 	}
 }
+
+// decoder is the reference decoder's own cursor: the latching reader the
+// codec had before it shared codec.Decoder, kept apart from it so the
+// equivalence tests compare two independent readers.
+type decoder struct {
+	buf []byte
+	pos int
+	err error
+}
+
+func (d *decoder) fail() {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: truncated at offset %d", ErrCodec, d.pos)
+	}
+}
+
+func (d *decoder) byte() byte {
+	if d.err != nil || d.pos >= len(d.buf) {
+		d.fail()
+		return 0
+	}
+	b := d.buf[d.pos]
+	d.pos++
+	return b
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	// Most values — lengths, counts, branch IDs, thread IDs — fit in one
+	// byte.
+	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
+		v := uint64(d.buf[d.pos])
+		d.pos++
+		return v
+	}
+	v, n := binary.Uvarint(d.buf[d.pos:])
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.buf[d.pos:])
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+func (d *decoder) string() string {
+	n := int(d.uvarint())
+	if d.err != nil {
+		return ""
+	}
+	if n < 0 || d.pos+n > len(d.buf) {
+		d.fail()
+		return ""
+	}
+	s := string(d.buf[d.pos : d.pos+n])
+	d.pos += n
+	return s
+}
+
+// checkCount guards slice allocations against hostile counts: the remaining
+// bytes must be able to hold count items of at least minBytes each.
+func (d *decoder) checkCount(count, minBytes int) error {
+	if d.err != nil {
+		return d.err
+	}
+	// Divide instead of multiplying: a hostile count near the int ceiling
+	// must not overflow the plausibility product.
+	if count < 0 || count > (len(d.buf)-d.pos)/minBytes {
+		d.err = fmt.Errorf("%w: implausible count %d at offset %d", ErrCodec, count, d.pos)
+		return d.err
+	}
+	return nil
+}

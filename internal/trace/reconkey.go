@@ -2,8 +2,8 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/prog"
 )
 
@@ -44,29 +44,20 @@ type ReconstructionInput struct {
 // ParseReconstructionKey decodes a reconstruction key into in, reusing the
 // capacity of in.Branches and in.Returns.
 func ParseReconstructionKey(key []byte, in *ReconstructionInput) error {
-	d := &decoder{buf: key}
-	in.Outcome = prog.Outcome(d.byte())
-	in.Steps = int64(d.uvarint())
+	d := codec.NewDecoder(key, ErrCodec, "reconstruction key")
+	in.Outcome = prog.Outcome(d.Byte())
+	in.Steps = int64(d.Uvarint())
 	in.Branches, in.Returns = in.Branches[:0], in.Returns[:0]
-	nb := int(d.uvarint())
-	if err := d.checkCount(nb, 1); err != nil {
-		return err
-	}
+	nb := d.Count(1)
 	for k := 0; k < nb; k++ {
-		raw := d.uvarint()
+		raw := d.Uvarint()
 		in.Branches = append(in.Branches, BranchEvent{ID: int32(raw >> 1), Taken: raw&1 == 1})
 	}
-	ns := int(d.uvarint())
-	if err := d.checkCount(ns, 3); err != nil {
-		return err
-	}
+	ns := d.Count(3)
 	for k := 0; k < ns; k++ {
-		d.uvarint() // TID
-		d.varint()  // Sysno
-		in.Returns = append(in.Returns, d.varint())
+		d.Uvarint() // TID
+		d.Varint()  // Sysno
+		in.Returns = append(in.Returns, d.Varint())
 	}
-	if d.err == nil && d.pos != len(key) {
-		d.err = fmt.Errorf("%w: %d trailing reconstruction-key bytes", ErrCodec, len(key)-d.pos)
-	}
-	return d.err
+	return d.Finish()
 }

@@ -3,12 +3,13 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"io"
 	"net"
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/prog"
 	"repro/internal/race"
 	"repro/internal/trace"
 )
@@ -55,10 +56,7 @@ func ackServer(t *testing.T, count int) string {
 		_ = ln.Close()
 		<-done
 	})
-	hello, err := json.Marshal(HelloAckPayload{Version: ProtocolVersion})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hello := appendHelloAck(nil, ProtocolVersion, nil)
 	ack := encodeAckBin(count, false, "")
 	go func() {
 		defer close(done)
@@ -183,5 +181,96 @@ func TestAllocsSealSubmit(t *testing.T) {
 	c.recycleLocked(twice)
 	if len(c.free) != 1 {
 		t.Fatalf("free list holds %d entries for one buffer recycled twice; want 1", len(c.free))
+	}
+}
+
+// syncedClient returns a client of a hive that has minted a fix for p, and
+// the fix version the client is then at: it has synced once, and said hello.
+func syncedClient(t *testing.T, p *prog.Program, addr string) (*Client, int) {
+	t.Helper()
+	c := Dial(addr)
+	t.Cleanup(func() { _ = c.Close() })
+	if _, err := submitBatches(c, p.ID, [][]*trace.Trace{makeTraces(t, p, 16)}); err != nil {
+		t.Fatal(err)
+	}
+	fixes, version, err := c.FixesSince(p.ID, 0)
+	if err != nil || len(fixes) == 0 {
+		t.Fatalf("first sync: %d fixes, err %v; want the crash's guard", len(fixes), err)
+	}
+	return c, version
+}
+
+// TestAllocsFixesSince pins what a warm sync that finds no new fix costs the
+// client and the server together: the request and the reply go through
+// buffers each side keeps, frame headers are read and written in place, and
+// an empty reply decodes to nothing. What is left is the program ID the
+// server reads out of the request.
+func TestAllocsFixesSince(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc counts are skewed under the race detector")
+	}
+	p := buildCrashy(t)
+	_, _, addr := coalesceFixture(t, p)
+	c, version := syncedClient(t, p, addr)
+	sync := func() {
+		fixes, v, err := c.FixesSince(p.ID, version)
+		if err != nil || len(fixes) != 0 || v != version {
+			t.Fatalf("warm sync: %d fixes at version %d, err %v; want none at %d", len(fixes), v, err, version)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		sync()
+	}
+	const budget = 1
+	if avg := testing.AllocsPerRun(500, sync); avg > budget {
+		t.Fatalf("a warm sync that finds no new fix allocates %.1f times, client and server together; want at most %d", avg, budget)
+	}
+}
+
+// TestAllocsRedialReusesServerWriter: a connection's reply writer goes back to the
+// server when the connection closes, and the next connection takes it, so a
+// client that redials N times costs the server one 32 KiB writer, not N.
+func TestAllocsRedialReusesServerWriter(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc counts are skewed under the race detector")
+	}
+	p := buildCrashy(t)
+	_, srv, addr := coalesceFixture(t, p)
+	redial := func() {
+		c := Dial(addr)
+		if _, _, err := c.FixesSince(p.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Close()
+		// The writer goes back once the server is done with the
+		// connection.
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			srv.mu.Lock()
+			live := len(srv.conns)
+			srv.mu.Unlock()
+			if live == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the server still holds a closed connection")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	redial()
+	const n = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		redial()
+	}
+	runtime.ReadMemStats(&after)
+	if made := srv.writersMade.Load(); made != 1 {
+		t.Fatalf("%d redials made %d reply writers; want the first connection's one", n+1, made)
+	}
+	// A fresh writer alone is 32 KiB; what a redial still allocates, on both
+	// sides, is its connection and goroutine state.
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > replyWriterSize/2 {
+		t.Fatalf("a redial allocates %d B, client and server together; want under %d", per, replyWriterSize/2)
 	}
 }

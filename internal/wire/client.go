@@ -3,9 +3,9 @@ package wire
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -80,6 +80,14 @@ type Client struct {
 	// vector backing arrays (guarded by mu).
 	hdrScratch []byte
 	bufScratch net.Buffers
+	// req, frame and reply are the buffers of the request/response
+	// exchanges — hello, fixes, guidance — (guarded by mu): the request
+	// payload, the frame it is written in, and the reply payload read back.
+	// A reply is decoded into values that share none of its bytes before
+	// the lock is let go, and reply keeps at most maxKeptReply bytes.
+	req, frame, reply []byte
+	// ackHdr is readGroupAck's frame header (guarded by mu).
+	ackHdr [5]byte
 
 	// ForceCompress compresses on any link, ignoring the RTT floor (benches
 	// and tests; real WAN links trip the floor on their own). Set before
@@ -115,6 +123,9 @@ const coalesceByteBudget = 1 << 20
 // mega-frame of one — the outer type byte, the inner header, the payload —
 // must itself be a legal frame.
 const maxSealedPayload = MaxFrameSize - 6
+
+// maxKeptReply bounds the reply buffer a client keeps between exchanges.
+const maxKeptReply = 64 << 10
 
 // compressRTTFloor is the hello-RTT above which compression engages: past a
 // few milliseconds the link is a network, not a loopback, and trading CPU
@@ -161,37 +172,64 @@ func (c *Client) Close() error {
 	return err
 }
 
-// callLocked performs one request/response exchange. On transport errors it
-// drops the connection and retries once with a fresh one; the final error
+// callLocked performs one request/response exchange: payload (normally
+// c.req) goes out as one write, and the reply is read into c.reply, which
+// the returned payload aliases until the next exchange. On transport errors
+// it drops the connection and retries once with a fresh one; the final error
 // wraps the last underlying transport/decode failure instead of a generic
 // unreachability string.
 func (c *Client) callLocked(reqType MsgType, payload []byte) (MsgType, []byte, error) {
+	if err := checkFrameSize(uint64(len(payload)) + 1); err != nil {
+		// Oversized payload fails on any connection; don't burn the
+		// retry or mask the cause as unreachability.
+		return 0, nil, err
+	}
+	c.frame = append(appendInnerHeader(c.frame[:0], reqType, len(payload)), payload...)
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := c.dialLocked(); err != nil {
 			return 0, nil, err
 		}
-		if err := WriteFrame(c.conn, reqType, payload); err != nil {
-			if errors.Is(err, ErrFrame) {
-				// Oversized payload fails on any connection; don't burn the
-				// retry or mask the cause as unreachability.
-				return 0, nil, err
-			}
+		if _, err := c.conn.Write(c.frame); err != nil {
 			lastErr = fmt.Errorf("write: %w", err)
 			_ = c.conn.Close()
 			c.conn = nil
 			continue
 		}
-		respType, resp, err := ReadFrame(c.conn)
+		respType, resp, err := readFrameInto(c.conn, c.reply[:0])
 		if err != nil {
 			lastErr = fmt.Errorf("read: %w", err)
 			_ = c.conn.Close()
 			c.conn = nil
 			continue
 		}
+		if cap(resp) <= maxKeptReply {
+			c.reply = resp
+		}
 		return respType, resp, nil
 	}
 	return 0, nil, c.retryErrLocked(lastErr)
+}
+
+// readFrameInto reads one frame, header and payload, into buf's capacity,
+// growing it as the frame needs, and returns the payload.
+func readFrameInto(r io.Reader, buf []byte) (MsgType, []byte, error) {
+	buf = append(buf[:0], 0, 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, nil, err
+	}
+	t, size, err := parseFrameHeader(buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, nil, err
+	}
+	return t, buf, nil
 }
 
 // dialLocked establishes the connection if there is none.
@@ -256,15 +294,12 @@ func (c *Client) ensureGreetedLocked() error {
 	if c.greeted {
 		return nil
 	}
-	payload, err := json.Marshal(HelloPayload{Version: ProtocolVersion})
-	if err != nil {
-		return err
-	}
+	c.req = AppendHello(c.req[:0])
 	if err := c.dialLocked(); err != nil {
 		return err
 	}
 	start := time.Now()
-	respType, resp, err := c.callLocked(MsgHello, payload)
+	respType, resp, err := c.callLocked(MsgHello, c.req)
 	if err != nil {
 		return err
 	}
@@ -274,15 +309,15 @@ func (c *Client) ensureGreetedLocked() error {
 		// A server of another version says so in a MsgError naming both.
 		return fmt.Errorf("wire: %s refused the hello of protocol version %d: %w", c.addr, ProtocolVersion, serverError(respType, resp))
 	}
-	var ack HelloAckPayload
-	if err := json.Unmarshal(resp, &ack); err != nil {
+	version, placement, err := decodeHelloAck(resp)
+	if err != nil {
 		return fmt.Errorf("wire: %s: bad hello ack: %w", c.addr, err)
 	}
-	if ack.Version != ProtocolVersion {
-		return fmt.Errorf("wire: %s speaks protocol version %d, this client speaks version %d", c.addr, ack.Version, ProtocolVersion)
+	if version != ProtocolVersion {
+		return fmt.Errorf("wire: %s speaks protocol version %d, this client speaks version %d", c.addr, version, ProtocolVersion)
 	}
 	c.greeted = true
-	c.placement = placementFromPayload(ack.Placement)
+	c.placement = placementFromPayload(placement)
 	c.compressing = c.ForceCompress || c.helloRTT >= compressRTTFloor
 	return nil
 }
@@ -652,7 +687,7 @@ func (c *Client) streamCoalescedLocked(msgs []MsgType, payloads [][]byte, counts
 // non-transport error is the first inner rejection (or a protocol
 // violation); the caller decides whether to keep draining.
 func (c *Client) readGroupAck(counts []int, accepted []bool, start, end int) (error, bool) {
-	respType, bp, err := readFramePooled(c.conn)
+	respType, bp, err := readFramePooled(c.conn, c.ackHdr[:])
 	if err != nil {
 		return err, true
 	}
@@ -707,9 +742,10 @@ func checkAck(respType MsgType, resp []byte, want int) error {
 // serverError is the error a reply stands for when no typed refusal applies:
 // what a MsgError says, or the unexpected type.
 func serverError(respType MsgType, resp []byte) error {
-	var ep ErrorPayload
-	if respType == MsgError && json.Unmarshal(resp, &ep) == nil && ep.Error != "" {
-		return errors.New("wire: server: " + ep.Error)
+	if respType == MsgError {
+		if msg, err := decodeError(resp); err == nil && msg != "" {
+			return errors.New("wire: server: " + msg)
+		}
 	}
 	return fmt.Errorf("wire: unexpected response type %d", respType)
 }
@@ -720,32 +756,27 @@ func serverError(respType MsgType, resp []byte) error {
 func refusal(respType MsgType, resp []byte) error {
 	switch respType {
 	case MsgRedirect:
-		var rp RedirectPayload
-		if err := json.Unmarshal(resp, &rp); err != nil {
+		re, err := decodeRedirect(resp)
+		if err != nil {
 			return fmt.Errorf("wire: bad redirect: %w", err)
-		}
-		re := &RedirectError{ProgramID: rp.ProgramID, Owner: rp.Owner, Placement: rp.Placement}
-		if rp.Placement != nil {
-			re.Version = rp.Placement.Version
 		}
 		return re
 	case MsgBusy:
-		var bp BusyPayload
-		if err := json.Unmarshal(resp, &bp); err != nil {
+		retryAfterMs, reason, err := decodeBusy(resp)
+		if err != nil {
 			return fmt.Errorf("wire: bad busy reply: %w", err)
 		}
-		return &BusyError{RetryAfter: time.Duration(bp.RetryAfterMs) * time.Millisecond, Reason: bp.Reason}
+		return &BusyError{RetryAfter: time.Duration(retryAfterMs) * time.Millisecond, Reason: reason}
 	default:
 		return serverError(respType, resp)
 	}
 }
 
-// read performs one read exchange and returns the payload of the answer of
-// type want; a redirect or busy reply comes back as its typed error.
-func (c *Client) read(reqType MsgType, payload []byte, want MsgType) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	respType, resp, err := c.callLocked(reqType, payload)
+// readLocked sends the request in c.req and returns the payload of the
+// answer of type want, which aliases c.reply: the caller decodes it before
+// letting go of mu. A redirect or busy reply comes back as its typed error.
+func (c *Client) readLocked(reqType, want MsgType) ([]byte, error) {
+	respType, resp, err := c.callLocked(reqType, c.req)
 	if err != nil {
 		return nil, err
 	}
@@ -760,56 +791,32 @@ func (c *Client) read(reqType MsgType, payload []byte, want MsgType) ([]byte, er
 // FixesSince implements pod.HiveClient. On a sharded fleet a hive that does
 // not own programID answers with a *RedirectError naming the owner.
 func (c *Client) FixesSince(programID string, version int) ([]fix.Fix, int, error) {
-	payload, err := json.Marshal(GetFixesPayload{ProgramID: programID, Version: version})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.req = appendRead(c.req[:0], programID, version)
+	resp, err := c.readLocked(MsgGetFixes, MsgFixes)
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := c.read(MsgGetFixes, payload, MsgFixes)
+	fixes, version, err := decodeFixes(resp)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("wire: bad fixes reply: %w", err)
 	}
-	var out FixesPayload
-	if err := json.Unmarshal(resp, &out); err != nil {
-		return nil, 0, fmt.Errorf("wire: bad fixes payload: %w", err)
-	}
-	if out.Error != "" {
-		return nil, 0, errors.New("wire: server: " + out.Error)
-	}
-	fixes := make([]fix.Fix, 0, len(out.Fixes))
-	for _, raw := range out.Fixes {
-		f, err := fix.Decode(raw)
-		if err != nil {
-			return nil, 0, err
-		}
-		fixes = append(fixes, *f)
-	}
-	return fixes, out.Version, nil
+	return fixes, version, nil
 }
 
 // Guidance implements pod.HiveClient; a non-owner redirects as for FixesSince.
 func (c *Client) Guidance(programID string, max int) ([]guidance.TestCase, error) {
-	payload, err := json.Marshal(GetGuidancePayload{ProgramID: programID, Max: max})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.req = appendRead(c.req[:0], programID, max)
+	resp, err := c.readLocked(MsgGetGuidance, MsgGuidance)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.read(MsgGetGuidance, payload, MsgGuidance)
+	cases, err := decodeGuidance(resp)
 	if err != nil {
-		return nil, err
-	}
-	var out GuidancePayload
-	if err := json.Unmarshal(resp, &out); err != nil {
-		return nil, fmt.Errorf("wire: bad guidance payload: %w", err)
-	}
-	if out.Error != "" {
-		return nil, errors.New("wire: server: " + out.Error)
-	}
-	cases := make([]guidance.TestCase, 0, len(out.Cases))
-	for _, raw := range out.Cases {
-		var tc guidance.TestCase
-		if err := json.Unmarshal(raw, &tc); err != nil {
-			return nil, fmt.Errorf("wire: bad test case: %w", err)
-		}
-		cases = append(cases, tc)
+		return nil, fmt.Errorf("wire: bad guidance reply: %w", err)
 	}
 	return cases, nil
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"reflect"
@@ -77,7 +76,7 @@ func TestColumnarNegotiation(t *testing.T) {
 					if _, _, err := ReadFrame(conn); err != nil {
 						return
 					}
-					ack, _ := json.Marshal(HelloAckPayload{Version: other})
+					ack := appendHelloAck(nil, other, nil)
 					if WriteFrame(conn, MsgHelloAck, ack) != nil {
 						return
 					}

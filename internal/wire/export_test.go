@@ -1,5 +1,12 @@
 package wire
 
+import "io"
+
+// ReadFrame reads one frame into a fresh buffer.
+func ReadFrame(r io.Reader) (MsgType, []byte, error) {
+	return readFrameInto(r, nil)
+}
+
 // HelloCount reports how many hello exchanges this client has run. Tests
 // use it to prove a shedding (busy) owner does not trigger a
 // hello storm the way a dead one does.

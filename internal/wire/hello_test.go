@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -63,8 +62,7 @@ func TestFrameLimitIsNotNegotiable(t *testing.T) {
 	expectHangUp(t, cold, "before any hello")
 
 	greeted := dial()
-	hello, _ := json.Marshal(HelloPayload{Version: ProtocolVersion})
-	if err := WriteFrame(greeted, MsgHello, hello); err != nil {
+	if err := WriteFrame(greeted, MsgHello, AppendHello(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if respType, _, err := ReadFrame(greeted); err != nil || respType != MsgHelloAck {

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -69,6 +68,12 @@ type Server struct {
 	// adm is the runtime admission state, built from Admission at Listen.
 	adm *admissionState
 
+	// writers holds the reply writers of closed connections, for the next
+	// connection to Reset onto (guarded by mu; at most maxIdleWriters).
+	// writersMade counts the writers ever allocated.
+	writers     []*bufio.Writer
+	writersMade atomic.Int64
+
 	// readOnlyBusy counts submissions refused because the backend flipped a
 	// program read-only after persistent journal write failures (disk full,
 	// dying device). It lives on the Server — not admissionState — because
@@ -92,6 +97,51 @@ type connState struct {
 	qMu    sync.Mutex
 	qCond  *sync.Cond
 	qBytes int64
+
+	// hdr is the reader's frame header.
+	hdr [5]byte
+
+	// out is the worker's scratch for the payload of a reply other than an
+	// ack: the reply is copied into the connection's writer, or into a
+	// mega-frame's reply buffer, before the next one is built.
+	out []byte
+}
+
+// replyWriterSize is the buffer of a connection's reply writer.
+const replyWriterSize = 32 << 10
+
+// maxIdleWriters bounds the reply writers a server keeps for connections to
+// come: 64 × 32 KiB.
+const maxIdleWriters = 64
+
+// takeWriter returns a reply writer for conn: one a closed connection left,
+// Reset onto conn, or a new one. A fleet that redials — a restarted pod, a
+// reconnect after a dropped link — then costs the server no new 32 KiB
+// buffer per connection.
+func (s *Server) takeWriter(conn net.Conn) *bufio.Writer {
+	s.mu.Lock()
+	var bw *bufio.Writer
+	if n := len(s.writers); n > 0 {
+		bw, s.writers = s.writers[n-1], s.writers[:n-1]
+	}
+	s.mu.Unlock()
+	if bw == nil {
+		s.writersMade.Add(1)
+		return bufio.NewWriterSize(conn, replyWriterSize)
+	}
+	bw.Reset(conn)
+	return bw
+}
+
+// putWriter keeps the writer of a connection that is done with it. Whatever
+// it still buffered is dropped, and it holds no reference to the connection.
+func (s *Server) putWriter(bw *bufio.Writer) {
+	bw.Reset(nil)
+	s.mu.Lock()
+	if len(s.writers) < maxIdleWriters {
+		s.writers = append(s.writers, bw)
+	}
+	s.mu.Unlock()
 }
 
 // framePool recycles read-side frame payload buffers: a frame is read into
@@ -102,11 +152,13 @@ type connState struct {
 // re-boxes the slice header.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// readFramePooled reads one frame like ReadFrame but into a pooled buffer.
-// The returned box owns the payload; put it back into framePool when the
-// frame is fully handled.
-func readFramePooled(r io.Reader) (MsgType, *[]byte, error) {
-	t, size, err := readFrameHeader(r)
+// readFramePooled reads one frame, its header into hdr (the reader's own 5
+// bytes) and its payload into a pooled buffer, taken only once the header
+// has arrived: a connection idle between frames holds none. The returned box
+// owns the payload; put it back into framePool when the frame is fully
+// handled.
+func readFramePooled(r io.Reader, hdr []byte) (MsgType, *[]byte, error) {
+	t, size, err := readFrameHeader(r, hdr)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -273,8 +325,22 @@ func placementFromPayload(p *PlacementPayload) *ring.Map {
 // client owns going there (a submission is resent verbatim). A server never
 // dials another hive, so two members that disagree on placement cost a
 // client one bounded round trip each, never a relay between them.
-func (s *Server) redirect(w io.Writer, programID, owner string, pl *ring.Map) error {
-	return s.reply(w, MsgRedirect, RedirectPayload{ProgramID: programID, Owner: owner, Placement: placementPayload(pl)})
+func (cs *connState) redirect(w io.Writer, programID, owner string, pl *ring.Map) error {
+	cs.out = appendRedirect(cs.out[:0], programID, owner, placementPayload(pl))
+	return WriteFrame(w, MsgRedirect, cs.out)
+}
+
+// replyError answers a request with MsgError.
+func (cs *connState) replyError(w io.Writer, msg string) error {
+	cs.out = appendError(cs.out[:0], msg)
+	return WriteFrame(w, MsgError, cs.out)
+}
+
+// replyBusy answers a submission with MsgBusy: not applied, resubmit after
+// the hint.
+func (cs *connState) replyBusy(w io.Writer, retryAfter time.Duration, reason string) error {
+	cs.out = appendBusy(cs.out[:0], int64(retryAfter/time.Millisecond), reason)
+	return WriteFrame(w, MsgBusy, cs.out)
 }
 
 // Close stops the listener and all connections, and waits for handlers.
@@ -356,7 +422,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	go func() {
 		defer close(workerDone)
-		bw := bufio.NewWriterSize(conn, 32<<10)
+		bw := s.takeWriter(conn)
+		defer s.putWriter(bw)
 		bail := func(what string, err error) {
 			s.Logf("wire: %s for %s: %v", what, conn.RemoteAddr(), err)
 			_ = conn.Close()
@@ -401,7 +468,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			cs.qMu.Unlock()
 		}
-		msgType, payload, err := s.readConnFrame(conn)
+		msgType, payload, err := s.readConnFrame(cs, conn)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.Logf("wire: read from %s: %v", conn.RemoteAddr(), err)
@@ -433,15 +500,15 @@ func (s *Server) serveConn(conn net.Conn) {
 // pod between drains is legal), but once the first header byte arrives the
 // rest of the frame must land within the timeout. A peer dribbling a started
 // frame — the slow loris — is evicted, freeing its worker and queue slot.
-func (s *Server) readConnFrame(conn net.Conn) (MsgType, *[]byte, error) {
+func (s *Server) readConnFrame(cs *connState, conn net.Conn) (MsgType, *[]byte, error) {
 	var timeout time.Duration
 	if s.adm != nil {
 		timeout = s.adm.cfg.FrameTimeout
 	}
 	if timeout <= 0 {
-		return readFramePooled(conn)
+		return readFramePooled(conn, cs.hdr[:])
 	}
-	var hdr [5]byte
+	hdr := cs.hdr[:]
 	if _, err := io.ReadFull(conn, hdr[:1]); err != nil {
 		return 0, nil, err
 	}
@@ -450,7 +517,7 @@ func (s *Server) readConnFrame(conn net.Conn) (MsgType, *[]byte, error) {
 	if _, err := io.ReadFull(conn, hdr[1:]); err != nil {
 		return 0, nil, s.slowLorisErr(err)
 	}
-	t, size, err := parseFrameHeader(hdr[:])
+	t, size, err := parseFrameHeader(hdr)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -484,7 +551,7 @@ func (s *Server) admitBatch(cs *connState, w io.Writer, session string, n int) (
 		return false, nil
 	}
 	key := session
-	if key == "" && cs != nil {
+	if key == "" {
 		key = cs.key
 	}
 	wait, ok := a.debit(key, n, time.Now())
@@ -492,10 +559,7 @@ func (s *Server) admitBatch(cs *connState, w io.Writer, session string, n int) (
 		return false, nil
 	}
 	a.busyReplies.Add(1)
-	return true, s.reply(w, MsgBusy, BusyPayload{
-		RetryAfterMs: int64(wait / time.Millisecond),
-		Reason:       "session rate limit",
-	})
+	return true, cs.replyBusy(w, wait, "session rate limit")
 }
 
 // busyFor maps the two backend refusals that mean "not now" to MsgBusy:
@@ -506,7 +570,7 @@ func (s *Server) admitBatch(cs *connState, w io.Writer, session string, n int) (
 // The two are counted apart (BusyReplies, ReadOnlyBusy): operators must be
 // able to tell "overloaded" from "disk is failing". handled=false means err
 // is neither and belongs in an ordinary ack.
-func (s *Server) busyFor(w io.Writer, err error) (handled bool, werr error) {
+func (s *Server) busyFor(cs *connState, w io.Writer, err error) (handled bool, werr error) {
 	switch {
 	case errors.Is(err, pod.ErrReadOnly):
 		s.readOnlyBusy.Add(1)
@@ -517,45 +581,43 @@ func (s *Server) busyFor(w io.Writer, err error) (handled bool, werr error) {
 	default:
 		return false, nil
 	}
-	return true, s.reply(w, MsgBusy, BusyPayload{
-		RetryAfterMs: int64(defaultRetryAfter / time.Millisecond),
-		Reason:       err.Error(),
-	})
+	return true, cs.replyBusy(w, defaultRetryAfter, err.Error())
 }
 
 func (s *Server) dispatch(cs *connState, w io.Writer, msgType MsgType, payload []byte) error {
 	switch msgType {
 	case MsgHello:
-		return s.handleHello(w, payload)
+		return s.handleHello(cs, w, payload)
 	case MsgSubmitBatchColumnar:
 		return s.handleSubmitColumnar(cs, w, payload)
 	case MsgSubmitBatchCompressed:
 		return s.handleSubmitCompressed(cs, w, payload)
 	case MsgGetFixes:
-		return s.handleGetFixes(w, payload)
+		return s.handleGetFixes(cs, w, payload)
 	case MsgGetGuidance:
-		return s.handleGetGuidance(w, payload)
+		return s.handleGetGuidance(cs, w, payload)
 	}
-	return s.reply(w, MsgError, ErrorPayload{Error: fmt.Sprintf("unknown message type %d", msgType)})
+	return cs.replyError(w, fmt.Sprintf("unknown message type %d", msgType))
 }
 
 // handleHello accepts a hello that names this server's protocol version,
 // attaching the placement map when the server is a ring member (an unsharded
 // hive stays silent and clients route everything to it). Any other version —
-// an endpoint from before versions sends none, which reads as 0 — is refused
-// with an error naming both, and the connection stays open for a peer that
-// has something else to say.
-func (s *Server) handleHello(w io.Writer, payload []byte) error {
-	var req HelloPayload
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return s.reply(w, MsgError, ErrorPayload{Error: err.Error()})
+// the JSON hello of version 1 and earlier, and one from before versions,
+// which names none and reads as 0 — is refused with an error naming both,
+// and the connection stays open for a peer that has something else to say.
+func (s *Server) handleHello(cs *connState, w io.Writer, payload []byte) error {
+	version, err := decodeHello(payload)
+	if err != nil {
+		return cs.replyError(w, err.Error())
 	}
-	if req.Version != ProtocolVersion {
-		return s.reply(w, MsgError, ErrorPayload{Error: fmt.Sprintf(
-			"hello speaks protocol version %d, this server speaks version %d", req.Version, ProtocolVersion)})
+	if version != ProtocolVersion {
+		return cs.replyError(w, fmt.Sprintf(
+			"hello speaks protocol version %d, this server speaks version %d", version, ProtocolVersion))
 	}
 	pl, _ := s.placementSnapshot()
-	return s.reply(w, MsgHelloAck, HelloAckPayload{Version: ProtocolVersion, Placement: placementPayload(pl)})
+	cs.out = appendHelloAck(cs.out[:0], ProtocolVersion, placementPayload(pl))
+	return WriteFrame(w, MsgHelloAck, cs.out)
 }
 
 // maxInnerFrames bounds the inner frames one mega-frame may carry: each
@@ -596,7 +658,7 @@ func (s *Server) handleCoalesced(cs *connState, conn net.Conn, bw *bufio.Writer,
 		*bp = acks.buf
 		framePool.Put(bp)
 		if errors.Is(err, ErrFrame) {
-			return s.reply(bw, MsgError, ErrorPayload{Error: err.Error()})
+			return cs.replyError(bw, err.Error())
 		}
 		return err
 	}
@@ -662,14 +724,14 @@ func (s *Server) ingestColumnar(cs *connState, w io.Writer, session string, seq 
 	}
 	defer view.Release()
 	if owner, local, pl := s.routeFor(view.ProgramID()); !local {
-		return s.redirect(w, view.ProgramID(), owner, pl)
+		return cs.redirect(w, view.ProgramID(), owner, pl)
 	}
 	if handled, herr := s.admitBatch(cs, w, session, view.Len()); handled {
 		return herr
 	}
 	dup, err := s.sub.SubmitColumnarSession(session, seq, view)
 	if err != nil {
-		if handled, herr := s.busyFor(w, err); handled {
+		if handled, herr := s.busyFor(cs, w, err); handled {
 			return herr
 		}
 	}
@@ -678,56 +740,38 @@ func (s *Server) ingestColumnar(cs *connState, w io.Writer, session string, seq 
 	return ackBin(w, view.Len(), dup, err)
 }
 
-func (s *Server) handleGetFixes(w io.Writer, payload []byte) error {
-	var req GetFixesPayload
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return s.reply(w, MsgFixes, FixesPayload{Error: err.Error()})
-	}
-	if owner, local, pl := s.routeFor(req.ProgramID); !local {
-		return s.redirect(w, req.ProgramID, owner, pl)
-	}
-	fixes, version, err := s.backend.FixesSince(req.ProgramID, req.Version)
+// handleGetFixes answers the fixes of a program past the version the pod
+// has, back to back; a backend failure is answered MsgError.
+func (s *Server) handleGetFixes(cs *connState, w io.Writer, payload []byte) error {
+	programID, version, err := decodeRead(payload, "get fixes")
 	if err != nil {
-		return s.reply(w, MsgFixes, FixesPayload{Error: err.Error()})
+		return cs.replyError(w, err.Error())
 	}
-	out := FixesPayload{Version: version}
-	for i := range fixes {
-		raw, err := json.Marshal(&fixes[i])
-		if err != nil {
-			return s.reply(w, MsgFixes, FixesPayload{Error: err.Error()})
-		}
-		out.Fixes = append(out.Fixes, raw)
+	if owner, local, pl := s.routeFor(programID); !local {
+		return cs.redirect(w, programID, owner, pl)
 	}
-	return s.reply(w, MsgFixes, out)
+	fixes, version, err := s.backend.FixesSince(programID, version)
+	if err != nil {
+		return cs.replyError(w, err.Error())
+	}
+	cs.out = appendFixes(cs.out[:0], version, fixes)
+	return WriteFrame(w, MsgFixes, cs.out)
 }
 
-func (s *Server) handleGetGuidance(w io.Writer, payload []byte) error {
-	var req GetGuidancePayload
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return s.reply(w, MsgGuidance, GuidancePayload{Error: err.Error()})
-	}
-	if owner, local, pl := s.routeFor(req.ProgramID); !local {
-		return s.redirect(w, req.ProgramID, owner, pl)
-	}
-	cases, err := s.backend.Guidance(req.ProgramID, req.Max)
+// handleGetGuidance answers up to the asked number of steering cases, back
+// to back; a backend failure is answered MsgError.
+func (s *Server) handleGetGuidance(cs *connState, w io.Writer, payload []byte) error {
+	programID, max, err := decodeRead(payload, "get guidance")
 	if err != nil {
-		return s.reply(w, MsgGuidance, GuidancePayload{Error: err.Error()})
+		return cs.replyError(w, err.Error())
 	}
-	out := GuidancePayload{}
-	for i := range cases {
-		raw, err := json.Marshal(&cases[i])
-		if err != nil {
-			return s.reply(w, MsgGuidance, GuidancePayload{Error: err.Error()})
-		}
-		out.Cases = append(out.Cases, raw)
+	if owner, local, pl := s.routeFor(programID); !local {
+		return cs.redirect(w, programID, owner, pl)
 	}
-	return s.reply(w, MsgGuidance, out)
-}
-
-func (s *Server) reply(w io.Writer, t MsgType, v any) error {
-	payload, err := json.Marshal(v)
+	cases, err := s.backend.Guidance(programID, max)
 	if err != nil {
-		return err
+		return cs.replyError(w, err.Error())
 	}
-	return WriteFrame(w, t, payload)
+	cs.out = appendGuidance(cs.out[:0], cases)
+	return WriteFrame(w, MsgGuidance, cs.out)
 }

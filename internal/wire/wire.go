@@ -1,6 +1,9 @@
 // Package wire implements the pod↔hive telemetry protocol over TCP:
-// length-prefixed frames carrying a type byte and a payload (columnar trace
-// batches for the hot path, JSON for control messages). The Client satisfies
+// length-prefixed frames carrying a type byte and a payload: columnar trace
+// batches for the hot path, and every control message — hello, fixes,
+// guidance, error, redirect, busy — in the uvarint framing of package codec
+// (see control.go), with fixes and guidance cases in their own packages'
+// encodings, back to back. No payload is JSON. The Client satisfies
 // pod.HiveClient, so a pod is pointed either at an in-process hive or at a
 // remote one without code changes; the Server wraps a pod.HiveClient
 // backend that ingests columnar batches (normally *hive.Hive).
@@ -17,8 +20,8 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -37,10 +40,11 @@ const (
 	MsgGuidance    MsgType = 6
 	MsgError       MsgType = 7
 	// MsgHello opens a connection: the client names the protocol version it
-	// speaks (JSON HelloPayload) and a server that speaks it answers
-	// MsgHelloAck with the same version and, on a sharded fleet, its
-	// placement map. Any other version — a hello from before versions,
-	// carrying feature strings, reads as version 0 — is answered MsgError.
+	// speaks (AppendHello) and a server that speaks it answers MsgHelloAck
+	// with the same version and, on a sharded fleet, its placement map. Any
+	// other version is answered MsgError naming both: the JSON hello of
+	// versions 1 and earlier among them (one from before versions, carrying
+	// feature strings, reads as version 0).
 	MsgHello MsgType = 10
 	// MsgHelloAck accepts a hello.
 	MsgHelloAck MsgType = 11
@@ -79,14 +83,14 @@ const (
 	MsgSubmitBatchCompressed MsgType = 15
 	// MsgRedirect answers a submission or a read for a program this hive
 	// does not own under the current placement map: the payload
-	// (RedirectPayload) names the owning node and carries the full
+	// names the owning node and carries the full
 	// placement, so the client re-dials the owner and asks again —
 	// resubmitting its parked sealed frames verbatim, where the (session,
 	// seq) dedup guarantees no acknowledged trace is ever double-applied
 	// across the move.
 	MsgRedirect MsgType = 16
 	// MsgBusy answers a submission the server declines to ingest right now
-	// under overload: the payload (BusyPayload) carries a retry-after hint
+	// under overload: the payload carries a retry-after hint
 	// and the shed/limit reason. The frame was NOT applied — the client
 	// must resubmit it verbatim after backing off, so exactly-once
 	// semantics are untouched: a busy frame is simply a frame that has not
@@ -98,8 +102,9 @@ const (
 
 // ProtocolVersion is the one protocol generation this package speaks. The
 // hello carries it in both directions, and neither side talks to a peer that
-// names another.
-const ProtocolVersion = 1
+// names another. Version 2 made every control payload binary; version 1's
+// were JSON.
+const ProtocolVersion = 2
 
 // MaxFrameSize bounds a frame — its type byte and payload — on every
 // connection; a larger size field is rejected as hostile before anything is
@@ -119,10 +124,23 @@ func checkFrameSize(size uint64) error {
 	return nil
 }
 
-// WriteFrame writes one frame.
+// WriteFrame writes one frame. Into a server's reply writer or a
+// mega-frame's reply buffer the header is appended in place, with nothing
+// allocated for it.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	if err := checkFrameSize(uint64(len(payload)) + 1); err != nil {
 		return err
+	}
+	switch w := w.(type) {
+	case *bufio.Writer:
+		if _, err := w.Write(appendInnerHeader(w.AvailableBuffer(), t, len(payload))); err != nil {
+			return err
+		}
+		_, err := w.Write(payload)
+		return err
+	case *ackBuffer:
+		w.buf = append(appendInnerHeader(w.buf, t, len(payload)), payload...)
+		return nil
 	}
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
@@ -144,60 +162,23 @@ func parseFrameHeader(hdr []byte) (MsgType, int, error) {
 	return MsgType(hdr[4]), int(size - 1), nil
 }
 
-// readFrameHeader reads and validates one frame header.
-func readFrameHeader(r io.Reader) (MsgType, int, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrameHeader reads and validates one frame header into hdr, which
+// holds at least 5 bytes.
+func readFrameHeader(r io.Reader, hdr []byte) (MsgType, int, error) {
+	if _, err := io.ReadFull(r, hdr[:5]); err != nil {
 		return 0, 0, err
 	}
-	return parseFrameHeader(hdr[:])
-}
-
-// ReadFrame reads one frame.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	t, size, err := readFrameHeader(r)
-	if err != nil {
-		return 0, nil, err
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return t, payload, nil
-}
-
-// --- control-message payloads (JSON) ---
-
-// HelloPayload names the protocol version the client speaks.
-type HelloPayload struct {
-	Version int `json:"version"`
-}
-
-// HelloAckPayload accepts a hello: the server's protocol version (the
-// client's own, or the hello was refused) and, when the server is a member of
-// a sharded fleet, its current placement map.
-type HelloAckPayload struct {
-	Version   int               `json:"version"`
-	Placement *PlacementPayload `json:"placement,omitempty"`
+	return parseFrameHeader(hdr)
 }
 
 // PlacementPayload is the wire form of a ring.Map: the versioned node set
 // plus the hash parameters, enough for any receiver to rebuild the exact
 // same circle (ownership is a pure function of these fields and the key).
 type PlacementPayload struct {
-	Version uint64   `json:"version"`
-	Nodes   []string `json:"nodes"`
-	VNodes  int      `json:"vnodes"`
-	Seed    uint64   `json:"seed"`
-}
-
-// RedirectPayload is the body of MsgRedirect: the program the frame was
-// for, the node that owns it under the server's placement, and that
-// placement in full so one redirect is enough to re-route every program.
-type RedirectPayload struct {
-	ProgramID string            `json:"programId"`
-	Owner     string            `json:"owner"`
-	Placement *PlacementPayload `json:"placement,omitempty"`
+	Version uint64
+	Nodes   []string
+	VNodes  int
+	Seed    uint64
 }
 
 // RedirectError is the typed client-side form of MsgRedirect: the
@@ -216,14 +197,6 @@ func (e *RedirectError) Error() string {
 	return fmt.Sprintf("wire: program %s is owned by %s (placement v%d)", e.ProgramID, e.Owner, e.Version)
 }
 
-// BusyPayload is the body of MsgBusy: how long the client should wait
-// before resubmitting the frame, and why it was declined (rate limit,
-// queue pressure, or a hive shed reason — diagnostics, not protocol).
-type BusyPayload struct {
-	RetryAfterMs int64  `json:"retryAfterMs"`
-	Reason       string `json:"reason,omitempty"`
-}
-
 // BusyError is the typed client-side form of MsgBusy: the submission was
 // not applied; the server asks the client to back off and resubmit. The
 // client's retry machinery honors RetryAfter as a floor under its
@@ -239,36 +212,6 @@ func (e *BusyError) Error() string {
 		return fmt.Sprintf("wire: server busy (retry after %v)", e.RetryAfter)
 	}
 	return fmt.Sprintf("wire: server busy (retry after %v): %s", e.RetryAfter, e.Reason)
-}
-
-// GetFixesPayload requests fixes.
-type GetFixesPayload struct {
-	ProgramID string `json:"programId"`
-	Version   int    `json:"version"`
-}
-
-// FixesPayload returns fixes as raw JSON (fix.Fix marshals itself).
-type FixesPayload struct {
-	Fixes   []json.RawMessage `json:"fixes"`
-	Version int               `json:"version"`
-	Error   string            `json:"error,omitempty"`
-}
-
-// GetGuidancePayload requests steering test cases.
-type GetGuidancePayload struct {
-	ProgramID string `json:"programId"`
-	Max       int    `json:"max"`
-}
-
-// GuidancePayload returns test cases.
-type GuidancePayload struct {
-	Cases []json.RawMessage `json:"cases"`
-	Error string            `json:"error,omitempty"`
-}
-
-// ErrorPayload reports a server-side failure for unknown requests.
-type ErrorPayload struct {
-	Error string `json:"error"`
 }
 
 // encodeAckBin packs a binary ack.
