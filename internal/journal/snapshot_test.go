@@ -51,7 +51,7 @@ func TestSnapshotEnvelope(t *testing.T) {
 	for _, want := range []*ProgramSnapshot{full, delta} {
 		data := encodeSnapshot(want)
 		if !bytes.HasPrefix(data, []byte(snapMagic)) {
-			t.Fatalf("segment starts %q; want version 4", data[:8])
+			t.Fatalf("segment starts %q; want %q", data[:8], snapMagic)
 		}
 		got, err := decodeSnapshot(data, "test")
 		if err != nil {

@@ -186,10 +186,10 @@ func AppendBatch(dst []byte, programID string, traces []*Trace) ([]byte, error) 
 
 	// Header.
 	dst = append(dst, batchVersion)
-	dst = appendString(dst, programID)
+	dst = codec.AppendField(dst, programID)
 	dst = binary.AppendUvarint(dst, uint64(len(e.pods)))
 	for _, p := range e.pods {
-		dst = appendString(dst, p)
+		dst = codec.AppendField(dst, p)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(traces)))
 
@@ -859,10 +859,4 @@ func appendSyscallEvents(buf []byte, syscalls []SyscallEvent) []byte {
 		buf = binary.AppendVarint(buf, s.Ret)
 	}
 	return buf
-}
-
-// appendString writes a length-prefixed string.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
 }

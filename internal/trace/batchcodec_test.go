@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/prog"
 )
 
@@ -528,15 +529,15 @@ func TestBatchViewBytesAreInput(t *testing.T) {
 func TestBatchDecodeRejectsLengthOverflow(t *testing.T) {
 	var buf []byte
 	buf = append(buf, batchVersion)
-	buf = appendString(buf, "p")       // programID
-	buf = binary.AppendUvarint(buf, 1) // pod count
-	buf = appendString(buf, "pod")     // pod dictionary
-	buf = binary.AppendUvarint(buf, 2) // n = 2 traces
-	buf = append(buf, 0, 0)            // pod index column
-	buf = append(buf, 1, 1)            // mode column
-	buf = append(buf, 1, 1)            // outcome column
-	buf = append(buf, 3, 3)            // privacy column
-	for i := 0; i < 3; i++ {           // sampleRate/Phase/K columns
+	buf = codec.AppendField(buf, "p")   // programID
+	buf = binary.AppendUvarint(buf, 1)  // pod count
+	buf = codec.AppendField(buf, "pod") // pod dictionary
+	buf = binary.AppendUvarint(buf, 2)  // n = 2 traces
+	buf = append(buf, 0, 0)             // pod index column
+	buf = append(buf, 1, 1)             // mode column
+	buf = append(buf, 1, 1)             // outcome column
+	buf = append(buf, 3, 3)             // privacy column
+	for i := 0; i < 3; i++ {            // sampleRate/Phase/K columns
 		buf = append(buf, 0, 0)
 	}
 	buf = append(buf, 0, 0)                       // seq column (abs, delta)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fix"
 	"repro/internal/prog"
 	"repro/internal/race"
 	"repro/internal/trace"
@@ -265,12 +267,87 @@ func TestAllocsRedialReusesServerWriter(t *testing.T) {
 		redial()
 	}
 	runtime.ReadMemStats(&after)
-	if made := srv.writersMade.Load(); made != 1 {
-		t.Fatalf("%d redials made %d reply writers; want the first connection's one", n+1, made)
+	srv.mu.Lock()
+	idle := len(srv.writers)
+	srv.mu.Unlock()
+	if idle != 1 {
+		t.Fatalf("after %d redials the server keeps %d idle reply writers; want the first connection's one", n+1, idle)
 	}
 	// A fresh writer alone is 32 KiB; what a redial still allocates, on both
 	// sides, is its connection and goroutine state.
 	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > replyWriterSize/2 {
 		t.Fatalf("a redial allocates %d B, client and server together; want under %d", per, replyWriterSize/2)
+	}
+}
+
+// historyBackend serves its whole fix history to a sync from version 0 and
+// nothing new to a later one.
+type historyBackend struct {
+	plainBackend
+	fixes []fix.Fix
+}
+
+func (b historyBackend) FixesSince(_ string, version int) ([]fix.Fix, int, error) {
+	if version == 0 {
+		return b.fixes, len(b.fixes), nil
+	}
+	return nil, version, nil
+}
+
+// TestAllocsServerDropsLargeReply: a connection that built one fixes reply
+// past maxKeptReply — a redialled pod's sync from version 0 — lets that
+// buffer go once the reply is sent, and the small replies after it go
+// through a buffer it keeps.
+func TestAllocsServerDropsLargeReply(t *testing.T) {
+	fixes := make([]fix.Fix, 4000)
+	for i := range fixes {
+		fixes[i] = fix.Fix{
+			ID: i + 1, ProgramID: "prog", Kind: fix.KindInputGuard, TargetSignature: "crash@3#-1",
+			Guard: &fix.InputGuard{
+				Danger:    []fix.GuardTerm{{Coeffs: []fix.Coeff{{Var: 0, K: 1}}, Const: -100, Cmp: 5}},
+				SafeInput: []int64{int64(i % 100)},
+			},
+		}
+	}
+	srv := NewServer(historyBackend{fixes: fixes})
+	cs := &connState{}
+	var out bytes.Buffer
+	if err := srv.handleGetFixes(cs, &out, appendRead(nil, "prog", 0)); err != nil {
+		t.Fatal(err)
+	}
+	respType, resp, err := ReadFrame(&out)
+	if err != nil || respType != MsgFixes {
+		t.Fatalf("full sync answered with type %d, err %v", respType, err)
+	}
+	if len(resp) <= maxKeptReply {
+		t.Fatalf("the full sync's reply is %d B; the test needs one past %d", len(resp), maxKeptReply)
+	}
+	if got, version, err := decodeFixes(resp); err != nil || len(got) != len(fixes) || version != len(fixes) {
+		t.Fatalf("full sync decoded %d fixes at version %d, err %v; want %d", len(got), version, err, len(fixes))
+	}
+	if c := cap(cs.out); c > maxKeptReply {
+		t.Fatalf("the connection keeps a %d B reply buffer after the full sync; want at most %d", c, maxKeptReply)
+	}
+
+	// Replies go through a reply writer, as on a connection.
+	warm, bw := appendRead(nil, "prog", len(fixes)), bufio.NewWriterSize(io.Discard, replyWriterSize)
+	sync := func() {
+		if err := srv.handleGetFixes(cs, bw, warm); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sync()
+	if c := cap(cs.out); c == 0 || c > maxKeptReply {
+		t.Fatalf("the connection's reply buffer holds %d B after a warm sync; want one kept, at most %d", c, maxKeptReply)
+	}
+	if race.Enabled {
+		return
+	}
+	// The one allocation is the program ID read out of the request.
+	if avg := testing.AllocsPerRun(100, sync); avg > 1 {
+		t.Fatalf("a warm sync after the full one allocates %.1f times on the server; want at most 1", avg)
 	}
 }

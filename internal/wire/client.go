@@ -124,7 +124,8 @@ const coalesceByteBudget = 1 << 20
 // must itself be a legal frame.
 const maxSealedPayload = MaxFrameSize - 6
 
-// maxKeptReply bounds the reply buffer a client keeps between exchanges.
+// maxKeptReply bounds the reply buffer a client, or a server connection,
+// keeps between exchanges.
 const maxKeptReply = 64 << 10
 
 // compressRTTFloor is the hello-RTT above which compression engages: past a

@@ -45,7 +45,12 @@ func AppendHello(buf []byte) []byte {
 // and one with none (the feature strings of before versions) reads as 0.
 func decodeHello(payload []byte) (int, error) {
 	if v, ok := legacyVersion(payload); ok {
-		return v, checkLegacy(v, "hello")
+		if v >= ProtocolVersion {
+			// No hello of this version was ever JSON: it is not what it
+			// says it is.
+			return 0, fmt.Errorf("%w: a JSON hello claiming protocol version %d", ErrFrame, v)
+		}
+		return v, nil
 	}
 	d := newDecoder(payload, "hello")
 	v := d.Uvarint()
@@ -55,10 +60,10 @@ func decodeHello(payload []byte) (int, error) {
 	return int(min(v, 1<<31)), nil
 }
 
-// legacyVersion reads the version a JSON hello or hello ack of protocol
-// versions 0 and 1 names; ok is false for a payload that is not one. Only the
-// number after the first "version" key is read: enough to name the version in
-// a refusal, nothing else of it is trusted.
+// legacyVersion reads the version a JSON hello of protocol versions 0 and 1
+// names; ok is false for a payload that is not one. Only the number after the
+// first "version" key is read: enough to name the version in a refusal,
+// nothing else of it is trusted.
 func legacyVersion(payload []byte) (v int, ok bool) {
 	if len(payload) == 0 || payload[0] != '{' {
 		return 0, false
@@ -75,15 +80,6 @@ func legacyVersion(payload []byte) (v int, ok bool) {
 	}
 	v, _ = strconv.Atoi(string(rest[:end]))
 	return v, true
-}
-
-// checkLegacy refuses a JSON hello or ack that claims a version that was
-// never JSON: it is not what it says it is.
-func checkLegacy(v int, what string) error {
-	if v >= ProtocolVersion {
-		return fmt.Errorf("%w: a JSON %s claiming protocol version %d", ErrFrame, what, v)
-	}
-	return nil
 }
 
 func appendPlacement(buf []byte, p *PlacementPayload) []byte {
@@ -121,13 +117,10 @@ func appendHelloAck(buf []byte, version int, p *PlacementPayload) []byte {
 	return appendPlacement(buf, p)
 }
 
-// decodeHelloAck returns the version and placement a hello ack names. The
-// JSON ack of a server of protocol version 1 or earlier yields its version
-// alone, for the refusal to name.
+// decodeHelloAck returns the version and placement a hello ack names. A
+// server of protocol version 1 or earlier cannot parse this client's hello and
+// never acks it: it answers MsgError.
 func decodeHelloAck(payload []byte) (int, *PlacementPayload, error) {
-	if v, ok := legacyVersion(payload); ok {
-		return v, nil, checkLegacy(v, "hello ack")
-	}
 	d := newDecoder(payload, "hello ack")
 	v := d.Uvarint()
 	p := readPlacement(&d)

@@ -70,9 +70,7 @@ type Server struct {
 
 	// writers holds the reply writers of closed connections, for the next
 	// connection to Reset onto (guarded by mu; at most maxIdleWriters).
-	// writersMade counts the writers ever allocated.
-	writers     []*bufio.Writer
-	writersMade atomic.Int64
+	writers []*bufio.Writer
 
 	// readOnlyBusy counts submissions refused because the backend flipped a
 	// program read-only after persistent journal write failures (disk full,
@@ -103,8 +101,20 @@ type connState struct {
 
 	// out is the worker's scratch for the payload of a reply other than an
 	// ack: the reply is copied into the connection's writer, or into a
-	// mega-frame's reply buffer, before the next one is built.
+	// mega-frame's reply buffer, before the next one is built. send keeps
+	// at most maxKeptReply bytes of it between replies.
 	out []byte
+}
+
+// send writes the reply built in cs.out as a frame of type t. A buffer that
+// one large reply — a fixes reply from version 0 — grew past maxKeptReply is
+// let go, so an open connection does not hold its largest reply for life.
+func (cs *connState) send(w io.Writer, t MsgType) error {
+	err := WriteFrame(w, t, cs.out)
+	if cap(cs.out) > maxKeptReply {
+		cs.out = nil
+	}
+	return err
 }
 
 // replyWriterSize is the buffer of a connection's reply writer.
@@ -126,7 +136,6 @@ func (s *Server) takeWriter(conn net.Conn) *bufio.Writer {
 	}
 	s.mu.Unlock()
 	if bw == nil {
-		s.writersMade.Add(1)
 		return bufio.NewWriterSize(conn, replyWriterSize)
 	}
 	bw.Reset(conn)
@@ -327,20 +336,20 @@ func placementFromPayload(p *PlacementPayload) *ring.Map {
 // client one bounded round trip each, never a relay between them.
 func (cs *connState) redirect(w io.Writer, programID, owner string, pl *ring.Map) error {
 	cs.out = appendRedirect(cs.out[:0], programID, owner, placementPayload(pl))
-	return WriteFrame(w, MsgRedirect, cs.out)
+	return cs.send(w, MsgRedirect)
 }
 
 // replyError answers a request with MsgError.
 func (cs *connState) replyError(w io.Writer, msg string) error {
 	cs.out = appendError(cs.out[:0], msg)
-	return WriteFrame(w, MsgError, cs.out)
+	return cs.send(w, MsgError)
 }
 
 // replyBusy answers a submission with MsgBusy: not applied, resubmit after
 // the hint.
 func (cs *connState) replyBusy(w io.Writer, retryAfter time.Duration, reason string) error {
 	cs.out = appendBusy(cs.out[:0], int64(retryAfter/time.Millisecond), reason)
-	return WriteFrame(w, MsgBusy, cs.out)
+	return cs.send(w, MsgBusy)
 }
 
 // Close stops the listener and all connections, and waits for handlers.
@@ -617,7 +626,7 @@ func (s *Server) handleHello(cs *connState, w io.Writer, payload []byte) error {
 	}
 	pl, _ := s.placementSnapshot()
 	cs.out = appendHelloAck(cs.out[:0], ProtocolVersion, placementPayload(pl))
-	return WriteFrame(w, MsgHelloAck, cs.out)
+	return cs.send(w, MsgHelloAck)
 }
 
 // maxInnerFrames bounds the inner frames one mega-frame may carry: each
@@ -755,7 +764,7 @@ func (s *Server) handleGetFixes(cs *connState, w io.Writer, payload []byte) erro
 		return cs.replyError(w, err.Error())
 	}
 	cs.out = appendFixes(cs.out[:0], version, fixes)
-	return WriteFrame(w, MsgFixes, cs.out)
+	return cs.send(w, MsgFixes)
 }
 
 // handleGetGuidance answers up to the asked number of steering cases, back
@@ -773,5 +782,5 @@ func (s *Server) handleGetGuidance(cs *connState, w io.Writer, payload []byte) e
 		return cs.replyError(w, err.Error())
 	}
 	cs.out = appendGuidance(cs.out[:0], cases)
-	return WriteFrame(w, MsgGuidance, cs.out)
+	return cs.send(w, MsgGuidance)
 }
