@@ -185,6 +185,24 @@ func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 	return t, nil
 }
 
+// DeltaEntries returns how many node entries a delta segment (EncodeDelta
+// bytes) holds — the dirty-set size it was written from — reading its
+// header only.
+func DeltaEntries(data []byte) (int, error) {
+	_, n, err := (&treeDecoder{buf: data}).deltaHeader()
+	return n, err
+}
+
+// deltaHeader reads a delta segment's version, program ID and entry count.
+func (d *treeDecoder) deltaHeader() (programID string, entries int, err error) {
+	if version := d.byte(); d.err == nil && version != deltaVersion {
+		return "", 0, fmt.Errorf("%w: delta version %d", ErrCodec, version)
+	}
+	programID = d.string()
+	entries = d.length()
+	return programID, entries, d.err
+}
+
 // applyDelta overlays one delta segment: every entry overwrites its node's
 // terminal counts, certificates, and outgoing-edge visit counts with the
 // absolute values recorded at encode time, creating missing nodes along the
@@ -193,16 +211,17 @@ func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 // s.
 func (t *Tree) applyDelta(data []byte, s *slab) error {
 	d := &treeDecoder{buf: data, slab: s}
-	if version := d.byte(); d.err == nil && version != deltaVersion {
-		return fmt.Errorf("%w: delta version %d", ErrCodec, version)
+	id, count, err := d.deltaHeader()
+	if err != nil {
+		return err
 	}
-	if id := d.string(); d.err == nil && id != t.programID {
+	if id != t.programID {
 		return fmt.Errorf("%w: delta for %q applied to %q", ErrCodec, id, t.programID)
 	}
 	// stack[i] is the node at depth i on the root path of the entry read
 	// last: an entry keeps a prefix of it and descends its suffix from there.
 	stack := []*Node{t.root}
-	for count := d.length(); count > 0 && d.err == nil; count-- {
+	for ; count > 0 && d.err == nil; count-- {
 		k := d.uvarint()
 		if k >= uint64(len(stack)) {
 			return fmt.Errorf("%w: delta entry keeps %d of a %d-deep path", ErrCodec, k, len(stack)-1)

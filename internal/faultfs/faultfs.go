@@ -93,11 +93,12 @@ type FS struct {
 
 	// mu guards rng and stats; crash latching is atomic-free under the
 	// same lock to keep fault ordering deterministic per seed.
-	mu      sync.Mutex
-	rng     *rand.Rand
-	stats   Stats
-	crashed bool
-	forced  bool
+	mu        sync.Mutex
+	rng       *rand.Rand
+	stats     Stats
+	crashed   bool
+	forced    bool
+	readFails bool
 }
 
 // Wrap builds a fault-injecting FS over inner (nil inner wraps the real
@@ -131,6 +132,17 @@ func (f *FS) Crashed() bool {
 func (f *FS) ForceENOSPC(on bool) {
 	f.mu.Lock()
 	f.forced = on
+	f.mu.Unlock()
+}
+
+// FailReads flips the deterministic read-fault switch: while set, every Read
+// of an open file fails with EIO. Like ForceENOSPC it is flipped at an exact
+// point of a test (after the store is open, say) rather than drawn from the
+// plan, and like every read it neither counts as an operation nor moves the
+// fault schedule.
+func (f *FS) FailReads(on bool) {
+	f.mu.Lock()
+	f.readFails = on
 	f.mu.Unlock()
 }
 
@@ -221,7 +233,8 @@ func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (journal.File, er
 }
 
 // ReadFile is fault-free: reads don't mutate durable state, and recovery
-// reading back what survived is precisely what the tests assert on.
+// reading back what survived is precisely what the tests assert on. Reads
+// of an open file fail only while FailReads is set.
 func (f *FS) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }
 
 // ReadDir is fault-free like ReadFile.
@@ -273,7 +286,15 @@ type file struct {
 	name  string
 }
 
-func (fl *file) Read(p []byte) (int, error) { return fl.inner.Read(p) }
+func (fl *file) Read(p []byte) (int, error) {
+	fl.fs.mu.Lock()
+	fail := fl.fs.readFails
+	fl.fs.mu.Unlock()
+	if fail {
+		return 0, &os.PathError{Op: "read", Path: fl.name, Err: syscall.EIO}
+	}
+	return fl.inner.Read(p)
+}
 
 func (fl *file) Write(p []byte) (int, error) {
 	d, kind := fl.fs.decideWrite()

@@ -116,8 +116,6 @@ func (h *Hive) recoverProgram(src chainSource, id string) error {
 		if err := h.restoreProgram(st, base, deltas); err != nil {
 			return err
 		}
-		st.hasBase = true
-		st.deltasSince = len(deltas)
 	}
 	// Track tree changes from this point: journal-suffix ops replayed
 	// below mark the dirty set, so the first post-recovery checkpoint
@@ -158,7 +156,8 @@ func (h *Hive) recoverProgram(src chainSource, id string) error {
 // restoreProgram rebuilds one program's state from a checkpoint chain: the
 // base snapshot's tree with every delta segment's tree patch overlaid in
 // order, and the non-tree state from the newest segment (each segment
-// carries it in full).
+// carries it in full). The checkpoint policy goes on from the chain: its
+// deltas and the node entries they hold count toward the next base.
 func (h *Hive) restoreProgram(st *programState, base *journal.ProgramSnapshot, deltas []*journal.ProgramSnapshot) error {
 	treeDeltas := make([][]byte, 0, len(deltas))
 	for _, d := range deltas {
@@ -167,6 +166,14 @@ func (h *Hive) restoreProgram(st *programState, base *journal.ProgramSnapshot, d
 	tree, err := exectree.DecodeChain(base.Tree, treeDeltas)
 	if err != nil {
 		return fmt.Errorf("hive: restore %s tree: %w", st.prog.ID, err)
+	}
+	entries := 0
+	for _, d := range treeDeltas {
+		n, err := exectree.DeltaEntries(d)
+		if err != nil {
+			return fmt.Errorf("hive: restore %s tree: %w", st.prog.ID, err)
+		}
+		entries += n
 	}
 	if tree.ProgramID() != st.prog.ID {
 		return fmt.Errorf("hive: snapshot tree for %q restored into %q", tree.ProgramID(), st.prog.ID)
@@ -187,6 +194,7 @@ func (h *Hive) restoreProgram(st *programState, base *journal.ProgramSnapshot, d
 	st.ingested.Store(snap.Ingested)
 	st.reconstructed.Store(snap.Reconstructed)
 	st.narrowed.Store(snap.Narrowed)
+	st.hasBase, st.deltasSince, st.deltaEntries = true, len(deltas), entries
 	h.mergeSessions(snap.Sessions, snap.SessionsAhead)
 	return nil
 }
@@ -303,11 +311,16 @@ func (h *Hive) Checkpoint() error {
 // incremental policy (the default) most checkpoints write a delta segment —
 // only the tree nodes touched since the previous checkpoint plus the small
 // non-tree state — bounding the pause under the gate to O(changes) instead
-// of O(tree); a program's first checkpoint, and every compactEvery-th one
-// after, writes a full snapshot that compacts the chain. OpProof evidence
-// merges mark the dirty set like any other merge, so a proof attempt's
-// evidence paths are folded into the very next segment eagerly instead of
-// being replayed from the journal forever.
+// of O(tree). A program's first checkpoint writes a full snapshot, and so
+// does any checkpoint whose delta would bring the node entries of the
+// chain's deltas since its base to half the tree's node count or more (and
+// to chainFloor or more): a restore then decodes at most about one and a
+// half trees' worth of nodes, however much of the tree each checkpoint's
+// traffic touches. The half is a constant, not a setting. A full snapshot
+// compacts the chain; so does the checkpoint after compactEvery deltas,
+// whatever they held. OpProof evidence merges mark the dirty set like any
+// other merge, so a proof attempt's evidence paths are folded into the very
+// next segment eagerly instead of being replayed from the journal forever.
 func (h *Hive) CheckpointProgram(programID string) error {
 	if h.journal == nil {
 		return errors.New("hive: checkpoint without an attached journal")
@@ -320,6 +333,13 @@ func (h *Hive) CheckpointProgram(programID string) error {
 	defer st.ckpt.Unlock()
 	return h.checkpointLocked(st, 0)
 }
+
+// chainFloor is how many node entries a program's deltas may re-state
+// whatever the size of its tree. The half rule bounds what a restore
+// decodes; in a tree of a few nodes, where one trace's root path is half of
+// it, there is nothing to bound, and the rule alone would write a base and
+// delete the chain at every checkpoint.
+const chainFloor = 8
 
 // checkpointLocked is the checkpoint itself, under the program's checkpoint
 // gate held exclusively: the periodic one, and the one that makes an import
@@ -344,7 +364,10 @@ func (h *Hive) checkpointLocked(st *programState, above uint64) error {
 	}
 
 	var delta []byte
-	if st.hasBase && h.compactEvery > 0 && st.deltasSince < h.compactEvery {
+	dirty := st.tree.DirtyNodes()
+	restated := st.deltaEntries + dirty // what the chain would re-state
+	if st.hasBase && h.compactEvery > 0 && st.deltasSince < h.compactEvery &&
+		(restated < chainFloor || 2*int64(restated) < st.tree.Stats().Nodes) {
 		delta = st.tree.EncodeDelta()
 	}
 	snap, err := h.snapshotProgramMeta(st)
@@ -361,14 +384,14 @@ func (h *Hive) checkpointLocked(st *programState, above uint64) error {
 		// so nothing acknowledged can fall between snapshots.
 		st.tree.ResetDelta()
 		st.deltasSince++
+		st.deltaEntries += dirty
 	} else {
 		snap.Tree = st.tree.Encode()
 		if err := h.journal.Checkpoint(snap, above); err != nil {
 			return err
 		}
 		st.tree.SetDeltaTracking(true) // fresh boundary over the new base
-		st.hasBase = true
-		st.deltasSince = 0
+		st.hasBase, st.deltasSince, st.deltaEntries = true, 0, 0
 	}
 	// The landed segment closed the journal's write breaker. Under the
 	// exclusive gate no append ran since it was read above.

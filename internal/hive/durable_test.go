@@ -78,7 +78,10 @@ func feedFleet(t testing.TB, h *Hive, corpus []*prog.Program, runs int, seed uin
 			if r%3 == 0 {
 				privacy = trace.PrivacyRaw
 			}
-			input := []int64{rng.Int63n(256)}
+			input := make([]int64, p.NumInputs)
+			for k := range input {
+				input[k] = rng.Int63n(256)
+			}
 			seq++
 			tr := captureSeqTrace(t, p, fmt.Sprintf("pod-%d-%d", pi, r%4), seq, input, privacy)
 			if err := h.SubmitTraces([]*trace.Trace{tr}); err != nil {

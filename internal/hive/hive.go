@@ -93,11 +93,16 @@ type programState struct {
 	// snapshot restore replacing tree.
 	recon *exectree.Reconstructor
 
-	// hasBase and deltasSince drive the incremental-checkpoint policy
-	// (full base snapshot first, then delta segments, recompacted every
-	// compactEvery deltas). Both are guarded by the ckpt write gate.
-	hasBase     bool
-	deltasSince int
+	// hasBase, deltasSince and deltaEntries drive the incremental-checkpoint
+	// policy: a full base snapshot first, then delta segments, until the
+	// chain would re-state half the tree (deltaEntries, the node entries
+	// of the deltas since the base, plus the next delta's) or hold
+	// compactEvery deltas; then a base again. A restore starts both counts
+	// from the chain it decoded. All three are guarded by the ckpt write
+	// gate.
+	hasBase      bool
+	deltasSince  int
+	deltaEntries int
 
 	// gone is set, under the ckpt write gate, by DropProgram: a submission
 	// that resolved this shard before the drop must not be acknowledged.
@@ -154,9 +159,10 @@ type Hive struct {
 	// journal, when attached via Recover, receives every mutation ahead of
 	// application. Nil for a purely in-memory hive.
 	journal *journal.Store
-	// compactEvery is the incremental-checkpoint compaction interval: after
-	// this many delta checkpoints a program's next checkpoint is full,
-	// collapsing the chain. <= 0 forces every checkpoint full.
+	// compactEvery caps a program's chain: after this many delta
+	// checkpoints its next checkpoint is full, collapsing the chain, even
+	// if the deltas re-state less than half the tree. <= 0 forces every
+	// checkpoint full.
 	compactEvery int
 	// durabilityErr latches the first journal failure of a synthesis or proof
 	// op (a refused batch or certificate is not applied instead). A pointer
@@ -190,7 +196,9 @@ type Hive struct {
 }
 
 // defaultCompactEvery is how many delta checkpoints a program accumulates
-// before the next checkpoint compacts the chain with a full snapshot.
+// at most before the next checkpoint compacts the chain with a full
+// snapshot. A chain whose deltas would re-state half the tree compacts
+// sooner (see CheckpointProgram).
 const defaultCompactEvery = 8
 
 // New creates an empty hive. salt is the fleet-wide input-digest salt
@@ -204,10 +212,12 @@ func New(salt string) *Hive {
 	}
 }
 
-// SetCompactEvery tunes the incremental-checkpoint policy: a program's
+// SetCompactEvery caps the incremental-checkpoint policy: a program's
 // checkpoint writes a delta segment (O(changes since last checkpoint))
 // until n deltas have accumulated, then a full snapshot compacts the chain.
-// n <= 0 makes every checkpoint full — the pre-incremental behavior.
+// The cap only ever brings a base forward: a chain whose deltas would
+// re-state half the tree gets one sooner, whatever n is. n <= 0 makes every
+// checkpoint full — the pre-incremental behavior.
 func (h *Hive) SetCompactEvery(n int) {
 	h.compactEvery = n
 }
@@ -248,7 +258,7 @@ func (st *programState) reset() {
 	st.ingested.Store(0)
 	st.reconstructed.Store(0)
 	st.narrowed.Store(0)
-	st.hasBase, st.deltasSince = false, 0
+	st.hasBase, st.deltasSince, st.deltaEntries = false, 0, 0
 }
 
 // state resolves a program shard by ID.
@@ -790,7 +800,10 @@ func (h *Hive) mergeSessions(bases map[string]uint64, ahead map[string][]uint64)
 // synthesizeInputGuard derives a danger-zone guard from the failing trace's
 // path condition. Privacy-friendly: it does not need the raw input — the
 // recorded input-dependent branch directions are replayed symbolically
-// (forced run) to recover the path condition.
+// (forced run) to recover the path condition. The replay must fail as the
+// record says the program does — same outcome, fault PC and assertion — or
+// no guard is minted: a trace claiming a fault site the program does not
+// fail at names a signature the guard would not target.
 func (h *Hive) synthesizeInputGuard(st *programState, rec *failureRecord, tr *trace.Trace) *fix.Fix {
 	if st.sym == nil {
 		return nil
@@ -804,7 +817,8 @@ func (h *Hive) synthesizeInputGuard(st *programState, rec *failureRecord, tr *tr
 	}
 	base := make([]int64, st.prog.NumInputs)
 	path, err := st.sym.RunForced(base, forced)
-	if err != nil || !path.Outcome.IsFailure() {
+	if err != nil || path.Result.Outcome != tr.Outcome ||
+		path.Result.FaultPC != int(tr.FaultPC) || path.Result.AssertID != tr.AssertID {
 		return nil
 	}
 	cond := path.Condition()

@@ -12,6 +12,7 @@ import (
 	"repro/internal/prog"
 	"repro/internal/proggen"
 	"repro/internal/proof"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -566,5 +567,54 @@ func TestProveNoDeadlockVerifiesDistributedFix(t *testing.T) {
 	}
 	if !pr2.Holds || !pr2.Complete {
 		t.Fatalf("fixed program not proven: %s", pr2.Statement())
+	}
+}
+
+// TestResentCrashAtAnotherSiteMintsNoFix: a crash re-sent with its fault PC
+// moved past the real site carries a signature the program does not have.
+// The forced replay of its branches fails at the real site, so synthesis
+// mints no guard for it: the fix count stays at the one the real crash
+// minted.
+func TestResentCrashAtAnotherSiteMintsNoFix(t *testing.T) {
+	p := recoveryCorpus(t, 3)[0]
+	h := New("fleet")
+	if err := h.RegisterProgram(p); err != nil {
+		t.Fatal(err)
+	}
+	var crash *trace.Trace
+	rng := stats.NewRNG(3)
+	for i := 0; crash == nil; i++ {
+		if i == 5000 {
+			t.Fatal("fixture: no input crashes the program")
+		}
+		tr := captureSeqTrace(t, p, "pod-0", uint64(i), []int64{rng.Int63n(impliedBound), rng.Int63n(impliedBound)}, trace.PrivacyHashed)
+		if tr.Outcome == prog.OutcomeCrash {
+			crash = tr
+		}
+	}
+	fixes := func() int {
+		st, err := h.ProgramStats(p.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.FixCount
+	}
+	if err := h.SubmitTraces([]*trace.Trace{crash.Clone()}); err != nil {
+		t.Fatal(err)
+	}
+	if n := fixes(); n != 1 {
+		t.Fatalf("the crash minted %d fixes; want 1", n)
+	}
+	moved := crash.Clone()
+	moved.FaultPC += 1000
+	moved.Seq++
+	if moved.FailureSignature() == crash.FailureSignature() {
+		t.Fatal("fixture: moving the fault PC kept the signature")
+	}
+	if err := h.SubmitTraces([]*trace.Trace{moved}); err != nil {
+		t.Fatal(err)
+	}
+	if n := fixes(); n != 1 {
+		t.Fatalf("the crash re-sent at PC %d minted a fix of its own: %d fixes; want 1", moved.FaultPC, n)
 	}
 }

@@ -18,12 +18,14 @@ import (
 // suffix is semantically identical to the live hive — the incremental
 // sibling of TestHiveSnapshotPlusSuffixRoundTrip.
 func TestHiveIncrementalSnapshotRoundTrip(t *testing.T) {
-	corpus := durableCorpus(t)
+	corpus := growableCorpus(t)
 	dir := t.TempDir()
 	h1, store1 := newDurableHive(t, dir, corpus)
 
-	// Base: full snapshots (first checkpoint per program is always full).
-	feedFleet(t, h1, corpus, 15, 1)
+	// Base: full snapshots (first checkpoint per program is always full) of
+	// grown trees, which the passes after it touch little of: a checkpoint
+	// writes a base once its chain's deltas would re-state half the tree.
+	feedFleet(t, h1, corpus, 300, 1)
 	if err := h1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +37,14 @@ func TestHiveIncrementalSnapshotRoundTrip(t *testing.T) {
 
 	// Two delta segments, one with a proof attempt in between so OpProof
 	// evidence is compacted into a segment eagerly.
-	feedFleet(t, h1, corpus, 15, 2)
+	feedFleet(t, h1, corpus, 1, 2)
 	if err := h1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h1.Prove(corpus[1].ID, proof.PropNoCrash); err != nil {
 		t.Fatal(err)
 	}
-	feedFleet(t, h1, corpus, 15, 3)
+	feedFleet(t, h1, corpus, 1, 3)
 	if err := h1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestHiveIncrementalSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Journal suffix past the last segment, then crash.
-	feedFleet(t, h1, corpus, 10, 4)
+	feedFleet(t, h1, corpus, 2, 4)
 	if err := h1.DurabilityError(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestHiveIncrementalSnapshotRoundTrip(t *testing.T) {
 
 	// The recovered hive keeps the chain going: its next checkpoint is
 	// another delta over the recovered base, and survives a second crash.
-	feedFleet(t, h2, corpus, 5, 5)
+	feedFleet(t, h2, corpus, 1, 5)
 	if err := h2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,19 +88,19 @@ func TestHiveIncrementalSnapshotRoundTrip(t *testing.T) {
 
 // TestHiveIncrementalCompaction pins the compaction policy: after
 // compactEvery delta segments the next checkpoint writes a full snapshot
-// and collapses the chain.
+// and collapses the chain, however little the deltas re-state.
 func TestHiveIncrementalCompaction(t *testing.T) {
-	corpus := durableCorpus(t)
+	corpus := growableCorpus(t)
 	p := corpus[0]
 	dir := t.TempDir()
 	h, store := newDurableHive(t, dir, corpus)
 	defer store.Close()
 	h.SetCompactEvery(2)
 
-	feedFleet(t, h, corpus, 5, 1)
+	feedFleet(t, h, corpus, 300, 1)
 	steps := []int{0, 1, 2, 0, 1} // expected chain length after each checkpoint
 	for i, want := range steps {
-		feedFleet(t, h, corpus, 3, uint64(10+i))
+		feedFleet(t, h, corpus, 1, uint64(10+i))
 		if err := h.CheckpointProgram(p.ID); err != nil {
 			t.Fatal(err)
 		}
@@ -116,6 +118,13 @@ func TestHiveIncrementalCompaction(t *testing.T) {
 	if got := chainLength(t, store, p.ID); got != 0 {
 		t.Fatalf("always-full policy left %d deltas", got)
 	}
+}
+
+// growableCorpus is a buggy and a clean program of two inputs, whose trees
+// grow to a few hundred nodes: large enough that one trace's root path is a
+// small share of them, so a chain of small deltas stays under half the tree.
+func growableCorpus(t testing.TB) []*prog.Program {
+	return recoveryCorpus(t, 3)[:2]
 }
 
 // TestHiveDeltaCheckpointPauseIsBounded pins the reason incremental
@@ -338,4 +347,167 @@ func chainLength(t testing.TB, store *journal.Store, programID string) int {
 		t.Fatal(err)
 	}
 	return len(deltas)
+}
+
+// TestCheckpointBaseWhenChainRestatesHalf pins the half-tree rule: a
+// checkpoint writes a delta while the node entries of the chain's deltas
+// since its base, its own included, stay under half the tree's node count,
+// and a base once they would reach it. A restored program goes on from the
+// sum its chain holds, the count cap still compacts a chain of small
+// deltas, and a tree of a few nodes keeps its deltas up to chainFloor.
+func TestCheckpointBaseWhenChainRestatesHalf(t *testing.T) {
+	// ckpt checkpoints the program and reports the chain's length after
+	// it, with what the rule read before it: the entries the chain would
+	// re-state, this checkpoint's dirty set alone, and the tree's nodes.
+	type step struct {
+		deltas, restated, dirty int
+		nodes                   int64
+	}
+	ckpt := func(t *testing.T, h *Hive, store *journal.Store, p *prog.Program) step {
+		t.Helper()
+		tree := h.liveTree(p.ID)
+		st, _ := h.state(p.ID)
+		s := step{dirty: tree.DirtyNodes(), nodes: tree.Stats().Nodes}
+		s.restated = st.deltaEntries + s.dirty
+		if err := h.CheckpointProgram(p.ID); err != nil {
+			t.Fatal(err)
+		}
+		s.deltas = chainLength(t, store, p.ID)
+		return s
+	}
+	half := func(s step) bool { return 2*int64(s.restated) >= s.nodes }
+
+	corpus := growableCorpus(t)[:1]
+	p := corpus[0]
+	seed := uint64(100)
+	feed := func(h *Hive, runs int) {
+		seed++
+		feedFleet(t, h, corpus, runs, seed)
+	}
+	dir := t.TempDir()
+	h, store := newDurableHive(t, dir, corpus)
+	h.SetCompactEvery(100) // out of the way until the cap's own case
+	feed(h, 300)
+	if s := ckpt(t, h, store, p); s.deltas != 0 {
+		t.Fatalf("first checkpoint left %d deltas, want a base", s.deltas)
+	}
+
+	t.Run("delta below half", func(t *testing.T) {
+		feed(h, 1)
+		if s := ckpt(t, h, store, p); half(s) || s.deltas != 1 {
+			t.Fatalf("a pass re-stating %d of %d nodes left %d deltas; want 1", s.restated, s.nodes, s.deltas)
+		}
+	})
+	t.Run("delta at or above half", func(t *testing.T) {
+		feed(h, 300)
+		s := ckpt(t, h, store, p)
+		if 2*int64(s.dirty) < s.nodes {
+			t.Fatalf("fixture: a 300-run pass dirties only %d of %d nodes", s.dirty, s.nodes)
+		}
+		if s.deltas != 0 {
+			t.Fatalf("a pass re-stating %d of %d nodes left %d deltas; want a base", s.dirty, s.nodes, s.deltas)
+		}
+	})
+	t.Run("small deltas whose sum crosses half", func(t *testing.T) {
+		for want := 1; ; want++ {
+			feed(h, 1)
+			s := ckpt(t, h, store, p)
+			if 2*int64(s.dirty) >= s.nodes {
+				t.Fatalf("fixture: one run dirties %d of %d nodes", s.dirty, s.nodes)
+			}
+			if half(s) {
+				if s.deltas != 0 || want < 3 {
+					t.Fatalf("delta %d brings the chain to %d of %d nodes: %d deltas left; want a base after at least 2 deltas", want, s.restated, s.nodes, s.deltas)
+				}
+				return
+			}
+			if s.deltas != want {
+				t.Fatalf("delta %d (chain at %d of %d nodes): chain length %d", want, s.restated, s.nodes, s.deltas)
+			}
+		}
+	})
+	t.Run("sum carried over a restore", func(t *testing.T) {
+		// Deltas up to about one run short of half, then a reboot: the
+		// recovered program must count them toward its next base.
+		var carried, deltas int
+		for {
+			feed(h, 1)
+			s := ckpt(t, h, store, p)
+			if half(s) || s.deltas != deltas+1 {
+				t.Fatalf("chain at %d of %d nodes: chain length %d, want %d", s.restated, s.nodes, s.deltas, deltas+1)
+			}
+			carried, deltas = s.restated, s.deltas
+			if 2*int64(carried+2*s.dirty) >= s.nodes {
+				break
+			}
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		h, store = newDurableHive(t, dir, corpus)
+		h.SetCompactEvery(100)
+		if st, _ := h.state(p.ID); st.deltasSince != deltas || st.deltaEntries != carried {
+			t.Fatalf("restored chain counts %d deltas of %d entries; the chain holds %d of %d", st.deltasSince, st.deltaEntries, deltas, carried)
+		}
+		for {
+			feed(h, 1)
+			s := ckpt(t, h, store, p)
+			if !half(s) {
+				deltas++
+				if s.deltas != deltas {
+					t.Fatalf("chain at %d of %d nodes after the restore: chain length %d, want %d", s.restated, s.nodes, s.deltas, deltas)
+				}
+				continue
+			}
+			if s.deltas != 0 {
+				t.Fatalf("chain at %d of %d nodes after the restore: %d deltas left, want a base", s.restated, s.nodes, s.deltas)
+			}
+			if 2*int64(s.restated-carried) >= s.nodes {
+				t.Fatalf("fixture: the deltas since the restore re-state %d of %d nodes alone", s.restated-carried, s.nodes)
+			}
+			return
+		}
+	})
+	t.Run("count cap", func(t *testing.T) {
+		h.SetCompactEvery(2)
+		for i, want := range []int{1, 2, 0} {
+			feed(h, 1)
+			s := ckpt(t, h, store, p)
+			if half(s) {
+				t.Fatalf("fixture: checkpoint %d re-states %d of %d nodes", i, s.restated, s.nodes)
+			}
+			if s.deltas != want {
+				t.Fatalf("checkpoint %d under a cap of 2: chain length %d, want %d", i, s.deltas, want)
+			}
+		}
+	})
+	t.Run("tiny tree", func(t *testing.T) {
+		tiny := []*prog.Program{buildImplied()}
+		h, store := newDurableHive(t, t.TempDir(), tiny)
+		defer store.Close()
+		feedFleet(t, h, tiny, 1, 1)
+		if s := ckpt(t, h, store, tiny[0]); s.deltas != 0 {
+			t.Fatalf("first checkpoint left %d deltas, want a base", s.deltas)
+		}
+		for i := uint64(2); ; i++ {
+			feedFleet(t, h, tiny, 1, i)
+			s := ckpt(t, h, store, tiny[0])
+			if !half(s) {
+				t.Fatalf("fixture: one run re-states %d of a %d-node tree", s.dirty, s.nodes)
+			}
+			if s.restated < chainFloor {
+				if s.deltas != int(i-1) {
+					t.Fatalf("chain at %d entries under the floor: chain length %d, want %d", s.restated, s.deltas, i-1)
+				}
+				continue
+			}
+			if s.deltas != 0 {
+				t.Fatalf("chain at %d entries, past the floor and half the tree: %d deltas left, want a base", s.restated, s.deltas)
+			}
+			return
+		}
+	})
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/journal"
@@ -75,9 +77,9 @@ type sessionFrame struct {
 
 // buildRecoveryDir leaves in dir what a killed hive leaves: for every
 // program a base snapshot, two delta segments and a journal suffix. Three
-// sessions each span every program; every fifth sequence number is held
-// back, so checkpoints catch applied marks above a gap, and half of those
-// arrive late. A clean program is proved between checkpoints (evidence and
+// sessions each span every program; after the base, every fifth sequence
+// number is held back, so checkpoints catch applied marks above a gap, and
+// half of those held before the first delta arrive late. A clean program is proved between checkpoints (evidence and
 // certificates folded into a segment) and the others after the last one
 // (OpCert and OpProof in the suffix, the implied program's certificate on a
 // node its own evidence creates). It returns the hive that wrote the
@@ -95,20 +97,22 @@ func buildRecoveryDir(t testing.TB, dir string, corpus []*prog.Program) (*Hive, 
 		}
 		acked = append(acked, f)
 	}
-	phase := func(frames int) {
-		for r := 0; r < frames; r++ {
+	// phase sends rounds frames of traces traces (at most 16) to every
+	// program. A holding phase holds back every fifth sequence number.
+	phase := func(rounds, traces int, hold bool) {
+		for r := 0; r < rounds; r++ {
 			for pi, p := range corpus {
 				f := sessionFrame{session: fmt.Sprintf("sess-%d", (r+pi)%3), program: p}
 				next[f.session]++
 				f.seq = next[f.session]
-				for j := 0; j < 4; j++ {
+				for j := 0; j < traces; j++ {
 					input := make([]int64, p.NumInputs)
 					for k := range input {
 						input[k] = rng.Int63n(impliedBound)
 					}
-					f.batch = append(f.batch, captureSeqTrace(t, p, fmt.Sprintf("pod-%d", r%4), f.seq*4+uint64(j), input, trace.PrivacyHashed))
+					f.batch = append(f.batch, captureSeqTrace(t, p, fmt.Sprintf("pod-%d", r%4), f.seq*16+uint64(j), input, trace.PrivacyHashed))
 				}
-				if f.seq%5 == 0 {
+				if hold && f.seq%5 == 0 {
 					held = append(held, f)
 					continue
 				}
@@ -129,9 +133,12 @@ func buildRecoveryDir(t testing.TB, dir string, corpus []*prog.Program) (*Hive, 
 		return pr
 	}
 
-	phase(6)
+	// The base holds a grown tree, and the passes between checkpoints touch
+	// few of its nodes, so the chain keeps its deltas (a checkpoint writes a
+	// base once its deltas would re-state half the tree).
+	phase(25, 16, false)
 	checkpoint() // base
-	phase(6)
+	phase(2, 1, true)
 	prove(corpus[1])
 	checkpoint() // delta 1
 	for i, f := range held {
@@ -139,9 +146,9 @@ func buildRecoveryDir(t testing.TB, dir string, corpus []*prog.Program) (*Hive, 
 			submit(f)
 		}
 	}
-	phase(6)
+	phase(2, 1, true)
 	checkpoint() // delta 2
-	phase(4)
+	phase(4, 4, true)
 	for i := 3; i < len(corpus)-1; i += 2 {
 		prove(corpus[i])
 	}
@@ -393,5 +400,173 @@ func TestRecoverVersion1Chain(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertRefusedIntact(t, fixture+": Replay", journal.ErrUnknownVersion, dir, before)
+	}
+}
+
+// readSpy is a journal.FS that keeps, for each file, the buffer the last
+// open of it for reading was read into, to its capacity.
+type readSpy struct {
+	journal.FS
+	mu   sync.Mutex
+	bufs map[string][]byte
+}
+
+func (s *readSpy) OpenFile(name string, flag int, perm os.FileMode) (journal.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil || flag != os.O_RDONLY {
+		return f, err
+	}
+	return &spyFile{File: f, spy: s, name: filepath.Base(name)}, nil
+}
+
+func (s *readSpy) buf(name string) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bufs[name]
+}
+
+type spyFile struct {
+	journal.File
+	spy  *readSpy
+	name string
+	read bool
+}
+
+func (f *spyFile) Read(p []byte) (int, error) {
+	if !f.read {
+		f.read = true
+		f.spy.mu.Lock()
+		f.spy.bufs[f.name] = p[:cap(p)]
+		f.spy.mu.Unlock()
+	}
+	return f.File.Read(p)
+}
+
+// TestRecoveredStateKeepsNoJournalBytes pins the rule Store.Replay's reused
+// read buffer relies on: nothing a replay applies keeps a slice of the record
+// bytes. A program is recovered from a journal of sessioned external-only
+// frames, crashes and raw-privacy inputs among them; then a second program's
+// journal is replayed into the same buffer, and the whole buffer is written
+// over. The first program's tree, session marks, failure samples, known-good
+// inputs and reconstructor memo must not move.
+func TestRecoveredStateKeepsNoJournalBytes(t *testing.T) {
+	// One P: the pool hands a Replay the buffer the last one put back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a := growableCorpus(t)[0]
+	b := buildImplied()
+	corpus := []*prog.Program{a, b}
+	dir := t.TempDir()
+	h, store := newDurableHive(t, dir, corpus)
+	capture := func(p *prog.Program, input []int64, privacy trace.PrivacyLevel) *trace.Trace {
+		col := trace.NewCollector(p, trace.CaptureExternalOnly, 0, 1)
+		m, err := prog.NewMachine(p, prog.Config{Input: input, Observer: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col.Finish("pod-a", 0, m.Run(), input, privacy, "fleet")
+	}
+	rng := stats.NewRNG(5)
+	var frames [][]*trace.Trace
+	for i := 0; i < 40; i++ {
+		var batch []*trace.Trace
+		for j := 0; j < 8; j++ {
+			privacy := trace.PrivacyHashed
+			if j == 0 {
+				privacy = trace.PrivacyRaw
+			}
+			batch = append(batch, capture(a, []int64{rng.Int63n(256), rng.Int63n(256)}, privacy))
+		}
+		frames = append(frames, batch)
+		if dup, err := submitSession(t, h, "sess-a", uint64(i+1), a.ID, batch); err != nil || dup {
+			t.Fatalf("frame %d: dup=%v err=%v", i, dup, err)
+		}
+	}
+	if dup, err := submitSession(t, h, "sess-b", 1, b.ID, []*trace.Trace{capture(b, []int64{5}, trace.PrivacyHashed)}); err != nil || dup {
+		t.Fatalf("program b: dup=%v err=%v", dup, err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal := func(p *prog.Program) string { return fmt.Sprintf("wal-%s-0.log", journal.FileKey(p.ID)) }
+
+	// Under the race detector the pool drops a quarter of what it is handed,
+	// so the buffer a's recovery read into may be gone; recover again until
+	// b's replay gets it.
+	for attempt := 0; ; attempt++ {
+		spy := &readSpy{FS: journal.OSFS(), bufs: map[string][]byte{}}
+		h := New("fleet")
+		for _, p := range corpus {
+			if err := h.RegisterProgram(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store, err := journal.Open(dir, journal.Options{FS: spy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Recover(store); err != nil {
+			t.Fatal(err)
+		}
+		bufA := spy.buf(wal(a))
+		st, _ := h.state(a.ID)
+		tree := st.tree.Encode()
+		meta, err := h.snapshotProgramMeta(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recon := func() (paths [][]trace.BranchEvent, misses int64) {
+			for _, batch := range frames {
+				view := viewOf(t, a.ID, batch)
+				for i := 0; i < view.Len(); i++ {
+					path, ok := st.recon.View(view, i)
+					if !ok {
+						t.Fatalf("trace %d of a frame does not reconstruct", i)
+					}
+					paths = append(paths, append([]trace.BranchEvent(nil), path...))
+				}
+				view.Release()
+			}
+			return paths, st.recon.Stats().Misses
+		}
+		paths, misses := recon()
+
+		if n, err := store.Replay(b.ID, func(journal.Receipt) error { return nil }); err != nil || n != 1 {
+			t.Fatalf("replay of b: %d ops, err %v", n, err)
+		}
+		bufB := spy.buf(wal(b))
+		if len(bufA) == 0 || len(bufB) == 0 || &bufA[0] != &bufB[0] {
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if attempt < 20 {
+				continue
+			}
+			t.Fatal("b's replay never read into the buffer a's was read into")
+		}
+		for i := range bufB {
+			bufB[i] = 0xa5
+		}
+
+		if got := st.tree.Encode(); !bytes.Equal(got, tree) {
+			t.Error("a's tree changed under the scribble")
+		}
+		got, err := h.snapshotProgramMeta(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, meta) {
+			t.Error("a's session marks, failure samples or known-good inputs changed under the scribble")
+		}
+		gotPaths, gotMisses := recon()
+		if gotMisses != misses || !reflect.DeepEqual(gotPaths, paths) {
+			t.Errorf("a's reconstructor memo changed under the scribble: %d misses after, %d before", gotMisses, misses)
+		}
+		if len(meta.Failures) == 0 || len(meta.KnownGood) == 0 || len(meta.Sessions) == 0 {
+			t.Errorf("fixture: a recovered %d failure records, %d known-good inputs and %d sessions; want some of each", len(meta.Failures), len(meta.KnownGood), len(meta.Sessions))
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
 }

@@ -70,7 +70,7 @@ func (h *Hive) ImportProgram(chain *journal.ChainExport) error {
 	st.reset() // the replay runs over nothing
 	err = h.recoverProgram(chain, chain.ProgramID)
 	// The chain restored lies in another directory; this one starts its own.
-	st.hasBase, st.deltasSince = false, 0
+	st.hasBase, st.deltasSince, st.deltaEntries = false, 0, 0
 	if err == nil && h.journal != nil {
 		err = h.checkpointLocked(st, chain.WALGen)
 	}

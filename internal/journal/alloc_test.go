@@ -2,6 +2,7 @@ package journal
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/race"
@@ -86,5 +87,61 @@ func TestAllocsDecodeSegment(t *testing.T) {
 	})
 	if avg > 32 {
 		t.Fatalf("decoding a segment of 1536 sessions costs %.1f allocs; want at most 32", avg)
+	}
+}
+
+// TestAllocsReplay guards the journal read of recovery: a warm Replay reads
+// the journal into the buffer the last one used, so what it allocates is the
+// ops it decodes — a bound per record — and no buffer the size of the file.
+func TestAllocsReplay(t *testing.T) {
+	if race.Enabled {
+		t.Skip("alloc counts are skewed under the race detector")
+	}
+	// One P: the pool hands a Replay the buffer the last one put back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 200
+	payload := make([]byte, 2000)
+	for seq := uint64(1); seq <= records; seq++ {
+		if _, err := s.Commit("alloc-program", &Op{Kind: OpBatchColumnar, Session: "alloc-session", Seq: seq, Raw: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replay := func() {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if n, err := s.Replay("alloc-program", func(Receipt) error { return nil }); err != nil || n != records {
+			t.Fatalf("replay: %d ops, err %v", n, err)
+		}
+	}
+	measure := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	open := measure(func() {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = s.Close()
+	})
+	replay() // warm
+	wal := uint64(records * len(payload))
+	got := measure(replay) - open
+	if per := got / records; per > 256 || got >= wal/2 {
+		t.Fatalf("a warm replay of a %d-record, %d B journal allocates %d B (%d B a record) besides the open; want no journal-sized buffer and at most 256 B a record", records, wal, got, per)
 	}
 }

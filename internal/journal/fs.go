@@ -12,9 +12,12 @@ import (
 // points without touching a real disk's failure modes.
 //
 // The interface is deliberately the journal's exact I/O footprint — open
-// for append, whole-file read, directory listing, remove/rename/truncate —
-// rather than a general VFS: a fault injector that covers these calls
-// covers every byte the journal ever persists.
+// for append or read, whole-file read, directory listing,
+// remove/rename/truncate — rather than a general VFS: a fault injector that
+// covers these calls covers every byte the journal ever persists. Replay
+// reads a journal through OpenFile and File.Read, into a buffer it reuses,
+// so faults injected on the open or the read reach recovery; segments,
+// tether markers and exports are read whole with ReadFile.
 type FS interface {
 	// OpenFile opens name with the given flags, creating it at perm when
 	// os.O_CREATE is set.

@@ -668,12 +668,16 @@ func decodeChain(programID string, c *ChainExport) (*ProgramSnapshot, []*Program
 // A replayed OpBatchColumnar's Raw aliases the journal bytes Replay read and
 // is valid only during the apply call it is handed to: an apply that keeps
 // batch bytes copies them. No other field of a replayed op borrows anything.
+// The journal is read into a buffer the next Replay — of any program, on any
+// store — reads over, so a kept slice would not only go stale but change.
 func (s *Store) Replay(programID string, apply func(Receipt) error) (int, error) {
 	pl := s.log(programID)
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	path := walPath(s.dir, pl.key, pl.gen)
-	data, err := s.fs.ReadFile(path)
+	buf := walBufs.Get().(*[]byte)
+	defer walBufs.Put(buf)
+	data, err := readWAL(s.fs, path, buf)
 	if errors.Is(err, os.ErrNotExist) {
 		pl.replayed = true
 		return 0, nil
@@ -712,6 +716,42 @@ func (s *Store) Replay(programID string, apply func(Receipt) error) (int, error)
 	pl.replayed = true
 	pl.appends = uint64(n)
 	return n, nil
+}
+
+// walBufs recycles the buffers Replay reads journals into, across programs
+// and recoveries: a recovery reads every program's journal suffix once, and
+// each read would otherwise allocate the whole file anew.
+var walBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readWAL reads the file at path into *buf, growing it as needed, and
+// returns the bytes read. It reads through OpenFile and Read, so a fault
+// injected on the open or on a read fails it.
+func readWAL(vfs FS, path string, buf *[]byte) ([]byte, error) {
+	f, err := vfs.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	data := (*buf)[:0]
+	// Room for one byte past the end, so the read that meets EOF does not
+	// grow the buffer.
+	if fi, err := f.Stat(); err == nil && int64(cap(data)) <= fi.Size() {
+		data = make([]byte, 0, fi.Size()+512)
+	}
+	for {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err != nil {
+			*buf = data
+			if err == io.EOF {
+				return data, nil
+			}
+			return nil, err
+		}
+	}
 }
 
 // replayRecords is the one record loop, whichever store the bytes came from:

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -232,51 +233,76 @@ func TestAllocsFixesSince(t *testing.T) {
 // TestAllocsRedialReusesServerWriter: a connection's reply writer goes back to the
 // server when the connection closes, and the next connection takes it, so a
 // client that redials N times costs the server one 32 KiB writer, not N.
+//
+// In the overlap variant each new connection is dialled and served before the
+// old one is closed, as a redialling pod's is: the server has not read the
+// old connection's EOF yet, but the old connection's worker handed its
+// writer back when its reply was flushed, so the new one takes it.
 func TestAllocsRedialReusesServerWriter(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc counts are skewed under the race detector")
 	}
-	p := buildCrashy(t)
-	_, srv, addr := coalesceFixture(t, p)
-	redial := func() {
-		c := Dial(addr)
-		if _, _, err := c.FixesSince(p.ID, 0); err != nil {
-			t.Fatal(err)
-		}
-		_ = c.Close()
-		// The writer goes back once the server is done with the
-		// connection.
-		for deadline := time.Now().Add(5 * time.Second); ; {
+	for _, overlap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("overlap=%v", overlap), func(t *testing.T) {
+			p := buildCrashy(t)
+			_, srv, addr := coalesceFixture(t, p)
+			// waitConns waits for the server to let go of all but want
+			// connections.
+			waitConns := func(want int) {
+				for deadline := time.Now().Add(5 * time.Second); ; {
+					srv.mu.Lock()
+					live := len(srv.conns)
+					srv.mu.Unlock()
+					if live <= want {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatal("the server still holds a closed connection")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			var old *Client
+			redial := func() {
+				c := Dial(addr)
+				if _, _, err := c.FixesSince(p.ID, 0); err != nil {
+					t.Fatal(err)
+				}
+				if overlap {
+					if old != nil {
+						_ = old.Close()
+					}
+					old = c
+					waitConns(1)
+					return
+				}
+				_ = c.Close()
+				waitConns(0)
+			}
+			redial()
+			const n = 50
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < n; i++ {
+				redial()
+			}
+			runtime.ReadMemStats(&after)
+			if old != nil {
+				_ = old.Close()
+				waitConns(0)
+			}
 			srv.mu.Lock()
-			live := len(srv.conns)
+			idle := len(srv.writers)
 			srv.mu.Unlock()
-			if live == 0 {
-				break
+			if idle != 1 {
+				t.Fatalf("after %d redials the server keeps %d idle reply writers; want the first connection's one", n+1, idle)
 			}
-			if time.Now().After(deadline) {
-				t.Fatal("the server still holds a closed connection")
+			// A fresh writer alone is 32 KiB; what a redial still allocates,
+			// on both sides, is its connection and goroutine state.
+			if per := (after.TotalAlloc - before.TotalAlloc) / n; per > replyWriterSize/2 {
+				t.Fatalf("a redial allocates %d B, client and server together; want under %d", per, replyWriterSize/2)
 			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	redial()
-	const n = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		redial()
-	}
-	runtime.ReadMemStats(&after)
-	srv.mu.Lock()
-	idle := len(srv.writers)
-	srv.mu.Unlock()
-	if idle != 1 {
-		t.Fatalf("after %d redials the server keeps %d idle reply writers; want the first connection's one", n+1, idle)
-	}
-	// A fresh writer alone is 32 KiB; what a redial still allocates, on both
-	// sides, is its connection and goroutine state.
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > replyWriterSize/2 {
-		t.Fatalf("a redial allocates %d B, client and server together; want under %d", per, replyWriterSize/2)
+		})
 	}
 }
 

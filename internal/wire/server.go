@@ -68,8 +68,9 @@ type Server struct {
 	// adm is the runtime admission state, built from Admission at Listen.
 	adm *admissionState
 
-	// writers holds the reply writers of closed connections, for the next
-	// connection to Reset onto (guarded by mu; at most maxIdleWriters).
+	// writers holds the reply writers no connection is writing a reply
+	// through, for the next to Reset onto (guarded by mu; at most
+	// maxIdleWriters).
 	writers []*bufio.Writer
 
 	// readOnlyBusy counts submissions refused because the backend flipped a
@@ -124,10 +125,11 @@ const replyWriterSize = 32 << 10
 // come: 64 × 32 KiB.
 const maxIdleWriters = 64
 
-// takeWriter returns a reply writer for conn: one a closed connection left,
-// Reset onto conn, or a new one. A fleet that redials — a restarted pod, a
-// reconnect after a dropped link — then costs the server no new 32 KiB
-// buffer per connection.
+// takeWriter returns a reply writer for conn: one an idle or closed
+// connection handed back, Reset onto conn, or a new one. A fleet that
+// redials — a restarted pod, a reconnect after a dropped link — then costs
+// the server no new 32 KiB buffer per connection, even where the new
+// connection is served before the old one is closed.
 func (s *Server) takeWriter(conn net.Conn) *bufio.Writer {
 	s.mu.Lock()
 	var bw *bufio.Writer
@@ -142,8 +144,9 @@ func (s *Server) takeWriter(conn net.Conn) *bufio.Writer {
 	return bw
 }
 
-// putWriter keeps the writer of a connection that is done with it. Whatever
-// it still buffered is dropped, and it holds no reference to the connection.
+// putWriter keeps the writer of a connection that has no reply to write.
+// Whatever it still buffered is dropped, and it holds no reference to the
+// connection.
 func (s *Server) putWriter(bw *bufio.Writer) {
 	bw.Reset(nil)
 	s.mu.Lock()
@@ -431,8 +434,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	go func() {
 		defer close(workerDone)
-		bw := s.takeWriter(conn)
-		defer s.putWriter(bw)
+		// The reply writer is held only while replies are owed: taken for the
+		// first request after the queue ran dry and handed back once a flush
+		// leaves it empty. An idle connection — a redialled pod's old one
+		// whose EOF is not read yet — holds none.
+		var bw *bufio.Writer
+		defer func() {
+			if bw != nil {
+				s.putWriter(bw)
+			}
+		}()
 		bail := func(what string, err error) {
 			s.Logf("wire: %s for %s: %v", what, conn.RemoteAddr(), err)
 			_ = conn.Close()
@@ -442,6 +453,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		for req := range reqs {
+			if bw == nil {
+				bw = s.takeWriter(conn)
+			}
 			var err error
 			if req.msgType == MsgCoalesced {
 				// Mega-frames answer through the connection itself: the
@@ -461,9 +475,10 @@ func (s *Server) serveConn(conn net.Conn) {
 					bail("flush", err)
 					return
 				}
+				s.putWriter(bw)
+				bw = nil
 			}
 		}
-		_ = bw.Flush()
 	}()
 
 	// Reader: the connection goroutine only reads frames; backpressure is
