@@ -7,7 +7,9 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/prog"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -73,6 +75,19 @@ func HostileFrames(seed uint64) [][]byte {
 	for _, mt := range []wire.MsgType{wire.MsgHello, 1, wire.MsgSubmitBatchColumnar, wire.MsgCoalesced} {
 		frames = append(frames, framed(mt, `{"truncated":`))
 	}
+	// A well-formed submission, session "s" and sequence 1, of one trace in
+	// the retired coordinated capture mode (4): the batch codec refuses the
+	// mode byte, so nothing merges it.
+	b := prog.NewBuilder("hostile", 0)
+	b.Halt()
+	p := b.MustBuild()
+	retired := trace.NewCollector(p, 4, 0, 1).Finish("pod", 1, prog.Result{}, nil, trace.PrivacyHashed, "s")
+	batch, err := trace.EncodeBatch(p.ID, []*trace.Trace{retired})
+	if err != nil {
+		panic(err) // the trace is of the batch's program
+	}
+	frames = append(frames, append(append([]byte(nil), hello...),
+		framed(wire.MsgSubmitBatchColumnar, string(append([]byte{1, 's', 1}, batch...)))...))
 	// A coalesced frame whose inner frame lies about its own length.
 	inner := make([]byte, 5)
 	binary.BigEndian.PutUint32(inner, 1<<30)

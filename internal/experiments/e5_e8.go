@@ -170,8 +170,10 @@ func E6BugDensity() (*Table, error) {
 
 // E7CaptureOverhead reproduces §3.1's recording-cost analysis: external-only
 // capture records far fewer events than full capture (the deterministic
-// remainder is reconstructible), and coordinated sampling cuts cost further
-// at the price of path ambiguity.
+// remainder is reconstructible), and sampling cuts cost further at the price
+// of path ambiguity. The paper's coordinated sampling, whose fragments the
+// hive narrows back into one path, is not a row: a fully merged path costs k
+// runs of it, more bytes than one external-only run (EXPERIMENTS.md E41).
 func E7CaptureOverhead() (*Table, error) {
 	t := &Table{
 		ID:      "E7",

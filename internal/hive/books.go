@@ -12,10 +12,9 @@ import (
 )
 
 // books is a program's journaled bookkeeping apart from its tree and its
-// counters: the fix set with its epoch, standing proofs, failure aggregation,
-// known-good inputs and the coordinated-fragment buffer. It is one value
-// under programState.mu: reset and a restore install a fresh one, and a
-// checkpoint encodes one.
+// counters: the fix set with its epoch, standing proofs, failure aggregation
+// and known-good inputs. It is one value under programState.mu: reset and a
+// restore install a fresh one, and a checkpoint encodes one.
 type books struct {
 	fixes  fix.Set
 	epoch  int
@@ -27,11 +26,6 @@ type books struct {
 	// knownGood holds raw inputs observed to succeed (only available from
 	// PrivacyRaw pods); used to pick safe replacements and validate guards.
 	knownGood [][]int64
-
-	// coordinated buffers coordinated-sampling fragments by execution
-	// identity until every phase has arrived (paper §3.1: "subsequent
-	// aggregation of traces can narrow down this family").
-	coordinated map[string][]*trace.Trace
 }
 
 // newBooks returns the bookkeeping registration leaves a program with.
@@ -90,28 +84,6 @@ func (b *books) harvestKnownGood(input []int64) {
 	}
 }
 
-// maxCoordinatedFamilies bounds the fragment buffer per program.
-const maxCoordinatedFamilies = 4096
-
-// bufferCoordinated appends a coordinated-sampling fragment to its family
-// buffer. When the last missing phase arrives the family is removed from the
-// buffer and returned for narrowing.
-func (b *books) bufferCoordinated(tr *trace.Trace) ([]*trace.Trace, bool) {
-	key := fmt.Sprintf("%s|%s|%s|%d|%d", tr.InputDigest, tr.ScheduleHash, tr.Outcome, tr.SampleK, tr.FaultPC)
-	if b.coordinated == nil || len(b.coordinated) >= maxCoordinatedFamilies {
-		// Bounded buffer: reset rather than grow without limit on a hostile
-		// or lossy fleet (incomplete families are abandoned).
-		b.coordinated = make(map[string][]*trace.Trace)
-	}
-	b.coordinated[key] = append(b.coordinated[key], tr.Clone())
-	family := b.coordinated[key]
-	if len(trace.MissingPhases(family, tr.SampleK)) != 0 {
-		return nil, false
-	}
-	delete(b.coordinated, key)
-	return family, true
-}
-
 // failureRecords renders every record as an exported FailureRecord, sorted by
 // descending count (ties by signature for determinism).
 func (b *books) failureRecords() []FailureRecord {
@@ -140,8 +112,8 @@ func (b *books) failureRecords() []FailureRecord {
 // their full bookkeeping (distinct pod IDs included), sorted by signature.
 // In-flight synthesis elections are written as not-synthesizing: if the
 // election's outcome op never lands in the journal, recovery must be able to
-// re-elect. Each failure sample is a one-trace columnar batch and each
-// coordinated family one batch, under snap.ProgramID, which the caller sets.
+// re-elect. Each failure sample is a one-trace columnar batch under
+// snap.ProgramID, which the caller sets.
 func (b *books) encode(snap *journal.ProgramSnapshot) error {
 	snap.Epoch = b.epoch
 	for _, f := range b.fixes.All() {
@@ -180,32 +152,20 @@ func (b *books) encode(snap *journal.ProgramSnapshot) error {
 	for _, g := range b.knownGood {
 		snap.KnownGood = append(snap.KnownGood, append([]int64(nil), g...))
 	}
-	if len(b.coordinated) > 0 {
-		snap.Coordinated = make(map[string][]byte, len(b.coordinated))
-		for key, fam := range b.coordinated {
-			raw, err := trace.EncodeBatch(snap.ProgramID, fam)
-			if err != nil {
-				return fmt.Errorf("coordinated family: %w", err)
-			}
-			snap.Coordinated[key] = raw
-		}
-	}
 	return nil
 }
 
-// decodeTraces materializes every trace of one columnar batch: the form the
-// books keep their traces in inside a checkpoint.
-func decodeTraces(raw []byte) ([]*trace.Trace, error) {
+// decodeSample materializes a failure sample: a one-trace columnar batch.
+func decodeSample(raw []byte) (*trace.Trace, error) {
 	v, err := trace.DecodeBatch(raw)
 	if err != nil {
 		return nil, err
 	}
 	defer v.Release()
-	out := make([]*trace.Trace, v.Len())
-	for i := range out {
-		out[i] = v.Materialize(i)
+	if v.Len() != 1 {
+		return nil, fmt.Errorf("%d traces, want 1", v.Len())
 	}
-	return out, nil
+	return v.Materialize(0), nil
 }
 
 // decodeBooks rebuilds the books a checkpoint snapshot holds.
@@ -243,29 +203,16 @@ func decodeBooks(snap *journal.ProgramSnapshot) (books, error) {
 			rec.podsSeen[pod] = true
 		}
 		if len(fs.Sample) > 0 {
-			sample, err := decodeTraces(fs.Sample)
-			if err == nil && len(sample) != 1 {
-				err = fmt.Errorf("%d traces, want 1", len(sample))
-			}
+			sample, err := decodeSample(fs.Sample)
 			if err != nil {
 				return books{}, fmt.Errorf("failure %q sample: %w", fs.Signature, err)
 			}
-			rec.sample = sample[0]
+			rec.sample = sample
 		}
 		b.failures[fs.Signature] = rec
 	}
 	for _, g := range snap.KnownGood {
 		b.knownGood = append(b.knownGood, append([]int64(nil), g...))
-	}
-	if len(snap.Coordinated) > 0 {
-		b.coordinated = make(map[string][]*trace.Trace, len(snap.Coordinated))
-		for key, raw := range snap.Coordinated {
-			fam, err := decodeTraces(raw)
-			if err != nil {
-				return books{}, fmt.Errorf("coordinated family: %w", err)
-			}
-			b.coordinated[key] = fam
-		}
 	}
 	return b, nil
 }

@@ -193,7 +193,6 @@ func (h *Hive) restoreProgram(st *programState, base *journal.ProgramSnapshot, d
 	st.mu.Unlock()
 	st.ingested.Store(snap.Ingested)
 	st.reconstructed.Store(snap.Reconstructed)
-	st.narrowed.Store(snap.Narrowed)
 	st.hasBase, st.deltasSince, st.deltaEntries = true, len(deltas), entries
 	h.mergeSessions(snap.Sessions, snap.SessionsAhead)
 	return nil
@@ -403,7 +402,7 @@ func (h *Hive) checkpointLocked(st *programState, above uint64) error {
 
 // snapshotProgramMeta serializes everything in one program's durable state
 // except the tree — fixes, proofs, failure aggregation, counters,
-// known-good inputs, the coordinated buffer, and the session table. Both
+// known-good inputs and the session table. Both
 // full snapshots and delta segments carry this in full; only the tree
 // differs. The caller holds the checkpoint gate exclusively, so no
 // journaled mutation is in flight.
@@ -412,7 +411,6 @@ func (h *Hive) snapshotProgramMeta(st *programState) (*journal.ProgramSnapshot, 
 		ProgramID:     st.prog.ID,
 		Ingested:      st.ingested.Load(),
 		Reconstructed: st.reconstructed.Load(),
-		Narrowed:      st.narrowed.Load(),
 	}
 	st.mu.Lock()
 	err := st.books.encode(snap)

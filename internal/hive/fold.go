@@ -63,7 +63,7 @@ func newPathFold(tree *exectree.Tree) *pathFold {
 
 // add counts one trace that ended in outcome along path. frame is path's
 // encoding in the trace's frame, or nil when the path is not the frame's
-// (a reconstruction or a narrowed family); the fold copies what it keeps.
+// (a reconstruction); the fold copies what it keeps.
 func (f *pathFold) add(outcome prog.Outcome, path []trace.BranchEvent, frame []byte) {
 	if frame != nil {
 		f.key = append(append(f.key[:0], byte(outcome), keyFrame), frame...)

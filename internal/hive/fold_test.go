@@ -74,8 +74,7 @@ func TestPathFoldFlushAnywhere(t *testing.T) {
 }
 
 // foldFrame captures one frame of p's executions on inputs drawn from pool,
-// in every capture mode by turns: full, external-only, and one phase of a
-// three-phase coordinated family, so families complete across frames.
+// in every capture mode by turns: full, external-only and sampled.
 func foldFrame(t *testing.T, p *prog.Program, rng *stats.RNG, pool []int64, size int) []*trace.Trace {
 	t.Helper()
 	frame := make([]*trace.Trace, 0, size)
@@ -86,7 +85,7 @@ func foldFrame(t *testing.T, p *prog.Program, rng *stats.RNG, pool []int64, size
 		case 1:
 			col = trace.NewCollector(p, trace.CaptureExternalOnly, 0, 1)
 		case 2:
-			col = trace.NewCoordinatedCollector(p, uint32(rng.Intn(3)), 3)
+			col = trace.NewCollector(p, trace.CaptureSampled, 0.5, rng.Uint64())
 		}
 		m, err := prog.NewMachine(p, prog.Config{Input: input, Observer: col})
 		if err != nil {
@@ -173,8 +172,8 @@ func TestReplayFoldMatchesLiveTree(t *testing.T) {
 	if kinds[journal.OpSynthesis] == 0 || kinds[journal.OpProof] == 0 || journaledCerts(t, store, twoDead.ID) == 0 {
 		t.Fatalf("journal suffix holds %v: want a synthesis outcome, a proof and a guidance certificate", kinds)
 	}
-	if st, _ := live.ProgramStats(buggy.ID); st.Narrowed == 0 || st.Reconstructed == 0 {
-		t.Fatalf("buggy program: %d narrowed and %d reconstructed traces; the capture modes are not all exercised", st.Narrowed, st.Reconstructed)
+	if st, _ := live.ProgramStats(buggy.ID); st.Reconstructed == 0 {
+		t.Fatal("buggy program: no reconstructed trace; external-only capture is not exercised")
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)

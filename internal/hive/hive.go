@@ -113,12 +113,10 @@ type programState struct {
 	gen *guidance.Generator
 
 	// ingested counts merged traces; reconstructed counts external-only
-	// traces expanded to full paths; narrowed counts completed coordinated
-	// families merged as full paths. Atomics: bumped on every batch without
+	// traces expanded to full paths. Atomics: bumped on every batch without
 	// touching any lock.
 	ingested      atomic.Int64
 	reconstructed atomic.Int64
-	narrowed      atomic.Int64
 }
 
 // maxSessionAhead bounds one session's out-of-order applied set. If a
@@ -257,7 +255,6 @@ func (st *programState) reset() {
 	st.mu.Unlock()
 	st.ingested.Store(0)
 	st.reconstructed.Store(0)
-	st.narrowed.Store(0)
 	st.hasBase, st.deltasSince, st.deltaEntries = false, 0, 0
 }
 
@@ -320,11 +317,10 @@ func (h *Hive) SubmitTraces(traces []*trace.Trace) error {
 // from SubmitTraces' edge — is deduplicated, priced by the load shedder,
 // journaled and applied here. The view's fields are consumed straight out
 // of the frame's bytes — traces are materialized only where the hive must
-// retain one (failure samples, coordinated fragments); an external-only
-// trace is reconstructed from its frame bytes, by re-execution only on
-// first sight — and on a durable hive the journal records *those same
-// bytes* (journal.OpBatchColumnar), so a batch is serialized exactly once
-// in its lifetime: on the pod.
+// retain one (failure samples); an external-only trace is reconstructed from
+// its frame bytes, by re-execution only on first sight — and on a durable
+// hive the journal records *those same bytes* (journal.OpBatchColumnar), so
+// a batch is serialized exactly once in its lifetime: on the pod.
 //
 // A non-empty session deduplicates by (session, seq), so a client
 // resubmitting a partially-acknowledged stream — over a new connection, or
@@ -409,15 +405,14 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 // its journaled op — the one apply, shared by live ingestion and journal
 // replay — reading fields directly out of the view, and marks the session
 // the op names as applied. Bookkeeping runs under the shard lock, taken once
-// per batch and only by a batch that has some; reconstruction, narrowing and
-// tree merging run outside it. A Trace is materialized only where one is
-// retained: failure samples (once per signature ever) and coordinated
-// fragments. Full-capture traffic is merged straight from the view's
-// decoded branch column, and an external-only trace is keyed by its
-// frame bytes into the program's reconstructor, which re-executes the
-// program only for a trace it has not expanded before; when reconstruction
-// fails the trace merges at recorded granularity — the tree stays sound,
-// only less detailed.
+// per batch and only by a batch that has some; reconstruction and tree
+// merging run outside it. A Trace is materialized only where one is
+// retained: failure samples (once per signature ever). Full-capture and
+// sampled traffic is merged straight from the view's decoded branch column,
+// and an external-only trace is keyed by its frame bytes into the program's
+// reconstructor, which re-executes the program only for a trace it has not
+// expanded before; when reconstruction fails the trace merges at recorded
+// granularity — the tree stays sound, only less detailed.
 //
 // A replayed receipt never re-elects fix synthesis — synthesis outcomes are
 // replayed from their own journal ops. Replay also passes the fold its
@@ -434,37 +429,25 @@ var ingestScratchPool = sync.Pool{New: func() any { return &ingestScratch{} }}
 func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, r journal.Receipt, fold *pathFold) {
 	op := r.Must(journal.OpBatchColumnar)
 	live := !r.Replayed()
-	singleThreaded := st.prog.NumThreads() == 1
 	n := v.Len()
 	sc := ingestScratchPool.Get().(*ingestScratch)
 	defer ingestScratchPool.Put(sc)
 
-	// Pass 1 — bookkeeping, in batch order: coordinated fragment buffering,
-	// known-good harvesting, and failure aggregation with its single-flight
-	// synthesis election. mu is taken at the first trace that has any, so a
-	// batch of benign hashed traces never waits on a synthesis append
-	// holding it.
-	var families map[int][]*trace.Trace
+	// Pass 1 — bookkeeping, in batch order: known-good harvesting, and
+	// failure aggregation with its single-flight synthesis election. mu is
+	// taken at the first trace that has any, so a batch of benign hashed
+	// traces never waits on a synthesis append holding it.
 	var toSynthesize []*failureRecord
 	held := false
 	for i := 0; i < n; i++ {
-		coordinated := v.Mode(i) == trace.CaptureCoordinated && singleThreaded
 		good := v.Privacy(i) == trace.PrivacyRaw && v.Outcome(i) == prog.OutcomeOK && v.NumInputs(i) > 0
 		failed := v.Outcome(i).IsFailure()
-		if !coordinated && !good && !failed {
+		if !good && !failed {
 			continue
 		}
 		if !held {
 			st.mu.Lock()
 			held = true
-		}
-		if coordinated {
-			if fam, complete := st.bufferCoordinated(v.Materialize(i)); complete {
-				if families == nil {
-					families = make(map[int][]*trace.Trace)
-				}
-				families[i] = fam
-			}
 		}
 		if good {
 			sc.input = v.AppendInput(sc.input[:0], i)
@@ -486,22 +469,14 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, r journal.Re
 	st.ingested.Add(int64(n))
 
 	// Pass 2 — path expansion and tree merging, in batch order:
-	// external-only traces reconstruct to full paths, completed coordinated
-	// families narrow (if narrowing fails the family is incomplete or
-	// ambiguous evidence and the fragment merges at recorded granularity, so
-	// it still counts), everything else merges straight from the view.
-	var reconstructed, narrowed int64
+	// external-only traces reconstruct to full paths, everything else merges
+	// straight from the view.
+	var reconstructed int64
 	for i := 0; i < n; i++ {
 		outcome := v.Outcome(i)
 		path, ok := st.recon.View(v, i)
 		if ok {
 			reconstructed++
-		}
-		if fam, ok := families[i]; ok {
-			if full, ok := narrowFamily(st.prog, fam, outcome); ok {
-				path = full
-				narrowed++
-			}
 		}
 		var frame []byte
 		if path == nil {
@@ -515,9 +490,6 @@ func (h *Hive) applyBatchView(st *programState, v *trace.BatchView, r journal.Re
 	}
 	if reconstructed > 0 {
 		st.reconstructed.Add(reconstructed)
-	}
-	if narrowed > 0 {
-		st.narrowed.Add(narrowed)
 	}
 
 	// Pass 3 — synthesize fixes for the signatures this batch saw first.
@@ -538,25 +510,6 @@ func (st *programState) knownGoodSnapshot() [][]int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return append([][]int64(nil), st.knownGood...)
-}
-
-// narrowFamily combines a completed fragment family into per-site directions
-// and reconstructs the full path (paper §3.1 narrowing). It is pure with
-// respect to hive state and runs outside any lock.
-func narrowFamily(p *prog.Program, family []*trace.Trace, outcome prog.Outcome) ([]trace.BranchEvent, bool) {
-	sites, err := trace.CombineCoordinated(family)
-	if err != nil {
-		return nil, false
-	}
-	var sysRet []int64
-	for _, s := range family[0].Syscalls {
-		sysRet = append(sysRet, s.Ret)
-	}
-	full, got, err := exectree.ReconstructFromSites(p, sites, sysRet, family[0].Steps)
-	if err != nil || got != outcome {
-		return nil, false
-	}
-	return full, true
 }
 
 // synthesizeFix mints a fix for a newly observed failure signature:
@@ -1043,9 +996,6 @@ type Stats struct {
 	ProgramID     string
 	Ingested      int64
 	Reconstructed int64
-	// Narrowed counts coordinated-sampling families completed and merged
-	// as full paths.
-	Narrowed int64
 	// Reconstructor is the program's reconstruction memo: lookups answered
 	// from a remembered path, lookups that re-executed the program, and the
 	// bytes remembered. Process-local cache counters, not durable state: a
@@ -1069,7 +1019,6 @@ func (h *Hive) ProgramStats(programID string) (Stats, error) {
 		ProgramID:     programID,
 		Ingested:      st.ingested.Load(),
 		Reconstructed: st.reconstructed.Load(),
-		Narrowed:      st.narrowed.Load(),
 		Reconstructor: st.recon.Stats(),
 		Tree:          st.tree.Stats(),
 		Failures:      st.failureRecords(),

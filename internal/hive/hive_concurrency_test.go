@@ -93,16 +93,16 @@ func TestSingleFlightFixSynthesis(t *testing.T) {
 
 // TestConcurrentSubmitAcrossProgramsAndModes drives SubmitTraces from many
 // goroutines against several programs at once, mixing capture modes:
-// full-capture crashers (raw privacy, feeding known-good harvesting),
-// external-only traces (lock-free reconstruction), and coordinated-sampling
-// fragment families that must still narrow to full paths when their phases
-// arrive from different goroutines. Run under -race this is the sharding
+// full-capture crashers (raw privacy, feeding known-good harvesting) and
+// raw-privacy external-only traces of a second program, which take its lock
+// to harvest known-good inputs and reconstruct outside it, submitted from
+// several goroutines in racing order. Run under -race this is the sharding
 // regression test.
 func TestConcurrentSubmitAcrossProgramsAndModes(t *testing.T) {
 	crashy := buildCrashy(t)
 
-	// A loop-free program for coordinated sampling (every site decides once).
-	cb := prog.NewBuilder("coord-conc", 1)
+	// A loop-free program for the external-only traffic.
+	cb := prog.NewBuilder("good-conc", 1)
 	for i := 0; i < 5; i++ {
 		skip := cb.NewLabel()
 		cb.Input(0, 0)
@@ -111,40 +111,39 @@ func TestConcurrentSubmitAcrossProgramsAndModes(t *testing.T) {
 		cb.Bind(skip)
 	}
 	cb.Halt()
-	coordProg := cb.MustBuild()
+	goodProg := cb.MustBuild()
 
 	h := New("fleet")
-	for _, p := range []*prog.Program{crashy, coordProg} {
+	for _, p := range []*prog.Program{crashy, goodProg} {
 		if err := h.RegisterProgram(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	const (
-		crashyPods    = 4
-		runsPerPod    = 40
-		coordFamilies = 8
-		coordK        = 3
+		crashyPods = 4
+		runsPerPod = 40
+		goodInputs = 8
+		goodPods   = 3
 	)
 
-	// Pre-build the coordinated fragments: one family per input, one
-	// fragment per phase.
-	fragments := make([]*trace.Trace, 0, coordFamilies*coordK)
-	for f := 0; f < coordFamilies; f++ {
+	// Pre-build the known-good traces: every input from every pod.
+	goodTraces := make([]*trace.Trace, 0, goodInputs*goodPods)
+	for f := 0; f < goodInputs; f++ {
 		input := []int64{int64(10 + 30*f)}
-		for phase := uint32(0); phase < coordK; phase++ {
-			col := trace.NewCoordinatedCollector(coordProg, phase, coordK)
-			m, err := prog.NewMachine(coordProg, prog.Config{Input: input, Observer: col})
+		for gp := 0; gp < goodPods; gp++ {
+			col := trace.NewCollector(goodProg, trace.CaptureExternalOnly, 0, 1)
+			m, err := prog.NewMachine(goodProg, prog.Config{Input: input, Observer: col})
 			if err != nil {
 				t.Fatal(err)
 			}
 			res := m.Run()
-			fragments = append(fragments, col.Finish(fmt.Sprintf("cpod-%d", phase), uint64(f), res, input, trace.PrivacyHashed, "fleet"))
+			goodTraces = append(goodTraces, col.Finish(fmt.Sprintf("gpod-%d", gp), uint64(f), res, input, trace.PrivacyRaw, "fleet"))
 		}
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, crashyPods+coordK)
+	errs := make(chan error, crashyPods+goodPods)
 
 	// Crashy pods: raw privacy, inputs sweeping through the crash zone.
 	for i := 0; i < crashyPods; i++ {
@@ -170,14 +169,14 @@ func TestConcurrentSubmitAcrossProgramsAndModes(t *testing.T) {
 		}(i)
 	}
 
-	// Coordinated fragments: one goroutine per phase, so every family's
-	// fragments arrive from different goroutines in racing order.
-	for phase := 0; phase < coordK; phase++ {
+	// Known-good traces: one goroutine per pod, so every input's traces
+	// arrive from different goroutines in racing order.
+	for gp := 0; gp < goodPods; gp++ {
 		wg.Add(1)
-		go func(phase int) {
+		go func(gp int) {
 			defer wg.Done()
-			for i, tr := range fragments {
-				if i%coordK != phase {
+			for i, tr := range goodTraces {
+				if i%goodPods != gp {
 					continue
 				}
 				if err := h.SubmitTraces([]*trace.Trace{tr}); err != nil {
@@ -186,7 +185,7 @@ func TestConcurrentSubmitAcrossProgramsAndModes(t *testing.T) {
 				}
 			}
 			errs <- nil
-		}(phase)
+		}(gp)
 	}
 
 	wg.Wait()
@@ -209,15 +208,19 @@ func TestConcurrentSubmitAcrossProgramsAndModes(t *testing.T) {
 		t.Errorf("crashy: failures=%d fixes=%d epoch=%d, want 1/1/1", len(crSt.Failures), crSt.FixCount, crSt.Epoch)
 	}
 
-	coSt, err := h.ProgramStats(coordProg.ID)
+	goodSt, err := h.ProgramStats(goodProg.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(coordFamilies * coordK); coSt.Ingested != want {
-		t.Errorf("coordinated ingested = %d, want %d", coSt.Ingested, want)
+	if want := int64(goodInputs * goodPods); goodSt.Ingested != want {
+		t.Errorf("known-good ingested = %d, want %d", goodSt.Ingested, want)
 	}
-	if coSt.Narrowed != coordFamilies {
-		t.Errorf("narrowed = %d, want %d (every complete family must narrow)", coSt.Narrowed, coordFamilies)
+	st, err := h.state(goodProg.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(st.knownGoodSnapshot()); n != goodInputs*goodPods {
+		t.Errorf("harvested %d known-good inputs, want %d", n, goodInputs*goodPods)
 	}
 }
 

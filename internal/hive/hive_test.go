@@ -2,11 +2,9 @@ package hive
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
-	"repro/internal/exectree"
 	"repro/internal/fix"
 	"repro/internal/pod"
 	"repro/internal/prog"
@@ -425,67 +423,6 @@ func TestConcurrentGuidanceRequests(t *testing.T) {
 		if n < 0 {
 			t.Fatal("concurrent guidance errored")
 		}
-	}
-}
-
-func TestCoordinatedSamplingNarrowsInHive(t *testing.T) {
-	// Loop-free program so every site decides once per run.
-	b := prog.NewBuilder("coord", 1)
-	for i := 0; i < 5; i++ {
-		skip := b.NewLabel()
-		b.Input(0, 0)
-		b.BrImm(0, prog.CmpGT, int64(40*i+20), skip)
-		b.AddImm(1, 1, 1)
-		b.Bind(skip)
-	}
-	b.Halt()
-	p := b.MustBuild()
-
-	h := New("fleet")
-	if err := h.RegisterProgram(p); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference tree from one full-capture run of input 99.
-	ref := exectree.New(p.ID)
-	colRef := trace.NewCollector(p, trace.CaptureFull, 0, 1)
-	m, err := prog.NewMachine(p, prog.Config{Input: []int64{99}, Observer: colRef})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resRef := m.Run()
-	refTrace := colRef.Finish("ref", 0, resRef, []int64{99}, trace.PrivacyHashed, "fleet")
-	ref.Merge(refTrace.Branches, refTrace.Outcome)
-
-	// Three coordinated pods observe the same execution; each ships a
-	// fragment. The hive must end with the same tree as full capture.
-	const k = 3
-	for phase := uint32(0); phase < k; phase++ {
-		col := trace.NewCoordinatedCollector(p, phase, k)
-		m, err := prog.NewMachine(p, prog.Config{Input: []int64{99}, Observer: col})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := m.Run()
-		tr := col.Finish(fmt.Sprintf("pod-%d", phase), 0, res, []int64{99}, trace.PrivacyHashed, "fleet")
-		if err := h.SubmitTraces([]*trace.Trace{tr}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := h.ProgramStats(p.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Narrowed != 1 {
-		t.Fatalf("narrowed = %d, want 1", st.Narrowed)
-	}
-	// The narrowed merge must contain the full path: the hive tree's node
-	// count is at least the reference tree's (fragments add partial paths
-	// besides the narrowed one).
-	tree, _ := h.Tree(p.ID)
-	if tree.Stats().Nodes < ref.Stats().Nodes {
-		t.Fatalf("hive tree %d nodes < reference %d — full path missing",
-			tree.Stats().Nodes, ref.Stats().Nodes)
 	}
 }
 

@@ -175,10 +175,9 @@ func TestHiveDeltaCheckpointPauseIsBounded(t *testing.T) {
 }
 
 // TestRawPrivacyHeavyStriped hammers one program with raw-privacy known-good
-// inputs, coordinated-sampling fragments, and crash signatures, from many
-// goroutines, with stats/guidance readers in flight. Run under -race this
-// is the regression test for knownGood and the coordinated buffer under the
-// program's lock; the counters must be exact.
+// inputs and crash signatures, from many goroutines, with stats/guidance
+// readers in flight. Run under -race this is the regression test for
+// knownGood under the program's lock; the counters must be exact.
 func TestRawPrivacyHeavyStriped(t *testing.T) {
 	p := buildTwoSiteCrashy(t)
 	h := New("fleet")
@@ -188,27 +187,19 @@ func TestRawPrivacyHeavyStriped(t *testing.T) {
 
 	const goroutines = 12
 	const rounds = 20
-	const k = 2 // coordinated family width
+	const k = 2 // first-round extras per goroutine
 
 	oks := make([]*trace.Trace, goroutines)
 	crashes := make([]*trace.Trace, goroutines)
-	frags := make([][]*trace.Trace, goroutines)
+	extras := make([][]*trace.Trace, goroutines)
 	for g := 0; g < goroutines; g++ {
 		podID := fmt.Sprintf("raw-pod-%d", g)
 		// Raw privacy: every OK trace is a known-good harvest.
 		oks[g] = captureTrace(t, p, podID, []int64{int64(40 + g)}, trace.PrivacyRaw)
 		crashes[g] = captureTrace(t, p, podID, []int64{5}, trace.PrivacyRaw)
-		// A per-goroutine coordinated family over a distinct input so each
-		// family completes exactly once.
-		input := []int64{int64(60 + g)}
-		for phase := uint32(0); phase < k; phase++ {
-			col := trace.NewCoordinatedCollector(p, phase, k)
-			m, err := prog.NewMachine(p, prog.Config{Input: input, Observer: col})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := m.Run()
-			frags[g] = append(frags[g], col.Finish(podID, uint64(phase), res, input, trace.PrivacyRaw, "fleet"))
+		// Known-good inputs of its own, sent once.
+		for i := 0; i < k; i++ {
+			extras[g] = append(extras[g], captureTrace(t, p, podID, []int64{int64(60 + k*g + i)}, trace.PrivacyRaw))
 		}
 	}
 
@@ -223,7 +214,7 @@ func TestRawPrivacyHeavyStriped(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				batch := []*trace.Trace{oks[g], crashes[g]}
 				if r == 0 {
-					batch = append(batch, frags[g]...)
+					batch = append(batch, extras[g]...)
 				}
 				if err := h.SubmitTraces(batch); err != nil {
 					errs <- err
@@ -269,8 +260,12 @@ func TestRawPrivacyHeavyStriped(t *testing.T) {
 	if st.Ingested != want {
 		t.Fatalf("ingested %d traces, want %d", st.Ingested, want)
 	}
-	if st.Narrowed != goroutines {
-		t.Fatalf("narrowed %d coordinated families, want %d", st.Narrowed, goroutines)
+	state, err := h.state(p.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(state.knownGoodSnapshot()); n != goroutines*(rounds+k) {
+		t.Fatalf("harvested %d known-good inputs, want %d", n, goroutines*(rounds+k))
 	}
 }
 

@@ -175,11 +175,11 @@ func TestBoundBufferRejectsMismatch(t *testing.T) {
 }
 
 // TestCheckpointUnderBookkeepingTraffic checkpoints one program in a loop
-// while goroutines send it failing, raw-privacy OK and coordinated traces —
-// every part of the program's books at once — then recovers a second hive
-// from the data dir. The recovered hive must hold the same failure records,
-// known-good inputs, coordinated buffer and ingest count: a checkpoint cuts
-// between whole batches, whichever of them it catches mid-flight.
+// while goroutines send it failing and raw-privacy OK traces — every part of
+// the program's books at once — then recovers a second hive from the data
+// dir. The recovered hive must hold the same failure records, known-good
+// inputs and ingest count: a checkpoint cuts between whole batches,
+// whichever of them it catches mid-flight.
 func TestCheckpointUnderBookkeepingTraffic(t *testing.T) {
 	p := buildTwoSiteCrashy(t)
 	corpus := []*prog.Program{p}
@@ -188,8 +188,8 @@ func TestCheckpointUnderBookkeepingTraffic(t *testing.T) {
 
 	const goroutines = 8
 	const rounds = 20
-	const k = 2 // coordinated family width
-	type feed struct{ crashes, ok, frags []*trace.Trace }
+	const k = 2 // mid-run extras of an even goroutine
+	type feed struct{ crashes, ok, extras []*trace.Trace }
 	feeds := make([]feed, goroutines)
 	for g := range feeds {
 		podID := fmt.Sprintf("books-pod-%d", g)
@@ -198,19 +198,13 @@ func TestCheckpointUnderBookkeepingTraffic(t *testing.T) {
 			captureTrace(t, p, podID, []int64{250}, trace.PrivacyHashed),
 		}
 		feeds[g].ok = []*trace.Trace{captureTrace(t, p, podID, []int64{int64(20 + g)}, trace.PrivacyRaw)}
-		// Odd goroutines ship one phase only, so their families stay
-		// buffered across every checkpoint and the recovery.
-		input := []int64{int64(60 + g)}
-		for phase := uint32(0); phase < k; phase++ {
-			if g%2 == 1 && phase > 0 {
+		// Known-good inputs of its own, once mid-run: k from an even
+		// goroutine, one from an odd one.
+		for i := 0; i < k; i++ {
+			if g%2 == 1 && i > 0 {
 				break
 			}
-			col := trace.NewCoordinatedCollector(p, phase, k)
-			m, err := prog.NewMachine(p, prog.Config{Input: input, Observer: col})
-			if err != nil {
-				t.Fatal(err)
-			}
-			feeds[g].frags = append(feeds[g].frags, col.Finish(podID, uint64(phase), m.Run(), input, trace.PrivacyRaw, "fleet"))
+			feeds[g].extras = append(feeds[g].extras, captureTrace(t, p, podID, []int64{int64(60 + k*g + i)}, trace.PrivacyRaw))
 		}
 	}
 
@@ -224,7 +218,7 @@ func TestCheckpointUnderBookkeepingTraffic(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				batch := append(append([]*trace.Trace(nil), f.crashes...), f.ok...)
 				if r == rounds/2 {
-					batch = append(batch, f.frags...)
+					batch = append(batch, f.extras...)
 				}
 				if err := h.SubmitTraces(batch); err != nil {
 					t.Error(err)
@@ -271,10 +265,9 @@ func TestCheckpointUnderBookkeepingTraffic(t *testing.T) {
 		Fixed, RepairLab bool
 	}
 	type state struct {
-		Ingested    int64
-		Failures    []failure
-		KnownGood   [][]int64
-		Coordinated map[string][]byte
+		Ingested  int64
+		Failures  []failure
+		KnownGood [][]int64
 	}
 	read := func(h *Hive) state {
 		t.Helper()
@@ -298,7 +291,6 @@ func TestCheckpointUnderBookkeepingTraffic(t *testing.T) {
 		// share with journal order; the set is what recovery promises.
 		b.KnownGood = snap.KnownGood
 		slices.SortFunc(b.KnownGood, slices.Compare[[]int64])
-		b.Coordinated = snap.Coordinated
 		return b
 	}
 	t.Logf("%d checkpoints under traffic", checkpoints)
@@ -306,9 +298,9 @@ func TestCheckpointUnderBookkeepingTraffic(t *testing.T) {
 	if want.Ingested != goroutines*rounds*3+goroutines/2*(k+1) {
 		t.Fatalf("ingested %d traces, want %d", want.Ingested, goroutines*rounds*3+goroutines/2*(k+1))
 	}
-	if len(want.Failures) != 2 || len(want.Coordinated) != goroutines/2 || len(want.KnownGood) == 0 {
-		t.Fatalf("live books hold %d failure records, %d buffered families, %d known-good inputs; want 2, %d, some",
-			len(want.Failures), len(want.Coordinated), len(want.KnownGood), goroutines/2)
+	if len(want.Failures) != 2 || len(want.KnownGood) == 0 {
+		t.Fatalf("live books hold %d failure records and %d known-good inputs; want 2 and some",
+			len(want.Failures), len(want.KnownGood))
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("recovered books differ after %d checkpoints under traffic:\n want %+v\n  got %+v", checkpoints, want, got)

@@ -12,7 +12,9 @@ import (
 // encoding. A record of another version, or of a kind not listed below, is
 // refused with ErrUnknownVersion. Version 2 carries fixes and proofs in
 // their binary codecs (fix.Append, proof.Append); version 1 carried JSON.
-const opVersion = 2
+// Version 3 carries batches of trace batch version 2, which dropped the
+// coordinated-sampling columns.
+const opVersion = 3
 
 // Kind discriminates journaled operations.
 type Kind uint8

@@ -50,13 +50,13 @@ func assertRefused(t *testing.T, what string, err error, file string) {
 }
 
 // TestOpenRefusesUnknownSegmentVersion: a segment of an envelope version this
-// build does not read — a future one, or version 3, 2 or 1, which earlier
-// builds wrote — under a key with no journal at the current generation makes Open
+// build does not read — a future one, or version 5, 4, 3, 2 or 1, which
+// earlier builds wrote — under a key with no journal at the current generation makes Open
 // fail with ErrUnknownVersion, naming the file, and leaves every byte where
 // it was. Reading it as corrupt quarantined the key and deleted the file.
 func TestOpenRefusesUnknownSegmentVersion(t *testing.T) {
 	seg := encodeSnapshot(sampleSnapshot())
-	for _, magic := range []string{"SBSNAP9\n", "SBSNAP4\n", "SBSNAP3\n", "SBSNAP2\n", "SBSNAP1\n"} {
+	for _, magic := range []string{"SBSNAP9\n", "SBSNAP5\n", "SBSNAP4\n", "SBSNAP3\n", "SBSNAP2\n", "SBSNAP1\n"} {
 		dir := t.TempDir()
 		name := filepath.Base(snapPath(dir, fileKey("prog-envelope"), 3))
 		data := append([]byte(magic), seg[len(snapMagic):]...)
@@ -144,13 +144,14 @@ func TestUnknownWALVersionRefused(t *testing.T) {
 }
 
 // TestReplayRefusesUnknownOp: a CRC-valid record of an op kind or op version
-// this build does not read, between two acknowledged records, fails Replay
+// this build does not read (a future version, or version 2 or 1, which
+// earlier builds wrote), between two acknowledged records, fails Replay
 // and ChainExport.Replay with ErrUnknownVersion and leaves the journal as it
 // was. A torn write never leaves a CRC-valid record, so this is another
 // build's record, and reading it as a torn tail truncated it and every
 // acknowledged record after it.
 func TestReplayRefusesUnknownOp(t *testing.T) {
-	for _, payload := range [][]byte{{opVersion, 99}, {opVersion, 1, 0, 0, 0}, {9, byte(OpBatchColumnar), 0, 0, 0}, {opVersion - 1, byte(OpSynthesis), 0, 0}} {
+	for _, payload := range [][]byte{{opVersion, 99}, {opVersion, 1, 0, 0, 0}, {9, byte(OpBatchColumnar), 0, 0, 0}, {2, byte(OpBatchColumnar), 0, 0, 0}, {1, byte(OpSynthesis), 0, 0}} {
 		dir := t.TempDir()
 		s, err := Open(dir, Options{})
 		if err != nil {

@@ -15,11 +15,10 @@ import (
 // serialized execution tree (exectree.Encode, which Decode restores
 // bit-for-bit including the incremental frontier index), the versioned fix
 // set, standing proofs, failure-signature aggregation, ingestion counters,
-// collective known-good inputs, the coordinated-sampling fragment buffer,
-// and the exactly-once session dedup table as of the checkpoint.
+// collective known-good inputs, and the exactly-once session dedup table as
+// of the checkpoint.
 //
-// Trace payloads (failure samples, coordinated families) are columnar
-// batches (trace.AppendBatch), the one trace encoding the wire, the journal
+// Failure samples are columnar batches (trace.AppendBatch), the one trace encoding the wire, the journal
 // and the archive carry; fixes and proofs are in their own binary codecs
 // (fix.Append, proof.Append). All of
 // them are post-privacy: the snapshot persists what pods shipped, never
@@ -38,11 +37,10 @@ import (
 // depth shared with the previous entry, the edges below it and the node's
 // body).
 //
-// A chain segment holds a snapshot in envelope version 5 (see
+// A chain segment holds a snapshot in envelope version 6 (see
 // encodeSnapshot): every field in the journal's uvarint framing, fixes and
 // proofs as opaque bytes, so no JSON is parsed to read one. A decoded
-// snapshot's byte fields (Tree, TreeDelta, fixes, proofs, samples,
-// coordinated batches) alias the segment bytes it was read from, so nothing
+// snapshot's byte fields (Tree, TreeDelta, fixes, proofs, samples) alias the segment bytes it was read from, so nothing
 // may write into them, nor into the bytes of a ChainExport it came from; its
 // strings share one allocation. Empty lists and maps decode as nil. A
 // segment of any other envelope version is refused with ErrUnknownVersion.
@@ -64,14 +62,10 @@ type ProgramSnapshot struct {
 
 	Ingested      int64
 	Reconstructed int64
-	Narrowed      int64
 
 	// KnownGood are raw inputs observed to succeed (present only when pods
 	// shipped at PrivacyRaw).
 	KnownGood [][]int64
-	// Coordinated buffers incomplete coordinated-sampling families:
-	// family key -> the family's fragments as one columnar batch.
-	Coordinated map[string][]byte
 
 	// Sessions is the exactly-once dedup table (session -> contiguous
 	// applied-sequence base) as of this checkpoint; SessionsAhead carries
@@ -104,27 +98,28 @@ const (
 
 // encodeSnapshot serializes a snapshot into the CRC-framed byte form of a
 // chain segment: what writeSnapshotFile persists and a ChainExport carries.
-// The envelope (version 5) is
+// The envelope (version 6) is
 //
-//	"SBSNAP5\n" | uvarint body length | body | CRC32 (IEEE, little endian) of body
+//	"SBSNAP6\n" | uvarint body length | body | CRC32 (IEEE, little endian) of body
 //
 //	body  = field program ID | field Tree | field TreeDelta | state
-//	state = varint Ingested, Reconstructed, Narrowed, Epoch
+//	state = varint Ingested, Reconstructed, Epoch
 //	      | list of field (Fixes) | list of field (Proofs)
 //	      | list of failure
 //	      | list of (list of varint) (KnownGood)
-//	      | list of (field key, field batch) (Coordinated)
 //	      | list of (field session, uvarint base) (Sessions)
 //	      | list of (field session, list of uvarint) (SessionsAhead)
 //	failure = field signature | byte outcome | varint count
 //	      | list of field (pods) | field sample | byte flags
 //
 // where a field is a uvarint length and that many bytes, and a list a
-// uvarint count and that many items. The three maps are written in
+// uvarint count and that many items. The two maps are written in
 // ascending key order, so a segment's bytes are a function of the state, and
 // a reader takes the tree bytes as they lie. Version 4 replaced version 3's
 // JSON state with this one; version 5 has the same layout, with fixes and
-// proofs in their binary codecs where version 4 held their JSON.
+// proofs in their binary codecs where version 4 held their JSON; version 6
+// drops version 5's Narrowed counter and coordinated-sampling families, and
+// its samples are trace batches of version 2.
 func encodeSnapshot(snap *ProgramSnapshot) []byte {
 	state := appendState(nil, snap)
 	n := uvarintLen(len(snap.ProgramID)) + len(snap.ProgramID) +
@@ -144,7 +139,7 @@ func encodeSnapshot(snap *ProgramSnapshot) []byte {
 // appendState appends every field after the header in the layout
 // encodeSnapshot gives.
 func appendState(buf []byte, snap *ProgramSnapshot) []byte {
-	for _, v := range [...]int64{snap.Ingested, snap.Reconstructed, snap.Narrowed, int64(snap.Epoch)} {
+	for _, v := range [...]int64{snap.Ingested, snap.Reconstructed, int64(snap.Epoch)} {
 		buf = binary.AppendVarint(buf, v)
 	}
 	for _, docs := range [...][][]byte{snap.Fixes, snap.Proofs} {
@@ -179,11 +174,6 @@ func appendState(buf []byte, snap *ProgramSnapshot) []byte {
 		for _, v := range input {
 			buf = binary.AppendVarint(buf, v)
 		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(snap.Coordinated)))
-	for _, key := range sortedKeys(snap.Coordinated) {
-		buf = codec.AppendField(buf, key)
-		buf = codec.AppendField(buf, snap.Coordinated[key])
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(snap.Sessions)))
 	for _, id := range sortedKeys(snap.Sessions) {
@@ -249,7 +239,7 @@ func decodeSnapshot(data []byte, where string) (*ProgramSnapshot, error) {
 func decodeState(state []byte, snap *ProgramSnapshot) error {
 	d := codec.NewDecoder(state, ErrCorrupt, "snapshot state")
 	d.ShareStrings()
-	snap.Ingested, snap.Reconstructed, snap.Narrowed = d.Varint(), d.Varint(), d.Varint()
+	snap.Ingested, snap.Reconstructed = d.Varint(), d.Varint()
 	snap.Epoch = int(d.Varint())
 	snap.Fixes = views(&d)
 	snap.Proofs = views(&d)
@@ -286,14 +276,6 @@ func decodeState(state []byte, snap *ProgramSnapshot) error {
 				}
 				snap.KnownGood[i] = input
 			}
-		}
-	}
-	if n := d.Count(2); n > 0 {
-		snap.Coordinated = make(map[string][]byte, n)
-		for i, prev := 0, ""; i < n && d.Err() == nil; i++ {
-			key := mapKey(&d, i, prev)
-			snap.Coordinated[key] = d.View()
-			prev = key
 		}
 	}
 	if n := d.Count(2); n > 0 {

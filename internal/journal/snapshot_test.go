@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -26,9 +27,7 @@ func sampleSnapshot() *ProgramSnapshot {
 			Sample: []byte{9, 8, 7}, Fixed: true}},
 		Ingested:      100,
 		Reconstructed: 40,
-		Narrowed:      2,
 		KnownGood:     [][]int64{{1, 2}, {300}},
-		Coordinated:   map[string][]byte{"fam": {1, 2, 3}},
 		Sessions:      map[string]uint64{"s1": 7, "s2": 1 << 40},
 		SessionsAhead: map[string][]uint64{"s1": {9, 11}},
 	}
@@ -41,7 +40,7 @@ func frame(magic string, n uint64, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
 }
 
-// TestSnapshotEnvelope: a version 4 segment decodes to the snapshot that was
+// TestSnapshotEnvelope: a segment decodes to the snapshot that was
 // encoded, with its byte fields read in place — subslices of the segment,
 // each capped at its own length — and the header names the program.
 func TestSnapshotEnvelope(t *testing.T) {
@@ -63,7 +62,7 @@ func TestSnapshotEnvelope(t *testing.T) {
 		if id, err := snapshotID(data, "test"); err != nil || id != want.ProgramID {
 			t.Fatalf("segment names program %q (%v); want %q", id, err, want.ProgramID)
 		}
-		fields := [][]byte{got.Tree, got.TreeDelta, got.Failures[0].Sample, got.Coordinated["fam"]}
+		fields := [][]byte{got.Tree, got.TreeDelta, got.Failures[0].Sample}
 		for _, field := range append(append(fields, got.Fixes...), got.Proofs...) {
 			if field == nil {
 				continue
@@ -179,6 +178,7 @@ func FuzzSnapshotEnvelope(f *testing.F) {
 	seg := encodeSnapshot(sampleSnapshot())
 	f.Add(seg)
 	f.Add(append([]byte("SBSNAP9\n"), seg[len(snapMagic):]...))
+	f.Add(append([]byte("SBSNAP5\n"), seg[len(snapMagic):]...))
 	f.Add(append([]byte("SBSNAP3\n"), seg[len(snapMagic):]...))
 	f.Add(seg[:len(seg)/2])
 	f.Add(seg[:len(seg)-1])
@@ -194,6 +194,20 @@ func FuzzSnapshotEnvelope(f *testing.F) {
 	f.Add([]byte("SBSNAP"))
 	for _, state := range hostileStates() {
 		f.Add(stateSegment(state))
+	}
+	// Every segment of the data directories earlier builds wrote (the
+	// hive's legacy fixtures): each retired envelope version as it was
+	// written, all of them refused.
+	legacy, err := filepath.Glob(filepath.Join("..", "hive", "testdata", "chain-v*", "*.snap"))
+	if err != nil || len(legacy) == 0 {
+		f.Fatalf("legacy segments: %v (%d found)", err, len(legacy))
+	}
+	for _, name := range legacy {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeSnapshot(data, "fuzz")
@@ -250,15 +264,15 @@ func stateSegment(state []byte) []byte {
 // an unknown failure flag.
 func hostileStates() [][]byte {
 	state := sampleState()
-	counters := binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(nil, 1), 2), 3), 4)
+	counters := binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(nil, 1), 2), 3)
 	var out [][]byte
 	// An empty state but for one list, whose count is hostile. Lists come
 	// after the counters in this order: fixes, proofs, failures, known-good,
-	// coordinated, sessions, sessions ahead.
-	for list := 0; list < 7; list++ {
-		for _, count := range []uint64{1<<64 - 1, 1<<64 - 4, 1 << 62, uint64(7 - list + 1)} {
+	// sessions, sessions ahead.
+	for list := 0; list < 6; list++ {
+		for _, count := range []uint64{1<<64 - 1, 1<<64 - 4, 1 << 62, uint64(6 - list + 1)} {
 			s := append([]byte(nil), counters...)
-			for i := 0; i < 7; i++ {
+			for i := 0; i < 6; i++ {
 				if i == list {
 					s = binary.AppendUvarint(s, count)
 				} else {
@@ -274,7 +288,7 @@ func hostileStates() [][]byte {
 	out = append(out, append(append([]byte(nil), state...), 0))
 	// Two sessions whose keys do not ascend, and two that repeat.
 	for _, keys := range [][2]string{{"s2", "s1"}, {"s1", "s1"}} {
-		s := append(append([]byte(nil), counters...), 0, 0, 0, 0, 0, 2)
+		s := append(append([]byte(nil), counters...), 0, 0, 0, 0, 2)
 		for _, k := range keys {
 			s = binary.AppendUvarint(codec.AppendField(s, k), 1)
 		}
@@ -282,7 +296,7 @@ func hostileStates() [][]byte {
 	}
 	// A failure with a flag bit no encoder sets.
 	s := append(append([]byte(nil), counters...), 0, 0, 1, 1, 'f', 2, 1, 0, 0, 0x80>>4)
-	out = append(out, append(s, 0, 0, 0, 0))
+	out = append(out, append(s, 0, 0, 0))
 	return out
 }
 
@@ -301,7 +315,7 @@ func TestSnapshotStateRefusesHostile(t *testing.T) {
 }
 
 // TestSnapshotStateRoundTrip: over random states — nil and empty lists and
-// maps, several sessions with marks ahead, coordinated batches, negative
+// maps, several sessions with marks ahead, negative
 // counters and inputs — a segment decodes to the state it was encoded from
 // (an empty list or map as nil), and equal states give equal bytes whatever
 // the maps' insertion order or the lists' nil-ness.
@@ -353,7 +367,6 @@ func randomSnapshot(rng *rand.Rand) *ProgramSnapshot {
 		Epoch:         rng.Intn(9) - 1,
 		Ingested:      rng.Int63() >> uint(rng.Intn(63)),
 		Reconstructed: -rng.Int63n(1000),
-		Narrowed:      rng.Int63n(5),
 	}
 	if rng.Intn(2) == 0 {
 		snap.Tree = blob()
@@ -397,12 +410,6 @@ func randomSnapshot(rng *rand.Rand) *ProgramSnapshot {
 			}
 		}
 	}
-	if n := list(4); n >= 0 {
-		snap.Coordinated = make(map[string][]byte, n)
-		for i := 0; i < n; i++ {
-			snap.Coordinated[str()] = blob()
-		}
-	}
 	if n := list(64); n >= 0 {
 		snap.Sessions = make(map[string]uint64, n)
 		for i := 0; i < n; i++ {
@@ -437,7 +444,7 @@ func normalized(snap *ProgramSnapshot) *ProgramSnapshot {
 	out := *snap
 	out.Tree, out.TreeDelta = b(snap.Tree), b(snap.TreeDelta)
 	out.Fixes, out.Proofs, out.Failures, out.KnownGood = nil, nil, nil, nil
-	out.Coordinated, out.Sessions, out.SessionsAhead = nil, nil, nil
+	out.Sessions, out.SessionsAhead = nil, nil
 	for _, f := range snap.Fixes {
 		out.Fixes = append(out.Fixes, b(f))
 	}
@@ -456,12 +463,6 @@ func normalized(snap *ProgramSnapshot) *ProgramSnapshot {
 			g = nil
 		}
 		out.KnownGood = append(out.KnownGood, g)
-	}
-	for k, v := range snap.Coordinated {
-		if out.Coordinated == nil {
-			out.Coordinated = map[string][]byte{}
-		}
-		out.Coordinated[k] = b(v)
 	}
 	if len(snap.Sessions) > 0 {
 		out.Sessions = snap.Sessions
@@ -492,13 +493,8 @@ func rebuilt(snap *ProgramSnapshot) *ProgramSnapshot {
 	if len(snap.KnownGood) == 0 {
 		out.KnownGood = nil
 	}
-	out.Coordinated = map[string][]byte{}
-	keys := sortedKeys(snap.Coordinated)
-	for i := len(keys) - 1; i >= 0; i-- {
-		out.Coordinated[keys[i]] = snap.Coordinated[keys[i]]
-	}
 	out.Sessions = map[string]uint64{}
-	keys = sortedKeys(snap.Sessions)
+	keys := sortedKeys(snap.Sessions)
 	for i := len(keys) - 1; i >= 0; i-- {
 		out.Sessions[keys[i]] = snap.Sessions[keys[i]]
 	}

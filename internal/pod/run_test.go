@@ -93,7 +93,6 @@ func TestPodReuseMatchesFresh(t *testing.T) {
 		{"full", memProg(t), trace.CaptureFull, 0},
 		{"external-only", memProg(t), trace.CaptureExternalOnly, 0},
 		{"sampled", memProg(t), trace.CaptureSampled, 0.5},
-		{"coordinated", memProg(t), trace.CaptureCoordinated, 0},
 		{"multi-threaded", threadedProg(t), trace.CaptureFull, 0},
 	}
 	for _, tc := range cases {

@@ -13,8 +13,9 @@ import (
 )
 
 // batchVersion is bumped on any wire-incompatible change to the columnar
-// batch encoding.
-const batchVersion = 1
+// batch encoding. Version 2 dropped version 1's two coordinated-sampling
+// columns; a batch of any other version is refused.
+const batchVersion = 2
 
 // ErrCodec is returned (wrapped) for any malformed encoded batch.
 var ErrCodec = errors.New("trace: malformed encoding")
@@ -46,7 +47,7 @@ var ErrCodec = errors.New("trace: malformed encoding")
 //	uvarint n (trace count)
 //	scalar columns, each n entries:
 //	  pod index (uvarint), mode (raw byte), outcome (raw byte),
-//	  privacy (raw byte), sampleRate/samplePhase/sampleK (uvarint),
+//	  privacy (raw byte), sampleRate (uvarint),
 //	  seq (first absolute, then zigzag deltas), faultPC/assertID
 //	  (varint), steps (uvarint)
 //	variable sections, each: counts column (events per trace, omitted for
@@ -54,9 +55,11 @@ var ErrCodec = errors.New("trace: malformed encoding")
 //	  branches, syscalls, locks, deadlock, scheduleHash, inputDigest,
 //	  input, inputBuckets
 //
+// The mode column holds only full, external-only or sampled; DecodeBatch
+// refuses a batch with any other mode byte.
+//
 // It is the one trace encoding: the wire, the journal's batch records, the
-// archive and the checkpoints' failure samples and coordinated families all
-// carry it.
+// archive and the checkpoints' failure samples all carry it.
 
 // batchSection indexes the variable-length sections in layout order.
 const (
@@ -209,12 +212,6 @@ func AppendBatch(dst []byte, programID string, traces []*Trace) ([]byte, error) 
 	for _, tr := range traces {
 		dst = binary.AppendUvarint(dst, uint64(tr.SampleRate))
 	}
-	for _, tr := range traces {
-		dst = binary.AppendUvarint(dst, uint64(tr.SamplePhase))
-	}
-	for _, tr := range traces {
-		dst = binary.AppendUvarint(dst, uint64(tr.SampleK))
-	}
 	var prev uint64
 	for i, tr := range traces {
 		if i == 0 {
@@ -266,14 +263,12 @@ func stageSection(e *batchEncoder, sec, count int, write func([]byte) []byte) {
 // encoded buffer: decoded scalar columns plus per-trace offsets into the
 // variable-section slabs. Slices are reused across batches.
 type viewScratch struct {
-	podIdx      []uint32
-	sampleRate  []uint32
-	samplePhase []uint32
-	sampleK     []uint32
-	seq         []uint64
-	faultPC     []int32
-	assertID    []int64
-	steps       []int64
+	podIdx     []uint32
+	sampleRate []uint32
+	seq        []uint64
+	faultPC    []int32
+	assertID   []int64
+	steps      []int64
 
 	counts [numSections][]uint32
 	// offs[s] holds n+1 absolute buffer offsets: trace i's slab bytes for
@@ -379,11 +374,14 @@ func indexBatch(buf []byte) (*BatchView, error) {
 	}
 	v.mode, v.outcome, v.privacy = buf[pos:pos+n], buf[pos+n:pos+2*n], buf[pos+2*n:pos+3*n]
 	pos += 3 * n
-	for _, col := range [...]*[]uint32{&sc.sampleRate, &sc.samplePhase, &sc.sampleK} {
-		*col = growU32(*col, n)
-		if pos, err = uvarintColumn(buf, pos, *col, "", math.MaxUint64); err != nil {
-			return fail(err)
+	for _, m := range v.mode {
+		if m < byte(CaptureFull) || m > byte(CaptureSampled) {
+			return fail(fmt.Errorf("%w: capture mode %d", ErrCodec, m))
 		}
+	}
+	sc.sampleRate = growU32(sc.sampleRate, n)
+	if pos, err = uvarintColumn(buf, pos, sc.sampleRate, "", math.MaxUint64); err != nil {
+		return fail(err)
 	}
 	sc.seq = growU64(sc.seq, n)
 	if pos, err = seqColumn(buf, pos, sc.seq); err != nil {
@@ -740,25 +738,22 @@ func (v *BatchView) FailureSignature(dst []byte, i int) []byte {
 }
 
 // Materialize builds a full Trace for index i — the escape hatch for the
-// few consumers that must retain or mutate one (failure samples,
-// coordinated-fragment buffering, privacy re-application). The result
-// shares no memory with the view except the pod-ID dictionary string, and a
-// section with no events is nil, so a trace built by appending events
-// materializes DeepEqual to itself.
+// few consumers that must retain or mutate one (failure samples, privacy
+// re-application). The result shares no memory with the view except the
+// pod-ID dictionary string, and a section with no events is nil, so a trace
+// built by appending events materializes DeepEqual to itself.
 func (v *BatchView) Materialize(i int) *Trace {
 	t := &Trace{
-		ProgramID:   v.programID,
-		PodID:       v.PodID(i),
-		Seq:         v.Seq(i),
-		Mode:        v.Mode(i),
-		SampleRate:  uint32(v.sc.sampleRate[i]),
-		SamplePhase: v.sc.samplePhase[i],
-		SampleK:     v.sc.sampleK[i],
-		Outcome:     v.Outcome(i),
-		FaultPC:     v.FaultPC(i),
-		AssertID:    v.AssertID(i),
-		Steps:       v.Steps(i),
-		Privacy:     v.Privacy(i),
+		ProgramID:  v.programID,
+		PodID:      v.PodID(i),
+		Seq:        v.Seq(i),
+		Mode:       v.Mode(i),
+		SampleRate: v.sc.sampleRate[i],
+		Outcome:    v.Outcome(i),
+		FaultPC:    v.FaultPC(i),
+		AssertID:   v.AssertID(i),
+		Steps:      v.Steps(i),
+		Privacy:    v.Privacy(i),
 	}
 	if n := v.NumBranches(i); n > 0 {
 		t.Branches = append(make([]BranchEvent, 0, n), v.Branches(i)...)

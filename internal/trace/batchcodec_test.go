@@ -19,22 +19,20 @@ import (
 // levels — so the columnar codec is exercised across the whole field space.
 func randomTrace(rng *rand.Rand, programID string) *Trace {
 	pods := []string{"pod-a", "pod-b", "pod-c"}
-	modes := []CaptureMode{CaptureFull, CaptureExternalOnly, CaptureSampled, CaptureCoordinated}
+	modes := []CaptureMode{CaptureFull, CaptureExternalOnly, CaptureSampled}
 	outcomes := []prog.Outcome{prog.OutcomeOK, prog.OutcomeCrash, prog.OutcomeAssertFail, prog.OutcomeDeadlock}
 	privacies := []PrivacyLevel{PrivacyRaw, PrivacyBucketed, PrivacyHashed, PrivacyOpaque}
 	t := &Trace{
-		ProgramID:   programID,
-		PodID:       pods[rng.Intn(len(pods))],
-		Seq:         rng.Uint64() >> rng.Intn(40),
-		Mode:        modes[rng.Intn(len(modes))],
-		SampleRate:  uint32(rng.Intn(1 << 16)),
-		SamplePhase: uint32(rng.Intn(8)),
-		SampleK:     uint32(rng.Intn(8)),
-		Outcome:     outcomes[rng.Intn(len(outcomes))],
-		FaultPC:     int32(rng.Intn(2000) - 1),
-		AssertID:    int64(rng.Intn(100) - 1),
-		Steps:       rng.Int63n(1 << 20),
-		Privacy:     privacies[rng.Intn(len(privacies))],
+		ProgramID:  programID,
+		PodID:      pods[rng.Intn(len(pods))],
+		Seq:        rng.Uint64() >> rng.Intn(40),
+		Mode:       modes[rng.Intn(len(modes))],
+		SampleRate: uint32(rng.Intn(1 << 16)),
+		Outcome:    outcomes[rng.Intn(len(outcomes))],
+		FaultPC:    int32(rng.Intn(2000) - 1),
+		AssertID:   int64(rng.Intn(100) - 1),
+		Steps:      rng.Int63n(1 << 20),
+		Privacy:    privacies[rng.Intn(len(privacies))],
 	}
 	for i := rng.Intn(20); i > 0; i-- {
 		t.Branches = append(t.Branches, BranchEvent{ID: int32(rng.Intn(512)), Taken: rng.Intn(2) == 1})
@@ -213,17 +211,15 @@ func refIndexBatch(buf []byte) (*BatchView, error) {
 	v.mode = d.raw(n)
 	v.outcome = d.raw(n)
 	v.privacy = d.raw(n)
+	for _, m := range v.mode {
+		if mode := CaptureMode(m); mode != CaptureFull && mode != CaptureExternalOnly && mode != CaptureSampled {
+			release()
+			return nil, fmt.Errorf("%w: capture mode %d", ErrCodec, m)
+		}
+	}
 	sc.sampleRate = growU32(sc.sampleRate, n)
 	for i := 0; i < n; i++ {
 		sc.sampleRate[i] = uint32(d.uvarint())
-	}
-	sc.samplePhase = growU32(sc.samplePhase, n)
-	for i := 0; i < n; i++ {
-		sc.samplePhase[i] = uint32(d.uvarint())
-	}
-	sc.sampleK = growU32(sc.sampleK, n)
-	for i := 0; i < n; i++ {
-		sc.sampleK[i] = uint32(d.uvarint())
 	}
 	sc.seq = growU64(sc.seq, n)
 	var prev uint64
@@ -436,7 +432,6 @@ func checkIndexAgainstReference(t *testing.T, data []byte) {
 	a, b := v.sc, ref.sc
 	n := v.n
 	same = same && slices.Equal(a.podIdx[:n], b.podIdx[:n]) && slices.Equal(a.sampleRate[:n], b.sampleRate[:n]) &&
-		slices.Equal(a.samplePhase[:n], b.samplePhase[:n]) && slices.Equal(a.sampleK[:n], b.sampleK[:n]) &&
 		slices.Equal(a.seq[:n], b.seq[:n]) && slices.Equal(a.faultPC[:n], b.faultPC[:n]) &&
 		slices.Equal(a.assertID[:n], b.assertID[:n]) && slices.Equal(a.steps[:n], b.steps[:n])
 	for s := 0; s < numSections; s++ {
@@ -473,6 +468,10 @@ func FuzzBatchCodec(f *testing.F) {
 	// One trace and no pod to index, then one pod and an index past it.
 	f.Add(append([]byte{batchVersion, 1, 'p', 0, 1}, make([]byte, 40)...))
 	f.Add(append([]byte{batchVersion, 1, 'p', 1, 1, 'q', 1, 1}, make([]byte, 40)...))
+	// The retired coordinated mode and a byte no mode ever had.
+	for _, enc := range unknownModeBatches(f, rng) {
+		f.Add(enc)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v := checkAgainstReference(t, data)
 		if v == nil {
@@ -493,6 +492,38 @@ func FuzzBatchCodec(f *testing.F) {
 			t.Fatal("re-encoded batch decodes differently")
 		}
 	})
+}
+
+// unknownModeBatches encodes one well-formed trace under each mode byte the
+// codec refuses: 0, 4 (coordinated capture, retired with batch version 1)
+// and 255.
+func unknownModeBatches(t testing.TB, rng *rand.Rand) [][]byte {
+	var out [][]byte
+	for _, mode := range []CaptureMode{0, 4, 255} {
+		tr := randomTrace(rng, "prog-mode")
+		tr.Mode = mode
+		enc, err := EncodeBatch("prog-mode", []*Trace{tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, enc)
+	}
+	return out
+}
+
+// TestBatchDecodeRefusesUnknownMode: a batch whose mode column holds a byte
+// that is not full, external-only or sampled capture is refused with
+// ErrCodec, so no consumer merges it as some mode's branches.
+func TestBatchDecodeRefusesUnknownMode(t *testing.T) {
+	for _, enc := range unknownModeBatches(t, rand.New(rand.NewSource(5))) {
+		if v, err := DecodeBatch(enc); !errors.Is(err, ErrCodec) {
+			if err == nil {
+				v.Release()
+			}
+			t.Errorf("DecodeBatch of a batch with an unknown mode returned %v; want ErrCodec", err)
+		}
+		checkAgainstReference(t, enc)
+	}
 }
 
 // materialized builds every trace of the view.

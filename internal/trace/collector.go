@@ -14,8 +14,6 @@ type Collector struct {
 	mode    CaptureMode
 	rate    float64
 	rng     stats.RNG
-	phase   uint32
-	k       uint32
 
 	branches    []BranchEvent
 	syscalls    []SyscallEvent
@@ -28,25 +26,10 @@ var _ prog.Observer = (*Collector)(nil)
 
 // NewCollector creates a collector for the given program and capture mode.
 // rate is the per-branch recording probability for CaptureSampled (ignored
-// otherwise); seed drives the sampling decisions so coordinated sampling
-// across a pod fleet is reproducible.
+// otherwise); seed drives the sampling decisions so sampling across a pod
+// fleet is reproducible.
 func NewCollector(p *prog.Program, mode CaptureMode, rate float64, seed uint64) *Collector {
-	c := &Collector{program: p, mode: mode, rate: rate, rng: *stats.NewRNG(seed)}
-	if mode == CaptureCoordinated {
-		c.k = 1 // phase 0 of 1: every site
-	}
-	return c
-}
-
-// NewCoordinatedCollector creates a collector in CaptureCoordinated mode:
-// it records only branch sites with ID % k == phase. A fleet whose pods use
-// distinct phases partitions the site space; the hive recombines the
-// fragments with CombineCoordinated.
-func NewCoordinatedCollector(p *prog.Program, phase, k uint32) *Collector {
-	if k == 0 {
-		k = 1
-	}
-	return &Collector{program: p, mode: CaptureCoordinated, phase: phase % k, k: k, rng: *stats.NewRNG(uint64(phase))}
+	return &Collector{program: p, mode: mode, rate: rate, rng: *stats.NewRNG(seed)}
 }
 
 // Reseed restarts the sampling stream as NewCollector(…, seed) starts it.
@@ -73,10 +56,6 @@ func (c *Collector) Branch(tid, branchID int, taken bool) {
 		}
 	case CaptureSampled:
 		if !c.rng.Bool(c.rate) {
-			return
-		}
-	case CaptureCoordinated:
-		if uint32(branchID)%c.k != c.phase {
 			return
 		}
 	}
@@ -122,8 +101,6 @@ func (c *Collector) Finish(podID string, seq uint64, res prog.Result, input []in
 		Seq:          seq,
 		Mode:         c.mode,
 		SampleRate:   uint32(c.rate * 65536),
-		SamplePhase:  c.phase,
-		SampleK:      c.k,
 		Branches:     append(t.Branches[:0], c.branches...),
 		Syscalls:     append(t.Syscalls[:0], c.syscalls...),
 		Locks:        append(t.Locks[:0], c.locks...),

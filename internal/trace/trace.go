@@ -22,26 +22,23 @@ type CaptureMode uint8
 
 // Capture modes (paper §3.1). Full records every branch. ExternalOnly
 // records only input-dependent branches — the deterministic remainder is
-// reconstructible by the hive. Sampled records a coordinated pseudo-random
-// subset (cooperative bug isolation style, ref [18]); a sampled trace
-// specifies a *family* of paths that later aggregation narrows down.
+// reconstructible by the hive, so each trace is already a full path. Sampled
+// records a seeded pseudo-random subset (cooperative bug isolation style, ref
+// [18]), merged at the granularity it was recorded at. The paper's third
+// option, sites partitioned across pods and narrowed back into one path by
+// the hive, is not offered: it ships more bytes per fully merged path than
+// external-only capture (EXPERIMENTS.md E41). The batch codec refuses any
+// other mode byte.
 const (
 	CaptureFull CaptureMode = iota + 1
 	CaptureExternalOnly
 	CaptureSampled
-	// CaptureCoordinated records only branch sites with
-	// ID % SampleK == SamplePhase: the fleet partitions the site space, so
-	// each trace is cheap but the *union* across pods observing the same
-	// execution recovers every site — the paper's "coordinated fashion"
-	// sampling whose families aggregation narrows back down.
-	CaptureCoordinated
 )
 
 var captureNames = map[CaptureMode]string{
 	CaptureFull:         "full",
 	CaptureExternalOnly: "external-only",
 	CaptureSampled:      "sampled",
-	CaptureCoordinated:  "coordinated",
 }
 
 // String returns the mode label.
@@ -104,10 +101,6 @@ type Trace struct {
 	// SampleRate is the per-branch recording probability for CaptureSampled
 	// (stored as rate*65536), zero otherwise.
 	SampleRate uint32
-	// SamplePhase and SampleK identify the coordinated-sampling partition
-	// for CaptureCoordinated (sites with ID % SampleK == SamplePhase).
-	SamplePhase uint32
-	SampleK     uint32
 
 	// Branches is the ordered dynamic branch record. Under
 	// CaptureExternalOnly it contains only input-dependent branches; under

@@ -334,7 +334,7 @@ func TestSampledCaptureSubsets(t *testing.T) {
 func TestEncodeSizeReasonable(t *testing.T) {
 	// The varint codec should beat a naive 4-bytes-per-event encoding.
 	rng := stats.NewRNG(5)
-	tr := &Trace{ProgramID: "p", PodID: "pod"}
+	tr := &Trace{ProgramID: "p", PodID: "pod", Mode: CaptureFull}
 	for i := 0; i < 1000; i++ {
 		tr.Branches = append(tr.Branches, BranchEvent{ID: int32(rng.Intn(100)), Taken: rng.Bool(0.5)})
 	}

@@ -45,9 +45,9 @@ func AppendHello(buf []byte) []byte {
 // and one with none (the feature strings of before versions) reads as 0.
 func decodeHello(payload []byte) (int, error) {
 	if v, ok := legacyVersion(payload); ok {
-		if v >= ProtocolVersion {
-			// No hello of this version was ever JSON: it is not what it
-			// says it is.
+		if v > 1 {
+			// No hello after version 1 was JSON: it is not what it says
+			// it is.
 			return 0, fmt.Errorf("%w: a JSON hello claiming protocol version %d", ErrFrame, v)
 		}
 		return v, nil

@@ -17,6 +17,20 @@ import (
 // MsgError naming both versions, and the connection is still served: a
 // binary hello on it is accepted.
 func TestVersion1HelloRefused(t *testing.T) {
+	assertHelloRefused(t, []byte(`{"version":1}`), 1)
+}
+
+// TestVersion2HelloRefused: so is the binary hello of protocol version 2,
+// whose trace batches carried coordinated-sampling columns.
+func TestVersion2HelloRefused(t *testing.T) {
+	assertHelloRefused(t, []byte{2}, 2)
+}
+
+// assertHelloRefused sends hello, which names protocol version, and fails
+// unless the server answers MsgError naming version and ProtocolVersion and
+// then accepts a hello of ProtocolVersion on the same connection.
+func assertHelloRefused(t *testing.T, hello []byte, version int) {
+	t.Helper()
 	_, addr, stop := startServer(t)
 	defer stop()
 	conn, err := net.Dial("tcp", addr)
@@ -24,18 +38,18 @@ func TestVersion1HelloRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, MsgHello, []byte(`{"version":1}`)); err != nil {
+	if err := WriteFrame(conn, MsgHello, hello); err != nil {
 		t.Fatal(err)
 	}
 	respType, resp, err := ReadFrame(conn)
 	if err != nil || respType != MsgError {
-		t.Fatalf("a version 1 hello answered with type %d, err %v; want MsgError", respType, err)
+		t.Fatalf("a version %d hello answered with type %d, err %v; want MsgError", version, respType, err)
 	}
 	msg, err := decodeError(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"version 1", fmt.Sprintf("version %d", ProtocolVersion)} {
+	for _, want := range []string{fmt.Sprintf("version %d", version), fmt.Sprintf("version %d", ProtocolVersion)} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("refusal %q does not name %q", msg, want)
 		}
@@ -44,7 +58,7 @@ func TestVersion1HelloRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if respType, resp, err := ReadFrame(conn); err != nil || respType != MsgHelloAck {
-		t.Fatalf("a binary hello after the refusal answered with type %d (%q), err %v", respType, resp, err)
+		t.Fatalf("a hello after the refusal answered with type %d (%q), err %v", respType, resp, err)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestListenRequiresColumnarBackend(t *testing.T) {
 func encodedBatch(n int) []byte {
 	batch := make([]*trace.Trace, n)
 	for i := range batch {
-		batch[i] = &trace.Trace{ProgramID: "p", Seq: uint64(i)}
+		batch[i] = &trace.Trace{ProgramID: "p", Mode: trace.CaptureFull, Seq: uint64(i)}
 	}
 	payload, err := trace.AppendBatch(appendSeqPrefix(nil, "raw-conn", 1), "p", batch)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestSlowConnDoesNotStallIngestion(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 50; i++ {
-			if err := client.SubmitTraces([]*trace.Trace{{ProgramID: "p"}}); err != nil {
+			if err := client.SubmitTraces([]*trace.Trace{{ProgramID: "p", Mode: trace.CaptureFull}}); err != nil {
 				done <- err
 				return
 			}
@@ -391,8 +391,8 @@ func TestSubmitForMismatchRejectedOnAnyBackend(t *testing.T) {
 	client := Dial(addr)
 	defer client.Close()
 
-	stray := &trace.Trace{ProgramID: "B"}
-	if _, err := submitBatches(client, "A", [][]*trace.Trace{{{ProgramID: "A"}, stray}}); err == nil {
+	stray := &trace.Trace{ProgramID: "B", Mode: trace.CaptureFull}
+	if _, err := submitBatches(client, "A", [][]*trace.Trace{{{ProgramID: "A", Mode: trace.CaptureFull}, stray}}); err == nil {
 		t.Fatal("mismatched per-program batch accepted by plain backend")
 	}
 	if got := backend.total(); got != 0 {

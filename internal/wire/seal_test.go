@@ -47,8 +47,10 @@ func sealTraces(programID string, n int) []*trace.Trace {
 
 // sealGolden is what sealFrameLocked produced, before payload buffers were
 // recycled, for session "0123456789abcdef", seq 7 and sealTraces("golden",
-// n): the length and SHA-256 of each payload. The mismatched case seals a
-// batch whose traces name another program: the tag alone.
+// n): the length and SHA-256 of each payload, re-taken when batch version 2
+// dropped two one-byte columns a trace (version 1 frames were 2 bytes a
+// trace longer). The mismatched case seals a batch whose traces name another
+// program: the tag alone.
 var sealGolden = []struct {
 	name       string
 	compress   bool
@@ -58,9 +60,9 @@ var sealGolden = []struct {
 	size       int
 	sha256     string
 }{
-	{"plain", false, 16, false, false, 1198, "d0ccc53503c17b7d533fdf152109fccbd38dee85d9b9e4b6ecbb3639c5b1155a"},
-	{"compressed", true, 16, false, true, 301, "25edd90f5c441e6f62c6f00c45b236d487595bec8170e9f6d3fd229423bf45a7"},
-	{"plain-one", false, 1, false, false, 106, "30c33d64ee601f287f8e4df1c16f1fd57172ce57284a833652e9c8514f36800f"},
+	{"plain", false, 16, false, false, 1166, "0988f7f1b6a9b1bb1cd85dce9f180c5e1a4c9a1449e5252084f5ff3b8fd4e590"},
+	{"compressed", true, 16, false, true, 299, "1d5f224a8a267d6f2396bd726c3ee76ef8ce3865281fe4d0df5a512a14e9e3d4"},
+	{"plain-one", false, 1, false, false, 104, "b2f04242440e8d0af9ead605af0f4157fc54f53d9963fe2575cf475c132cfc71"},
 	{"mismatched", false, 4, true, false, 18, "7599f70769bc33d495154ddc28e73d19c2a5161d2652142c1523e473ab76c225"},
 }
 

@@ -103,8 +103,9 @@ const (
 // ProtocolVersion is the one protocol generation this package speaks. The
 // hello carries it in both directions, and neither side talks to a peer that
 // names another. Version 2 made every control payload binary; version 1's
-// were JSON.
-const ProtocolVersion = 2
+// were JSON. Version 3 carries trace batches of batch version 2, which have
+// no coordinated-sampling columns.
+const ProtocolVersion = 3
 
 // MaxFrameSize bounds a frame — its type byte and payload — on every
 // connection; a larger size field is rejected as hostile before anything is

@@ -54,7 +54,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 // by the canonical columnar encoding of the batch, and both come back out.
 func TestTraceBatchRoundTrip(t *testing.T) {
 	c := Dial("unreachable.invalid:1")
-	batch := []*trace.Trace{{ProgramID: "p", PodID: "a", Seq: 1}, {ProgramID: "p", PodID: "b", Seq: 2}}
+	batch := []*trace.Trace{{ProgramID: "p", PodID: "a", Mode: trace.CaptureFull, Seq: 1}, {ProgramID: "p", PodID: "b", Mode: trace.CaptureFull, Seq: 2}}
 	payload, compressed := c.sealFrameLocked(7, "p", batch)
 	if compressed {
 		t.Fatal("an un-negotiated client compressed")
@@ -197,7 +197,7 @@ func TestServerErrorsSurfaceAsClientErrors(t *testing.T) {
 	defer client.Close()
 
 	// Unregistered program.
-	err := client.SubmitTraces([]*trace.Trace{{ProgramID: "ghost"}})
+	err := client.SubmitTraces([]*trace.Trace{{ProgramID: "ghost", Mode: trace.CaptureFull}})
 	if err == nil || !strings.Contains(err.Error(), "unknown program") {
 		t.Fatalf("err = %v, want unknown-program", err)
 	}
