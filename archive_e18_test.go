@@ -97,8 +97,8 @@ func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 		return nil
 	}
 
-	router := wire.NewRouter(addrs...)
-	defer router.Close()
+	client := wire.Dial(addrs...)
+	defer client.Close()
 
 	// Phase 1: seal 6 chunks of 8 traces per program; drain the first 3
 	// fleet-wide, park the rest.
@@ -113,9 +113,9 @@ func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 			}
 			batches[c] = batch
 		}
-		sealed := router.SealTraceBatches(p.ID, batches)
+		sealed := client.SealTraceBatches(p.ID, batches)
 		sealedBy[p.ID] = cloneSealed(sealed)
-		acc, err := router.SubmitSealed(sealed[:drained])
+		acc, err := client.SubmitSealed(sealed[:drained])
 		if err != nil {
 			t.Fatalf("phase-1 drain for program %d: %v", pi, err)
 		}
@@ -204,9 +204,9 @@ func TestE18ColdStandbyArchiveRecovery(t *testing.T) {
 
 	// Zero loss, zero double-apply: drain the parked chunks plus a verbatim
 	// resubmission of every acked chunk (from the copies a lost ack would
-	// have left) through the stale router.
+	// have left) through the stale client.
 	for pi, p := range corpus {
-		acc, err := router.SubmitSealed(sealedBy[p.ID])
+		acc, err := client.SubmitSealed(sealedBy[p.ID])
 		if err != nil {
 			t.Fatalf("post-kill drain for program %d: %v", pi, err)
 		}

@@ -110,7 +110,7 @@ func startClusterNode(t *testing.T, dir string, corpus []*prog.Program) *cluster
 // ring; one hive is killed mid-run; its programs are re-homed onto the
 // survivors from its own data dir (snapshot export -> import, recovery
 // through the DecodeChain path); and the parked plus already-acked frames
-// drain again through the router. Required outcome: every program
+// drain again through the client. Required outcome: every program
 // re-homed, zero acked traces lost, zero traces double-applied, and
 // steering converging from the new owner.
 func TestE16KillOneHiveRebalance(t *testing.T) {
@@ -135,8 +135,8 @@ func TestE16KillOneHiveRebalance(t *testing.T) {
 		return nil
 	}
 
-	router := wire.NewRouter(addrs...)
-	defer router.Close()
+	client := wire.Dial(addrs...)
+	defer client.Close()
 
 	// Phase 1: seal 8 chunks of 16 traces per program; drain the first 4
 	// (acked fleet-wide), park the rest.
@@ -151,9 +151,9 @@ func TestE16KillOneHiveRebalance(t *testing.T) {
 			}
 			batches[c] = batch
 		}
-		sealed := router.SealTraceBatches(p.ID, batches)
+		sealed := client.SealTraceBatches(p.ID, batches)
 		sealedBy[p.ID] = cloneSealed(sealed)
-		acc, err := router.SubmitSealed(sealed[:drained])
+		acc, err := client.SubmitSealed(sealed[:drained])
 		if err != nil {
 			t.Fatalf("phase-1 drain for program %d: %v", pi, err)
 		}
@@ -221,13 +221,13 @@ func TestE16KillOneHiveRebalance(t *testing.T) {
 		}
 	}
 
-	// Drain everything through the stale router: the parked chunks plus a
+	// Drain everything through the stale client: the parked chunks plus a
 	// verbatim resubmission of every already-acked chunk, from the copies a
 	// lost ack would have left. The victim's
 	// death forces a placement refresh; acked frames must dup-ack on the
 	// new owner (the session table traveled inside the chain).
 	for pi, p := range corpus {
-		acc, err := router.SubmitSealed(sealedBy[p.ID])
+		acc, err := client.SubmitSealed(sealedBy[p.ID])
 		if err != nil {
 			t.Fatalf("post-kill drain for program %d: %v", pi, err)
 		}
@@ -248,7 +248,7 @@ func TestE16KillOneHiveRebalance(t *testing.T) {
 	}
 
 	// Steering converges from the new owner: a pod pulling guidance for a
-	// re-homed program through the router closes frontiers the migrated
+	// re-homed program through the client closes frontiers the migrated
 	// tree still had open.
 	moved := victimOwned[0]
 	newOwner := byAddr(m2.Owner(moved.ID))
@@ -260,7 +260,7 @@ func TestE16KillOneHiveRebalance(t *testing.T) {
 	if before == 0 {
 		t.Fatalf("migrated tree for %s has no open frontiers to steer", moved.ID)
 	}
-	buffer := pod.NewBufferedFor(router, moved.ID)
+	buffer := pod.NewBufferedFor(client, moved.ID)
 	pd, err := pod.New(pod.Config{
 		Program: moved, ID: "steer-pod", Hive: buffer,
 		Privacy: trace.PrivacyHashed, Salt: "fleet",
@@ -422,11 +422,11 @@ func BenchmarkClusterIngest(b *testing.B) {
 				srv.SetPlacement(ring.New(ports[n], ring.DefaultVNodes, 42), ports[n][i])
 			}
 
-			router := wire.NewRouter(ports[n]...)
-			defer router.Close()
+			client := wire.Dial(ports[n]...)
+			defer client.Close()
 			var allSealed []pod.SealedBatch
 			for _, p := range chosen {
-				allSealed = append(allSealed, router.SealTraceBatches(p.ID, corpora[p.ID])...)
+				allSealed = append(allSealed, client.SealTraceBatches(p.ID, corpora[p.ID])...)
 			}
 			total := nPrograms * chunks * perChunk
 
@@ -437,7 +437,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 				b.StopTimer()
 				frames := cloneSealed(allSealed)
 				b.StartTimer()
-				acc, err := router.SubmitSealed(frames)
+				acc, err := client.SubmitSealed(frames)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,20 +1,21 @@
 // Command pod runs a fleet of SoftBorg pods against a remote hive or a
 // sharded hive fleet (see cmd/hive): each pod executes its assigned
 // generated program on simulated user inputs, streams traces over TCP,
-// and syncs fixes. -hive takes a comma-separated list of fleet members;
-// submissions route to each program's ring owner and chase redirects
-// when a rebalance moves it.
+// and syncs fixes. -hive takes one hive or a comma-separated list of fleet
+// members, and one wire.Client serves either: submissions and reads route
+// to each program's ring owner and chase redirects when a rebalance moves
+// it.
 //
 // Uploads buffer locally and drain through the pipelined sequenced
-// streaming path: every frame carries the client's session ID and a
-// sequence number, so a drain interrupted by a dropped link resubmits its
+// streaming path: every frame carries the session ID of the connection
+// that sealed it and a sequence number, so a drain interrupted by a dropped link resubmits its
 // unacknowledged suffix with the original tags and the hive — including a
 // durable hive that crashed and recovered in between (cmd/hive -data-dir)
 // — ingests each batch exactly once. A drain whose retry also fails
 // parks its sealed remainder and resubmits it, tags intact, on the next
 // drain. The hello names one protocol version and a hive that speaks another
 // refuses it; frames travel coalesced sixteen to a mega-frame, compressed
-// when the hello's round trip looks like a WAN (-compress on forces it).
+// when the hello's round trip looks like a WAN.
 //
 //	pod -hive 127.0.0.1:7070 -pods 8 -programs 4 -seed 1 -runs 200
 //	pod -hive 127.0.0.1:7070,127.0.0.1:7071 -pods 8 -programs 4 -seed 1
@@ -50,14 +51,10 @@ func run(args []string) error {
 	runs := fs.Int("runs", 200, "executions per pod")
 	syncEvery := fs.Int("sync", 25, "sync fixes every N runs")
 	drainEvery := fs.Int("drain", 50, "drain buffered traces every N runs (0 drains only at the end)")
-	compress := fs.String("compress", "auto", "batch compression over the wire: auto (engage when the hello round trip looks like a WAN) or on")
 	retryBase := fs.Duration("retry-base", 0, "first busy-retry backoff step; doubles per attempt with jitter (0 uses the built-in default)")
 	retryCap := fs.Duration("retry-cap", 0, "ceiling on the busy-retry backoff schedule (0 uses the built-in default)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *compress != "auto" && *compress != "on" {
-		return fmt.Errorf("-compress %q: want auto or on", *compress)
 	}
 
 	pop, err := population.New(population.Config{Seed: *seed, Users: *pods})
@@ -71,7 +68,7 @@ func run(args []string) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs <- runPod(i, *hiveAddr, *seed, i%*programs, *runs, *syncEvery, *drainEvery, *compress, *retryBase, *retryCap, pop)
+			errs <- runPod(i, *hiveAddr, *seed, i%*programs, *runs, *syncEvery, *drainEvery, *retryBase, *retryCap, pop)
 		}(i)
 	}
 	wg.Wait()
@@ -85,17 +82,15 @@ func run(args []string) error {
 	return nil
 }
 
-func runPod(idx int, hiveAddr string, seed uint64, programIdx, runs, syncEvery, drainEvery int, compress string, retryBase, retryCap time.Duration, pop *population.Population) error {
+func runPod(idx int, hiveAddr string, seed uint64, programIdx, runs, syncEvery, drainEvery int, retryBase, retryCap time.Duration, pop *population.Population) error {
 	p, _, err := proggen.Generate(proggen.CorpusSpec(seed, programIdx))
 	if err != nil {
 		return err
 	}
-	// A Router over the fleet addresses: against a single unsharded hive
-	// it degenerates to a plain client; against a sharded fleet every
-	// frame goes to its program's owner.
-	client := wire.NewRouter(strings.Split(hiveAddr, ",")...)
+	// One client over the fleet addresses: every frame goes to its
+	// program's owner, or to the one hive when it is unsharded.
+	client := wire.Dial(strings.Split(hiveAddr, ",")...)
 	defer client.Close()
-	client.ForceCompress = compress == "on"
 	// Busy-retry pacing: a hive answering busy-retry (admission control or
 	// deferred low-rarity work) is waited out with jittered exponential
 	// backoff rather than hammered.

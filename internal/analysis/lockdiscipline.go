@@ -18,9 +18,9 @@ import (
 //     documented order is session-entry lock ≺ checkpoint gate ≺ program
 //     mu; the registry lock (Hive.mu) and
 //     the session-table lock (Hive.sessMu) are leaves never held across
-//     another acquisition. The wire layer's routing locks rank BELOW all
-//     of the hive's: router placement (Router.mu) ≺ client connection
-//     (Client.mu) — the wire layer may hold one across hive
+//     another acquisition. The wire layer's client locks rank BELOW all
+//     of the hive's: client placement (Client.mu) ≺ hive connection
+//     (hiveConn.mu) — the wire layer may hold one across hive
 //     acquisitions, never the reverse. The server's placement lock
 //     (Server.placeMu: a server never dials another hive), the admission
 //     layer's locks (admissionState.mu for the token-bucket table,
@@ -37,7 +37,7 @@ var LockDiscipline = &Analyzer{
 	Doc: "every Lock() must be released (defer or explicit unlock) before a " +
 		"lexically later return, and internal/hive + internal/wire + " +
 		"internal/archive lock classes must be acquired in documented order " +
-		"(Router.mu ≺ Client.mu ≺ session ≺ ckpt ≺ mu; " +
+		"(Client.mu ≺ hiveConn.mu ≺ session ≺ ckpt ≺ mu; " +
 		"Hive.mu/sessMu, Server.placeMu, the admission locks " +
 		"admissionState.mu/connState.qMu, and the archiver sync lock " +
 		"Archiver.mu are leaves)",
@@ -50,11 +50,11 @@ var LockDiscipline = &Analyzer{
 // below every hive class: server dispatch may hold them while entering
 // the hive, and the hive never calls back out into the wire layer.
 var lockRank = map[string]int{
-	// internal/wire (PR 8 routing tier). Router.mu is held while its
-	// clients say hello and released before a per-owner client is driven;
-	// Client.mu guards one connection's stream.
-	"Router.mu":         1,
-	"Client.mu":         5,
+	// internal/wire client. Client.mu is held while its connections say
+	// hello and released before a per-owner connection is driven;
+	// hiveConn.mu guards one connection's stream.
+	"Client.mu":         1,
+	"hiveConn.mu":       5,
 	"sessionEntry.mu":   10,
 	"programState.ckpt": 20,
 	"programState.mu":   30,
@@ -280,7 +280,7 @@ func checkAcquisitionOrder(p *Pass, events []lockEvent) {
 				hr, hOK := lockRank[h.class]
 				nr, nOK := lockRank[ev.class]
 				if hOK && nOK && nr <= hr && h.class != ev.class {
-					p.Reportf(ev.pos, "lock order inversion: %s (%s) acquired while holding %s (%s); documented order is Router.mu ≺ Client.mu ≺ session ≺ ckpt ≺ mu, with Hive.mu/sessMu as leaf locks", ev.key, ev.class, h.key, h.class)
+					p.Reportf(ev.pos, "lock order inversion: %s (%s) acquired while holding %s (%s); documented order is Client.mu ≺ hiveConn.mu ≺ session ≺ ckpt ≺ mu, with Hive.mu/sessMu as leaf locks", ev.key, ev.class, h.key, h.class)
 				}
 			}
 			stack = append(stack, held{key: ev.key, class: ev.class, readSide: ev.readSide})

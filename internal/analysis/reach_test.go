@@ -144,8 +144,7 @@ var unlinkedAllowed = map[string]string{
 	"repro/internal/constraint.Verdict.String":       "debugging String method",
 	"repro/internal/proggen.BugKind.String":          "debugging String method",
 
-	"repro/internal/wire.(*Router).Guidance": "pod.HiveClient needs it; no main steers a pod through a Router yet",
-	"repro.ExploreTree":                      "the root package's API for cluster.Explore; E8 calls cluster.Explore itself",
+	"repro.ExploreTree": "the root package's API for cluster.Explore; E8 calls cluster.Explore itself",
 }
 
 // allowedBy returns the unlinkedAllowed key that covers sym, declared in

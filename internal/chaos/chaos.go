@@ -197,10 +197,10 @@ func Run(sc Scenario) (Result, error) {
 		nd.srv.SetPlacement(m, addrs[i])
 	}
 
-	router := wire.NewRouter(addrs...)
-	router.RetryBase = 2 * time.Millisecond
-	router.RetryCap = 250 * time.Millisecond
-	defer router.Close()
+	client := wire.Dial(addrs...)
+	client.RetryBase = 2 * time.Millisecond
+	client.RetryCap = 250 * time.Millisecond
+	defer client.Close()
 
 	// Hostile clients aim at hive 0 through its shaped address.
 	stop := make(chan struct{})
@@ -248,7 +248,7 @@ func Run(sc Scenario) (Result, error) {
 			defer workers.Done()
 			for j := range work {
 				t0 := time.Now()
-				accepted, err := router.SubmitSealed(router.SealTraceBatches(j.programID, j.batches))
+				accepted, err := client.SubmitSealed(client.SealTraceBatches(j.programID, j.batches))
 				lat := time.Since(t0)
 				mu.Lock()
 				res.Submitted += int64(len(j.batches))
@@ -307,7 +307,7 @@ func Run(sc Scenario) (Result, error) {
 				cp := corpus[i]
 				var err error
 				for attempt := 0; attempt < 20; attempt++ {
-					if err = router.SubmitTraces([]*trace.Trace{cp.crash}); err == nil {
+					if err = client.SubmitTraces([]*trace.Trace{cp.crash}); err == nil {
 						break
 					}
 					time.Sleep(5 * time.Millisecond)

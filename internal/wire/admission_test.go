@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -340,14 +341,23 @@ func TestHalfOpenCap(t *testing.T) {
 }
 
 // deferringBackend defers the first N session submissions with
-// pod.ErrDeferred — a hive shedding low-rarity work — then admits.
+// pod.ErrDeferred — a hive shedding low-rarity work — then admits. It
+// records the (session, seq) tag of every submission.
 type deferringBackend struct {
 	remaining atomic.Int64
 	calls     atomic.Int64
+	mu        sync.Mutex
+	tags      map[string]int
 }
 
-func (d *deferringBackend) SubmitColumnarSession(string, uint64, *trace.BatchView) (bool, error) {
+func (d *deferringBackend) SubmitColumnarSession(session string, seq uint64, _ *trace.BatchView) (bool, error) {
 	d.calls.Add(1)
+	d.mu.Lock()
+	if d.tags == nil {
+		d.tags = make(map[string]int)
+	}
+	d.tags[fmt.Sprintf("%s/%d", session, seq)]++
+	d.mu.Unlock()
 	if d.remaining.Add(-1) >= 0 {
 		return false, fmt.Errorf("stub hive shedding: %w", pod.ErrDeferred)
 	}
@@ -359,18 +369,18 @@ func (d *deferringBackend) Guidance(string, int) ([]guidance.TestCase, error) {
 	return nil, nil
 }
 
-// TestRoutedBusyBackoff pins the fleet-level busy discipline: when an
-// owner defers (sheds) a batch, the Router backs off and resubmits to the
-// SAME owner — it does not treat busy as a routing failure, so there is no
-// seed re-poll and no hello storm. The deferral count is exact: one
-// backend call per busy round plus the final admit. The owner defers two
-// more batches than the client's own busy rounds cover, so the router's
-// paced round is the one that gets the frame in.
+// TestRoutedBusyBackoff pins the busy discipline: when an owner defers
+// (sheds) a frame, the client backs off and resubmits to the SAME owner, for
+// defaultBusyRetries rounds and no more — busy is not a routing failure, so
+// there is no second route attempt, no seed re-poll and no hello storm. An
+// owner that defers for ever sees exactly defaultBusyRetries+1 submissions
+// per SubmitSealed, and the busy error surfaces. One that defers
+// defaultBusyRetries+2 times gets the frame on the next drain:
+// pod.BufferedClient parks it with its (session, seq) tag meanwhile.
 func TestRoutedBusyBackoff(t *testing.T) {
 	leaktest.Check(t)
-	const deferrals = defaultBusyRetries + 2
 	backend := &deferringBackend{}
-	backend.remaining.Store(deferrals)
+	backend.remaining.Store(1 << 30)
 	srv := NewServer(backend)
 	srv.Logf = t.Logf
 	srv.Admission = &Admission{}
@@ -381,46 +391,64 @@ func TestRoutedBusyBackoff(t *testing.T) {
 	defer srv.Close()
 
 	p := buildCrashy(t)
-	r := NewRouter(addr)
-	r.RetryBase = time.Millisecond
-	r.RetryCap = 10 * time.Millisecond
-	defer r.Close()
+	c := Dial(addr)
+	c.RetryBase = time.Millisecond
+	c.RetryCap = 10 * time.Millisecond
+	defer c.Close()
 
 	tr := captureWireTrace(t, p, "routed-pod", []int64{50})
-	if err := r.SubmitTraces([]*trace.Trace{tr}); err != nil {
-		t.Fatalf("submission through a shedding owner failed: %v", err)
+	accepted, err := c.SubmitSealed(c.SealTraceBatches(p.ID, [][]*trace.Trace{{tr.Clone()}}))
+	var be *BusyError
+	if !errors.As(err, &be) || accepted[0] {
+		t.Fatalf("a frame an owner defers for ever: accepted=%v err=%v, want a *BusyError", accepted, err)
+	}
+	if got := backend.calls.Load(); got != defaultBusyRetries+1 {
+		t.Fatalf("backend saw %d submissions, want %d (one per busy round)", got, defaultBusyRetries+1)
+	}
+	if got := srv.AdmissionStats().BusyReplies; got != defaultBusyRetries+1 {
+		t.Fatalf("server sent %d busy replies, want %d", got, defaultBusyRetries+1)
+	}
+	// Busy is not a routing signal: one connection, one hello, no placement
+	// re-poll.
+	c.mu.Lock()
+	nconns := len(c.conns)
+	c.mu.Unlock()
+	if hellos := c.HelloCount(); nconns != 1 || hellos != 1 {
+		t.Fatalf("client dialed %d connections with %d hellos; busy must not trigger a seed re-poll", nconns, hellos)
 	}
 
-	// The deferrals + the admit: the client's busy rounds and the router's
-	// extra paced attempt resubmitted the same sealed frame, nothing more.
+	// defaultBusyRetries+2 deferrals: the drain's rounds run out one short,
+	// the buffer parks the frame, and the next drain delivers it under the
+	// tag it was sealed with.
+	const deferrals = defaultBusyRetries + 2
+	backend.calls.Store(0)
+	backend.remaining.Store(deferrals)
+	backend.mu.Lock()
+	backend.tags = nil
+	backend.mu.Unlock()
+	buf := pod.NewBufferedFor(c, p.ID)
+	if err := buf.SubmitTraces([]*trace.Trace{tr.Clone()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := buf.Drain(); !errors.As(err, &be) || buf.Pending() != 1 {
+		t.Fatalf("first drain: err=%v pending=%d, want a *BusyError and the frame parked", err, buf.Pending())
+	}
+	if err := buf.Drain(); err != nil || buf.Pending() != 0 {
+		t.Fatalf("second drain: err=%v pending=%d, want the parked frame delivered", err, buf.Pending())
+	}
 	if got := backend.calls.Load(); got != deferrals+1 {
-		t.Fatalf("backend saw %d calls, want %d (%d deferrals + 1 admit)", got, deferrals+1, deferrals)
+		t.Fatalf("backend saw %d submissions, want %d (%d deferrals + 1 admit)", got, deferrals+1, deferrals)
 	}
-	if got := srv.AdmissionStats().BusyReplies; got != deferrals {
-		t.Fatalf("server sent %d busy replies, want %d", got, deferrals)
-	}
-	// Busy is not a routing signal: one owner client, one hello, no
-	// placement re-poll.
-	r.mu.Lock()
-	nclients := len(r.clients)
-	var hellos int
-	for _, c := range r.clients {
-		hellos += c.HelloCount()
-	}
-	r.mu.Unlock()
-	if nclients != 1 || hellos != 1 {
-		t.Fatalf("router dialed %d clients with %d hellos; busy must not trigger a seed re-poll", nclients, hellos)
+	backend.mu.Lock()
+	ntags := len(backend.tags)
+	backend.mu.Unlock()
+	if ntags != 1 {
+		t.Fatalf("backend saw %d distinct (session, seq) tags, want the one the frame was sealed with", ntags)
 	}
 
 	// Contrast: a generic transport error DOES force a refresh.
-	r.noteRoutingError(errors.New("connection reset by peer"))
-	r.mu.Lock()
-	hellos = 0
-	for _, c := range r.clients {
-		hellos += c.HelloCount()
-	}
-	r.mu.Unlock()
-	if hellos < 2 {
+	c.reroute(errors.New("connection reset by peer"))
+	if hellos := c.HelloCount(); hellos < 2 {
 		t.Fatalf("generic routing error did not re-poll seeds (hellos=%d)", hellos)
 	}
 }

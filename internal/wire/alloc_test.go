@@ -114,7 +114,9 @@ func ackServer(t *testing.T, count int) string {
 // TestAllocsSealSubmit pins what a client allocates to ship a frame once the
 // frames before it were acknowledged: the payload is sealed into a recycled
 // buffer, so the bytes of one seal → submit → ack do not grow with the
-// frame's trace count. The free list never holds more than its bound.
+// frame's trace count, and a 16-trace frame to one unsharded hive costs at
+// most 144 B in 8 allocations — the owner lookup and the per-owner grouping
+// included. The free list never holds more than its bound.
 func TestAllocsSealSubmit(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc counts are skewed under the race detector")
@@ -123,7 +125,7 @@ func TestAllocsSealSubmit(t *testing.T) {
 	// per-P cache misses, and regrows an encoder, whenever the goroutine
 	// changes P.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	perFrame := func(n int) float64 {
+	perFrame := func(n int) (bytes, allocs float64) {
 		c := Dial(ackServer(t, n))
 		defer c.Close()
 		batch := [][]*trace.Trace{sealTraces("alloc", n)}
@@ -147,9 +149,13 @@ func TestAllocsSealSubmit(t *testing.T) {
 			ship()
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / frames
+		return float64(after.TotalAlloc-before.TotalAlloc) / frames, float64(after.Mallocs-before.Mallocs) / frames
 	}
-	small, large := perFrame(16), perFrame(256)
+	small, smallAllocs := perFrame(16)
+	if small > 144 || smallAllocs > 8 {
+		t.Fatalf("a 16-trace frame costs %.0f B in %.1f allocations; want at most 144 B in 8", small, smallAllocs)
+	}
+	large, _ := perFrame(256)
 	// A client that allocates every payload pays ~70 B for each of the 240
 	// more traces, ~17 KiB a frame; a recycling one pays the same bytes for
 	// both frames.
@@ -158,7 +164,8 @@ func TestAllocsSealSubmit(t *testing.T) {
 	}
 
 	// A drain twice the bound: every frame acknowledged, the list full.
-	c := Dial(ackServer(t, 1))
+	addr := ackServer(t, 1)
+	c := Dial(addr)
 	defer c.Close()
 	batches := make([][]*trace.Trace, 2*maxInflightFrames)
 	for i := range batches {
@@ -167,23 +174,24 @@ func TestAllocsSealSubmit(t *testing.T) {
 	if _, err := c.SubmitSealed(c.SealTraceBatches("alloc", batches)); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.free) != maxInflightFrames {
-		t.Fatalf("free list holds %d buffers after a %d-frame drain; want its bound, %d", len(c.free), len(batches), maxInflightFrames)
+	hc := c.connTo(addr)
+	hc.mu.Lock()
+	defer hc.mu.Unlock()
+	if len(hc.free) != maxInflightFrames {
+		t.Fatalf("free list holds %d buffers after a %d-frame drain; want its bound, %d", len(hc.free), len(batches), maxInflightFrames)
 	}
 	// Nor does it keep a buffer larger than a mega-frame's byte budget, or
 	// one buffer twice (one frame passed twice to a submit).
-	c.free = c.free[:0]
-	c.recycleLocked(make([]byte, coalesceByteBudget+1))
-	if len(c.free) != 0 {
+	hc.free = hc.free[:0]
+	hc.recycleLocked(make([]byte, coalesceByteBudget+1))
+	if len(hc.free) != 0 {
 		t.Fatalf("free list kept a %d-byte buffer; the bound is %d", coalesceByteBudget+1, coalesceByteBudget)
 	}
 	twice := make([]byte, 64)
-	c.recycleLocked(twice)
-	c.recycleLocked(twice)
-	if len(c.free) != 1 {
-		t.Fatalf("free list holds %d entries for one buffer recycled twice; want 1", len(c.free))
+	hc.recycleLocked(twice)
+	hc.recycleLocked(twice)
+	if len(hc.free) != 1 {
+		t.Fatalf("free list holds %d entries for one buffer recycled twice; want 1", len(hc.free))
 	}
 }
 

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"net"
 )
 
 // A MsgCoalesced payload is a concatenation of complete standard frames,
@@ -43,43 +42,4 @@ func forEachInner(payload []byte, fn func(t MsgType, inner []byte) error) error 
 func appendInnerHeader(dst []byte, t MsgType, payloadLen int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(payloadLen+1))
 	return append(dst, byte(t))
-}
-
-// coalescedWireSize returns the on-wire size of frames [start, end) once
-// coalesced: each inner frame costs its payload plus a 5-byte header.
-func coalescedWireSize(payloads [][]byte, start, end int) int {
-	total := 0
-	for i := start; i < end; i++ {
-		total += 5 + len(payloads[i])
-	}
-	return total
-}
-
-// writeCoalesced writes frames [start, end) of (msgs, payloads) as one
-// MsgCoalesced mega-frame with a single writev: the outer header, every
-// inner header, and every payload go to the kernel as one vector, so the
-// whole group costs one syscall and one packetizable burst. hdrScratch and
-// bufScratch are reusable backing arrays (may be nil); the grown versions
-// are returned for the next call.
-func writeCoalesced(conn net.Conn, msgs []MsgType, payloads [][]byte, start, end int, hdrScratch []byte, bufScratch net.Buffers) ([]byte, net.Buffers, error) {
-	inner := coalescedWireSize(payloads, start, end)
-	// Headers first, into one contiguous scratch: appending as we build the
-	// vector would invalidate earlier sub-slices on growth.
-	hdrs := hdrScratch[:0]
-	hdrs = binary.BigEndian.AppendUint32(hdrs, uint32(inner+1))
-	hdrs = append(hdrs, byte(MsgCoalesced))
-	for i := start; i < end; i++ {
-		hdrs = appendInnerHeader(hdrs, msgs[i], len(payloads[i]))
-	}
-	bufs := bufScratch[:0]
-	bufs = append(bufs, hdrs[:5])
-	for i := start; i < end; i++ {
-		h := hdrs[5+(i-start)*5:]
-		bufs = append(bufs, h[:5], payloads[i])
-	}
-	// WriteTo consumes bufs in place; hand it a copy of the slice header so
-	// the scratch stays reusable.
-	vec := bufs
-	_, err := vec.WriteTo(conn)
-	return hdrs, bufs, err
 }

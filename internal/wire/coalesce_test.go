@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hive"
 	"repro/internal/journal"
+	"repro/internal/netshape"
 	"repro/internal/pod"
 	"repro/internal/prog"
 	"repro/internal/proggen"
@@ -45,8 +46,22 @@ func chunkTraces(traces []*trace.Trace, per int) [][]*trace.Trace {
 	return out
 }
 
-// TestCoalescedRoundTrip drives the full coalesced path end to end — with
-// and without compression — and then re-submits copies of the identical
+// farLink puts a link whose round trip is twice compressRTTFloor in front
+// of addr and returns the link's address: a client's hello over it measures
+// a far link and engages compression on its own.
+func farLink(t *testing.T, addr string) string {
+	t.Helper()
+	link, err := netshape.New(addr, netshape.Config{RTT: 2 * compressRTTFloor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = link.Close() })
+	return link.Addr()
+}
+
+// TestCoalescedRoundTrip drives the full coalesced path end to end — over a
+// near link and over a far one, where the hello's round trip engages
+// compression — and then re-submits copies of the identical
 // sealed frames, as a caller whose acks were lost would: the hive must
 // ingest every trace exactly once both times, because group acks are per
 // inner frame and the (session, seq) dedup identity is sealed into the
@@ -55,8 +70,10 @@ func TestCoalescedRoundTrip(t *testing.T) {
 	p := buildCrashy(t)
 	for _, compress := range []bool{false, true} {
 		h, _, addr := coalesceFixture(t, p)
+		if compress {
+			addr = farLink(t, addr)
+		}
 		client := Dial(addr)
-		client.ForceCompress = compress
 		// 20-trace batches encode comfortably above the compression floor.
 		batches := chunkTraces(makeTraces(t, p, 200), 20)
 		sealed := client.SealTraceBatches(p.ID, batches)
@@ -67,15 +84,16 @@ func TestCoalescedRoundTrip(t *testing.T) {
 			}
 		}
 		if compress && compressed == 0 {
-			t.Fatalf("ForceCompress sealed no compressed frames out of %d", len(sealed))
+			t.Fatalf("a far link sealed no compressed frames out of %d", len(sealed))
 		}
-		client.mu.Lock()
-		near := client.helloRTT < compressRTTFloor
-		client.mu.Unlock()
+		hc := client.connTo(addr)
+		hc.mu.Lock()
+		near := hc.helloRTT < compressRTTFloor
+		hc.mu.Unlock()
 		// Only a hello that measured a near link pins "no compression": on
 		// a loaded host the loopback round trip itself can cross the floor.
 		if !compress && near && compressed != 0 {
-			t.Fatalf("client sealed %d compressed frames on a link it measured under the floor, without ForceCompress", compressed)
+			t.Fatalf("client sealed %d compressed frames on a link it measured under the floor", compressed)
 		}
 		rounds := [][]pod.SealedBatch{sealed, cloneSealed(sealed)}
 		for round, frames := range rounds {
@@ -126,16 +144,15 @@ func TestCompressedJournalBytesIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := Dial(addr)
+	client := Dial(farLink(t, addr))
 	defer client.Close()
-	client.ForceCompress = true
 
 	batches := [][]*trace.Trace{makeTraces(t, p, 64), makeTraces(t, p, 40)}
 	sealed := client.SealTraceBatches(p.ID, batches)
 	var canonical [][]byte
 	for i, sb := range sealed {
 		if !sb.Compressed {
-			t.Fatalf("frame %d not compressed under ForceCompress", i)
+			t.Fatalf("frame %d not compressed over a far link", i)
 		}
 		_, _, comp, err := decodeSeqPrefix(sb.Payload)
 		if err != nil {
@@ -266,38 +283,40 @@ func TestCoalescedMidGroupRejection(t *testing.T) {
 // retry error: when a greeted connection dies twice, the error says what the
 // hello settled for this link — compressing or not — so "failed while
 // compressing over a far link" and "failed on a near one" are distinguishable
-// from logs alone. (What it says of redirects and the placement version is
-// TestRetryErrorNamesRedirect's.)
+// from logs alone. The connection's own error is the one checked: the client
+// above it would re-poll the seed and try again. (What it says of redirects
+// and the placement version is TestRetryErrorNamesRedirect's.)
 func TestRetryErrorCarriesFeatures(t *testing.T) {
 	p, _, err := proggen.Generate(proggen.Spec{Seed: 7004, Depth: 4, NumInputs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		force bool
-		want  string
+		far  bool
+		want string
 	}{
 		{true, "(compressing)"},
-		// Unforced, the hello's own round trip decides; either is named.
+		// Near, the hello's own round trip decides; either is named.
 		{false, "compressing)"},
 	} {
 		_, _, addr := coalesceFixture(t, p)
 		// Connection 0 forwards the hello ack, then kills on the first group
 		// ack; connection 1 forwards one group ack, then kills the retry too.
 		// 17 frames make two groups, so the retry has a second ack to lose.
-		proxy := newFlakyProxy(t, addr, 1, 2)
-		client := Dial(proxy.addr())
-		client.ForceCompress = tc.force
-
+		target := newFlakyProxy(t, addr, 1, 2).addr()
+		if tc.far {
+			target = farLink(t, target)
+		}
+		client := Dial(target)
 		sealed := client.SealTraceBatches(p.ID, makeBatches(t, p, coalesceDepth+1, 4))
-		_, serr := client.SubmitSealed(sealed)
+		_, serr := submitOn(client.connTo(target), sealed)
 		_ = client.Close()
 		if serr == nil {
 			t.Fatal("expected the doubly-killed submit to fail")
 		}
 		for _, want := range []string{"unreachable after retry", tc.want} {
 			if !strings.Contains(serr.Error(), want) {
-				t.Fatalf("force=%v: retry error missing %q: %v", tc.force, want, serr)
+				t.Fatalf("far=%v: retry error missing %q: %v", tc.far, want, serr)
 			}
 		}
 	}

@@ -25,7 +25,7 @@ import (
 // connection after forwarding a fixed number of acknowledgements (dropping
 // the next one) — the deterministic reproduction of "the link died after
 // the server ingested a frame but before its ack reached the client".
-// Later connections pipe transparently.
+// Later connections pipe transparently, unless the link is down.
 type ackProxy struct {
 	t           *testing.T
 	ln          net.Listener
@@ -38,6 +38,9 @@ type ackProxy struct {
 	// original attempt and the transparent retry — the cross-drain failure
 	// mode.
 	flakyConns int
+	// down closes every later connection at once while it is set: the link
+	// stays dead for a whole drain, however often the client redials.
+	down atomic.Bool
 
 	mu    sync.Mutex
 	conns int
@@ -82,6 +85,10 @@ func (p *ackProxy) serve() {
 
 func (p *ackProxy) pipe(client net.Conn, idx int) {
 	defer p.wg.Done()
+	if idx >= p.flakyConns && p.down.Load() {
+		_ = client.Close()
+		return
+	}
 	server, err := net.Dial("tcp", p.backendAddr)
 	if err != nil {
 		_ = client.Close()
@@ -212,34 +219,25 @@ func TestStreamResubmitExactlyOnce(t *testing.T) {
 }
 
 // TestSubmitForLostAckExactlyOnce loses the single ack of a loose
-// SubmitTraces batch after the server applied it — through a Client and
-// through a Router above it: the frame was sealed with its (session, seq)
-// tag before the first attempt, so the transparent retry is answered as a
-// duplicate and nothing is ingested twice.
+// SubmitTraces batch after the server applied it: the frame was sealed with
+// its (session, seq) tag before the first attempt, so the transparent retry
+// is answered as a duplicate and nothing is ingested twice.
 func TestSubmitForLostAckExactlyOnce(t *testing.T) {
-	for _, via := range []string{"client", "router"} {
-		// One ack gets through — the hello's — and the next is dropped.
-		h, p, client := dedupFixture(t, 1)
-		if err := client.Handshake(); err != nil {
-			t.Fatal(err)
-		}
-		var submit func([]*trace.Trace) error = client.SubmitTraces
-		if via == "router" {
-			r := NewRouter(client.addr)
-			r.clients[client.addr] = client
-			submit = r.SubmitTraces
-		}
-		batch := makeBatches(t, p, 1, 6)[0]
-		if err := submit(batch); err != nil {
-			t.Fatalf("%s: SubmitTraces: %v", via, err)
-		}
-		st, err := h.ProgramStats(p.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := int64(len(batch)); st.Ingested != want {
-			t.Fatalf("%s: hive ingested %d traces, want exactly %d", via, st.Ingested, want)
-		}
+	// One ack gets through — the hello's — and the next is dropped.
+	h, p, client := dedupFixture(t, 1)
+	if err := client.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	batch := makeBatches(t, p, 1, 6)[0]
+	if err := client.SubmitTraces(batch); err != nil {
+		t.Fatalf("SubmitTraces: %v", err)
+	}
+	st, err := h.ProgramStats(p.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(batch)); st.Ingested != want {
+		t.Fatalf("hive ingested %d traces, want exactly %d", st.Ingested, want)
 	}
 }
 
@@ -312,6 +310,7 @@ func TestCrossDrainResubmitExactlyOnce(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = srv.Close() })
 	proxy := newFlakyProxy(t, addr, 1, 2) // both attempts die after 1 ack
+	proxy.down.Store(true)                // and the client's re-polls find no link
 	client := Dial(proxy.addr())
 	t.Cleanup(func() { _ = client.Close() })
 
@@ -335,7 +334,8 @@ func TestCrossDrainResubmitExactlyOnce(t *testing.T) {
 	if pend := buf.Pending(); pend == 0 || pend%256 != 0 {
 		t.Fatalf("pending after failed drain = %d, want a whole number of sealed frames", pend)
 	}
-	// The link heals (connection #2 pipes transparently).
+	// The link heals.
+	proxy.down.Store(false)
 	if err := buf.Drain(); err != nil {
 		t.Fatalf("second drain: %v", err)
 	}

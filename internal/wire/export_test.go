@@ -7,30 +7,41 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	return readFrameInto(r, nil)
 }
 
-// HelloCount reports how many hello exchanges this client has run. Tests
-// use it to prove a shedding (busy) owner does not trigger a
-// hello storm the way a dead one does.
+// HelloCount reports how many hello exchanges this client has run, over all
+// its connections. Tests use it to prove a shedding (busy) owner does not
+// trigger a hello storm the way a dead one does.
 func (c *Client) HelloCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.helloCount
+	n := 0
+	for _, hc := range c.conns {
+		hc.mu.Lock()
+		n += hc.helloCount
+		hc.mu.Unlock()
+	}
+	return n
 }
 
 // Owner reports where programID currently routes (tests, diagnostics).
-func (r *Router) Owner(programID string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ownerLocked(programID)
+func (c *Client) Owner(programID string) string {
+	return c.owner(programID).addr
 }
 
 // PlacementVersion reports the version of the newest placement map this
-// router has adopted, 0 when it has none.
-func (r *Router) PlacementVersion() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.refreshLocked(false)
-	if r.placement == nil {
+// client has adopted, 0 when it has none.
+func (c *Client) PlacementVersion() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.pollLocked()
+	if c.placement == nil {
 		return 0
 	}
-	return r.placement.Version()
+	return c.placement.Version()
+}
+
+// connTo returns the client's connection to addr, creating it on first use.
+func (c *Client) connTo(addr string) *hiveConn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.connLocked(addr)
 }

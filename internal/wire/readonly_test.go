@@ -61,13 +61,13 @@ func TestReadOnlyBusyNegotiated(t *testing.T) {
 	defer srv.Close()
 
 	p := buildCrashy(t)
-	r := NewRouter(addr)
-	r.RetryBase = time.Millisecond
-	r.RetryCap = 10 * time.Millisecond
-	defer r.Close()
+	c := Dial(addr)
+	c.RetryBase = time.Millisecond
+	c.RetryCap = 10 * time.Millisecond
+	defer c.Close()
 
 	tr := captureWireTrace(t, p, "ro-pod", []int64{50})
-	if err := r.SubmitTraces([]*trace.Trace{tr}); err != nil {
+	if err := c.SubmitTraces([]*trace.Trace{tr}); err != nil {
 		t.Fatalf("submission through a recovering read-only owner failed: %v", err)
 	}
 	if got := backend.calls.Load(); got != 4 {

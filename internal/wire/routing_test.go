@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"net"
 	"slices"
 	"strings"
 	"testing"
@@ -96,6 +97,43 @@ func nodeByAddr(t *testing.T, nodes []*fleetNode, addr string) *fleetNode {
 	return nil
 }
 
+// submitOn drains sealed through hc alone — one connection's answer, with
+// no routing above it.
+func submitOn(hc *hiveConn, sealed []pod.SealedBatch) ([]bool, error) {
+	idx := make([]int, len(sealed))
+	for i := range idx {
+		idx[i] = i
+	}
+	accepted := make([]bool, len(sealed))
+	return accepted, hc.submit(sealed, idx, accepted)
+}
+
+// askRedirect sends one raw frame to addr on a connection that never said
+// hello and returns the redirect it is answered with.
+func askRedirect(t *testing.T, addr string, typ MsgType, payload []byte) *RedirectError {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteFrame(conn, typ, payload); err != nil {
+		t.Fatal(err)
+	}
+	respType, resp, err := ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if respType != MsgRedirect {
+		t.Fatalf("%s answered message type %d with type %d, want MsgRedirect", addr, typ, respType)
+	}
+	re, err := decodeRedirect(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return re
+}
+
 // pickOwnedBy returns a corpus program the map assigns to addr (want
 // true) or to any other node (want false). The ring hashes ephemeral
 // listen ports, so an unlucky run can land the whole fixed corpus on (or
@@ -124,10 +162,11 @@ func pickOwnedBy(t *testing.T, nodes []*fleetNode, corpus []*prog.Program, m *ri
 	return nil
 }
 
-// TestRoutedSealedExactlyOnce drives a Router over a 3-hive fleet: every
+// TestRoutedSealedExactlyOnce drives a client over a 3-hive fleet: one
+// drain of every program's frames fans out to the owners at once, every
 // program's traces land on exactly its ring owner and nowhere else, and a
 // verbatim resubmission of copies of the already-acked sealed frames (a
-// lost ack's view) is dup-acked without re-ingesting.
+// lost ack's view), again in one drain, is dup-acked without re-ingesting.
 func TestRoutedSealedExactlyOnce(t *testing.T) {
 	leaktest.Check(t)
 	corpus := buildRoutedCorpus(t, 6)
@@ -138,24 +177,25 @@ func TestRoutedSealedExactlyOnce(t *testing.T) {
 	if p := pickOwnedBy(t, nodes, corpus, m, m.Owner(corpus[0].ID), false); !slices.Contains(corpus, p) {
 		corpus = append(corpus, p)
 	}
-	r := NewRouter(nodes[0].addr, nodes[1].addr, nodes[2].addr)
+	r := Dial(nodes[0].addr, nodes[1].addr, nodes[2].addr)
 	defer r.Close()
 
-	allSealed := make(map[string][]pod.SealedBatch)
+	var sealed []pod.SealedBatch
 	for pi, p := range corpus {
-		batches := [][]*trace.Trace{
+		sealed = append(sealed, r.SealTraceBatches(p.ID, [][]*trace.Trace{
 			{captureWireTrace(t, p, "route-pod", []int64{int64(pi)})},
 			{captureWireTrace(t, p, "route-pod", []int64{int64(100 + pi)})},
-		}
-		sealed := r.SealTraceBatches(p.ID, batches)
-		allSealed[p.ID] = cloneSealed(sealed)
-		acc, err := r.SubmitSealed(sealed)
+		})...)
+	}
+	parked := cloneSealed(sealed)
+	for round, frames := range [][]pod.SealedBatch{sealed, parked} {
+		acc, err := r.SubmitSealed(frames)
 		if err != nil {
-			t.Fatalf("program %d: %v", pi, err)
+			t.Fatalf("round %d: %v", round, err)
 		}
 		for i, ok := range acc {
 			if !ok {
-				t.Fatalf("program %d frame %d not accepted", pi, i)
+				t.Fatalf("round %d: frame %d of %s not accepted", round, i, frames[i].ProgramID)
 			}
 		}
 	}
@@ -181,48 +221,27 @@ func TestRoutedSealedExactlyOnce(t *testing.T) {
 	if len(spread) < 2 {
 		t.Fatalf("corpus landed entirely on one node; ring or corpus degenerate")
 	}
-
-	// Exactly-once across the fleet: resubmitting every sealed frame
-	// verbatim dup-acks without moving any counter.
-	for _, p := range corpus {
-		acc, err := r.SubmitSealed(allSealed[p.ID])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, ok := range acc {
-			if !ok {
-				t.Fatalf("resubmitted frame %d of %s not dup-acked", i, p.ID)
-			}
-		}
-		st, err := nodeByAddr(t, nodes, m.Owner(p.ID)).h.ProgramStats(p.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Ingested != 2 {
-			t.Fatalf("resubmission re-ingested: %s has %d traces", p.ID, st.Ingested)
-		}
-	}
 }
 
 // TestRedirectResubmitAfterRehome is the owner-moved path end to end: a
-// routing client seals and part-submits against the original owner, the
-// owner's programs are exported/imported to survivors under placement v2,
-// and the stale client's resubmission is answered with MsgRedirect naming
-// the new owner. A router holding the stale map chases the redirect and
-// delivers the parked frames verbatim — already-acked frames dup-ack on
-// the new owner (the session table traveled with the snapshot), fresh
-// frames apply exactly once.
+// client seals and part-submits against the original owner, the owner's
+// programs are exported/imported to survivors under placement v2, and the
+// stale resubmission on the old owner's connection is answered with
+// MsgRedirect naming the new owner. A client holding the stale map chases
+// the redirect and delivers the parked frames verbatim — already-acked
+// frames dup-ack on the new owner (the session table traveled with the
+// snapshot), fresh frames apply exactly once.
 func TestRedirectResubmitAfterRehome(t *testing.T) {
 	corpus := buildRoutedCorpus(t, 6)
 	nodes, m := startFleet(t, 3, corpus)
 	victim := nodes[2]
 	moved := pickOwnedBy(t, nodes, corpus, m, victim.addr, true)
 
-	// The router bootstraps now, so it holds placement v1 across the move.
-	r := NewRouter(victim.addr)
+	// The client bootstraps now, so it holds placement v1 across the move.
+	r := Dial(victim.addr)
 	defer r.Close()
 	if got := r.PlacementVersion(); got != m.Version() {
-		t.Fatalf("router placement v%d, want v%d", got, m.Version())
+		t.Fatalf("client placement v%d, want v%d", got, m.Version())
 	}
 
 	c := Dial(victim.addr)
@@ -261,9 +280,9 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 	}
 	newOwner := nodeByAddr(t, nodes, m2.Owner(moved.ID))
 
-	// The stale direct client resubmits to the old owner: the answer is a
-	// typed redirect naming the new owner at placement v2.
-	_, err := c.SubmitSealed(parked)
+	// The stale frames go to the old owner on its connection alone: the
+	// answer is a typed redirect naming the new owner at placement v2.
+	_, err := submitOn(c.connTo(victim.addr), cloneSealed(parked))
 	var re *RedirectError
 	if !errors.As(err, &re) {
 		t.Fatalf("stale submit error = %v, want RedirectError", err)
@@ -275,7 +294,7 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 		t.Fatalf("redirect placement v%d, want v%d", re.Version, m2.Version())
 	}
 
-	// The stale router chases the redirect: all four frames delivered, the
+	// The stale client chases the redirect: all four frames delivered, the
 	// pre-move acked frame exactly once.
 	acc, err := r.SubmitSealed(parked)
 	if err != nil {
@@ -287,7 +306,7 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 		}
 	}
 	if got := r.PlacementVersion(); got != m2.Version() {
-		t.Fatalf("router did not adopt redirect placement: v%d, want v%d", got, m2.Version())
+		t.Fatalf("client did not adopt redirect placement: v%d, want v%d", got, m2.Version())
 	}
 	st, err := newOwner.h.ProgramStats(moved.ID)
 	if err != nil {
@@ -297,7 +316,7 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 		t.Fatalf("new owner ingested %d, want %d (exactly-once across re-homing)", st.Ingested, len(sealed))
 	}
 	// Steering survives the move: the new owner answers guidance for the
-	// migrated frontier through the router.
+	// migrated frontier through the client.
 	if _, err := r.Guidance(moved.ID, 4); err != nil {
 		t.Fatalf("guidance after re-homing: %v", err)
 	}
@@ -305,8 +324,8 @@ func TestRedirectResubmitAfterRehome(t *testing.T) {
 
 // TestWrongNodeWritesRedirectedReadsRedirected points clients at the WRONG
 // member of a sharded fleet. Nothing is applied, looked up or forwarded
-// there: a bare client is told where the program lives, for a write and for
-// a read alike, and a router seeded with only the wrong node chases that
+// there: a bare connection is told where the program lives, for a write and
+// for a read alike, and a client seeded with only the wrong node chases that
 // answer — for sealed frames, for a loose batch spanning both owners, and
 // for fixes and guidance.
 func TestWrongNodeWritesRedirectedReadsRedirected(t *testing.T) {
@@ -317,15 +336,16 @@ func TestWrongNodeWritesRedirectedReadsRedirected(t *testing.T) {
 	pLocal := pickOwnedBy(t, nodes, corpus, m, wrong.addr, true)
 	owner := nodeByAddr(t, nodes, m.Owner(p.ID))
 
-	bare := Dial(wrong.addr)
-	defer bare.Close()
-	err := bare.SubmitTraces([]*trace.Trace{captureWireTrace(t, p, "bare-pod", []int64{1})})
-	var re *RedirectError
-	if !errors.As(err, &re) || re.Owner != owner.addr {
-		t.Fatalf("write at the wrong node: err = %v, want a redirect to %s", err, owner.addr)
+	write, err := trace.AppendBatch(appendSeqPrefix(nil, "bare-session", 1), p.ID,
+		[]*trace.Trace{captureWireTrace(t, p, "bare-pod", []int64{1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re := askRedirect(t, wrong.addr, MsgSubmitBatchColumnar, write); re.Owner != owner.addr || re.ProgramID != p.ID {
+		t.Fatalf("write at the wrong node redirected to %s for %s, want %s for %s", re.Owner, re.ProgramID, owner.addr, p.ID)
 	}
 
-	r := NewRouter(wrong.addr)
+	r := Dial(wrong.addr)
 	defer r.Close()
 	mixed := []*trace.Trace{
 		captureWireTrace(t, pLocal, "loose-pod", []int64{7}),
@@ -338,15 +358,15 @@ func TestWrongNodeWritesRedirectedReadsRedirected(t *testing.T) {
 		t.Fatalf("local half of the loose batch: ingested=%d", st.Ingested)
 	}
 	if st, _ := owner.h.ProgramStats(p.ID); st.Ingested != 1 {
-		t.Fatalf("routed half of the loose batch: ingested=%d, want 1 (the bare client's write must not have landed)", st.Ingested)
+		t.Fatalf("routed half of the loose batch: ingested=%d, want 1 (the bare write must not have landed)", st.Ingested)
 	}
 	if st, _ := wrong.h.ProgramStats(p.ID); st.Ingested != 0 {
 		t.Fatalf("wrong node ingested %d traces of a program it does not own", st.Ingested)
 	}
 
-	// A pod's crash mints a fix on the owner. Asked at the wrong node, the
-	// bare client gets the same redirect a write gets; the router asks the
-	// owner.
+	// A pod's crash mints a fix on the owner. Asked at the wrong node, a
+	// bare connection gets the same redirect a write gets; the client asks
+	// the owner.
 	pd, err := pod.New(pod.Config{
 		Program: p, ID: "wrong-node-pod", Hive: r,
 		Privacy: trace.PrivacyHashed, Salt: "fleet", BatchSize: 1,
@@ -357,32 +377,30 @@ func TestWrongNodeWritesRedirectedReadsRedirected(t *testing.T) {
 	if _, err := pd.RunOnce([]int64{105}); err != nil {
 		t.Fatal(err)
 	}
-	re = nil
-	if _, _, err := bare.FixesSince(p.ID, 0); !errors.As(err, &re) || re.Owner != owner.addr || re.Version != m.Version() {
-		t.Fatalf("fixes at the wrong node: err = %v, want a redirect to %s at v%d", err, owner.addr, m.Version())
+	if re := askRedirect(t, wrong.addr, MsgGetFixes, appendRead(nil, p.ID, 0)); re.Owner != owner.addr || re.Version != m.Version() {
+		t.Fatalf("fixes at the wrong node redirected to %s at v%d, want %s at v%d", re.Owner, re.Version, owner.addr, m.Version())
 	}
-	re = nil
-	if _, err := bare.Guidance(p.ID, 4); !errors.As(err, &re) || re.Owner != owner.addr {
-		t.Fatalf("guidance at the wrong node: err = %v, want a redirect to %s", err, owner.addr)
+	if re := askRedirect(t, wrong.addr, MsgGetGuidance, appendRead(nil, p.ID, 4)); re.Owner != owner.addr {
+		t.Fatalf("guidance at the wrong node redirected to %s, want %s", re.Owner, owner.addr)
 	}
 	if fixes, _, err := r.FixesSince(p.ID, 0); err != nil || len(fixes) == 0 {
-		t.Fatalf("fixes through the router: %d fixes, err %v; want the owner's fix", len(fixes), err)
+		t.Fatalf("fixes through the client: %d fixes, err %v; want the owner's fix", len(fixes), err)
 	}
-	// The router's map goes stale: the fleet moves on to a placement that
+	// The client's map goes stale: the fleet moves on to a placement that
 	// assigns everything to the wrong node. The old owner redirects the
-	// router's next reads there, and the router follows.
+	// client's next reads there, and the client follows.
 	v2 := ring.NewVersion(m.Version()+1, []string{wrong.addr}, ring.DefaultVNodes, 42)
 	for _, nd := range nodes {
 		nd.srv.SetPlacement(v2, nd.addr)
 	}
 	if _, _, err := r.FixesSince(p.ID, 0); err != nil {
-		t.Fatalf("fixes through a router whose map went stale: %v", err)
+		t.Fatalf("fixes through a client whose map went stale: %v", err)
 	}
 	if got := r.Owner(p.ID); got != wrong.addr || r.PlacementVersion() != v2.Version() {
-		t.Fatalf("router routes %s to %s at v%d after the redirect, want %s at v%d", p.ID, got, r.PlacementVersion(), wrong.addr, v2.Version())
+		t.Fatalf("client routes %s to %s at v%d after the redirect, want %s at v%d", p.ID, got, r.PlacementVersion(), wrong.addr, v2.Version())
 	}
 	if _, err := r.Guidance(p.ID, 4); err != nil {
-		t.Fatalf("guidance through the router after the redirect: %v", err)
+		t.Fatalf("guidance through the client after the redirect: %v", err)
 	}
 }
 
@@ -406,8 +424,8 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 // each believe the other owns p. Reads were once relayed server-side, and
 // here the relays chased each other: the read never returned and neither did
 // Server.Close. Now A answers the read with the redirect its map implies, a
-// router that knows both members comes back within its two attempts with
-// that redirect as the error, and succeeds as soon as A is handed v2.
+// client that knows both members comes back within its route attempts with
+// a redirect as the error, and succeeds as soon as A is handed v2.
 func TestPlacementDisagreementReadRedirects(t *testing.T) {
 	const deadline = 5 * time.Second
 	type member struct {
@@ -444,20 +462,16 @@ func TestPlacementDisagreementReadRedirects(t *testing.T) {
 	a.srv.SetPlacement(v1, a.addr)
 	b.srv.SetPlacement(v2, b.addr)
 
-	bare := Dial(a.addr)
-	defer bare.Close()
 	within(t, deadline, "a read at a member that disagrees with the owner it names", func() {
-		var re *RedirectError
-		if _, _, err := bare.FixesSince(p.ID, 0); !errors.As(err, &re) || re.Owner != b.addr || re.Version != 1 {
-			t.Errorf("fixes at A: err = %v, want a redirect to %s at v1", err, b.addr)
+		if re := askRedirect(t, a.addr, MsgGetFixes, appendRead(nil, p.ID, 0)); re.Owner != b.addr || re.Version != 1 {
+			t.Errorf("fixes at A redirected to %s at v%d, want %s at v1", re.Owner, re.Version, b.addr)
 		}
-		re = nil
-		if _, err := bare.Guidance(p.ID, 4); !errors.As(err, &re) || re.Owner != b.addr {
-			t.Errorf("guidance at A: err = %v, want a redirect to %s", err, b.addr)
+		if re := askRedirect(t, a.addr, MsgGetGuidance, appendRead(nil, p.ID, 4)); re.Owner != b.addr {
+			t.Errorf("guidance at A redirected to %s, want %s", re.Owner, b.addr)
 		}
 	})
 
-	r := NewRouter(a.addr, b.addr)
+	r := Dial(a.addr, b.addr)
 	defer r.Close()
 	within(t, deadline, "a routed read across the disagreement", func() {
 		var re *RedirectError
@@ -493,24 +507,25 @@ func TestRetryErrorNamesRedirect(t *testing.T) {
 	if err := c.Handshake(); err != nil {
 		t.Fatal(err)
 	}
+	hc := c.connTo(nodes[0].addr)
 
-	c.mu.Lock()
-	err := c.retryErrLocked(errors.New("boom"))
-	c.mu.Unlock()
+	hc.mu.Lock()
+	err := hc.retryErrLocked(errors.New("boom"))
+	hc.mu.Unlock()
 	if want := fmt.Sprintf("no redirect seen at placement v%d", m.Version()); !strings.Contains(err.Error(), want) {
 		t.Fatalf("owner-down retry error %q lacks %q", err, want)
 	}
 
-	// Provoke a redirect: a client submitting a foreign program to the
-	// wrong node is told where it lives.
+	// Provoke a redirect: a foreign program's frame submitted on the wrong
+	// node's connection is told where it lives.
 	foreign := pickOwnedBy(t, nodes, corpus, m, nodes[0].addr, false)
-	sealed := c.SealTraceBatches(foreign.ID, [][]*trace.Trace{{captureWireTrace(t, foreign, "err-pod", []int64{1})}})
-	if _, serr := c.SubmitSealed(sealed); serr == nil {
+	sealed := hc.seal(foreign.ID, [][]*trace.Trace{{captureWireTrace(t, foreign, "err-pod", []int64{1})}})
+	if _, serr := submitOn(hc, sealed); serr == nil {
 		t.Fatal("misdirected submit did not redirect")
 	}
-	c.mu.Lock()
-	err = c.retryErrLocked(errors.New("boom"))
-	c.mu.Unlock()
+	hc.mu.Lock()
+	err = hc.retryErrLocked(errors.New("boom"))
+	hc.mu.Unlock()
 	want := fmt.Sprintf("last redirect: program %s -> %s at placement v%d", foreign.ID, m.Owner(foreign.ID), m.Version())
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("owner-moved retry error %q lacks %q", err, want)

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/pod"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
@@ -72,7 +71,7 @@ var sealGolden = []struct {
 // compressed and uncompressed.
 func TestSealedFrameBytesGolden(t *testing.T) {
 	for _, g := range sealGolden {
-		c := &Client{session: "0123456789abcdef", greeted: true, compressing: g.compress}
+		c := &hiveConn{session: "0123456789abcdef", greeted: true, compressing: g.compress}
 		traces := sealTraces("golden", g.n)
 		if g.mismatch {
 			traces[g.n-1] = sealTraces("other", 1)[0]
@@ -100,11 +99,10 @@ func TestSealedFrameBytesGolden(t *testing.T) {
 }
 
 // TestResubmitAcknowledgedFrameFails: SubmitSealed consumes the frames it
-// acknowledges — the payload goes back to the client's free list and the
+// acknowledges — the payload goes back to the connection's free list and the
 // caller's Payload is nil — and leaves the rest as they were. Resubmitting a
-// consumed frame, through a Client or a Router, fails with ErrFrame naming
-// the frame before anything is dialed: its bytes may already carry another
-// frame.
+// consumed frame fails with ErrFrame naming the frame before anything is
+// dialed: its bytes may already carry another frame.
 func TestResubmitAcknowledgedFrameFails(t *testing.T) {
 	p := buildCrashy(t)
 	h, _, addr := coalesceFixture(t, p)
@@ -117,55 +115,43 @@ func TestResubmitAcknowledgedFrameFails(t *testing.T) {
 
 	client := Dial(addr)
 	defer client.Close()
-	router := NewRouter(addr)
-	defer router.Close()
-	for _, tc := range []struct {
-		name string
-		ss   pod.SealedStreamer
-		// nowhere is the same kind of streamer for an address nobody
-		// listens on: reaching for the socket would fail with a dial
-		// error, not ErrFrame.
-		nowhere pod.SealedStreamer
-	}{
-		{"client", client, Dial(dead)},
-		{"router", router, NewRouter(dead)},
-	} {
-		before, err := h.ProgramStats(p.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sealed := tc.ss.SealTraceBatches(p.ID, [][]*trace.Trace{makeTraces(t, p, 3), makeTraces(t, p, 2), makeTraces(t, p, 4)})
-		corrupt := []byte("not a sequenced batch")
-		sealed[1].Payload = corrupt
-		accepted, err := tc.ss.SubmitSealed(sealed)
-		if err == nil {
-			t.Fatalf("%s: a drain with a corrupt frame succeeded", tc.name)
-		}
-		if !accepted[0] || accepted[1] || !accepted[2] {
-			t.Fatalf("%s: accepted = %v, want [true false true]", tc.name, accepted)
-		}
-		if sealed[0].Payload != nil || sealed[2].Payload != nil {
-			t.Fatalf("%s: an acknowledged frame kept its payload", tc.name)
-		}
-		if string(sealed[1].Payload) != "not a sequenced batch" || &sealed[1].Payload[0] != &corrupt[0] {
-			t.Fatalf("%s: the unacknowledged frame was touched", tc.name)
-		}
+	before, err := h.ProgramStats(p.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := client.SealTraceBatches(p.ID, [][]*trace.Trace{makeTraces(t, p, 3), makeTraces(t, p, 2), makeTraces(t, p, 4)})
+	corrupt := []byte("not a sequenced batch")
+	sealed[1].Payload = corrupt
+	accepted, err := client.SubmitSealed(sealed)
+	if err == nil {
+		t.Fatal("a drain with a corrupt frame succeeded")
+	}
+	if !accepted[0] || accepted[1] || !accepted[2] {
+		t.Fatalf("accepted = %v, want [true false true]", accepted)
+	}
+	if sealed[0].Payload != nil || sealed[2].Payload != nil {
+		t.Fatal("an acknowledged frame kept its payload")
+	}
+	if string(sealed[1].Payload) != "not a sequenced batch" || &sealed[1].Payload[0] != &corrupt[0] {
+		t.Fatal("the unacknowledged frame was touched")
+	}
 
-		// Frame 1 is unacknowledged and intact, frame 2 consumed: the
-		// resubmission names frame 1 of the two it holds.
-		accepted, err = tc.nowhere.SubmitSealed(sealed[1:])
-		if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "frame 1 ") {
-			t.Fatalf("%s: resubmitting a consumed frame: err = %v, want ErrFrame naming frame 1", tc.name, err)
-		}
-		if accepted[0] || accepted[1] {
-			t.Fatalf("%s: accepted = %v after a drain refused before the dial", tc.name, accepted)
-		}
-		after, err := h.ProgramStats(p.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := after.Ingested - before.Ingested; got != 7 {
-			t.Fatalf("%s: ingested %d traces, want the 7 of the two good frames", tc.name, got)
-		}
+	// Frame 1 is unacknowledged and intact, frame 2 consumed: the
+	// resubmission names frame 1 of the two it holds. The client is aimed at
+	// an address nobody listens on: reaching for the socket would fail with
+	// a dial error, not ErrFrame.
+	accepted, err = Dial(dead).SubmitSealed(sealed[1:])
+	if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "frame 1 ") {
+		t.Fatalf("resubmitting a consumed frame: err = %v, want ErrFrame naming frame 1", err)
+	}
+	if accepted[0] || accepted[1] {
+		t.Fatalf("accepted = %v after a drain refused before the dial", accepted)
+	}
+	after, err := h.ProgramStats(p.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.Ingested - before.Ingested; got != 7 {
+		t.Fatalf("ingested %d traces, want the 7 of the two good frames", got)
 	}
 }

@@ -5,8 +5,10 @@
 // (see control.go), with fixes and guidance cases in their own packages'
 // encodings, back to back. No payload is JSON. The Client satisfies
 // pod.HiveClient, so a pod is pointed either at an in-process hive or at a
-// remote one without code changes; the Server wraps a pod.HiveClient
-// backend that ingests columnar batches (normally *hive.Hive).
+// remote one without code changes — one hive or a sharded fleet, the same
+// Client: it routes every frame and read to its program's owner and follows
+// redirects. The Server wraps a pod.HiveClient backend that ingests columnar
+// batches (normally *hive.Hive).
 //
 // There is one protocol generation and nothing about it is negotiated: a
 // client opens with MsgHello naming ProtocolVersion — a peer that answers
@@ -185,8 +187,9 @@ type PlacementPayload struct {
 // RedirectError is the typed client-side form of MsgRedirect: the
 // submission was not applied, or the read not answered, because this server
 // does not own the program.
-// Callers (the Router, or operators reading retry-exhausted errors) use
-// Owner and Version to distinguish "owner moved" from "owner down".
+// The Client adopts the placement it carries; operators reading
+// retry-exhausted errors use Owner and Version to distinguish "owner moved"
+// from "owner down".
 type RedirectError struct {
 	ProgramID string
 	Owner     string
@@ -201,8 +204,8 @@ func (e *RedirectError) Error() string {
 // BusyError is the typed client-side form of MsgBusy: the submission was
 // not applied; the server asks the client to back off and resubmit. The
 // client's retry machinery honors RetryAfter as a floor under its
-// jittered exponential backoff; the Router treats it as "owner alive but
-// shedding" and does NOT re-poll seeds for a new placement.
+// jittered exponential backoff, and treats it as "owner alive but
+// shedding": it does NOT re-poll seeds for a new placement.
 type BusyError struct {
 	RetryAfter time.Duration
 	Reason     string

@@ -53,7 +53,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 // TestTraceBatchRoundTrip: a sealed frame is the (session, seq) tag followed
 // by the canonical columnar encoding of the batch, and both come back out.
 func TestTraceBatchRoundTrip(t *testing.T) {
-	c := Dial("unreachable.invalid:1")
+	c := &hiveConn{addr: "unreachable.invalid:1", session: newSessionID()}
 	batch := []*trace.Trace{{ProgramID: "p", PodID: "a", Mode: trace.CaptureFull, Seq: 1}, {ProgramID: "p", PodID: "b", Mode: trace.CaptureFull, Seq: 2}}
 	payload, compressed := c.sealFrameLocked(7, "p", batch)
 	if compressed {
