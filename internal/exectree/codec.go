@@ -94,22 +94,28 @@ func appendEdge(buf []byte, e Edge) []byte {
 	return binary.AppendUvarint(buf, v)
 }
 
-// Decode reconstructs a tree serialized by Encode.
+// Decode reconstructs a tree serialized by Encode in one pass: the decode
+// closes each node once it has read the node's certificates and every
+// child, and closing it adds the node to the tree's aggregates and opens its
+// half-observed directions. No walk of the tree follows the decode.
 func Decode(data []byte) (*Tree, error) {
 	var s slab
-	t, err := decodeNodes(data, &s)
+	r := restore{slab: &s}
+	t, err := decodeNodes(data, &s, &r)
 	if err != nil {
 		return nil, err
 	}
-	t.rebuildFrontierLocked(&s)
+	r.finish(t)
 	return t, nil
 }
 
-// decodeNodes is Decode without the open frontier set: DecodeChain builds it
-// once, after the last segment has been overlaid. Nodes, child slots and
-// terminal counts come from s.
-func decodeNodes(data []byte, s *slab) (*Tree, error) {
-	d := &treeDecoder{buf: data, slab: s}
+// decodeNodes builds the nodes an encoding holds, closing each into r. With
+// r nil it builds them only: the tree's aggregates stay zero and its open
+// set empty, for DecodeChain to derive in one walk once the last segment has
+// been overlaid. Nodes, child slots, terminal counts and open buckets come
+// from s.
+func decodeNodes(data []byte, s *slab, r *restore) (*Tree, error) {
+	d := &treeDecoder{buf: data, slab: s, restore: r}
 	if v := d.byte(); v != codecVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrCodec, v)
 	}
@@ -133,10 +139,11 @@ func decodeNodes(data []byte, s *slab) (*Tree, error) {
 const maxDecodeDepth = 1 << 16
 
 type treeDecoder struct {
-	buf  []byte
-	pos  int
-	err  error
-	slab *slab
+	buf     []byte
+	pos     int
+	err     error
+	slab    *slab
+	restore *restore // closes each node decoded, when set
 }
 
 func (d *treeDecoder) fail() {
@@ -210,15 +217,9 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 	if parent != nil {
 		n.parent, n.in, n.depth = parent, in, parent.depth+1
 	}
-	t.nodes++
 
 	if err := d.terminals(n); err != nil {
 		return nil, err
-	}
-	for _, tc := range n.terminal {
-		t.outcomes[tc.o] += tc.c
-		t.executions += tc.c
-		t.paths++
 	}
 
 	ni := d.length()
@@ -252,9 +253,9 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 			return nil, fmt.Errorf("%w: duplicate edge %v", ErrCodec, e)
 		}
 		n.addKid(e, child, visits)
-		if visits > 0 {
-			t.addCover(e)
-		}
+	}
+	if d.restore != nil {
+		d.restore.close(t, n)
 	}
 	return n, nil
 }

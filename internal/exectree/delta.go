@@ -3,8 +3,6 @@ package exectree
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/prog"
 )
 
 // Incremental (delta) tree snapshots.
@@ -164,14 +162,18 @@ func (t *Tree) ResetDelta() {
 // bit-for-bit identical to the live tree that wrote the chain: node counts,
 // aggregates, and the open frontier set are all rebuilt.
 //
-// The whole chain is decoded from one slab: the nodes and slots the deltas
-// add come from the same chunks as the base's.
+// The base is decoded without closing its nodes, the segments are overlaid,
+// and then one walk closes every node, deriving the aggregates and the open
+// set together: a segment's entries carry absolute per-node values, so
+// nothing derived before the last one would survive it. The whole chain is
+// decoded from one slab: the nodes and slots the deltas add come from the
+// same chunks as the base's.
 func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 	if len(deltas) == 0 {
 		return Decode(base)
 	}
 	var s slab
-	t, err := decodeNodes(base, &s)
+	t, err := decodeNodes(base, &s, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -180,8 +182,9 @@ func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 			return nil, fmt.Errorf("delta %d: %w", i, err)
 		}
 	}
-	t.recomputeAggregatesLocked()
-	t.rebuildFrontierLocked(&s)
+	r := restore{slab: &s}
+	r.walk(t, t.root)
+	r.finish(t)
 	return t, nil
 }
 
@@ -206,9 +209,9 @@ func (d *treeDecoder) deltaHeader() (programID string, entries int, err error) {
 // applyDelta overlays one delta segment: every entry overwrites its node's
 // terminal counts, certificates, and outgoing-edge visit counts with the
 // absolute values recorded at encode time, creating missing nodes along the
-// way. Aggregates and the open frontier set are left stale — DecodeChain
-// recomputes them once after the last segment. New nodes and slots come from
-// s.
+// way. Aggregates and the open frontier set are not kept — DecodeChain
+// derives both in one walk after the last segment. New nodes and slots come
+// from s.
 func (t *Tree) applyDelta(data []byte, s *slab) error {
 	d := &treeDecoder{buf: data, slab: s}
 	id, count, err := d.deltaHeader()
@@ -290,32 +293,4 @@ func (t *Tree) applyDelta(data []byte, s *slab) error {
 		return fmt.Errorf("%w: %d trailing delta bytes", ErrCodec, len(d.buf)-d.pos)
 	}
 	return nil
-}
-
-// recomputeAggregatesLocked rebuilds the tree-level aggregates (node count,
-// path/execution/outcome totals, edge coverage) from node state. Used after
-// overlaying delta segments, whose entries carry absolute per-node values
-// but no aggregate bookkeeping.
-func (t *Tree) recomputeAggregatesLocked() {
-	t.nodes = 0
-	t.paths = 0
-	t.executions = 0
-	t.outcomes = make(map[prog.Outcome]int64)
-	t.resetCover()
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		t.nodes++
-		for _, tc := range n.terminal {
-			t.outcomes[tc.o] += tc.c
-			t.executions += tc.c
-			t.paths++
-		}
-		for i := range n.kids {
-			if n.kids[i].visits > 0 {
-				t.addCover(n.kids[i].e)
-			}
-			rec(n.kids[i].node)
-		}
-	}
-	rec(t.root)
 }

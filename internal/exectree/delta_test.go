@@ -146,7 +146,8 @@ func TestDeltaNeverExceedsFull(t *testing.T) {
 // FuzzDeltaChain fuzzes the segment reader over a fixed base: arbitrary
 // bytes — keep past the stack, suffix and count bombs, 2^60 uvarints,
 // truncated entries — are an error and never a panic, and a segment that is
-// accepted created no more nodes than it had bytes to name them with.
+// accepted created no more nodes than it had bytes to name them with, and
+// left an open set that agrees with a walk and with every node's bucket.
 func FuzzDeltaChain(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	live := New("prop-prog")
@@ -193,6 +194,7 @@ func FuzzDeltaChain(f *testing.F) {
 		if len(walk) != len(idx) || (len(walk) > 0 && !reflect.DeepEqual(walk, idx)) {
 			t.Fatal("rebuilt index disagrees with full walk")
 		}
+		assertBuckets(t, dec, "accepted chain")
 	})
 }
 

@@ -11,8 +11,11 @@ package exectree
 // Merge adding an edge or an outcome, a frontier opening at a node — then
 // copies the slice to the heap and never writes into the slots of the node
 // carved next. A decoded node's kids and terminal counts are read at exactly
-// the size the encoding declared, so a tree that only grows where traffic
-// reaches pays the copy only there.
+// the size the encoding declared, and its open bucket is carved when the
+// restore closes the node, at the number of frontiers it opens there, so a
+// tree that only grows where traffic reaches pays the copy only there. The
+// open set's entries are not carved here: they end in one slice of the
+// tree's own (entryList).
 type slab struct {
 	nodes chunk[Node]
 	kids  chunk[childRef]
@@ -62,4 +65,39 @@ func (s *slab) child(parent *Node, e Edge) *Node {
 	n := s.node()
 	n.parent, n.in, n.depth = parent, e, parent.depth+1
 	return n
+}
+
+// entryList collects a restore's open frontier entries in the order they
+// are opened, in chunks that stay where they are as the list grows, and
+// hands them over as one slice of exactly their count: the open set is
+// allocated once, at its final size, and never regrown by append.
+type entryList struct {
+	full [][]frontierEntry // the chunks filled so far
+	cur  []frontierEntry   // the chunk being filled
+	n    int
+}
+
+// add appends e and returns its position in the final slice.
+func (l *entryList) add(e frontierEntry) int32 {
+	if len(l.cur) == cap(l.cur) {
+		if l.cur != nil {
+			l.full = append(l.full, l.cur)
+		}
+		l.cur = make([]frontierEntry, 0, min(max(2*cap(l.cur), slabMinChunk), slabMaxChunk))
+	}
+	l.cur = append(l.cur, e)
+	l.n++
+	return int32(l.n - 1)
+}
+
+// slice returns every entry added, in order, in one slice of their count.
+func (l *entryList) slice() []frontierEntry {
+	if l.n == 0 {
+		return nil
+	}
+	out := make([]frontierEntry, 0, l.n)
+	for _, c := range l.full {
+		out = append(out, c...)
+	}
+	return append(out, l.cur...)
 }

@@ -310,13 +310,6 @@ func (t *Tree) coveredLocked(e Edge) bool {
 	return t.coverOverflow[e]
 }
 
-// resetCover empties the coverage set.
-func (t *Tree) resetCover() {
-	clear(t.cover)
-	t.coverOverflow = nil
-	t.covered = 0
-}
-
 // markDirty flags a changed node into the delta working set.
 func (t *Tree) markDirty(n *Node) {
 	if t.tracking && !n.dirty {
@@ -625,13 +618,15 @@ func siftDown(h []frontierEntry, i int) {
 func (t *Tree) FrontiersByWalk(limit int) []Frontier {
 	var out []Frontier
 	t.Walk(func(path []Edge, n *Node) bool {
-		forEachHalfObserved(n, func(missing Edge, sib int64) {
-			out = append(out, Frontier{
-				Prefix:        append([]Edge(nil), path...),
-				Missing:       missing,
-				SiblingVisits: sib,
-			})
-		})
+		for i := range n.kids {
+			if missing, ok := n.missingAt(i); ok {
+				out = append(out, Frontier{
+					Prefix:        append([]Edge(nil), path...),
+					Missing:       missing,
+					SiblingVisits: n.kids[i].visits,
+				})
+			}
+		}
 		return true
 	})
 	sortFrontiers(out)
@@ -761,46 +756,78 @@ func (t *Tree) retireFrontier(i int) {
 	t.open = t.open[:last]
 }
 
-// rebuildFrontierLocked recomputes the open set from tree structure, one
-// append per open frontier, with every node's open bucket carved from the
-// decode's slab at its exact size. Decode and DecodeChain use it on a
-// deserialized tree; callers must hold the write lock (or own the tree
-// exclusively).
-func (t *Tree) rebuildFrontierLocked(s *slab) {
-	t.open = t.open[:0]
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		open := 0
-		forEachHalfObserved(n, func(Edge, int64) { open++ })
-		n.open = s.open.take(open)
-		forEachHalfObserved(n, func(missing Edge, sib int64) {
-			t.openFrontier(n, missing, sib)
-		})
-		for i := range n.kids {
-			rec(n.kids[i].node)
-		}
-	}
-	rec(t.root)
+// missingAt reports whether n's child slot i leaves a frontier open — its
+// branch's other direction neither observed at n nor certified infeasible —
+// and returns that missing direction.
+func (n *Node) missingAt(i int) (Edge, bool) {
+	e := n.kids[i].e
+	sibling := Edge{ID: e.ID, Taken: !e.Taken}
+	return sibling, n.kidIndex(sibling) < 0 && !n.Infeasible(sibling)
 }
 
-// forEachHalfObserved calls fn for every branch ID at n with exactly one
-// observed direction and no certificate on the other — the node's open
-// frontiers — passing the missing direction and the explored sibling's
-// visit count. Visits in first-observation order; neither caller depends
-// on it (both sort downstream: a snapshot by compareEntries, the walk by
-// sortFrontiers).
-func forEachHalfObserved(n *Node, fn func(missing Edge, sib int64)) {
-	for i := range n.kids {
-		e := n.kids[i].e
-		sibling := Edge{ID: e.ID, Taken: !e.Taken}
-		if n.kidIndex(sibling) >= 0 {
-			continue // both directions observed
-		}
-		if n.Infeasible(sibling) {
-			continue
-		}
-		fn(sibling, n.kids[i].visits)
+// restore derives what a decoded tree holds beyond its nodes — the node,
+// path and execution counts, the outcome totals, the coverage set and the
+// open frontier set — one node at a time, as each is closed. Decode closes
+// every node as its decode returns; DecodeChain closes them all in one walk
+// after its last segment. Either way no other pass over the tree runs.
+type restore struct {
+	slab *slab
+	// outcomes totals the terminal counts by outcome, and seen marks the
+	// outcomes met: finish writes each to the tree's map once.
+	outcomes [256]int64
+	seen     [256]bool
+	open     entryList
+}
+
+// close adds n to the tree's aggregates and opens its frontiers, carving its
+// open bucket from the slab at its exact size. The entries' positions are
+// those of the open set finish hands the tree.
+func (r *restore) close(t *Tree, n *Node) {
+	t.nodes++
+	for _, tc := range n.terminal {
+		r.outcomes[tc.o] += tc.c
+		r.seen[tc.o] = true
+		t.executions += tc.c
+		t.paths++
 	}
+	open := 0
+	for i := range n.kids {
+		if n.kids[i].visits > 0 {
+			t.addCover(n.kids[i].e)
+		}
+		if _, ok := n.missingAt(i); ok {
+			open++
+		}
+	}
+	if open == 0 {
+		return
+	}
+	n.open = r.slab.open.take(open)
+	for i := range n.kids {
+		if missing, ok := n.missingAt(i); ok {
+			pos := r.open.add(frontierEntry{n: n, sib: n.kids[i].visits, missing: missing, depth: n.depth})
+			n.open = append(n.open, pos)
+		}
+	}
+}
+
+// walk closes every node of the subtree at n.
+func (r *restore) walk(t *Tree, n *Node) {
+	for i := range n.kids {
+		r.walk(t, n.kids[i].node)
+	}
+	r.close(t, n)
+}
+
+// finish hands the tree its outcome totals and its open set, once every
+// node is closed.
+func (r *restore) finish(t *Tree) {
+	for o, seen := range r.seen {
+		if seen {
+			t.outcomes[prog.Outcome(o)] = r.outcomes[o]
+		}
+	}
+	t.open = r.open.slice()
 }
 
 // Complete reports whether the tree has no frontiers left: every decision

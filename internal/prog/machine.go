@@ -232,6 +232,7 @@ func (m *Machine) Restart(cfg Config) error {
 // Run executes the program to completion and returns the result.
 func (m *Machine) Run() Result {
 	runnable := m.runnable
+	var res Result
 	for {
 		if m.steps >= m.cfg.MaxSteps {
 			return Result{Outcome: OutcomeHang, Steps: m.steps, FaultTID: -1, FaultPC: -1, AssertID: -1,
@@ -275,22 +276,24 @@ func (m *Machine) Run() Result {
 		if m.cfg.Observer != nil {
 			m.cfg.Observer.Schedule(tid)
 		}
-		if res, stop := m.step(tid); stop {
+		if m.step(tid, &res) {
 			res.Steps = m.steps
 			return res
 		}
 	}
 }
 
-// step executes one instruction on thread tid. It returns (result, true)
-// when the whole execution must stop.
-func (m *Machine) step(tid int) (Result, bool) {
+// step executes one instruction on thread tid. It reports whether the whole
+// execution must stop, and only then writes its result to res: a Result is
+// too large to return by value from every instruction.
+func (m *Machine) step(tid int, res *Result) bool {
 	t := &m.threads[tid]
 	in := m.prog.Code[t.pc]
 	m.steps++
 
-	fault := func(info string) (Result, bool) {
-		return Result{Outcome: OutcomeCrash, FaultTID: tid, FaultPC: t.pc, FaultInfo: info, AssertID: -1}, true
+	fault := func(info string) bool {
+		*res = Result{Outcome: OutcomeCrash, FaultTID: tid, FaultPC: t.pc, FaultInfo: info, AssertID: -1}
+		return true
 	}
 
 	next := t.pc + 1
@@ -384,13 +387,13 @@ func (m *Machine) step(tid int) (Result, bool) {
 			// step still consumed fuel, so a wrong gate cannot livelock
 			// forever — it degrades to a Hang, which the hive observes.
 			t.deferCt++
-			return Result{}, false
+			return false
 		}
 		t.deferCt = 0
 		if owner := m.lockOwn[lockID]; owner >= 0 {
 			t.status = ThreadBlocked
 			t.wants = lockID
-			return Result{}, false
+			return false
 		}
 		m.lockOwn[lockID] = tid
 		t.held = insertSorted(t.held, lockID)
@@ -410,23 +413,24 @@ func (m *Machine) step(tid int) (Result, bool) {
 		m.wakeWaiters(lockID)
 	case OpAssert:
 		if t.regs[in.A] == 0 {
-			return Result{
+			*res = Result{
 				Outcome:   OutcomeAssertFail,
 				FaultTID:  tid,
 				FaultPC:   t.pc,
 				FaultInfo: fmt.Sprintf("assertion #%d failed", in.Imm),
 				AssertID:  in.Imm,
-			}, true
+			}
+			return true
 		}
 	case OpHalt:
 		t.status = ThreadDone
-		return Result{}, false
+		return false
 	default:
 		return fault("illegal instruction")
 	}
 
 	t.pc = next
-	return Result{}, false
+	return false
 }
 
 // wakeWaiters makes every thread blocked on lockID runnable again; they will

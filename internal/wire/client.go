@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -24,11 +25,13 @@ import (
 // learns the placement ring from any seed's hello, routes every per-program
 // frame — submission or read — to that program's owner, and keeps itself
 // current from the two signals the protocol emits: MsgRedirect (the owner
-// moved: adopt the newer map the redirect carries and ask again) and any
-// other failure but busy (the owner may be down: re-poll the seeds for a
-// newer map). Every attempt count is bounded, so members that disagree on
-// placement cost an error, never a wait. Against one unsharded hive no
-// placement is advertised and everything goes to the first seed.
+// moved: adopt the newer map the redirect carries and ask again) and a
+// transport failure (the owner may be down: re-poll the seeds for a newer
+// map). Anything else a hive answers — busy, or a refusal of the frame or
+// the request itself — is not a routing signal. Every attempt count is
+// bounded, so members that disagree on placement cost an error, never a
+// wait. Against one unsharded hive no placement is advertised and
+// everything goes to the first seed.
 //
 // Each hive address gets a connection of its own, with a random session ID
 // and a monotonically increasing frame sequence number. A frame is sealed on
@@ -291,12 +294,14 @@ func (c *Client) owner(programID string) *hiveConn {
 // asking again can help. A redirect teaches the newer map it carries. A busy
 // reply is not a routing signal: the owner is alive and correctly placed,
 // merely shedding, and re-polling every seed would turn one overloaded hive
-// into a fleet-wide hello storm. Anything else (the owner may be down)
-// re-polls the seeds, so the next attempt runs on the freshest placement any
-// surviving member advertises.
+// into a fleet-wide hello storm. Nor is a refusal: the hive that refused the
+// frame or the request would refuse it again. Anything else is a transport
+// failure (the owner may be down) and re-polls the seeds, so the next
+// attempt runs on the freshest placement any surviving member advertises.
 func (c *Client) reroute(err error) bool {
 	var be *BusyError
-	if errors.As(err, &be) {
+	var fe *refusedError
+	if errors.As(err, &be) || errors.As(err, &fe) {
 		return false
 	}
 	c.mu.Lock()
@@ -354,9 +359,10 @@ type ownerGroup struct {
 // its owner — the last on the caller's goroutine, every other concurrently,
 // so a drain finishes when the slowest owner's share does, not when the sum
 // of all shares has crossed one link. Frames whose owner moved (redirect) or
-// may be down (any other failure but busy) are regrouped under the
-// refreshed placement and resubmitted verbatim, up to maxRouteAttempts
-// times. The returned flags report, per frame, whether a hive acknowledged
+// may be down (a transport failure) are regrouped under the refreshed
+// placement and resubmitted verbatim, up to maxRouteAttempts times. An
+// owner that refused a frame is not submitted to again in this call, and
+// its refusal is the error returned. The returned flags report, per frame, whether a hive acknowledged
 // it — on error a caller re-submits exactly the unacknowledged frames, never
 // one a hive already ingested.
 //
@@ -379,36 +385,41 @@ func (c *Client) SubmitSealed(sealed []pod.SealedBatch) ([]bool, error) {
 	if err := checkSealed(sealed); err != nil {
 		return accepted, err
 	}
-	var routeErr, busyErr error
-	var shedding []*hiveConn // owners still busy when their rounds ran out
+	var routeErr, busyErr, refusedErr error
+	// settled holds the owners not submitted to again in this call: those
+	// still busy when their rounds ran out, and those that refused a frame.
+	var settled []*hiveConn
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
-		groups := c.groupByOwner(sealed, accepted, shedding)
+		groups := c.groupByOwner(sealed, accepted, settled)
+		routeErr = nil
 		if len(groups) == 0 {
-			return accepted, busyErr
+			break
 		}
 		c.submitGroups(groups, sealed, accepted)
-		routeErr = nil
 		for _, g := range groups {
-			if g.err == nil {
-				continue
-			}
-			if c.reroute(g.err) {
+			var be *BusyError
+			switch {
+			case g.err == nil:
+			case c.reroute(g.err):
 				routeErr = g.err
-			} else {
+			case errors.As(g.err, &be):
 				busyErr = g.err
-				shedding = append(shedding, g.hc)
+				settled = append(settled, g.hc)
+			default:
+				refusedErr = cmp.Or(refusedErr, g.err)
+				settled = append(settled, g.hc)
 			}
 		}
 		if routeErr == nil {
-			return accepted, busyErr
+			break
 		}
 	}
-	return accepted, routeErr
+	return accepted, cmp.Or(refusedErr, routeErr, busyErr)
 }
 
 // groupByOwner groups the unacknowledged frames by owner, in first-appearance
-// order, leaving out the owners in shedding.
-func (c *Client) groupByOwner(sealed []pod.SealedBatch, accepted []bool, shedding []*hiveConn) []ownerGroup {
+// order, leaving out the owners in settled.
+func (c *Client) groupByOwner(sealed []pod.SealedBatch, accepted []bool, settled []*hiveConn) []ownerGroup {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pollLocked()
@@ -418,7 +429,7 @@ func (c *Client) groupByOwner(sealed []pod.SealedBatch, accepted []bool, sheddin
 			continue
 		}
 		hc := c.routeLocked(sealed[i].ProgramID)
-		if slices.Contains(shedding, hc) {
+		if slices.Contains(settled, hc) {
 			continue
 		}
 		g := slices.IndexFunc(groups, func(g ownerGroup) bool { return g.hc == hc })
@@ -486,8 +497,8 @@ func checkSealed(sealed []pod.SealedBatch) error {
 }
 
 // FixesSince implements pod.HiveClient, asking the program's owner. A
-// redirect teaches the newer map and a failure re-polls the seeds; either way
-// the ask goes again, up to maxRouteAttempts times: after a re-homing the new
+// redirect teaches the newer map and a transport failure re-polls the seeds;
+// either way the ask goes again, up to maxRouteAttempts times: after a re-homing the new
 // owner answers from the migrated fix history. If the members disagree on
 // placement the last redirect is the error.
 func (c *Client) FixesSince(programID string, version int) (fixes []fix.Fix, next int, err error) {
@@ -664,10 +675,10 @@ func (hc *hiveConn) ensureGreetedLocked() error {
 	}
 	version, placement, err := decodeHelloAck(resp)
 	if err != nil {
-		return fmt.Errorf("wire: %s: bad hello ack: %w", hc.addr, err)
+		return refused("wire: %s: bad hello ack: %v", hc.addr, err)
 	}
 	if version != ProtocolVersion {
-		return fmt.Errorf("wire: %s speaks protocol version %d, this client speaks version %d", hc.addr, version, ProtocolVersion)
+		return refused("wire: %s speaks protocol version %d, this client speaks version %d", hc.addr, version, ProtocolVersion)
 	}
 	hc.greeted = true
 	hc.placement = placementFromPayload(placement)
@@ -962,13 +973,13 @@ func checkAck(respType MsgType, resp []byte, want int) error {
 	}
 	accepted, _, errMsg, err := decodeAckBin(resp)
 	if err != nil {
-		return fmt.Errorf("wire: bad ack: %w", err)
+		return refused("wire: bad ack: %v", err)
 	}
 	if errMsg != "" {
-		return errors.New("wire: server: " + errMsg)
+		return refused("wire: server: %s", errMsg)
 	}
 	if accepted != want {
-		return fmt.Errorf("wire: server accepted %d of %d traces", accepted, want)
+		return refused("wire: server accepted %d of %d traces", accepted, want)
 	}
 	return nil
 }
@@ -978,10 +989,23 @@ func checkAck(respType MsgType, resp []byte, want int) error {
 func serverError(respType MsgType, resp []byte) error {
 	if respType == MsgError {
 		if msg, err := decodeError(resp); err == nil && msg != "" {
-			return errors.New("wire: server: " + msg)
+			return refused("wire: server: %s", msg)
 		}
 	}
-	return fmt.Errorf("wire: unexpected response type %d", respType)
+	return refused("wire: unexpected response type %d", respType)
+}
+
+// refusedError is a hive's answer that refuses a frame or a request: an
+// error reply, an ack that does not accept, an answer that does not parse.
+// The hive that answered would answer the same again, so a refusal is not a
+// routing signal.
+type refusedError struct{ msg string }
+
+func (e *refusedError) Error() string { return e.msg }
+
+// refused is fmt.Sprintf for a refusal.
+func refused(format string, args ...any) error {
+	return &refusedError{fmt.Sprintf(format, args...)}
 }
 
 // refusal is the error a reply stands for when it is not the answer the
@@ -992,13 +1016,13 @@ func refusal(respType MsgType, resp []byte) error {
 	case MsgRedirect:
 		re, err := decodeRedirect(resp)
 		if err != nil {
-			return fmt.Errorf("wire: bad redirect: %w", err)
+			return refused("wire: bad redirect: %v", err)
 		}
 		return re
 	case MsgBusy:
 		retryAfterMs, reason, err := decodeBusy(resp)
 		if err != nil {
-			return fmt.Errorf("wire: bad busy reply: %w", err)
+			return refused("wire: bad busy reply: %v", err)
 		}
 		return &BusyError{RetryAfter: time.Duration(retryAfterMs) * time.Millisecond, Reason: reason}
 	default:
@@ -1034,7 +1058,7 @@ func (hc *hiveConn) fixesSince(programID string, version int) ([]fix.Fix, int, e
 	}
 	fixes, version, err := decodeFixes(resp)
 	if err != nil {
-		return nil, 0, fmt.Errorf("wire: bad fixes reply: %w", err)
+		return nil, 0, refused("wire: bad fixes reply: %v", err)
 	}
 	return fixes, version, nil
 }
@@ -1051,7 +1075,7 @@ func (hc *hiveConn) guidance(programID string, max int) ([]guidance.TestCase, er
 	}
 	cases, err := decodeGuidance(resp)
 	if err != nil {
-		return nil, fmt.Errorf("wire: bad guidance reply: %w", err)
+		return nil, refused("wire: bad guidance reply: %v", err)
 	}
 	return cases, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -276,6 +277,37 @@ func TestCoalescedMidGroupRejection(t *testing.T) {
 	}
 	if want := int64(9 * perBatch); st.Ingested != want {
 		t.Fatalf("hive ingested %d traces, want exactly %d", st.Ingested, want)
+	}
+}
+
+// TestRefusalIsNotRerouted: a hive that refuses a frame (its payload does
+// not decode) or a read (it knows no such program) would refuse it again,
+// wherever the client asked. The refusal comes back at once — one hello, one
+// exchange each, no re-poll of the seeds — where a transport failure would
+// re-poll and resend.
+func TestRefusalIsNotRerouted(t *testing.T) {
+	p := buildCrashy(t)
+	_, _, addr := coalesceFixture(t, p)
+	proxy := newFlakyProxy(t, addr, 0, 0)
+	client := Dial(proxy.addr())
+	defer client.Close()
+
+	sealed := client.SealTraceBatches(p.ID, [][]*trace.Trace{makeTraces(t, p, 3)})
+	sealed[0].Payload = []byte("not a sequenced batch")
+	accepted, err := client.SubmitSealed(sealed)
+	var fe *refusedError
+	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "wire: server:") || accepted[0] {
+		t.Fatalf("corrupt frame: accepted=%v err=%v, want the server's refusal", accepted, err)
+	}
+	if hellos, replies := client.HelloCount(), proxy.replies.Load(); hellos != 1 || replies != 2 {
+		t.Fatalf("corrupt frame: %d hellos and %d replies, want 1 hello and 1 submission", hellos, replies-int64(hellos))
+	}
+
+	if _, _, err := client.FixesSince("no-such-program", 0); !errors.As(err, &fe) {
+		t.Fatalf("read of an unknown program: err=%v, want the server's refusal", err)
+	}
+	if hellos, replies := client.HelloCount(), proxy.replies.Load(); hellos != 1 || replies != 3 {
+		t.Fatalf("refused read: %d hellos and %d replies in all, want 1 hello and 2 exchanges", hellos, replies-int64(hellos))
 	}
 }
 

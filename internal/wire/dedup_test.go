@@ -41,6 +41,8 @@ type ackProxy struct {
 	// down closes every later connection at once while it is set: the link
 	// stays dead for a whole drain, however often the client redials.
 	down atomic.Bool
+	// replies counts the frames relayed from the server to the client.
+	replies atomic.Int64
 
 	mu    sync.Mutex
 	conns int
@@ -121,6 +123,7 @@ func (p *ackProxy) pipe(client net.Conn, idx int) {
 			if err := WriteFrame(client, msgType, payload); err != nil {
 				return
 			}
+			p.replies.Add(1)
 			forwarded++
 		}
 	}()
