@@ -251,7 +251,11 @@ func TestPropDecodeEqualsLive(t *testing.T) {
 
 		mergeAndCertify(rng, 1000, ids, live, dec, chain)
 		want := live.FrontiersAll()
-		for name, got := range map[string]*Tree{"Decode": dec, "DecodeChain": chain} {
+		for _, restored := range []struct {
+			name string
+			tree *Tree
+		}{{"Decode", dec}, {"DecodeChain", chain}} {
+			name, got := restored.name, restored.tree
 			if fr := got.FrontiersAll(); (len(want) > 0 || len(fr) > 0) && !reflect.DeepEqual(want, fr) {
 				t.Fatalf("%s %s: frontier sets differ after 1 000 more ops (%d vs %d)", label, name, len(want), len(fr))
 			}
