@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/codec"
 )
 
 // Segment framing: every object in the archive store — full snapshots,
@@ -97,34 +99,21 @@ func DecodeSegment(data []byte) (*Segment, error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSegment)
 	}
-	if body[0] != segVersion {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrBadSegment, body[0])
+	d := codec.NewDecoder(body, ErrBadSegment, "segment")
+	if v := d.Byte(); v != segVersion {
+		d.Fail("unknown version %d", v)
 	}
-	seg := &Segment{Kind: Kind(body[1])}
+	seg := &Segment{Kind: Kind(d.Byte())}
 	switch seg.Kind {
 	case KindFull, KindDelta, KindWALChunk, KindManifest:
 	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadSegment, body[1])
+		d.Fail("unknown kind %d", seg.Kind)
 	}
-	rest := body[2:]
-	idLen, n := binary.Uvarint(rest)
-	if n <= 0 || idLen > uint64(len(rest)-n) {
-		return nil, fmt.Errorf("%w: bad program id", ErrBadSegment)
+	seg.ProgramID = d.String()
+	seg.Gen, seg.Part, seg.Offset = d.Uvarint(), d.Uvarint(), d.Uvarint()
+	seg.Payload = d.View()
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
-	seg.ProgramID = string(rest[n : n+int(idLen)])
-	rest = rest[n+int(idLen):]
-	for _, dst := range []*uint64{&seg.Gen, &seg.Part, &seg.Offset} {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: truncated header", ErrBadSegment)
-		}
-		*dst = v
-		rest = rest[n:]
-	}
-	payLen, n := binary.Uvarint(rest)
-	if n <= 0 || payLen != uint64(len(rest)-n) {
-		return nil, fmt.Errorf("%w: payload length mismatch", ErrBadSegment)
-	}
-	seg.Payload = rest[n:]
 	return seg, nil
 }

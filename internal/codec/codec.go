@@ -1,8 +1,13 @@
 // Package codec is the one reader of the uvarint framing every binary format
-// of this repository shares: columnar trace batches, journal records and
-// segment state, fixes, proofs, guidance cases and the wire's control
-// payloads. A field is a uvarint length and that many bytes, a list a
-// uvarint count and that many items, an integer a (zig-zag) varint.
+// of this repository shares: columnar trace batches and the length prefix of
+// a compressed slab, execution tree snapshots and delta segments, journal
+// headers, record frames, records and segment state, archive segments,
+// fixes, proofs, guidance cases, the wire's submission tag, its binary ack
+// and its control payloads. A field is a uvarint length and that many
+// bytes, a list a uvarint count and that many items, an integer a (zig-zag)
+// varint. Only the column loops of trace batches, which read one varint per
+// event, read varints by hand (internal/analysis's TestOneUvarintReader
+// holds the rest of the module to this package).
 //
 // A Decoder latches the first error, so a caller reads a whole record and
 // checks once. It never sizes anything past its input: Count refuses a list
@@ -124,13 +129,31 @@ func (d *Decoder) Varint() int64 {
 	return v
 }
 
+// Uint32 reads four bytes as a little-endian uint32: the CRC32 that closes
+// a journal record and a snapshot segment.
+func (d *Decoder) Uint32() uint32 {
+	if d.err != nil || len(d.buf)-d.pos < 4 {
+		d.truncated()
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(d.buf[d.pos:])
+	d.pos += 4
+	return v
+}
+
 // Count reads the length of a list whose every item takes at least minBytes,
 // and refuses one the bytes left cannot hold: no list is sized past the
 // input. It divides rather than multiplies, so a count near 2^64 cannot wrap
-// the check.
+// the check, and only when minBytes is above one: a tree decode reads three
+// counts of one-byte items a node, and a division for each shows in its
+// profile.
 func (d *Decoder) Count(minBytes int) int {
 	n := d.Uvarint()
-	if d.err == nil && n > uint64((len(d.buf)-d.pos)/minBytes) {
+	room := len(d.buf) - d.pos
+	if minBytes > 1 {
+		room /= minBytes
+	}
+	if d.err == nil && n > uint64(room) {
 		d.Fail("%d items claimed in %d bytes", n, len(d.buf)-d.pos)
 	}
 	if d.err != nil {

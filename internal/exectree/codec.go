@@ -3,10 +3,10 @@ package exectree
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/prog"
 )
 
@@ -115,149 +115,82 @@ func Decode(data []byte) (*Tree, error) {
 // been overlaid. Nodes, child slots, terminal counts and open buckets come
 // from s.
 func decodeNodes(data []byte, s *slab, r *restore) (*Tree, error) {
-	d := &treeDecoder{buf: data, slab: s, restore: r}
-	if v := d.byte(); v != codecVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrCodec, v)
+	d := &treeDecoder{Decoder: codec.NewDecoder(data, ErrCodec, "tree"), slab: s, restore: r}
+	if v := d.Byte(); d.Err() == nil && v != codecVersion {
+		d.Fail("version %d", v)
 	}
-	programID := d.string()
-	if d.err != nil {
-		return nil, d.err
+	programID := d.String()
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	t := New(programID)
 	t.nodes = 0
-	root, err := d.node(t, nil, Edge{}, 0)
-	if err != nil {
+	t.root = d.node(t, nil, Edge{}, 0)
+	if err := d.Finish(); err != nil {
 		return nil, err
-	}
-	t.root = root
-	if d.pos != len(d.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(d.buf)-d.pos)
 	}
 	return t, nil
 }
 
 const maxDecodeDepth = 1 << 16
 
+// treeDecoder reads full snapshots and delta segments into nodes carved
+// from slab.
 type treeDecoder struct {
-	buf     []byte
-	pos     int
-	err     error
+	codec.Decoder
 	slab    *slab
 	restore *restore // closes each node decoded, when set
 }
 
-func (d *treeDecoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated at offset %d", ErrCodec, d.pos)
-	}
-}
-
-func (d *treeDecoder) byte() byte {
-	if d.err != nil || d.pos >= len(d.buf) {
-		d.fail()
-		return 0
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *treeDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	// Most values — counts, edges, small visit counts — fit in one byte.
-	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
-		v := uint64(d.buf[d.pos])
-		d.pos++
-		return v
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-// length reads a count of items still to come. Every item takes at least
-// one byte, so a count past the bytes left is malformed — which also keeps
-// a hostile count from sizing an allocation or a loop.
-func (d *treeDecoder) length() int {
-	v := d.uvarint()
-	if d.err != nil || v > uint64(len(d.buf)-d.pos) {
-		d.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (d *treeDecoder) string() string {
-	n := int(d.uvarint())
-	if d.err != nil || n < 0 || d.pos+n > len(d.buf) {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[d.pos : d.pos+n])
-	d.pos += n
-	return s
-}
-
 func (d *treeDecoder) edge() Edge {
-	v := d.uvarint()
+	v := d.Uvarint()
 	return Edge{ID: int32(v >> 1), Taken: v&1 == 1}
 }
 
-func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, error) {
+// node reads a node and its subtree. It returns nil once the decoder holds
+// an error.
+func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) *Node {
 	if depth > maxDecodeDepth {
-		return nil, fmt.Errorf("%w: depth exceeds %d", ErrCodec, maxDecodeDepth)
+		d.Fail("depth exceeds %d", maxDecodeDepth)
+		return nil
 	}
 	n := d.slab.node()
 	if parent != nil {
 		n.parent, n.in, n.depth = parent, in, parent.depth+1
 	}
-
-	if err := d.terminals(n); err != nil {
-		return nil, err
-	}
-
-	ni := d.length()
-	if d.err != nil {
-		return nil, d.err
-	}
-	for i := 0; i < ni; i++ {
+	d.terminals(n)
+	for ni := d.Count(1); ni > 0; ni-- {
 		e := d.edge()
-		if d.err != nil {
-			return nil, d.err
+		if d.Err() != nil {
+			return nil
 		}
 		n.markInfeasible(e)
 	}
-
-	nc := d.length()
-	if d.err != nil {
-		return nil, d.err
+	nc := d.Count(1)
+	if d.Err() != nil {
+		return nil
 	}
 	n.kids = d.slab.kids.take(nc)
 	for i := 0; i < nc; i++ {
 		e := d.edge()
-		visits := int64(d.uvarint())
-		if d.err != nil {
-			return nil, d.err
+		visits := int64(d.Uvarint())
+		if d.Err() != nil {
+			return nil
 		}
-		child, err := d.node(t, n, e, depth+1)
-		if err != nil {
-			return nil, err
+		child := d.node(t, n, e, depth+1)
+		if child == nil {
+			return nil
 		}
 		if n.kidIndex(e) >= 0 {
-			return nil, fmt.Errorf("%w: duplicate edge %v", ErrCodec, e)
+			d.Fail("duplicate edge %v", e)
+			return nil
 		}
 		n.addKid(e, child, visits)
 	}
 	if d.restore != nil {
 		d.restore.close(t, n)
 	}
-	return n, nil
+	return n
 }
 
 // terminals reads a node's terminal counts over whatever n holds: into
@@ -265,28 +198,25 @@ func (d *treeDecoder) node(t *Tree, parent *Node, in Edge, depth int) (*Node, er
 // the base filled in), else into room carved from the slab. Encode writes
 // the outcomes in ascending order, and a decode holds them to it: the slice
 // is kept sorted, and a repeated outcome would be counted twice.
-func (d *treeDecoder) terminals(n *Node) error {
-	nt := d.length()
-	if d.err != nil {
-		return d.err
-	}
+func (d *treeDecoder) terminals(n *Node) {
+	nt := d.Count(1)
 	if cap(n.terminal) >= nt {
 		n.terminal = n.terminal[:0]
 	} else {
 		n.terminal = d.slab.terms.take(nt)
 	}
 	for i := 0; i < nt; i++ {
-		o := prog.Outcome(d.byte())
-		c := int64(d.uvarint())
-		if d.err != nil {
-			return d.err
+		o := prog.Outcome(d.Byte())
+		c := int64(d.Uvarint())
+		if d.Err() != nil {
+			return
 		}
 		if i > 0 && o <= n.terminal[i-1].o {
-			return fmt.Errorf("%w: terminal outcome %d after %d", ErrCodec, o, n.terminal[i-1].o)
+			d.Fail("terminal outcome %d after %d", o, n.terminal[i-1].o)
+			return
 		}
 		n.terminal = append(n.terminal, outcomeCount{o: o, c: c})
 	}
-	return nil
 }
 
 func orderedEdges(m map[Edge]bool) []Edge {

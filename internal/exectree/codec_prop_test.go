@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/codec/codectest"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
@@ -129,9 +130,10 @@ func TestPropTreeCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzTreeCodec fuzzes the decoder: arbitrary bytes must never panic, and
-// any successfully decoded tree must re-encode byte-stably and satisfy the
-// index-equals-walk invariant.
+// FuzzTreeCodec fuzzes the decoder: arbitrary bytes must never panic, a
+// hostile count or length is refused without sizing anything past the
+// input, and any successfully decoded tree must re-encode byte-stably and
+// satisfy the index-equals-walk invariant.
 func FuzzTreeCodec(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -139,9 +141,16 @@ func FuzzTreeCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{codecVersion})
+	decode := func(data []byte) error { _, err := Decode(data); return err }
+	codectest.Fuzz(f, decode,
+		[]byte{codecVersion},          // the program ID's length
+		[]byte{codecVersion, 0},       // the root's terminal count
+		[]byte{codecVersion, 0, 0},    // its certificate count
+		[]byte{codecVersion, 0, 0, 0}, // its child count
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := Decode(data)
-		if err != nil {
+		var dec *Tree
+		if codectest.Decode(t, data, func(b []byte) (err error) { dec, err = Decode(b); return err }) != nil {
 			return
 		}
 		re := dec.Encode()

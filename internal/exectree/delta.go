@@ -3,6 +3,8 @@ package exectree
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/codec"
 )
 
 // Incremental (delta) tree snapshots.
@@ -192,18 +194,17 @@ func DecodeChain(base []byte, deltas [][]byte) (*Tree, error) {
 // bytes) holds — the dirty-set size it was written from — reading its
 // header only.
 func DeltaEntries(data []byte) (int, error) {
-	_, n, err := (&treeDecoder{buf: data}).deltaHeader()
-	return n, err
+	d := codec.NewDecoder(data, ErrCodec, "tree delta")
+	_, n := deltaHeader(&d)
+	return n, d.Err()
 }
 
 // deltaHeader reads a delta segment's version, program ID and entry count.
-func (d *treeDecoder) deltaHeader() (programID string, entries int, err error) {
-	if version := d.byte(); d.err == nil && version != deltaVersion {
-		return "", 0, fmt.Errorf("%w: delta version %d", ErrCodec, version)
+func deltaHeader(d *codec.Decoder) (programID string, entries int) {
+	if v := d.Byte(); d.Err() == nil && v != deltaVersion {
+		d.Fail("delta version %d", v)
 	}
-	programID = d.string()
-	entries = d.length()
-	return programID, entries, d.err
+	return d.String(), d.Count(1)
 }
 
 // applyDelta overlays one delta segment: every entry overwrites its node's
@@ -213,36 +214,32 @@ func (d *treeDecoder) deltaHeader() (programID string, entries int, err error) {
 // derives both in one walk after the last segment. New nodes and slots come
 // from s.
 func (t *Tree) applyDelta(data []byte, s *slab) error {
-	d := &treeDecoder{buf: data, slab: s}
-	id, count, err := d.deltaHeader()
-	if err != nil {
-		return err
-	}
-	if id != t.programID {
-		return fmt.Errorf("%w: delta for %q applied to %q", ErrCodec, id, t.programID)
+	d := &treeDecoder{Decoder: codec.NewDecoder(data, ErrCodec, "tree delta"), slab: s}
+	id, count := deltaHeader(&d.Decoder)
+	if d.Err() == nil && id != t.programID {
+		d.Fail("delta for %q applied to %q", id, t.programID)
 	}
 	// stack[i] is the node at depth i on the root path of the entry read
 	// last: an entry keeps a prefix of it and descends its suffix from there.
 	stack := []*Node{t.root}
-	for ; count > 0 && d.err == nil; count-- {
-		k := d.uvarint()
-		if k >= uint64(len(stack)) {
-			return fmt.Errorf("%w: delta entry keeps %d of a %d-deep path", ErrCodec, k, len(stack)-1)
+	for ; count > 0 && d.Err() == nil; count-- {
+		k := d.Uvarint()
+		if d.Err() == nil && k >= uint64(len(stack)) {
+			d.Fail("entry keeps %d of a %d-deep path", k, len(stack)-1)
 		}
-		keep := int(k)
-		suffix := d.length()
-		if d.err != nil {
+		keep, suffix := int(k), d.Count(1)
+		if d.Err() == nil && keep+suffix > maxDecodeDepth {
+			d.Fail("depth exceeds %d", maxDecodeDepth)
+		}
+		if d.Err() != nil {
 			break
-		}
-		if keep+suffix > maxDecodeDepth {
-			return fmt.Errorf("%w: depth exceeds %d", ErrCodec, maxDecodeDepth)
 		}
 		stack = stack[:keep+1]
 		n := stack[keep]
 		for ; suffix > 0; suffix-- {
 			e := d.edge()
-			if d.err != nil {
-				return d.err
+			if d.Err() != nil {
+				return d.Err()
 			}
 			child := n.Child(e)
 			if child == nil {
@@ -255,18 +252,16 @@ func (t *Tree) applyDelta(data []byte, s *slab) error {
 
 		// What a node already holds is reused: most entries overwrite a node
 		// the base or an earlier segment filled in.
-		if err := d.terminals(n); err != nil {
-			return err
-		}
+		d.terminals(n)
 		clear(n.infeasible)
-		for ni := d.length(); ni > 0; ni-- {
+		for ni := d.Count(1); ni > 0; ni-- {
 			e := d.edge()
-			if d.err != nil {
-				return d.err
+			if d.Err() != nil {
+				return d.Err()
 			}
 			n.markInfeasible(e)
 		}
-		nc := d.length()
+		nc := d.Count(1)
 		if need := max(nc, len(n.kids)); cap(n.kids) < need {
 			// The entry lists every outgoing edge the node has now, old ones
 			// included: one carve holds them all.
@@ -275,9 +270,9 @@ func (t *Tree) applyDelta(data []byte, s *slab) error {
 		}
 		for ; nc > 0; nc-- {
 			e := d.edge()
-			visits := int64(d.uvarint())
-			if d.err != nil {
-				return d.err
+			visits := int64(d.Uvarint())
+			if d.Err() != nil {
+				return d.Err()
 			}
 			if i := n.kidIndex(e); i >= 0 {
 				n.kids[i].visits = visits
@@ -286,11 +281,5 @@ func (t *Tree) applyDelta(data []byte, s *slab) error {
 			}
 		}
 	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.pos != len(d.buf) {
-		return fmt.Errorf("%w: %d trailing delta bytes", ErrCodec, len(d.buf)-d.pos)
-	}
-	return nil
+	return d.Finish()
 }

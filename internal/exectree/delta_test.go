@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/codec/codectest"
 	"repro/internal/prog"
 	"repro/internal/trace"
 )
@@ -145,7 +146,8 @@ func TestDeltaNeverExceedsFull(t *testing.T) {
 
 // FuzzDeltaChain fuzzes the segment reader over a fixed base: arbitrary
 // bytes — keep past the stack, suffix and count bombs, 2^60 uvarints,
-// truncated entries — are an error and never a panic, and a segment that is
+// truncated entries, every hostile uvarint in each header and entry field —
+// are an error and never a panic, and a segment that is
 // accepted created no more nodes than it had bytes to name them with, and
 // left an open set that agrees with a walk and with every node's bucket.
 func FuzzDeltaChain(f *testing.F) {
@@ -182,6 +184,16 @@ func FuzzDeltaChain(f *testing.F) {
 	f.Add(entry([]byte{1, 0, 0}, huge))               // terminal-count bomb
 	f.Add(entry([]byte{1, 0, 0, 0, 0}, huge))         // child-count bomb
 	f.Add(entry([]byte{2, 0, 1, 2, 0, 0, 0, 1, 1}))   // second entry truncated
+	decode := func(data []byte) error { _, err := DecodeChain(base, [][]byte{data}); return err }
+	codectest.Fuzz(f, decode,
+		[]byte{deltaVersion},         // the program ID's length
+		header,                       // the entry count
+		entry([]byte{1}),             // the first entry's kept depth
+		entry([]byte{1, 0}),          // its suffix length
+		entry([]byte{1, 0, 0}),       // its terminal count
+		entry([]byte{1, 0, 0, 0}),    // its certificate count
+		entry([]byte{1, 0, 0, 0, 0}), // its child count
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := DecodeChain(base, [][]byte{data})
 		if err != nil {

@@ -123,6 +123,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/codec"
 )
 
 // ErrCorrupt is wrapped by malformed journal or snapshot data.
@@ -763,9 +765,10 @@ func readWAL(vfs FS, path string, buf *[]byte) ([]byte, error) {
 // ErrUnknownVersion, and one that does not decode with ErrCorrupt, so nothing
 // after it is cut. where names the journal in errors.
 func replayRecords(where string, body []byte, apply func(Receipt) error) (n, valid int, err error) {
-	for rest := body; len(rest) > 0; {
-		payload, next, ok := readRecord(rest)
-		if !ok {
+	d := codec.NewDecoder(body, ErrCorrupt, "wal record")
+	for d.Left() > 0 {
+		payload := d.View()
+		if crc := d.Uint32(); d.Err() != nil || crc32.ChecksumIEEE(payload) != crc {
 			break
 		}
 		if apply != nil {
@@ -778,8 +781,7 @@ func replayRecords(where string, body []byte, apply func(Receipt) error) (n, val
 			}
 		}
 		n++
-		valid = len(body) - len(next)
-		rest = next
+		valid = d.Pos()
 	}
 	return n, valid, nil
 }
@@ -1131,7 +1133,11 @@ func walHeader(programID string) []byte {
 	return append(hdr, programID...)
 }
 
-// readWALHeader returns the program ID recorded in a journal header.
+// readWALHeader returns the program ID recorded in a journal header. One
+// read takes the header of an ID of up to 256 bytes; the rest of a longer
+// ID is read when the file is as long as its length prefix claims, so a
+// header whose creation write was torn reads short, and splitWALHeader
+// refuses it as corrupt.
 func readWALHeader(vfs FS, path string) (string, error) {
 	f, err := vfs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
@@ -1143,7 +1149,21 @@ func readWALHeader(vfs FS, path string) (string, error) {
 	if err != nil && n == 0 {
 		return "", err
 	}
-	id, _, err := splitWALHeader(buf[:n], path)
+	buf = buf[:n]
+	d := codec.NewDecoder(buf[min(n, len(walMagic)):], ErrCorrupt, "wal header")
+	if idLen, at := d.Uvarint(), len(walMagic)+d.Pos(); d.Err() == nil && idLen > uint64(n-at) {
+		st, err := f.Stat()
+		if err != nil {
+			return "", err
+		}
+		if left := st.Size() - int64(at); left >= 0 && idLen <= uint64(left) {
+			buf = append(buf, make([]byte, at+int(idLen)-n)...)
+			if _, err := io.ReadFull(f, buf[n:]); err != nil {
+				return "", err
+			}
+		}
+	}
+	id, _, err := splitWALHeader(buf, path)
 	return id, err
 }
 
@@ -1153,13 +1173,12 @@ func splitWALHeader(data []byte, where string) (string, []byte, error) {
 	if err := checkMagic(data, walMagic, where); err != nil {
 		return "", nil, err
 	}
-	rest := data[len(walMagic):]
-	n, sz := binary.Uvarint(rest)
-	if sz <= 0 || n > uint64(len(rest)-sz) {
-		return "", nil, fmt.Errorf("%w: bad wal header in %s", ErrCorrupt, where)
+	d := codec.NewDecoder(data[len(walMagic):], ErrCorrupt, "wal header")
+	id := d.String()
+	if d.Err() != nil {
+		return "", nil, fmt.Errorf("%s: %w", where, d.Err())
 	}
-	id := string(rest[sz : sz+int(n)])
-	return id, rest[sz+int(n):], nil
+	return id, data[len(walMagic)+d.Pos():], nil
 }
 
 // appendRecord frames one payload: uvarint length, payload, CRC32.
@@ -1169,23 +1188,4 @@ func appendRecord(buf, payload []byte) []byte {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
 	return append(buf, crc[:]...)
-}
-
-// readRecord unframes the next record; ok is false on a torn or corrupt
-// record (recovery truncates there).
-func readRecord(data []byte) (payload, rest []byte, ok bool) {
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 || n > uint64(len(data)-sz) {
-		return nil, nil, false
-	}
-	body := data[sz:]
-	if uint64(len(body)) < n+4 {
-		return nil, nil, false
-	}
-	payload = body[:n]
-	want := binary.LittleEndian.Uint32(body[n : n+4])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, nil, false
-	}
-	return payload, body[n+4:], true
 }

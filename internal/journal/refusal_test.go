@@ -278,11 +278,15 @@ func TestReplayRefusesUndecodableRecord(t *testing.T) {
 	}
 }
 
-// TestTornWALHeaderStillReset: a header cut short inside the magic is a
-// creation write that never completed, not another version: Replay and the
-// first append still reset it, and the journal takes records again.
+// TestTornWALHeaderStillReset: a header cut short inside the magic, or
+// inside a program ID however long, is a creation write that never
+// completed, not another version: Replay and the first append still reset
+// it, and the journal takes records again. So is a header whose ID length
+// claims more bytes than the file holds.
 func TestTornWALHeaderStillReset(t *testing.T) {
-	for _, torn := range []string{"SBWAL", "SBWAL1", "SB"} {
+	long := walHeader(strings.Repeat("p", 300))
+	for _, torn := range []string{"SBWAL", "SBWAL1", "SB", string(long[:200]), string(long[:len(long)-1]),
+		string(binary.AppendUvarint([]byte(walMagic), 1<<63-1))} {
 		dir := t.TempDir()
 		s, err := Open(dir, Options{})
 		if err != nil {
@@ -309,5 +313,38 @@ func TestTornWALHeaderStillReset(t *testing.T) {
 			t.Fatalf("%q: the journal starts %q (%v); want a fresh header", torn, data, err)
 		}
 		s.Close()
+	}
+}
+
+// TestLongProgramIDSurvivesReopen: a journal header holds its program ID
+// whole, however long, and is read whole: a reopened store lists the
+// program and replays every record committed under it, where a header read
+// cut at a fixed length would take the ID for a torn header and reset the
+// journal.
+func TestLongProgramIDSurvivesReopen(t *testing.T) {
+	id := strings.Repeat("a-long-program-id/", 17)[:300]
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := s.Commit(id, batchOp("s", uint64(i), "rec")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.Programs(); !reflect.DeepEqual(got, []string{id}) {
+		t.Fatalf("the reopened store lists %d programs (%q); want the one with the %d-byte ID", len(got), got, len(id))
+	}
+	if n, err := s.Replay(id, func(Receipt) error { return nil }); err != nil || n != 3 {
+		t.Fatalf("Replay = %d, %v; want the 3 committed records", n, err)
 	}
 }

@@ -218,14 +218,12 @@ func decodeSnapshot(data []byte, where string) (*ProgramSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	id, body, ok := splitField(body)
-	tree, body, ok2 := splitField(body)
-	delta, state, ok3 := splitField(body)
-	if !ok || !ok2 || !ok3 {
-		return nil, fmt.Errorf("%w: bad snapshot header in %s", ErrCorrupt, where)
+	d := codec.NewDecoder(body, ErrCorrupt, "snapshot header")
+	snap := &ProgramSnapshot{ProgramID: d.String(), Tree: d.View(), TreeDelta: d.View()}
+	if d.Err() != nil {
+		return nil, fmt.Errorf("%s: %w", where, d.Err())
 	}
-	snap := &ProgramSnapshot{ProgramID: string(id), Tree: tree, TreeDelta: delta}
-	if err := decodeState(state, snap); err != nil {
+	if err := decodeState(body[d.Pos():], snap); err != nil {
 		return nil, fmt.Errorf("%s: %w", where, err)
 	}
 	return snap, nil
@@ -335,30 +333,15 @@ func openSnapshot(data []byte, where string) ([]byte, error) {
 	if err := checkMagic(data, snapMagic, where); err != nil {
 		return nil, err
 	}
-	body, rest, ok := splitField(data[len(snapMagic):])
-	if !ok || len(rest) < 4 {
-		return nil, fmt.Errorf("%w: truncated snapshot %s", ErrCorrupt, where)
+	d := codec.NewDecoder(data[len(snapMagic):], ErrCorrupt, "snapshot frame")
+	body, crc := d.View(), d.Uint32()
+	if d.Err() != nil {
+		return nil, fmt.Errorf("%s: %w", where, d.Err())
 	}
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(rest) {
+	if crc32.ChecksumIEEE(body) != crc {
 		return nil, fmt.Errorf("%w: snapshot checksum mismatch in %s", ErrCorrupt, where)
 	}
 	return body, nil
-}
-
-// splitField splits a uvarint-length-prefixed field off b. The field is a
-// subslice of b capped at its own length (nil when empty), so an append to
-// it copies rather than overwrite what follows. The length check cannot
-// wrap: a hostile prefix near 2^64 is a short field, not a panic.
-func splitField(b []byte) (field, rest []byte, ok bool) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > uint64(len(b)-sz) {
-		return nil, nil, false
-	}
-	end := sz + int(n)
-	if n > 0 {
-		field = b[sz:end:end]
-	}
-	return field, b[end:], true
 }
 
 // readSnapshotID returns the program ID the segment file at path names.
@@ -377,11 +360,11 @@ func snapshotID(data []byte, where string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	id, _, ok := splitField(body)
-	if !ok {
-		return "", fmt.Errorf("%w: bad snapshot header in %s", ErrCorrupt, where)
+	d := codec.NewDecoder(body, ErrCorrupt, "snapshot header")
+	if id := d.String(); d.Err() == nil {
+		return id, nil
 	}
-	return string(id), nil
+	return "", fmt.Errorf("%s: %w", where, d.Err())
 }
 
 // writeSnapshotFile persists a snapshot atomically: temp file, fsync,

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/codec/codectest"
 )
 
 // sampleSnapshot fills every field a segment carries.
@@ -195,6 +196,9 @@ func FuzzSnapshotEnvelope(f *testing.F) {
 	for _, state := range hostileStates() {
 		f.Add(stateSegment(state))
 	}
+	codectest.Fuzz(f, func(data []byte) error { _, err := decodeSnapshot(data, "fuzz"); return err },
+		[]byte(snapMagic), // the frame's body length
+	)
 	// Every segment of the data directories earlier builds wrote (the
 	// hive's legacy fixtures): each retired envelope version as it was
 	// written, all of them refused.
@@ -240,16 +244,17 @@ func FuzzSnapshotEnvelope(f *testing.F) {
 // three header fields.
 func sampleState() []byte {
 	body, err := openSnapshot(encodeSnapshot(sampleSnapshot()), "sample")
-	for i := 0; i < 3 && err == nil; i++ {
-		var ok bool
-		if _, body, ok = splitField(body); !ok {
-			err = errors.New("bad header")
-		}
-	}
 	if err != nil {
 		panic("the sample segment does not open: " + err.Error())
 	}
-	return body
+	d := codec.NewDecoder(body, ErrCorrupt, "sample header")
+	for i := 0; i < 3; i++ {
+		d.View()
+	}
+	if err := d.Err(); err != nil {
+		panic("the sample segment's header does not read: " + err.Error())
+	}
+	return body[d.Pos():]
 }
 
 // stateSegment frames state as a segment of program "p" with no tree.

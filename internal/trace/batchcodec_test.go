@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/codec/codectest"
 	"repro/internal/prog"
 )
 
@@ -472,6 +473,16 @@ func FuzzBatchCodec(f *testing.F) {
 	for _, enc := range unknownModeBatches(f, rng) {
 		f.Add(enc)
 	}
+	codectest.Fuzz(f, func(data []byte) error {
+		v, err := DecodeBatch(data)
+		if err == nil {
+			v.Release()
+		}
+		return err
+	},
+		[]byte{batchVersion},    // the program ID's length
+		[]byte{batchVersion, 0}, // the pod count
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v := checkAgainstReference(t, data)
 		if v == nil {
@@ -652,17 +663,19 @@ func (d *decoder) varint() int64 {
 	return v
 }
 
+// string compares the length with the bytes left, never d.pos+n, which a
+// length near 2^63 wraps.
 func (d *decoder) string() string {
-	n := int(d.uvarint())
+	n := d.uvarint()
 	if d.err != nil {
 		return ""
 	}
-	if n < 0 || d.pos+n > len(d.buf) {
+	if n > uint64(len(d.buf)-d.pos) {
 		d.fail()
 		return ""
 	}
-	s := string(d.buf[d.pos : d.pos+n])
-	d.pos += n
+	s := string(d.buf[d.pos : d.pos+int(n)])
+	d.pos += int(n)
 	return s
 }
 

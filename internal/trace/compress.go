@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"repro/internal/codec"
 )
 
 // Slab compression is the wire's bandwidth lever for columnar batches: the
@@ -93,19 +95,20 @@ func CompressSlab(dst []byte, raw []byte) []byte {
 // when the payload has been fully consumed; the bytes must not be retained
 // past that.
 func DecompressSlab(payload []byte, maxRaw int) (*[]byte, error) {
-	rawLen, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: compressed slab length prefix", ErrCodec)
+	r := codec.NewDecoder(payload, ErrCodec, "compressed slab")
+	rawLen := r.Uvarint()
+	if r.Err() == nil && rawLen > uint64(maxRaw) {
+		r.Fail("claims %d bytes, max %d", rawLen, maxRaw)
 	}
-	if rawLen > uint64(maxRaw) {
-		return nil, fmt.Errorf("%w: compressed slab claims %d bytes, max %d", ErrCodec, rawLen, maxRaw)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	d := slabDecompressorPool.Get().(*slabDecompressor)
 	defer func() {
 		d.br.Reset(nil)
 		slabDecompressorPool.Put(d)
 	}()
-	d.br.Reset(payload[n:])
+	d.br.Reset(payload[r.Pos():])
 	if err := d.fr.(flate.Resetter).Reset(&d.br, nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCodec, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/codec/codectest"
 	"repro/internal/race"
 )
 
@@ -125,8 +126,17 @@ func FuzzCompressedSlab(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add(CompressSlab(nil, nil))
+	const maxRaw = 1 << 16
+	codectest.Fuzz(f, func(payload []byte) error {
+		got, err := DecompressSlab(payload, maxRaw)
+		if err == nil {
+			ReleaseSlab(got)
+		}
+		return err
+	},
+		nil, // the decompressed length
+	)
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		const maxRaw = 1 << 16
 		got, err := DecompressSlab(payload, maxRaw)
 		if err != nil {
 			return

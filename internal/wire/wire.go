@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/codec"
 )
 
 // MsgType discriminates frames.
@@ -232,11 +234,12 @@ func encodeAckBin(accepted int, dup bool, errMsg string) []byte {
 
 // decodeAckBin unpacks a binary ack.
 func decodeAckBin(buf []byte) (accepted int, dup bool, errMsg string, err error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || len(buf) < sz+1 {
-		return 0, false, "", fmt.Errorf("%w: binary ack", ErrFrame)
+	d := codec.NewDecoder(buf, ErrFrame, "binary ack")
+	accepted, dup = int(d.Uvarint()), d.Byte()&1 == 1
+	if d.Err() != nil {
+		return 0, false, "", d.Err()
 	}
-	return int(n), buf[sz]&1 == 1, string(buf[sz+1:]), nil
+	return accepted, dup, string(buf[d.Pos():]), nil
 }
 
 // appendSeqPrefix writes the (session, seq) exactly-once tag that opens
@@ -249,15 +252,10 @@ func appendSeqPrefix(buf []byte, session string, seq uint64) []byte {
 
 // decodeSeqPrefix splits a sequenced payload into its tag and the rest.
 func decodeSeqPrefix(buf []byte) (session string, seq uint64, rest []byte, err error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf[sz:])) {
-		return "", 0, nil, fmt.Errorf("%w: session id", ErrFrame)
+	d := codec.NewDecoder(buf, ErrFrame, "submission tag")
+	session, seq = d.String(), d.Uvarint()
+	if d.Err() != nil {
+		return "", 0, nil, d.Err()
 	}
-	session = string(buf[sz : sz+int(n)])
-	buf = buf[sz+int(n):]
-	seq, sz = binary.Uvarint(buf)
-	if sz <= 0 {
-		return "", 0, nil, fmt.Errorf("%w: sequence number", ErrFrame)
-	}
-	return session, seq, buf[sz:], nil
+	return session, seq, buf[d.Pos():], nil
 }
